@@ -489,6 +489,44 @@ mod tests {
         assert_ne!(base, fingerprint_experiment(&experiment()));
     }
 
+    /// Keys of existing stores must stay valid across refactors of the
+    /// engine: these hex digests are pinned, not recomputed. A mismatch
+    /// means every on-disk record would silently miss.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let paper_cell = Experiment::new(Workload::ft_b8(), DvsStrategy::DynamicBaseMhz(1200));
+        let mut causal_tree = Experiment::new(Workload::ft_test(4), DvsStrategy::StaticMhz(1400));
+        causal_tree.engine.topology = Topology::FatTree {
+            radix: 4,
+            oversub: 2.0,
+        };
+        causal_tree.engine.causal = true;
+        let faulted = Experiment::new(Workload::ft_test(4), DvsStrategy::DynamicBaseMhz(1400))
+            .with_faults(
+                mpi_sim::FaultSpec::parse("seed:11,slow:1:1.4,dvfs-fail:2:0.3,weak-link:3:0.6")
+                    .expect("valid fault spec"),
+            );
+        for (name, experiment, pinned) in [
+            (
+                "paper cell",
+                &paper_cell,
+                "d3b45c243815d632170f36df3f125c88",
+            ),
+            (
+                "fat-tree causal",
+                &causal_tree,
+                "4967841a89d2ec88f9cf922de41a27dd",
+            ),
+            ("faulted", &faulted, "f008c98215c2770f6c26f55775020aa5"),
+        ] {
+            assert_eq!(
+                fingerprint_experiment(experiment).to_hex(),
+                pinned,
+                "{name}: store key drifted"
+            );
+        }
+    }
+
     #[test]
     fn hex_and_bytes_round_trip() {
         let fp = fingerprint_experiment(&experiment());

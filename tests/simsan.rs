@@ -1,12 +1,13 @@
 //! Determinism sanitizer (`--features simsan`): the engine's checkpoint
 //! hash stream — state digests at phase boundaries, sample instants, and
-//! the pre-finalize instant — must be bit-identical at every shard
-//! count. This is strictly stronger than comparing final `RunResult`s:
-//! a shard-order divergence that later cancels out still trips the
-//! sanitizer at the first checkpoint it perturbs.
+//! the pre-finalize instant — is pinned against
+//! `tests/golden/simsan_streams.txt`. This is strictly stronger than
+//! comparing final `RunResult`s: a refactor that perturbs an intermediate
+//! state and later cancels out still trips the sanitizer at the first
+//! checkpoint it touches, and the failure names that checkpoint.
 //!
-//! CI runs this suite with `PWRPERF_SHARDS=1,2,8`; unset, the same three
-//! counts are the default.
+//! Regenerate with `BLESS=1 cargo test --features simsan --test simsan`
+//! — only for a deliberate change to the simulated physics.
 
 #![cfg(feature = "simsan")]
 
@@ -17,18 +18,14 @@ use pwrperf::{DvsStrategy, Workload};
 use sim_core::SimDuration;
 use workloads::{CgClass, MgClass};
 
-/// Shard counts under test: `PWRPERF_SHARDS` as a comma list, else 1/2/8.
-fn shard_counts() -> Vec<usize> {
-    std::env::var("PWRPERF_SHARDS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<usize>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 8])
-}
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/simsan_streams.txt"
+);
+
+/// Fault spec of the faulted scenario: one straggler, flaky DVFS and a
+/// weak link, all on ranks every workload of the trio has.
+const FAULTS: &str = "seed:11,slow:1:1.4,dvfs-fail:2:0.3,weak-link:3:0.6";
 
 /// The paper's benchmark trio at test scale.
 fn workloads() -> Vec<Workload> {
@@ -45,82 +42,104 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
+/// The pinned scenarios: `(name, strategy, fault spec)`. The power-cap
+/// controller folds its replanning state into every checkpoint via
+/// `state_digest`, so its stream also pins controller state.
+fn scenarios() -> Vec<(&'static str, DvsStrategy, &'static str)> {
+    vec![
+        ("clean", DvsStrategy::DynamicBaseMhz(1400), ""),
+        ("faulted", DvsStrategy::DynamicBaseMhz(1400), FAULTS),
+        (
+            "power-cap",
+            DvsStrategy::PowerCap {
+                watts: 100,
+                policy: CapPolicy::Redistribute,
+            },
+            "",
+        ),
+    ]
+}
+
 /// Build the engine exactly as `Experiment::run` does and run it under
 /// the sanitizer.
-fn sanitized(
-    w: &Workload,
-    strategy: DvsStrategy,
-    shards: usize,
-    faults: &str,
-) -> (RunResult, Vec<u64>) {
+fn sanitized(w: &Workload, strategy: DvsStrategy, faults: &str) -> (RunResult, Vec<u64>) {
     let cluster = Cluster::paper_testbed(w.ranks());
     let programs = w.programs(strategy.wants_instrumentation());
     let controller = strategy.controller(cluster.nodes());
     let config = EngineConfig {
         sample_interval: Some(SimDuration::from_millis(50)),
         faults: FaultSpec::parse(faults).expect("valid fault spec"),
-        shards,
         ..EngineConfig::default()
     };
     Engine::with_controller(cluster, programs, controller, config).run_sanitized()
 }
 
-#[test]
-fn hash_streams_are_bit_identical_across_shard_counts() {
-    for w in &workloads() {
-        let (_, baseline) = sanitized(w, DvsStrategy::DynamicBaseMhz(1400), 1, "");
-        assert!(
-            baseline.len() > 10,
-            "{}: expected a real checkpoint stream, got {}",
-            w.label(),
-            baseline.len()
-        );
-        for shards in shard_counts() {
-            let (_, stream) = sanitized(w, DvsStrategy::DynamicBaseMhz(1400), shards, "");
-            assert_eq!(
-                stream,
-                baseline,
-                "{}: sanitizer stream diverged at {shards} shards",
-                w.label()
-            );
+/// Render streams as `[name] <count>` headers, one hex hash per line.
+fn render(streams: &[(String, Vec<u64>)]) -> String {
+    let mut out = String::new();
+    for (name, hashes) in streams {
+        out.push_str(&format!("[{name}] {}\n", hashes.len()));
+        for h in hashes {
+            out.push_str(&format!("{h:016x}\n"));
         }
     }
+    out
 }
 
-#[test]
-fn faulted_hash_streams_are_bit_identical_across_shard_counts() {
-    // Fault injection mutates per-rank state as faults fire; the stream
-    // must still agree checkpoint-for-checkpoint at every shard count.
-    let spec = "seed:11,slow:1:1.4,dvfs-fail:2:0.3,weak-link:3:0.6";
-    let w = Workload::ft_test(4);
-    let (result, baseline) = sanitized(&w, DvsStrategy::DynamicBaseMhz(1400), 1, spec);
-    assert!(result.faults.total() > 0, "the spec must actually fire");
-    for shards in shard_counts() {
-        let (_, stream) = sanitized(&w, DvsStrategy::DynamicBaseMhz(1400), shards, spec);
-        assert_eq!(
-            stream, baseline,
-            "faulted sanitizer stream diverged at {shards} shards"
-        );
+fn parse(text: &str) -> Vec<(String, Vec<u64>)> {
+    let mut streams: Vec<(String, Vec<u64>)> = Vec::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix('[') {
+            let name = rest.split(']').next().expect("section header");
+            streams.push((name.to_string(), Vec::new()));
+        } else {
+            let h = u64::from_str_radix(line, 16).expect("hex checkpoint hash");
+            streams.last_mut().expect("hash before header").1.push(h);
+        }
     }
+    streams
 }
 
 #[test]
-fn stateful_controller_digests_agree_across_shard_counts() {
-    // The power-cap controller folds its replanning state into every
-    // checkpoint via `state_digest`; a shard-dependent controller state
-    // would diverge here even if node-level results happened to agree.
-    let strategy = DvsStrategy::PowerCap {
-        watts: 100,
-        policy: CapPolicy::Redistribute,
-    };
-    let w = Workload::ft_test(4);
-    let (_, baseline) = sanitized(&w, strategy, 1, "");
-    for shards in shard_counts() {
-        let (_, stream) = sanitized(&w, strategy, shards, "");
-        assert_eq!(
-            stream, baseline,
-            "power-cap sanitizer stream diverged at {shards} shards"
-        );
+fn hash_streams_match_golden() {
+    let mut streams = Vec::new();
+    for w in &workloads() {
+        for (scenario, strategy, faults) in scenarios() {
+            let (result, hashes) = sanitized(w, strategy, faults);
+            let name = format!("{}/{scenario}", w.label());
+            assert!(
+                hashes.len() > 10,
+                "{name}: expected a real checkpoint stream, got {}",
+                hashes.len()
+            );
+            if !faults.is_empty() {
+                assert!(result.faults.total() > 0, "{name}: the spec must fire");
+            }
+            streams.push((name, hashes));
+        }
+    }
+    if std::env::var("BLESS").is_ok() {
+        std::fs::write(GOLDEN, render(&streams)).expect("write golden");
+        return;
+    }
+    let golden =
+        parse(&std::fs::read_to_string(GOLDEN).expect("golden file (BLESS=1 to regenerate)"));
+    assert_eq!(
+        golden.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        streams.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        "golden stream set differs"
+    );
+    for ((name, got), (_, want)) in streams.iter().zip(&golden) {
+        if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+            panic!(
+                "{name}: sanitizer stream diverged from tests/golden/simsan_streams.txt \
+                 at checkpoint {i} of {} (golden has {}): got {:016x?}, want {:016x?}",
+                got.len(),
+                want.len(),
+                got.get(i),
+                want.get(i)
+            );
+        }
     }
 }
 
@@ -154,16 +173,11 @@ fn sanitized_runs_report_the_same_result_as_plain_runs() {
 fn different_workloads_produce_different_streams() {
     // Guard against a degenerate hasher: distinct simulations must not
     // share a checkpoint stream.
-    let (_, ft) = sanitized(
-        &Workload::ft_test(4),
-        DvsStrategy::DynamicBaseMhz(1400),
-        1,
-        "",
-    );
+    let (_, ft) = sanitized(&Workload::ft_test(4), DvsStrategy::DynamicBaseMhz(1400), "");
     let cg = Workload::Cg {
         class: CgClass::Test,
         ranks: 4,
     };
-    let (_, cg_stream) = sanitized(&cg, DvsStrategy::DynamicBaseMhz(1400), 1, "");
+    let (_, cg_stream) = sanitized(&cg, DvsStrategy::DynamicBaseMhz(1400), "");
     assert_ne!(ft, cg_stream);
 }
