@@ -5,11 +5,10 @@
 //! it, subsequent (warm) ones replay the identical results without
 //! executing the engine — `scripts/bench.sh` times both modes.
 //!
-//! `--topology <spec>` and `--shards <n>` apply to every run (the same
-//! specs `pwrperf run` takes); `--shards` beats `PWRPERF_SHARDS`, which
-//! beats inline planning. Results are bit-identical at any shard count.
+//! `--topology <spec>` applies to every run (the same spec `pwrperf run`
+//! takes).
 fn main() {
-    const USAGE: &str = "usage: all_figures [--store <dir>] [--topology <spec>] [--shards <n>]";
+    const USAGE: &str = "usage: all_figures [--store <dir>] [--topology <spec>]";
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         match flag.as_str() {
@@ -26,16 +25,6 @@ fn main() {
                     Ok(topology) => pwrperf_bench::figures::set_topology(topology),
                     Err(e) => {
                         eprintln!("error: bad --topology spec: {e}\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--shards" => {
-                let n = args.next().and_then(|v| v.parse::<usize>().ok());
-                match n {
-                    Some(n) if n >= 1 => pwrperf_bench::figures::set_shards(n),
-                    _ => {
-                        eprintln!("error: --shards needs a positive integer\n{USAGE}");
                         std::process::exit(2);
                     }
                 }

@@ -17,7 +17,6 @@ use crate::{banner, print_target_row};
 
 static RESULT_STORE: Mutex<Option<PathBuf>> = Mutex::new(None);
 static TOPOLOGY: Mutex<Topology> = Mutex::new(Topology::Flat);
-static SHARDS: Mutex<Option<usize>> = Mutex::new(None);
 
 /// Route every ladder crescendo in this module through a [`SweepStore`]
 /// at `dir` (`all_figures --store <dir>`): the first regeneration fills
@@ -31,23 +30,11 @@ pub fn set_topology(topology: Topology) {
     *TOPOLOGY.lock().expect("topology lock") = topology;
 }
 
-/// Shard every run's same-timestamp planning over `n` workers
-/// (`all_figures --shards`; results are bit-identical at any count).
-pub fn set_shards(n: usize) {
-    *SHARDS.lock().expect("shards lock") = Some(n);
-}
-
 /// The engine configuration every figure runs with: default knobs plus
-/// the module-level topology/shard overrides (the flag wins over
-/// `PWRPERF_SHARDS`, which wins over inline planning).
+/// the module-level topology override.
 fn base_engine() -> EngineConfig {
     EngineConfig {
         topology: *TOPOLOGY.lock().expect("topology lock"),
-        shards: SHARDS
-            .lock()
-            .expect("shards lock")
-            .or_else(pwrperf::env_shards)
-            .unwrap_or(1),
         ..EngineConfig::default()
     }
 }

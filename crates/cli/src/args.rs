@@ -9,7 +9,7 @@ use pwrperf::{CapPolicy, DvsStrategy, FaultSpec, SweepSpec, Topology, Workload};
 pub enum Command {
     /// `pwrperf run -w <workload> -s <strategy> [--blocking-waits <ms>]
     /// [--metrics] [--causal] [--trace-capacity <n>] [--faults <spec>]
-    /// [--topology <spec>] [--shards <n>]`
+    /// [--topology <spec>]`
     Run {
         /// Workload to execute.
         workload: Workload,
@@ -27,12 +27,10 @@ pub enum Command {
         faults: FaultSpec,
         /// Interconnect shape (`flat` or `fat-tree[:radix=R,oversub=S]`).
         topology: Topology,
-        /// Intra-run shard count (`None` = `PWRPERF_SHARDS` or 1).
-        shards: Option<usize>,
     },
     /// `pwrperf sweep -w <workload> [--dynamic] [-j <n>] [--store <dir>]
     /// [--dry-run] [--no-cache] [--faults <spec>] [--power-cap <spec>]
-    /// [--topology <spec>] [--shards <n>]`
+    /// [--topology <spec>]`
     Sweep {
         /// Workload to sweep over the ladder.
         workload: Workload,
@@ -53,8 +51,6 @@ pub enum Command {
         power_cap: Option<(u32, Option<CapPolicy>)>,
         /// Interconnect shape (`flat` or `fat-tree[:radix=R,oversub=S]`).
         topology: Topology,
-        /// Intra-run shard count (`None` = `PWRPERF_SHARDS` or 1).
-        shards: Option<usize>,
     },
     /// `pwrperf best -w <workload> [--delta <d>] [-j <n>]`
     Best {
@@ -99,7 +95,7 @@ pub enum Command {
     },
     /// `pwrperf stats -w <workload> -s <strategy> [--out <file>]
     /// [--trace-capacity <n>] [--blocking-waits <ms>] [--faults <spec>]
-    /// [--topology <spec>] [--shards <n>]`
+    /// [--topology <spec>]`
     Stats {
         /// Workload to execute.
         workload: Workload,
@@ -115,12 +111,10 @@ pub enum Command {
         faults: FaultSpec,
         /// Interconnect shape (`flat` or `fat-tree[:radix=R,oversub=S]`).
         topology: Topology,
-        /// Intra-run shard count (`None` = `PWRPERF_SHARDS` or 1).
-        shards: Option<usize>,
     },
     /// `pwrperf analyze -w <workload> -s <strategy> [-o <ndjson-file>]
     /// [--perfetto <file>] [--blocking-waits <ms>] [--faults <spec>]
-    /// [--topology <spec>] [--shards <n>]`
+    /// [--topology <spec>]`
     Analyze {
         /// Workload to execute.
         workload: Workload,
@@ -136,8 +130,6 @@ pub enum Command {
         faults: FaultSpec,
         /// Interconnect shape (`flat` or `fat-tree[:radix=R,oversub=S]`).
         topology: Topology,
-        /// Intra-run shard count (`None` = `PWRPERF_SHARDS` or 1).
-        shards: Option<usize>,
     },
     /// `pwrperf serve --store <dir> (--socket <path> | --tcp <addr>)
     /// [-j <n>] [--max-store-bytes <n>]`
@@ -221,14 +213,6 @@ fn parse_topology(value: &str) -> Result<Topology, String> {
     Topology::parse(value).map_err(|e| format!("bad --topology spec: {e}"))
 }
 
-fn parse_shards(value: &str) -> Result<usize, String> {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| "--shards needs a positive integer".to_string())
-}
-
 /// Parse a `--power-cap` value: `<watts>[,policy=uniform|redistribute]`.
 /// The policy is left unresolved when omitted so each subcommand can pick
 /// its own default (run: redistribute; sweep: compare both).
@@ -294,7 +278,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
             let mut trace_capacity = None;
             let mut faults = FaultSpec::default();
             let mut topology = Topology::Flat;
-            let mut shards = None;
             while let Some(flag) = it.next() {
                 match flag {
                     "-w" | "--workload" => {
@@ -314,7 +297,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                     }
                     "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
                     "--topology" => topology = parse_topology(take_value(&mut it, flag)?)?,
-                    "--shards" => shards = Some(parse_shards(take_value(&mut it, flag)?)?),
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
@@ -338,7 +320,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                 trace_capacity,
                 faults,
                 topology,
-                shards,
             })
         }
         "sweep" => {
@@ -351,7 +332,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
             let mut faults = FaultSpec::default();
             let mut power_cap = None;
             let mut topology = Topology::Flat;
-            let mut shards = None;
             while let Some(flag) = it.next() {
                 match flag {
                     "-w" | "--workload" => {
@@ -367,7 +347,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                     "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
                     "--power-cap" => power_cap = Some(parse_power_cap(take_value(&mut it, flag)?)?),
                     "--topology" => topology = parse_topology(take_value(&mut it, flag)?)?,
-                    "--shards" => shards = Some(parse_shards(take_value(&mut it, flag)?)?),
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
@@ -394,7 +373,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                 faults,
                 power_cap,
                 topology,
-                shards,
             })
         }
         "best" => {
@@ -516,7 +494,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
             let mut blocking_ms = None;
             let mut faults = FaultSpec::default();
             let mut topology = Topology::Flat;
-            let mut shards = None;
             while let Some(flag) = it.next() {
                 match flag {
                     "-w" | "--workload" => {
@@ -534,7 +511,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                     }
                     "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
                     "--topology" => topology = parse_topology(take_value(&mut it, flag)?)?,
-                    "--shards" => shards = Some(parse_shards(take_value(&mut it, flag)?)?),
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
@@ -546,7 +522,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                 blocking_ms,
                 faults,
                 topology,
-                shards,
             })
         }
         "analyze" => {
@@ -557,7 +532,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
             let mut blocking_ms = None;
             let mut faults = FaultSpec::default();
             let mut topology = Topology::Flat;
-            let mut shards = None;
             while let Some(flag) = it.next() {
                 match flag {
                     "-w" | "--workload" => {
@@ -573,7 +547,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                     }
                     "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
                     "--topology" => topology = parse_topology(take_value(&mut it, flag)?)?,
-                    "--shards" => shards = Some(parse_shards(take_value(&mut it, flag)?)?),
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
@@ -585,7 +558,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                 blocking_ms,
                 faults,
                 topology,
-                shards,
             })
         }
         "serve" => {
@@ -661,7 +633,6 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                         parse_topology(value)?;
                         spec.topology = value.to_string();
                     }
-                    "--shards" => spec.shards = parse_shards(take_value(&mut it, flag)?)?,
                     "--causal" => spec.causal = true,
                     other => return Err(format!("unknown flag '{other}'")),
                 }
@@ -1123,7 +1094,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_topology_and_shards() {
+    fn parses_topology() {
         match parse(&[
             "run",
             "-w",
@@ -1132,12 +1103,8 @@ mod tests {
             "static-1400",
             "--topology",
             "fat-tree:radix=16,oversub=2",
-            "--shards",
-            "8",
         ]) {
-            Command::Run {
-                topology, shards, ..
-            } => {
+            Command::Run { topology, .. } => {
                 assert_eq!(
                     topology,
                     Topology::FatTree {
@@ -1145,21 +1112,15 @@ mod tests {
                         oversub: 2.0
                     }
                 );
-                assert_eq!(shards, Some(8));
             }
             other => panic!("{other:?}"),
         }
-        // Defaults: flat switch, no shard override (env or 1 decides).
+        // Default: the flat switch.
         match parse(&["run", "-w", "swim", "-s", "static-800"]) {
-            Command::Run {
-                topology, shards, ..
-            } => {
-                assert_eq!(topology, Topology::Flat);
-                assert_eq!(shards, None);
-            }
+            Command::Run { topology, .. } => assert_eq!(topology, Topology::Flat),
             other => panic!("{other:?}"),
         }
-        // Stats accepts both flags too (solver domain counters show there).
+        // Stats accepts the flag too (solver domain counters show there).
         assert!(matches!(
             parse(&[
                 "stats",
@@ -1169,12 +1130,9 @@ mod tests {
                 "static-800",
                 "--topology",
                 "fat-tree",
-                "--shards",
-                "2",
             ]),
             Command::Stats {
                 topology: Topology::FatTree { .. },
-                shards: Some(2),
                 ..
             }
         ));
@@ -1191,10 +1149,6 @@ mod tests {
             ]),
             Command::Help(Some(_))
         ));
-        assert!(matches!(
-            parse(&["run", "-w", "swim", "-s", "static-800", "--shards", "0"]),
-            Command::Help(Some(_))
-        ));
     }
 
     #[test]
@@ -1204,13 +1158,11 @@ mod tests {
                 out,
                 perfetto,
                 topology,
-                shards,
                 ..
             } => {
                 assert_eq!(out, None);
                 assert_eq!(perfetto, None);
                 assert_eq!(topology, Topology::Flat);
-                assert_eq!(shards, None);
             }
             other => panic!("{other:?}"),
         }
@@ -1226,20 +1178,16 @@ mod tests {
             "flows.json",
             "--topology",
             "fat-tree:radix=16,oversub=2",
-            "--shards",
-            "8",
         ]) {
             Command::Analyze {
                 out,
                 perfetto,
                 topology,
-                shards,
                 ..
             } => {
                 assert_eq!(out.as_deref(), Some("blame.ndjson"));
                 assert_eq!(perfetto.as_deref(), Some("flows.json"));
                 assert!(matches!(topology, Topology::FatTree { radix: 16, .. }));
-                assert_eq!(shards, Some(8));
             }
             other => panic!("{other:?}"),
         }
@@ -1333,21 +1281,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_sweep_topology_and_shards() {
-        // Regression: sweep used to silently drop both flags, so sharded
-        // fat-tree sweeps could not be driven from the CLI at all.
+    fn parses_sweep_topology() {
+        // Regression: sweep used to silently drop the flag, so fat-tree
+        // sweeps could not be driven from the CLI at all.
         match parse(&[
             "sweep",
             "-w",
             "ft-test4",
             "--topology",
             "fat-tree:radix=4,oversub=2",
-            "--shards",
-            "4",
         ]) {
-            Command::Sweep {
-                topology, shards, ..
-            } => {
+            Command::Sweep { topology, .. } => {
                 assert_eq!(
                     topology,
                     Topology::FatTree {
@@ -1355,23 +1299,13 @@ mod tests {
                         oversub: 2.0
                     }
                 );
-                assert_eq!(shards, Some(4));
             }
             other => panic!("{other:?}"),
         }
         match parse(&["sweep", "-w", "ft-test4"]) {
-            Command::Sweep {
-                topology, shards, ..
-            } => {
-                assert_eq!(topology, Topology::Flat);
-                assert_eq!(shards, None);
-            }
+            Command::Sweep { topology, .. } => assert_eq!(topology, Topology::Flat),
             other => panic!("{other:?}"),
         }
-        assert!(matches!(
-            parse(&["sweep", "-w", "ft-test4", "--shards", "0"]),
-            Command::Help(Some(_))
-        ));
     }
 
     #[test]

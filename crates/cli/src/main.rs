@@ -31,7 +31,6 @@ fn main() {
             trace_capacity,
             faults,
             topology,
-            shards,
         } => run(
             workload,
             strategy,
@@ -41,7 +40,6 @@ fn main() {
             trace_capacity,
             faults,
             topology,
-            shards,
         ),
         Command::Sweep {
             workload,
@@ -53,13 +51,11 @@ fn main() {
             faults,
             power_cap,
             topology,
-            shards,
         } => {
             set_threads(threads);
             let engine = EngineConfig {
                 faults,
                 topology,
-                shards: resolve_shards(shards),
                 ..EngineConfig::default()
             };
             match power_cap {
@@ -120,7 +116,6 @@ fn main() {
             blocking_ms,
             faults,
             topology,
-            shards,
         } => stats(
             workload,
             strategy,
@@ -129,7 +124,6 @@ fn main() {
             blocking_ms,
             faults,
             topology,
-            shards,
         ),
         Command::Analyze {
             workload,
@@ -139,7 +133,6 @@ fn main() {
             blocking_ms,
             faults,
             topology,
-            shards,
         } => analyze(
             workload,
             strategy,
@@ -148,7 +141,6 @@ fn main() {
             blocking_ms,
             faults,
             topology,
-            shards,
         ),
         Command::Best {
             workload,
@@ -198,12 +190,6 @@ fn set_threads(threads: Option<usize>) {
     }
 }
 
-/// Resolve the intra-run shard count: the `--shards` flag wins, then the
-/// `PWRPERF_SHARDS` environment variable, then 1 (inline planning).
-fn resolve_shards(flag: Option<usize>) -> usize {
-    flag.or_else(pwrperf::env_shards).unwrap_or(1)
-}
-
 fn engine_for(blocking_ms: Option<u64>) -> EngineConfig {
     EngineConfig {
         wait_policy: match blocking_ms {
@@ -246,7 +232,6 @@ fn run(
     trace_capacity: Option<usize>,
     faults: FaultSpec,
     topology: Topology,
-    shards: Option<usize>,
 ) {
     let engine = EngineConfig {
         metrics,
@@ -254,7 +239,6 @@ fn run(
         trace_capacity: trace_capacity.unwrap_or(0),
         faults,
         topology,
-        shards: resolve_shards(shards),
         ..engine_for(blocking_ms)
     };
     let result = Experiment::new(workload.clone(), strategy)
@@ -354,9 +338,7 @@ fn analyze(
     blocking_ms: Option<u64>,
     faults: FaultSpec,
     topology: Topology,
-    shards: Option<usize>,
 ) {
-    let shards = resolve_shards(shards);
     let seed = faults.seed;
     let engine = EngineConfig {
         causal: true,
@@ -364,7 +346,6 @@ fn analyze(
         trace_capacity: if perfetto.is_some() { 1 << 20 } else { 0 },
         faults,
         topology,
-        shards,
         ..engine_for(blocking_ms)
     };
     let result = Experiment::new(workload.clone(), strategy)
@@ -390,7 +371,6 @@ fn analyze(
         workload: workload.label(),
         strategy: strategy.label(),
         topology,
-        shards,
         seed,
     };
     if let Some(path) = out {
@@ -467,16 +447,13 @@ fn stats(
     blocking_ms: Option<u64>,
     faults: FaultSpec,
     topology: Topology,
-    shards: Option<usize>,
 ) {
-    let shards = resolve_shards(shards);
     let seed = faults.seed;
     let engine = EngineConfig {
         trace_capacity: trace_capacity.unwrap_or(0),
         metrics: true,
         faults,
         topology,
-        shards,
         ..engine_for(blocking_ms)
     };
     let result = Experiment::new(workload.clone(), strategy)
@@ -491,7 +468,6 @@ fn stats(
             workload: workload.label(),
             strategy: strategy.label(),
             topology,
-            shards,
             seed,
         };
         let ndjson = pwrperf::metrics_ndjson_with_meta(&result, &meta);
@@ -881,10 +857,10 @@ USAGE:
   pwrperf run    -w <workload> (-s <strategy> | --power-cap <spec>)
                  [--blocking-waits <ms>] [--metrics] [--causal]
                  [--trace-capacity <n>] [--faults <spec>]
-                 [--topology <spec>] [--shards <n>]
+                 [--topology <spec>]
   pwrperf sweep  -w <workload> [--dynamic | --power-cap <spec>]
                  [-j <threads>] [--store <dir> [--dry-run] | --no-cache]
-                 [--faults <spec>] [--topology <spec>] [--shards <n>]
+                 [--faults <spec>] [--topology <spec>]
   pwrperf best   -w <workload> [--delta <-1..1>] [-j <threads>]
   pwrperf export -w <workload> -s <strategy> [-o <dir>] [--metrics]
                  [--trace-capacity <n>] [--faults <spec>]
@@ -893,17 +869,16 @@ USAGE:
                  [--faults <spec>]
   pwrperf stats  -w <workload> -s <strategy> [-o <ndjson-file>]
                  [--trace-capacity <n>] [--blocking-waits <ms>]
-                 [--faults <spec>] [--topology <spec>] [--shards <n>]
+                 [--faults <spec>] [--topology <spec>]
   pwrperf analyze -w <workload> -s <strategy> [-o <ndjson-file>]
                  [--perfetto <file>] [--blocking-waits <ms>]
-                 [--faults <spec>] [--topology <spec>] [--shards <n>]
+                 [--faults <spec>] [--topology <spec>]
   pwrperf serve  --store <dir> (--socket <path> | --tcp <addr>)
                  [-j <threads>] [--max-store-bytes <n>]
   pwrperf client (sweep | query | status | shutdown)
                  (--socket <path> | --tcp <addr>)
                  [-w <workload>]... [-s <strategy>]... [--delta <d>]...
-                 [--faults <spec>]... [--topology <spec>] [--shards <n>]
-                 [--causal]
+                 [--faults <spec>]... [--topology <spec>] [--causal]
   pwrperf list
 
 EXAMPLES:
@@ -916,7 +891,7 @@ EXAMPLES:
   pwrperf run   -w ft-test4 -s dynamic-1400 \\
                 --faults seed:7,slow:2:1.5,battery-stuck:1:40
   pwrperf run   -w ft-scale-4096 -s static-1400 \\
-                --topology fat-tree:radix=16,oversub=2 --shards 8
+                --topology fat-tree:radix=16,oversub=2
   pwrperf run   -w ft-test4 --power-cap 100 --faults slow:0:3.0
   pwrperf sweep -w ft-test4 --power-cap 100 --faults slow:0:3.0
   pwrperf serve --store /tmp/cache --socket /tmp/pwrperfd.sock
@@ -952,7 +927,7 @@ communication, and blocked-waiting — the slack a power redistribution
 controller could reclaim. `run --causal` appends the same table to a
 normal run. The simulation itself is bit-identical with tracing on or
 off. NDJSON exports start with a {{\"meta\":...}} header line naming the
-workload, strategy, topology, shard count, and fault seed.
+workload, strategy, topology, and fault seed.
 
 --power-cap <watts>[,policy=uniform|redistribute] runs the cluster
 power-budget controller: at every power sample the controller replans
@@ -972,11 +947,6 @@ every link on their up/down path under max-min fairness; the solver
 recomputes only the perturbed link domains (see `stats` for the
 domains_touched/skipped counters). The `ft-scale-<ranks>` workloads
 (256/1024/4096) run one class-C FT iteration for scale benchmarking.
-
---shards <n> (or PWRPERF_SHARDS) plans compute phases for batches of
-same-timestamp events on n worker threads inside one run. Results are
-bit-identical at every shard count: events still apply in (time, seq)
-order and the plan math is the same pure function either way.
 
 Sweeps fan their independent runs over worker threads (auto-detected;
 override with -j/--threads or PWRPERF_THREADS). Results are bit-identical

@@ -24,6 +24,7 @@ use mpi_sim::{EngineConfig, Op, Program, RunResult};
 use powerpack::profile_phases;
 use sim_core::SimDuration;
 
+use crate::runner::map_or_reraise;
 use crate::strategy::DvsStrategy;
 use crate::workload::Workload;
 use crate::Experiment;
@@ -206,7 +207,7 @@ impl AutoTuner {
             .zip(&selections)
             .map(|(w, sel)| (w, sel.iter().cloned().collect()))
             .collect();
-        let tuned = crate::runner::parallel_map(&jobs, |(w, phases)| self.tuned_run(w, phases));
+        let (tuned, _) = map_or_reraise(&jobs, |(w, phases)| self.tuned_run(w, phases), None);
         selections
             .into_iter()
             .zip(pilots)

@@ -47,9 +47,8 @@ pub use experiment::{
     power_cap_default_sample, static_crescendo, Experiment,
 };
 pub use runner::{
-    env_shards, parallel_map, parallel_map_telemetry, parallel_map_telemetry_with, run_batch,
-    run_batch_checked, run_batch_checked_with, run_batch_telemetry, run_batch_with, thread_count,
-    thread_count_with, BatchPolicy, BatchTelemetry, ExperimentError, SHARDS_ENV, THREADS_ENV,
+    parallel_map, run_batch, run_batch_telemetry, BatchPolicy, BatchTelemetry, ExperimentError,
+    THREADS_ENV,
 };
 pub use scope::{
     analyze_text, attribution_ndjson, metrics_ndjson, metrics_ndjson_with_meta, perfetto_json,

@@ -13,24 +13,24 @@
 //! * with one worker (or one job) the exact sequential path runs.
 //!
 //! Worker count comes from [`std::thread::available_parallelism`], clamped
-//! to the job count; callers can pin it with the `_with` variants'
-//! explicit override (tests use this — mutating `PWRPERF_THREADS` from a
-//! test races sibling tests reading it), or process-wide with the
-//! `PWRPERF_THREADS` environment variable (`PWRPERF_THREADS=1` forces
-//! sequential execution).
+//! to the job count; callers can pin it with [`BatchPolicy::workers`]
+//! (tests use this — mutating `PWRPERF_THREADS` from a test races sibling
+//! tests reading it), or process-wide with the `PWRPERF_THREADS`
+//! environment variable (`PWRPERF_THREADS=1` forces sequential
+//! execution).
 //!
 //! ## Degraded batches
 //!
 //! Every job runs under `catch_unwind`, so one poisoned experiment can
 //! never take down a 500-run figure sweep:
 //!
-//! * [`run_batch`] / [`parallel_map`] keep the legacy contract — a panic
-//!   propagates to the caller — but only after **every** job has run, so
-//!   no completed work is discarded mid-batch;
-//! * [`run_batch_checked`] converts each panic into a per-slot
+//! * [`parallel_map`] converts each panic into a per-slot
 //!   [`ExperimentError`] (after the bounded retry of [`BatchPolicy`]),
 //!   returning `Err` for exactly the poisoned slots with all other
-//!   results intact and in input order.
+//!   results intact and in input order;
+//! * [`run_batch`] / [`run_batch_telemetry`] keep the panicking contract —
+//!   the lowest-index panic propagates to the caller — but only after
+//!   **every** job has run, so no completed work is discarded mid-batch.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,21 +45,6 @@ use crate::experiment::Experiment;
 /// Environment variable overriding the worker thread count.
 pub const THREADS_ENV: &str = "PWRPERF_THREADS";
 
-/// Environment variable setting the intra-run shard count (the engine's
-/// parallel compute-plan workers) when no `--shards` flag is given.
-/// Unlike [`THREADS_ENV`] (which parallelizes *across* independent runs),
-/// shards parallelize *inside* one run; results are bit-identical at any
-/// shard count.
-pub const SHARDS_ENV: &str = "PWRPERF_SHARDS";
-
-/// The `PWRPERF_SHARDS` override, if set to a positive integer.
-pub fn env_shards() -> Option<usize> {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-}
-
 /// The `PWRPERF_THREADS` override, if set to a positive integer.
 fn env_threads() -> Option<usize> {
     std::env::var(THREADS_ENV)
@@ -69,17 +54,9 @@ fn env_threads() -> Option<usize> {
 }
 
 /// Number of worker threads a batch of `jobs` independent tasks will use:
-/// the `PWRPERF_THREADS` override if set (minimum 1), otherwise the
-/// machine's available parallelism; never more than `jobs`.
-pub fn thread_count(jobs: usize) -> usize {
-    thread_count_with(jobs, env_threads())
-}
-
-/// [`thread_count`] with the override passed explicitly instead of read
-/// from the environment — the pure core, and what tests should use
-/// (mutating the process environment from one test races every sibling
-/// test that reads it). `None` means "use available parallelism".
-pub fn thread_count_with(jobs: usize, override_workers: Option<usize>) -> usize {
+/// `override_workers` if set (minimum 1), otherwise the machine's
+/// available parallelism; never more than `jobs`.
+fn thread_count_with(jobs: usize, override_workers: Option<usize>) -> usize {
     if jobs <= 1 {
         return 1;
     }
@@ -133,7 +110,7 @@ impl BatchTelemetry {
     }
 }
 
-/// One experiment of a checked batch failed (panicked on every attempt).
+/// One job of a batch failed (panicked on every attempt).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentError {
     /// Input-order index of the failed experiment.
@@ -159,7 +136,7 @@ impl std::fmt::Display for ExperimentError {
 
 impl std::error::Error for ExperimentError {}
 
-/// How a checked batch executes.
+/// How a batch executes.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
     /// Worker-thread override; `None` defers to `PWRPERF_THREADS` and
@@ -231,68 +208,44 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// Each experiment is a self-contained deterministic simulation, so the
 /// output is bit-identical whatever the worker count (asserted by
 /// `tests/parallel_runner.rs`). A panicking experiment propagates after
-/// the whole batch has drained; use [`run_batch_checked`] to get per-slot
+/// the whole batch has drained; use [`parallel_map`] to get per-slot
 /// errors instead.
 #[must_use]
 pub fn run_batch(experiments: Vec<Experiment>) -> Vec<RunResult> {
-    parallel_map(&experiments, Experiment::run)
-}
-
-/// [`run_batch`] with an explicit worker-count override (`None` defers to
-/// `PWRPERF_THREADS`, then available parallelism).
-#[must_use]
-pub fn run_batch_with(experiments: Vec<Experiment>, workers: Option<usize>) -> Vec<RunResult> {
-    parallel_map_telemetry_with(&experiments, Experiment::run, workers).0
+    run_batch_telemetry(experiments).0
 }
 
 /// [`run_batch`] with execution telemetry.
 #[must_use]
 pub fn run_batch_telemetry(experiments: Vec<Experiment>) -> (Vec<RunResult>, BatchTelemetry) {
-    parallel_map_telemetry(&experiments, Experiment::run)
+    map_or_reraise(&experiments, Experiment::run, None)
 }
 
-/// Run every experiment, converting per-job panics into per-slot errors:
-/// one poisoned experiment yields `Err` for its slot only, with every
-/// other result intact and in input order. Uses [`BatchPolicy::default`]
-/// (environment-driven worker count, one retry); see
-/// [`run_batch_checked_with`] to tune either.
-#[must_use]
-pub fn run_batch_checked(experiments: Vec<Experiment>) -> Vec<Result<RunResult, ExperimentError>> {
-    run_batch_checked_with(experiments, BatchPolicy::default())
-}
-
-/// [`run_batch_checked`] under an explicit [`BatchPolicy`].
-#[must_use]
-pub fn run_batch_checked_with(
-    experiments: Vec<Experiment>,
-    policy: BatchPolicy,
-) -> Vec<Result<RunResult, ExperimentError>> {
-    checked_map_with(&experiments, |e: &Experiment| e.run(), policy)
-}
-
-/// The checked-batch core, generic over the job closure: map `f` over
-/// `items` on [`BatchPolicy`]-controlled workers, converting per-job
-/// panics into per-slot [`ExperimentError`]s after the policy's bounded
-/// retry (with [`BatchPolicy::backoff_delay`] spacing between attempts).
+/// Map `f` over `items` on [`BatchPolicy`]-controlled workers, collecting
+/// results in input order together with a [`BatchTelemetry`] of the
+/// parallel pass. Workers claim items through a shared atomic cursor
+/// (dynamic load balancing: simulations vary widely in length). A job
+/// that panics is re-attempted sequentially under the policy's bounded
+/// retry (with [`BatchPolicy::backoff_delay`] spacing); if every attempt
+/// panics its slot becomes an [`ExperimentError`].
 ///
 /// The `attempts` an error reports is an execution count, not a loop
 /// count: it is incremented exactly once per invocation of `f` for that
 /// slot, so `attempts == 1 + retries` always matches the number of times
 /// the job actually ran (pinned by `checked_attempts_equal_executions`).
-#[must_use]
-pub fn checked_map_with<T, R, F>(
+pub fn parallel_map<T, R, F>(
     items: &[T],
     f: F,
     policy: BatchPolicy,
-) -> Vec<Result<R, ExperimentError>>
+) -> (Vec<Result<R, ExperimentError>>, BatchTelemetry)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let workers = thread_count_with(items.len(), policy.workers.or_else(env_threads));
-    let (slots, _telemetry) = parallel_map_caught(items, &f, workers);
-    slots
+    let (slots, telemetry) = parallel_map_caught(items, &f, workers);
+    let results = slots
         .into_iter()
         .enumerate()
         .map(|(index, first)| {
@@ -320,38 +273,16 @@ where
                 message: panic_message(last.as_ref()),
             })
         })
-        .collect()
+        .collect();
+    (results, telemetry)
 }
 
-/// Map `f` over `items` on [`thread_count`] worker threads, collecting
-/// results in input order. Workers claim items through a shared atomic
-/// cursor (dynamic load balancing: simulations vary widely in length).
-/// A panic in `f` propagates to the caller — but only after every job has
-/// run, so a crash late in a batch never discards completed work that a
-/// `catch_unwind`-wrapping caller could have observed.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_telemetry(items, f).0
-}
-
-/// [`parallel_map`] plus a [`BatchTelemetry`] describing how the batch
-/// actually executed (per-worker job counts, busy time, utilization).
-pub fn parallel_map_telemetry<T, R, F>(items: &[T], f: F) -> (Vec<R>, BatchTelemetry)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_telemetry_with(items, f, None)
-}
-
-/// [`parallel_map_telemetry`] with an explicit worker-count override
-/// (`None` defers to `PWRPERF_THREADS`, then available parallelism).
-pub fn parallel_map_telemetry_with<T, R, F>(
+/// [`parallel_map`] with no retry under a worker override, re-raising the
+/// lowest-index panic as a panic carrying its message — the panic a
+/// sequential run would have hit first. The re-raise happens once the
+/// whole batch has drained, so no completed work is lost before the
+/// caller sees it.
+pub(crate) fn map_or_reraise<T, R, F>(
     items: &[T],
     f: F,
     workers: Option<usize>,
@@ -361,25 +292,16 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = thread_count_with(items.len(), workers.or_else(env_threads));
-    let (slots, telemetry) = parallel_map_caught(items, &f, workers);
-    let mut results = Vec::with_capacity(slots.len());
-    let mut first_panic: Option<Box<dyn Any + Send>> = None;
-    for slot in slots {
-        match slot {
-            Ok(r) => results.push(r),
-            Err(payload) => {
-                // Keep the lowest-index panic: it is what a sequential
-                // run would have surfaced.
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        std::panic::resume_unwind(payload);
-    }
+    let policy = BatchPolicy {
+        workers,
+        retries: 0,
+        ..BatchPolicy::default()
+    };
+    let (slots, telemetry) = parallel_map(items, f, policy);
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|e| std::panic::resume_unwind(Box::new(e.message))))
+        .collect();
     (results, telemetry)
 }
 
@@ -470,23 +392,15 @@ mod tests {
     #[test]
     fn parallel_map_preserves_input_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |&x| x * x);
+        let (out, _) = map_or_reraise(&items, |&x| x * x, Some(4));
         assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
     }
 
     #[test]
     fn parallel_map_handles_empty_and_single() {
-        let empty: Vec<u64> = Vec::new();
-        assert!(parallel_map(&empty, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[7u64], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn thread_count_never_exceeds_jobs() {
-        assert_eq!(thread_count(0), 1);
-        assert_eq!(thread_count(1), 1);
-        assert!(thread_count(3) <= 3);
-        assert!(thread_count(1000) >= 1);
+        let empty: [u64; 0] = [];
+        assert!(map_or_reraise(&empty, |&x| x, Some(4)).0.is_empty());
+        assert_eq!(map_or_reraise(&[7u64], |&x| x + 1, Some(4)).0, vec![8]);
     }
 
     #[test]
@@ -496,13 +410,18 @@ mod tests {
         assert_eq!(thread_count_with(0, Some(4)), 1);
         assert_eq!(thread_count_with(1, None), 1);
         assert_eq!(thread_count_with(8, Some(0)), thread_count_with(8, None));
+        assert!(thread_count_with(3, None) <= 3);
         assert!(thread_count_with(1000, None) >= 1);
     }
 
     #[test]
     fn telemetry_accounts_for_every_job() {
         let items: Vec<u64> = (0..64).collect();
-        let (out, t) = parallel_map_telemetry_with(&items, |&x| x + 1, Some(4));
+        let policy = BatchPolicy {
+            workers: Some(4),
+            ..BatchPolicy::default()
+        };
+        let (out, t) = parallel_map(&items, |&x| x + 1, policy);
         assert_eq!(out.len(), 64);
         assert_eq!(t.jobs, 64);
         assert_eq!(t.workers, 4);
@@ -515,8 +434,12 @@ mod tests {
     #[test]
     fn telemetry_sequential_path_uses_one_worker() {
         let items: Vec<u64> = (0..16).collect();
-        let (out, t) = parallel_map_telemetry_with(&items, |&x| x * 2, Some(1));
-        assert_eq!(out[15], 30);
+        let policy = BatchPolicy {
+            workers: Some(1),
+            ..BatchPolicy::default()
+        };
+        let (out, t) = parallel_map(&items, |&x| x * 2, policy);
+        assert_eq!(out[15], Ok(30));
         assert_eq!(t.workers, 1);
         assert_eq!(t.per_worker_jobs, vec![16]);
     }
@@ -525,12 +448,16 @@ mod tests {
     #[should_panic(expected = "deliberate")]
     fn worker_panic_propagates() {
         let items: Vec<u64> = (0..8).collect();
-        let _ = parallel_map(&items, |&x| {
-            if x == 5 {
-                panic!("deliberate");
-            }
-            x
-        });
+        let _ = map_or_reraise(
+            &items,
+            |&x| {
+                if x == 5 {
+                    panic!("deliberate");
+                }
+                x
+            },
+            Some(2),
+        );
     }
 
     #[test]
@@ -540,7 +467,7 @@ mod tests {
         let ran = AtomicUsize::new(0);
         let items: Vec<u64> = (0..8).collect();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_telemetry_with(
+            map_or_reraise(
                 &items,
                 |&x| {
                     ran.fetch_add(1, Ordering::SeqCst);
@@ -562,7 +489,7 @@ mod tests {
         // first is the one the caller sees, whatever thread interleaving.
         let items: Vec<u64> = (0..8).collect();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_telemetry_with(
+            map_or_reraise(
                 &items,
                 |&x| {
                     if x >= 3 {
@@ -634,7 +561,7 @@ mod tests {
         for retries in [0u32, 1, 3] {
             let executions = AtomicUsize::new(0);
             let items = vec![0u32];
-            let out = checked_map_with(
+            let (out, _) = parallel_map(
                 &items,
                 |_| -> u32 {
                     executions.fetch_add(1, Ordering::SeqCst);
@@ -660,7 +587,7 @@ mod tests {
     fn transient_failure_recovers_within_retry_budget() {
         let executions = AtomicUsize::new(0);
         let items = vec![7u32];
-        let out = checked_map_with(
+        let (out, _) = parallel_map(
             &items,
             |&x| {
                 // First execution panics (a host-level transient); the

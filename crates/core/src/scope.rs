@@ -35,7 +35,9 @@ use obs::{PerfettoTrace, RunAttribution};
 
 /// Format version stamped into every [`RunMeta`] header record. Bump it
 /// when the NDJSON line layout changes.
-pub const EXPORT_FORMAT_VERSION: u32 = 1;
+///
+/// v2: the header no longer carries a shard count.
+pub const EXPORT_FORMAT_VERSION: u32 = 2;
 
 /// Run identity prepended to NDJSON exports: everything a reader needs
 /// to know which configuration produced the file.
@@ -47,8 +49,6 @@ pub struct RunMeta {
     pub strategy: String,
     /// Interconnect shape.
     pub topology: Topology,
-    /// Intra-run shard count the run executed with.
-    pub shards: usize,
     /// Fault-injection RNG seed (the default seed when no faults armed).
     pub seed: u64,
 }
@@ -125,12 +125,11 @@ impl RunMeta {
     /// line of an NDJSON export.
     pub fn header_line(&self) -> String {
         format!(
-            r#"{{"meta":{{"format":{},"workload":"{}","strategy":"{}","topology":"{}","shards":{},"seed":{}}}}}"#,
+            r#"{{"meta":{{"format":{},"workload":"{}","strategy":"{}","topology":"{}","seed":{}}}}}"#,
             EXPORT_FORMAT_VERSION,
             json_escape(&self.workload),
             json_escape(&self.strategy),
             json_escape(&topology_label(&self.topology)),
-            self.shards,
             self.seed,
         )
     }
@@ -394,7 +393,6 @@ mod tests {
             workload: "ft-test2".to_string(),
             strategy: "static 800 MHz".to_string(),
             topology: Topology::Flat,
-            shards: 1,
             seed: 42,
         }
     }
@@ -405,10 +403,10 @@ mod tests {
         let with_meta = metrics_ndjson_with_meta(&result, &meta());
         let mut lines = with_meta.lines();
         let header = lines.next().unwrap();
-        assert!(header.starts_with(r#"{"meta":{"format":1,"#), "{header}");
-        assert!(header.contains(r#""workload":"ft-test2""#));
-        assert!(header.contains(r#""topology":"flat""#));
-        assert!(header.contains(r#""seed":42"#));
+        assert_eq!(
+            header,
+            r#"{"meta":{"format":2,"workload":"ft-test2","strategy":"static 800 MHz","topology":"flat","seed":42}}"#
+        );
         // The body is exactly the unadorned export.
         let body: Vec<&str> = lines.collect();
         assert_eq!(body.join("\n") + "\n", metrics_ndjson(&result));

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use mpi_sim::RunResult;
 
-use crate::runner::{checked_map_with, BatchPolicy};
+use crate::runner::{parallel_map, BatchPolicy};
 use crate::store::{Fingerprint, SweepStore};
 use crate::sweep::{duplicate_map, Sweep, SweepOutcome, SweepReport};
 
@@ -160,8 +160,7 @@ enum JobSource {
 pub struct MissExecutor {
     inflight: Mutex<BTreeMap<Fingerprint, Arc<InflightSlot>>>,
     metrics: Arc<ServiceMetrics>,
-    /// Worker override for the batch runner, as in
-    /// [`crate::runner::run_batch_with`].
+    /// Worker override for the batch runner ([`BatchPolicy::workers`]).
     workers: Option<usize>,
 }
 
@@ -243,7 +242,7 @@ impl MissExecutor {
             workers: self.workers,
             ..BatchPolicy::default()
         };
-        let fresh = checked_map_with(
+        let (fresh, _) = parallel_map(
             &to_run,
             |experiment| {
                 self.metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);

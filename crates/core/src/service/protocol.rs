@@ -19,7 +19,9 @@ use crate::workload::Workload;
 /// Wire protocol version; mixed into every frame header. Bump on any
 /// frame or payload layout change: a mismatched peer gets a typed
 /// [`ProtocolError::Version`] instead of decoding garbage.
-pub const PROTOCOL_VERSION: u32 = 1;
+///
+/// v2: [`SweepSpec`] lost its trailing shard-count field.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Why a frame could not be read or understood.
 #[derive(Debug)]
@@ -118,8 +120,6 @@ pub struct SweepSpec {
     pub topology: String,
     /// Record the causal log (keys the cache, like the CLI flag).
     pub causal: bool,
-    /// Intra-run shard count (execution detail; never keys the cache).
-    pub shards: usize,
 }
 
 impl Default for SweepSpec {
@@ -131,7 +131,6 @@ impl Default for SweepSpec {
             fault_specs: Vec::new(),
             topology: "flat".to_string(),
             causal: false,
-            shards: 1,
         }
     }
 }
@@ -168,7 +167,6 @@ impl SweepSpec {
         }
         let engine = EngineConfig {
             topology,
-            shards: self.shards.max(1),
             causal: self.causal,
             ..EngineConfig::default()
         };
@@ -188,7 +186,6 @@ impl SweepSpec {
         encode_strings(w, &self.fault_specs);
         w.put_str(&self.topology);
         w.put_bool(self.causal);
-        w.put_usize(self.shards);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
@@ -202,7 +199,6 @@ impl SweepSpec {
         let fault_specs = decode_strings(r, "fault_specs")?;
         let topology = r.get_str()?;
         let causal = r.get_bool()?;
-        let shards = r.get_seq_len("shards", 0)?;
         Ok(SweepSpec {
             workloads,
             strategies,
@@ -210,7 +206,6 @@ impl SweepSpec {
             fault_specs,
             topology,
             causal,
-            shards,
         })
     }
 }
@@ -479,7 +474,6 @@ mod tests {
             fault_specs: vec!["slow:0:5.0".into()],
             topology: "fat-tree:radix=4,oversub=2".into(),
             causal: false,
-            shards: 2,
         }
     }
 
@@ -562,7 +556,6 @@ mod tests {
     fn spec_resolves_to_the_grid_the_names_describe() {
         let sweep = spec().resolve().unwrap();
         assert_eq!(sweep.len(), 4, "2 workloads x 1 fault x 2 strategies");
-        assert_eq!(sweep.engine.shards, 2);
         assert!(matches!(
             sweep.engine.topology,
             mpi_sim::Topology::FatTree { radix: 4, .. }

@@ -38,8 +38,8 @@ use super::ServiceError;
 /// Daemon knobs.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Worker override for miss execution, as in
-    /// [`crate::runner::run_batch_with`].
+    /// Worker override for miss execution
+    /// ([`crate::runner::BatchPolicy::workers`]).
     pub workers: Option<usize>,
     /// Store GC policy (startup + post-sweep passes).
     pub compaction: CompactionPolicy,

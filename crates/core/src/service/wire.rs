@@ -173,4 +173,28 @@ mod tests {
             Err(ProtocolError::TooLarge { len: u64::MAX })
         ));
     }
+
+    #[test]
+    fn v1_sweep_frame_is_a_typed_version_error() {
+        // A v1 peer appended a shard-count u64 to every sweep spec. Its frame
+        // must be refused on the version word, not misparsed as v2.
+        let request = Request::SubmitSweep(SweepSpec {
+            workloads: vec!["ft-test4".into()],
+            strategies: vec!["static-800".into()],
+            ..Default::default()
+        });
+        let mut payload = request.encode_payload();
+        payload.extend_from_slice(&4u64.to_le_bytes());
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&FRAME_MAGIC);
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.push(request.kind());
+        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        assert!(matches!(
+            read_request(&mut &frame[..]),
+            Err(ProtocolError::Version { found: 1 })
+        ));
+    }
 }

@@ -330,15 +330,11 @@ fn encode_engine(w: &mut ByteWriter, engine: &EngineConfig) {
             w.put_f64(oversub);
         }
     }
-    // Unlike `shards`, `causal` keys the cache: it leaves the simulated
-    // bits untouched but adds the causal log and attribution to the
-    // stored payload, so a causal run must not replay a record cached
-    // without them (or vice versa).
+    // `causal` keys the cache: it leaves the simulated bits untouched
+    // but adds the causal log and attribution to the stored payload, so
+    // a causal run must not replay a record cached without them (or vice
+    // versa).
     w.put_bool(engine.causal);
-    // `engine.shards` is deliberately NOT part of the key: shard count
-    // never changes the RunResult (the determinism suite enforces bit
-    // identity), so a sharded sweep may reuse a sequentially-filled
-    // cache and vice versa.
 }
 
 fn encode_fault(w: &mut ByteWriter, fault: &Fault) {
@@ -420,7 +416,7 @@ mod tests {
     }
 
     #[test]
-    fn topology_changes_the_key_but_shards_do_not() {
+    fn topology_and_causal_change_the_key() {
         let base = fingerprint_experiment(&experiment());
 
         // The fabric shapes rates, so it must key the cache.
@@ -439,12 +435,6 @@ mod tests {
             fingerprint_experiment(&tree),
             fingerprint_experiment(&wider)
         );
-
-        // Shard count never changes the result, so a sharded sweep may
-        // replay a sequentially-filled cache: same key on purpose.
-        let mut sharded = experiment();
-        sharded.engine.shards = 8;
-        assert_eq!(base, fingerprint_experiment(&sharded));
 
         // Causal recording changes the stored payload, so it must key.
         let mut causal = experiment();

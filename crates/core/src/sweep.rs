@@ -16,6 +16,7 @@ use obs::MetricsRegistry;
 use sim_core::FaultSpec;
 
 use crate::experiment::{ladder_mhz_desc, Experiment};
+use crate::runner::map_or_reraise;
 use crate::store::{fingerprint_experiment, Fingerprint, StoreError, SweepStore};
 use crate::strategy::DvsStrategy;
 use crate::workload::Workload;
@@ -351,7 +352,7 @@ impl Sweep {
 
     /// Run the sweep against `store`: serve hits from disk, execute only
     /// the misses (on the parallel batch runner, `workers` as in
-    /// [`crate::runner::run_batch_with`]), and persist fresh results.
+    /// [`crate::BatchPolicy::workers`]), and persist fresh results.
     /// Records that exist but fail validation count as misses (and as
     /// `corrupt_records`) and are re-run and overwritten; store *write*
     /// failures abort, since silently losing results would defeat
@@ -393,7 +394,7 @@ impl Sweep {
             .map(|&i| experiments[i].clone())
             .collect();
         let engine_runs = to_run.len() as u64;
-        let fresh = crate::runner::run_batch_with(to_run, workers);
+        let (fresh, _) = map_or_reraise(&to_run, Experiment::run, workers);
         for (&i, result) in miss_indices.iter().zip(fresh) {
             store.store(fingerprints[i], &result)?;
             slots[i] = Some(result);
@@ -446,7 +447,7 @@ impl Sweep {
             .map(|&i| experiments[i].clone())
             .collect();
         let engine_runs = to_run.len() as u64;
-        let fresh = crate::runner::run_batch_with(to_run, workers);
+        let (fresh, _) = map_or_reraise(&to_run, Experiment::run, workers);
 
         let mut slots: Vec<Option<RunResult>> = vec![None; experiments.len()];
         for (&i, result) in primary_indices.iter().zip(fresh) {

@@ -79,13 +79,6 @@ pub struct EngineConfig {
     /// never affects simulated behaviour, but leaving it off keeps the
     /// hot path free of even the `Option` checks.
     pub causal: bool,
-    /// Worker threads for the intra-run sharded planner. Batches of
-    /// same-timestamp rank-local events precompute their float plans on
-    /// this many threads before the sequential `(time, seq)`-ordered
-    /// apply; results are bit-identical at every shard count because
-    /// the plan math is the same pure function either way. `1` (or `0`)
-    /// plans inline on the event loop thread.
-    pub shards: usize,
 }
 
 impl Default for EngineConfig {
@@ -99,7 +92,6 @@ impl Default for EngineConfig {
             faults: FaultSpec::default(),
             topology: Topology::Flat,
             causal: false,
-            shards: 1,
         }
     }
 }
@@ -127,6 +119,5 @@ mod tests {
         assert!(c.faults.is_empty(), "fault injection must be opt-in");
         assert_eq!(c.topology, Topology::Flat, "flat switch is the default");
         assert!(!c.causal, "causal tracing must be opt-in");
-        assert_eq!(c.shards, 1, "sharded planning must be opt-in");
     }
 }

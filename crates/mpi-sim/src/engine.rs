@@ -179,9 +179,7 @@ struct CausalRecorder {
 }
 
 /// The frequency-dependent float plan for one `Op::Compute`: exactly the
-/// values `execute_next` derives before starting the phase. Produced by
-/// [`plan_compute`] — one pure function shared by the inline path and the
-/// shard planner, so a cached plan is bit-identical to an inline one.
+/// values `execute_next` derives before starting the phase.
 #[derive(Debug, Clone, Copy)]
 struct ComputePlan {
     /// Frequency-scaled cycles, before any straggler-fault stretching
@@ -194,8 +192,7 @@ struct ComputePlan {
 }
 
 /// Derive the compute-phase floats for `w` on `node`. Pure: reads only
-/// the node's frequency and static configuration, which is what lets the
-/// shard planner evaluate it for many ranks concurrently.
+/// the node's frequency and static configuration.
 fn plan_compute(w: &WorkUnit, node: &Node) -> ComputePlan {
     let hier = &node.config().mem;
     let split = w.split(hier, node.freq_hz());
@@ -287,8 +284,8 @@ pub struct Engine {
     /// Causal dependency recorder, boxed like `metrics`. `None` unless
     /// [`EngineConfig::causal`] is set, so a disabled run pays only a
     /// pointer-sized field and `is_some` checks off the hot path. All
-    /// recording happens in the sequential dispatch path, which is what
-    /// makes the log bit-identical at every shard count.
+    /// recording happens in `(time, seq)` dispatch order, which is what
+    /// makes the log deterministic.
     causal: Option<Box<CausalRecorder>>,
     /// Fault-injection runtime, boxed for the same reason as `metrics`.
     /// `None` unless [`EngineConfig::faults`] armed at least one fault,
@@ -302,16 +299,9 @@ pub struct Engine {
     /// Reused between network wakes to collect completed flows without
     /// allocating on every event.
     completed_buf: Vec<(FlowId, usize, usize)>,
-    /// Per-rank compute plan precomputed by the shard planner, keyed by
-    /// the program counter it was planned for. `execute_next` consumes a
-    /// matching entry instead of re-deriving the floats; a mismatch (or
-    /// an empty slot — always the case at `shards <= 1`) falls back to
-    /// the identical inline computation.
-    plan_cache: Vec<Option<(usize, ComputePlan)>>,
     /// Determinism-sanitizer hash stream (`simsan` builds only): one
     /// digest of observable engine state per checkpoint — phase
-    /// boundaries, sample instants, and the pre-finalize instant. The
-    /// stream must be bit-identical at every shard count; see
+    /// boundaries, sample instants, and the pre-finalize instant; see
     /// [`Engine::run_sanitized`].
     #[cfg(feature = "simsan")]
     san_hashes: Vec<u64>,
@@ -430,7 +420,6 @@ impl Engine {
             fault_counts,
             last_battery: vec![None; n],
             completed_buf: Vec::new(),
-            plan_cache: vec![None; n],
             #[cfg(feature = "simsan")]
             san_hashes: Vec::new(),
         }
@@ -448,10 +437,10 @@ impl Engine {
     /// clocks, metered energy, battery registers, controller digest) per
     /// phase boundary, sample instant, and the pre-finalize instant.
     ///
-    /// The hard guarantee backing sharded planning and snapshot/replay:
-    /// the stream is bit-identical at every shard count, not just the
-    /// final result — a shard-order divergence that later cancels out
-    /// still trips the sanitizer at the first checkpoint it perturbs.
+    /// The guarantee backing bit-exact refactors: the stream is pinned
+    /// against a golden, not just the final result — a divergence that
+    /// later cancels out still trips the sanitizer at the first
+    /// checkpoint it perturbs.
     #[cfg(feature = "simsan")]
     pub fn run_sanitized(mut self) -> (RunResult, Vec<u64>) {
         self.drive();
@@ -485,17 +474,13 @@ impl Engine {
             self.queue.push(SimTime::ZERO, Event::Resume(r));
         }
 
-        let shards = self.config.shards.max(1);
         while let Some(ev) = self.queue.pop() {
             // Always-on (not debug_assert): a time regression here would
             // silently corrupt every downstream energy integral in release
-            // builds. The batch layer (`run_batch_checked`) converts the
-            // panic into a per-slot error.
+            // builds. The batch layer (`parallel_map`) converts the panic
+            // into a per-slot error.
             assert!(ev.time >= self.now, "event time went backwards");
             self.now = ev.time;
-            if shards > 1 {
-                self.plan_ahead(&ev.event, ev.time, shards);
-            }
             self.dispatch(ev.event);
             if self.finished == n {
                 break;
@@ -524,84 +509,6 @@ impl Engine {
             Event::GovernorTick(node) => self.on_governor_tick(node),
             Event::WaitBlock(r) => self.on_wait_block(r),
             Event::Sample => self.on_sample(),
-        }
-    }
-
-    // ----- shard planner ---------------------------------------------------
-
-    /// Is `ev` a rank-local event whose very next step is a compute
-    /// phase? Those are the events whose float derivation the shard
-    /// planner may run ahead of time: the rank's state and pc cannot be
-    /// perturbed by other ranks' Resume/PhaseDone handlers (cross-rank
-    /// resumption only happens from network events), so a plan taken now
-    /// is still exact when the event dispatches.
-    fn plan_target(&self, ev: &Event) -> Option<(Rank, usize)> {
-        let r = match *ev {
-            Event::Resume(r) if matches!(self.ranks[r].state, RState::Stalled) => r,
-            Event::PhaseDone(r) if matches!(self.ranks[r].state, RState::ComputeStall) => r,
-            _ => return None,
-        };
-        let pc = self.ranks[r].pc;
-        match self.programs[r].ops().get(pc) {
-            Some(Op::Compute(_)) => Some((r, pc)),
-            _ => None,
-        }
-    }
-
-    /// Sharded intra-run planning. When the just-popped event heads a
-    /// run of same-timestamp compute-bound rank events (a compute
-    /// epoch), peek the whole run off the queue, evaluate every rank's
-    /// [`ComputePlan`] on `shards` worker threads, and hand the events
-    /// back via [`EventQueue::unpop`], which restores the queue — order,
-    /// slot slab, and lifetime counters — exactly. The main loop then
-    /// dispatches the run sequentially in `(time, seq)` order, consuming
-    /// the plans. The merge invariant is therefore trivial: the merge
-    /// *is* the sequential order, and [`plan_compute`] is the same pure
-    /// function the inline path uses, so the run result is bit-identical
-    /// at every shard count.
-    fn plan_ahead(&mut self, head: &Event, now: SimTime, shards: usize) {
-        let Some(first) = self.plan_target(head) else {
-            return;
-        };
-        let mut targets = vec![first];
-        let mut peeked: Vec<sim_core::QueuedEvent<Event>> = Vec::new();
-        while self.queue.peek_time() == Some(now) {
-            let Some(ev) = self.queue.pop() else { break };
-            let target = self.plan_target(&ev.event);
-            peeked.push(ev);
-            match target {
-                Some(t) => targets.push(t),
-                None => break, // end of the compute epoch
-            }
-        }
-        // Reverse pop order restores the queue's slot slab exactly.
-        while let Some(ev) = peeked.pop() {
-            self.queue.unpop(ev);
-        }
-        if targets.len() < 2 {
-            return; // nothing to fan out; the inline path is identical
-        }
-        let mut plans: Vec<Option<ComputePlan>> = vec![None; targets.len()];
-        {
-            let programs = &self.programs;
-            let cluster = &self.cluster;
-            let chunk = targets.len().div_ceil(shards);
-            std::thread::scope(|scope| {
-                for (t_chunk, p_chunk) in targets.chunks(chunk).zip(plans.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (&(r, pc), out) in t_chunk.iter().zip(p_chunk.iter_mut()) {
-                            if let Some(Op::Compute(w)) = programs[r].ops().get(pc) {
-                                *out = Some(plan_compute(w, cluster.node(r)));
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        for (&(r, pc), plan) in targets.iter().zip(plans) {
-            if let Some(p) = plan {
-                self.plan_cache[r] = Some((pc, p));
-            }
         }
     }
 
@@ -691,14 +598,7 @@ impl Engine {
             let op = self.programs[r].ops()[pc].clone();
             match op {
                 Op::Compute(w) => {
-                    // A plan precomputed by the shard planner for exactly
-                    // this pc is used as-is; otherwise derive it inline.
-                    // Both are the same pure function, so the floats are
-                    // bit-identical whether or not a plan was cached.
-                    let plan = match self.plan_cache[r].take() {
-                        Some((plan_pc, p)) if plan_pc == pc => p,
-                        _ => plan_compute(&w, self.cluster.node(r)),
-                    };
+                    let plan = plan_compute(&w, self.cluster.node(r));
                     let mut cycles = plan.cycles;
                     if let Some(f) = self.faults.as_deref() {
                         // Straggler fault: stretch the cycle cost, not the
@@ -1337,9 +1237,8 @@ impl Engine {
     //
     // Delivered only when the controller asked for runtime events; the
     // per-node path (every classic strategy) pays one bool test per site.
-    // All hooks run on the sequential dispatch path in (time, seq) event
-    // order, so controller state — and therefore every decision — is
-    // bit-identical at any shard count.
+    // All hooks run in (time, seq) event order, so controller state —
+    // and therefore every decision — is deterministic.
 
     /// `r` just blocked in communication; a runtime controller may react.
     fn controller_wait_begin(&mut self, r: Rank) {
@@ -1561,7 +1460,7 @@ impl Engine {
         // Causal teardown: hand the recorded log to the solver. The
         // attribution derives from simulated state only (log, bucket
         // totals, metered joules), so it shares the registry's
-        // determinism guarantees at every shard count.
+        // determinism guarantees.
         let (causal, attribution) = match self.causal.take() {
             Some(rec) => {
                 let log = rec.log;

@@ -652,7 +652,7 @@ mod edge_case_tests {
     }
 }
 
-mod shard_and_topology_tests {
+mod topology_tests {
     use super::*;
     use crate::program::ProgramBuilder;
     use dvfs::StaticGovernor;
@@ -665,10 +665,10 @@ mod shard_and_topology_tests {
             .collect()
     }
 
-    /// A workload shaped to exercise the shard planner: the boot epoch
-    /// batches every rank's first compute at t=0, the stall-tailed
-    /// identical computes line up same-time `PhaseDone` runs, and the
-    /// ring exchanges interleave network events between epochs.
+    /// Compute epochs separated by exchanges: the boot epoch batches
+    /// every rank's first compute at t=0, the stall-tailed identical
+    /// computes line up same-time `PhaseDone` runs, and the ring
+    /// exchanges interleave network events between epochs.
     fn epochal_programs(n: usize) -> Vec<Program> {
         (0..n)
             .map(|r| {
@@ -697,12 +697,11 @@ mod shard_and_topology_tests {
             .collect()
     }
 
-    fn run_epochal(n: usize, shards: usize, topology: Topology) -> RunResult {
+    fn run_epochal(n: usize, topology: Topology) -> RunResult {
         let config = EngineConfig {
             metrics: true,
             trace_capacity: 1 << 12,
             sample_interval: Some(SimDuration::from_millis(10)),
-            shards,
             topology,
             ..EngineConfig::default()
         };
@@ -716,36 +715,22 @@ mod shard_and_topology_tests {
     }
 
     #[test]
-    fn sharded_run_is_bit_identical_to_sequential() {
-        let baseline = run_epochal(8, 1, Topology::Flat);
-        for shards in [2, 3, 8, 64] {
-            let sharded = run_epochal(8, shards, Topology::Flat);
-            assert!(
-                sharded == baseline,
-                "shards={shards} diverged from the sequential engine"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_run_is_bit_identical_on_fat_tree() {
+    fn fat_tree_runs_are_bit_deterministic() {
         let topo = Topology::parse("fat-tree:radix=4,oversub=2").unwrap();
-        let baseline = run_epochal(8, 1, topo);
-        let sharded = run_epochal(8, 8, topo);
-        assert!(sharded == baseline, "sharding must not affect tree mode");
+        assert!(run_epochal(8, topo) == run_epochal(8, topo));
     }
 
     #[test]
     fn solver_domain_counters_are_always_published() {
         // A flat run does no domain work, but the counters still exist
         // (at zero) so output diffs never depend on solver activity.
-        let flat = run_epochal(4, 1, Topology::Flat);
+        let flat = run_epochal(4, Topology::Flat);
         let flat_m = flat.metrics.as_ref().unwrap();
         assert_eq!(flat_m.counter("net.solver.domains_touched"), Some(0));
         assert_eq!(flat_m.counter("net.solver.domains_skipped"), Some(0));
 
         let topo = Topology::parse("fat-tree:radix=2").unwrap();
-        let tree = run_epochal(4, 1, topo);
+        let tree = run_epochal(4, topo);
         let tree_m = tree.metrics.as_ref().unwrap();
         // Tiny messages rarely overlap on a link, so most (sometimes
         // all) domain updates leave the quantized share untouched; the
@@ -759,8 +744,8 @@ mod shard_and_topology_tests {
     fn fat_tree_oversubscription_slows_cross_leaf_traffic() {
         // All-to-all over an oversubscribed trunk must take longer than
         // on the flat single switch; the compute part is identical.
-        let flat = run_epochal(8, 1, Topology::Flat);
-        let tree = run_epochal(8, 1, Topology::parse("fat-tree:radix=2,oversub=4").unwrap());
+        let flat = run_epochal(8, Topology::Flat);
+        let tree = run_epochal(8, Topology::parse("fat-tree:radix=2,oversub=4").unwrap());
         assert!(
             tree.duration > flat.duration,
             "oversub=4 tree {:?} should be slower than flat {:?}",

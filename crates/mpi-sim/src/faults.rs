@@ -46,7 +46,7 @@ impl FaultRuntime {
     /// recording them in `counts`. Returns `None` for an empty spec.
     ///
     /// Panics when a fault targets a node outside the cluster — a spec
-    /// bug the caller should hear about loudly (and `run_batch_checked`
+    /// bug the caller should hear about loudly (and `parallel_map`
     /// converts into a per-experiment error).
     pub(crate) fn build(
         spec: &FaultSpec,

@@ -478,17 +478,6 @@ impl FluidNetwork {
         })
     }
 
-    /// Advance to `now` and remove every drained flow, returning
-    /// `(id, src, dst)` for each in id order. Allocates a fresh vector
-    /// per call — every event-loop caller must use
-    /// [`FluidNetwork::take_completed_into`] instead.
-    #[deprecated(note = "allocates a Vec per call; use take_completed_into")]
-    pub fn take_completed(&mut self, now: SimTime) -> Vec<(FlowId, usize, usize)> {
-        let mut done = Vec::new();
-        self.take_completed_into(now, &mut done);
-        done
-    }
-
     /// Advance to `now` and remove every drained flow, appending
     /// `(id, src, dst)` for each in id order to `done` (cleared first).
     /// Rates are only recomputed if a fabric flow actually finished.

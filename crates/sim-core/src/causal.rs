@@ -124,8 +124,8 @@ pub struct DvfsRecord {
 /// (chronological per rank, appended in event order), DVFS transition
 /// edges, and per-rank completion marks.
 ///
-/// Everything here derives from simulated state in sequential dispatch
-/// order, so the log is bit-identical at every shard count.
+/// Everything here derives from simulated state in `(time, seq)`
+/// dispatch order, so the log is deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CausalLog {
     /// Every posted message, indexed by [`CausalMsgId`].

@@ -252,38 +252,6 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Reinsert an event previously returned by [`EventQueue::pop`],
-    /// undoing that pop: the event keeps its original `(time, seq)` key,
-    /// so the pop order of everything in the queue is unchanged, and the
-    /// pop's effect on the lifetime counters is reversed (`processed` is
-    /// decremented; nothing is counted as pushed). This makes a
-    /// pop/inspect/unpop peek of the next few events invisible to every
-    /// observable statistic — the engine's shard planner relies on that
-    /// to stay bit-identical to a planner-free run. Unpop in **reverse
-    /// pop order** so the slot slab is restored exactly and later pushes
-    /// allocate the same slots they would have without the peek.
-    ///
-    /// The event is live again under a fresh generation, so a handle
-    /// kept from its original `push` no longer cancels it.
-    pub fn unpop(&mut self, ev: QueuedEvent<E>) {
-        let slot = match self.free_slots.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.generations.push(0);
-                self.generations.len() - 1
-            }
-        };
-        let handle = pack(slot, self.generations[slot]);
-        self.heap.push(Entry {
-            time: ev.time,
-            seq: ev.seq,
-            handle,
-            event: ev.event,
-        });
-        self.live += 1;
-        self.processed -= 1;
-    }
-
     /// The timestamp of the earliest live event without removing it.
     /// Takes `&mut self` to discard tombstones blocking the heap front.
     pub fn peek_time(&mut self) -> Option<SimTime> {
@@ -467,57 +435,6 @@ mod tests {
         assert_eq!(q.cancelled_total(), 1);
         assert_eq!(q.processed_total(), 2);
         assert_eq!(q.depth_high_water(), 3, "high water survives draining");
-    }
-
-    #[test]
-    fn unpop_restores_order_and_counters() {
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.push(SimTime(10 + (i / 2) as u64), i);
-        }
-        let a = q.pop().unwrap();
-        let b = q.pop().unwrap();
-        let c = q.pop().unwrap();
-        // Reverse pop order, as the contract requires.
-        q.unpop(c);
-        q.unpop(b);
-        q.unpop(a);
-        assert_eq!(q.len(), 5);
-        assert_eq!(q.pushed_total(), 5, "unpop must not count as a push");
-        assert_eq!(q.processed_total(), 0, "peek must be invisible");
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert_eq!(q.processed_total(), 5);
-    }
-
-    #[test]
-    fn unpop_restores_slot_slab() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(1), "a");
-        q.push(SimTime(2), "b");
-        let a = q.pop().unwrap();
-        q.unpop(a);
-        // The peek must not have grown the slab: both live events fit in
-        // the two slots that existed before it.
-        assert_eq!(q.generations.len(), 2);
-        assert_eq!(q.pop().unwrap().event, "a");
-        assert_eq!(q.pop().unwrap().event, "b");
-    }
-
-    #[test]
-    fn unpopped_event_keeps_fifo_position_among_ties() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(7), "first");
-        q.push(SimTime(7), "second");
-        q.push(SimTime(7), "third");
-        let first = q.pop().unwrap();
-        let second = q.pop().unwrap();
-        q.unpop(second);
-        q.unpop(first);
-        // A push after the peek must still pop last among the ties.
-        q.push(SimTime(7), "fourth");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.event)).collect();
-        assert_eq!(order, vec!["first", "second", "third", "fourth"]);
     }
 
     #[test]

@@ -180,7 +180,6 @@ impl Config {
             skip_rules: BTreeSet::new(),
             purity_roots: vec![
                 "plan_compute".to_string(),
-                "Engine::plan_target".to_string(),
                 "PowerCapController::plan".to_string(),
             ],
             controller_traits: vec!["ClusterController".to_string()],

@@ -2,7 +2,7 @@
 //!
 //! Starting from the configured pure roots (`plan_compute`, the snapshot
 //! candidates — `simlint.toml [purity] roots`), walk the call graph
-//! breadth-first and flag anything that could make a shard-planned or
+//! breadth-first and flag anything that could make a re-evaluated or
 //! replayed computation diverge: `&mut self` receivers on the path,
 //! assignments to `static mut` state, interior mutability, and I/O or
 //! ambient-rng sinks. Every finding carries the full call chain from the

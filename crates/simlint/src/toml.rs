@@ -106,14 +106,14 @@ mod tests {
     #[test]
     fn parses_sections_strings_and_lists() {
         let doc = parse(
-            "# config\n[purity]\nroots = [\"plan_compute\", \"Engine::plan_target\"]\n\n\
+            "# config\n[purity]\nroots = [\"plan_compute\", \"PowerCapController::plan\"]\n\n\
              [controller]\ntraits = [\"ClusterController\"] # audited traits\nname = \"x\"\n",
         );
         assert_eq!(
             doc.list("purity", "roots"),
             Some(vec![
                 "plan_compute".to_string(),
-                "Engine::plan_target".to_string()
+                "PowerCapController::plan".to_string()
             ])
         );
         assert_eq!(

@@ -22,14 +22,8 @@
 #     lint gate adds to a developer loop;
 #
 # Usage: scripts/bench.sh [output.json]    (default BENCH_PR9.json)
-#        scripts/bench.sh scale [output.json]   (default BENCH_PR6.json)
 #        scripts/bench.sh cap [output.json]     (default BENCH_PR8.json)
 #        scripts/bench.sh service [output.json] (default BENCH_PR10.json)
-#
-# The `scale` mode runs examples/bench_scale.rs instead: one class-C FT
-# iteration at 256/1024/4096 ranks on an oversubscribed fat-tree, each
-# rank count at 1/2/8 intra-run shards, asserting the RunResults are
-# bit-identical and reporting events/sec per configuration.
 #
 # The `cap` mode runs examples/bench_powercap.rs: the power-cap
 # acceptance benchmark (imbalanced ft-test4 under an 80 W budget),
@@ -57,14 +51,6 @@ if [[ "${1:-}" == "service" ]]; then
   OUT="${2:-BENCH_PR10.json}"
   cargo build --release -q --example bench_service
   ./target/release/examples/bench_service | tee "$OUT"
-  exit 0
-fi
-
-if [[ "${1:-}" == "scale" ]]; then
-  OUT="${2:-BENCH_PR6.json}"
-  MAX_RANKS="${BENCH_SCALE_MAX_RANKS:-4096}"
-  cargo build --release -q --example bench_scale
-  ./target/release/examples/bench_scale "$MAX_RANKS" | tee "$OUT"
   exit 0
 fi
 

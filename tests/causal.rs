@@ -1,6 +1,6 @@
 //! Causal tracing end-to-end guarantees: the critical path and the
 //! per-rank time/energy attribution are exact (integer identities, not
-//! approximations), deterministic at any shard count, and recording them
+//! approximations), bit-deterministic, and recording them
 //! never perturbs a single simulated bit.
 
 use pwrperf::{analyze_text, DvsStrategy, EngineConfig, Experiment, Workload};
@@ -102,33 +102,16 @@ fn attribution_split_sums_to_the_engine_breakdown_exactly() {
     }
 }
 
-/// Sharded planning reorders float *precomputation*, never dispatch: the
-/// causal log and the attribution built from it are bit-identical at any
-/// shard count.
+/// The causal log and the attribution built from it derive from simulated
+/// state in `(time, seq)` dispatch order only, so they repeat bit for bit.
 #[test]
-fn attribution_is_identical_at_any_shard_count() {
-    let run_with_shards = |shards: usize| {
-        Experiment::new(Workload::ft_test(8), DvsStrategy::DynamicBaseMhz(1400))
-            .with_engine(EngineConfig {
-                causal: true,
-                shards,
-                ..EngineConfig::default()
-            })
-            .run()
-    };
-    let one = run_with_shards(1);
-    for shards in [2, 8] {
-        let many = run_with_shards(shards);
-        assert_eq!(
-            one.causal, many.causal,
-            "causal log drifted at {shards} shards"
-        );
-        assert_eq!(
-            one.attribution, many.attribution,
-            "attribution drifted at {shards} shards"
-        );
-        assert_eq!(one, many, "full result drifted at {shards} shards");
-    }
+fn attribution_is_bit_deterministic() {
+    let run = || causal_run(Workload::ft_test(8), DvsStrategy::DynamicBaseMhz(1400));
+    let (one, two) = (run(), run());
+    assert!(one.causal.is_some(), "causal run must record a log");
+    assert_eq!(one.causal, two.causal, "causal log drifted");
+    assert_eq!(one.attribution, two.attribution, "attribution drifted");
+    assert_eq!(one, two, "full result drifted");
 }
 
 /// Causal recording is observation only: every simulated quantity must be

@@ -182,12 +182,11 @@ fn faulted_runs_are_bit_deterministic() {
 }
 
 #[test]
-fn sharded_runs_are_bit_identical_to_sequential() {
-    // The sharded planner's hard guarantee: any shard count produces the
-    // same `RunResult` as sequential execution — durations, energies,
-    // breakdowns, samples, metrics registry, traces, all of it. Events
-    // still apply in (time, seq) order; shards only precompute plans
-    // with the same pure function the inline path uses.
+fn fat_tree_runs_are_bit_deterministic() {
+    // On a hierarchical fabric flows share trunk links and the solver
+    // works per link domain; the whole `RunResult` — durations,
+    // energies, breakdowns, samples, metrics registry, traces — must
+    // still repeat bit for bit.
     use pwrperf::Topology;
     use workloads::{CgClass, MgClass};
     let workloads = [
@@ -201,13 +200,15 @@ fn sharded_runs_are_bit_identical_to_sequential() {
             ranks: 4,
         },
     ];
-    let make = |w: &Workload, shards: usize, topology: Topology| {
+    let make = |w: &Workload| {
         let engine = EngineConfig {
             metrics: true,
             trace_capacity: 1 << 12,
             sample_interval: Some(SimDuration::from_millis(50)),
-            topology,
-            shards,
+            topology: Topology::FatTree {
+                radix: 2,
+                oversub: 2.0,
+            },
             ..EngineConfig::default()
         };
         Experiment::new(w.clone(), DvsStrategy::DynamicBaseMhz(1400))
@@ -215,53 +216,10 @@ fn sharded_runs_are_bit_identical_to_sequential() {
             .run()
     };
     for w in &workloads {
-        let sequential = make(w, 1, Topology::Flat);
-        for shards in [2, 8] {
-            let sharded = make(w, shards, Topology::Flat);
-            assert_eq!(sequential, sharded, "{}: {shards} shards", w.label());
-            assert_eq!(
-                sequential.total_energy_j().to_bits(),
-                sharded.total_energy_j().to_bits()
-            );
-        }
-        // And on a hierarchical fabric, where flows share trunk links.
-        let tree = Topology::FatTree {
-            radix: 2,
-            oversub: 2.0,
-        };
-        let tree_sequential = make(w, 1, tree);
-        let tree_sharded = make(w, 8, tree);
-        assert_eq!(tree_sequential, tree_sharded, "{}: fat-tree", w.label());
-    }
-}
-
-#[test]
-fn sharded_faulted_runs_are_bit_identical_to_sequential() {
-    // Fault injection mutates per-rank counters as faults fire; the
-    // planner must not reorder or pre-consume those draws. The plan
-    // carries only pre-fault cycles — `scale_compute` still runs on the
-    // sequential apply path, so the RNG stream is untouched.
-    use pwrperf::FaultSpec;
-    let spec =
-        FaultSpec::parse("seed:11,slow:1:1.4,dvfs-fail:2:0.3,weak-link:3:0.6").expect("valid spec");
-    let make = |shards: usize| {
-        let engine = EngineConfig {
-            metrics: true,
-            sample_interval: Some(SimDuration::from_millis(50)),
-            faults: spec.clone(),
-            shards,
-            ..EngineConfig::default()
-        };
-        Experiment::new(Workload::ft_test(4), DvsStrategy::DynamicBaseMhz(1400))
-            .with_engine(engine)
-            .run()
-    };
-    let sequential = make(1);
-    assert!(sequential.faults.total() > 0, "the spec must actually fire");
-    for shards in [2, 8] {
-        let sharded = make(shards);
-        assert_eq!(sequential, sharded, "{shards} shards");
-        assert_eq!(sequential.faults, sharded.faults);
+        let a = make(w);
+        let b = make(w);
+        assert_eq!(a, b, "{}: fat-tree", w.label());
+        assert_eq!(a.total_energy_j().to_bits(), b.total_energy_j().to_bits());
     }
 }
 

@@ -4,12 +4,12 @@
 //! time-weighted integrators and the fluid network, and measurement-layer
 //! sanity in the battery model. A violation silently corrupted energy
 //! accounting in release builds; now it either panics loudly (internal
-//! invariants, converted to per-slot errors by `run_batch_checked`) or
+//! invariants, converted to per-slot errors by `parallel_map`) or
 //! surfaces as a typed `MeasurementError` (measurement APIs).
 
 use net_model::{FluidNetwork, NetworkParams};
 use power_model::battery::{MeasurementError, SmartBattery};
-use pwrperf::{run_batch_checked, DvsStrategy, Experiment, Workload};
+use pwrperf::{parallel_map, BatchPolicy, DvsStrategy, Experiment, Workload};
 use sim_core::{SimTime, TimeWeighted};
 
 #[test]
@@ -62,7 +62,7 @@ fn batch_layer_converts_invariant_panics_to_slot_errors() {
     // runner's own tests; here we pin the Ok-slot contract.)
     let mk = || Experiment::new(Workload::ft_test(2), DvsStrategy::StaticMhz(1400));
     let direct = mk().run();
-    let slots = run_batch_checked(vec![mk(), mk()]);
+    let (slots, _) = parallel_map(&[mk(), mk()], Experiment::run, BatchPolicy::default());
     assert_eq!(slots.len(), 2);
     for slot in &slots {
         let r = slot.as_ref().expect("healthy experiment must succeed");

@@ -3,15 +3,36 @@
 //! **bit-identical** to running them sequentially, in the same order —
 //! with or without fault injection armed — and a poisoned experiment must
 //! cost exactly its own slot, never the batch. Worker counts are pinned
-//! with the explicit `run_batch_with`/`BatchPolicy` overrides rather than
+//! with the explicit `BatchPolicy::workers` override rather than
 //! `PWRPERF_THREADS` (mutating the shared process environment from one
 //! test races every sibling test that reads it).
 
 use mpi_sim::RunResult;
 use pwrperf::{
-    run_batch_checked_with, run_batch_with, BatchPolicy, DvsStrategy, Experiment, FaultSpec,
-    Workload,
+    parallel_map, BatchPolicy, DvsStrategy, Experiment, ExperimentError, FaultSpec, Workload,
 };
+
+/// Run `experiments` on exactly `workers` threads, one slot per input.
+fn run_checked(
+    experiments: Vec<Experiment>,
+    workers: usize,
+    retries: u32,
+) -> Vec<Result<RunResult, ExperimentError>> {
+    let policy = BatchPolicy {
+        workers: Some(workers),
+        retries,
+        ..BatchPolicy::default()
+    };
+    parallel_map(&experiments, Experiment::run, policy).0
+}
+
+/// [`run_checked`] for a batch that must not fail.
+fn run_with(experiments: Vec<Experiment>, workers: usize) -> Vec<RunResult> {
+    run_checked(experiments, workers, 0)
+        .into_iter()
+        .map(|slot| slot.expect("healthy experiment"))
+        .collect()
+}
 
 fn batch_for(workload: &Workload) -> Vec<Experiment> {
     vec![
@@ -38,8 +59,8 @@ fn energy_bits(results: &[RunResult]) -> Vec<u64> {
 }
 
 fn assert_parallel_matches_sequential(workload: &Workload) {
-    let sequential = run_batch_with(batch_for(workload), Some(1));
-    let parallel = run_batch_with(batch_for(workload), Some(4));
+    let sequential = run_with(batch_for(workload), 1);
+    let parallel = run_with(batch_for(workload), 4);
     assert_eq!(parallel.len(), sequential.len());
     for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
         assert_eq!(p, s, "experiment {i} diverged under parallel execution");
@@ -69,8 +90,8 @@ fn faulted_batch_is_bit_identical_across_thread_counts() {
             .map(|e| e.with_faults(spec.clone()))
             .collect()
     };
-    let sequential = run_batch_with(make(&spec), Some(1));
-    let parallel = run_batch_with(make(&spec), Some(4));
+    let sequential = run_with(make(&spec), 1);
+    let parallel = run_with(make(&spec), 4);
     assert_eq!(energy_bits(&parallel), energy_bits(&sequential));
     for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
         assert_eq!(p, s, "faulted experiment {i} diverged");
@@ -96,12 +117,7 @@ fn checked_batch_isolates_a_panicking_slot() {
     let w = Workload::ft_test(2);
     let mut experiments = batch_for(&w);
     experiments.insert(2, poisoned(&w));
-    let policy = BatchPolicy {
-        workers: Some(2),
-        retries: 1,
-        ..BatchPolicy::default()
-    };
-    let outcomes = run_batch_checked_with(experiments, policy);
+    let outcomes = run_checked(experiments, 2, 1);
     assert_eq!(outcomes.len(), 5);
     // Exactly the poisoned slot fails; the error names it and its attempts.
     let err = outcomes[2].as_ref().expect_err("slot 2 was poisoned");
@@ -114,7 +130,7 @@ fn checked_batch_isolates_a_panicking_slot() {
     );
     // Every other slot succeeded, in input order, bit-identical to a
     // sequential run of the healthy batch.
-    let healthy = run_batch_with(batch_for(&w), Some(1));
+    let healthy = run_with(batch_for(&w), 1);
     let ok: Vec<&RunResult> = outcomes
         .iter()
         .enumerate()
@@ -129,15 +145,8 @@ fn checked_batch_isolates_a_panicking_slot() {
 #[test]
 fn checked_batch_with_no_failures_matches_unchecked() {
     let w = Workload::ft_test(2);
-    let checked = run_batch_checked_with(
-        batch_for(&w),
-        BatchPolicy {
-            workers: Some(2),
-            retries: 0,
-            ..BatchPolicy::default()
-        },
-    );
-    let plain = run_batch_with(batch_for(&w), Some(2));
+    let checked = run_checked(batch_for(&w), 2, 0);
+    let plain = pwrperf::run_batch(batch_for(&w));
     assert_eq!(checked.len(), plain.len());
     for (c, p) in checked.iter().zip(&plain) {
         assert_eq!(c.as_ref().expect("no failures"), p);

@@ -1,7 +1,7 @@
 //! Power-cap controller invariants: the cluster budget is honoured at
 //! every sample instant, an infinite budget is inert (bit-identical to
-//! the uncontrolled run), capped runs are bit-identical at every shard
-//! count, and — the PR's acceptance criterion — runtime redistribution
+//! the uncontrolled run), capped runs are bit-deterministic, and —
+//! the PR's acceptance criterion — runtime redistribution
 //! under a fixed cap beats every cap-feasible uniform `StaticMhz`
 //! point on a load-imbalanced workload.
 
@@ -101,35 +101,28 @@ fn infinite_cap_is_bit_identical_to_the_uncontrolled_run() {
 }
 
 #[test]
-fn capped_runs_are_bit_identical_at_any_shard_count() {
-    // Controller decisions ride the same (time, seq)-ordered apply path
-    // as everything else; sharded planning must not perturb them.
-    let make = |shards: usize, topology: Topology| {
+fn capped_runs_are_bit_deterministic() {
+    // Controller decisions ride the same (time, seq)-ordered dispatch as
+    // everything else, so a faulted capped run repeats bit for bit on
+    // the flat switch and on a fat tree.
+    let make = |topology: Topology| {
         let engine = EngineConfig {
             metrics: true,
             trace_capacity: 1 << 12,
             topology,
-            shards,
             ..sampled_engine(FaultSpec::parse("slow:0:5.0").unwrap())
         };
         run_capped(80, CapPolicy::Redistribute, engine)
     };
-    let sequential = make(1, Topology::Flat);
-    for shards in [2, 8] {
-        let sharded = make(shards, Topology::Flat);
-        assert_eq!(sequential, sharded, "{shards} shards");
-        assert_eq!(
-            sequential.total_energy_j().to_bits(),
-            sharded.total_energy_j().to_bits()
-        );
-    }
     let fat_tree = Topology::FatTree {
         radix: 2,
         oversub: 2.0,
     };
-    let ft_sequential = make(1, fat_tree);
-    let ft_sharded = make(8, fat_tree);
-    assert_eq!(ft_sequential, ft_sharded, "fat-tree, 8 shards");
+    for topology in [Topology::Flat, fat_tree] {
+        let (a, b) = (make(topology), make(topology));
+        assert_eq!(a, b, "{topology:?}");
+        assert_eq!(a.total_energy_j().to_bits(), b.total_energy_j().to_bits());
+    }
 }
 
 #[test]

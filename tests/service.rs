@@ -178,19 +178,16 @@ fn arb_spec() -> impl Strategy<Value = SweepSpec> {
             proptest::collection::vec(-1.0f64..1.0, 0..3),
             proptest::collection::vec(0usize..NAMES.len(), 0..3),
         ),
-        (0usize..NAMES.len(), any::<bool>(), 0usize..64),
+        (0usize..NAMES.len(), any::<bool>()),
     )
         .prop_map(
-            |((workloads, strategies, deltas, fault_specs), (topology, causal, shards))| {
-                SweepSpec {
-                    workloads: names(workloads),
-                    strategies: names(strategies),
-                    deltas,
-                    fault_specs: names(fault_specs),
-                    topology: NAMES[topology].to_string(),
-                    causal,
-                    shards,
-                }
+            |((workloads, strategies, deltas, fault_specs), (topology, causal))| SweepSpec {
+                workloads: names(workloads),
+                strategies: names(strategies),
+                deltas,
+                fault_specs: names(fault_specs),
+                topology: NAMES[topology].to_string(),
+                causal,
             },
         )
 }
