@@ -1,15 +1,16 @@
 //! Argument parsing for the `pwrperf` command (hand-rolled: the tool has
-//! three subcommands and a dozen flags; a parser dependency would be
-//! heavier than the parser).
+//! five subcommands and a few dozen flags; a parser dependency would be
+//! heavier than the parser). Two of them drive experiments: `run` for one
+//! run under one strategy, `sweep` for the frequency ladder.
 
 use pwrperf::{CapPolicy, DvsStrategy, FaultSpec, SweepSpec, Topology, Workload};
 
 /// A parsed invocation.
 #[derive(Debug)]
 pub enum Command {
-    /// `pwrperf run -w <workload> -s <strategy> [--blocking-waits <ms>]
-    /// [--metrics] [--causal] [--trace-capacity <n>] [--faults <spec>]
-    /// [--topology <spec>]`
+    /// `pwrperf run -w <workload> (-s <strategy> | --power-cap <spec>)
+    /// [--blocking-waits <ms>] [--metrics] [--causal] [--faults <spec>]
+    /// [--topology <spec>] [-o <dir>]`
     Run {
         /// Workload to execute.
         workload: Workload,
@@ -21,16 +22,16 @@ pub enum Command {
         metrics: bool,
         /// Record the causal log and print the attribution summary.
         causal: bool,
-        /// Trace ring capacity override (`None` = subcommand default).
-        trace_capacity: Option<usize>,
         /// Deterministic fault injection (empty = none).
         faults: FaultSpec,
         /// Interconnect shape (`flat` or `fat-tree[:radix=R,oversub=S]`).
         topology: Topology,
+        /// Directory for the run's artifacts (`None` = stdout only).
+        out_dir: Option<String>,
     },
     /// `pwrperf sweep -w <workload> [--dynamic] [-j <n>] [--store <dir>]
-    /// [--dry-run] [--no-cache] [--faults <spec>] [--power-cap <spec>]
-    /// [--topology <spec>]`
+    /// [--dry-run] [--faults <spec>] [--power-cap <spec>]
+    /// [--topology <spec>] [--delta <d>]`
     Sweep {
         /// Workload to sweep over the ladder.
         workload: Workload,
@@ -42,8 +43,6 @@ pub enum Command {
         store: Option<String>,
         /// Print the cache hit/miss partition without running anything.
         dry_run: bool,
-        /// Bypass the store even when one is configured elsewhere.
-        no_cache: bool,
         /// Deterministic fault injection (empty = none).
         faults: FaultSpec,
         /// Compare power-cap policies against the static ladder
@@ -51,85 +50,8 @@ pub enum Command {
         power_cap: Option<(u32, Option<CapPolicy>)>,
         /// Interconnect shape (`flat` or `fat-tree[:radix=R,oversub=S]`).
         topology: Topology,
-    },
-    /// `pwrperf best -w <workload> [--delta <d>] [-j <n>]`
-    Best {
-        /// Workload to pick a best point for.
-        workload: Workload,
-        /// Weighted-ED²P weight factor.
+        /// Weighted-ED²P weight factor the best-point line ranks by.
         delta: f64,
-        /// Worker threads for the batch runner (`None` = auto-detect).
-        threads: Option<usize>,
-    },
-    /// `pwrperf export -w <workload> -s <strategy> -o <dir> [--metrics]
-    /// [--trace-capacity <n>] [--faults <spec>]`
-    Export {
-        /// Workload to execute.
-        workload: Workload,
-        /// DVS strategy.
-        strategy: DvsStrategy,
-        /// Output directory for the CSV files.
-        out_dir: String,
-        /// Additionally write `metrics.ndjson`.
-        metrics: bool,
-        /// Trace ring capacity override (`None` = subcommand default).
-        trace_capacity: Option<usize>,
-        /// Deterministic fault injection (empty = none).
-        faults: FaultSpec,
-    },
-    /// `pwrperf trace -w <workload> -s <strategy> [--out <file>]
-    /// [--trace-capacity <n>] [--blocking-waits <ms>] [--faults <spec>]`
-    Trace {
-        /// Workload to execute.
-        workload: Workload,
-        /// DVS strategy.
-        strategy: DvsStrategy,
-        /// Output path for the Perfetto JSON.
-        out: String,
-        /// Trace ring capacity override (`None` = subcommand default).
-        trace_capacity: Option<usize>,
-        /// Poll-then-block window in ms (`None` = busy-poll).
-        blocking_ms: Option<u64>,
-        /// Deterministic fault injection (empty = none).
-        faults: FaultSpec,
-    },
-    /// `pwrperf stats -w <workload> -s <strategy> [--out <file>]
-    /// [--trace-capacity <n>] [--blocking-waits <ms>] [--faults <spec>]
-    /// [--topology <spec>]`
-    Stats {
-        /// Workload to execute.
-        workload: Workload,
-        /// DVS strategy.
-        strategy: DvsStrategy,
-        /// Optional path to also dump the metrics as NDJSON.
-        out: Option<String>,
-        /// Trace ring capacity override (`None` = subcommand default).
-        trace_capacity: Option<usize>,
-        /// Poll-then-block window in ms (`None` = busy-poll).
-        blocking_ms: Option<u64>,
-        /// Deterministic fault injection (empty = none).
-        faults: FaultSpec,
-        /// Interconnect shape (`flat` or `fat-tree[:radix=R,oversub=S]`).
-        topology: Topology,
-    },
-    /// `pwrperf analyze -w <workload> -s <strategy> [-o <ndjson-file>]
-    /// [--perfetto <file>] [--blocking-waits <ms>] [--faults <spec>]
-    /// [--topology <spec>]`
-    Analyze {
-        /// Workload to execute.
-        workload: Workload,
-        /// DVS strategy.
-        strategy: DvsStrategy,
-        /// Optional path to dump the attribution as NDJSON.
-        out: Option<String>,
-        /// Optional path to write a Perfetto timeline with flow arrows.
-        perfetto: Option<String>,
-        /// Poll-then-block window in ms (`None` = busy-poll).
-        blocking_ms: Option<u64>,
-        /// Deterministic fault injection (empty = none).
-        faults: FaultSpec,
-        /// Interconnect shape (`flat` or `fat-tree[:radix=R,oversub=S]`).
-        topology: Topology,
     },
     /// `pwrperf serve --store <dir> (--socket <path> | --tcp <addr>)
     /// [-j <n>] [--max-store-bytes <n>]`
@@ -193,16 +115,19 @@ fn parse_threads(value: &str) -> Result<usize, String> {
         .ok_or_else(|| "--threads needs a positive integer".to_string())
 }
 
-fn parse_capacity(value: &str) -> Result<usize, String> {
-    value
-        .parse::<usize>()
-        .map_err(|_| "--trace-capacity needs a non-negative integer".to_string())
-}
-
 fn parse_blocking(value: &str) -> Result<u64, String> {
     value
         .parse::<u64>()
         .map_err(|_| "bad --blocking-waits value".to_string())
+}
+
+fn parse_delta(value: &str) -> Result<f64, String> {
+    let delta: f64 = value.parse().map_err(|_| "bad --delta value".to_string())?;
+    if (-1.0..=1.0).contains(&delta) {
+        Ok(delta)
+    } else {
+        Err("--delta must be in [-1, 1]".to_string())
+    }
 }
 
 fn parse_faults(value: &str) -> Result<FaultSpec, String> {
@@ -275,9 +200,9 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
             let mut blocking_ms = None;
             let mut metrics = false;
             let mut causal = false;
-            let mut trace_capacity = None;
             let mut faults = FaultSpec::default();
             let mut topology = Topology::Flat;
+            let mut out_dir = None;
             while let Some(flag) = it.next() {
                 match flag {
                     "-w" | "--workload" => {
@@ -292,11 +217,9 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                     }
                     "--metrics" => metrics = true,
                     "--causal" => causal = true,
-                    "--trace-capacity" => {
-                        trace_capacity = Some(parse_capacity(take_value(&mut it, flag)?)?)
-                    }
                     "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
                     "--topology" => topology = parse_topology(take_value(&mut it, flag)?)?,
+                    "-o" | "--out" => out_dir = Some(take_value(&mut it, flag)?.to_string()),
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
@@ -317,9 +240,9 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                 blocking_ms,
                 metrics,
                 causal,
-                trace_capacity,
                 faults,
                 topology,
+                out_dir,
             })
         }
         "sweep" => {
@@ -328,10 +251,10 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
             let mut threads = None;
             let mut store = None;
             let mut dry_run = false;
-            let mut no_cache = false;
             let mut faults = FaultSpec::default();
             let mut power_cap = None;
             let mut topology = Topology::Flat;
+            let mut delta = None;
             while let Some(flag) = it.next() {
                 match flag {
                     "-w" | "--workload" => {
@@ -343,25 +266,29 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                     }
                     "--store" => store = Some(take_value(&mut it, flag)?.to_string()),
                     "--dry-run" => dry_run = true,
-                    "--no-cache" => no_cache = true,
                     "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
                     "--power-cap" => power_cap = Some(parse_power_cap(take_value(&mut it, flag)?)?),
                     "--topology" => topology = parse_topology(take_value(&mut it, flag)?)?,
+                    "--delta" => delta = Some(parse_delta(take_value(&mut it, flag)?)?),
                     other => return Err(format!("unknown flag '{other}'")),
                 }
             }
             if dry_run && store.is_none() {
                 return Err("--dry-run needs --store <dir> to plan against".to_string());
             }
-            if no_cache && (store.is_some() || dry_run) {
-                return Err("--no-cache conflicts with --store/--dry-run".to_string());
-            }
-            if dynamic && power_cap.is_some() {
-                return Err(
-                    "--power-cap compares cap policies against the static ladder; \
-                     drop --dynamic"
-                        .to_string(),
-                );
+            if power_cap.is_some() {
+                if dynamic {
+                    return Err(
+                        "--power-cap compares cap policies against the static ladder; \
+                         drop --dynamic"
+                            .to_string(),
+                    );
+                }
+                if delta.is_some() {
+                    return Err(
+                        "--power-cap ranks by wED2P at the HPC delta; drop --delta".to_string()
+                    );
+                }
             }
             Ok(Command::Sweep {
                 workload: workload.ok_or("sweep needs --workload")?,
@@ -369,195 +296,10 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                 threads,
                 store,
                 dry_run,
-                no_cache,
                 faults,
                 power_cap,
                 topology,
-            })
-        }
-        "best" => {
-            let mut workload = None;
-            let mut delta = edp_metrics::DELTA_HPC;
-            let mut threads = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-w" | "--workload" => {
-                        workload = Some(parse_workload(take_value(&mut it, flag)?)?)
-                    }
-                    "-j" | "--threads" => {
-                        threads = Some(parse_threads(take_value(&mut it, flag)?)?)
-                    }
-                    "--delta" => {
-                        delta = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| "bad --delta value".to_string())?;
-                        if !(-1.0..=1.0).contains(&delta) {
-                            return Err("--delta must be in [-1, 1]".to_string());
-                        }
-                    }
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Best {
-                workload: workload.ok_or("best needs --workload")?,
-                delta,
-                threads,
-            })
-        }
-        "export" => {
-            let mut workload = None;
-            let mut strategy = None;
-            let mut out_dir = "pwrperf-out".to_string();
-            let mut metrics = false;
-            let mut trace_capacity = None;
-            let mut faults = FaultSpec::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-w" | "--workload" => {
-                        workload = Some(parse_workload(take_value(&mut it, flag)?)?)
-                    }
-                    "-s" | "--strategy" => {
-                        strategy = Some(parse_strategy(take_value(&mut it, flag)?)?)
-                    }
-                    "-o" | "--out" => out_dir = take_value(&mut it, flag)?.to_string(),
-                    "--metrics" => metrics = true,
-                    "--trace-capacity" => {
-                        trace_capacity = Some(parse_capacity(take_value(&mut it, flag)?)?)
-                    }
-                    "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            if trace_capacity == Some(0) {
-                return Err(
-                    "export with --trace-capacity 0 would write an empty trace.csv; \
-                     use a positive capacity or drop the flag"
-                        .to_string(),
-                );
-            }
-            Ok(Command::Export {
-                workload: workload.ok_or("export needs --workload")?,
-                strategy: strategy.ok_or("export needs --strategy")?,
-                out_dir,
-                metrics,
-                trace_capacity,
-                faults,
-            })
-        }
-        "trace" => {
-            let mut workload = None;
-            let mut strategy = None;
-            let mut out = "run.perfetto.json".to_string();
-            let mut trace_capacity = None;
-            let mut blocking_ms = None;
-            let mut faults = FaultSpec::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-w" | "--workload" => {
-                        workload = Some(parse_workload(take_value(&mut it, flag)?)?)
-                    }
-                    "-s" | "--strategy" => {
-                        strategy = Some(parse_strategy(take_value(&mut it, flag)?)?)
-                    }
-                    "-o" | "--out" => out = take_value(&mut it, flag)?.to_string(),
-                    "--trace-capacity" => {
-                        trace_capacity = Some(parse_capacity(take_value(&mut it, flag)?)?)
-                    }
-                    "--blocking-waits" => {
-                        blocking_ms = Some(parse_blocking(take_value(&mut it, flag)?)?)
-                    }
-                    "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            if trace_capacity == Some(0) {
-                return Err(
-                    "trace with --trace-capacity 0 would write an empty timeline; \
-                     use a positive capacity or drop the flag"
-                        .to_string(),
-                );
-            }
-            Ok(Command::Trace {
-                workload: workload.ok_or("trace needs --workload")?,
-                strategy: strategy.ok_or("trace needs --strategy")?,
-                out,
-                trace_capacity,
-                blocking_ms,
-                faults,
-            })
-        }
-        "stats" => {
-            let mut workload = None;
-            let mut strategy = None;
-            let mut out = None;
-            let mut trace_capacity = None;
-            let mut blocking_ms = None;
-            let mut faults = FaultSpec::default();
-            let mut topology = Topology::Flat;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-w" | "--workload" => {
-                        workload = Some(parse_workload(take_value(&mut it, flag)?)?)
-                    }
-                    "-s" | "--strategy" => {
-                        strategy = Some(parse_strategy(take_value(&mut it, flag)?)?)
-                    }
-                    "-o" | "--out" => out = Some(take_value(&mut it, flag)?.to_string()),
-                    "--trace-capacity" => {
-                        trace_capacity = Some(parse_capacity(take_value(&mut it, flag)?)?)
-                    }
-                    "--blocking-waits" => {
-                        blocking_ms = Some(parse_blocking(take_value(&mut it, flag)?)?)
-                    }
-                    "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
-                    "--topology" => topology = parse_topology(take_value(&mut it, flag)?)?,
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Stats {
-                workload: workload.ok_or("stats needs --workload")?,
-                strategy: strategy.ok_or("stats needs --strategy")?,
-                out,
-                trace_capacity,
-                blocking_ms,
-                faults,
-                topology,
-            })
-        }
-        "analyze" => {
-            let mut workload = None;
-            let mut strategy = None;
-            let mut out = None;
-            let mut perfetto = None;
-            let mut blocking_ms = None;
-            let mut faults = FaultSpec::default();
-            let mut topology = Topology::Flat;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "-w" | "--workload" => {
-                        workload = Some(parse_workload(take_value(&mut it, flag)?)?)
-                    }
-                    "-s" | "--strategy" => {
-                        strategy = Some(parse_strategy(take_value(&mut it, flag)?)?)
-                    }
-                    "-o" | "--out" => out = Some(take_value(&mut it, flag)?.to_string()),
-                    "--perfetto" => perfetto = Some(take_value(&mut it, flag)?.to_string()),
-                    "--blocking-waits" => {
-                        blocking_ms = Some(parse_blocking(take_value(&mut it, flag)?)?)
-                    }
-                    "--faults" => faults = parse_faults(take_value(&mut it, flag)?)?,
-                    "--topology" => topology = parse_topology(take_value(&mut it, flag)?)?,
-                    other => return Err(format!("unknown flag '{other}'")),
-                }
-            }
-            Ok(Command::Analyze {
-                workload: workload.ok_or("analyze needs --workload")?,
-                strategy: strategy.ok_or("analyze needs --strategy")?,
-                out,
-                perfetto,
-                blocking_ms,
-                faults,
-                topology,
+                delta: delta.unwrap_or(edp_metrics::DELTA_HPC),
             })
         }
         "serve" => {
@@ -614,15 +356,7 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                         parse_strategy(name)?;
                         spec.strategies.push(name.to_string());
                     }
-                    "--delta" => {
-                        let delta: f64 = take_value(&mut it, flag)?
-                            .parse()
-                            .map_err(|_| "bad --delta value".to_string())?;
-                        if !(-1.0..=1.0).contains(&delta) {
-                            return Err("--delta must be in [-1, 1]".to_string());
-                        }
-                        spec.deltas.push(delta);
-                    }
+                    "--delta" => spec.deltas.push(parse_delta(take_value(&mut it, flag)?)?),
                     "--faults" => {
                         let value = take_value(&mut it, flag)?;
                         parse_faults(value)?;
@@ -707,15 +441,28 @@ mod tests {
     }
 
     #[test]
-    fn parses_sweep_and_best() {
+    fn parses_sweep_dynamic_and_delta() {
         assert!(matches!(
             parse(&["sweep", "-w", "transpose", "--dynamic"]),
             Command::Sweep { dynamic: true, .. }
         ));
-        match parse(&["best", "-w", "mgrid", "--delta", "-0.5"]) {
-            Command::Best { delta, .. } => assert!((delta + 0.5).abs() < 1e-12),
+        match parse(&["sweep", "-w", "mgrid", "--delta", "-0.5"]) {
+            Command::Sweep { delta, .. } => assert!((delta + 0.5).abs() < 1e-12),
             other => panic!("{other:?}"),
         }
+        // The cap table ranks by wED2P itself; a second delta is an error.
+        assert!(matches!(
+            parse(&[
+                "sweep",
+                "-w",
+                "ft-test4",
+                "--power-cap",
+                "80",
+                "--delta",
+                "0.2"
+            ]),
+            Command::Help(Some(_))
+        ));
     }
 
     #[test]
@@ -724,8 +471,8 @@ mod tests {
             Command::Sweep { threads, .. } => assert_eq!(threads, Some(4)),
             other => panic!("{other:?}"),
         }
-        match parse(&["best", "-w", "swim", "--threads", "2"]) {
-            Command::Best { threads, .. } => assert_eq!(threads, Some(2)),
+        match parse(&["sweep", "-w", "swim", "--threads", "2"]) {
+            Command::Sweep { threads, .. } => assert_eq!(threads, Some(2)),
             other => panic!("{other:?}"),
         }
         match parse(&["sweep", "-w", "swim"]) {
@@ -743,9 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn best_defaults_to_hpc_delta() {
-        match parse(&["best", "-w", "swim"]) {
-            Command::Best { delta, .. } => assert_eq!(delta, edp_metrics::DELTA_HPC),
+    fn sweep_defaults_to_hpc_delta() {
+        match parse(&["sweep", "-w", "swim"]) {
+            Command::Sweep { delta, .. } => assert_eq!(delta, edp_metrics::DELTA_HPC),
             other => panic!("{other:?}"),
         }
     }
@@ -785,27 +532,31 @@ mod tests {
         assert!(matches!(parse(&["run"]), Command::Help(Some(_))));
         assert!(matches!(parse(&["frobnicate"]), Command::Help(Some(_))));
         assert!(matches!(
-            parse(&["best", "-w", "swim", "--delta", "3"]),
+            parse(&["sweep", "-w", "swim", "--delta", "3"]),
             Command::Help(Some(_))
         ));
     }
 
     #[test]
-    fn parses_export() {
-        match parse(&["export", "-w", "swim", "-s", "static-600", "-o", "/tmp/x"]) {
-            Command::Export {
+    fn parses_run_out_dir() {
+        match parse(&["run", "-w", "swim", "-s", "static-600", "-o", "/tmp/x"]) {
+            Command::Run {
                 out_dir, strategy, ..
             } => {
-                assert_eq!(out_dir, "/tmp/x");
+                assert_eq!(out_dir.as_deref(), Some("/tmp/x"));
                 assert_eq!(strategy, DvsStrategy::StaticMhz(600));
             }
             other => panic!("{other:?}"),
         }
-        // Default output directory.
-        match parse(&["export", "-w", "swim", "-s", "static-600"]) {
-            Command::Export { out_dir, .. } => assert_eq!(out_dir, "pwrperf-out"),
+        // Without -o the run writes nothing.
+        match parse(&["run", "-w", "swim", "-s", "static-600"]) {
+            Command::Run { out_dir, .. } => assert_eq!(out_dir, None),
             other => panic!("{other:?}"),
         }
+        assert!(matches!(
+            parse(&["run", "-w", "swim", "-s", "static-600", "-o"]),
+            Command::Help(Some(_))
+        ));
     }
 
     #[test]
@@ -813,108 +564,59 @@ mod tests {
         match parse(&[
             "run",
             "-w",
-            "swim",
+            "ft-scale-256",
             "-s",
-            "static-800",
+            "static-1400",
             "--metrics",
-            "--trace-capacity",
-            "4096",
+            "--causal",
+            "--blocking-waits",
+            "5",
+            "--out",
+            "blame",
+            "--topology",
+            "fat-tree:radix=16,oversub=2",
         ]) {
             Command::Run {
                 metrics,
-                trace_capacity,
+                causal,
+                blocking_ms,
+                out_dir,
+                topology,
                 ..
             } => {
-                assert!(metrics);
-                assert_eq!(trace_capacity, Some(4096));
+                assert!(metrics && causal);
+                assert_eq!(blocking_ms, Some(5));
+                assert_eq!(out_dir.as_deref(), Some("blame"));
+                assert!(matches!(topology, Topology::FatTree { radix: 16, .. }));
             }
             other => panic!("{other:?}"),
         }
         match parse(&["run", "-w", "swim", "-s", "static-800"]) {
             Command::Run {
-                metrics,
-                trace_capacity,
-                ..
-            } => {
-                assert!(!metrics);
-                assert_eq!(trace_capacity, None);
-            }
+                metrics, causal, ..
+            } => assert!(!metrics && !causal),
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn removed_commands_and_flags_are_rejected() {
+        // `run -o` and `sweep --delta` replaced these subcommands.
+        for sub in ["trace", "stats", "export", "analyze", "best"] {
+            match parse(&[sub, "-w", "ft-test4", "-s", "static-800"]) {
+                Command::Help(Some(msg)) => assert!(msg.contains("unknown subcommand"), "{msg}"),
+                other => panic!("{sub}: {other:?}"),
+            }
+        }
+        let run = ["run", "-w", "ft-test4", "-s", "static-800"];
+        for extra in [&["--trace-capacity", "64"][..], &["--perfetto", "f.json"]] {
+            let argv: Vec<&str> = run.iter().chain(extra).copied().collect();
+            assert!(matches!(parse(&argv), Command::Help(Some(_))), "{argv:?}");
         }
         assert!(matches!(
-            parse(&[
-                "run",
-                "-w",
-                "swim",
-                "-s",
-                "static-800",
-                "--trace-capacity",
-                "lots"
-            ]),
+            parse(&["sweep", "-w", "ft-test4", "--no-cache"]),
             Command::Help(Some(_))
         ));
-    }
-
-    #[test]
-    fn parses_trace() {
-        match parse(&["trace", "-w", "ft-test4", "-s", "dynamic-1400"]) {
-            Command::Trace {
-                out,
-                trace_capacity,
-                blocking_ms,
-                ..
-            } => {
-                assert_eq!(out, "run.perfetto.json");
-                assert_eq!(trace_capacity, None);
-                assert_eq!(blocking_ms, None);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&[
-            "trace",
-            "-w",
-            "swim",
-            "-s",
-            "cpuspeed",
-            "--out",
-            "/tmp/t.json",
-            "--trace-capacity",
-            "128",
-        ]) {
-            Command::Trace {
-                out,
-                trace_capacity,
-                ..
-            } => {
-                assert_eq!(out, "/tmp/t.json");
-                assert_eq!(trace_capacity, Some(128));
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(
-            parse(&["trace", "-w", "swim"]),
-            Command::Help(Some(_))
-        ));
-    }
-
-    #[test]
-    fn parses_stats() {
-        match parse(&["stats", "-w", "swim", "-s", "static-600"]) {
-            Command::Stats { out, .. } => assert_eq!(out, None),
-            other => panic!("{other:?}"),
-        }
-        match parse(&["stats", "-w", "swim", "-s", "static-600", "-o", "m.ndjson"]) {
-            Command::Stats { out, .. } => assert_eq!(out.as_deref(), Some("m.ndjson")),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_export_metrics_flag() {
-        match parse(&["export", "-w", "swim", "-s", "static-600", "--metrics"]) {
-            Command::Export { metrics, .. } => assert!(metrics),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
@@ -944,19 +646,11 @@ mod tests {
             Command::Run { faults, .. } => assert!(faults.is_empty()),
             other => panic!("{other:?}"),
         }
-        // Stats and trace accept the flag too.
-        assert!(matches!(
-            parse(&[
-                "stats",
-                "-w",
-                "swim",
-                "-s",
-                "static-600",
-                "--faults",
-                "dvfs-fail:0:1.0"
-            ]),
-            Command::Stats { .. }
-        ));
+        // Sweep accepts the flag too.
+        match parse(&["sweep", "-w", "ft-test4", "--faults", "dvfs-fail:0:1.0"]) {
+            Command::Sweep { faults, .. } => assert_eq!(faults.faults.len(), 1),
+            other => panic!("{other:?}"),
+        }
         // Bad specs surface as help with a message.
         assert!(matches!(
             parse(&[
@@ -982,103 +676,24 @@ mod tests {
             "/tmp/cache",
             "--dry-run",
         ]) {
-            Command::Sweep {
-                store,
-                dry_run,
-                no_cache,
-                ..
-            } => {
+            Command::Sweep { store, dry_run, .. } => {
                 assert_eq!(store.as_deref(), Some("/tmp/cache"));
                 assert!(dry_run);
-                assert!(!no_cache);
             }
             other => panic!("{other:?}"),
         }
-        match parse(&["sweep", "-w", "ft-test4", "--no-cache"]) {
-            Command::Sweep {
-                store, no_cache, ..
-            } => {
+        // Without --store a sweep is uncached.
+        match parse(&["sweep", "-w", "ft-test4"]) {
+            Command::Sweep { store, dry_run, .. } => {
                 assert_eq!(store, None);
-                assert!(no_cache);
+                assert!(!dry_run);
             }
-            other => panic!("{other:?}"),
-        }
-        match parse(&["sweep", "-w", "ft-test4", "--faults", "slow:0:2.0"]) {
-            Command::Sweep { faults, .. } => assert_eq!(faults.faults.len(), 1),
             other => panic!("{other:?}"),
         }
         // --dry-run without a store has nothing to plan against.
         assert!(matches!(
             parse(&["sweep", "-w", "ft-test4", "--dry-run"]),
             Command::Help(Some(_))
-        ));
-        // --no-cache contradicts --store.
-        assert!(matches!(
-            parse(&["sweep", "-w", "ft-test4", "--store", "/tmp/c", "--no-cache"]),
-            Command::Help(Some(_))
-        ));
-    }
-
-    #[test]
-    fn vacuous_outputs_are_hard_errors() {
-        // Regression: these used to "succeed" while writing empty files.
-        let trace_zero = parse(&[
-            "trace",
-            "-w",
-            "ft-test4",
-            "-s",
-            "static-800",
-            "--trace-capacity",
-            "0",
-        ]);
-        match trace_zero {
-            Command::Help(Some(msg)) => assert!(msg.contains("empty timeline"), "{msg}"),
-            other => panic!("{other:?}"),
-        }
-        let export_zero = parse(&[
-            "export",
-            "-w",
-            "ft-test4",
-            "-s",
-            "static-800",
-            "--trace-capacity",
-            "0",
-        ]);
-        match export_zero {
-            Command::Help(Some(msg)) => assert!(msg.contains("empty trace.csv"), "{msg}"),
-            other => panic!("{other:?}"),
-        }
-        // A positive capacity stays accepted, and `run --trace-capacity 0`
-        // is fine (run prints a summary, not the trace).
-        assert!(matches!(
-            parse(&[
-                "trace",
-                "-w",
-                "ft-test4",
-                "-s",
-                "static-800",
-                "--trace-capacity",
-                "64"
-            ]),
-            Command::Trace { .. }
-        ));
-        assert!(matches!(
-            parse(&[
-                "run",
-                "-w",
-                "ft-test4",
-                "-s",
-                "static-800",
-                "--trace-capacity",
-                "0"
-            ]),
-            Command::Run { .. }
-        ));
-        // `stats` needs no --metrics flag: it force-enables collection, so
-        // its registry output can never be silently empty.
-        assert!(matches!(
-            parse(&["stats", "-w", "ft-test4", "-s", "static-800"]),
-            Command::Stats { .. }
         ));
     }
 
@@ -1120,18 +735,20 @@ mod tests {
             Command::Run { topology, .. } => assert_eq!(topology, Topology::Flat),
             other => panic!("{other:?}"),
         }
-        // Stats accepts the flag too (solver domain counters show there).
+        // Next to --metrics (solver domain counters show there).
         assert!(matches!(
             parse(&[
-                "stats",
+                "run",
                 "-w",
                 "ft-test4",
                 "-s",
                 "static-800",
+                "--metrics",
                 "--topology",
                 "fat-tree",
             ]),
-            Command::Stats {
+            Command::Run {
+                metrics: true,
                 topology: Topology::FatTree { .. },
                 ..
             }
@@ -1147,52 +764,6 @@ mod tests {
                 "--topology",
                 "torus"
             ]),
-            Command::Help(Some(_))
-        ));
-    }
-
-    #[test]
-    fn parses_analyze() {
-        match parse(&["analyze", "-w", "ft-test4", "-s", "static-800"]) {
-            Command::Analyze {
-                out,
-                perfetto,
-                topology,
-                ..
-            } => {
-                assert_eq!(out, None);
-                assert_eq!(perfetto, None);
-                assert_eq!(topology, Topology::Flat);
-            }
-            other => panic!("{other:?}"),
-        }
-        match parse(&[
-            "analyze",
-            "-w",
-            "ft-scale-256",
-            "-s",
-            "static-1400",
-            "-o",
-            "blame.ndjson",
-            "--perfetto",
-            "flows.json",
-            "--topology",
-            "fat-tree:radix=16,oversub=2",
-        ]) {
-            Command::Analyze {
-                out,
-                perfetto,
-                topology,
-                ..
-            } => {
-                assert_eq!(out.as_deref(), Some("blame.ndjson"));
-                assert_eq!(perfetto.as_deref(), Some("flows.json"));
-                assert!(matches!(topology, Topology::FatTree { radix: 16, .. }));
-            }
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(
-            parse(&["analyze", "-w", "ft-test4"]),
             Command::Help(Some(_))
         ));
     }

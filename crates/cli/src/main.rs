@@ -1,10 +1,11 @@
-//! `pwrperf` — run, sweep, and analyze DVS experiments from the shell.
+//! `pwrperf` — run and sweep DVS experiments from the shell.
 //!
 //! ```sh
 //! pwrperf run   -w ft-b8     -s static-800
+//! pwrperf run   -w ft-test4  -s dynamic-1400 --metrics --causal -o out/
 //! pwrperf sweep -w transpose
 //! pwrperf sweep -w ft-c8 --dynamic
-//! pwrperf best  -w swim --delta 0.2
+//! pwrperf sweep -w swim --delta 0.2
 //! pwrperf list
 //! ```
 
@@ -13,7 +14,7 @@ mod args;
 use args::Command;
 use edp_metrics::{best_operating_point, efficiency_gain, weighted_ed2p, DELTA_HPC};
 use pwrperf::{
-    static_crescendo, DvsStrategy, EngineConfig, Experiment, FaultCounts, FaultSpec, Topology,
+    DvsStrategy, EngineConfig, Experiment, FaultCounts, RunMeta, RunResult, Sweep, SweepStore,
     WaitPolicy, Workload,
 };
 use sim_core::SimDuration;
@@ -28,29 +29,33 @@ fn main() {
             blocking_ms,
             metrics,
             causal,
-            trace_capacity,
             faults,
             topology,
-        } => run(
-            workload,
-            strategy,
-            blocking_ms,
-            metrics,
-            causal,
-            trace_capacity,
-            faults,
-            topology,
-        ),
+            out_dir,
+        } => {
+            let engine = EngineConfig {
+                wait_policy: match blocking_ms {
+                    None => WaitPolicy::BusyPoll,
+                    Some(ms) => WaitPolicy::PollThenBlock(SimDuration::from_millis(ms)),
+                },
+                metrics,
+                causal,
+                faults,
+                topology,
+                ..EngineConfig::default()
+            };
+            run(workload, strategy, engine, out_dir.as_deref())
+        }
         Command::Sweep {
             workload,
             dynamic,
             threads,
             store,
             dry_run,
-            no_cache,
             faults,
             power_cap,
             topology,
+            delta,
         } => {
             set_threads(threads);
             let engine = EngineConfig {
@@ -59,96 +64,11 @@ fn main() {
                 ..EngineConfig::default()
             };
             match power_cap {
-                Some((watts, policy)) => sweep_cap(
-                    workload,
-                    watts,
-                    policy,
-                    store.as_deref(),
-                    dry_run,
-                    no_cache,
-                    engine,
-                ),
-                None => sweep(
-                    workload,
-                    dynamic,
-                    store.as_deref(),
-                    dry_run,
-                    no_cache,
-                    engine,
-                ),
+                Some((watts, policy)) => {
+                    sweep_cap(workload, watts, policy, store.as_deref(), dry_run, engine)
+                }
+                None => sweep(workload, dynamic, store.as_deref(), dry_run, engine, delta),
             }
-        }
-        Command::Export {
-            workload,
-            strategy,
-            out_dir,
-            metrics,
-            trace_capacity,
-            faults,
-        } => export(
-            workload,
-            strategy,
-            &out_dir,
-            metrics,
-            trace_capacity,
-            faults,
-        ),
-        Command::Trace {
-            workload,
-            strategy,
-            out,
-            trace_capacity,
-            blocking_ms,
-            faults,
-        } => trace(
-            workload,
-            strategy,
-            &out,
-            trace_capacity,
-            blocking_ms,
-            faults,
-        ),
-        Command::Stats {
-            workload,
-            strategy,
-            out,
-            trace_capacity,
-            blocking_ms,
-            faults,
-            topology,
-        } => stats(
-            workload,
-            strategy,
-            out.as_deref(),
-            trace_capacity,
-            blocking_ms,
-            faults,
-            topology,
-        ),
-        Command::Analyze {
-            workload,
-            strategy,
-            out,
-            perfetto,
-            blocking_ms,
-            faults,
-            topology,
-        } => analyze(
-            workload,
-            strategy,
-            out.as_deref(),
-            perfetto.as_deref(),
-            blocking_ms,
-            faults,
-            topology,
-        ),
-        Command::Best {
-            workload,
-            delta,
-            threads,
-        } => {
-            set_threads(threads);
-            best(workload, delta)
         }
         Command::Serve {
             store,
@@ -182,21 +102,18 @@ fn main() {
     }
 }
 
+/// Print `error: <msg>` and exit 1 (a runtime failure; usage errors
+/// exit 2 through [`Command::Help`]).
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
+}
+
 /// Apply a `-j`/`--threads` override to the batch runner (equivalent to
 /// setting `PWRPERF_THREADS` in the environment).
 fn set_threads(threads: Option<usize>) {
     if let Some(n) = threads {
         std::env::set_var(pwrperf::THREADS_ENV, n.to_string());
-    }
-}
-
-fn engine_for(blocking_ms: Option<u64>) -> EngineConfig {
-    EngineConfig {
-        wait_policy: match blocking_ms {
-            None => WaitPolicy::BusyPoll,
-            Some(ms) => WaitPolicy::PollThenBlock(SimDuration::from_millis(ms)),
-        },
-        ..EngineConfig::default()
     }
 }
 
@@ -222,30 +139,30 @@ fn print_faults(c: &FaultCounts) {
     );
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors the flag set, one hop from parse
-fn run(
-    workload: Workload,
-    strategy: pwrperf::DvsStrategy,
-    blocking_ms: Option<u64>,
-    metrics: bool,
-    causal: bool,
-    trace_capacity: Option<usize>,
-    faults: FaultSpec,
-    topology: Topology,
-) {
-    let engine = EngineConfig {
-        metrics,
-        causal,
-        trace_capacity: trace_capacity.unwrap_or(0),
-        faults,
-        topology,
-        ..engine_for(blocking_ms)
+/// `pwrperf run`: one experiment. Prints the summary, then the stats
+/// table (`--metrics`), then the blame table (`--causal`) last; with
+/// `-o <dir>` also writes every artifact of the run into `dir`.
+fn run(workload: Workload, strategy: DvsStrategy, mut engine: EngineConfig, out_dir: Option<&str>) {
+    if out_dir.is_some() {
+        // The artifacts need the event timeline and a power profile. A
+        // power cap already samples at its control cadence, so it keeps
+        // that one: recording never changes the simulated run.
+        engine.trace_capacity = 1 << 20;
+        if !matches!(strategy, DvsStrategy::PowerCap { .. }) {
+            engine.sample_interval = Some(SimDuration::from_millis(100));
+        }
+    }
+    let meta = RunMeta {
+        workload: workload.label(),
+        strategy: strategy.label(),
+        topology: engine.topology,
+        seed: engine.faults.seed,
     };
-    let result = Experiment::new(workload.clone(), strategy)
+    let result = Experiment::new(workload, strategy)
         .with_engine(engine)
         .run();
-    println!("workload : {}", workload.label());
-    println!("strategy : {}", strategy.label());
+    println!("workload : {}", meta.workload);
+    println!("strategy : {}", meta.strategy);
     println!("time     : {:.2} s", result.duration_secs());
     println!(
         "energy   : {:.0} J (avg {:.1} W)",
@@ -265,7 +182,7 @@ fn run(
         result.transitions.iter().sum::<u64>(),
         result.transitions.len()
     );
-    if let pwrperf::DvsStrategy::PowerCap { watts, .. } = strategy {
+    if let DvsStrategy::PowerCap { watts, .. } = strategy {
         let peak = result
             .samples
             .iter()
@@ -320,239 +237,118 @@ fn run(
         println!();
         print!(
             "{}",
-            pwrperf::analyze_text(&workload.label(), &strategy.label(), a)
+            pwrperf::analyze_text(&meta.workload, &meta.strategy, a)
         );
+    }
+    if let Some(dir) = out_dir {
+        write_artifacts(dir, &result, &meta);
     }
 }
 
-/// `pwrperf analyze`: run with causal recording and print the blame
-/// analysis — critical path, per-rank compute/comm/blocked split, and
-/// the energy attribution (optionally dumped as NDJSON, optionally with
-/// a flow-arrow Perfetto timeline).
-#[allow(clippy::too_many_arguments)] // mirrors the flag set, one hop from parse
-fn analyze(
-    workload: Workload,
-    strategy: pwrperf::DvsStrategy,
-    out: Option<&str>,
-    perfetto: Option<&str>,
-    blocking_ms: Option<u64>,
-    faults: FaultSpec,
-    topology: Topology,
-) {
-    let seed = faults.seed;
-    let engine = EngineConfig {
-        causal: true,
-        // The Perfetto export wants phase slices under the flow arrows.
-        trace_capacity: if perfetto.is_some() { 1 << 20 } else { 0 },
-        faults,
-        topology,
-        ..engine_for(blocking_ms)
-    };
-    let result = Experiment::new(workload.clone(), strategy)
-        .with_engine(engine)
-        .run();
-    // `analyze` arms causal recording itself, but a cached or replayed
-    // record can still come back without a log; fail with the typed
-    // error instead of panicking over the missing attribution.
-    let table = match pwrperf::try_analyze_text(&workload.label(), &strategy.label(), &result) {
-        Ok(table) => table,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let attribution = result
-        .attribution
-        .as_ref()
-        .unwrap_or_else(|| unreachable!("try_analyze_text verified the attribution is present"));
-    print_faults(&result.faults);
-    print!("{table}");
-    let meta = pwrperf::RunMeta {
-        workload: workload.label(),
-        strategy: strategy.label(),
-        topology,
-        seed,
-    };
-    if let Some(path) = out {
-        let ndjson = pwrperf::attribution_ndjson(attribution, &meta);
-        if let Err(e) = std::fs::write(path, &ndjson) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {path} ({} records)", ndjson.lines().count());
+/// `run -o <dir>`: the PowerPack CSVs, the Perfetto timeline (with flow
+/// arrows when the run is causal), and the NDJSON exports the run has
+/// data for, each starting with its `{"meta":...}` header. The file list
+/// goes to stderr so stdout stays the run's report.
+fn write_artifacts(dir: &str, result: &RunResult, meta: &RunMeta) {
+    let mut files = vec![
+        ("summary.csv", powerpack::summary_to_csv(result)),
+        ("samples.csv", powerpack::samples_to_csv(&result.samples)),
+        ("trace.csv", powerpack::trace_to_csv(&result.trace)),
+        ("run.perfetto.json", pwrperf::perfetto_json(result)),
+    ];
+    if result.metrics.is_some() {
+        files.push((
+            "metrics.ndjson",
+            pwrperf::metrics_ndjson_with_meta(result, meta),
+        ));
     }
-    if let Some(path) = perfetto {
-        let json = pwrperf::perfetto_json(&result);
-        if let Err(e) = std::fs::write(path, &json) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
+    if let Some(a) = &result.attribution {
+        files.push(("attribution.ndjson", pwrperf::attribution_ndjson(a, meta)));
+    }
+    let dir = std::path::Path::new(dir);
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        die(format_args!("cannot create {}: {e}", dir.display()));
+    }
+    for (name, contents) in files {
+        let path = dir.join(name);
+        if let Err(e) = std::fs::write(&path, contents) {
+            die(format_args!("cannot write {}: {e}", path.display()));
         }
-        println!(
-            "wrote {path} ({} bytes, {} flow arrows) — open at ui.perfetto.dev",
-            json.len(),
-            result.causal.as_ref().map_or(0, |l| l.msgs.len())
-        );
+        eprintln!("wrote {}", path.display());
     }
 }
 
-/// `pwrperf trace`: run under full instrumentation and write a Perfetto
-/// timeline (open at https://ui.perfetto.dev).
-fn trace(
-    workload: Workload,
-    strategy: pwrperf::DvsStrategy,
-    out: &str,
-    trace_capacity: Option<usize>,
-    blocking_ms: Option<u64>,
-    faults: FaultSpec,
-) {
-    let engine = EngineConfig {
-        trace_capacity: trace_capacity.unwrap_or(1 << 20),
-        sample_interval: Some(SimDuration::from_millis(100)),
-        metrics: true,
-        faults,
-        ..engine_for(blocking_ms)
-    };
-    let result = Experiment::new(workload.clone(), strategy)
-        .with_engine(engine)
-        .run();
-    let json = pwrperf::perfetto_json(&result);
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+fn open_store(dir: &str) -> SweepStore {
+    SweepStore::open(dir).unwrap_or_else(|e| die(format_args!("cannot open store {dir}: {e}")))
+}
+
+/// `sweep --dry-run`: print the grid's hit/miss partition against the
+/// store without running anything.
+fn print_plan(grid: &Sweep, store: &SweepStore, dir: &str) {
+    let plan = grid.plan(store);
     println!(
-        "wrote {out} ({} bytes, {} trace events, {} dropped) — open at ui.perfetto.dev",
-        json.len(),
-        result.trace.len(),
-        result.trace_dropped
+        "dry run against {dir}: {} jobs, {} cache hits, {} misses",
+        plan.jobs.len(),
+        plan.hits(),
+        plan.misses()
     );
-    println!(
-        "run: {} under {} — {:.2} s, {:.0} J",
-        workload.label(),
-        strategy.label(),
-        result.duration_secs(),
-        result.total_energy_j()
-    );
-    print_faults(&result.faults);
-}
-
-/// `pwrperf stats`: run under metrics collection and print the PowerScope
-/// summary (optionally dumping the registry as NDJSON).
-#[allow(clippy::too_many_arguments)] // mirrors the flag set, one hop from parse
-fn stats(
-    workload: Workload,
-    strategy: pwrperf::DvsStrategy,
-    out: Option<&str>,
-    trace_capacity: Option<usize>,
-    blocking_ms: Option<u64>,
-    faults: FaultSpec,
-    topology: Topology,
-) {
-    let seed = faults.seed;
-    let engine = EngineConfig {
-        trace_capacity: trace_capacity.unwrap_or(0),
-        metrics: true,
-        faults,
-        topology,
-        ..engine_for(blocking_ms)
-    };
-    let result = Experiment::new(workload.clone(), strategy)
-        .with_engine(engine)
-        .run();
-    println!("workload : {}", workload.label());
-    println!("strategy : {}", strategy.label());
-    print_faults(&result.faults);
-    print!("{}", pwrperf::stats_text(&result));
-    if let Some(path) = out {
-        let meta = pwrperf::RunMeta {
-            workload: workload.label(),
-            strategy: strategy.label(),
-            topology,
-            seed,
-        };
-        let ndjson = pwrperf::metrics_ndjson_with_meta(&result, &meta);
-        if let Err(e) = std::fs::write(path, &ndjson) {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        // First line is the run-metadata header, the rest are metrics.
+    for job in &plan.jobs {
         println!(
-            "wrote {path} ({} metrics + meta header)",
-            ndjson.lines().count().saturating_sub(1)
+            "  {} {} -> {} [{}]",
+            job.experiment.workload.label(),
+            job.experiment.strategy.label(),
+            job.fingerprint.to_hex(),
+            if job.cached { "hit" } else { "miss" }
         );
     }
 }
 
+fn print_store_stats(store: &SweepStore, dir: &str) {
+    let s = store.stats();
+    println!(
+        "store {dir}: {} hits, {} misses, {} corrupt, {} B read, {} B written",
+        s.hits, s.misses, s.corrupt, s.bytes_read, s.bytes_written
+    );
+}
+
+/// `pwrperf sweep`: the ladder crescendo, then the best operating point
+/// by weighted ED²P at `delta` and its gain over the 1400 MHz point.
 fn sweep(
     workload: Workload,
     dynamic: bool,
     store: Option<&str>,
     dry_run: bool,
-    no_cache: bool,
     engine: EngineConfig,
+    delta: f64,
 ) {
-    let make: fn(u32) -> pwrperf::DvsStrategy = if dynamic {
-        pwrperf::DvsStrategy::DynamicBaseMhz
+    let make: fn(u32) -> DvsStrategy = if dynamic {
+        DvsStrategy::DynamicBaseMhz
     } else {
-        pwrperf::DvsStrategy::StaticMhz
+        DvsStrategy::StaticMhz
     };
+    let kind = if dynamic { "dynamic" } else { "static" };
     let crescendo = match store {
-        Some(dir) if !no_cache => {
-            let mut store = match pwrperf::SweepStore::open(dir) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot open store {dir}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let grid = pwrperf::Sweep::grid(
-                vec![workload.clone()],
-                pwrperf::ladder_mhz_desc().into_iter().map(make).collect(),
-                Vec::new(),
-                vec![engine.faults.clone()],
-            )
-            .with_engine(engine.clone());
+        Some(dir) => {
+            let mut store = open_store(dir);
             if dry_run {
-                let plan = grid.plan(&store);
-                println!(
-                    "dry run against {dir}: {} jobs, {} cache hits, {} misses",
-                    plan.jobs.len(),
-                    plan.hits(),
-                    plan.misses()
-                );
-                for job in &plan.jobs {
-                    println!(
-                        "  {} {} -> {} [{}]",
-                        job.experiment.workload.label(),
-                        job.experiment.strategy.label(),
-                        job.fingerprint.to_hex(),
-                        if job.cached { "hit" } else { "miss" }
-                    );
-                }
+                let grid = Sweep::grid(
+                    vec![workload.clone()],
+                    pwrperf::ladder_mhz_desc().into_iter().map(make).collect(),
+                    Vec::new(),
+                    vec![engine.faults.clone()],
+                )
+                .with_engine(engine);
+                print_plan(&grid, &store, dir);
                 return;
             }
-            match pwrperf::crescendo_cached(&workload, engine, make, &mut store) {
-                Ok(c) => {
-                    let s = store.stats();
-                    println!(
-                        "store {dir}: {} hits, {} misses, {} corrupt, {} B read, {} B written",
-                        s.hits, s.misses, s.corrupt, s.bytes_read, s.bytes_written
-                    );
-                    c
-                }
-                Err(e) => {
-                    eprintln!("error: store {dir}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            let c = pwrperf::crescendo_cached(&workload, engine, make, &mut store)
+                .unwrap_or_else(|e| die(format_args!("store {dir}: {e}")));
+            print_store_stats(&store, dir);
+            c
         }
-        _ => pwrperf::crescendo_with(&workload, engine, make),
+        None => pwrperf::crescendo_with(&workload, engine, make),
     };
-    println!(
-        "{} sweep of {}:",
-        if dynamic { "dynamic" } else { "static" },
-        workload.label()
-    );
+    println!("{kind} sweep of {}:", workload.label());
     println!(
         "{:>6} {:>12} {:>10} {:>8} {:>8} {:>12}",
         "MHz", "energy(J)", "delay(s)", "E/E0", "D/D0", "wED2P(HPC)"
@@ -568,6 +364,14 @@ fn sweep(
             weighted_ed2p(e, d, DELTA_HPC)
         );
     }
+    let best = best_operating_point(&crescendo, delta)
+        .unwrap_or_else(|| unreachable!("the ladder crescendo is never empty"));
+    println!("delta    : {delta}");
+    println!("best     : {best} MHz");
+    println!(
+        "gain     : {:.1}% over {kind} 1400 MHz",
+        efficiency_gain(&crescendo, delta) * 100.0
+    );
 }
 
 /// `pwrperf sweep --power-cap`: compare cap policies against every
@@ -580,7 +384,6 @@ fn sweep_cap(
     policy: Option<pwrperf::CapPolicy>,
     store: Option<&str>,
     dry_run: bool,
-    no_cache: bool,
     engine: EngineConfig,
 ) {
     use pwrperf::CapPolicy;
@@ -597,7 +400,7 @@ fn sweep_cap(
         }
     }
     let fault_specs = vec![engine.faults.clone()];
-    let grid = pwrperf::Sweep::grid(
+    let grid = Sweep::grid(
         vec![workload.clone()],
         strategies.clone(),
         Vec::new(),
@@ -605,49 +408,19 @@ fn sweep_cap(
     )
     .with_engine(engine);
     let results = match store {
-        Some(dir) if !no_cache => {
-            let mut store = match pwrperf::SweepStore::open(dir) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot open store {dir}: {e}");
-                    std::process::exit(1);
-                }
-            };
+        Some(dir) => {
+            let mut store = open_store(dir);
             if dry_run {
-                let plan = grid.plan(&store);
-                println!(
-                    "dry run against {dir}: {} jobs, {} cache hits, {} misses",
-                    plan.jobs.len(),
-                    plan.hits(),
-                    plan.misses()
-                );
-                for job in &plan.jobs {
-                    println!(
-                        "  {} {} -> {} [{}]",
-                        job.experiment.workload.label(),
-                        job.experiment.strategy.label(),
-                        job.fingerprint.to_hex(),
-                        if job.cached { "hit" } else { "miss" }
-                    );
-                }
+                print_plan(&grid, &store, dir);
                 return;
             }
-            match grid.run(&mut store, None) {
-                Ok(outcome) => {
-                    let s = store.stats();
-                    println!(
-                        "store {dir}: {} hits, {} misses, {} corrupt, {} B read, {} B written",
-                        s.hits, s.misses, s.corrupt, s.bytes_read, s.bytes_written
-                    );
-                    outcome.results
-                }
-                Err(e) => {
-                    eprintln!("error: store {dir}: {e}");
-                    std::process::exit(1);
-                }
-            }
+            let outcome = grid
+                .run(&mut store, None)
+                .unwrap_or_else(|e| die(format_args!("store {dir}: {e}")));
+            print_store_stats(&store, dir);
+            outcome.results
         }
-        _ => grid.run_uncached(None).results,
+        None => grid.run_uncached(None).results,
     };
     println!(
         "power-cap sweep of {} under a {watts} W cluster budget:",
@@ -686,65 +459,6 @@ fn sweep_cap(
     }
 }
 
-fn best(workload: Workload, delta: f64) {
-    let crescendo = static_crescendo(&workload);
-    let best = best_operating_point(&crescendo, delta).expect("non-empty crescendo");
-    let gain = efficiency_gain(&crescendo, delta);
-    println!("workload : {}", workload.label());
-    println!("delta    : {delta}");
-    println!("best     : {best} MHz");
-    println!("gain     : {:.1}% over static 1400 MHz", gain * 100.0);
-}
-
-fn export(
-    workload: Workload,
-    strategy: pwrperf::DvsStrategy,
-    out_dir: &str,
-    metrics: bool,
-    trace_capacity: Option<usize>,
-    faults: FaultSpec,
-) {
-    let engine = EngineConfig {
-        sample_interval: Some(SimDuration::from_millis(100)),
-        trace_capacity: trace_capacity.unwrap_or(1 << 20),
-        metrics,
-        faults,
-        ..EngineConfig::default()
-    };
-    let result = Experiment::new(workload.clone(), strategy)
-        .with_engine(engine)
-        .run();
-    let dir = std::path::Path::new(out_dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("error: cannot create {out_dir}: {e}");
-        std::process::exit(1);
-    }
-    let mut files = vec![
-        ("samples.csv", powerpack::samples_to_csv(&result.samples)),
-        ("trace.csv", powerpack::trace_to_csv(&result.trace)),
-        ("summary.csv", powerpack::summary_to_csv(&result)),
-    ];
-    if metrics {
-        files.push(("metrics.ndjson", pwrperf::metrics_ndjson(&result)));
-    }
-    for (name, contents) in files {
-        let path = dir.join(name);
-        if let Err(e) = std::fs::write(&path, contents) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-    }
-    println!(
-        "run: {} under {} — {:.2} s, {:.0} J",
-        workload.label(),
-        strategy.label(),
-        result.duration_secs(),
-        result.total_energy_j()
-    );
-    print_faults(&result.faults);
-}
-
 /// `pwrperf serve`: run the sweep service daemon until a client sends
 /// `shutdown`.
 fn serve_daemon(
@@ -754,14 +468,8 @@ fn serve_daemon(
     threads: Option<usize>,
     max_store_bytes: Option<u64>,
 ) {
-    use pwrperf::{CompactionPolicy, Server, ServerConfig, SweepStore};
-    let store = match SweepStore::open(store_dir) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("error: cannot open store {store_dir}: {e}");
-            std::process::exit(1);
-        }
-    };
+    use pwrperf::{CompactionPolicy, Server, ServerConfig};
+    let store = open_store(store_dir);
     let config = ServerConfig {
         workers: threads,
         compaction: CompactionPolicy { max_store_bytes },
@@ -778,18 +486,11 @@ fn serve_daemon(
         }),
         _ => unreachable!("the parser enforces exactly one endpoint"),
     };
-    let server = match server {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: cannot bind: {e}");
-            std::process::exit(1);
-        }
-    };
+    let server = server.unwrap_or_else(|e| die(format_args!("cannot bind: {e}")));
     use std::io::Write as _;
     let _ = std::io::stdout().flush(); // readiness line before blocking
     if let Err(e) = server.serve() {
-        eprintln!("error: serve loop failed: {e}");
-        std::process::exit(1);
+        die(format_args!("serve loop failed: {e}"));
     }
     println!("pwrperfd: clean shutdown");
 }
@@ -803,13 +504,7 @@ fn client_cmd(socket: Option<&str>, tcp: Option<&str>, action: args::ClientActio
         (None, Some(addr)) => Client::connect_tcp(addr),
         _ => unreachable!("the parser enforces exactly one endpoint"),
     };
-    let mut client = match client {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: cannot connect: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut client = client.unwrap_or_else(|e| die(format_args!("cannot connect: {e}")));
     let outcome = match action {
         ClientAction::Sweep(spec) => client.submit_sweep(&spec).map(|done| {
             println!("{}", done.report.render_text().trim_end());
@@ -832,8 +527,7 @@ fn client_cmd(socket: Option<&str>, tcp: Option<&str>, action: args::ClientActio
         }),
     };
     if let Err(e) = outcome {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+        die(e);
     }
 }
 
@@ -856,23 +550,10 @@ fn help() {
 USAGE:
   pwrperf run    -w <workload> (-s <strategy> | --power-cap <spec>)
                  [--blocking-waits <ms>] [--metrics] [--causal]
-                 [--trace-capacity <n>] [--faults <spec>]
-                 [--topology <spec>]
+                 [--faults <spec>] [--topology <spec>] [-o <dir>]
   pwrperf sweep  -w <workload> [--dynamic | --power-cap <spec>]
-                 [-j <threads>] [--store <dir> [--dry-run] | --no-cache]
-                 [--faults <spec>] [--topology <spec>]
-  pwrperf best   -w <workload> [--delta <-1..1>] [-j <threads>]
-  pwrperf export -w <workload> -s <strategy> [-o <dir>] [--metrics]
-                 [--trace-capacity <n>] [--faults <spec>]
-  pwrperf trace  -w <workload> -s <strategy> [-o <file>]
-                 [--trace-capacity <n>] [--blocking-waits <ms>]
-                 [--faults <spec>]
-  pwrperf stats  -w <workload> -s <strategy> [-o <ndjson-file>]
-                 [--trace-capacity <n>] [--blocking-waits <ms>]
-                 [--faults <spec>] [--topology <spec>]
-  pwrperf analyze -w <workload> -s <strategy> [-o <ndjson-file>]
-                 [--perfetto <file>] [--blocking-waits <ms>]
-                 [--faults <spec>] [--topology <spec>]
+                 [-j <threads>] [--store <dir> [--dry-run]]
+                 [--faults <spec>] [--topology <spec>] [--delta <-1..1>]
   pwrperf serve  --store <dir> (--socket <path> | --tcp <addr>)
                  [-j <threads>] [--max-store-bytes <n>]
   pwrperf client (sweep | query | status | shutdown)
@@ -880,14 +561,14 @@ USAGE:
                  [-w <workload>]... [-s <strategy>]... [--delta <d>]...
                  [--faults <spec>]... [--topology <spec>] [--causal]
   pwrperf list
+  pwrperf help
 
 EXAMPLES:
   pwrperf run   -w ft-b8 -s static-800
+  pwrperf run   -w ft-test4 -s dynamic-1400 --metrics --causal -o out/
   pwrperf sweep -w transpose
-  pwrperf best  -w swim --delta 0.2
+  pwrperf sweep -w swim --delta 0.2   # best point at the HPC weight
   pwrperf sweep -w ft-c8 -j 5       # ladder points in parallel
-  pwrperf trace -w ft-test4 -s dynamic-1400 -o run.perfetto.json
-  pwrperf stats -w swim -s cpuspeed -o metrics.ndjson
   pwrperf run   -w ft-test4 -s dynamic-1400 \\
                 --faults seed:7,slow:2:1.5,battery-stuck:1:40
   pwrperf run   -w ft-scale-4096 -s static-1400 \\
@@ -914,20 +595,28 @@ An empty spec (the default) leaves every run bit-identical to an
 unfaulted simulation; injected-fault counts are printed after a run
 and recorded in the metrics registry (engine.faults.*).
 
-`trace` writes a Chrome/Perfetto timeline (open at ui.perfetto.dev):
-phase slices and message instants per node, plus MHz and watt counter
-tracks. `stats` prints the PowerScope metrics registry (event counts,
-message-latency histograms, DVFS decisions, solver work). Both use
-simulated time only, so output bytes are deterministic.
+`run` prints the run's time, energy and DVS summary. --metrics appends
+the PowerScope metrics registry (event counts, message-latency
+histograms, DVFS decisions, solver work). --causal appends the blame
+analysis: the run's critical path (local residency per rank vs network
+hops) and each rank's wall time and joules split into compute,
+in-flight communication, and blocked-waiting — the slack a power
+redistribution controller could reclaim. The simulation itself is
+bit-identical with either on or off.
 
-`analyze` runs under causal tracing and prints the blame analysis:
-the run's critical path (local residency per rank vs network hops)
-and each rank's wall time and joules split into compute, in-flight
-communication, and blocked-waiting — the slack a power redistribution
-controller could reclaim. `run --causal` appends the same table to a
-normal run. The simulation itself is bit-identical with tracing on or
-off. NDJSON exports start with a {{\"meta\":...}} header line naming the
-workload, strategy, topology, and fault seed.
+`run -o <dir>` also writes the run's artifacts: summary.csv,
+samples.csv (100 ms power samples, or the cap's own cadence),
+trace.csv, run.perfetto.json (a Chrome/Perfetto timeline, open at
+ui.perfetto.dev: phase slices and message instants per node, MHz and
+watt counter tracks, and flow arrows with --causal), metrics.ndjson
+(with --metrics) and attribution.ndjson (with --causal). NDJSON files
+start with a {{\"meta\":...}} header line naming the workload, strategy,
+topology, and fault seed. Every export uses simulated time only, so
+its bytes are deterministic.
+
+`sweep` runs the ladder crescendo and ends with the best operating
+point by weighted ED2P (--delta, default 0.2 = HPC) and its gain over
+the 1400 MHz point.
 
 --power-cap <watts>[,policy=uniform|redistribute] runs the cluster
 power-budget controller: at every power sample the controller replans
@@ -944,8 +633,8 @@ scoring (no policy given = both policies).
 the default) or `fat-tree[:radix=R,oversub=S]`, a switch hierarchy with
 per-level trunk capacities and an S:1 taper going up. Flows then share
 every link on their up/down path under max-min fairness; the solver
-recomputes only the perturbed link domains (see `stats` for the
-domains_touched/skipped counters). The `ft-scale-<ranks>` workloads
+recomputes only the perturbed link domains (see `run --metrics` for
+the domains_touched/skipped counters). The `ft-scale-<ranks>` workloads
 (256/1024/4096) run one class-C FT iteration for scale benchmarking.
 
 Sweeps fan their independent runs over worker threads (auto-detected;
@@ -956,7 +645,8 @@ With --store <dir>, sweep results are cached by content: each run is
 keyed by a fingerprint of its full configuration (workload programs,
 strategy, engine, faults), and a re-invoked sweep replays cached points
 without executing the engine — bit-identical, resumable after a kill.
---dry-run prints the hit/miss partition; --no-cache forces execution.
+--dry-run prints the hit/miss partition; without --store every point
+executes.
 Example:
   pwrperf sweep -w ft-test4 --store ~/.cache/pwrperf   # cold: 5 misses
   pwrperf sweep -w ft-test4 --store ~/.cache/pwrperf   # warm: 0 misses"

@@ -52,7 +52,7 @@ pub use runner::{
 };
 pub use scope::{
     analyze_text, attribution_ndjson, metrics_ndjson, metrics_ndjson_with_meta, perfetto_json,
-    stats_text, topology_label, try_analyze_text, AnalyzeError, RunMeta, EXPORT_FORMAT_VERSION,
+    stats_text, topology_label, RunMeta, EXPORT_FORMAT_VERSION,
 };
 pub use service::{
     aggregate, compact, AggregateRow, AggregateTable, Client, CompactionPolicy, CompactionReport,
@@ -65,8 +65,8 @@ pub use store::{
 };
 pub use strategy::DvsStrategy;
 pub use sweep::{
-    crescendo_cached, dynamic_crescendo_cached, render_slack_table, static_crescendo_cached,
-    BestPoint, SlackRow, Sweep, SweepJob, SweepOutcome, SweepPlan, SweepReport,
+    crescendo_cached, render_slack_table, BestPoint, SlackRow, Sweep, SweepJob, SweepOutcome,
+    SweepPlan, SweepReport,
 };
 pub use workload::Workload;
 

@@ -148,15 +148,6 @@ pub struct BatchPolicy {
     /// budget exists for host-level transients (allocation failure,
     /// thread-spawn limits) that a rerun can survive.
     pub retries: u32,
-    /// Spacing before the first retry. Each further retry doubles it,
-    /// saturating at [`BatchPolicy::backoff_max`] — bounded deterministic
-    /// backoff, so a host-level transient (fd exhaustion, allocation
-    /// pressure) gets breathing room instead of an immediate identical
-    /// re-attempt. `Duration::ZERO` (the default, so tests stay fast)
-    /// disables spacing entirely.
-    pub backoff_base: Duration,
-    /// Upper bound on any single retry delay.
-    pub backoff_max: Duration,
 }
 
 impl Default for BatchPolicy {
@@ -164,28 +155,7 @@ impl Default for BatchPolicy {
         BatchPolicy {
             workers: None,
             retries: 1,
-            backoff_base: Duration::ZERO,
-            backoff_max: Duration::from_secs(1),
         }
-    }
-}
-
-impl BatchPolicy {
-    /// The delay inserted before retry number `retry` (1-based): an
-    /// exponential doubling of [`BatchPolicy::backoff_base`], capped at
-    /// [`BatchPolicy::backoff_max`]. Pure and deterministic — the same
-    /// policy always produces the same schedule.
-    pub fn backoff_delay(&self, retry: u32) -> Duration {
-        if retry == 0 || self.backoff_base.is_zero() {
-            return Duration::ZERO;
-        }
-        // Cap the shift so the multiplier can't overflow u32 even for
-        // absurd retry budgets; backoff_max bounds the result anyway.
-        let doublings = retry.saturating_sub(1).min(20);
-        let factor = 1u32 << doublings;
-        self.backoff_base
-            .checked_mul(factor)
-            .map_or(self.backoff_max, |d| d.min(self.backoff_max))
     }
 }
 
@@ -226,8 +196,7 @@ pub fn run_batch_telemetry(experiments: Vec<Experiment>) -> (Vec<RunResult>, Bat
 /// parallel pass. Workers claim items through a shared atomic cursor
 /// (dynamic load balancing: simulations vary widely in length). A job
 /// that panics is re-attempted sequentially under the policy's bounded
-/// retry (with [`BatchPolicy::backoff_delay`] spacing); if every attempt
-/// panics its slot becomes an [`ExperimentError`].
+/// retry; if every attempt panics its slot becomes an [`ExperimentError`].
 ///
 /// The `attempts` an error reports is an execution count, not a loop
 /// count: it is incremented exactly once per invocation of `f` for that
@@ -257,10 +226,6 @@ where
             // loop iteration performs exactly one more.
             let mut attempts = 1u32;
             while attempts <= policy.retries {
-                let delay = policy.backoff_delay(attempts);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
                 attempts += 1;
                 match catch_unwind(AssertUnwindSafe(|| f(&items[index]))) {
                     Ok(r) => return Ok(r),
@@ -295,7 +260,6 @@ where
     let policy = BatchPolicy {
         workers,
         retries: 0,
-        ..BatchPolicy::default()
     };
     let (slots, telemetry) = parallel_map(items, f, policy);
     let results = slots
@@ -532,25 +496,6 @@ mod tests {
         let p = BatchPolicy::default();
         assert_eq!(p.workers, None);
         assert_eq!(p.retries, 1);
-        assert_eq!(p.backoff_base, Duration::ZERO, "spacing is opt-in");
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_doubling_capped() {
-        let p = BatchPolicy {
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_millis(80),
-            ..BatchPolicy::default()
-        };
-        let schedule: Vec<u64> = (0..=6)
-            .map(|k| p.backoff_delay(k).as_millis() as u64)
-            .collect();
-        assert_eq!(schedule, vec![0, 10, 20, 40, 80, 80, 80]);
-        // Disabled by default: every delay is zero whatever the retry.
-        let off = BatchPolicy::default();
-        assert!((0..100).all(|k| off.backoff_delay(k).is_zero()));
-        // Absurd retry numbers stay bounded instead of overflowing.
-        assert_eq!(p.backoff_delay(u32::MAX), Duration::from_millis(80));
     }
 
     #[test]
@@ -570,7 +515,6 @@ mod tests {
                 BatchPolicy {
                     workers: Some(1),
                     retries,
-                    ..BatchPolicy::default()
                 },
             );
             let err = out[0].as_ref().unwrap_err();
@@ -600,7 +544,6 @@ mod tests {
             BatchPolicy {
                 workers: Some(1),
                 retries: 1,
-                ..BatchPolicy::default()
             },
         );
         assert_eq!(out[0].as_ref().unwrap(), &14);

@@ -20,7 +20,7 @@
 //! Causal runs ([`mpi_sim::EngineConfig::causal`]) add two more:
 //!
 //! * [`analyze_text`] / [`attribution_ndjson`] — the "blame analysis"
-//!   table behind `pwrperf analyze`: critical path, per-rank
+//!   table behind `pwrperf run --causal`: critical path, per-rank
 //!   compute/comm/blocked split, and the energy attribution;
 //! * [`perfetto_json`] grows flow arrows (one per message lifecycle)
 //!   when the run carries a causal log.
@@ -67,47 +67,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Typed failure for [`try_analyze_text`]. The blame analysis needs the
-/// causal log; a run executed without it must fail loudly and say how to
-/// fix the invocation, never panic or print an empty table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalyzeError {
-    /// The run carries no attribution: it executed without
-    /// [`mpi_sim::EngineConfig::causal`], so there is no causal log to
-    /// derive blame from.
-    CausalAbsent,
-}
-
-impl std::fmt::Display for AnalyzeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AnalyzeError::CausalAbsent => write!(
-                f,
-                "causal log absent: this run executed without causal recording, \
-                 so no attribution exists (re-run with --causal, or use \
-                 `pwrperf analyze`, which records it automatically)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AnalyzeError {}
-
-/// Fallible form of [`analyze_text`] taking the whole [`RunResult`]:
-/// returns [`AnalyzeError::CausalAbsent`] when the run was executed (or
-/// cached) without causal recording instead of panicking on the missing
-/// attribution.
-pub fn try_analyze_text(
-    workload: &str,
-    strategy: &str,
-    result: &RunResult,
-) -> Result<String, AnalyzeError> {
-    match &result.attribution {
-        Some(attribution) => Ok(analyze_text(workload, strategy, attribution)),
-        None => Err(AnalyzeError::CausalAbsent),
-    }
 }
 
 /// Canonical text form of a topology (the CLI `--topology` syntax).
@@ -221,7 +180,7 @@ pub fn attribution_ndjson(attribution: &RunAttribution, meta: &RunMeta) -> Strin
     out
 }
 
-/// Render the "blame analysis" table `pwrperf analyze` prints: critical
+/// Render the "blame analysis" table `pwrperf run --causal` prints: critical
 /// path, per-rank time split (compute / in-flight comm / blocked), local
 /// critical-path residency, and the energy attribution with the
 /// cluster-level redistributable slack. Pure and deterministic — the CLI

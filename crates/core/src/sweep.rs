@@ -425,8 +425,8 @@ impl Sweep {
         Ok(SweepOutcome { results, report })
     }
 
-    /// Run the whole grid with no cache involved (the CLI `--no-cache`
-    /// path). Every *unique* job is an engine run; duplicated grid cells
+    /// Run the whole grid with no cache involved (a CLI sweep without
+    /// `--store`). Every *unique* job is an engine run; duplicated grid cells
     /// share their primary's result.
     pub fn run_uncached(&self, workers: Option<usize>) -> SweepOutcome {
         let experiments = self.experiments();
@@ -541,36 +541,10 @@ impl Sweep {
     }
 }
 
-/// [`crate::static_crescendo`] served through a store: cached points are
-/// read back, missing ones are run and persisted — so figure pipelines
-/// go warm after their first invocation.
-pub fn static_crescendo_cached(
-    workload: &Workload,
-    store: &mut SweepStore,
-) -> Result<Crescendo, StoreError> {
-    crescendo_cached(
-        workload,
-        EngineConfig::default(),
-        DvsStrategy::StaticMhz,
-        store,
-    )
-}
-
-/// [`crate::dynamic_crescendo`] served through a store.
-pub fn dynamic_crescendo_cached(
-    workload: &Workload,
-    store: &mut SweepStore,
-) -> Result<Crescendo, StoreError> {
-    crescendo_cached(
-        workload,
-        EngineConfig::default(),
-        DvsStrategy::DynamicBaseMhz,
-        store,
-    )
-}
-
 /// Ladder crescendo with any strategy constructor, served through a
-/// store (the cached analogue of [`crate::crescendo_with`]).
+/// store (the cached analogue of [`crate::crescendo_with`]): cached
+/// points are read back, missing ones are run and persisted — so figure
+/// pipelines go warm after their first invocation.
 pub fn crescendo_cached(
     workload: &Workload,
     engine: EngineConfig,
@@ -787,11 +761,23 @@ mod tests {
         let dir = tmp_dir("crescendo");
         let mut store = SweepStore::open(&dir).unwrap();
         let workload = Workload::ft_test(2);
-        let cached = static_crescendo_cached(&workload, &mut store).unwrap();
+        let cached = crescendo_cached(
+            &workload,
+            EngineConfig::default(),
+            DvsStrategy::StaticMhz,
+            &mut store,
+        )
+        .unwrap();
         let direct = crate::experiment::static_crescendo(&workload);
         assert_eq!(cached.points(), direct.points());
         // Second assembly is all hits.
-        let again = static_crescendo_cached(&workload, &mut store).unwrap();
+        let again = crescendo_cached(
+            &workload,
+            EngineConfig::default(),
+            DvsStrategy::StaticMhz,
+            &mut store,
+        )
+        .unwrap();
         assert_eq!(again.points(), direct.points());
         let stats = store.stats();
         assert_eq!(stats.hits, 5);

@@ -1,5 +1,5 @@
 //! Critical-path extraction and per-rank time/energy attribution from a
-//! [`CausalLog`] — the "blame analysis" behind `pwrperf analyze`.
+//! [`CausalLog`] — the "blame analysis" behind `pwrperf run --causal`.
 //!
 //! ## The walk
 //!

@@ -21,7 +21,7 @@
 //! * [`causal`] — critical-path extraction and per-rank time/energy
 //!   attribution ("blame analysis") over the engine's recorded
 //!   [`sim_core::CausalLog`], feeding `RunResult::attribution` and the
-//!   `pwrperf analyze` subcommand.
+//!   blame table `pwrperf run --causal` prints.
 //! * [`obs_count!`] / [`obs_gauge_max!`] / [`obs_observe!`] — feature-gated
 //!   instrumentation macros. With the `enabled` feature off they expand to
 //!   nothing, so instrumented code compiles to exactly the uninstrumented

@@ -320,7 +320,8 @@ impl MetricsRegistry {
         out
     }
 
-    /// A human-readable summary table (the `pwrperf stats` body).
+    /// A human-readable summary table (the body `pwrperf run --metrics`
+    /// appends).
     pub fn render_stats(&self) -> String {
         let mut out = String::new();
         let width = self

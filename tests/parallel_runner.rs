@@ -21,7 +21,6 @@ fn run_checked(
     let policy = BatchPolicy {
         workers: Some(workers),
         retries,
-        ..BatchPolicy::default()
     };
     parallel_map(&experiments, Experiment::run, policy).0
 }
