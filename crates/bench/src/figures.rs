@@ -9,20 +9,32 @@ use powerpack::{CommMicroConfig, MicroConfig};
 use pwrperf::calibration::target;
 use pwrperf::report::{format_best_points, format_crescendo, format_strategy_comparison};
 use pwrperf::{
-    crescendo_cached, crescendo_with, ladder_mhz_desc, run_batch, DvsStrategy, EngineConfig,
-    Experiment, SweepStore, Topology, Workload,
+    crescendo, crescendo_from_results, ladder_mhz_desc, DvsStrategy, EngineConfig, Experiment,
+    RunResult, StoreError, StoreStats, Sweep, SweepStore, Topology, Workload,
 };
 
 use crate::{banner, print_target_row};
 
-static RESULT_STORE: Mutex<Option<PathBuf>> = Mutex::new(None);
+static RESULT_STORE: Mutex<Option<SweepStore>> = Mutex::new(None);
 static TOPOLOGY: Mutex<Topology> = Mutex::new(Topology::Flat);
 
-/// Route every ladder crescendo in this module through a [`SweepStore`]
-/// at `dir` (`all_figures --store <dir>`): the first regeneration fills
-/// the cache, later ones replay it without touching the engine.
-pub fn set_result_store(dir: impl Into<PathBuf>) {
-    *RESULT_STORE.lock().expect("store dir lock") = Some(dir.into());
+/// Open the [`SweepStore`] at `dir` and run every figure in this module
+/// through it (`all_figures --store <dir>`): the first regeneration
+/// fills the cache, later ones replay every run from it without touching
+/// the engine.
+pub fn set_result_store(dir: impl Into<PathBuf>) -> Result<(), StoreError> {
+    let store = SweepStore::open(dir.into())?;
+    *RESULT_STORE.lock().expect("result store lock") = Some(store);
+    Ok(())
+}
+
+/// The result store's traffic so far, when one is set.
+pub fn result_store_stats() -> Option<StoreStats> {
+    RESULT_STORE
+        .lock()
+        .expect("result store lock")
+        .as_ref()
+        .map(SweepStore::stats)
 }
 
 /// Run every figure on the given interconnect (`all_figures --topology`).
@@ -39,56 +51,49 @@ fn base_engine() -> EngineConfig {
     }
 }
 
-fn ladder_crescendo(w: &Workload) -> Crescendo {
-    let dir = RESULT_STORE.lock().expect("store dir lock").clone();
-    let Some(dir) = dir else {
-        return crescendo_with(w, base_engine(), DvsStrategy::StaticMhz);
-    };
-    let cached = SweepStore::open(&dir).and_then(|mut store| {
-        crescendo_cached(w, base_engine(), DvsStrategy::StaticMhz, &mut store)
-    });
-    match cached {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!(
-                "warning: result store {} unusable ({e}); running uncached",
-                dir.display()
-            );
-            crescendo_with(w, base_engine(), DvsStrategy::StaticMhz)
-        }
-    }
+/// Run `strategies` on `w` under `engine` as one sweep, through the
+/// result store when one is set. Results come back in strategy order.
+fn run_grid(w: &Workload, strategies: Vec<DvsStrategy>, engine: EngineConfig) -> Vec<RunResult> {
+    let fault_specs = vec![engine.faults.clone()];
+    let sweep =
+        Sweep::grid(vec![w.clone()], strategies, Vec::new(), fault_specs).with_engine(engine);
+    let mut store = RESULT_STORE.lock().expect("result store lock");
+    let outcome = sweep.run(store.as_mut(), None);
+    outcome
+        .unwrap_or_else(|e| panic!("result store write failed: {e}"))
+        .results
 }
 
-/// All three paper strategies for one workload as a *single* parallel
-/// batch — 5 static pins, 5 dynamic bases, and the cpuspeed point (11
-/// runs) — instead of three smaller sweeps. Results are identical to
-/// `static_crescendo` + `dynamic_crescendo` + `cpuspeed_point`.
+/// The static ladder crescendo of `w`, through the result store when one
+/// is set.
+fn ladder_crescendo(w: &Workload) -> Crescendo {
+    let make =
+        |mhz| Experiment::new(w.clone(), DvsStrategy::StaticMhz(mhz)).with_engine(base_engine());
+    let mut store = RESULT_STORE.lock().expect("result store lock");
+    crescendo(make, store.as_mut()).unwrap_or_else(|e| panic!("result store write failed: {e}"))
+}
+
+/// All three paper strategies for one workload as one grid — 5 static
+/// pins, 5 dynamic bases, and the cpuspeed point (11 runs). Results are
+/// identical to `static_crescendo` + `dynamic_crescendo` +
+/// `cpuspeed_point`.
 fn strategy_suite(w: &Workload) -> (Crescendo, Crescendo, (f64, f64)) {
     let ladder = ladder_mhz_desc();
-    let engine = base_engine();
-    let mut experiments = Vec::with_capacity(2 * ladder.len() + 1);
-    for &mhz in &ladder {
-        experiments.push(
-            Experiment::new(w.clone(), DvsStrategy::StaticMhz(mhz)).with_engine(engine.clone()),
-        );
-    }
-    for &mhz in &ladder {
-        experiments.push(
-            Experiment::new(w.clone(), DvsStrategy::DynamicBaseMhz(mhz))
-                .with_engine(engine.clone()),
-        );
-    }
-    experiments.push(Experiment::new(w.clone(), DvsStrategy::Cpuspeed).with_engine(engine));
-    let mut results = run_batch(experiments);
-    let cs = results.pop().expect("cpuspeed result");
-    let mut stat = Crescendo::new();
-    let mut dyn_c = Crescendo::new();
-    for (i, &mhz) in ladder.iter().enumerate() {
-        stat.push(mhz, results[i].total_energy_j(), results[i].duration_secs());
-        let r = &results[ladder.len() + i];
-        dyn_c.push(mhz, r.total_energy_j(), r.duration_secs());
-    }
-    (stat, dyn_c, (cs.total_energy_j(), cs.duration_secs()))
+    let mut strategies: Vec<DvsStrategy> = ladder
+        .iter()
+        .map(|&mhz| DvsStrategy::StaticMhz(mhz))
+        .collect();
+    strategies.extend(ladder.iter().map(|&mhz| DvsStrategy::DynamicBaseMhz(mhz)));
+    strategies.push(DvsStrategy::Cpuspeed);
+    let results = run_grid(w, strategies, base_engine());
+    let (stat, rest) = results.split_at(ladder.len());
+    let (dyn_c, cs) = rest.split_at(ladder.len());
+    let cs = cs.first().expect("cpuspeed result");
+    (
+        crescendo_from_results(&ladder, stat),
+        crescendo_from_results(&ladder, dyn_c),
+        (cs.total_energy_j(), cs.duration_secs()),
+    )
 }
 
 /// Figure 1: energy-delay crescendos for the SPEC proxies.
@@ -162,9 +167,8 @@ pub fn fig3_ft_b_crescendo() {
     let stat = ladder_crescendo(&w);
     println!("{}", format_crescendo("FT.B static control", &stat));
     let reference = stat.reference();
-    let cs = Experiment::new(w.clone(), DvsStrategy::Cpuspeed)
-        .with_engine(base_engine())
-        .run();
+    let cs = run_grid(&w, vec![DvsStrategy::Cpuspeed], base_engine());
+    let cs = cs.first().expect("cpuspeed result");
     let (e_cs, d_cs) = (cs.total_energy_j(), cs.duration_secs());
     println!(
         "cpuspeed daemon: E={:.3} D={:.3} (normalized)",
@@ -360,12 +364,14 @@ pub fn ablation_wait_policy() {
             wait_policy: policy,
             ..base_engine()
         };
-        let run = Experiment::new(w.clone(), DvsStrategy::Cpuspeed)
-            .with_engine(engine.clone())
-            .run();
-        let base = Experiment::new(w.clone(), DvsStrategy::StaticMhz(1400))
-            .with_engine(engine)
-            .run();
+        let results = run_grid(
+            &w,
+            vec![DvsStrategy::Cpuspeed, DvsStrategy::StaticMhz(1400)],
+            engine,
+        );
+        let [run, base] = results.as_slice() else {
+            unreachable!("a two-strategy grid has two results");
+        };
         println!(
             "  {:>24}: E={:.3} D={:.3} transitions/node={:.1}",
             label,

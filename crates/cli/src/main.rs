@@ -14,8 +14,8 @@ mod args;
 use args::Command;
 use edp_metrics::{best_operating_point, efficiency_gain, weighted_ed2p, DELTA_HPC};
 use pwrperf::{
-    DvsStrategy, EngineConfig, Experiment, FaultCounts, RunMeta, RunResult, Sweep, SweepStore,
-    WaitPolicy, Workload,
+    DvsStrategy, EngineConfig, Experiment, FaultCounts, RunMeta, RunResult, Sweep, SweepPlan,
+    SweepStore, WaitPolicy, Workload,
 };
 use sim_core::SimDuration;
 
@@ -57,17 +57,19 @@ fn main() {
             topology,
             delta,
         } => {
-            set_threads(threads);
             let engine = EngineConfig {
                 faults,
                 topology,
                 ..EngineConfig::default()
             };
+            let run = GridRun {
+                store: store.as_deref(),
+                dry_run,
+                threads,
+            };
             match power_cap {
-                Some((watts, policy)) => {
-                    sweep_cap(workload, watts, policy, store.as_deref(), dry_run, engine)
-                }
-                None => sweep(workload, dynamic, store.as_deref(), dry_run, engine, delta),
+                Some((watts, policy)) => sweep_cap(workload, watts, policy, engine, run),
+                None => sweep(workload, dynamic, engine, delta, run),
             }
         }
         Command::Serve {
@@ -107,14 +109,6 @@ fn main() {
 fn die(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
-}
-
-/// Apply a `-j`/`--threads` override to the batch runner (equivalent to
-/// setting `PWRPERF_THREADS` in the environment).
-fn set_threads(threads: Option<usize>) {
-    if let Some(n) = threads {
-        std::env::set_var(pwrperf::THREADS_ENV, n.to_string());
-    }
 }
 
 /// Print the injected-fault tally when any fault fired.
@@ -282,72 +276,78 @@ fn open_store(dir: &str) -> SweepStore {
     SweepStore::open(dir).unwrap_or_else(|e| die(format_args!("cannot open store {dir}: {e}")))
 }
 
-/// `sweep --dry-run`: print the grid's hit/miss partition against the
-/// store without running anything.
-fn print_plan(grid: &Sweep, store: &SweepStore, dir: &str) {
-    let plan = grid.plan(store);
+/// How `pwrperf sweep` runs its grid: through `--store` when given,
+/// planned only under `--dry-run`, on `-j` workers.
+struct GridRun<'a> {
+    store: Option<&'a str>,
+    dry_run: bool,
+    threads: Option<usize>,
+}
+
+impl GridRun<'_> {
+    /// Run `strategies` on `workload` as one grid and return the results
+    /// in strategy order, after the store-stats line when a store is
+    /// used. Under `--dry-run`, print the grid's hit/miss partition
+    /// against the store instead and return `None`.
+    fn results(
+        &self,
+        workload: &Workload,
+        strategies: Vec<DvsStrategy>,
+        engine: EngineConfig,
+    ) -> Option<Vec<RunResult>> {
+        let fault_specs = vec![engine.faults.clone()];
+        let grid = Sweep::grid(vec![workload.clone()], strategies, Vec::new(), fault_specs)
+            .with_engine(engine);
+        let mut store = self.store.map(|dir| (dir, open_store(dir)));
+        // The parser only accepts --dry-run together with --store.
+        if let (true, Some((dir, store))) = (self.dry_run, &store) {
+            print_plan(&grid.plan(store), dir);
+            return None;
+        }
+        let outcome = grid
+            .run(store.as_mut().map(|(_, s)| s), self.threads)
+            .unwrap_or_else(|e| die(format_args!("store {}: {e}", self.store.unwrap_or(""))));
+        if let Some((dir, store)) = &store {
+            println!("store {dir}: {}", store.stats());
+        }
+        Some(outcome.results)
+    }
+}
+
+/// `sweep --dry-run`: print the grid's hit/miss partition.
+fn print_plan(plan: &SweepPlan, dir: &str) {
     println!(
         "dry run against {dir}: {} jobs, {} cache hits, {} misses",
-        plan.jobs.len(),
+        plan.cells.len(),
         plan.hits(),
         plan.misses()
     );
-    for job in &plan.jobs {
+    for (cell, &cached) in plan.cells.iter().zip(&plan.cached) {
         println!(
             "  {} {} -> {} [{}]",
-            job.experiment.workload.label(),
-            job.experiment.strategy.label(),
-            job.fingerprint.to_hex(),
-            if job.cached { "hit" } else { "miss" }
+            cell.experiment.workload.label(),
+            cell.experiment.strategy.label(),
+            cell.fingerprint.to_hex(),
+            if cached { "hit" } else { "miss" }
         );
     }
 }
 
-fn print_store_stats(store: &SweepStore, dir: &str) {
-    let s = store.stats();
-    println!(
-        "store {dir}: {} hits, {} misses, {} corrupt, {} B read, {} B written",
-        s.hits, s.misses, s.corrupt, s.bytes_read, s.bytes_written
-    );
-}
-
 /// `pwrperf sweep`: the ladder crescendo, then the best operating point
 /// by weighted ED²P at `delta` and its gain over the 1400 MHz point.
-fn sweep(
-    workload: Workload,
-    dynamic: bool,
-    store: Option<&str>,
-    dry_run: bool,
-    engine: EngineConfig,
-    delta: f64,
-) {
+fn sweep(workload: Workload, dynamic: bool, engine: EngineConfig, delta: f64, run: GridRun) {
     let make: fn(u32) -> DvsStrategy = if dynamic {
         DvsStrategy::DynamicBaseMhz
     } else {
         DvsStrategy::StaticMhz
     };
     let kind = if dynamic { "dynamic" } else { "static" };
-    let crescendo = match store {
-        Some(dir) => {
-            let mut store = open_store(dir);
-            if dry_run {
-                let grid = Sweep::grid(
-                    vec![workload.clone()],
-                    pwrperf::ladder_mhz_desc().into_iter().map(make).collect(),
-                    Vec::new(),
-                    vec![engine.faults.clone()],
-                )
-                .with_engine(engine);
-                print_plan(&grid, &store, dir);
-                return;
-            }
-            let c = pwrperf::crescendo_cached(&workload, engine, make, &mut store)
-                .unwrap_or_else(|e| die(format_args!("store {dir}: {e}")));
-            print_store_stats(&store, dir);
-            c
-        }
-        None => pwrperf::crescendo_with(&workload, engine, make),
+    let ladder = pwrperf::ladder_mhz_desc();
+    let strategies = ladder.iter().map(|&mhz| make(mhz)).collect();
+    let Some(results) = run.results(&workload, strategies, engine) else {
+        return;
     };
+    let crescendo = pwrperf::crescendo_from_results(&ladder, &results);
     println!("{kind} sweep of {}:", workload.label());
     println!(
         "{:>6} {:>12} {:>10} {:>8} {:>8} {:>12}",
@@ -382,9 +382,8 @@ fn sweep_cap(
     workload: Workload,
     watts: u32,
     policy: Option<pwrperf::CapPolicy>,
-    store: Option<&str>,
-    dry_run: bool,
     engine: EngineConfig,
+    run: GridRun,
 ) {
     use pwrperf::CapPolicy;
     let mut strategies: Vec<DvsStrategy> = pwrperf::ladder_mhz_desc()
@@ -399,28 +398,8 @@ fn sweep_cap(
             }
         }
     }
-    let fault_specs = vec![engine.faults.clone()];
-    let grid = Sweep::grid(
-        vec![workload.clone()],
-        strategies.clone(),
-        Vec::new(),
-        fault_specs,
-    )
-    .with_engine(engine);
-    let results = match store {
-        Some(dir) => {
-            let mut store = open_store(dir);
-            if dry_run {
-                print_plan(&grid, &store, dir);
-                return;
-            }
-            let outcome = grid
-                .run(&mut store, None)
-                .unwrap_or_else(|e| die(format_args!("store {dir}: {e}")));
-            print_store_stats(&store, dir);
-            outcome.results
-        }
-        None => grid.run_uncached(None).results,
+    let Some(results) = run.results(&workload, strategies.clone(), engine) else {
+        return;
     };
     println!(
         "power-cap sweep of {} under a {watts} W cluster budget:",

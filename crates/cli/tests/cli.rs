@@ -136,6 +136,14 @@ fn sweep_ends_with_the_best_point() {
 }
 
 #[test]
+fn sweep_output_does_not_depend_on_the_worker_count() {
+    let one = stdout_of(&["sweep", "-w", "ft-test4", "-j", "1"]);
+    let two = stdout_of(&["sweep", "-w", "ft-test4", "-j", "2"]);
+    assert!(one.contains("best     :"), "{one}");
+    assert_eq!(one, two);
+}
+
+#[test]
 fn removed_subcommands_and_flags_exit_2() {
     let cases: [&[&str]; 8] = [
         &["trace", "-w", "ft-test4", "-s", "static-800"],

@@ -113,41 +113,24 @@ pub fn ladder_mhz_desc() -> Vec<u32> {
 /// Run `workload` at every static operating point and collect the
 /// energy-delay crescendo (the paper's "stat" series).
 pub fn static_crescendo(workload: &Workload) -> Crescendo {
-    crescendo_with(workload, EngineConfig::default(), DvsStrategy::StaticMhz)
+    crescendo_of(|mhz| Experiment::new(workload.clone(), DvsStrategy::StaticMhz(mhz)))
 }
 
 /// Run `workload` under dynamic control with every base operating point
 /// (the paper's "dyn" series).
 pub fn dynamic_crescendo(workload: &Workload) -> Crescendo {
-    crescendo_with(
-        workload,
-        EngineConfig::default(),
-        DvsStrategy::DynamicBaseMhz,
-    )
-}
-
-/// Crescendo sweep with a custom engine configuration.
-pub fn crescendo_with(
-    workload: &Workload,
-    engine: EngineConfig,
-    make: impl Fn(u32) -> DvsStrategy,
-) -> Crescendo {
-    crescendo_of(|mhz| Experiment::new(workload.clone(), make(mhz)).with_engine(engine.clone()))
+    crescendo_of(|mhz| Experiment::new(workload.clone(), DvsStrategy::DynamicBaseMhz(mhz)))
 }
 
 /// Fully general crescendo sweep: build any experiment per ladder point.
-/// The five runs are independent, so they execute on the parallel batch
-/// runner (see [`crate::runner::run_batch`]); results are identical to a
-/// sequential sweep.
+/// The points run uncached through the sweep pipeline
+/// ([`crate::sweep::crescendo`]) on the parallel batch runner; results
+/// are identical to a sequential sweep.
 pub fn crescendo_of(make: impl Fn(u32) -> Experiment) -> Crescendo {
-    let ladder = ladder_mhz_desc();
-    let experiments: Vec<Experiment> = ladder.iter().map(|&mhz| make(mhz)).collect();
-    let results = crate::runner::run_batch(experiments);
-    let mut crescendo = Crescendo::new();
-    for (mhz, result) in ladder.into_iter().zip(results) {
-        crescendo.push(mhz, result.total_energy_j(), result.duration_secs());
-    }
-    crescendo
+    let crescendo = crate::sweep::crescendo(make, None);
+    // Without a store the pipeline does no store I/O, so it cannot fail.
+    assert!(crescendo.is_ok(), "storeless sweep failed: {crescendo:?}");
+    crescendo.unwrap_or_default()
 }
 
 /// Run `workload` under the cpuspeed daemon and return

@@ -43,8 +43,8 @@ pub mod workload;
 
 pub use adaptive::{AutoTuneOutcome, AutoTuner};
 pub use experiment::{
-    cpuspeed_point, crescendo_of, crescendo_with, dynamic_crescendo, ladder_mhz_desc,
-    power_cap_default_sample, static_crescendo, Experiment,
+    cpuspeed_point, crescendo_of, dynamic_crescendo, ladder_mhz_desc, power_cap_default_sample,
+    static_crescendo, Experiment,
 };
 pub use runner::{
     parallel_map, run_batch, run_batch_telemetry, BatchPolicy, BatchTelemetry, ExperimentError,
@@ -65,8 +65,8 @@ pub use store::{
 };
 pub use strategy::DvsStrategy;
 pub use sweep::{
-    crescendo_cached, render_slack_table, BestPoint, SlackRow, Sweep, SweepJob, SweepOutcome,
-    SweepPlan, SweepReport,
+    crescendo, crescendo_from_results, render_slack_table, BestPoint, SlackRow, Sweep, SweepCell,
+    SweepOutcome, SweepPlan, SweepReport,
 };
 pub use workload::Workload;
 

@@ -12,7 +12,7 @@
 
 use edp_metrics::{ed2p, weighted_ed2p};
 
-use crate::store::{fingerprint_experiment, SweepStore};
+use crate::store::SweepStore;
 
 use super::protocol::SweepSpec;
 use super::ServiceError;
@@ -61,51 +61,57 @@ pub fn aggregate(store: &mut SweepStore, spec: &SweepSpec) -> Result<AggregateTa
 
     let mut rows = Vec::new();
     let mut missing = 0u64;
-    let experiments = sweep.experiments();
-    let strategy_count = sweep.strategies.len();
-    let fault_count = sweep.fault_specs.len();
-    for (wi, workload) in sweep.workloads.iter().enumerate() {
-        for (fi, fault) in fault_labels.iter().enumerate().take(fault_count) {
-            let row_base = (wi * fault_count + fi) * strategy_count;
-            // The group baseline: first strategy in this group with a
-            // stored result.
-            let mut baseline: Option<(f64, f64)> = None;
-            for (si, strategy) in sweep.strategies.iter().enumerate() {
-                let Some(experiment) = experiments.get(row_base + si) else {
-                    continue;
-                };
-                let fp = fingerprint_experiment(experiment);
-                let Some(result) = store.load(fp).ok().flatten() else {
-                    missing += 1;
-                    continue;
-                };
-                let energy_j = result.total_energy_j();
-                let delay_s = result.duration_secs();
-                let (base_e, base_d) = *baseline.get_or_insert((energy_j, delay_s));
-                let wed2p = spec
-                    .deltas
-                    .iter()
-                    .map(|&delta| {
-                        let raw = weighted_ed2p(energy_j, delay_s, delta);
-                        let base = weighted_ed2p(base_e, base_d, delta);
-                        if base > 0.0 {
-                            raw / base
-                        } else {
-                            raw
-                        }
-                    })
-                    .collect();
-                rows.push(AggregateRow {
-                    workload: workload.label(),
-                    fault: fault.clone(),
-                    strategy: strategy.label(),
-                    energy_j,
-                    delay_s,
-                    ed2p: ed2p(energy_j, delay_s),
-                    wed2p,
-                });
+    let cells = sweep.cells();
+    // Per cell: its stored `(energy_j, delay_s)`; duplicates reuse their
+    // primary's.
+    let mut points: Vec<Option<(f64, f64)>> = Vec::with_capacity(cells.len());
+    // The group baseline: the first cell of this workload × fault group
+    // with a stored result.
+    let mut baseline: Option<((usize, usize), (f64, f64))> = None;
+    for cell in &cells {
+        let point = match cell.duplicate_of {
+            Some(primary) => points[primary],
+            None => store
+                .load(cell.fingerprint)
+                .ok()
+                .flatten()
+                .map(|result| (result.total_energy_j(), result.duration_secs())),
+        };
+        points.push(point);
+        let Some((energy_j, delay_s)) = point else {
+            missing += 1;
+            continue;
+        };
+        let group = (cell.workload, cell.fault);
+        let (base_e, base_d) = match baseline {
+            Some((g, base)) if g == group => base,
+            _ => {
+                baseline = Some((group, (energy_j, delay_s)));
+                (energy_j, delay_s)
             }
-        }
+        };
+        let wed2p = spec
+            .deltas
+            .iter()
+            .map(|&delta| {
+                let raw = weighted_ed2p(energy_j, delay_s, delta);
+                let base = weighted_ed2p(base_e, base_d, delta);
+                if base > 0.0 {
+                    raw / base
+                } else {
+                    raw
+                }
+            })
+            .collect();
+        rows.push(AggregateRow {
+            workload: cell.experiment.workload.label(),
+            fault: fault_labels.get(cell.fault).cloned().unwrap_or_default(),
+            strategy: cell.experiment.strategy.label(),
+            energy_j,
+            delay_s,
+            ed2p: ed2p(energy_j, delay_s),
+            wed2p,
+        });
     }
     Ok(AggregateTable {
         topology: spec.topology.clone(),
@@ -175,7 +181,7 @@ mod tests {
             vec![],
             vec![],
         );
-        sweep.run(&mut store, Some(2)).unwrap();
+        sweep.run(Some(&mut store), Some(2)).unwrap();
 
         let spec = SweepSpec {
             workloads: vec!["ft-test4".into()],
@@ -197,7 +203,7 @@ mod tests {
             vec![],
             vec![],
         );
-        seeded.run(&mut store2, Some(2)).unwrap();
+        seeded.run(Some(&mut store2), Some(2)).unwrap();
         let runs_before = store2.stats().misses;
         let table = aggregate(&mut store2, &spec).unwrap();
         assert_eq!(table.rows.len(), 2);

@@ -28,9 +28,10 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use mpi_sim::RunResult;
 
+use crate::experiment::Experiment;
 use crate::runner::{parallel_map, BatchPolicy};
-use crate::store::{Fingerprint, SweepStore};
-use crate::sweep::{duplicate_map, Sweep, SweepOutcome, SweepReport};
+use crate::store::{Fingerprint, StoreStats, SweepStore};
+use crate::sweep::{fill_duplicates, Sweep, SweepOutcome, SweepReport};
 
 use super::ServiceError;
 
@@ -196,32 +197,26 @@ impl MissExecutor {
         sweep: &Sweep,
     ) -> Result<SweepOutcome, ServiceError> {
         self.metrics.sweeps.fetch_add(1, Ordering::SeqCst);
-        let experiments = sweep.experiments();
-        let fingerprints: Vec<Fingerprint> = experiments
-            .iter()
-            .map(crate::store::fingerprint_experiment)
-            .collect();
-        let duplicate_of = duplicate_map(&fingerprints);
-        let duplicate_jobs = duplicate_of.iter().filter(|d| d.is_some()).count() as u64;
+        let cells = sweep.cells();
+        let mut io = StoreStats::default();
 
-        // Plan each unique cell: hit, claim, or await.
-        let mut sources: Vec<Option<JobSource>> = Vec::with_capacity(experiments.len());
+        // Each unique cell is a hit, a claim, or an await.
+        let mut sources: Vec<Option<JobSource>> = Vec::with_capacity(cells.len());
         let mut hits = 0u64;
-        for (i, &fp) in fingerprints.iter().enumerate() {
-            if duplicate_of.get(i).is_some_and(|d| d.is_some()) {
+        for cell in &cells {
+            if cell.duplicate_of.is_some() {
                 sources.push(None);
                 continue;
             }
-            let cached = {
-                let mut store = store.lock().unwrap_or_else(|e| e.into_inner());
-                store.load(fp).ok().flatten()
+            let fp = cell.fingerprint;
+            let source = match with_store(store, &mut io, |s| s.load(fp).ok().flatten()) {
+                Some(result) => {
+                    hits += 1;
+                    JobSource::Hit(Box::new(result))
+                }
+                None => self.claim_or_await(store, fp, &mut hits, &mut io),
             };
-            if let Some(result) = cached {
-                hits += 1;
-                sources.push(Some(JobSource::Hit(Box::new(result))));
-                continue;
-            }
-            sources.push(Some(self.claim_or_await(store, fp, &mut hits)));
+            sources.push(Some(source));
         }
 
         // Execute every claim on the work-stealing batch runner.
@@ -236,8 +231,7 @@ impl MissExecutor {
         self.metrics
             .queue_depth
             .fetch_add(engine_runs, Ordering::SeqCst);
-        let to_run: Vec<&crate::experiment::Experiment> =
-            claimed.iter().map(|&i| &experiments[i]).collect();
+        let to_run: Vec<&Experiment> = claimed.iter().map(|&i| &cells[i].experiment).collect();
         let policy = BatchPolicy {
             workers: self.workers,
             ..BatchPolicy::default()
@@ -257,19 +251,13 @@ impl MissExecutor {
 
         // Persist, publish, unclaim — in that order (see module docs).
         let mut first_error: Option<ServiceError> = None;
-        let mut slots: Vec<Option<RunResult>> = vec![None; experiments.len()];
+        let mut slots: Vec<Option<RunResult>> = vec![None; cells.len()];
         for (&i, outcome) in claimed.iter().zip(fresh) {
-            let fp = fingerprints[i];
+            let fp = cells[i].fingerprint;
             let published = match outcome {
                 Ok(result) => {
-                    let stored = {
-                        let mut store = store.lock().unwrap_or_else(|e| e.into_inner());
-                        store.store(fp, &result)
-                    };
-                    if let Err(e) = stored {
-                        if first_error.is_none() {
-                            first_error = Some(ServiceError::Store(e));
-                        }
+                    if let Err(e) = with_store(store, &mut io, |s| s.store(fp, &result)) {
+                        first_error.get_or_insert(ServiceError::Store(e));
                     }
                     Ok(result)
                 }
@@ -277,19 +265,11 @@ impl MissExecutor {
                     // An execution that panicked through its whole retry
                     // budget still publishes: waiters get the error, not
                     // a deadlock.
-                    if first_error.is_none() {
-                        first_error = Some(ServiceError::Failed(e.to_string()));
-                    }
+                    first_error.get_or_insert(ServiceError::Failed(e.to_string()));
                     Err(e.to_string())
                 }
             };
-            let slot = {
-                let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                inflight.remove(&fp)
-            };
-            if let Some(slot) = slot.as_ref() {
-                slot.publish(published.clone());
-            }
+            self.unclaim(fp, &published);
             if let Ok(result) = published {
                 slots[i] = Some(result);
             }
@@ -298,7 +278,7 @@ impl MissExecutor {
             return Err(error);
         }
 
-        // Collect hits and awaited results; fill duplicates last.
+        // Collect hits and awaited results; the planner fills duplicates.
         for (i, source) in sources.into_iter().enumerate() {
             match source {
                 Some(JobSource::Hit(result)) => slots[i] = Some(*result),
@@ -309,36 +289,32 @@ impl MissExecutor {
                 Some(JobSource::Claimed) | None => {}
             }
         }
-        for (i, dup) in duplicate_of.iter().enumerate() {
-            if let Some(primary) = dup {
-                slots[i] = slots.get(*primary).cloned().flatten();
-            }
-        }
-        let results: Vec<RunResult> = slots.into_iter().flatten().collect();
-        if results.len() != experiments.len() {
-            return Err(ServiceError::Failed(format!(
-                "sweep produced {} of {} results",
-                results.len(),
-                experiments.len()
-            )));
-        }
+        let results = fill_duplicates(&cells, slots).ok_or_else(|| {
+            ServiceError::Failed("sweep left a cell without a result".to_string())
+        })?;
 
-        let awaited = experiments.len() as u64 - hits - engine_runs - duplicate_jobs;
+        let jobs = cells.len() as u64;
+        let duplicate_jobs = cells.iter().filter(|c| c.duplicate_of.is_some()).count() as u64;
+        let awaited = jobs - hits - engine_runs - duplicate_jobs;
         self.metrics.hits.fetch_add(hits, Ordering::SeqCst);
         self.metrics.awaited.fetch_add(awaited, Ordering::SeqCst);
         let report = SweepReport {
-            jobs: experiments.len() as u64,
+            jobs,
             // Awaited results executed elsewhere; from this request's
             // point of view they are hits (it ran nothing for them).
             cache_hits: hits + awaited,
             cache_misses: engine_runs,
             engine_runs,
-            corrupt_records: 0,
-            bytes_read: 0,
-            bytes_written: 0,
+            corrupt_records: io.corrupt,
+            bytes_read: io.bytes_read,
+            bytes_written: io.bytes_written,
             duplicate_jobs,
         };
-        Ok(SweepOutcome { results, report })
+        Ok(SweepOutcome {
+            cells,
+            results,
+            report,
+        })
     }
 
     /// Step 1+2 of the claim protocol for one missing fingerprint.
@@ -347,6 +323,7 @@ impl MissExecutor {
         store: &Mutex<SweepStore>,
         fp: Fingerprint,
         hits: &mut u64,
+        io: &mut StoreStats,
     ) -> JobSource {
         {
             let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
@@ -358,23 +335,45 @@ impl MissExecutor {
         // Recheck: the previous owner persists before it unclaims, so
         // anything that finished between our miss and our claim is on
         // disk now.
-        let rechecked = {
-            let mut store = store.lock().unwrap_or_else(|e| e.into_inner());
-            store.load(fp).ok().flatten()
-        };
-        if let Some(result) = rechecked {
-            let slot = {
-                let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                inflight.remove(&fp)
-            };
-            if let Some(slot) = slot.as_ref() {
-                slot.publish(Ok(result.clone()));
+        match with_store(store, io, |s| s.load(fp).ok().flatten()) {
+            Some(result) => {
+                self.unclaim(fp, &Ok(result.clone()));
+                *hits += 1;
+                JobSource::Hit(Box::new(result))
             }
-            *hits += 1;
-            return JobSource::Hit(Box::new(result));
+            None => JobSource::Claimed,
         }
-        JobSource::Claimed
     }
+
+    /// Step 3's tail: drop the claim on `fp` and hand `result` to every
+    /// request parked on it.
+    fn unclaim(&self, fp: Fingerprint, result: &Result<RunResult, String>) {
+        let slot = {
+            let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+            inflight.remove(&fp)
+        };
+        if let Some(slot) = slot {
+            slot.publish(result.clone());
+        }
+    }
+}
+
+/// Run `f` on the locked store and add the store traffic it caused to
+/// `io`. The lock is held across the diff, so concurrent requests never
+/// count each other's bytes.
+fn with_store<R>(
+    store: &Mutex<SweepStore>,
+    io: &mut StoreStats,
+    f: impl FnOnce(&mut SweepStore) -> R,
+) -> R {
+    let mut store = store.lock().unwrap_or_else(|e| e.into_inner());
+    let before = store.stats();
+    let out = f(&mut store);
+    let after = store.stats();
+    io.corrupt += after.corrupt - before.corrupt;
+    io.bytes_read += after.bytes_read - before.bytes_read;
+    io.bytes_written += after.bytes_written - before.bytes_written;
+    out
 }
 
 #[cfg(test)]
@@ -408,10 +407,24 @@ mod tests {
         let cold = executor.run_sweep(&store, &sweep).unwrap();
         assert_eq!(cold.report.engine_runs, 2);
         assert_eq!(cold.report.cache_hits, 0);
+        // The byte counters equal the record files the sweep created.
+        let record_bytes: u64 = store
+            .lock()
+            .unwrap()
+            .record_files()
+            .unwrap()
+            .iter()
+            .map(|path| std::fs::metadata(path).unwrap().len())
+            .sum();
+        assert!(record_bytes > 0);
+        assert_eq!(cold.report.bytes_written, record_bytes);
 
         let warm = executor.run_sweep(&store, &sweep).unwrap();
         assert_eq!(warm.report.engine_runs, 0, "warm store executes nothing");
         assert_eq!(warm.report.cache_hits, 2);
+        assert_eq!(warm.report.bytes_read, record_bytes);
+        assert_eq!(warm.report.bytes_written, 0);
+        assert_eq!(warm.report.corrupt_records, 0);
         assert_eq!(warm.results, cold.results, "bit-identical replay");
         assert_eq!(metrics.engine_runs.load(Ordering::SeqCst), 2);
         assert_eq!(executor.inflight_len(), 0, "no claims leak");

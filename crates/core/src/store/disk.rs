@@ -127,6 +127,18 @@ pub struct StoreStats {
     pub bytes_written: u64,
 }
 
+impl std::fmt::Display for StoreStats {
+    /// The one-line summary `pwrperf sweep --store` and
+    /// `all_figures --store` print.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} hits, {} misses, {} corrupt, {} B read, {} B written",
+            self.hits, self.misses, self.corrupt, self.bytes_read, self.bytes_written
+        )
+    }
+}
+
 /// A content-addressed cache of [`RunResult`]s in one directory.
 #[derive(Debug)]
 pub struct SweepStore {

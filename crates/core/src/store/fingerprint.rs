@@ -117,18 +117,33 @@ impl Fingerprint {
 
 /// Fingerprint one experiment (the cache key for [`Experiment::run`]).
 pub fn fingerprint_experiment(experiment: &Experiment) -> Fingerprint {
-    Fingerprint::of_bytes(&canonical_experiment_bytes(experiment))
+    fingerprint_with_programs(experiment, &built_programs(experiment))
+}
+
+/// [`fingerprint_experiment`] from the experiment's already-built
+/// programs (what `workload.programs(strategy.wants_instrumentation())`
+/// returns). A sweep planner builds them once per workload and reuses
+/// them for every cell of that workload; the key is the same either way.
+pub fn fingerprint_with_programs(experiment: &Experiment, programs: &[Program]) -> Fingerprint {
+    Fingerprint::of_bytes(&experiment_bytes(experiment, programs))
 }
 
 /// The canonical byte encoding [`fingerprint_experiment`] hashes.
 /// Exposed so tests can assert the encoding itself is deterministic and
 /// injective over single-field edits.
 pub fn canonical_experiment_bytes(experiment: &Experiment) -> Vec<u8> {
-    let programs = experiment
+    experiment_bytes(experiment, &built_programs(experiment))
+}
+
+fn built_programs(experiment: &Experiment) -> Vec<Program> {
+    experiment
         .workload
-        .programs(experiment.strategy.wants_instrumentation());
+        .programs(experiment.strategy.wants_instrumentation())
+}
+
+fn experiment_bytes(experiment: &Experiment, programs: &[Program]) -> Vec<u8> {
     canonical_parts_bytes(
-        &programs,
+        programs,
         experiment.strategy,
         &experiment.engine,
         experiment.node_config.as_ref(),

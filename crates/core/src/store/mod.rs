@@ -20,7 +20,7 @@ mod run_codec;
 pub use codec::{ByteReader, ByteWriter, DecodeError};
 pub use disk::{StoreError, StoreStats, SweepStore};
 pub use fingerprint::{
-    canonical_experiment_bytes, checksum64, fingerprint_experiment, fingerprint_parts, Fingerprint,
-    STORE_FORMAT_VERSION,
+    canonical_experiment_bytes, checksum64, fingerprint_experiment, fingerprint_parts,
+    fingerprint_with_programs, Fingerprint, STORE_FORMAT_VERSION,
 };
 pub use run_codec::{decode_run_result, encode_run_result};

@@ -1,23 +1,29 @@
-//! Resumable grid sweeps over workloads × strategies × fault specs.
+//! The sweep pipeline: plan, dedupe, run and persist.
 //!
-//! A [`Sweep`] names a cartesian grid of experiments. Against a
-//! [`SweepStore`] it partitions the grid into cached and uncached jobs,
-//! feeds only the misses to the parallel batch runner, and writes fresh
-//! results back — so a killed sweep resumes where it stopped, and
-//! re-invoking a completed sweep performs **zero** engine executions and
-//! returns bit-identical results (the determinism suite asserts this).
-//! `deltas` parameterize the energy-delay analysis of the results (the
-//! paper's `∂` weighting), not the execution grid: one stored ladder
-//! yields every `∂` row for free.
+//! Every multi-run path — a [`Sweep`] grid, a ladder [`crescendo`], the
+//! figure regenerators, `pwrperf sweep` and the daemon — goes through two
+//! steps. **Planning** turns experiments into [`SweepCell`]s: each cell
+//! carries its experiment, its store fingerprint, its grid position, and
+//! `duplicate_of` when an earlier cell has the same key. **Executing**
+//! (behind [`Sweep::run`] and [`crescendo`]) serves unique cells from an
+//! optional [`SweepStore`], runs the rest on the parallel batch runner,
+//! persists them, and fills duplicates from their primaries. Against a
+//! store a killed sweep resumes where it stopped, and re-invoking a
+//! completed sweep performs **zero** engine executions and returns
+//! bit-identical results (the determinism suite asserts this). `deltas` parameterize the
+//! energy-delay analysis of the results (the paper's `∂` weighting), not
+//! the execution grid: one stored ladder yields every `∂` row for free.
+
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use edp_metrics::{best_operating_point, Crescendo};
-use mpi_sim::{EngineConfig, RunResult};
+use mpi_sim::{EngineConfig, Program, RunResult};
 use obs::MetricsRegistry;
 use sim_core::FaultSpec;
 
 use crate::experiment::{ladder_mhz_desc, Experiment};
 use crate::runner::map_or_reraise;
-use crate::store::{fingerprint_experiment, Fingerprint, StoreError, SweepStore};
+use crate::store::{fingerprint_with_programs, Fingerprint, StoreError, SweepStore};
 use crate::strategy::DvsStrategy;
 use crate::workload::Workload;
 
@@ -39,54 +45,60 @@ pub struct Sweep {
     pub engine: EngineConfig,
 }
 
-/// One planned job: grid position, cache key, and whether the store
-/// already holds it.
+/// One planned cell: the experiment, its cache key, and where it sits in
+/// the grid.
 #[derive(Debug, Clone)]
-pub struct SweepJob {
-    /// Row-major grid index.
-    pub index: usize,
-    /// The experiment this job runs.
+pub struct SweepCell {
+    /// The experiment this cell runs.
     pub experiment: Experiment,
     /// Its cache key.
     pub fingerprint: Fingerprint,
-    /// Whether a record existed when the plan was made.
-    pub cached: bool,
-    /// `Some(i)` when an earlier job `i` in the same grid has the same
-    /// fingerprint: this job never loads or executes anything itself —
-    /// its slot is filled from job `i`'s result.
+    /// `Some(i)` when an earlier cell `i` has the same fingerprint: this
+    /// cell never loads or executes anything itself — it is filled from
+    /// cell `i`'s result.
     pub duplicate_of: Option<usize>,
+    /// Index into [`Sweep::workloads`].
+    pub workload: usize,
+    /// Index into [`Sweep::fault_specs`].
+    pub fault: usize,
+    /// Index into [`Sweep::strategies`].
+    pub strategy: usize,
 }
 
 /// The cached/uncached partition of a sweep (what `--dry-run` prints).
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    /// Every job in grid order.
-    pub jobs: Vec<SweepJob>,
+    /// Every cell in grid order.
+    pub cells: Vec<SweepCell>,
+    /// Per cell: whether the store held a record when the plan was made.
+    pub cached: Vec<bool>,
 }
 
 impl SweepPlan {
-    /// Unique jobs already present in the store.
+    fn count(&self, cached: bool) -> usize {
+        self.cells
+            .iter()
+            .zip(&self.cached)
+            .filter(|(cell, &c)| c == cached && cell.duplicate_of.is_none())
+            .count()
+    }
+
+    /// Unique cells already present in the store.
     pub fn hits(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| j.cached && j.duplicate_of.is_none())
-            .count()
+        self.count(true)
     }
 
-    /// Unique jobs that would execute.
+    /// Unique cells that would execute.
     pub fn misses(&self) -> usize {
-        self.jobs
-            .iter()
-            .filter(|j| !j.cached && j.duplicate_of.is_none())
-            .count()
+        self.count(false)
     }
 
-    /// Jobs whose fingerprint repeats an earlier grid cell (they ride on
-    /// that cell's result; `hits + misses + duplicates == jobs`).
+    /// Cells whose fingerprint repeats an earlier cell (they ride on
+    /// that cell's result; `hits + misses + duplicates == cells`).
     pub fn duplicates(&self) -> usize {
-        self.jobs
+        self.cells
             .iter()
-            .filter(|j| j.duplicate_of.is_some())
+            .filter(|c| c.duplicate_of.is_some())
             .count()
     }
 }
@@ -153,10 +165,12 @@ impl SweepReport {
     }
 }
 
-/// Results (grid order) plus accounting.
+/// The planned cells, their results (grid order), and accounting.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// One result per grid job, row-major
+    /// The cells that ran, in grid order.
+    pub cells: Vec<SweepCell>,
+    /// One result per cell, row-major
     /// (`workloads × fault_specs × strategies`).
     pub results: Vec<RunResult>,
     /// What the run did.
@@ -165,7 +179,7 @@ pub struct SweepOutcome {
 
 /// One row of the sweep-level slack table: the energy attribution of a
 /// single grid cell, aggregated to cluster scope (see
-/// [`Sweep::slack_rows`]).
+/// [`SweepOutcome::slack_rows`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlackRow {
     /// Workload label.
@@ -235,25 +249,151 @@ pub struct BestPoint {
     pub best_mhz: Option<u32>,
 }
 
-/// For each position, the index of the *earlier* position holding the
-/// same fingerprint (`None` for first occurrences). Two grid cells can
-/// collide legitimately — a duplicated axis entry, or two requests that
-/// ladder-resolve to the same operating point — and running the engine
-/// for both would double-count misses and waste the duplicate's run.
-pub(crate) fn duplicate_map(fingerprints: &[Fingerprint]) -> Vec<Option<usize>> {
-    let mut first_seen: std::collections::BTreeMap<Fingerprint, usize> =
-        std::collections::BTreeMap::new();
-    fingerprints
-        .iter()
-        .enumerate()
-        .map(|(i, &fp)| match first_seen.get(&fp) {
-            Some(&primary) => Some(primary),
-            None => {
-                first_seen.insert(fp, i);
+/// The one planning step: fingerprint each experiment and mark repeats.
+/// Each item carries its `[workload, fault, strategy]` grid position.
+/// Programs depend only on the workload and the strategy's
+/// instrumentation flag, so a run of consecutive cells on one workload
+/// builds them once per flag and every such cell is fingerprinted from
+/// them. Only the current workload's programs are held.
+fn plan(items: impl IntoIterator<Item = (Experiment, [usize; 3])>) -> Vec<SweepCell> {
+    let mut cells: Vec<SweepCell> = Vec::new();
+    let mut first_seen: BTreeMap<Fingerprint, usize> = BTreeMap::new();
+    let mut programs: [Option<Vec<Program>>; 2] = [None, None];
+    for (experiment, [workload, fault, strategy]) in items {
+        let same_workload = cells
+            .last()
+            .is_some_and(|prev| prev.experiment.workload == experiment.workload);
+        if !same_workload {
+            programs = [None, None];
+        }
+        let instrumented = experiment.strategy.wants_instrumentation();
+        let built = programs[usize::from(instrumented)]
+            .get_or_insert_with(|| experiment.workload.programs(instrumented));
+        let fingerprint = fingerprint_with_programs(&experiment, built);
+        // Two cells can collide legitimately — a duplicated axis entry,
+        // or two requests that ladder-resolve to the same operating
+        // point — and running both would double-count misses.
+        let duplicate_of = match first_seen.entry(fingerprint) {
+            Entry::Occupied(primary) => Some(*primary.get()),
+            Entry::Vacant(slot) => {
+                slot.insert(cells.len());
                 None
             }
-        })
-        .collect()
+        };
+        cells.push(SweepCell {
+            experiment,
+            fingerprint,
+            duplicate_of,
+            workload,
+            fault,
+            strategy,
+        });
+    }
+    cells
+}
+
+/// Fill every duplicate cell's slot from its primary's. `None` when a
+/// slot is still empty afterwards.
+pub(crate) fn fill_duplicates(
+    cells: &[SweepCell],
+    mut slots: Vec<Option<RunResult>>,
+) -> Option<Vec<RunResult>> {
+    for (i, cell) in cells.iter().enumerate() {
+        if let Some(primary) = cell.duplicate_of {
+            slots[i] = slots[primary].clone();
+        }
+    }
+    slots.into_iter().collect()
+}
+
+/// The one execute step. Serves each unique cell from `store` when it
+/// holds a valid record, runs the rest on the parallel batch runner
+/// (`workers` as in [`crate::BatchPolicy::workers`]), persists them, and
+/// fills duplicates. With no store every unique cell is an engine run.
+/// Records that exist but fail validation count as misses (and as
+/// `corrupt_records`) and are re-run and overwritten; store *write*
+/// failures abort, since silently losing results would defeat
+/// resumability.
+pub(crate) fn run_cells(
+    cells: Vec<SweepCell>,
+    mut store: Option<&mut SweepStore>,
+    workers: Option<usize>,
+) -> Result<SweepOutcome, StoreError> {
+    let before = store.as_deref().map(SweepStore::stats).unwrap_or_default();
+    let mut slots: Vec<Option<RunResult>> = vec![None; cells.len()];
+    let mut misses: Vec<usize> = Vec::new();
+    for (i, cell) in cells.iter().enumerate() {
+        if cell.duplicate_of.is_some() {
+            continue;
+        }
+        match store.as_deref_mut().map(|s| s.load(cell.fingerprint)) {
+            Some(Ok(Some(result))) => slots[i] = Some(result),
+            // No store, no record, or a rejected one: run (and overwrite).
+            _ => misses.push(i),
+        }
+    }
+
+    let to_run: Vec<&Experiment> = misses.iter().map(|&i| &cells[i].experiment).collect();
+    let (fresh, _) = map_or_reraise(&to_run, |experiment| experiment.run(), workers);
+    for (&i, result) in misses.iter().zip(fresh) {
+        if let Some(store) = store.as_deref_mut() {
+            store.store(cells[i].fingerprint, &result)?;
+        }
+        slots[i] = Some(result);
+    }
+    let results = fill_duplicates(&cells, slots).unwrap_or_default();
+    assert_eq!(
+        results.len(),
+        cells.len(),
+        "every sweep slot must be filled"
+    );
+
+    let after = store.as_deref().map(SweepStore::stats).unwrap_or_default();
+    let engine_runs = misses.len() as u64;
+    let report = SweepReport {
+        jobs: cells.len() as u64,
+        cache_hits: after.hits - before.hits,
+        cache_misses: engine_runs,
+        engine_runs,
+        corrupt_records: after.corrupt - before.corrupt,
+        bytes_read: after.bytes_read - before.bytes_read,
+        bytes_written: after.bytes_written - before.bytes_written,
+        duplicate_jobs: cells.iter().filter(|c| c.duplicate_of.is_some()).count() as u64,
+    };
+    Ok(SweepOutcome {
+        cells,
+        results,
+        report,
+    })
+}
+
+/// A ladder crescendo: `make` builds the experiment at each operating
+/// point (fastest first), and the points run through the sweep pipeline
+/// — against `store` when given, so cached points replay and fresh ones
+/// persist.
+pub fn crescendo(
+    make: impl Fn(u32) -> Experiment,
+    store: Option<&mut SweepStore>,
+) -> Result<Crescendo, StoreError> {
+    let ladder = ladder_mhz_desc();
+    let cells = plan(
+        ladder
+            .iter()
+            .enumerate()
+            .map(|(i, &mhz)| (make(mhz), [0, 0, i])),
+    );
+    let outcome = run_cells(cells, store, None)?;
+    Ok(crescendo_from_results(&ladder, &outcome.results))
+}
+
+/// The crescendo of `results`, run at the operating points `mhz` in
+/// order.
+pub fn crescendo_from_results(mhz: &[u32], results: &[RunResult]) -> Crescendo {
+    Crescendo::from_pairs(
+        mhz.iter()
+            .zip(results)
+            .map(|(&mhz, r)| (mhz, r.total_energy_j(), r.duration_secs())),
+    )
 }
 
 impl Sweep {
@@ -306,266 +446,104 @@ impl Sweep {
         self.len() == 0
     }
 
-    /// Materialize the grid in row-major order
+    /// Plan the grid in row-major order
     /// (`workloads × fault_specs × strategies`).
-    pub fn experiments(&self) -> Vec<Experiment> {
-        let mut out = Vec::with_capacity(self.len());
-        for workload in &self.workloads {
-            for spec in &self.fault_specs {
-                for &strategy in &self.strategies {
+    pub fn cells(&self) -> Vec<SweepCell> {
+        let mut items = Vec::with_capacity(self.len());
+        for (wi, workload) in self.workloads.iter().enumerate() {
+            for (fi, spec) in self.fault_specs.iter().enumerate() {
+                for (si, &strategy) in self.strategies.iter().enumerate() {
                     let mut engine = self.engine.clone();
                     engine.faults = spec.clone();
-                    out.push(Experiment::new(workload.clone(), strategy).with_engine(engine));
+                    let experiment =
+                        Experiment::new(workload.clone(), strategy).with_engine(engine);
+                    items.push((experiment, [wi, fi, si]));
                 }
             }
         }
-        out
+        plan(items)
     }
 
     /// Partition the grid against `store` without executing anything.
-    /// Jobs repeating an earlier cell's fingerprint (a duplicated axis
-    /// entry, or two requests resolving to the same operating point) are
-    /// marked [`SweepJob::duplicate_of`] so they are neither loaded nor
-    /// executed twice.
     pub fn plan(&self, store: &SweepStore) -> SweepPlan {
-        let experiments = self.experiments();
-        let fingerprints: Vec<Fingerprint> =
-            experiments.iter().map(fingerprint_experiment).collect();
-        let duplicate_of = duplicate_map(&fingerprints);
-        let jobs = experiments
-            .into_iter()
-            .zip(fingerprints)
-            .zip(duplicate_of)
-            .enumerate()
-            .map(
-                |(index, ((experiment, fingerprint), duplicate_of))| SweepJob {
-                    index,
-                    cached: store.contains(fingerprint),
-                    experiment,
-                    fingerprint,
-                    duplicate_of,
-                },
-            )
+        let cells = self.cells();
+        let cached = cells
+            .iter()
+            .map(|c| store.contains(c.fingerprint))
             .collect();
-        SweepPlan { jobs }
+        SweepPlan { cells, cached }
     }
 
-    /// Run the sweep against `store`: serve hits from disk, execute only
-    /// the misses (on the parallel batch runner, `workers` as in
-    /// [`crate::BatchPolicy::workers`]), and persist fresh results.
-    /// Records that exist but fail validation count as misses (and as
-    /// `corrupt_records`) and are re-run and overwritten; store *write*
-    /// failures abort, since silently losing results would defeat
-    /// resumability.
+    /// Plan and execute the grid: the one execute step, with `workers`
+    /// as in [`crate::BatchPolicy::workers`].
     pub fn run(
         &self,
-        store: &mut SweepStore,
+        store: Option<&mut SweepStore>,
         workers: Option<usize>,
     ) -> Result<SweepOutcome, StoreError> {
-        let experiments = self.experiments();
-        let fingerprints: Vec<Fingerprint> =
-            experiments.iter().map(fingerprint_experiment).collect();
-        let duplicate_of = duplicate_map(&fingerprints);
-        let duplicate_jobs = duplicate_of.iter().filter(|d| d.is_some()).count() as u64;
-        let before = store.stats();
-
-        // Only primary cells (the first occurrence of each fingerprint)
-        // touch the store or the engine; duplicates are filled from
-        // their primary afterwards.
-        let mut slots: Vec<Option<RunResult>> = Vec::with_capacity(experiments.len());
-        let mut miss_indices: Vec<usize> = Vec::new();
-        for (i, &fp) in fingerprints.iter().enumerate() {
-            if duplicate_of.get(i).is_some_and(|d| d.is_some()) {
-                slots.push(None);
-                continue;
-            }
-            match store.load(fp) {
-                Ok(Some(result)) => slots.push(Some(result)),
-                Ok(None) | Err(_) => {
-                    // A rejected record is a miss: re-run and overwrite.
-                    slots.push(None);
-                    miss_indices.push(i);
-                }
-            }
-        }
-
-        let to_run: Vec<Experiment> = miss_indices
-            .iter()
-            .map(|&i| experiments[i].clone())
-            .collect();
-        let engine_runs = to_run.len() as u64;
-        let (fresh, _) = map_or_reraise(&to_run, Experiment::run, workers);
-        for (&i, result) in miss_indices.iter().zip(fresh) {
-            store.store(fingerprints[i], &result)?;
-            slots[i] = Some(result);
-        }
-        for (i, dup) in duplicate_of.iter().enumerate() {
-            if let Some(primary) = dup {
-                slots[i] = slots.get(*primary).cloned().flatten();
-            }
-        }
-
-        let results: Vec<RunResult> = slots.into_iter().flatten().collect();
-        assert_eq!(
-            results.len(),
-            experiments.len(),
-            "every sweep slot must be filled"
-        );
-        let after = store.stats();
-        let report = SweepReport {
-            jobs: experiments.len() as u64,
-            cache_hits: after.hits - before.hits,
-            cache_misses: engine_runs,
-            engine_runs,
-            corrupt_records: after.corrupt - before.corrupt,
-            bytes_read: after.bytes_read - before.bytes_read,
-            bytes_written: after.bytes_written - before.bytes_written,
-            duplicate_jobs,
-        };
-        Ok(SweepOutcome { results, report })
-    }
-
-    /// Run the whole grid with no cache involved (a CLI sweep without
-    /// `--store`). Every *unique* job is an engine run; duplicated grid cells
-    /// share their primary's result.
-    pub fn run_uncached(&self, workers: Option<usize>) -> SweepOutcome {
-        let experiments = self.experiments();
-        let jobs = experiments.len() as u64;
-        let fingerprints: Vec<Fingerprint> =
-            experiments.iter().map(fingerprint_experiment).collect();
-        let duplicate_of = duplicate_map(&fingerprints);
-        let duplicate_jobs = duplicate_of.iter().filter(|d| d.is_some()).count() as u64;
-
-        let primary_indices: Vec<usize> = duplicate_of
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let to_run: Vec<Experiment> = primary_indices
-            .iter()
-            .map(|&i| experiments[i].clone())
-            .collect();
-        let engine_runs = to_run.len() as u64;
-        let (fresh, _) = map_or_reraise(&to_run, Experiment::run, workers);
-
-        let mut slots: Vec<Option<RunResult>> = vec![None; experiments.len()];
-        for (&i, result) in primary_indices.iter().zip(fresh) {
-            slots[i] = Some(result);
-        }
-        for (i, dup) in duplicate_of.iter().enumerate() {
-            if let Some(primary) = dup {
-                slots[i] = slots.get(*primary).cloned().flatten();
-            }
-        }
-        let results: Vec<RunResult> = slots.into_iter().flatten().collect();
-        assert_eq!(results.len(), jobs as usize, "every sweep slot filled");
-        SweepOutcome {
-            results,
-            report: SweepReport {
-                jobs,
-                cache_misses: engine_runs,
-                engine_runs,
-                duplicate_jobs,
-                ..SweepReport::default()
-            },
-        }
-    }
-
-    /// Aggregate the per-run energy attributions of a causal sweep into
-    /// the group-by workload × strategy slack table. Rows come out in
-    /// grid order; cells whose results carry no attribution (the sweep
-    /// ran without [`EngineConfig::causal`]) are skipped, so a
-    /// non-causal sweep yields an empty table rather than zeros.
-    pub fn slack_rows(&self, outcome: &SweepOutcome) -> Vec<SlackRow> {
-        let strategy_count = self.strategies.len();
-        let mut out = Vec::new();
-        for (wi, workload) in self.workloads.iter().enumerate() {
-            for fi in 0..self.fault_specs.len() {
-                let row_base = (wi * self.fault_specs.len() + fi) * strategy_count;
-                for (si, strategy) in self.strategies.iter().enumerate() {
-                    let Some(result) = outcome.results.get(row_base + si) else {
-                        continue;
-                    };
-                    let Some(a) = &result.attribution else {
-                        continue;
-                    };
-                    out.push(SlackRow {
-                        workload: workload.label(),
-                        strategy: strategy.label(),
-                        fault_index: fi,
-                        makespan_s: a.makespan.as_secs_f64(),
-                        cp_comm_s: a.cp_comm.as_secs_f64(),
-                        cp_hops: a.cp_hops,
-                        redistributable_j: a.redistributable_j,
-                        total_j: result.total_energy_j(),
-                    });
-                }
-            }
-        }
-        out
+        run_cells(self.cells(), store, workers)
     }
 
     /// For every workload × fault spec × `∂`: the best static operating
     /// point by the paper's weighted ED²P, assembled from `outcome`'s
-    /// [`DvsStrategy::StaticMhz`] columns. Empty when the sweep has no
-    /// deltas or no static strategies.
+    /// [`DvsStrategy::StaticMhz`] cells. Empty when the sweep has no
+    /// deltas.
     pub fn best_static_points(&self, outcome: &SweepOutcome) -> Vec<BestPoint> {
-        let strategy_count = self.strategies.len();
+        let cells: Vec<(&SweepCell, &RunResult)> =
+            outcome.cells.iter().zip(&outcome.results).collect();
         let mut out = Vec::new();
-        for (wi, workload) in self.workloads.iter().enumerate() {
-            for fi in 0..self.fault_specs.len() {
-                let row_base = (wi * self.fault_specs.len() + fi) * strategy_count;
-                let crescendo = Crescendo::from_pairs(
-                    self.strategies.iter().enumerate().filter_map(
-                        |(si, strategy)| match strategy {
-                            DvsStrategy::StaticMhz(mhz) => outcome
-                                .results
-                                .get(row_base + si)
-                                .map(|r| (*mhz, r.total_energy_j(), r.duration_secs())),
-                            _ => None,
-                        },
-                    ),
-                );
-                for &delta in &self.deltas {
-                    out.push(BestPoint {
-                        workload: workload.label(),
-                        fault_index: fi,
-                        delta,
-                        best_mhz: best_operating_point(&crescendo, delta),
-                    });
+        // Row-major order makes each workload × fault group contiguous.
+        for group in cells.chunk_by(|(a, _), (b, _)| (a.workload, a.fault) == (b.workload, b.fault))
+        {
+            let crescendo = Crescendo::from_pairs(group.iter().filter_map(|(cell, r)| {
+                match cell.experiment.strategy {
+                    DvsStrategy::StaticMhz(mhz) => {
+                        Some((mhz, r.total_energy_j(), r.duration_secs()))
+                    }
+                    _ => None,
                 }
+            }));
+            let Some((first, _)) = group.first() else {
+                continue;
+            };
+            for &delta in &self.deltas {
+                out.push(BestPoint {
+                    workload: first.experiment.workload.label(),
+                    fault_index: first.fault,
+                    delta,
+                    best_mhz: best_operating_point(&crescendo, delta),
+                });
             }
         }
         out
     }
 }
 
-/// Ladder crescendo with any strategy constructor, served through a
-/// store (the cached analogue of [`crate::crescendo_with`]): cached
-/// points are read back, missing ones are run and persisted — so figure
-/// pipelines go warm after their first invocation.
-pub fn crescendo_cached(
-    workload: &Workload,
-    engine: EngineConfig,
-    make: impl Fn(u32) -> DvsStrategy,
-    store: &mut SweepStore,
-) -> Result<Crescendo, StoreError> {
-    let ladder = ladder_mhz_desc();
-    let strategies: Vec<DvsStrategy> = ladder.iter().map(|&mhz| make(mhz)).collect();
-    // The grid stamps each job's faults from its fault-spec axis, so the
-    // engine's own spec must ride along there — otherwise a faulted
-    // cached sweep would silently run (and cache) unfaulted results.
-    let fault_specs = vec![engine.faults.clone()];
-    let sweep = Sweep::grid(vec![workload.clone()], strategies, Vec::new(), fault_specs)
-        .with_engine(engine);
-    let outcome = sweep.run(store, None)?;
-    Ok(Crescendo::from_pairs(
-        ladder
-            .into_iter()
-            .zip(&outcome.results)
-            .map(|(mhz, result)| (mhz, result.total_energy_j(), result.duration_secs())),
-    ))
+impl SweepOutcome {
+    /// Aggregate the per-run energy attributions of a causal sweep into
+    /// the group-by workload × strategy slack table. Rows come out in
+    /// grid order; cells whose results carry no attribution (the sweep
+    /// ran without [`EngineConfig::causal`]) are skipped, so a
+    /// non-causal sweep yields an empty table rather than zeros.
+    pub fn slack_rows(&self) -> Vec<SlackRow> {
+        self.cells
+            .iter()
+            .zip(&self.results)
+            .filter_map(|(cell, result)| {
+                let a = result.attribution.as_ref()?;
+                Some(SlackRow {
+                    workload: cell.experiment.workload.label(),
+                    strategy: cell.experiment.strategy.label(),
+                    fault_index: cell.fault,
+                    makespan_s: a.makespan.as_secs_f64(),
+                    cp_comm_s: a.cp_comm.as_secs_f64(),
+                    cp_hops: a.cp_hops,
+                    redistributable_j: a.redistributable_j,
+                    total_j: result.total_energy_j(),
+                })
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -592,12 +570,13 @@ mod tests {
     fn grid_shape_and_order() {
         let sweep = tiny_sweep();
         assert_eq!(sweep.len(), 2);
-        let exps = sweep.experiments();
-        assert_eq!(exps.len(), 2);
+        let cells = sweep.cells();
+        assert_eq!(cells.len(), 2);
         assert_eq!(
-            exps.first().map(|e| e.strategy),
+            cells.first().map(|c| c.experiment.strategy),
             Some(DvsStrategy::StaticMhz(1400))
         );
+        assert_eq!(cells.last().map(|c| c.strategy), Some(1));
     }
 
     #[test]
@@ -606,11 +585,11 @@ mod tests {
         let mut store = SweepStore::open(&dir).unwrap();
         let sweep = tiny_sweep();
 
-        let cold = sweep.run(&mut store, None).unwrap();
+        let cold = sweep.run(Some(&mut store), None).unwrap();
         assert_eq!(cold.report.cache_hits, 0);
         assert_eq!(cold.report.engine_runs, 2);
 
-        let warm = sweep.run(&mut store, None).unwrap();
+        let warm = sweep.run(Some(&mut store), None).unwrap();
         assert_eq!(warm.report.engine_runs, 0, "warm sweep must not execute");
         assert_eq!(warm.report.cache_hits, 2);
         assert_eq!(
@@ -624,13 +603,32 @@ mod tests {
     }
 
     #[test]
-    fn uncached_run_matches_direct_execution() {
-        let sweep = tiny_sweep();
-        let outcome = sweep.run_uncached(Some(1));
-        assert_eq!(outcome.report.engine_runs, 2);
-        assert_eq!(outcome.report.cache_hits, 0);
-        let direct: Vec<RunResult> = sweep.experiments().iter().map(Experiment::run).collect();
-        assert_eq!(outcome.results, direct);
+    fn planned_keys_match_per_experiment_fingerprints() {
+        // The planner builds each workload's programs once per
+        // instrumentation flag; the keys must not notice.
+        let sweep = Sweep::grid(
+            vec![Workload::ft_test(2), Workload::ft_test(4)],
+            vec![
+                DvsStrategy::StaticMhz(800),
+                DvsStrategy::DynamicBaseMhz(1400),
+                DvsStrategy::StaticMhz(1400),
+            ],
+            Vec::new(),
+            vec![
+                FaultSpec::default(),
+                FaultSpec::parse("seed:3,slow:1:1.5").unwrap(),
+            ],
+        );
+        let cells = sweep.cells();
+        assert_eq!(cells.len(), 12);
+        for cell in &cells {
+            assert_eq!(
+                cell.fingerprint,
+                crate::store::fingerprint_experiment(&cell.experiment)
+            );
+        }
+        let last = cells.last().unwrap();
+        assert_eq!((last.workload, last.fault, last.strategy), (1, 1, 2));
     }
 
     #[test]
@@ -687,7 +685,7 @@ mod tests {
             "only unique fingerprints count as misses"
         );
 
-        let cold = sweep.run(&mut store, Some(1)).unwrap();
+        let cold = sweep.run(Some(&mut store), Some(1)).unwrap();
         assert_eq!(cold.report.jobs, 4);
         assert_eq!(cold.report.engine_runs, 2, "one run per unique key");
         assert_eq!(cold.report.cache_misses, 2);
@@ -698,17 +696,11 @@ mod tests {
         assert_ne!(cold.results[0], cold.results[3]);
 
         // Warm pass: two unique hits, still zero engine work.
-        let warm = sweep.run(&mut store, Some(1)).unwrap();
+        let warm = sweep.run(Some(&mut store), Some(1)).unwrap();
         assert_eq!(warm.report.engine_runs, 0);
         assert_eq!(warm.report.cache_hits, 2);
         assert_eq!(warm.report.duplicate_jobs, 2);
         assert_eq!(warm.results, cold.results);
-
-        // The uncached path dedupes identically.
-        let uncached = sweep.run_uncached(Some(1));
-        assert_eq!(uncached.report.engine_runs, 2);
-        assert_eq!(uncached.report.duplicate_jobs, 2);
-        assert_eq!(uncached.results, cold.results);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -719,7 +711,7 @@ mod tests {
             deltas: vec![0.0, 1.0],
             ..sweep
         };
-        let outcome = sweep.run_uncached(None);
+        let outcome = sweep.run(None, None).unwrap();
         let points = sweep.best_static_points(&outcome);
         assert_eq!(points.len(), 2);
         for p in &points {
@@ -737,8 +729,7 @@ mod tests {
             },
             ..tiny_sweep()
         };
-        let outcome = sweep.run_uncached(Some(1));
-        let rows = sweep.slack_rows(&outcome);
+        let rows = sweep.run(None, Some(1)).unwrap().slack_rows();
         assert_eq!(rows.len(), 2, "one row per grid cell");
         for row in &rows {
             assert!(row.makespan_s > 0.0);
@@ -751,36 +742,7 @@ mod tests {
         assert_eq!(table.lines().count(), 3, "header + two rows");
 
         // Without causal recording there is nothing to aggregate.
-        let plain = tiny_sweep();
-        let rows = plain.slack_rows(&plain.run_uncached(Some(1)));
+        let rows = tiny_sweep().run(None, Some(1)).unwrap().slack_rows();
         assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn cached_crescendo_matches_uncached() {
-        let dir = tmp_dir("crescendo");
-        let mut store = SweepStore::open(&dir).unwrap();
-        let workload = Workload::ft_test(2);
-        let cached = crescendo_cached(
-            &workload,
-            EngineConfig::default(),
-            DvsStrategy::StaticMhz,
-            &mut store,
-        )
-        .unwrap();
-        let direct = crate::experiment::static_crescendo(&workload);
-        assert_eq!(cached.points(), direct.points());
-        // Second assembly is all hits.
-        let again = crescendo_cached(
-            &workload,
-            EngineConfig::default(),
-            DvsStrategy::StaticMhz,
-            &mut store,
-        )
-        .unwrap();
-        assert_eq!(again.points(), direct.points());
-        let stats = store.stats();
-        assert_eq!(stats.hits, 5);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

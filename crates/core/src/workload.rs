@@ -11,7 +11,7 @@ use workloads::{
 };
 
 /// A runnable workload with a fixed rank count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// NAS FT, a class on a power-of-two rank count.
     Ft {

@@ -15,7 +15,7 @@ use mem_model::{AccessPattern, MemHierarchy, WorkUnit};
 use mpi_sim::{Program, ProgramBuilder};
 
 /// Configuration for the single-node microbenchmarks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroConfig {
     /// Number of passes over the buffer (scales runtime).
     pub passes: u64,
@@ -28,7 +28,7 @@ impl Default for MicroConfig {
 }
 
 /// Configuration for the two-rank communication microbenchmarks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommMicroConfig {
     /// Message payload, bytes.
     pub message_bytes: u64,

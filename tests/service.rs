@@ -51,7 +51,7 @@ fn daemon_sweep_is_bit_identical_and_warm_queries_execute_nothing() {
 
     // Bit-identity: the daemon's results are exactly what a local
     // uncached run of the same named grid produces.
-    let direct = spec.resolve().unwrap().run_uncached(Some(2));
+    let direct = spec.resolve().unwrap().run(None, Some(2)).unwrap();
     assert_eq!(cold.results, direct.results);
 
     // Warm: zero executions, byte-identical results.

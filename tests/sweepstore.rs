@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use cluster_sim::NodeConfig;
 use mem_model::{MemHierarchy, WorkUnit};
@@ -13,9 +13,9 @@ use net_model::NetworkParams;
 use proptest::prelude::*;
 use pwrperf::store::{canonical_experiment_bytes, fingerprint_parts};
 use pwrperf::{
-    decode_run_result, encode_run_result, fingerprint_experiment, CapPolicy, DvsStrategy,
-    EngineConfig, Experiment, Fault, FaultSpec, StoreError, Sweep, SweepStore, WaitPolicy,
-    Workload,
+    crescendo, decode_run_result, encode_run_result, fingerprint_experiment, ladder_mhz_desc,
+    static_crescendo, CapPolicy, DvsStrategy, EngineConfig, Experiment, Fault, FaultSpec,
+    MissExecutor, RunResult, ServiceMetrics, StoreError, Sweep, SweepStore, WaitPolicy, Workload,
 };
 use sim_core::SimDuration;
 
@@ -239,7 +239,7 @@ fn requests_resolving_to_the_same_point_share_a_cache_entry() {
         Vec::new(),
         Vec::new(),
     );
-    let cold = canonical.run(&mut store, Some(1)).unwrap();
+    let cold = canonical.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(cold.report.engine_runs, 1);
 
     let requested = Sweep::grid(
@@ -248,7 +248,7 @@ fn requests_resolving_to_the_same_point_share_a_cache_entry() {
         Vec::new(),
         Vec::new(),
     );
-    let warm = requested.run(&mut store, Some(1)).unwrap();
+    let warm = requested.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(
         warm.report.engine_runs, 0,
         "an off-ladder request resolving to a cached point must not re-run"
@@ -431,17 +431,17 @@ fn warm_sweep_executes_nothing_and_resumes_after_partial_cache() {
         vec![0.0],
         vec![FaultSpec::default()],
     );
-    let first = partial.run(&mut store, Some(1)).unwrap();
+    let first = partial.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(first.report.engine_runs, 3);
 
     // Resume: the full grid only executes the missing faulted half.
-    let resumed = full.run(&mut store, Some(1)).unwrap();
+    let resumed = full.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(resumed.report.cache_hits, 3);
     assert_eq!(resumed.report.engine_runs, 3);
     assert_eq!(resumed.results.len(), 6);
 
     // Warm: zero executions, bit-identical to the resumed pass.
-    let warm = full.run(&mut store, Some(1)).unwrap();
+    let warm = full.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(warm.report.engine_runs, 0, "warm sweep must not execute");
     assert_eq!(warm.report.cache_hits, 6);
     assert_eq!(warm.report.corrupt_records, 0);
@@ -449,8 +449,125 @@ fn warm_sweep_executes_nothing_and_resumes_after_partial_cache() {
     assert_eq!(warm.report.metrics().counter("sweep.engine_runs"), Some(0));
 
     // And the direct engine agrees with what the cache replays.
-    let direct: Vec<_> = full.experiments().iter().map(Experiment::run).collect();
+    let direct: Vec<_> = full.cells().iter().map(|c| c.experiment.run()).collect();
     assert_eq!(warm.results, direct);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One pipeline: every entry point that runs a grid or a ladder returns
+/// the same bits, with or without a store, cold or warm, locally or
+/// through the daemon's executor. The grid has a duplicated cell
+/// (5000 MHz clamps to 1400) and two fault specs.
+#[test]
+fn every_entry_point_returns_identical_bytes() {
+    let workload = Workload::ft_test(4);
+    let faulted = FaultSpec::parse("seed:5,slow:1:1.3,dvfs-fail:2:0.5").unwrap();
+    let mut strategies: Vec<DvsStrategy> = ladder_mhz_desc()
+        .into_iter()
+        .map(DvsStrategy::StaticMhz)
+        .collect();
+    strategies.push(DvsStrategy::StaticMhz(5000));
+    let row_len = strategies.len();
+    let sweep = Sweep::grid(
+        vec![workload.clone()],
+        strategies,
+        Vec::new(),
+        vec![FaultSpec::default(), faulted],
+    );
+    let dir = tmp_dir("equivalence");
+    let mut store = SweepStore::open(dir.join("local")).unwrap();
+    let shared = Mutex::new(SweepStore::open(dir.join("daemon")).unwrap());
+    let executor = MissExecutor::new(Arc::new(ServiceMetrics::new()), Some(2));
+
+    let reference = sweep.run(None, Some(2)).unwrap();
+    let bytes = |results: &[RunResult]| results.iter().map(encode_run_result).collect::<Vec<_>>();
+    let grid_entries = [
+        ("Sweep::run(None)", sweep.run(None, Some(1)).unwrap()),
+        (
+            "cold Sweep::run(store)",
+            sweep.run(Some(&mut store), Some(2)).unwrap(),
+        ),
+        (
+            "warm Sweep::run(store)",
+            sweep.run(Some(&mut store), Some(1)).unwrap(),
+        ),
+        (
+            "MissExecutor::run_sweep",
+            executor.run_sweep(&shared, &sweep).unwrap(),
+        ),
+    ];
+    // 12 cells, 10 unique: every entry point runs (or, warm, loads) each
+    // unique cell exactly once.
+    let accounting = [(10, 0), (10, 0), (0, 10), (10, 0)];
+    for ((name, outcome), (runs, hits)) in grid_entries.iter().zip(accounting) {
+        assert_eq!(outcome.results.len(), 12, "{name}");
+        assert_eq!(bytes(&outcome.results), bytes(&reference.results), "{name}");
+        assert_eq!(outcome.report.duplicate_jobs, 2, "{name}");
+        assert_eq!(outcome.report.engine_runs, runs, "{name}");
+        assert_eq!(outcome.report.cache_hits, hits, "{name}");
+    }
+    let direct: Vec<RunResult> = sweep.cells().iter().map(|c| c.experiment.run()).collect();
+    assert_eq!(bytes(&direct), bytes(&reference.results), "Experiment::run");
+
+    // A crescendo keeps each point's energy and delay, which must be the
+    // bits of the grid's static ladder in the same fault row. Against the
+    // warm store every point is a hit: crescendos and grids share keys.
+    let misses = store.stats().misses;
+    let ladder = |spec: &FaultSpec| {
+        let spec = spec.clone();
+        let workload = workload.clone();
+        move |mhz| {
+            Experiment::new(workload.clone(), DvsStrategy::StaticMhz(mhz)).with_faults(spec.clone())
+        }
+    };
+    let [clean, faulted] = [0, 1].map(|row| &sweep.fault_specs[row]);
+    let ladder_entries = [
+        (
+            "crescendo(None), clean",
+            0,
+            crescendo(ladder(clean), None).unwrap(),
+        ),
+        (
+            "crescendo(None), faulted",
+            1,
+            crescendo(ladder(faulted), None).unwrap(),
+        ),
+        (
+            "crescendo(store), clean",
+            0,
+            crescendo(ladder(clean), Some(&mut store)).unwrap(),
+        ),
+        (
+            "crescendo(store), faulted",
+            1,
+            crescendo(ladder(faulted), Some(&mut store)).unwrap(),
+        ),
+        ("static_crescendo", 0, static_crescendo(&workload)),
+    ];
+    for (name, row, crescendo) in &ladder_entries {
+        let got: Vec<(u32, u64, u64)> = crescendo
+            .points()
+            .iter()
+            .map(|p| (p.mhz, p.energy_j.to_bits(), p.delay_s.to_bits()))
+            .collect();
+        let want: Vec<(u32, u64, u64)> = ladder_mhz_desc()
+            .into_iter()
+            .zip(&reference.results[row * row_len..])
+            .map(|(mhz, r)| {
+                (
+                    mhz,
+                    r.total_energy_j().to_bits(),
+                    r.duration_secs().to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "{name}");
+    }
+    assert_eq!(
+        store.stats().misses,
+        misses,
+        "crescendos hit the grid's records"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -466,17 +583,17 @@ fn sweep_heals_corrupt_records() {
         Vec::new(),
         Vec::new(),
     );
-    let cold = sweep.run(&mut store, Some(1)).unwrap();
+    let cold = sweep.run(Some(&mut store), Some(1)).unwrap();
 
     // Smash one record's payload.
-    let job = &sweep.plan(&store).jobs[0];
-    let path = store.record_path(job.fingerprint);
+    let cell = &sweep.cells()[0];
+    let path = store.record_path(cell.fingerprint);
     let mut bytes = std::fs::read(&path).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xA5;
     std::fs::write(&path, &bytes).unwrap();
 
-    let healed = sweep.run(&mut store, Some(1)).unwrap();
+    let healed = sweep.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(healed.report.corrupt_records, 1);
     assert_eq!(
         healed.report.engine_runs, 1,
@@ -484,7 +601,7 @@ fn sweep_heals_corrupt_records() {
     );
     assert_eq!(healed.results, cold.results);
 
-    let warm = sweep.run(&mut store, Some(1)).unwrap();
+    let warm = sweep.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(warm.report.engine_runs, 0);
     assert_eq!(warm.report.corrupt_records, 0);
     assert_eq!(warm.results, cold.results);
