@@ -33,8 +33,6 @@
 //! Memory-stall phases and network flows are frequency-invariant and
 //! proceed through transitions untouched.
 
-use std::collections::VecDeque;
-
 use cluster_sim::{Cluster, Node};
 use dvfs::{ClusterController, Decision, Governor, PerNodeGovernors};
 use mem_model::WorkUnit;
@@ -55,11 +53,9 @@ use crate::result::{RankBreakdown, RunResult, SampleRow};
 type MsgId = usize;
 type MsgKey = (Rank, Rank, Tag);
 
-/// Upper bound on the pending-send/-recv map pre-allocation. The `n*n`
-/// sizing heuristic is right for paper-scale clusters but would commit
-/// hundreds of megabytes of empty buckets at 4096 ranks; past this many
-/// buckets the maps grow on demand instead.
-const PENDING_MAP_CAPACITY_CAP: usize = 1 << 16;
+/// [`Msg::next_pending`] of a message that ends its key's unmatched-send
+/// FIFO (or is in none).
+const NO_PENDING: u32 = u32::MAX;
 
 #[derive(Debug)]
 enum Event {
@@ -147,8 +143,9 @@ struct RankRuntime {
     outstanding_sends: FxHashSet<MsgId>,
     /// Irecvs matched to a message but not yet delivered.
     outstanding_recvs_matched: FxHashSet<MsgId>,
-    /// Irecvs posted with no matching send yet, counted per key.
-    outstanding_recvs_unmatched: FxHashMap<MsgKey, usize>,
+    /// Irecvs posted with no matching send yet, counted per key; a key
+    /// leaves the map when its count reaches zero.
+    outstanding_recvs_unmatched: FxHashMap<MsgKey, u32>,
 }
 
 #[derive(Debug)]
@@ -166,6 +163,10 @@ struct Msg {
     /// ([`crate::ProgramBuilder`] lowers collectives onto a reserved tag
     /// range), splitting the latency histograms by origin.
     collective: bool,
+    /// Next unmatched send on this message's key: the link of the
+    /// per-key FIFO that [`Engine::pending_sends`] holds the ends of.
+    /// Sits in what would otherwise be padding.
+    next_pending: u32,
 }
 
 /// Live causal-recording state: the log under construction plus each
@@ -210,6 +211,19 @@ fn plan_compute(w: &WorkUnit, node: &Node) -> ComputePlan {
     }
 }
 
+/// Take one from `key`'s count, dropping the key when it reaches zero.
+/// False when `key` has no count.
+fn take_one(counts: &mut FxHashMap<MsgKey, u32>, key: MsgKey) -> bool {
+    let Some(count) = counts.get_mut(&key) else {
+        return false;
+    };
+    *count -= 1;
+    if *count == 0 {
+        counts.remove(&key);
+    }
+    true
+}
+
 /// Sanitizer checkpoint tags: which instant produced a digest. Folded
 /// into the hash so a stream that drops one checkpoint and gains another
 /// cannot collide back to equality.
@@ -247,6 +261,22 @@ impl SanHasher {
     }
 }
 
+/// Matching state after a run ([`Engine::run_for_match_tables`]).
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct MatchTables {
+    /// Keys left in the unmatched-send and unmatched-receive tables.
+    pub live_keys: usize,
+    /// The larger of the two tables' capacities.
+    pub table_capacity: usize,
+    /// Entries left in every rank's outstanding non-blocking sets.
+    pub rank_outstanding: usize,
+    pub msgs_posted: usize,
+    pub msgs_capacity: usize,
+    /// `size_of::<Msg>()`.
+    pub msg_size: usize,
+}
+
 /// The simulator. Construct with [`Engine::new`], run with [`Engine::run`].
 pub struct Engine {
     config: EngineConfig,
@@ -266,9 +296,16 @@ pub struct Engine {
     queue: EventQueue<Event>,
     now: SimTime,
     ranks: Vec<RankRuntime>,
+    /// Every message posted, indexed by [`MsgId`]. Sized exactly to the
+    /// run's message-posting ops, so it never reallocates.
     msgs: Vec<Msg>,
-    pending_sends: FxHashMap<MsgKey, VecDeque<MsgId>>,
-    pending_recvs: FxHashMap<MsgKey, VecDeque<()>>,
+    /// Sends no receive has matched yet: each key's `(head, tail)` FIFO,
+    /// linked through [`Msg::next_pending`]. Only live keys are present:
+    /// an entry leaves the moment its FIFO drains.
+    pending_sends: FxHashMap<MsgKey, (u32, u32)>,
+    /// Receives no send has matched yet, counted per key; an entry
+    /// leaves the moment its count drains.
+    pending_recvs: FxHashMap<MsgKey, u32>,
     /// Message owning each network flow slot. Flow ids are small densely
     /// reused slot indices, so a flat vector beats a hash map here.
     flow_to_msg: Vec<Option<MsgId>>,
@@ -343,9 +380,16 @@ impl Engine {
             FluidNetwork::with_topology(cluster.network().clone(), n, &config.topology);
         let mut fault_counts = FaultCounts::default();
         let faults = FaultRuntime::build(&config.faults, n, &mut network, &mut fault_counts);
-        // Nearly every message-bearing op posts one message; sizing the
-        // arena to the total op count keeps hot-loop pushes reallocation-free.
-        let total_ops: usize = programs.iter().map(|p| p.len()).sum();
+        // Every message-posting op runs exactly once, posting one message.
+        let msg_count = programs
+            .iter()
+            .flat_map(Program::ops)
+            .filter(|op| matches!(op, Op::Send { .. } | Op::SendRecv { .. } | Op::Isend { .. }))
+            .count();
+        assert!(
+            msg_count < NO_PENDING as usize,
+            "{msg_count} messages overflow the u32 match-queue links"
+        );
         let trace = if config.trace_capacity > 0 {
             Trace::new(config.trace_capacity)
         } else {
@@ -384,19 +428,11 @@ impl Engine {
                     ),
                 })
                 .collect(),
-            msgs: Vec::with_capacity(total_ops),
-            // Message keys are (src, dst, tag); n ranks keep at most a few
-            // live tags per pair, so n*n buckets absorb the steady state.
-            // Capped: at thousands of ranks n*n would pre-commit hundreds
-            // of MB per map for buckets mostly never touched.
-            pending_sends: FxHashMap::with_capacity_and_hasher(
-                (n * n).min(PENDING_MAP_CAPACITY_CAP),
-                Default::default(),
-            ),
-            pending_recvs: FxHashMap::with_capacity_and_hasher(
-                (n * n).min(PENDING_MAP_CAPACITY_CAP),
-                Default::default(),
-            ),
+            msgs: Vec::with_capacity(msg_count),
+            // Blocking ranks keep about one unmatched key each; bursts of
+            // non-blocking posts grow the tables on demand.
+            pending_sends: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            pending_recvs: FxHashMap::with_capacity_and_hasher(n, Default::default()),
             flow_to_msg: Vec::new(),
             net_event: None,
             finished: 0,
@@ -447,6 +483,31 @@ impl Engine {
         self.san_checkpoint(SAN_TAG_FINAL);
         let hashes = std::mem::take(&mut self.san_hashes);
         (self.finalize(), hashes)
+    }
+
+    /// Run to completion and report the matching state left behind.
+    #[cfg(test)]
+    pub(crate) fn run_for_match_tables(mut self) -> MatchTables {
+        self.drive();
+        MatchTables {
+            live_keys: self.pending_sends.len() + self.pending_recvs.len(),
+            table_capacity: self
+                .pending_sends
+                .capacity()
+                .max(self.pending_recvs.capacity()),
+            rank_outstanding: self
+                .ranks
+                .iter()
+                .map(|r| {
+                    r.outstanding_sends.len()
+                        + r.outstanding_recvs_matched.len()
+                        + r.outstanding_recvs_unmatched.len()
+                })
+                .sum(),
+            msgs_posted: self.msgs.len(),
+            msgs_capacity: self.msgs.capacity(),
+            msg_size: std::mem::size_of::<Msg>(),
+        }
     }
 
     /// Boot the controller and pump the event loop until every rank
@@ -828,7 +889,7 @@ impl Engine {
         let rt = &self.ranks[r];
         !rt.outstanding_sends.is_empty()
             || !rt.outstanding_recvs_matched.is_empty()
-            || rt.outstanding_recvs_unmatched.values().any(|&c| c > 0)
+            || !rt.outstanding_recvs_unmatched.is_empty()
     }
 
     /// An outstanding non-blocking op completed; resume a rank parked in
@@ -891,6 +952,7 @@ impl Engine {
             drained_at: None,
             posted_at: self.now,
             collective,
+            next_pending: NO_PENDING,
         });
         if let Some(c) = self.causal.as_deref_mut() {
             // Pushed in lockstep with `msgs`, so the causal record shares
@@ -914,18 +976,11 @@ impl Engine {
         obs_count!(self.metrics, "engine.msgs.posted", 1);
         obs_count!(self.metrics, "engine.msgs.bytes_posted", bytes);
         let key = (src, dst, tag);
-        let matched = match self.pending_recvs.get_mut(&key) {
-            Some(q) if !q.is_empty() => {
-                q.pop_front();
-                true
-            }
-            _ => false,
-        };
-        if matched {
+        if take_one(&mut self.pending_recvs, key) {
             self.msgs[id].recv_posted = true;
             self.rebind_receiver_wait(dst, key, id);
         } else {
-            self.pending_sends.entry(key).or_default().push_back(id);
+            self.push_pending_send(key, id);
         }
         let eager = bytes <= self.config.eager_threshold;
         if eager || self.msgs[id].recv_posted {
@@ -938,13 +993,9 @@ impl Engine {
     /// the wait descriptor.
     fn post_recv(&mut self, dst: Rank, src: Rank, tag: Tag) -> Option<RecvWait> {
         let key = (src, dst, tag);
-        let send_id = match self.pending_sends.get_mut(&key) {
-            Some(q) => q.pop_front(),
-            None => None,
-        };
-        match send_id {
+        match self.pop_pending_send(key) {
             None => {
-                self.pending_recvs.entry(key).or_default().push_back(());
+                *self.pending_recvs.entry(key).or_default() += 1;
                 Some(RecvWait::Unmatched(key))
             }
             Some(id) => {
@@ -994,12 +1045,37 @@ impl Engine {
                 return;
             }
         }
-        if let Some(count) = self.ranks[dst].outstanding_recvs_unmatched.get_mut(&key) {
-            if *count > 0 {
-                *count -= 1;
-                self.ranks[dst].outstanding_recvs_matched.insert(id);
+        let rt = &mut self.ranks[dst];
+        if take_one(&mut rt.outstanding_recvs_unmatched, key) {
+            rt.outstanding_recvs_matched.insert(id);
+        }
+    }
+
+    /// Append send `id` to `key`'s unmatched-send FIFO.
+    fn push_pending_send(&mut self, key: MsgKey, id: MsgId) {
+        // Lossless: the arena holds fewer than `NO_PENDING` messages.
+        let id = id as u32;
+        match self.pending_sends.get_mut(&key) {
+            Some((_, tail)) => {
+                self.msgs[*tail as usize].next_pending = id;
+                *tail = id;
+            }
+            None => {
+                self.pending_sends.insert(key, (id, id));
             }
         }
+    }
+
+    /// Pop the oldest unmatched send on `key`, if any.
+    fn pop_pending_send(&mut self, key: MsgKey) -> Option<MsgId> {
+        let (head, tail) = self.pending_sends.get_mut(&key)?;
+        let id = *head;
+        if id == *tail {
+            self.pending_sends.remove(&key);
+        } else {
+            *head = self.msgs[id as usize].next_pending;
+        }
+        Some(id as usize)
     }
 
     fn start_flow_for(&mut self, id: MsgId) {

@@ -483,6 +483,64 @@ mod nonblocking_tests {
     }
 
     #[test]
+    fn match_tables_hold_only_in_flight_keys() {
+        // Five all-to-alls use five tag ranges: 5 * n * (n - 1) distinct
+        // keys. The tables must end empty, stay sized by what is in flight
+        // at once, and the message arena must be sized exactly.
+        let n = 64;
+        let per_round = n * (n - 1);
+        for flood in [false, true] {
+            let programs: Vec<Program> = (0..n)
+                .map(|r| {
+                    let mut b = ProgramBuilder::new(r, n);
+                    for _ in 0..5 {
+                        if flood {
+                            b.alltoall_nonblocking(4096);
+                        } else {
+                            b.alltoall(4096);
+                        }
+                    }
+                    b.build()
+                })
+                .collect();
+            let tables = Engine::new(
+                Cluster::homogeneous(
+                    n,
+                    cluster_sim::NodeConfig::inspiron_8600(),
+                    net_model::NetworkParams::catalyst_2950_100m(),
+                ),
+                programs,
+                (0..n)
+                    .map(|_| Box::new(StaticGovernor::performance()) as Box<dyn Governor>)
+                    .collect(),
+                // The tree model keeps a 4032-flow flood cheap to simulate.
+                EngineConfig {
+                    topology: net_model::Topology::FatTree {
+                        radix: 8,
+                        oversub: 1.0,
+                    },
+                    ..EngineConfig::default()
+                },
+            )
+            .run_for_match_tables();
+            assert_eq!(tables.live_keys, 0, "flood={flood}: {tables:?}");
+            assert_eq!(tables.rank_outstanding, 0, "flood={flood}: {tables:?}");
+            assert_eq!(tables.msgs_posted, 5 * per_round);
+            assert_eq!(tables.msgs_capacity, tables.msgs_posted);
+            assert_eq!(tables.msg_size, 56);
+            // Pairwise exchange leaves about one unmatched key per rank; the
+            // flood posts at most one round's keys at once. Either way the
+            // bound is independent of the number of rounds.
+            let bound = if flood { 2 * per_round } else { 4 * n };
+            assert!(
+                tables.table_capacity <= bound,
+                "flood={flood}: capacity {} > {bound}",
+                tables.table_capacity
+            );
+        }
+    }
+
+    #[test]
     fn mixed_blocking_and_nonblocking_ranks_interoperate() {
         let res = run(4, |b| {
             let n = b.size();

@@ -224,6 +224,32 @@ fn fat_tree_runs_are_bit_deterministic() {
 }
 
 #[test]
+fn ft_scale_64_results_are_pinned() {
+    // Bit-exact beyond the 4-rank trio: the digest of the whole encoded
+    // `RunResult` of a 64-rank FT, on the flat switch and on a fat tree.
+    // A pure speed or memory change to the engine or the network model
+    // must leave both unchanged; a deliberate model change re-pins them.
+    use pwrperf::{encode_run_result, Fingerprint, Topology};
+    for (topology, pinned) in [
+        ("flat", "6b54f19f317b6c76ca209e20ad3b478b"),
+        (
+            "fat-tree:radix=4,oversub=2",
+            "2fbc321086ddaa1a17ac0c285d5fcfa4",
+        ),
+    ] {
+        let engine = EngineConfig {
+            topology: Topology::parse(topology).unwrap(),
+            ..EngineConfig::default()
+        };
+        let r = Experiment::new(Workload::ft_scale(64), DvsStrategy::StaticMhz(1400))
+            .with_engine(engine)
+            .run();
+        let digest = Fingerprint::of_bytes(&encode_run_result(&r)).to_hex();
+        assert_eq!(digest, pinned, "ft-scale-64 static-1400 on {topology}");
+    }
+}
+
+#[test]
 fn faster_cluster_never_loses_on_delay() {
     // Sanity across the ladder: delay is monotone in frequency for a
     // fixed workload and static control.
