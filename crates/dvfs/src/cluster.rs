@@ -77,7 +77,8 @@ impl CapPolicy {
 /// `(time, seq)` event order, and a controller may consult only its own
 /// state and the `nodes` slice — never wall-clock, ambient randomness,
 /// or thread identity. Controllers therefore inherit the engine's
-/// bit-identical-at-any-shard-count guarantee for free.
+/// run-to-run bit-identical guarantee for free, as the simsan golden
+/// checkpoint streams (`tests/golden/simsan_streams.txt`) check.
 ///
 /// [`wants_runtime_events`]: ClusterController::wants_runtime_events
 pub trait ClusterController {

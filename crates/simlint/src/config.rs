@@ -1,14 +1,9 @@
 //! Rule-set configuration: which crates are in scope, which files hold
 //! sanctioned escape hatches, what the blessed unit types are, and the
-//! dataflow settings (purity roots, controller traits) that `simlint.toml`
-//! can override.
-
-use std::collections::BTreeSet;
-use std::path::Path;
+//! controller contract the `controller-discipline` family audits.
 
 /// Everything the analyzer needs to know about the workspace's conventions.
-/// [`Config::workspace_default`] encodes this repository's rules; callers
-/// embedding the linter as a library can build their own.
+/// [`Config::workspace_default`] encodes this repository's rules.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Crate directory names (under `crates/`) whose `src/` trees are
@@ -31,18 +26,11 @@ pub struct Config {
     /// `#[must_use]` (measurement APIs: dropping a reading silently is a
     /// validity bug, not a style nit).
     pub measurement_crates: Vec<&'static str>,
-    /// Rule ids disabled for this run.
-    pub skip_rules: BTreeSet<String>,
-    /// Declared pure roots for the `shard-purity` dataflow pass: bare
-    /// names match free functions (`plan_compute`), `Type::method` forms
-    /// match inherent/trait methods. Everything transitively reachable
-    /// from a root must stay side-effect free. `simlint.toml`'s
-    /// `[purity] roots` overrides this list.
-    pub purity_roots: Vec<String>,
-    /// Trait names whose impls the `controller-discipline` family audits
-    /// (`simlint.toml`'s `[controller] traits` overrides).
-    pub controller_traits: Vec<String>,
 }
+
+/// The controller trait whose impls the `controller-discipline` family
+/// audits.
+pub const CONTROLLER_TRAIT: &str = "ClusterController";
 
 /// The `ClusterController` hooks that only fire when
 /// `wants_runtime_events` returns true — and whose non-sample members may
@@ -142,10 +130,6 @@ pub const RULES: &[(&str, &str)] = &[
         "a justified allow-comment that suppresses nothing",
     ),
     (
-        "shard-purity",
-        "functions reachable from declared pure roots must not take &mut self, touch statics, use interior mutability, or call I/O/rng",
-    ),
-    (
         "unit-flow",
         "unit suffixes must agree across let-bindings, call arguments, and function returns",
     ),
@@ -177,42 +161,7 @@ impl Config {
             must_use_types: vec!["RunResult", "FaultCounts", "SolverStats"],
             must_use_fn_prefixes: vec!["run_batch", "aligned_"],
             measurement_crates: vec!["power-model", "powerpack"],
-            skip_rules: BTreeSet::new(),
-            purity_roots: vec![
-                "plan_compute".to_string(),
-                "PowerCapController::plan".to_string(),
-            ],
-            controller_traits: vec!["ClusterController".to_string()],
         }
-    }
-
-    /// The workspace defaults overlaid with `<root>/simlint.toml`, when
-    /// present. Only the dataflow sections are file-configurable; the
-    /// per-file rule plumbing stays in code.
-    pub fn load(root: &Path) -> Config {
-        let mut cfg = Config::workspace_default();
-        let path = root.join("simlint.toml");
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            cfg.apply_toml(&text);
-        }
-        cfg
-    }
-
-    /// Overlay `simlint.toml` content: `[purity] roots` and
-    /// `[controller] traits` replace the built-in lists when present.
-    pub fn apply_toml(&mut self, text: &str) {
-        let doc = crate::toml::parse(text);
-        if let Some(roots) = doc.list("purity", "roots") {
-            self.purity_roots = roots;
-        }
-        if let Some(traits) = doc.list("controller", "traits") {
-            self.controller_traits = traits;
-        }
-    }
-
-    /// True when `rule` is enabled.
-    pub fn rule_enabled(&self, rule: &str) -> bool {
-        !self.skip_rules.contains(rule)
     }
 
     /// True when `rel_path` (unix-style) is one of the `suffixes`.

@@ -1,6 +1,6 @@
-//! The `controller-discipline` pass: audits every impl of a configured
-//! controller trait (by default `ClusterController`) for the two engine
-//! contracts the type system cannot express:
+//! The `controller-discipline` pass: audits every impl of
+//! `ClusterController` for the two engine contracts the type system
+//! cannot express:
 //!
 //! 1. The engine delivers the runtime hooks (`on_wait_begin`,
 //!    `on_wait_end`, `on_phase`, `on_sample`) only when
@@ -12,25 +12,19 @@
 //!    punch holes in the middle of modeled phases. The non-sample hooks
 //!    may observe state but must not touch their decision out-parameter.
 
-use proc_macro2::{Group, TokenTree};
+use crate::tokens::{Group, TokenTree};
 
 use crate::config::{
-    Config, CONTROLLER_GATE, CONTROLLER_NON_SAMPLE_HOOKS, CONTROLLER_RUNTIME_HOOKS,
+    CONTROLLER_GATE, CONTROLLER_NON_SAMPLE_HOOKS, CONTROLLER_RUNTIME_HOOKS, CONTROLLER_TRAIT,
 };
 use crate::model::Workspace;
 use crate::rules::Finding;
 
 /// Run the pass over every audited impl.
-pub fn check(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    if !cfg.rule_enabled("controller-discipline") {
-        return Vec::new();
-    }
+pub fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     for im in &ws.impls {
-        let Some(trait_name) = &im.trait_name else {
-            continue;
-        };
-        if !cfg.controller_traits.iter().any(|t| t == trait_name) {
+        if im.trait_name.as_deref() != Some(CONTROLLER_TRAIT) {
             continue;
         }
         let ty = im.self_ty.as_deref().unwrap_or("_");
@@ -114,12 +108,9 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<Finding> {
-        let parsed = syn::parse_file(src).expect("parse");
-        let ws = Workspace::build(
-            &[("crates/x/src/lib.rs".to_string(), Some(parsed))],
-            &Config::workspace_default(),
-        );
-        check(&ws, &Config::workspace_default())
+        let parsed = crate::items::parse_file(src).expect("parse");
+        let ws = Workspace::build(&[("crates/x/src/lib.rs".to_string(), Some(parsed))]);
+        check(&ws)
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! Minimal, dependency-free `syn` shim.
-//!
-//! The build environment for this workspace has no access to crates.io, so
-//! this crate re-implements the slice of the `syn` API that `simlint` (the
-//! workspace static analyzer) needs: [`parse_file`] producing a [`File`] of
-//! shallowly parsed [`Item`]s.
+//! The shallow item parser: [`parse_file`] turns a token tree into a
+//! [`File`] of [`Item`]s. Its shape follows `syn`, but it is written here
+//! because the build has no crates.io access.
 //!
 //! "Shallow" means item *structure* is parsed — attributes, visibility,
 //! function signatures (name, inputs, return type), struct/enum fields
@@ -15,37 +12,15 @@
 //!
 //! Anything this parser does not recognize becomes [`Item::Verbatim`]
 //! rather than an error, so novel syntax degrades to "still scanned for
-//! token patterns" instead of breaking the build.
+//! token patterns" instead of breaking the lint.
 
-use proc_macro2::{Delimiter, Group, Ident, LineColumn, Span, TokenStream, TokenTree};
+use crate::tokens::{Delimiter, Group, Ident, LexError, TokenStream, TokenTree};
 
-/// A parse failure, with the position it occurred at.
-#[derive(Debug, Clone)]
-pub struct Error {
-    pub pos: LineColumn,
-    pub message: String,
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "parse error at {}:{}: {}",
-            self.pos.line, self.pos.column, self.message
-        )
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// One `#[...]` (or inner `#![...]`) attribute. The stream is the tokens
+/// One outer `#[...]` attribute. The stream is the tokens
 /// *inside* the brackets: `cfg(test)`, `must_use`, `derive(Debug)`, ...
 #[derive(Debug, Clone)]
 pub struct Attribute {
     pub tokens: TokenStream,
-    pub span: Span,
-    /// True for `#![...]` inner attributes.
-    pub inner: bool,
 }
 
 impl Attribute {
@@ -94,27 +69,6 @@ pub enum Visibility {
     Inherited,
 }
 
-/// How a method takes `self` (extension over the real syn API, which
-/// models this as a full `FnArg::Receiver` node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receiver {
-    /// `&self` (with or without a lifetime).
-    Ref,
-    /// `&mut self`.
-    RefMut,
-    /// `self` by value.
-    Owned,
-    /// `mut self` by value.
-    OwnedMut,
-}
-
-impl Receiver {
-    /// True for the receivers that let the method mutate `self`.
-    pub fn is_mut(self) -> bool {
-        matches!(self, Receiver::RefMut | Receiver::OwnedMut)
-    }
-}
-
 /// A function signature: `fn name(<inputs>) -> <output>`.
 #[derive(Debug, Clone)]
 pub struct Signature {
@@ -126,36 +80,25 @@ pub struct Signature {
 }
 
 impl Signature {
-    /// The method's `self` receiver, if its first parameter is one.
-    /// Handles `self`, `mut self`, `&self`, `&mut self`, and `&'a self`;
-    /// a `self: Pin<...>` typed receiver reports its by-value mode.
-    pub fn receiver(&self) -> Option<Receiver> {
-        let first = split_top_level_commas(&self.inputs).into_iter().next()?;
-        let mut saw_amp = false;
-        let mut saw_mut = false;
+    /// True when the first parameter is a `self` receiver: `self`,
+    /// `mut self`, `&self`, `&mut self`, `&'a self`, or `self: Pin<...>`.
+    pub fn takes_self(&self) -> bool {
+        let Some(first) = split_top_level_commas(&self.inputs).into_iter().next() else {
+            return false;
+        };
         let mut after_tick = false;
         for t in &first {
             match t {
-                TokenTree::Punct(p) if p.as_char() == '&' => saw_amp = true,
+                TokenTree::Punct(p) if p.as_char() == '&' => {}
                 TokenTree::Punct(p) if p.as_char() == '\'' => after_tick = true,
-                TokenTree::Ident(i) if after_tick => {
-                    // The lifetime name; `i` is not the receiver.
-                    let _ = i;
-                    after_tick = false;
-                }
-                TokenTree::Ident(i) if *i == "mut" => saw_mut = true,
-                TokenTree::Ident(i) if *i == "self" => {
-                    return Some(match (saw_amp, saw_mut) {
-                        (true, true) => Receiver::RefMut,
-                        (true, false) => Receiver::Ref,
-                        (false, true) => Receiver::OwnedMut,
-                        (false, false) => Receiver::Owned,
-                    });
-                }
-                _ => return None,
+                // The lifetime name is not the receiver.
+                TokenTree::Ident(_) if after_tick => after_tick = false,
+                TokenTree::Ident(i) if *i == "mut" => {}
+                TokenTree::Ident(i) => return *i == "self",
+                _ => return false,
             }
         }
-        None
+        false
     }
 }
 
@@ -167,32 +110,26 @@ pub struct ItemFn {
     pub sig: Signature,
     /// The body's brace group; `None` for trait method declarations.
     pub body: Option<Group>,
-    pub span: Span,
 }
 
 /// One named field of a struct or enum variant (tuple fields get no ident).
 #[derive(Debug, Clone)]
 pub struct Field {
-    pub vis: Visibility,
     pub ident: Option<Ident>,
     pub ty: TokenStream,
-    pub span: Span,
 }
 
 /// A `struct` item.
 #[derive(Debug, Clone)]
 pub struct ItemStruct {
     pub attrs: Vec<Attribute>,
-    pub vis: Visibility,
     pub ident: Ident,
     pub fields: Vec<Field>,
-    pub span: Span,
 }
 
 /// One variant of an enum, with any fields it declares.
 #[derive(Debug, Clone)]
 pub struct Variant {
-    pub ident: Ident,
     pub fields: Vec<Field>,
 }
 
@@ -200,20 +137,15 @@ pub struct Variant {
 #[derive(Debug, Clone)]
 pub struct ItemEnum {
     pub attrs: Vec<Attribute>,
-    pub vis: Visibility,
     pub ident: Ident,
     pub variants: Vec<Variant>,
-    pub span: Span,
 }
 
 /// A `mod` item; `content` is `None` for out-of-line `mod foo;`.
 #[derive(Debug, Clone)]
 pub struct ItemMod {
     pub attrs: Vec<Attribute>,
-    pub vis: Visibility,
-    pub ident: Ident,
     pub content: Option<Vec<Item>>,
-    pub span: Span,
 }
 
 /// An `impl` block; `header` is everything between `impl` and the body.
@@ -222,7 +154,6 @@ pub struct ItemImpl {
     pub attrs: Vec<Attribute>,
     pub header: TokenStream,
     pub items: Vec<Item>,
-    pub span: Span,
 }
 
 impl ItemImpl {
@@ -320,10 +251,8 @@ fn last_path_segment(tokens: &[TokenTree]) -> Option<String> {
 #[derive(Debug, Clone)]
 pub struct ItemTrait {
     pub attrs: Vec<Attribute>,
-    pub vis: Visibility,
     pub header: TokenStream,
     pub items: Vec<Item>,
-    pub span: Span,
 }
 
 impl ItemTrait {
@@ -355,7 +284,6 @@ pub enum Item {
 pub struct VerbatimItem {
     pub attrs: Vec<Attribute>,
     pub tokens: TokenStream,
-    pub span: Span,
 }
 
 impl Item {
@@ -371,42 +299,23 @@ impl Item {
             Item::Verbatim(i) => &i.attrs,
         }
     }
-
-    /// The item's full source extent (attributes included).
-    pub fn span(&self) -> Span {
-        match self {
-            Item::Fn(i) => i.span,
-            Item::Struct(i) => i.span,
-            Item::Enum(i) => i.span,
-            Item::Mod(i) => i.span,
-            Item::Impl(i) => i.span,
-            Item::Trait(i) => i.span,
-            Item::Verbatim(i) => i.span,
-        }
-    }
 }
 
 /// A parsed source file.
 #[derive(Debug, Clone)]
 pub struct File {
-    /// File-level `#![...]` attributes.
-    pub attrs: Vec<Attribute>,
     pub items: Vec<Item>,
 }
 
 /// Parse a whole source file.
-pub fn parse_file(src: &str) -> Result<File, Error> {
-    let stream: TokenStream = src.parse().map_err(|e: proc_macro2::LexError| Error {
-        pos: e.pos,
-        message: e.message,
-    })?;
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut parser = Parser {
-        tokens: &tokens,
+pub fn parse_file(src: &str) -> Result<File, LexError> {
+    let stream: TokenStream = src.parse()?;
+    let items = Parser {
+        tokens: stream.tokens(),
         pos: 0,
-    };
-    let (attrs, items) = parser.parse_items(true)?;
-    Ok(File { attrs, items })
+    }
+    .parse_items();
+    Ok(File { items })
 }
 
 // ---------------------------------------------------------------------------
@@ -444,38 +353,27 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parse a run of items until end of input. Returns inner (`#![...]`)
-    /// attributes seen (only collected at file level) and the items.
-    fn parse_items(&mut self, file_level: bool) -> Result<(Vec<Attribute>, Vec<Item>), Error> {
-        let mut inner_attrs = Vec::new();
+    /// Parse a run of items until end of input, skipping inner
+    /// (`#![...]`) attributes.
+    fn parse_items(&mut self) -> Vec<Item> {
         let mut items = Vec::new();
         while self.peek().is_some() {
-            // Inner attributes: `#![...]`.
             if self.peek_punct('#') {
                 if let (Some(TokenTree::Punct(bang)), Some(TokenTree::Group(g))) =
                     (self.peek_at(1), self.peek_at(2))
                 {
                     if bang.as_char() == '!' && g.delimiter() == Delimiter::Bracket {
-                        let attr = Attribute {
-                            tokens: g.stream().clone(),
-                            span: g.span(),
-                            inner: true,
-                        };
                         self.pos += 3;
-                        if file_level {
-                            inner_attrs.push(attr);
-                        }
                         continue;
                     }
                 }
             }
-            items.push(self.parse_item()?);
+            items.push(self.parse_item());
         }
-        Ok((inner_attrs, items))
+        items
     }
 
-    fn parse_item(&mut self) -> Result<Item, Error> {
-        let start_pos = self.pos;
+    fn parse_item(&mut self) -> Item {
         let attrs = self.parse_outer_attrs();
         let vis = self.parse_visibility();
         // Qualifiers that may precede `fn`.
@@ -505,16 +403,16 @@ impl<'a> Parser<'a> {
         }
         let Some(keyword) = self.peek_ident().map(|i| i.to_string()) else {
             // Not an item-shaped sequence; swallow as verbatim.
-            return Ok(self.verbatim_from(start_pos, attrs));
+            return self.verbatim_from(attrs);
         };
         match keyword.as_str() {
-            "fn" => self.parse_fn(start_pos, attrs, vis),
-            "struct" => self.parse_struct(start_pos, attrs, vis),
-            "enum" => self.parse_enum(start_pos, attrs, vis),
-            "mod" => self.parse_mod(start_pos, attrs, vis),
-            "impl" => self.parse_impl(start_pos, attrs),
-            "trait" => self.parse_trait(start_pos, attrs, vis),
-            _ => Ok(self.verbatim_from(start_pos, attrs)),
+            "fn" => self.parse_fn(attrs, vis),
+            "struct" => self.parse_struct(attrs),
+            "enum" => self.parse_enum(attrs),
+            "mod" => self.parse_mod(attrs),
+            "impl" => self.parse_impl(attrs),
+            "trait" => self.parse_trait(attrs),
+            _ => self.verbatim_from(attrs),
         }
     }
 
@@ -546,8 +444,6 @@ impl<'a> Parser<'a> {
                 if g.delimiter() == Delimiter::Bracket {
                     attrs.push(Attribute {
                         tokens: g.stream().clone(),
-                        span: g.span(),
-                        inner: false,
                     });
                     self.pos += 2;
                     continue;
@@ -605,22 +501,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn span_from(&self, start_pos: usize) -> Span {
-        let first = self.tokens.get(start_pos).map(|t| t.span());
-        let last = self
-            .tokens
-            .get(self.pos.saturating_sub(1))
-            .map(|t| t.span());
-        match (first, last) {
-            (Some(a), Some(b)) => a.join(b),
-            (Some(a), None) => a,
-            _ => Span::default(),
-        }
-    }
-
     /// Consume tokens until (and including) a top-level `;`, or including a
     /// top-level brace group (macro/extern bodies), and wrap the item.
-    fn verbatim_from(&mut self, start_pos: usize, attrs: Vec<Attribute>) -> Item {
+    fn verbatim_from(&mut self, attrs: Vec<Attribute>) -> Item {
         let body_start = self.pos;
         while let Some(t) = self.bump() {
             match t {
@@ -645,19 +528,13 @@ impl<'a> Parser<'a> {
         Item::Verbatim(VerbatimItem {
             tokens: TokenStream::from(self.tokens[body_start..self.pos].to_vec()),
             attrs,
-            span: self.span_from(start_pos),
         })
     }
 
-    fn parse_fn(
-        &mut self,
-        start_pos: usize,
-        attrs: Vec<Attribute>,
-        vis: Visibility,
-    ) -> Result<Item, Error> {
+    fn parse_fn(&mut self, attrs: Vec<Attribute>, vis: Visibility) -> Item {
         self.bump(); // `fn`
         let Some(TokenTree::Ident(name)) = self.bump() else {
-            return Ok(self.verbatim_from(start_pos, attrs));
+            return self.verbatim_from(attrs);
         };
         let ident = name.clone();
         self.skip_generics();
@@ -667,7 +544,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 s
             }
-            _ => return Ok(self.verbatim_from(start_pos, attrs)),
+            _ => return self.verbatim_from(attrs),
         };
         // Return type: tokens after `->` up to the body brace, a `where`
         // clause, or a terminating `;`.
@@ -710,7 +587,7 @@ impl<'a> Parser<'a> {
                 None => break,
             }
         }
-        Ok(Item::Fn(ItemFn {
+        Item::Fn(ItemFn {
             attrs,
             vis,
             sig: Signature {
@@ -719,19 +596,13 @@ impl<'a> Parser<'a> {
                 output: TokenStream::from(output),
             },
             body,
-            span: self.span_from(start_pos),
-        }))
+        })
     }
 
-    fn parse_struct(
-        &mut self,
-        start_pos: usize,
-        attrs: Vec<Attribute>,
-        vis: Visibility,
-    ) -> Result<Item, Error> {
+    fn parse_struct(&mut self, attrs: Vec<Attribute>) -> Item {
         self.bump(); // `struct`
         let Some(TokenTree::Ident(name)) = self.bump() else {
-            return Ok(self.verbatim_from(start_pos, attrs));
+            return self.verbatim_from(attrs);
         };
         let ident = name.clone();
         self.skip_generics();
@@ -766,24 +637,17 @@ impl<'a> Parser<'a> {
                 Vec::new()
             }
         };
-        Ok(Item::Struct(ItemStruct {
+        Item::Struct(ItemStruct {
             attrs,
-            vis,
             ident,
             fields,
-            span: self.span_from(start_pos),
-        }))
+        })
     }
 
-    fn parse_enum(
-        &mut self,
-        start_pos: usize,
-        attrs: Vec<Attribute>,
-        vis: Visibility,
-    ) -> Result<Item, Error> {
+    fn parse_enum(&mut self, attrs: Vec<Attribute>) -> Item {
         self.bump(); // `enum`
         let Some(TokenTree::Ident(name)) = self.bump() else {
-            return Ok(self.verbatim_from(start_pos, attrs));
+            return self.verbatim_from(attrs);
         };
         let ident = name.clone();
         self.skip_generics();
@@ -806,11 +670,10 @@ impl<'a> Parser<'a> {
                 {
                     i += 2;
                 }
-                let Some(TokenTree::Ident(vname)) = body.get(i) else {
+                if !matches!(body.get(i), Some(TokenTree::Ident(_))) {
                     i += 1;
                     continue;
-                };
-                let vident = vname.clone();
+                }
                 i += 1;
                 let mut fields = Vec::new();
                 if let Some(TokenTree::Group(fg)) = body.get(i) {
@@ -829,42 +692,25 @@ impl<'a> Parser<'a> {
                     }
                     i += 1;
                 }
-                variants.push(Variant {
-                    ident: vident,
-                    fields,
-                });
+                variants.push(Variant { fields });
             }
         }
-        Ok(Item::Enum(ItemEnum {
+        Item::Enum(ItemEnum {
             attrs,
-            vis,
             ident,
             variants,
-            span: self.span_from(start_pos),
-        }))
+        })
     }
 
-    fn parse_mod(
-        &mut self,
-        start_pos: usize,
-        attrs: Vec<Attribute>,
-        vis: Visibility,
-    ) -> Result<Item, Error> {
+    fn parse_mod(&mut self, attrs: Vec<Attribute>) -> Item {
         self.bump(); // `mod`
-        let Some(TokenTree::Ident(name)) = self.bump() else {
-            return Ok(self.verbatim_from(start_pos, attrs));
+        let Some(TokenTree::Ident(_)) = self.bump() else {
+            return self.verbatim_from(attrs);
         };
-        let ident = name.clone();
         let content = match self.peek() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let inner: Vec<TokenTree> = g.stream().tokens().to_vec();
                 self.bump();
-                let mut sub = Parser {
-                    tokens: &inner,
-                    pos: 0,
-                };
-                let (_, items) = sub.parse_items(false)?;
-                Some(items)
+                Some(parse_body(g))
             }
             _ => {
                 if self.peek_punct(';') {
@@ -873,16 +719,10 @@ impl<'a> Parser<'a> {
                 None
             }
         };
-        Ok(Item::Mod(ItemMod {
-            attrs,
-            vis,
-            ident,
-            content,
-            span: self.span_from(start_pos),
-        }))
+        Item::Mod(ItemMod { attrs, content })
     }
 
-    fn parse_impl(&mut self, start_pos: usize, attrs: Vec<Attribute>) -> Result<Item, Error> {
+    fn parse_impl(&mut self, attrs: Vec<Attribute>) -> Item {
         self.bump(); // `impl`
         let header_start = self.pos;
         while let Some(t) = self.peek() {
@@ -890,7 +730,7 @@ impl<'a> Parser<'a> {
                 TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => break,
                 TokenTree::Punct(p) if p.as_char() == ';' => {
                     self.bump();
-                    return Ok(self.verbatim_from(start_pos, attrs));
+                    return self.verbatim_from(attrs);
                 }
                 _ => {
                     self.bump();
@@ -900,31 +740,19 @@ impl<'a> Parser<'a> {
         let header = TokenStream::from(self.tokens[header_start..self.pos].to_vec());
         let items = match self.peek() {
             Some(TokenTree::Group(g)) => {
-                let inner: Vec<TokenTree> = g.stream().tokens().to_vec();
                 self.bump();
-                let mut sub = Parser {
-                    tokens: &inner,
-                    pos: 0,
-                };
-                let (_, items) = sub.parse_items(false)?;
-                items
+                parse_body(g)
             }
             _ => Vec::new(),
         };
-        Ok(Item::Impl(ItemImpl {
+        Item::Impl(ItemImpl {
             attrs,
             header,
             items,
-            span: self.span_from(start_pos),
-        }))
+        })
     }
 
-    fn parse_trait(
-        &mut self,
-        start_pos: usize,
-        attrs: Vec<Attribute>,
-        vis: Visibility,
-    ) -> Result<Item, Error> {
+    fn parse_trait(&mut self, attrs: Vec<Attribute>) -> Item {
         self.bump(); // `trait`
         let header_start = self.pos;
         while let Some(t) = self.peek() {
@@ -938,25 +766,26 @@ impl<'a> Parser<'a> {
         let header = TokenStream::from(self.tokens[header_start..self.pos].to_vec());
         let items = match self.peek() {
             Some(TokenTree::Group(g)) => {
-                let inner: Vec<TokenTree> = g.stream().tokens().to_vec();
                 self.bump();
-                let mut sub = Parser {
-                    tokens: &inner,
-                    pos: 0,
-                };
-                let (_, items) = sub.parse_items(false)?;
-                items
+                parse_body(g)
             }
             _ => Vec::new(),
         };
-        Ok(Item::Trait(ItemTrait {
+        Item::Trait(ItemTrait {
             attrs,
-            vis,
             header,
             items,
-            span: self.span_from(start_pos),
-        }))
+        })
     }
+}
+
+/// The items inside a `mod`/`impl`/`trait` body's brace group.
+fn parse_body(body: &Group) -> Vec<Item> {
+    Parser {
+        tokens: body.stream().tokens(),
+        pos: 0,
+    }
+    .parse_items()
 }
 
 /// Split `name: Type, name: Type` field lists (struct bodies, enum struct
@@ -970,17 +799,7 @@ fn parse_named_fields(stream: &TokenStream) -> Vec<Field> {
         {
             i += 2;
         }
-        let vis = match part.get(i) {
-            Some(TokenTree::Ident(id)) if *id == "pub" => {
-                i += 1;
-                if matches!(part.get(i), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
-                {
-                    i += 1;
-                }
-                Visibility::Public
-            }
-            _ => Visibility::Inherited,
-        };
+        i += skip_visibility(&part[i..]);
         let Some(TokenTree::Ident(name)) = part.get(i) else {
             continue;
         };
@@ -994,17 +813,25 @@ fn parse_named_fields(stream: &TokenStream) -> Vec<Field> {
         if ty.is_empty() {
             continue;
         }
-        let span = ident
-            .span()
-            .join(ty.last().map(|t| t.span()).unwrap_or(ident.span()));
         fields.push(Field {
-            vis,
             ident: Some(ident),
             ty: TokenStream::from(ty),
-            span,
         });
     }
     fields
+}
+
+/// The number of tokens a leading `pub` / `pub(...)` takes up.
+fn skip_visibility(part: &[TokenTree]) -> usize {
+    match part {
+        [TokenTree::Ident(id), TokenTree::Group(g), ..]
+            if *id == "pub" && g.delimiter() == Delimiter::Parenthesis =>
+        {
+            2
+        }
+        [TokenTree::Ident(id), ..] if *id == "pub" => 1,
+        _ => 0,
+    }
 }
 
 /// Tuple-struct / tuple-variant fields: `Type, Type`.
@@ -1016,40 +843,22 @@ fn parse_tuple_fields(stream: &TokenStream) -> Vec<Field> {
         {
             i += 2;
         }
-        let vis = match part.get(i) {
-            Some(TokenTree::Ident(id)) if *id == "pub" => {
-                i += 1;
-                if matches!(part.get(i), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
-                {
-                    i += 1;
-                }
-                Visibility::Public
-            }
-            _ => Visibility::Inherited,
-        };
+        i += skip_visibility(&part[i..]);
         let ty: Vec<TokenTree> = part[i..].to_vec();
         if ty.is_empty() {
             continue;
         }
-        let span = ty
-            .first()
-            .map(|t| t.span())
-            .unwrap_or_default()
-            .join(ty.last().map(|t| t.span()).unwrap_or_default());
         fields.push(Field {
-            vis,
             ident: None,
             ty: TokenStream::from(ty),
-            span,
         });
     }
     fields
 }
 
 /// Split a stream on commas that are not nested inside `<...>` generics
-/// (groups nest naturally as single tokens). Public because parameter-list
-/// analysis downstream wants the same comma discipline (extension over the
-/// real syn API).
+/// (groups nest naturally as single tokens). The model and unit-flow
+/// pass split parameter and argument lists with it too.
 pub fn split_top_level_commas(stream: &TokenStream) -> Vec<Vec<TokenTree>> {
     let mut parts = Vec::new();
     let mut current = Vec::new();
@@ -1086,7 +895,6 @@ pub fn split_top_level_commas(stream: &TokenStream) -> Vec<Vec<TokenTree>> {
 /// group this yields statements: semicolons nested in inner groups
 /// (blocks, array types, closures' bodies) don't split because groups are
 /// single tokens. The final expression (no trailing `;`) is its own part.
-/// Extension over the real syn API, like [`split_top_level_commas`].
 pub fn split_top_level_semis(stream: &TokenStream) -> Vec<Vec<TokenTree>> {
     let mut parts = Vec::new();
     let mut current = Vec::new();
@@ -1136,8 +944,7 @@ mod tests {
         assert_eq!(s.ident.to_string(), "P");
         assert_eq!(s.fields.len(), 3);
         assert_eq!(s.fields[0].ident.as_ref().unwrap().to_string(), "base_w");
-        assert_eq!(s.fields[0].vis, Visibility::Public);
-        assert_eq!(s.fields[1].vis, Visibility::Inherited);
+        assert_eq!(s.fields[1].ident.as_ref().unwrap().to_string(), "freq_hz");
         let ty: Vec<String> = s.fields[2]
             .ty
             .tokens()
@@ -1154,8 +961,7 @@ mod tests {
         let [Item::Enum(e)] = &f.items[..] else {
             panic!("expected enum");
         };
-        let names: Vec<String> = e.variants.iter().map(|v| v.ident.to_string()).collect();
-        assert_eq!(names, vec!["DvfsLatency", "Stuck", "Plain", "Valued"]);
+        assert_eq!(e.variants.len(), 4);
         assert_eq!(
             e.variants[0].fields[0].ident.as_ref().unwrap().to_string(),
             "after_s"
@@ -1241,9 +1047,8 @@ mod tests {
     }
 
     #[test]
-    fn file_level_inner_attrs_collected() {
+    fn file_level_inner_attrs_are_skipped() {
         let f = file("#![allow(dead_code)]\nfn f() {}");
-        assert_eq!(f.attrs.len(), 1);
         assert_eq!(f.items.len(), 1);
     }
 
@@ -1268,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn receivers_classify_all_self_modes() {
+    fn receivers_are_recognized_in_every_self_mode() {
         let src = "impl X {
             fn a(&self) {}
             fn b(&mut self, v: u32) {}
@@ -1282,20 +1087,15 @@ mod tests {
         let [Item::Impl(im)] = &f.items[..] else {
             panic!("expected impl");
         };
-        let rec = |i: usize| -> Option<Receiver> {
-            let Item::Fn(func) = &im.items[i] else {
-                panic!()
-            };
-            func.sig.receiver()
-        };
-        assert_eq!(rec(0), Some(Receiver::Ref));
-        assert_eq!(rec(1), Some(Receiver::RefMut));
-        assert!(rec(1).unwrap().is_mut());
-        assert_eq!(rec(2), Some(Receiver::Owned));
-        assert_eq!(rec(3), Some(Receiver::OwnedMut));
-        assert_eq!(rec(4), Some(Receiver::Ref));
-        assert_eq!(rec(5), None);
-        assert_eq!(rec(6), None);
+        let takes_self: Vec<bool> = im
+            .items
+            .iter()
+            .map(|item| {
+                let Item::Fn(func) = item else { panic!() };
+                func.sig.takes_self()
+            })
+            .collect();
+        assert_eq!(takes_self, [true, true, true, true, true, false, false]);
     }
 
     #[test]

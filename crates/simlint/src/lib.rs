@@ -1,50 +1,43 @@
 //! simlint — a static-analysis pass over the simulator crates.
 //!
-//! Built on the vendored `compat/syn` + `compat/proc-macro2` shims (the
-//! same offline pattern as the proptest/criterion shims), it parses every
-//! `.rs` file in the in-scope crates and enforces the determinism,
-//! unit-safety, error-discipline, and float-equality conventions that the
-//! replay guarantee rests on. See DESIGN.md §11 for the rule catalogue and
-//! the allow-comment grammar.
+//! It lexes and shallowly parses every `.rs` file in the in-scope crates
+//! (with its own offline tokenizer and item parser) and enforces the
+//! determinism, unit-safety, error-discipline, and float-equality
+//! conventions that the replay guarantee rests on. See DESIGN.md §11 for
+//! the rule catalogue and the allow-comment grammar.
 //!
 //! Library layout:
 //!
-//! * [`config`] — rule ids, scope, blessed unit types, dataflow settings;
-//! * [`toml`] — the tiny TOML subset `simlint.toml` is written in;
-//! * [`allow`] — the `// simlint: allow(rule): why` grammar;
-//! * [`scan`] — token-stream flattening and unit-chain walkers;
-//! * [`rules`] — the per-file rule implementations ([`lint_source`]);
-//! * [`model`] — the workspace symbol table and call graph;
-//! * [`purity`], [`unitflow`], [`controller`] — the dataflow rule
-//!   families built on the model (DESIGN.md §16);
-//! * [`cache`] — the incremental content-hash cache;
-//! * [`sarif`] — SARIF 2.1.0 rendering;
+//! * `tokens` — the lexer: source text to a tree of spanned tokens;
+//! * `items` — the shallow item parser over those tokens;
+//! * `config` — rule ids, scope, blessed unit types;
+//! * `allow` — the `// simlint: allow(rule): why` grammar;
+//! * `scan` — token-stream flattening and unit-chain walkers;
+//! * `rules` — the per-file rule implementations ([`lint_source`]);
+//! * `model` — the workspace symbol table;
+//! * `unitflow`, `controller` — the dataflow rule families built on the
+//!   model (DESIGN.md §16);
 //! * this module — file discovery, orchestration, and rendering.
 
-pub mod allow;
-pub mod cache;
-pub mod config;
-pub mod controller;
-pub mod model;
-pub mod purity;
-pub mod rules;
-pub mod sarif;
-pub mod scan;
-pub mod toml;
-pub mod unitflow;
+mod allow;
+mod config;
+mod controller;
+mod items;
+mod model;
+mod rules;
+mod scan;
+mod tokens;
+mod unitflow;
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use allow::AllowTable;
-use cache::{Cache, FileEntry};
 
-pub use config::Config;
+pub use config::{Config, RULES};
 pub use rules::{lint_source, Finding};
-pub use sarif::render_sarif;
 
 /// Walk upward from `start` to the directory whose `Cargo.toml` declares
 /// `[workspace]`.
@@ -65,7 +58,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// Every `.rs` file in the in-scope crates' `src/` trees, as
 /// `(workspace-relative unix path, absolute path)` pairs, sorted so runs
 /// are deterministic.
-pub fn discover_files(root: &Path, cfg: &Config) -> io::Result<Vec<(String, PathBuf)>> {
+fn discover_files(root: &Path, cfg: &Config) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
     for krate in &cfg.scope_crates {
         let src = root.join("crates").join(krate).join("src");
@@ -99,39 +92,23 @@ fn rel_unix(root: &Path, abs: &Path) -> String {
 }
 
 /// The full analysis over in-memory sources: per-file rules, the
-/// workspace dataflow families (shard-purity, unit-flow,
-/// controller-discipline), and allow hygiene — all sharing one allow
-/// table per file so `// simlint: allow(...)` works uniformly. Findings
-/// come back sorted by (file, line, column, rule).
+/// workspace dataflow families (unit-flow, controller-discipline), and
+/// allow hygiene — all sharing one allow table per file so
+/// `// simlint: allow(...)` works uniformly. Findings come back sorted by
+/// (file, line, column, rule).
 pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
-    analyze_sources_skipping(files, cfg, &BTreeSet::new())
-}
-
-/// [`analyze_sources`] with an incremental-cache skip set: files in
-/// `skip` bypass the per-file pass and hygiene (they were clean and
-/// unchanged), but still feed the workspace model — a change elsewhere
-/// can surface a dataflow finding in any file.
-fn analyze_sources_skipping(
-    files: &[(String, String)],
-    cfg: &Config,
-    skip: &BTreeSet<String>,
-) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut parsed: Vec<(String, Option<syn::File>)> = Vec::with_capacity(files.len());
+    let mut parsed: Vec<(String, Option<items::File>)> = Vec::with_capacity(files.len());
     let mut allows: Vec<(String, AllowTable)> = Vec::with_capacity(files.len());
     for (rel, src) in files {
         let table = AllowTable::parse(src);
-        if !skip.contains(rel) {
-            findings.extend(rules::lint_source_with(rel, src, cfg, &table));
-        }
-        parsed.push((rel.clone(), syn::parse_file(src).ok()));
+        findings.extend(rules::lint_source_with(rel, src, cfg, &table));
+        parsed.push((rel.clone(), items::parse_file(src).ok()));
         allows.push((rel.clone(), table));
     }
-    let ws = model::Workspace::build(&parsed, cfg);
-    let mut dataflow = Vec::new();
-    dataflow.extend(purity::check(&ws, cfg));
-    dataflow.extend(unitflow::check(&ws, cfg));
-    dataflow.extend(controller::check(&ws, cfg));
+    let ws = model::Workspace::build(&parsed);
+    let mut dataflow = unitflow::check(&ws);
+    dataflow.extend(controller::check(&ws));
     for f in dataflow {
         let table = allows.iter().find(|(r, _)| *r == f.file).map(|(_, t)| t);
         if table.is_some_and(|t| t.suppresses(f.line, f.rule)) {
@@ -140,111 +117,8 @@ fn analyze_sources_skipping(
         findings.push(f);
     }
     for (rel, table) in &allows {
-        if !skip.contains(rel) {
-            findings.extend(rules::allow_hygiene(rel, table, cfg));
-        }
+        findings.extend(rules::allow_hygiene(rel, table));
     }
-    sort_findings(&mut findings);
-    findings
-}
-
-/// Lint the whole workspace under `root` with `cfg`; findings come back
-/// sorted by (file, line, column, rule). Uncached.
-pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Finding>> {
-    lint_workspace_cached(root, cfg, false)
-}
-
-/// Workspace lint with the incremental cache (`target/simlint-cache.json`)
-/// consulted and refreshed when `use_cache` is true.
-pub fn lint_workspace_cached(
-    root: &Path,
-    cfg: &Config,
-    use_cache: bool,
-) -> io::Result<Vec<Finding>> {
-    let files = discover_files(root, cfg)?;
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for (rel, abs) in files {
-        sources.push((rel, fs::read_to_string(&abs)?));
-    }
-    let toml_text = fs::read_to_string(root.join("simlint.toml")).unwrap_or_default();
-    let fp = cache::fingerprint(cfg, &toml_text);
-    let cache_path = Cache::path(root);
-    let prior = if use_cache {
-        Cache::load(&cache_path).filter(|c| c.fingerprint == fp)
-    } else {
-        None
-    };
-    let hashes: Vec<u64> = sources
-        .iter()
-        .map(|(_, src)| cache::fnv1a(src.as_bytes()))
-        .collect();
-    if let Some(prior) = &prior {
-        let unchanged = prior.workspace_clean
-            && prior.files.len() == sources.len()
-            && sources
-                .iter()
-                .zip(&hashes)
-                .all(|((rel, _), h)| prior.files.get(rel).map(|e| e.hash) == Some(*h));
-        if unchanged {
-            return Ok(Vec::new());
-        }
-    }
-    let skip: BTreeSet<String> = match &prior {
-        Some(prior) => sources
-            .iter()
-            .zip(&hashes)
-            .filter(|((rel, _), h)| {
-                prior.files.get(rel.as_str())
-                    == Some(&FileEntry {
-                        hash: **h,
-                        clean: true,
-                    })
-            })
-            .map(|((rel, _), _)| rel.clone())
-            .collect(),
-        None => BTreeSet::new(),
-    };
-    let findings = analyze_sources_skipping(&sources, cfg, &skip);
-    if use_cache {
-        let dirty: BTreeSet<&str> = findings.iter().map(|f| f.file.as_str()).collect();
-        let mut next = Cache {
-            fingerprint: fp,
-            workspace_clean: findings.is_empty(),
-            files: Default::default(),
-        };
-        for ((rel, _), h) in sources.iter().zip(&hashes) {
-            next.files.insert(
-                rel.clone(),
-                FileEntry {
-                    hash: *h,
-                    clean: !dirty.contains(rel.as_str()),
-                },
-            );
-        }
-        // Best-effort: a cache that fails to write only costs time.
-        let _ = next.store(&cache_path);
-    }
-    Ok(findings)
-}
-
-/// Lint an explicit set of files (paths relative to `root` or absolute).
-/// The workspace model is built from just these files, so dataflow
-/// findings that need cross-file context may be partial; uncached.
-pub fn lint_paths(root: &Path, paths: &[PathBuf], cfg: &Config) -> io::Result<Vec<Finding>> {
-    let mut sources = Vec::new();
-    for p in paths {
-        let abs = if p.is_absolute() {
-            p.clone()
-        } else {
-            root.join(p)
-        };
-        let src = fs::read_to_string(&abs)?;
-        sources.push((rel_unix(root, &abs), src));
-    }
-    Ok(analyze_sources(&sources, cfg))
-}
-
-fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.column, a.rule).cmp(&(
             b.file.as_str(),
@@ -253,6 +127,17 @@ fn sort_findings(findings: &mut [Finding]) {
             b.rule,
         ))
     });
+    findings
+}
+
+/// Lint the whole workspace under `root` with `cfg`; findings come back
+/// sorted by (file, line, column, rule).
+pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Finding>> {
+    let mut sources = Vec::new();
+    for (rel, abs) in discover_files(root, cfg)? {
+        sources.push((rel, fs::read_to_string(&abs)?));
+    }
+    Ok(analyze_sources(&sources, cfg))
 }
 
 /// rustc-style text rendering: `file:line:col: error[rule]: message`.
@@ -274,48 +159,6 @@ pub fn render_text(findings: &[Finding]) -> String {
             findings.len(),
             if findings.len() == 1 { "" } else { "s" }
         );
-    }
-    out
-}
-
-/// JSON rendering: `{"findings": [...], "count": N}`. Hand-rolled — the
-/// container has no serde and the shape is flat.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"column\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
-            json_escape(&f.file),
-            f.line,
-            f.column,
-            f.rule,
-            json_escape(&f.message)
-        );
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    let _ = write!(out, "],\n  \"count\": {}\n}}\n", findings.len());
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
     out
 }

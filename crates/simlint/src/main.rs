@@ -1,124 +1,66 @@
 //! simlint CLI.
 //!
 //! ```text
-//! simlint [--json|--sarif] [--deny] [--no-cache] [--list-rules]
-//!         [--root DIR] [--skip-rule ID]... [PATH...]
+//! simlint [--list-rules]
 //! ```
 //!
-//! With no PATHs, lints every in-scope crate of the enclosing workspace
-//! (found by walking up to a `Cargo.toml` with `[workspace]`), consulting
-//! the incremental cache in `target/simlint-cache.json` unless
-//! `--no-cache` is given. Explicit PATHs are always linted fresh.
-//! `--deny` makes any finding exit nonzero — that is what CI runs.
+//! Lints every in-scope crate of the workspace that contains the current
+//! directory (found by walking up to a `Cargo.toml` with `[workspace]`)
+//! and exits 1 on any finding. Usage and I/O errors exit 2.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::{
-    config::RULES, find_workspace_root, lint_paths, lint_workspace_cached, render_json,
-    render_sarif, render_text, Config,
-};
+use simlint::{find_workspace_root, lint_workspace, render_text, Config, RULES};
 
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+const USAGE: &str = "usage: simlint [--list-rules]";
 
 fn main() -> ExitCode {
-    let mut format = Format::Text;
-    let mut deny = false;
-    let mut no_cache = false;
-    let mut root_arg: Option<PathBuf> = None;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut skip_rules: Vec<String> = Vec::new();
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => format = Format::Json,
-            "--sarif" => format = Format::Sarif,
-            "--deny" => deny = true,
-            "--no-cache" => no_cache = true,
-            "--list-rules" => {
-                for (id, desc) in RULES {
-                    println!("{id:<22} {desc}");
-                }
-                return ExitCode::SUCCESS;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args
+        .iter()
+        .map(String::as_str)
+        .collect::<Vec<_>>()
+        .as_slice()
+    {
+        [] => {}
+        ["--list-rules"] => {
+            for (id, desc) in RULES {
+                println!("{id:<22} {desc}");
             }
-            "--root" => match args.next() {
-                Some(dir) => root_arg = Some(PathBuf::from(dir)),
-                None => return usage_error("--root needs a directory"),
-            },
-            "--skip-rule" => match args.next() {
-                Some(id) => {
-                    if !RULES.iter().any(|(r, _)| *r == id) {
-                        return usage_error(&format!("unknown rule `{id}` (see --list-rules)"));
-                    }
-                    skip_rules.push(id);
-                }
-                None => return usage_error("--skip-rule needs a rule id"),
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: simlint [--json|--sarif] [--deny] [--no-cache] [--list-rules] \
-                     [--root DIR] [--skip-rule ID]... [PATH...]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                return usage_error(&format!("unknown flag `{other}`"));
-            }
-            other => paths.push(PathBuf::from(other)),
+            return ExitCode::SUCCESS;
+        }
+        ["--help" | "-h"] => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        _ => {
+            return fail(&format!(
+                "unexpected arguments `{}`; {USAGE}",
+                args.join(" ")
+            ))
         }
     }
 
     let cwd = match std::env::current_dir() {
         Ok(d) => d,
-        Err(e) => {
-            eprintln!("simlint: cannot read current dir: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(&format!("cannot read current dir: {e}")),
     };
-    let root = match root_arg.or_else(|| find_workspace_root(&cwd)) {
-        Some(r) => r,
-        None => {
-            eprintln!("simlint: no workspace root found (pass --root)");
-            return ExitCode::from(2);
-        }
+    let Some(root) = find_workspace_root(&cwd) else {
+        return fail("no workspace root found above the current directory");
     };
-    // `simlint.toml` overlays the built-in dataflow config; CLI skips win.
-    let mut cfg = Config::load(&root);
-    cfg.skip_rules.extend(skip_rules);
-
-    let result = if paths.is_empty() {
-        // Cache only helps (and is only sound) in full-workspace mode;
-        // the skip-rule set is part of its fingerprint.
-        lint_workspace_cached(&root, &cfg, !no_cache)
-    } else {
-        lint_paths(&root, &paths, &cfg)
-    };
-    let findings = match result {
+    let findings = match lint_workspace(&root, &Config::workspace_default()) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("simlint: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return fail(&e.to_string()),
     };
-
-    match format {
-        Format::Text => print!("{}", render_text(&findings)),
-        Format::Json => print!("{}", render_json(&findings)),
-        Format::Sarif => print!("{}", render_sarif(&findings)),
-    }
-    if deny && !findings.is_empty() {
-        ExitCode::FAILURE
-    } else {
+    print!("{}", render_text(&findings));
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
-fn usage_error(msg: &str) -> ExitCode {
+fn fail(msg: &str) -> ExitCode {
     eprintln!("simlint: {msg}");
     ExitCode::from(2)
 }

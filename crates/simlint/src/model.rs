@@ -1,23 +1,19 @@
 //! The workspace model the dataflow rules run on: a symbol table of every
 //! function in the in-scope crates, with receivers, parameter units, and
-//! the call sites extracted from each body.
+//! bodies.
 //!
 //! Resolution is name-based and deliberately conservative (the shallow
-//! `compat/syn` parser has no type inference): method calls resolve
-//! through the receiver's *declared* type when it is knowable — `self`
-//! receivers through the enclosing impl, parameter receivers through the
-//! parameter's type path — and stay unresolved otherwise. An unresolved
-//! call is assumed pure (std and out-of-scope code), so the purity pass
-//! errs toward silence rather than noise; the `simsan` runtime sanitizer
-//! is the dynamic backstop for what name resolution cannot see.
+//! item parser has no type inference): a method call resolves through a
+//! parameter receiver's *declared* type when it is knowable, or else to
+//! the workspace's only method of that name. The unit-flow pass skips
+//! calls that stay ambiguous, so it errs toward silence rather than
+//! noise.
 
 use std::collections::BTreeMap;
 
-use proc_macro2::{Delimiter, Group, TokenTree};
-use syn::{split_top_level_commas, Attribute, Item, ItemFn, Receiver};
-
-use crate::config::{unit_suffix, Config};
-use crate::scan::{flatten, Flat};
+use crate::config::unit_suffix;
+use crate::items::{split_top_level_commas, Attribute, Item, ItemFn};
+use crate::tokens::{Group, TokenTree};
 
 /// One function parameter (excluding `self`).
 #[derive(Debug, Clone)]
@@ -28,33 +24,6 @@ pub struct Param {
     /// Last path segment of the declared type (`&Node` -> `Node`,
     /// `Vec<f64>` -> `Vec`), when it is a plain path type.
     pub ty_name: Option<String>,
-    /// True for `&mut T` parameters.
-    pub by_mut_ref: bool,
-}
-
-/// What a method call's receiver chain roots at.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CallBase {
-    /// Free or path call: `f(...)`, `Type::f(...)` (qualifier = `Type`).
-    Path(Option<String>),
-    /// Method call whose receiver chain roots at `self` (`self.m()`,
-    /// `self.field.m()`).
-    SelfChain,
-    /// Method call rooted at a named binding (parameter or local).
-    Named(String),
-    /// Method call on an expression (call result, literal, group).
-    Expr,
-}
-
-/// One call site inside a function body.
-#[derive(Debug, Clone)]
-pub struct CallSite {
-    pub callee: String,
-    pub base: CallBase,
-    /// True for `.m(...)` method-call syntax.
-    pub is_method: bool,
-    pub line: usize,
-    pub column: usize,
 }
 
 /// One function in the workspace.
@@ -66,32 +35,18 @@ pub struct FnNode {
     pub name: String,
     /// Enclosing impl's self type, for methods.
     pub self_ty: Option<String>,
-    /// Trait being implemented, for trait-impl methods.
-    pub trait_name: Option<String>,
-    pub receiver: Option<Receiver>,
+    /// True for methods that take a `self` receiver.
+    pub takes_self: bool,
     pub params: Vec<Param>,
     /// Unit suffix carried by the function name (`total_j` -> `_j`).
     pub ret_unit: Option<&'static str>,
     pub is_test: bool,
     pub body: Option<Group>,
-    pub calls: Vec<CallSite>,
-}
-
-impl FnNode {
-    /// `Type::name` for methods, bare `name` for free functions.
-    pub fn qualified(&self) -> String {
-        match &self.self_ty {
-            Some(ty) => format!("{ty}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
 }
 
 /// One `impl` block (the controller-discipline rules read these).
 #[derive(Debug)]
 pub struct ImplNode {
-    pub file: String,
-    pub line: usize,
     pub self_ty: Option<String>,
     pub trait_name: Option<String>,
     /// Indices into [`Workspace::fns`] for the methods defined here.
@@ -112,12 +67,12 @@ pub struct Workspace {
 impl Workspace {
     /// Build the model from parsed files (`(rel_path, parsed)` pairs;
     /// files that failed to parse are simply absent from the model).
-    pub fn build(files: &[(String, Option<syn::File>)], _cfg: &Config) -> Workspace {
+    pub fn build(files: &[(String, Option<crate::items::File>)]) -> Workspace {
         let mut ws = Workspace::default();
         for (rel, parsed) in files {
             let Some(file) = parsed else { continue };
             let file_test = crate::rules::path_is_test(rel);
-            ws.collect_items(rel, &file.items, None, None, file_test);
+            ws.collect_items(rel, &file.items, None, file_test);
         }
         for (i, f) in ws.fns.iter().enumerate() {
             ws.by_name.entry(f.name.clone()).or_default().push(i);
@@ -144,35 +99,23 @@ impl Workspace {
             .unwrap_or(&[])
     }
 
-    fn collect_items(
-        &mut self,
-        rel: &str,
-        items: &[Item],
-        self_ty: Option<&str>,
-        trait_name: Option<&str>,
-        in_test: bool,
-    ) {
+    fn collect_items(&mut self, rel: &str, items: &[Item], self_ty: Option<&str>, in_test: bool) {
         for item in items {
             let item_test = in_test || attrs_mark_test(item.attrs());
             match item {
-                Item::Fn(f) => {
-                    self.push_fn(rel, f, self_ty, trait_name, item_test);
-                }
+                Item::Fn(f) => self.push_fn(rel, f, self_ty, item_test),
                 Item::Mod(m) => {
                     if let Some(content) = &m.content {
-                        self.collect_items(rel, content, None, None, item_test);
+                        self.collect_items(rel, content, None, item_test);
                     }
                 }
                 Item::Impl(im) => {
                     let ty = im.self_ty_ident();
-                    let tr = im.trait_ident();
                     let first_fn = self.fns.len();
-                    self.collect_items(rel, &im.items, ty.as_deref(), tr.as_deref(), item_test);
+                    self.collect_items(rel, &im.items, ty.as_deref(), item_test);
                     self.impls.push(ImplNode {
-                        file: rel.to_string(),
-                        line: im.span.start().line.max(1),
                         self_ty: ty,
-                        trait_name: tr,
+                        trait_name: im.trait_ident(),
                         methods: (first_fn..self.fns.len()).collect(),
                     });
                 }
@@ -180,27 +123,16 @@ impl Workspace {
                     // Default method bodies live under the trait's name as
                     // their self type, so `Trait::method` resolves.
                     let name = tr.ident();
-                    self.collect_items(rel, &tr.items, name.as_deref(), None, item_test);
+                    self.collect_items(rel, &tr.items, name.as_deref(), item_test);
                 }
                 _ => {}
             }
         }
     }
 
-    fn push_fn(
-        &mut self,
-        rel: &str,
-        f: &ItemFn,
-        self_ty: Option<&str>,
-        trait_name: Option<&str>,
-        is_test: bool,
-    ) {
+    fn push_fn(&mut self, rel: &str, f: &ItemFn, self_ty: Option<&str>, is_test: bool) {
         let name = f.sig.ident.to_string();
         let params = parse_params(f);
-        let calls = match &f.body {
-            Some(body) => extract_calls(body),
-            None => Vec::new(),
-        };
         self.fns.push(FnNode {
             file: rel.to_string(),
             line: f.sig.ident.span().start().line.max(1),
@@ -208,12 +140,10 @@ impl Workspace {
             ret_unit: unit_suffix(&name),
             name,
             self_ty: self_ty.map(str::to_string),
-            trait_name: trait_name.map(str::to_string),
-            receiver: f.sig.receiver(),
+            takes_self: f.sig.takes_self(),
             params,
             is_test,
             body: f.body.clone(),
-            calls,
         });
     }
 }
@@ -222,8 +152,8 @@ fn attrs_mark_test(attrs: &[Attribute]) -> bool {
     attrs.iter().any(|a| a.is_cfg_test() || a.is_test_marker())
 }
 
-/// Non-`self` parameters with their unit suffix, declared type's last
-/// path segment, and `&mut`-ness.
+/// Non-`self` parameters with their unit suffix and declared type's last
+/// path segment.
 fn parse_params(f: &ItemFn) -> Vec<Param> {
     let mut out = Vec::new();
     for part in split_top_level_commas(&f.sig.inputs) {
@@ -246,13 +176,10 @@ fn parse_params(f: &ItemFn) -> Vec<Param> {
             continue;
         }
         let ty = &part[i + 2..];
-        let by_mut_ref = matches!(ty.first(), Some(TokenTree::Punct(p)) if p.as_char() == '&')
-            && matches!(ty.get(1), Some(TokenTree::Ident(id)) if *id == "mut");
         out.push(Param {
             unit: unit_suffix(&name),
             name,
             ty_name: ty_last_segment(ty),
-            by_mut_ref,
         });
     }
     out
@@ -261,7 +188,7 @@ fn parse_params(f: &ItemFn) -> Vec<Param> {
 /// The last path segment of a declared type, skipping `&`/`mut`/`dyn`/
 /// `impl` prefixes and stopping at generics: `&mut cluster::Node` ->
 /// `Node`, `Vec<f64>` -> `Vec`. Tuples, slices, and fn types yield `None`.
-pub fn ty_last_segment(tokens: &[TokenTree]) -> Option<String> {
+fn ty_last_segment(tokens: &[TokenTree]) -> Option<String> {
     let mut last = None;
     let mut after_tick = false;
     for t in tokens {
@@ -278,135 +205,13 @@ pub fn ty_last_segment(tokens: &[TokenTree]) -> Option<String> {
     last
 }
 
-/// Keywords that look like `ident (group)` but are not calls.
-const NON_CALL_KEYWORDS: &[&str] = &[
-    "if", "else", "while", "match", "for", "in", "loop", "return", "break", "continue", "as",
-    "let", "move", "fn", "unsafe", "where", "dyn", "impl", "ref", "mut",
-];
-
-/// Extract every call site from a body, recursing through nested groups.
-pub fn extract_calls(body: &Group) -> Vec<CallSite> {
-    let mut out = Vec::new();
-    extract_from_tokens(body.stream().tokens(), &mut out);
-    out
-}
-
-fn extract_from_tokens(tokens: &[TokenTree], out: &mut Vec<CallSite>) {
-    let flats = flatten(tokens);
-    for i in 0..flats.len() {
-        let Flat::Ident(id) = &flats[i] else {
-            continue;
-        };
-        let name = id.to_string();
-        if NON_CALL_KEYWORDS.contains(&name.as_str()) {
-            continue;
-        }
-        // A call is `ident (...)`; `ident ! (...)` is a macro, skipped
-        // here (the purity pass has its own macro sink table).
-        if !matches!(
-            flats.get(i + 1),
-            Some(Flat::Group(g)) if g.delimiter() == Delimiter::Parenthesis
-        ) {
-            // Turbofish `ident :: < .. > ( .. )` still counts as a call;
-            // anything else is not one.
-            if !is_turbofish_call(&flats, i) {
-                continue;
-            }
-        }
-        let span = id.span();
-        let site = match flats.get(i.wrapping_sub(1)) {
-            Some(Flat::Op(op, _)) if op == "." => CallSite {
-                callee: name,
-                base: chain_base(&flats, i - 1),
-                is_method: true,
-                line: span.start().line.max(1),
-                column: span.start().column + 1,
-            },
-            Some(Flat::Op(op, _)) if op == "::" => {
-                let qualifier = match flats.get(i.wrapping_sub(2)) {
-                    Some(Flat::Ident(q)) => Some(q.to_string()),
-                    _ => None,
-                };
-                CallSite {
-                    callee: name,
-                    base: CallBase::Path(qualifier),
-                    is_method: false,
-                    line: span.start().line.max(1),
-                    column: span.start().column + 1,
-                }
-            }
-            _ => CallSite {
-                callee: name,
-                base: CallBase::Path(None),
-                is_method: false,
-                line: span.start().line.max(1),
-                column: span.start().column + 1,
-            },
-        };
-        out.push(site);
-    }
-    for t in tokens {
-        if let TokenTree::Group(g) = t {
-            extract_from_tokens(g.stream().tokens(), out);
-        }
-    }
-}
-
-/// `ident :: < ... > (` — a turbofish call.
-fn is_turbofish_call(flats: &[Flat<'_>], i: usize) -> bool {
-    matches!(flats.get(i + 1), Some(Flat::Op(op, _)) if op == "::")
-        && matches!(flats.get(i + 2), Some(Flat::Op(op, _)) if op == "<")
-}
-
-/// Walk backwards from the `.` at `dot` to find what the receiver chain
-/// roots at: `self`, a named binding, or an expression.
-fn chain_base(flats: &[Flat<'_>], dot: usize) -> CallBase {
-    let mut i = dot;
-    let mut root: Option<CallBase> = None;
-    while i > 0 {
-        i -= 1;
-        match &flats[i] {
-            Flat::Ident(id) => {
-                let name = id.to_string();
-                if name == "self" {
-                    root = Some(CallBase::SelfChain);
-                } else {
-                    root = Some(CallBase::Named(name));
-                }
-                // Chain continues only across a `.`/`::` separator.
-                if i == 0 || !matches!(&flats[i - 1], Flat::Op(op, _) if op == "." || op == "::") {
-                    break;
-                }
-            }
-            // Tuple index (`p.0`) extends the chain.
-            Flat::Lit(_) => {
-                root = Some(CallBase::Expr);
-                if i == 0 || !matches!(&flats[i - 1], Flat::Op(op, _) if op == "." || op == "::") {
-                    break;
-                }
-            }
-            Flat::Op(op, _) if op == "." || op == "::" => {}
-            Flat::Group(g)
-                if matches!(g.delimiter(), Delimiter::Parenthesis | Delimiter::Bracket) =>
-            {
-                root = Some(CallBase::Expr);
-            }
-            _ => break,
-        }
-    }
-    root.unwrap_or(CallBase::Expr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn model(src: &str) -> Workspace {
-        let parsed = syn::parse_file(src).expect("parse");
-        Workspace::build(
-            &[("crates/x/src/lib.rs".to_string(), Some(parsed))],
-            &Config::workspace_default(),
-        )
+        let parsed = crate::items::parse_file(src).expect("parse");
+        Workspace::build(&[("crates/x/src/lib.rs".to_string(), Some(parsed))])
     }
 
     #[test]
@@ -418,46 +223,14 @@ mod tests {
         assert_eq!(ws.fns.len(), 3);
         let free = &ws.fns[ws.fns_named("free")[0]];
         assert_eq!(free.self_ty, None);
+        assert!(!free.takes_self);
         assert_eq!(free.params.len(), 2);
         assert_eq!(free.params[0].unit, Some("_w"));
         assert_eq!(free.params[1].ty_name.as_deref(), Some("Node"));
-        assert!(!free.params[1].by_mut_ref);
         let plan = &ws.fns[ws.methods_of("Engine", "plan")[0]];
-        assert_eq!(plan.receiver, Some(Receiver::Ref));
+        assert!(plan.takes_self);
         let step = &ws.fns[ws.methods_of("Engine", "step")[0]];
-        assert_eq!(step.receiver, Some(Receiver::RefMut));
-        assert!(step.params[0].by_mut_ref);
-    }
-
-    #[test]
-    fn call_sites_distinguish_bases() {
-        let ws = model(
-            "fn f(node: &Node) { plan_compute(node); self.queue.push(1); \
-             node.freq_hz(); Node::config(node); v.len(); (a + b).abs(); }",
-        );
-        let f = &ws.fns[0];
-        let calls: Vec<(&str, &CallBase)> = f
-            .calls
-            .iter()
-            .map(|c| (c.callee.as_str(), &c.base))
-            .collect();
-        assert!(calls.contains(&("plan_compute", &CallBase::Path(None))));
-        assert!(calls.contains(&("push", &CallBase::SelfChain)));
-        assert!(calls.contains(&("freq_hz", &CallBase::Named("node".to_string()))));
-        assert!(calls.contains(&("config", &CallBase::Path(Some("Node".to_string())))));
-        assert!(calls.contains(&("len", &CallBase::Named("v".to_string()))));
-        assert!(calls.contains(&("abs", &CallBase::Expr)));
-    }
-
-    #[test]
-    fn macros_and_keywords_are_not_calls() {
-        let ws = model("fn f() { println!(\"x\"); if (a) { g(); } match (b) { _ => h() } }");
-        let names: Vec<&str> = ws.fns[0].calls.iter().map(|c| c.callee.as_str()).collect();
-        assert!(!names.contains(&"println"));
-        assert!(!names.contains(&"if"));
-        assert!(!names.contains(&"match"));
-        assert!(names.contains(&"g"));
-        assert!(names.contains(&"h"));
+        assert!(step.takes_self);
     }
 
     #[test]

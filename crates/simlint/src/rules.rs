@@ -19,8 +19,8 @@
 //! tests unwrap freely and assert exact floats *on purpose* (bit-identical
 //! replay is this repo's headline invariant).
 
-use proc_macro2::{Delimiter, Group, Span, TokenStream, TokenTree};
-use syn::{split_top_level_commas, Attribute, Field, Item, ItemFn, Signature, Visibility};
+use crate::items::{split_top_level_commas, Attribute, Field, Item, ItemFn, Signature, Visibility};
+use crate::tokens::{Delimiter, Group, Span, TokenStream, TokenTree};
 
 use crate::allow::AllowTable;
 use crate::config::{blessed_types, unit_suffix, Config};
@@ -46,7 +46,7 @@ pub struct Finding {
 pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let allows = AllowTable::parse(src);
     let mut findings = lint_source_with(rel_path, src, cfg, &allows);
-    findings.extend(allow_hygiene(rel_path, &allows, cfg));
+    findings.extend(allow_hygiene(rel_path, &allows));
     findings
 }
 
@@ -67,12 +67,12 @@ pub fn lint_source_with(
         findings: Vec::new(),
         in_test_file: path_is_test(rel_path),
     };
-    match syn::parse_file(src) {
+    match crate::items::parse_file(src) {
         Ok(file) => {
             ctx.walk_items(&file.items, ctx.in_test_file);
         }
         Err(e) => {
-            ctx.raw_push(Finding {
+            ctx.findings.push(Finding {
                 file: rel_path.to_string(),
                 line: e.pos.line.max(1),
                 column: e.pos.column + 1,
@@ -86,24 +86,22 @@ pub fn lint_source_with(
 
 /// `bad-allow` / `unused-allow` hygiene. Run after every pass that can
 /// mark entries used has finished.
-pub fn allow_hygiene(rel_path: &str, allows: &AllowTable, cfg: &Config) -> Vec<Finding> {
+pub fn allow_hygiene(rel_path: &str, allows: &AllowTable) -> Vec<Finding> {
     let mut out = Vec::new();
     for e in allows.entries() {
         if !e.justified {
-            if cfg.rule_enabled("bad-allow") {
-                out.push(Finding {
-                    file: rel_path.to_string(),
-                    line: e.comment_line,
-                    column: 1,
-                    rule: "bad-allow",
-                    message: format!(
-                        "allow({}) has no justification; write `// simlint: allow({}): <why>`",
-                        e.rules.join(", "),
-                        e.rules.join(", "),
-                    ),
-                });
-            }
-        } else if !e.used.get() && cfg.rule_enabled("unused-allow") {
+            out.push(Finding {
+                file: rel_path.to_string(),
+                line: e.comment_line,
+                column: 1,
+                rule: "bad-allow",
+                message: format!(
+                    "allow({}) has no justification; write `// simlint: allow({}): <why>`",
+                    e.rules.join(", "),
+                    e.rules.join(", "),
+                ),
+            });
+        } else if !e.used.get() {
             out.push(Finding {
                 file: rel_path.to_string(),
                 line: e.comment_line,
@@ -151,24 +149,17 @@ struct Ctx<'c> {
 
 impl Ctx<'_> {
     fn push(&mut self, rule: &'static str, span: Span, message: String) {
-        if !self.cfg.rule_enabled(rule) {
-            return;
-        }
         let line = span.start().line.max(1);
         if self.allows.suppresses(line, rule) {
             return;
         }
-        self.raw_push(Finding {
+        self.findings.push(Finding {
             file: self.rel_path.to_string(),
             line,
             column: span.start().column + 1,
             rule,
             message,
         });
-    }
-
-    fn raw_push(&mut self, finding: Finding) {
-        self.findings.push(finding);
     }
 
     fn walk_items(&mut self, items: &[Item], in_test: bool) {

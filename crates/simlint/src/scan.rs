@@ -2,7 +2,7 @@
 //! view of a stream with multi-character operators reassembled from
 //! adjacent punct tokens (`==`, `->`, `+=`, `::`, ...).
 
-use proc_macro2::{Delimiter, Group, Ident, Literal, Spacing, Span, TokenTree};
+use crate::tokens::{Delimiter, Group, Ident, Literal, Spacing, Span, TokenTree};
 
 /// One element of a flattened stream level. Groups stay opaque — callers
 /// recurse into them explicitly.
@@ -71,10 +71,9 @@ pub fn flatten(tokens: &[TokenTree]) -> Vec<Flat<'_>> {
                         .find(|m| rest.starts_with(**m))
                         .map(|m| m.to_string())
                         .unwrap_or_else(|| rest[..1].to_string());
-                    let first = run_tokens[pos].span();
-                    let last = run_tokens[pos + op.len() - 1].span();
-                    out.push(Flat::Op(op.clone(), first.join(last)));
+                    let span = run_tokens[pos].span();
                     pos += op.len();
+                    out.push(Flat::Op(op, span));
                 }
             }
         }
@@ -176,7 +175,7 @@ pub fn chain_suffix_fwd(flats: &[Flat<'_>], idx: usize) -> Option<(String, &'sta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proc_macro2::TokenStream;
+    use crate::tokens::TokenStream;
 
     fn flats_of(src: &str) -> (TokenStream, Vec<String>) {
         let ts: TokenStream = src.parse().expect("lex");
@@ -218,7 +217,7 @@ mod tests {
             .tokens()
             .iter()
             .map(|t| match t {
-                proc_macro2::TokenTree::Literal(l) => is_float_literal(l),
+                TokenTree::Literal(l) => is_float_literal(l),
                 _ => panic!(),
             })
             .collect();

@@ -1,22 +1,13 @@
-//! Minimal, dependency-free `proc-macro2` shim.
+//! The lexer: Rust source text to a tree of [`TokenTree`]s — [`Group`]s
+//! for `()`/`[]`/`{}`, [`Ident`]s, [`Punct`]s, and [`Literal`]s — whose
+//! [`Span`]s carry 1-based line and 0-based column start positions. Its
+//! shape follows `proc-macro2`, but it is written here because the build
+//! has no crates.io access.
 //!
-//! The build environment for this workspace has no access to crates.io, so
-//! this crate re-implements the small slice of the `proc-macro2` API that
-//! `simlint` (the workspace static analyzer) needs: lexing Rust source into
-//! a [`TokenStream`] of [`TokenTree`]s — [`Group`]s for `()`/`[]`/`{}`,
-//! [`Ident`]s, [`Punct`]s, and [`Literal`]s — with [`Span`]s that carry
-//! 1-based line and 0-based column positions.
-//!
-//! Differences from the real crate, all deliberate:
-//!
-//! * Comments (line, nested block, and doc) are skipped entirely; doc
-//!   comments are **not** converted into `#[doc]` attributes. `simlint`
-//!   reads comments straight from the source text for its
-//!   `// simlint: allow(...)` grammar, so nothing is lost.
-//! * There is no `proc_macro` bridge, no `quote`/`parse` integration, and
-//!   no hygiene — spans are purely positional.
-//! * [`TokenStream`] exposes `tokens()` returning a slice, which the real
-//!   crate does not; the analyzer leans on it for pattern scans.
+//! Comments (line, nested block, and doc) are skipped entirely; doc
+//! comments are **not** turned into `#[doc]` attributes. The
+//! `// simlint: allow(...)` grammar reads comments straight from the
+//! source text, so nothing is lost.
 
 use std::fmt;
 use std::str::FromStr;
@@ -24,46 +15,28 @@ use std::str::FromStr;
 /// A line/column position in the source text: `line` is 1-based,
 /// `column` is a 0-based character (not byte) offset, matching the real
 /// proc-macro2 convention.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LineColumn {
     pub line: usize,
     pub column: usize,
 }
 
-/// A region of source text.
+/// Where a token starts in the source text (findings report only the
+/// start, so that is all a span keeps).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Span {
     start: LineColumn,
-    end: LineColumn,
 }
 
 impl Span {
-    /// A span covering nothing, at the origin.
-    pub fn call_site() -> Span {
-        Span::default()
-    }
-
-    /// Construct a span from explicit endpoints.
-    pub fn new(start: LineColumn, end: LineColumn) -> Span {
-        Span { start, end }
+    /// A span starting at `start`.
+    pub fn new(start: LineColumn) -> Span {
+        Span { start }
     }
 
     /// Where the region begins.
     pub fn start(&self) -> LineColumn {
         self.start
-    }
-
-    /// Where the region ends (exclusive).
-    pub fn end(&self) -> LineColumn {
-        self.end
-    }
-
-    /// The smallest span covering both `self` and `other`.
-    pub fn join(&self, other: Span) -> Span {
-        Span {
-            start: self.start.min(other.start),
-            end: self.end.max(other.end),
-        }
     }
 }
 
@@ -76,9 +49,6 @@ pub enum Delimiter {
     Brace,
     /// `[ ... ]`
     Bracket,
-    /// Invisible delimiters (never produced by this lexer; kept for API
-    /// parity).
-    None,
 }
 
 /// Whether a [`Punct`] is immediately followed by another punct character
@@ -116,14 +86,6 @@ impl fmt::Display for Ident {
         f.write_str(&self.sym)
     }
 }
-
-impl PartialEq for Ident {
-    fn eq(&self, other: &Ident) -> bool {
-        self.sym == other.sym
-    }
-}
-
-impl Eq for Ident {}
 
 impl PartialEq<str> for Ident {
     fn eq(&self, other: &str) -> bool {
@@ -167,12 +129,6 @@ impl Punct {
     }
 }
 
-impl fmt::Display for Punct {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.ch)
-    }
-}
-
 /// A literal token: numbers, strings, chars, and byte variants, stored as
 /// their verbatim source text.
 #[derive(Clone, Debug)]
@@ -192,8 +148,7 @@ impl Literal {
         self.span
     }
 
-    /// The verbatim source text of the literal (extension; the real crate
-    /// only offers `Display`).
+    /// The verbatim source text of the literal.
     pub fn repr(&self) -> &str {
         &self.repr
     }
@@ -267,32 +222,9 @@ pub struct TokenStream {
 }
 
 impl TokenStream {
-    /// The empty stream.
-    pub fn new() -> TokenStream {
-        TokenStream::default()
-    }
-
-    /// True when the stream holds no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    /// Number of top-level tokens.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// The top-level tokens as a slice (extension over the real API).
+    /// The top-level tokens as a slice.
     pub fn tokens(&self) -> &[TokenTree] {
         &self.trees
-    }
-
-    /// The smallest span covering every token, or an empty span.
-    pub fn span(&self) -> Span {
-        match (self.trees.first(), self.trees.last()) {
-            (Some(first), Some(last)) => first.span().join(last.span()),
-            _ => Span::default(),
-        }
     }
 }
 
@@ -302,80 +234,12 @@ impl From<Vec<TokenTree>> for TokenStream {
     }
 }
 
-impl IntoIterator for TokenStream {
-    type Item = TokenTree;
-    type IntoIter = std::vec::IntoIter<TokenTree>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.trees.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a TokenStream {
-    type Item = &'a TokenTree;
-    type IntoIter = std::slice::Iter<'a, TokenTree>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.trees.iter()
-    }
-}
-
-impl fmt::Display for TokenTree {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TokenTree::Group(g) => g.fmt(f),
-            TokenTree::Ident(i) => i.fmt(f),
-            TokenTree::Punct(p) => p.fmt(f),
-            TokenTree::Literal(l) => l.fmt(f),
-        }
-    }
-}
-
-impl fmt::Display for Group {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (open, close) = match self.delimiter {
-            Delimiter::Parenthesis => ("(", ")"),
-            Delimiter::Bracket => ("[", "]"),
-            Delimiter::Brace => ("{ ", " }"),
-            Delimiter::None => ("", ""),
-        };
-        write!(f, "{open}{}{close}", self.stream)
-    }
-}
-
-impl fmt::Display for TokenStream {
-    /// Render the tokens back to readable (not byte-faithful) source: one
-    /// space between tokens, except after a `Joint` punct so multi-char
-    /// operators (`->`, `::`, `..=`) and lifetimes (`'a`) stay glued.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut glue_next = true; // no leading space
-        for tree in &self.trees {
-            if !glue_next {
-                f.write_str(" ")?;
-            }
-            tree.fmt(f)?;
-            glue_next = matches!(tree, TokenTree::Punct(p) if p.spacing() == Spacing::Joint);
-        }
-        Ok(())
-    }
-}
-
 /// A lexing failure, with the position it occurred at.
 #[derive(Debug, Clone)]
 pub struct LexError {
     pub pos: LineColumn,
     pub message: String,
 }
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "lex error at {}:{}: {}",
-            self.pos.line, self.pos.column, self.message
-        )
-    }
-}
-
-impl std::error::Error for LexError {}
 
 impl FromStr for TokenStream {
     type Err = LexError;
@@ -536,7 +400,7 @@ impl Lexer {
                     };
                     let inner = self.lex_until(Some(close))?;
                     self.bump(); // the closing delimiter
-                    let span = Span::new(start, self.here());
+                    let span = Span::new(start);
                     trees.push(TokenTree::Group(Group::new(
                         delim,
                         TokenStream { trees: inner },
@@ -564,7 +428,7 @@ impl Lexer {
         } else {
             Spacing::Alone
         };
-        TokenTree::Punct(Punct::new(c, spacing, Span::new(start, self.here())))
+        TokenTree::Punct(Punct::new(c, spacing, Span::new(start)))
     }
 
     /// Idents, raw idents (`r#type`), and the string-ish literals that
@@ -583,10 +447,7 @@ impl Lexer {
                 self.bump(); // '
                 let mut repr = String::from("b'");
                 self.consume_char_body(&mut repr)?;
-                trees.push(TokenTree::Literal(Literal::new(
-                    repr,
-                    Span::new(start, self.here()),
-                )));
+                trees.push(TokenTree::Literal(Literal::new(repr, Span::new(start))));
                 return Ok(());
             }
             _ => (0, false),
@@ -597,10 +458,7 @@ impl Lexer {
                 repr.push(self.bump().expect("peeked"));
             }
             self.consume_raw_string(&mut repr)?;
-            trees.push(TokenTree::Literal(Literal::new(
-                repr,
-                Span::new(start, self.here()),
-            )));
+            trees.push(TokenTree::Literal(Literal::new(repr, Span::new(start))));
             return Ok(());
         }
         if prefix_len == 1 {
@@ -610,10 +468,7 @@ impl Lexer {
             self.bump(); // opening quote
             repr.push('"');
             self.consume_string_body(&mut repr)?;
-            trees.push(TokenTree::Literal(Literal::new(
-                repr,
-                Span::new(start, self.here()),
-            )));
+            trees.push(TokenTree::Literal(Literal::new(repr, Span::new(start))));
             return Ok(());
         }
         // Raw ident r#word.
@@ -632,10 +487,7 @@ impl Lexer {
                     break;
                 }
             }
-            trees.push(TokenTree::Ident(Ident::new(
-                &sym,
-                Span::new(start, self.here()),
-            )));
+            trees.push(TokenTree::Ident(Ident::new(&sym, Span::new(start))));
             return Ok(());
         }
         // Plain ident.
@@ -648,10 +500,7 @@ impl Lexer {
                 break;
             }
         }
-        trees.push(TokenTree::Ident(Ident::new(
-            &sym,
-            Span::new(start, self.here()),
-        )));
+        trees.push(TokenTree::Ident(Ident::new(&sym, Span::new(start))));
         Ok(())
     }
 
@@ -706,10 +555,7 @@ impl Lexer {
         self.bump(); // opening quote
         let mut repr = String::from("\"");
         self.consume_string_body(&mut repr)?;
-        Ok(TokenTree::Literal(Literal::new(
-            repr,
-            Span::new(start, self.here()),
-        )))
+        Ok(TokenTree::Literal(Literal::new(repr, Span::new(start))))
     }
 
     /// Body of a `"..."` string, opening quote already consumed; pushes the
@@ -743,10 +589,7 @@ impl Lexer {
                 // Escaped char literal.
                 let mut repr = String::from("'");
                 self.consume_char_body(&mut repr)?;
-                trees.push(TokenTree::Literal(Literal::new(
-                    repr,
-                    Span::new(start, self.here()),
-                )));
+                trees.push(TokenTree::Literal(Literal::new(repr, Span::new(start))));
                 Ok(())
             }
             Some(c) if is_ident_start(c) => {
@@ -767,22 +610,16 @@ impl Lexer {
                     for _ in 0..=i {
                         repr.push(self.bump().expect("peeked"));
                     }
-                    trees.push(TokenTree::Literal(Literal::new(
-                        repr,
-                        Span::new(start, self.here()),
-                    )));
+                    trees.push(TokenTree::Literal(Literal::new(repr, Span::new(start))));
                 } else {
                     // Lifetime: `'` as a Joint punct, then the ident.
-                    let qspan = Span::new(start, self.here());
+                    let qspan = Span::new(start);
                     trees.push(TokenTree::Punct(Punct::new('\'', Spacing::Joint, qspan)));
                     let id_start = self.here();
                     for _ in 0..i {
                         self.bump();
                     }
-                    trees.push(TokenTree::Ident(Ident::new(
-                        &word,
-                        Span::new(id_start, self.here()),
-                    )));
+                    trees.push(TokenTree::Ident(Ident::new(&word, Span::new(id_start))));
                 }
                 Ok(())
             }
@@ -790,10 +627,7 @@ impl Lexer {
                 // Char literal of a non-ident char: '.', ' ', etc.
                 let mut repr = String::from("'");
                 self.consume_char_body(&mut repr)?;
-                trees.push(TokenTree::Literal(Literal::new(
-                    repr,
-                    Span::new(start, self.here()),
-                )));
+                trees.push(TokenTree::Literal(Literal::new(repr, Span::new(start))));
                 Ok(())
             }
             None => Err(self.error("unterminated char literal")),
@@ -857,10 +691,7 @@ impl Lexer {
                     break;
                 }
             }
-            return Ok(TokenTree::Literal(Literal::new(
-                repr,
-                Span::new(start, self.here()),
-            )));
+            return Ok(TokenTree::Literal(Literal::new(repr, Span::new(start))));
         }
         // Integer part.
         while let Some(c) = self.peek() {
@@ -916,10 +747,7 @@ impl Lexer {
                 break;
             }
         }
-        Ok(TokenTree::Literal(Literal::new(
-            repr,
-            Span::new(start, self.here()),
-        )))
+        Ok(TokenTree::Literal(Literal::new(repr, Span::new(start))))
     }
 }
 
@@ -1002,7 +830,6 @@ mod tests {
         let b = ts.tokens()[1].span().start();
         assert_eq!((a.line, a.column), (1, 0));
         assert_eq!((b.line, b.column), (2, 2));
-        assert_eq!(ts.tokens()[1].span().end().column, 4);
     }
 
     #[test]
@@ -1084,18 +911,5 @@ mod tests {
     fn inner_attribute_is_not_a_shebang() {
         let ts = lex("#![allow(dead_code)]\nfn f() {}");
         assert_eq!(kinds(&ts)[0], "P:#");
-    }
-
-    #[test]
-    fn display_renders_readable_source() {
-        // Round-trip is readable, not byte-faithful: joint puncts stay
-        // glued so operators and lifetimes survive, groups keep delimiters.
-        let ts = lex("fn f(&'a self, x_w: f64) -> Vec<u64> { x_w as u64 }");
-        assert_eq!(
-            ts.to_string(),
-            "fn f (&'a self , x_w : f64) -> Vec < u64 > { x_w as u64 }"
-        );
-        let ts = lex("a::b(c[0], 1.5e3)");
-        assert_eq!(ts.to_string(), "a :: b (c [0] , 1.5e3)");
     }
 }

@@ -16,10 +16,10 @@
 
 use std::collections::BTreeMap;
 
-use proc_macro2::{Delimiter, TokenTree};
-use syn::{split_top_level_commas, split_top_level_semis};
+use crate::items::{split_top_level_commas, split_top_level_semis};
+use crate::tokens::{Delimiter, TokenTree};
 
-use crate::config::{blessed_types, unit_suffix, Config};
+use crate::config::{blessed_types, unit_suffix};
 use crate::model::{FnNode, Workspace};
 use crate::rules::Finding;
 
@@ -27,10 +27,7 @@ use crate::rules::Finding;
 type Env = BTreeMap<String, &'static str>;
 
 /// Run the pass over every non-test function body.
-pub fn check(ws: &Workspace, cfg: &Config) -> Vec<Finding> {
-    if !cfg.rule_enabled("unit-flow") {
-        return Vec::new();
-    }
+pub fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in &ws.fns {
         if f.is_test {
@@ -73,7 +70,7 @@ impl Checker<'_> {
     /// Walk one brace-block's statements. `is_fn_body` enables the
     /// return-unit check on the tail expression.
     fn check_block(&mut self, tokens: &[TokenTree], env: &mut Env, is_fn_body: bool) {
-        let stream = proc_macro2::TokenStream::from(tokens.to_vec());
+        let stream = crate::tokens::TokenStream::from(tokens.to_vec());
         let stmts = split_top_level_semis(&stream);
         let n = stmts.len();
         for (k, stmt) in stmts.iter().enumerate() {
@@ -129,7 +126,7 @@ impl Checker<'_> {
         let eq = stmt[i..]
             .iter()
             .position(
-                |t| matches!(t, TokenTree::Punct(p) if p.as_char() == '=' && p.spacing() == proc_macro2::Spacing::Alone),
+                |t| matches!(t, TokenTree::Punct(p) if p.as_char() == '=' && p.spacing() == crate::tokens::Spacing::Alone),
             )
             .map(|off| i + off);
         let name_unit = unit_suffix(&name);
@@ -183,7 +180,7 @@ impl Checker<'_> {
         name: &str,
         suffix: &'static str,
         ty: &[TokenTree],
-        span: proc_macro2::Span,
+        span: crate::tokens::Span,
     ) {
         let blessed = blessed_types(suffix);
         let Some(core) = ty.iter().rev().find_map(|t| match t {
@@ -307,7 +304,7 @@ impl Checker<'_> {
                         .fns_named(callee)
                         .iter()
                         .copied()
-                        .filter(|&i| self.ws.fns[i].receiver.is_some())
+                        .filter(|&i| self.ws.fns[i].takes_self)
                         .collect();
                     if named.len() == 1 {
                         named
@@ -476,12 +473,9 @@ mod tests {
     use crate::model::Workspace;
 
     fn run(src: &str) -> Vec<Finding> {
-        let parsed = syn::parse_file(src).expect("parse");
-        let ws = Workspace::build(
-            &[("crates/x/src/lib.rs".to_string(), Some(parsed))],
-            &Config::workspace_default(),
-        );
-        check(&ws, &Config::workspace_default())
+        let parsed = crate::items::parse_file(src).expect("parse");
+        let ws = Workspace::build(&[("crates/x/src/lib.rs".to_string(), Some(parsed))]);
+        check(&ws)
     }
 
     #[test]

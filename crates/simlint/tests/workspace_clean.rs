@@ -1,9 +1,11 @@
-//! Golden test: the workspace itself must be simlint-clean — under the
-//! full configuration (`simlint.toml` dataflow roots included). Any new
-//! violation fails CI here even before the `--deny` run in the workflow.
+//! Golden test: the workspace itself must be simlint-clean. Any new
+//! violation fails here even before the CI `lint` job runs the binary.
+//! The CLI cases drive the `simlint` binary from inside a workspace, the
+//! way CI and `scripts/lint.sh` run it.
 
-use simlint::{lint_workspace, lint_workspace_cached, render_json, render_text, Config};
+use simlint::{lint_workspace, render_text, Config};
 use std::path::Path;
+use std::process::{Command, Output};
 
 fn workspace_root() -> &'static Path {
     // crates/simlint -> crates -> workspace root
@@ -13,15 +15,16 @@ fn workspace_root() -> &'static Path {
         .expect("simlint manifest dir has a workspace root two levels up")
 }
 
-/// The configuration the CLI runs with: defaults plus `simlint.toml`
-/// (purity roots, controller traits).
-fn real_config() -> Config {
-    Config::load(workspace_root())
+fn simlint_in(dir: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_simlint"))
+        .current_dir(dir)
+        .output()
+        .expect("spawn simlint binary")
 }
 
 #[test]
 fn workspace_has_zero_findings() {
-    let findings = lint_workspace(workspace_root(), &real_config())
+    let findings = lint_workspace(workspace_root(), &Config::workspace_default())
         .expect("workspace lint must not hit IO/parse errors");
     assert!(
         findings.is_empty(),
@@ -31,46 +34,61 @@ fn workspace_has_zero_findings() {
 }
 
 #[test]
-fn json_report_is_empty_and_well_formed() {
-    let findings = lint_workspace(workspace_root(), &real_config())
-        .expect("workspace lint must not hit IO/parse errors");
-    let json = render_json(&findings);
-    assert!(json.contains("\"count\": 0"), "{json}");
-    assert!(
-        json.starts_with('{') && json.trim_end().ends_with('}'),
-        "{json}"
-    );
-}
-
-#[test]
-fn cached_passes_agree_with_the_uncached_pass() {
-    // First cached pass fills target/simlint-cache.json; the second hits
-    // the clean-workspace fast path. Both must report exactly what the
-    // uncached pass reports (zero findings, per the golden test above).
-    let root = workspace_root();
-    let cfg = real_config();
-    let cold = lint_workspace_cached(root, &cfg, true).expect("cold cached pass");
-    let warm = lint_workspace_cached(root, &cfg, true).expect("warm cached pass");
-    assert!(cold.is_empty(), "{}", render_text(&cold));
-    assert_eq!(cold, warm);
-    assert!(
-        root.join("target/simlint-cache.json").is_file(),
-        "cached pass must persist the cache file"
-    );
-}
-
-#[test]
-fn cli_deny_mode_exits_clean_on_the_workspace() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
-        .args(["--json", "--deny", "--root"])
-        .arg(workspace_root())
-        .output()
-        .expect("spawn simlint binary");
+fn cli_exits_clean_on_the_workspace() {
+    let out = simlint_in(workspace_root());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "simlint --deny failed:\n{stdout}\n{}",
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "simlint failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout.contains("\"count\": 0"), "{stdout}");
+    assert_eq!(stdout, "simlint: no findings\n");
+}
+
+#[test]
+fn cli_exits_1_on_a_finding() {
+    let dir = std::env::temp_dir().join(format!("simlint-dirty-{}", std::process::id()));
+    let src = dir.join("crates/sim-core/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(
+        dir.join("Cargo.toml"),
+        "[workspace]\nmembers = [\"crates/*\"]\n",
+    )
+    .unwrap();
+    std::fs::write(
+        src.join("lib.rs"),
+        "use std::collections::HashMap;\n\npub fn table() -> HashMap<u32, u32> {\n    HashMap::new()\n}\n",
+    )
+    .unwrap();
+    // Run from a subdirectory: the workspace root is found by walking up.
+    let out = simlint_in(&src);
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("crates/sim-core/src/lib.rs:1:")
+                && l.contains("error[nondet-collections]")),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn cli_rejects_any_argument_but_list_rules() {
+    for flag in [
+        "--deny",
+        "--json",
+        "--no-cache",
+        "crates/sim-core/src/lib.rs",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_simlint"))
+            .arg(flag)
+            .current_dir(workspace_root())
+            .output()
+            .expect("spawn simlint binary");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}");
+    }
 }

@@ -17,18 +17,11 @@
 #     pass executes and fills the result cache, the warm pass replays it
 #     (identical output bytes, near-zero engine work).
 #
-#   * simlint analyzer wall clock, cold (--no-cache) and warm (the
-#     content-hash incremental cache) — the static-analysis cost the
-#     lint gate adds to a developer loop;
+#   * simlint analyzer wall clock for one full workspace pass — the
+#     static-analysis cost the lint gate adds to a developer loop;
 #
 # Usage: scripts/bench.sh [output.json]    (default BENCH_PR9.json)
-#        scripts/bench.sh cap [output.json]     (default BENCH_PR8.json)
 #        scripts/bench.sh service [output.json] (default BENCH_PR10.json)
-#
-# The `cap` mode runs examples/bench_powercap.rs: the power-cap
-# acceptance benchmark (imbalanced ft-test4 under an 80 W budget),
-# asserting the cap held and that the redistribute policy beats the
-# best cap-feasible uniform static on weighted ED^2P.
 #
 # The `service` mode runs examples/bench_service.rs: a pwrperfd daemon
 # on loopback TCP draining a BENCH_SERVICE_JOBS-cell grid (default
@@ -39,13 +32,6 @@
 # over the mean, and compare medians across trees measured back-to-back.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-if [[ "${1:-}" == "cap" ]]; then
-  OUT="${2:-BENCH_PR8.json}"
-  cargo build --release -q --example bench_powercap
-  ./target/release/examples/bench_powercap | tee "$OUT"
-  exit 0
-fi
 
 if [[ "${1:-}" == "service" ]]; then
   OUT="${2:-BENCH_PR10.json}"
@@ -130,17 +116,11 @@ subprocess.run([cli, *scale_args], stdout=subprocess.DEVNULL)  # warm-up
 scale_plain_s = median_wall([])
 scale_causal_s = median_wall(["--causal"])
 
-# simlint analyzer cost: the cold full pass CI runs, then the warm
-# cached pass the developer loop sees (fingerprint hit, zero re-parses).
-lint = "./target/release/simlint"
-def lint_wall(args):
-    t0 = time.perf_counter()
-    r = subprocess.run([lint, *args], stdout=subprocess.DEVNULL)
-    assert r.returncode == 0, f"simlint {args} found violations"
-    return time.perf_counter() - t0
-lint_cold_s = lint_wall(["--deny", "--no-cache"])
-lint_wall(["--deny"])  # fill the cache
-lint_warm_s = lint_wall(["--deny"])
+# simlint analyzer cost: the full workspace pass CI runs.
+t0 = time.perf_counter()
+r = subprocess.run(["./target/release/simlint"], stdout=subprocess.DEVNULL)
+assert r.returncode == 0, "simlint found violations"
+lint_s = time.perf_counter() - t0
 
 report = {
     "all_figures": {
@@ -180,9 +160,7 @@ report = {
         "overhead_ratio": round(scale_causal_s / scale_plain_s, 4),
     },
     "simlint": {
-        "cold_ms": round(lint_cold_s * 1000, 2),
-        "warm_ms": round(lint_warm_s * 1000, 2),
-        "warm_speedup": round(lint_cold_s / lint_warm_s, 2),
+        "cold_ms": round(lint_s * 1000, 2),
     },
     "criterion_engine_ns_per_iter": criterion,
     "sweepstore_all_figures": {

@@ -3,10 +3,6 @@
 # warnings denied, and the project-specific simlint pass (see DESIGN.md
 # §11 and §16). Run from anywhere inside the repo; exits non-zero on the
 # first failing gate.
-#
-# simlint runs with its incremental cache (target/simlint-cache.json):
-# an unchanged tree after a clean pass is a fingerprint check and zero
-# re-parses. Pass LINT_NO_CACHE=1 to force the cold full pass CI runs.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel 2>/dev/null || dirname "$0")/."
@@ -18,10 +14,6 @@ echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== simlint (deny findings) =="
-SIMLINT_FLAGS=(--deny)
-if [[ "${LINT_NO_CACHE:-0}" == "1" ]]; then
-  SIMLINT_FLAGS+=(--no-cache)
-fi
-cargo run -q -p simlint -- "${SIMLINT_FLAGS[@]}"
+cargo run -q -p simlint
 
 echo "lint: all gates passed"
