@@ -34,17 +34,32 @@ pub struct FlowEndpoints {
     pub dst: usize,
 }
 
+/// Relative slack of the freeze test: a flow whose tightest link offers
+/// at most `share · (1 + FREEZE_TOLERANCE)` freezes in the round whose
+/// bottleneck share is `share`.
+const FREEZE_TOLERANCE: f64 = 1e-12;
+
+/// True when a flow limited to `limit` freezes in a round whose
+/// bottleneck share is `share` — the single definition both the solver
+/// and the flat network's near-tie guard use.
+#[inline]
+pub(crate) fn freezes_at(limit: f64, share: f64) -> bool {
+    limit <= share * (1.0 + FREEZE_TOLERANCE)
+}
+
 /// Lifetime counters describing how hard the solver has worked — exposed
 /// through the observability layer to spot pathological contention (many
 /// filling rounds per call) and the rare float-degenerate fallback freezes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 #[must_use]
 pub struct SolverStats {
-    /// Solver calls ([`FairShare::compute_into`] or
-    /// [`FairShare::compute_with_capacities_into`]).
+    /// Solver calls. The flat fluid network solves each connected
+    /// component a flow arrival or departure touches on its own, so there
+    /// this counts component solves (plus the rare full solves its
+    /// near-tie guard publishes), not flow-set changes.
     pub invocations: u64,
     /// Progressive-filling rounds across all calls (each round freezes at
-    /// least one link's flows).
+    /// least one link's flows); per component solve in the flat network.
     pub rounds: u64,
     /// Times the degenerate-float fallback freeze rule fired.
     pub fallback_freezes: u64,
@@ -89,8 +104,16 @@ impl Paths<'_> {
 pub struct FairShare {
     active: Vec<usize>,
     still_active: Vec<usize>,
+    /// Residual capacity per link id; only entries of `touched` are live.
     link_cap: Vec<f64>,
+    /// Unfrozen flows per link id. All zero between calls, so a call
+    /// reads and resets only the links its flows cross.
     link_count: Vec<usize>,
+    /// `link_cap / link_count` of each crossed link with unfrozen flows,
+    /// kept current through a round so a flow's limit costs no division.
+    link_share: Vec<f64>,
+    /// Links the current call's flows cross, in first-crossing order.
+    touched: Vec<u32>,
     path_offsets: Vec<u32>,
     path_links: Vec<u32>,
     stats: SolverStats,
@@ -117,15 +140,7 @@ impl FairShare {
         rates: &mut Vec<f64>,
     ) {
         assert!(link_capacity > 0.0);
-        self.fill(
-            flows,
-            2 * nodes,
-            |_| link_capacity,
-            &Paths::Flat,
-            nodes,
-            loopback_capacity,
-            rates,
-        );
+        self.compute_flat_into(flows, nodes, |_| link_capacity, loopback_capacity, rates);
     }
 
     /// Like [`FairShare::compute_into`] but with an individual full-duplex
@@ -145,10 +160,26 @@ impl FairShare {
         for &c in capacities {
             assert!(c > 0.0 && c.is_finite(), "link capacity must be positive");
         }
+        self.compute_flat_into(flows, nodes, |n| capacities[n], loopback_capacity, rates);
+    }
+
+    /// The flat solve both public flat entry points share: node `n`'s
+    /// uplink and downlink each carry `node_capacity(n)`. Does not
+    /// validate capacities, so a caller that solves many small flow sets
+    /// over the same validated capacities pays O(flows) per call, not
+    /// O(nodes).
+    pub(crate) fn compute_flat_into(
+        &mut self,
+        flows: &[FlowEndpoints],
+        nodes: usize,
+        node_capacity: impl Fn(usize) -> f64,
+        loopback_capacity: f64,
+        rates: &mut Vec<f64>,
+    ) {
         self.fill(
             flows,
             2 * nodes,
-            |link| capacities[link / 2],
+            |link| node_capacity(link / 2),
             &Paths::Flat,
             nodes,
             loopback_capacity,
@@ -214,6 +245,8 @@ impl FairShare {
             still_active,
             link_cap,
             link_count,
+            link_share,
+            touched,
             stats,
             ..
         } = self;
@@ -230,29 +263,37 @@ impl FairShare {
             }
         }
 
-        link_cap.clear();
-        for link in 0..num_links {
-            link_cap.push(capacity_of(link));
+        // `link_count` is all zero here (every call resets what it
+        // touched), so only the crossed links need their capacity loaded.
+        if link_count.len() < num_links {
+            link_count.resize(num_links, 0);
+            link_cap.resize(num_links, 0.0);
+            link_share.resize(num_links, 0.0);
         }
-        link_count.clear();
-        link_count.resize(num_links, 0);
+        touched.clear();
         let mut buf = [0u32; 2];
         for &i in active.iter() {
             for &l in paths.path(i, flows[i], &mut buf) {
-                link_count[l as usize] += 1;
+                let link = l as usize;
+                if link_count[link] == 0 {
+                    link_cap[link] = capacity_of(link);
+                    touched.push(l);
+                }
+                link_count[link] += 1;
             }
         }
 
         while !active.is_empty() {
             stats.rounds += 1;
             // The bottleneck link is the one offering the least share per
-            // flow. Link ids place edge up/downlinks at 2v/2v+1, so this
-            // scan visits capacities in the historical per-node order.
+            // flow. `min` does not depend on the visiting order, so
+            // scanning only the crossed links gives the full scan's bits.
             let mut bottleneck_share = f64::INFINITY;
-            for link in 0..num_links {
+            for &l in touched.iter() {
+                let link = l as usize;
                 if link_count[link] > 0 {
-                    bottleneck_share =
-                        bottleneck_share.min(link_cap[link] / link_count[link] as f64);
+                    link_share[link] = link_cap[link] / link_count[link] as f64;
+                    bottleneck_share = bottleneck_share.min(link_share[link]);
                 }
             }
             // Always-on: a NaN/infinite share would propagate into every
@@ -269,13 +310,17 @@ impl FairShare {
                 let path = paths.path(i, flows[i], &mut buf);
                 let mut limit = f64::INFINITY;
                 for &l in path {
-                    limit = limit.min(link_cap[l as usize] / link_count[l as usize] as f64);
+                    limit = limit.min(link_share[l as usize]);
                 }
-                if limit <= bottleneck_share * (1.0 + 1e-12) {
+                if freezes_at(limit, bottleneck_share) {
                     rates[i] = bottleneck_share;
                     for &l in path {
-                        link_cap[l as usize] -= bottleneck_share;
-                        link_count[l as usize] -= 1;
+                        let link = l as usize;
+                        link_cap[link] -= bottleneck_share;
+                        link_count[link] -= 1;
+                        if link_count[link] > 0 {
+                            link_share[link] = link_cap[link] / link_count[link] as f64;
+                        }
                     }
                     frozen_any = true;
                 } else {
@@ -292,7 +337,8 @@ impl FairShare {
                 // share by 1 + 1e-12 makes it smaller), so nothing passes the
                 // test. Freeze the flows on the strict minimum-share link
                 // directly — that link has at least one flow by construction,
-                // so filling always terminates.
+                // so filling always terminates. The scan stays ascending over
+                // every link id so ties keep going to the lowest id.
                 let mut min_link: Option<(usize, f64)> = None;
                 for link in 0..num_links {
                     if link_count[link] > 0 {
@@ -329,6 +375,9 @@ impl FairShare {
                 }
             }
             std::mem::swap(active, still_active);
+        }
+        for &l in touched.iter() {
+            link_count[l as usize] = 0;
         }
     }
 

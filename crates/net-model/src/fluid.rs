@@ -12,14 +12,37 @@
 //! ## Incremental recomputation
 //!
 //! Rates only change when the *fabric* flow set changes: loopback (self)
-//! flows never contend for the switch, so arrivals and departures of
-//! loopback flows leave every other rate untouched, and a lone fabric flow
-//! always gets the full link. Those cases skip the progressive-filling
-//! solver entirely; the general case reuses a [`FairShare`] solver and
-//! per-call scratch, so the steady-state event loop allocates nothing.
-//! All fast paths are bit-identical to a from-scratch recomputation (a
-//! property-based test below drives random arrivals/departures and checks
-//! rates against [`max_min_fair`] exactly).
+//! flows never contend for the switch, so their arrivals and departures
+//! leave every other rate untouched. On the flat switch a fabric flow
+//! crosses exactly two links, its source's uplink `2·src` and its
+//! destination's downlink `2·dst+1` (the [`LinkTable`] numbering), and
+//! the network keeps, per link, the live fabric flows crossing it. Max-min
+//! fairness decomposes over the connected components of the
+//! flow–link graph, so an arrival or departure re-solves only what it
+//! touches: from each changed flow's two links it walks shared links to
+//! collect each connected component separately, sorts the component's
+//! slots, and runs [`FairShare`] over that component alone. Components
+//! are solved one at a time on purpose: a single call over the union of
+//! two components re-couples them through the solver's freeze tolerance.
+//!
+//! That tolerance is also why the per-component answer needs a guard to
+//! be exact. The global solve freezes, in a round at bottleneck share
+//! `b`, every flow whose tightest link offers at most `b · (1 + 1e-12)`;
+//! two components whose fill levels differ but sit within that window are
+//! frozen together at the lower level. The network therefore keeps the
+//! sorted multiset of every fabric flow's component share and counts the
+//! adjacent distinct values within the tolerance. While that count is
+//! nonzero, or while any component solve needed the fallback freeze or
+//! gave a non-positive share, the network publishes the full
+//! from-scratch solve instead; when the condition clears it publishes the
+//! component shares again. A one-flow component needs no special case:
+//! filling one flow yields `min(cap_up, cap_down)`. Scratch buffers are
+//! reused, so the steady-state event loop allocates nothing, and every
+//! published rate is bit-identical to [`crate::fair_share::max_min_fair`]
+//! (or [`FairShare::compute_with_capacities_into`] with degraded links)
+//! over the live flows — property and seeded-sequence tests below check
+//! this bitwise. Draining (`advance`) and the next-completion query
+//! still visit every live flow.
 //!
 //! ## Hierarchical (tree) mode
 //!
@@ -51,7 +74,7 @@ use std::collections::BinaryHeap;
 
 use sim_core::{SimDuration, SimTime};
 
-use crate::fair_share::{FairShare, FlowEndpoints, SolverStats};
+use crate::fair_share::{freezes_at, FairShare, FlowEndpoints, SolverStats};
 use crate::params::NetworkParams;
 use crate::topology::{LinkTable, Topology};
 
@@ -76,6 +99,123 @@ struct ActiveFlow {
     /// Tree mode only: completion-heap generation stamp for this slot's
     /// current occupant (stale heap entries carry an older stamp).
     generation: u64,
+}
+
+/// A live fabric flow's rate from the last solve of its connected
+/// component alone. It is the published rate unless the near-tie guard
+/// published the full solve.
+#[derive(Debug, Clone, Copy)]
+struct ComponentShare {
+    share: f64,
+    /// From a solve that hit the fallback freeze, or not positive: may
+    /// differ from the full solve.
+    suspect: bool,
+}
+
+/// Flat-mode state for per-component re-solves (see the module docs).
+/// Left empty in tree mode.
+#[derive(Debug, Default)]
+struct FlatState {
+    /// Per flow slot (one entry per `flows` slot): its component share,
+    /// `None` for loopback flows, free slots and a new flow before its
+    /// first solve.
+    by_slot: Vec<Option<ComponentShare>>,
+    /// Live fabric-flow slots crossing each link: `2v` is node `v`'s
+    /// uplink, `2v+1` its downlink.
+    members: Vec<Vec<usize>>,
+    /// Per-link visit stamp of the component walks; a link is visited in
+    /// the current update when its stamp equals `epoch`.
+    stamp: Vec<u64>,
+    epoch: u64,
+    /// The `by_slot` shares, sorted by `f64::total_cmp`.
+    shares: Vec<f64>,
+    /// Adjacent distinct entries of `shares` close enough that the full
+    /// solve would freeze them in one round.
+    near_ties: usize,
+    /// Live fabric flows whose share is suspect.
+    suspects: usize,
+    /// The published rates are the full solve's, not the component shares.
+    published_full: bool,
+    /// Links whose components the pending update must re-solve.
+    seeds: Vec<usize>,
+    /// Scratch: component walk stack and the component's slots.
+    stack: Vec<usize>,
+    component: Vec<usize>,
+}
+
+/// True when sorted neighbours `lo < hi` of the share multiset would be
+/// frozen together by the full solve.
+fn near_tie(lo: f64, hi: f64) -> bool {
+    lo < hi && freezes_at(hi, lo)
+}
+
+impl FlatState {
+    fn new(nodes: usize) -> Self {
+        FlatState {
+            members: vec![Vec::new(); 2 * nodes],
+            stamp: vec![0; 2 * nodes],
+            ..FlatState::default()
+        }
+    }
+
+    fn insert_share(&mut self, x: f64) {
+        let p = self.shares.partition_point(|y| y.total_cmp(&x).is_lt());
+        let prev = p.checked_sub(1).map(|i| self.shares[i]);
+        let next = self.shares.get(p).copied();
+        if let (Some(a), Some(b)) = (prev, next) {
+            self.near_ties -= usize::from(near_tie(a, b));
+        }
+        if let Some(a) = prev {
+            self.near_ties += usize::from(near_tie(a, x));
+        }
+        if let Some(b) = next {
+            self.near_ties += usize::from(near_tie(x, b));
+        }
+        self.shares.insert(p, x);
+    }
+
+    fn remove_share(&mut self, x: f64) {
+        let p = self.shares.partition_point(|y| y.total_cmp(&x).is_lt());
+        debug_assert_eq!(self.shares[p].to_bits(), x.to_bits());
+        let prev = p.checked_sub(1).map(|i| self.shares[i]);
+        let next = self.shares.get(p + 1).copied();
+        if let Some(a) = prev {
+            self.near_ties -= usize::from(near_tie(a, x));
+        }
+        if let Some(b) = next {
+            self.near_ties -= usize::from(near_tie(x, b));
+        }
+        if let (Some(a), Some(b)) = (prev, next) {
+            self.near_ties += usize::from(near_tie(a, b));
+        }
+        self.shares.remove(p);
+    }
+
+    /// Record `slot`'s new component share.
+    fn set(&mut self, slot: usize, share: f64, suspect: bool) {
+        if let Some(old) = self.by_slot[slot] {
+            if old.share.to_bits() == share.to_bits() && old.suspect == suspect {
+                return; // its multiset entry stands
+            }
+        }
+        self.forget(slot);
+        self.by_slot[slot] = Some(ComponentShare { share, suspect });
+        self.suspects += usize::from(suspect);
+        self.insert_share(share);
+    }
+
+    /// Drop `slot`'s component share (when its flow leaves).
+    fn forget(&mut self, slot: usize) {
+        if let Some(old) = self.by_slot[slot].take() {
+            self.remove_share(old.share);
+            self.suspects -= usize::from(old.suspect);
+        }
+    }
+
+    /// Whether the component shares may differ from the full solve.
+    fn guarded(&self) -> bool {
+        self.near_ties > 0 || self.suspects > 0
+    }
 }
 
 /// Incremental per-link state for hierarchical (fat-tree) fabrics.
@@ -163,8 +303,6 @@ pub struct FluidNetwork {
     /// Slots of live flows, kept sorted ascending so every scan visits
     /// flows in the same order a full `flows` sweep would.
     active_slots: Vec<usize>,
-    /// Live flows with src != dst (the ones that contend for the switch).
-    fabric_count: usize,
     /// Per node: how many live flows touch it as src or dst (a loopback
     /// flow counts twice). Makes `node_busy` O(1).
     node_touch: Vec<usize>,
@@ -176,6 +314,9 @@ pub struct FluidNetwork {
     /// Hierarchical-fabric state; `None` keeps every code path on the
     /// historical flat model, byte-for-byte.
     tree: Option<Box<TreeState>>,
+    /// Flat-fabric component state; empty in tree mode. Boxed to keep
+    /// the network (embedded in the engine) small.
+    flat: Box<FlatState>,
     last_advance: SimTime,
     total_bytes_delivered: f64,
     total_flows_completed: u64,
@@ -190,18 +331,26 @@ pub struct FluidNetwork {
 impl FluidNetwork {
     /// A network of `nodes` endpoints with the given parameters.
     pub fn new(params: NetworkParams, nodes: usize) -> Self {
+        Self::build(params, nodes, None)
+    }
+
+    fn build(params: NetworkParams, nodes: usize, tree: Option<Box<TreeState>>) -> Self {
         params.validate();
         assert!(nodes > 0);
+        let flat = Box::new(match tree {
+            None => FlatState::new(nodes),
+            Some(_) => FlatState::default(),
+        });
         FluidNetwork {
             params,
             nodes,
             flows: Vec::new(),
             free_slots: Vec::new(),
             active_slots: Vec::new(),
-            fabric_count: 0,
             node_touch: vec![0; nodes],
             link_caps: None,
-            tree: None,
+            tree,
+            flat,
             last_advance: SimTime::ZERO,
             total_bytes_delivered: 0.0,
             total_flows_completed: 0,
@@ -216,26 +365,27 @@ impl FluidNetwork {
     /// topology is exactly [`FluidNetwork::new`]; a fat-tree switches to
     /// the incremental tree-mode model (see the module docs).
     pub fn with_topology(params: NetworkParams, nodes: usize, topology: &Topology) -> Self {
-        let mut net = Self::new(params, nodes);
-        if *topology != Topology::Flat {
-            let table = topology.link_table(nodes, net.params.goodput_bytes_per_sec());
-            let num_links = table.num_links();
-            // ~1e-6 of the edge rate: coarse enough that counts drifting
-            // by a few flows rarely move a share, fine enough that the
-            // rounding is irrelevant to simulated transfer times.
-            let quantum = net.params.goodput_bytes_per_sec() / (1u64 << 20) as f64;
-            net.tree = Some(Box::new(TreeState {
-                qshare: table.capacities().to_vec(),
-                count: vec![0; num_links],
-                table,
-                quantum,
-                heap: BinaryHeap::new(),
-                next_generation: 0,
-                active_count: 0,
-                path_scratch: Vec::new(),
-            }));
+        if *topology == Topology::Flat {
+            return Self::new(params, nodes);
         }
-        net
+        params.validate();
+        let table = topology.link_table(nodes, params.goodput_bytes_per_sec());
+        let num_links = table.num_links();
+        // ~1e-6 of the edge rate: coarse enough that counts drifting
+        // by a few flows rarely move a share, fine enough that the
+        // rounding is irrelevant to simulated transfer times.
+        let quantum = params.goodput_bytes_per_sec() / (1u64 << 20) as f64;
+        let tree = TreeState {
+            qshare: table.capacities().to_vec(),
+            count: vec![0; num_links],
+            table,
+            quantum,
+            heap: BinaryHeap::new(),
+            next_generation: 0,
+            active_count: 0,
+            path_scratch: Vec::new(),
+        };
+        Self::build(params, nodes, Some(Box::new(tree)))
     }
 
     /// True when the network runs the hierarchical (tree-mode) model.
@@ -273,15 +423,6 @@ impl FluidNetwork {
             .link_caps
             .get_or_insert_with(|| vec![goodput; self.nodes]);
         caps[node] *= factor;
-    }
-
-    /// The capacity of a lone fabric flow from `src` to `dst`: the full
-    /// nominal goodput unless either endpoint's link is degraded.
-    fn lone_flow_rate(&self, src: usize, dst: usize) -> f64 {
-        match &self.link_caps {
-            None => self.params.goodput_bytes_per_sec(),
-            Some(caps) => caps[src].min(caps[dst]),
-        }
     }
 
     /// Move the fluid state forward to `now`, draining flows at their
@@ -327,6 +468,7 @@ impl FluidNetwork {
             slot
         } else {
             self.flows.push(Some(flow));
+            self.flat.by_slot.push(None);
             self.flows.len() - 1
         };
         let pos = self.active_slots.binary_search(&id).unwrap_err();
@@ -338,15 +480,11 @@ impl FluidNetwork {
             // Loopback never contends: nobody else's rate changes.
             slot_flow_mut(&mut self.flows, id).rate_bytes_per_sec = LOOPBACK_BYTES_PER_SEC;
         } else {
-            self.fabric_count += 1;
-            if self.fabric_count == 1 {
-                // A lone fabric flow takes the whole link (or the weaker
-                // of its two endpoints' links when one is degraded).
-                let rate = self.lone_flow_rate(src, dst);
-                slot_flow_mut(&mut self.flows, id).rate_bytes_per_sec = rate;
-            } else {
-                self.recompute_rates();
-            }
+            let flat = &mut self.flat;
+            flat.members[2 * src].push(id);
+            flat.members[2 * dst + 1].push(id);
+            flat.seeds.push(2 * src);
+            self.resolve_components();
         }
         FlowId(id)
     }
@@ -384,7 +522,6 @@ impl FluidNetwork {
             }
             tree.path_scratch = path;
             self.solver.note_domains(touched, skipped);
-            self.fabric_count += 1;
             rate
         };
 
@@ -413,6 +550,111 @@ impl FluidNetwork {
         FlowId(id)
     }
 
+    /// Re-solve, one at a time, the connected components that contain the
+    /// links in `flat.seeds`, and publish their component shares, or the
+    /// full solve while the near-tie guard holds.
+    fn resolve_components(&mut self) {
+        let FluidNetwork {
+            params,
+            nodes,
+            flows,
+            link_caps,
+            flat,
+            solver,
+            scratch_endpoints,
+            scratch_rates,
+            ..
+        } = self;
+        flat.epoch += 1;
+        // Every seed link carries a live flow, so each walk below finds a
+        // non-empty component.
+        let solved = !flat.seeds.is_empty();
+        for k in 0..flat.seeds.len() {
+            let seed = flat.seeds[k];
+            if flat.stamp[seed] == flat.epoch {
+                continue;
+            }
+            // Walk shared links. Every fabric flow has exactly one uplink
+            // (an even id), so collecting at uplinks lists each once.
+            flat.stamp[seed] = flat.epoch;
+            flat.stack.push(seed);
+            flat.component.clear();
+            while let Some(link) = flat.stack.pop() {
+                let up = link % 2 == 0;
+                for &slot in &flat.members[link] {
+                    let f = slot_flow(flows, slot);
+                    let other = if up { 2 * f.dst + 1 } else { 2 * f.src };
+                    if flat.stamp[other] != flat.epoch {
+                        flat.stamp[other] = flat.epoch;
+                        flat.stack.push(other);
+                    }
+                }
+                if up {
+                    flat.component.extend_from_slice(&flat.members[link]);
+                }
+            }
+            // Slot order is the order the full solve visits these flows.
+            flat.component.sort_unstable();
+            scratch_endpoints.clear();
+            for &slot in &flat.component {
+                let f = slot_flow(flows, slot);
+                scratch_endpoints.push(FlowEndpoints {
+                    src: f.src,
+                    dst: f.dst,
+                });
+            }
+            let fallbacks = solver.stats().fallback_freezes;
+            match link_caps {
+                None => {
+                    let goodput = params.goodput_bytes_per_sec();
+                    solver.compute_flat_into(
+                        scratch_endpoints,
+                        *nodes,
+                        |_| goodput,
+                        LOOPBACK_BYTES_PER_SEC,
+                        scratch_rates,
+                    );
+                }
+                Some(caps) => solver.compute_flat_into(
+                    scratch_endpoints,
+                    *nodes,
+                    |n| caps[n],
+                    LOOPBACK_BYTES_PER_SEC,
+                    scratch_rates,
+                ),
+            }
+            let fell_back = solver.stats().fallback_freezes != fallbacks;
+            for (k, &share) in scratch_rates.iter().enumerate() {
+                let slot = flat.component[k];
+                // Published now; if the guard holds below, the full
+                // solve overwrites every rate anyway.
+                slot_flow_mut(flows, slot).rate_bytes_per_sec = share;
+                flat.set(slot, share, fell_back || share <= 0.0);
+            }
+        }
+        flat.seeds.clear();
+
+        if flat.guarded() {
+            flat.published_full = true;
+            self.recompute_rates();
+            return;
+        }
+        if solved {
+            self.total_rate_recomputes += 1;
+        }
+        if std::mem::take(&mut self.flat.published_full) {
+            // The last publish was the full solve: every survivor goes
+            // back to its component share.
+            for &slot in &self.active_slots {
+                if let Some(c) = self.flat.by_slot[slot] {
+                    slot_flow_mut(&mut self.flows, slot).rate_bytes_per_sec = c.share;
+                }
+            }
+        }
+    }
+
+    /// The full solve over every live flow, published while the near-tie
+    /// guard holds.
     fn recompute_rates(&mut self) {
         self.scratch_endpoints.clear();
         for &slot in &self.active_slots {
@@ -488,7 +730,7 @@ impl FluidNetwork {
             self.take_completed_tree(now, done);
             return;
         }
-        let mut removed_fabric = 0usize;
+        let mut removed_fabric = false;
         let mut keep = 0usize;
         for read in 0..self.active_slots.len() {
             let slot = self.active_slots[read];
@@ -501,7 +743,19 @@ impl FluidNetwork {
                 self.node_touch[src] -= 1;
                 self.node_touch[dst] -= 1;
                 if src != dst {
-                    removed_fabric += 1;
+                    // The survivors on both links lose a competitor.
+                    let flat = &mut self.flat;
+                    flat.forget(slot);
+                    for link in [2 * src, 2 * dst + 1] {
+                        let members = &mut flat.members[link];
+                        if let Some(p) = members.iter().position(|&s| s == slot) {
+                            members.swap_remove(p);
+                        }
+                        if !members.is_empty() {
+                            flat.seeds.push(link);
+                        }
+                    }
+                    removed_fabric = true;
                 }
                 self.total_flows_completed += 1;
             } else {
@@ -510,23 +764,10 @@ impl FluidNetwork {
             }
         }
         self.active_slots.truncate(keep);
-        if removed_fabric > 0 {
-            self.fabric_count -= removed_fabric;
-            match self.fabric_count {
-                0 => {} // only loopbacks remain; their rate is a constant
-                1 => {
-                    // The survivor takes the whole link; no solver needed.
-                    let survivor = self.active_slots.iter().copied().find_map(|slot| {
-                        let f = slot_flow(&self.flows, slot);
-                        (f.src != f.dst).then_some((slot, f.src, f.dst))
-                    });
-                    if let Some((slot, src, dst)) = survivor {
-                        let rate = self.lone_flow_rate(src, dst);
-                        slot_flow_mut(&mut self.flows, slot).rate_bytes_per_sec = rate;
-                    }
-                }
-                _ => self.recompute_rates(),
-            }
+        if removed_fabric {
+            // Re-solve the survivors' components; also re-publishes when
+            // the departure settles (or raises) the near-tie guard.
+            self.resolve_components();
         }
     }
 
@@ -539,7 +780,6 @@ impl FluidNetwork {
             flows,
             free_slots,
             node_touch,
-            fabric_count,
             total_bytes_delivered,
             total_flows_completed,
             solver,
@@ -572,7 +812,6 @@ impl FluidNetwork {
             *total_flows_completed += 1;
             tree.active_count -= 1;
             if flow.src != flow.dst {
-                *fabric_count -= 1;
                 let mut path = std::mem::take(&mut tree.path_scratch);
                 path.clear();
                 tree.table.push_path(flow.src, flow.dst, &mut path);
@@ -624,9 +863,10 @@ impl FluidNetwork {
         self.total_flows_completed
     }
 
-    /// How many times the full progressive-filling recompute ran (the
-    /// loopback / lone-fabric fast paths don't count — that's the point
-    /// of tracking it).
+    /// How many fabric flow-set changes re-rated flows: each ran one
+    /// solve per connected component it touched, or the full solve while
+    /// the near-tie guard held. Loopback changes and departures that
+    /// leave no fabric flow behind do not count.
     pub fn rate_recomputes(&self) -> u64 {
         self.total_rate_recomputes
     }
@@ -703,8 +943,8 @@ mod tests {
     }
 
     #[test]
-    fn survivor_rate_restored_without_full_recompute() {
-        // Exercises the fabric_count == 1 fast path in take_completed.
+    fn survivor_takes_the_whole_link_back() {
+        // The departure re-solves the survivor's one-flow component.
         let mut n = net(3);
         n.start_flow(SimTime::ZERO, 0, 1, 1_000_000);
         let long = n.start_flow(SimTime::ZERO, 0, 2, 5_000_000);
@@ -762,17 +1002,40 @@ mod tests {
     }
 
     #[test]
-    fn recompute_counter_skips_fast_paths() {
-        let mut n = net(3);
-        // Lone fabric flow and loopback: both fast paths, no recompute.
-        n.start_flow(SimTime::ZERO, 0, 1, 1_000_000);
+    fn recompute_counter_skips_loopback_and_counts_components() {
+        let mut n = net(6);
+        // A loopback flow never runs the solver.
         n.start_flow(SimTime::ZERO, 2, 2, 1_000_000);
         assert_eq!(n.rate_recomputes(), 0);
         assert_eq!(n.solver_stats().invocations, 0);
-        // A second fabric flow forces the solver.
-        n.start_flow(SimTime::ZERO, 0, 2, 1_000_000);
-        assert_eq!(n.rate_recomputes(), 1);
-        assert_eq!(n.solver_stats().invocations, 1);
+        // Each fabric arrival solves its own component only.
+        n.start_flow(SimTime::ZERO, 0, 1, 1_000_000);
+        n.start_flow(SimTime::ZERO, 3, 4, 1_000_000);
+        assert_eq!(n.rate_recomputes(), 2);
+        assert_eq!(n.solver_stats().invocations, 2);
+        // A flow bridging 0->1 and 3->4 (uplink 0, downlink 4) merges
+        // them into one three-flow component: one more solve.
+        n.start_flow(SimTime::ZERO, 0, 4, 1_000_000);
+        assert_eq!(n.rate_recomputes(), 3);
+        assert_eq!(n.solver_stats().invocations, 3);
+    }
+
+    #[test]
+    fn departure_resolves_each_survivor_component_separately() {
+        // 0->1 and 2->3 are joined only by the bridge 0->3 (uplink 0,
+        // downlink 3). When the short bridge drains, the survivors fall
+        // into two components, each solved on its own.
+        let mut n = net(4);
+        let a = n.start_flow(SimTime::ZERO, 0, 1, 5_000_000);
+        let b = n.start_flow(SimTime::ZERO, 2, 3, 5_000_000);
+        n.start_flow(SimTime::ZERO, 0, 3, 1_000);
+        let before = n.solver_stats().invocations;
+        let t = n.next_completion().unwrap();
+        assert_eq!(take(&mut n, t).len(), 1);
+        assert_eq!(n.solver_stats().invocations, before + 2);
+        let full = n.params().goodput_bytes_per_sec();
+        assert_eq!(n.current_rate(a).unwrap().to_bits(), full.to_bits());
+        assert_eq!(n.current_rate(b).unwrap().to_bits(), full.to_bits());
     }
 
     #[test]
@@ -836,7 +1099,7 @@ mod tests {
     }
 
     #[test]
-    fn degraded_link_survivor_fast_path_respects_cap() {
+    fn degraded_link_survivor_respects_cap() {
         let mut n = net(3);
         n.set_link_bandwidth_factor(2, 0.25);
         n.start_flow(SimTime::ZERO, 0, 1, 1_000);
@@ -1012,6 +1275,175 @@ mod prop_tests {
         done
     }
 
+    /// One step of a replayed sequence: `(complete, src, dst, bytes)`. A
+    /// completion step harvests at the next completion instant; any
+    /// other step starts a `src -> dst` flow of `bytes` at the current
+    /// instant.
+    type Op = (bool, usize, usize, u64);
+
+    /// Drive `ops` through a flat network of `nodes` endpoints whose
+    /// links in `weak` run at the given factors, and after every step
+    /// compare each live flow's published rate bitwise against a
+    /// from-scratch full solve over the live flows in slot order
+    /// ([`FairShare::compute_into`], or
+    /// [`FairShare::compute_with_capacities_into`] with degraded links).
+    /// Returns the number of rates compared.
+    fn replay(nodes: usize, weak: &[(usize, f64)], ops: &[Op]) -> Result<u64, String> {
+        let params = NetworkParams::catalyst_2950_100m();
+        let goodput = params.goodput_bytes_per_sec();
+        let mut net = FluidNetwork::new(params, nodes);
+        let mut caps = vec![goodput; nodes];
+        for &(node, factor) in weak {
+            net.set_link_bandwidth_factor(node, factor);
+            caps[node] *= factor;
+        }
+        let mut shadow: BTreeMap<usize, FlowEndpoints> = BTreeMap::new();
+        let mut oracle = FairShare::new();
+        let mut expect = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut checked = 0u64;
+        for (step, &(complete, src, dst, bytes)) in ops.iter().enumerate() {
+            if complete {
+                if let Some(t) = net.next_completion() {
+                    now = t;
+                    for (id, _, _) in take_p(&mut net, now) {
+                        shadow.remove(&id.0);
+                    }
+                }
+            } else {
+                let id = net.start_flow(now, src, dst, bytes);
+                shadow.insert(id.0, FlowEndpoints { src, dst });
+            }
+            let endpoints: Vec<FlowEndpoints> = shadow.values().copied().collect();
+            if weak.is_empty() {
+                oracle.compute_into(
+                    &endpoints,
+                    nodes,
+                    goodput,
+                    LOOPBACK_BYTES_PER_SEC,
+                    &mut expect,
+                );
+            } else {
+                oracle.compute_with_capacities_into(
+                    &endpoints,
+                    nodes,
+                    &caps,
+                    LOOPBACK_BYTES_PER_SEC,
+                    &mut expect,
+                );
+            }
+            for ((&slot, f), exp) in shadow.iter().zip(&expect) {
+                let got = net.current_rate(FlowId(slot)).unwrap();
+                if got.to_bits() != exp.to_bits() {
+                    return Err(format!(
+                        "step {step}: slot {slot} ({f:?}) rate {got:e} != full solve {exp:e}"
+                    ));
+                }
+                checked += 1;
+            }
+        }
+        Ok(checked)
+    }
+
+    /// A seeded op sequence: 2-12 nodes, up to two degraded links at
+    /// awkward factors, and 80 steps that keep a handful of flows in
+    /// flight so components form, merge and split.
+    fn seeded_case(seed: u64) -> (usize, Vec<(usize, f64)>, Vec<Op>) {
+        const FACTORS: [f64; 6] = [0.5, 1.0 / 3.0, 0.7, 0.25, 0.9, 2.0 / 3.0];
+        let mut rng = sim_core::DetRng::new(seed);
+        let nodes = rng.gen_range(2, 13) as usize;
+        let weak = (0..rng.gen_range(0, 3))
+            .map(|_| {
+                let node = rng.gen_range(0, nodes as u64) as usize;
+                (
+                    node,
+                    FACTORS[rng.gen_range(0, FACTORS.len() as u64) as usize],
+                )
+            })
+            .collect();
+        let ops = (0..80)
+            .map(|_| {
+                let complete = rng.gen_range(0, 5) < 2;
+                let src = rng.gen_range(0, nodes as u64) as usize;
+                let dst = rng.gen_range(0, nodes as u64) as usize;
+                (complete, src, dst, rng.gen_range(1_000, 2_000_000))
+            })
+            .collect();
+        (nodes, weak, ops)
+    }
+
+    /// Two components whose fill levels differ by one ulp: the full solve
+    /// freezes them in one round, so the network must publish the full
+    /// solve (the near-tie guard), and go back to the component shares
+    /// once the tie is gone.
+    #[test]
+    fn near_tie_publishes_the_full_solve() {
+        let params = NetworkParams::catalyst_2950_100m();
+        let c = params.goodput_bytes_per_sec();
+        let mut net = FluidNetwork::new(params, 3);
+        // Component B (short flows): downlink 2 carries six flows (four
+        // from node 1, two from node 0) at C/6; node 1's uplink then has
+        // C - 4·C/6 left for its fifth flow, 1 -> 0.
+        let mut flows = vec![(1, 2); 4];
+        flows.extend([(0, 2), (0, 2), (1, 0)]);
+        // Component A (long flows): three flows 2 -> 1 share uplink 2.
+        flows.extend([(2, 1); 3]);
+        let ids: Vec<FlowId> = flows
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, d))| {
+                let bytes = if i < 7 { 1_000 } else { 50_000_000 };
+                net.start_flow(SimTime::ZERO, s, d, bytes)
+            })
+            .collect();
+        let (residual, a) = (ids[6], ids[7]);
+        let share = |net: &FluidNetwork, id: FlowId| net.flat.by_slot[id.0].map(|c| c.share);
+        let third = c / 3.0;
+        let below = f64::from_bits(third.to_bits() - 1);
+        assert_eq!(share(&net, a), Some(third));
+        assert_eq!(share(&net, residual), Some(below), "B's residual level");
+
+        let endpoints: Vec<FlowEndpoints> = flows
+            .iter()
+            .map(|&(src, dst)| FlowEndpoints { src, dst })
+            .collect();
+        let expect = max_min_fair(&endpoints, 3, c, LOOPBACK_BYTES_PER_SEC);
+        for (id, exp) in ids.iter().zip(&expect) {
+            assert_eq!(net.current_rate(*id).unwrap().to_bits(), exp.to_bits());
+        }
+        // The full solve froze A at B's lower level: only the guard's
+        // full-solve path gives these bits.
+        assert_eq!(net.current_rate(a), Some(below));
+
+        // B's 1 -> 0 flow drains first; the rest of B sits at C/6, far
+        // from A, so A goes back to its own component share.
+        let t = net.next_completion().unwrap();
+        assert_eq!(take_p(&mut net, t), vec![(residual, 1, 0)]);
+        let mut live = endpoints.clone();
+        live.remove(6);
+        let expect = max_min_fair(&live, 3, c, LOOPBACK_BYTES_PER_SEC);
+        let live_ids = ids.iter().filter(|&&id| id != residual);
+        for (id, exp) in live_ids.zip(&expect) {
+            assert_eq!(net.current_rate(*id).unwrap().to_bits(), exp.to_bits());
+        }
+        assert_eq!(net.current_rate(a), Some(third));
+    }
+
+    /// Deterministic companion to the proptest: 2,000 seeded sequences,
+    /// every published rate compared bitwise against the full solve.
+    #[test]
+    fn seeded_sequences_match_from_scratch() {
+        let mut checked = 0u64;
+        for seed in 0..2_000 {
+            let (nodes, weak, ops) = seeded_case(seed);
+            match replay(nodes, &weak, &ops) {
+                Ok(n) => checked += n,
+                Err(e) => panic!("seed {seed} ({nodes} nodes, weak {weak:?}): {e}"),
+            }
+        }
+        assert!(checked > 100_000, "too few rates compared: {checked}");
+    }
+
     proptest! {
         /// Any batch of flows fully drains, delivering exactly the bytes
         /// that were injected, regardless of contention pattern.
@@ -1070,39 +1502,27 @@ mod prop_tests {
             prop_assert!(last.as_secs_f64() <= upper, "{} > {}", last.as_secs_f64(), upper);
         }
 
-        /// The incremental rate maintenance (loopback skip, lone-fabric fast
-        /// path, reused solver scratch) is bit-identical to a from-scratch
-        /// progressive filling over the live flow set, under an arbitrary
-        /// interleaving of arrivals and completions.
+        /// The per-component re-solves, the near-tie guard and the reused
+        /// scratch publish rates bit-identical to a from-scratch full solve
+        /// over the live flow set, under an arbitrary interleaving of
+        /// arrivals and completions, with or without degraded links.
         #[test]
         fn prop_incremental_rates_match_from_scratch(
+            nodes in 2usize..13,
+            weak in proptest::collection::vec((0usize..12, 1u32..1000), 0..3),
             ops in proptest::collection::vec(
-                (any::<bool>(), 0usize..5, 0usize..5, 1_000u64..2_000_000), 1..40)
+                (any::<bool>(), 0usize..12, 0usize..12, 1_000u64..2_000_000), 1..60)
         ) {
-            let params = NetworkParams::catalyst_2950_100m();
-            let goodput = params.goodput_bytes_per_sec();
-            let mut net = FluidNetwork::new(params, 5);
-            let mut shadow: BTreeMap<usize, FlowEndpoints> = BTreeMap::new();
-            let mut now = SimTime::ZERO;
-            for &(complete, src, dst, bytes) in &ops {
-                if complete {
-                    if let Some(t) = net.next_completion() {
-                        now = t;
-                        for (id, _, _) in take_p(&mut net, now) {
-                            shadow.remove(&id.0);
-                        }
-                    }
-                } else {
-                    let id = net.start_flow(now, src, dst, bytes);
-                    shadow.insert(id.0, FlowEndpoints { src, dst });
-                }
-                let endpoints: Vec<FlowEndpoints> = shadow.values().copied().collect();
-                let expect = max_min_fair(&endpoints, 5, goodput, LOOPBACK_BYTES_PER_SEC);
-                for ((slot, _), exp) in shadow.iter().zip(&expect) {
-                    let got = net.current_rate(FlowId(*slot)).unwrap();
-                    prop_assert!(got.to_bits() == exp.to_bits(),
-                        "slot {} rate {} != from-scratch {}", slot, got, exp);
-                }
+            let weak: Vec<(usize, f64)> = weak
+                .iter()
+                .map(|&(node, millis)| (node % nodes, millis as f64 / 1000.0))
+                .collect();
+            let ops: Vec<Op> = ops
+                .iter()
+                .map(|&(complete, src, dst, bytes)| (complete, src % nodes, dst % nodes, bytes))
+                .collect();
+            if let Err(e) = replay(nodes, &weak, &ops) {
+                prop_assert!(false, "{}", e);
             }
         }
     }

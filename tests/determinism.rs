@@ -228,24 +228,37 @@ fn ft_scale_64_results_are_pinned() {
     // Bit-exact beyond the 4-rank trio: the digest of the whole encoded
     // `RunResult` of a 64-rank FT, on the flat switch and on a fat tree.
     // A pure speed or memory change to the engine or the network model
-    // must leave both unchanged; a deliberate model change re-pins them.
-    use pwrperf::{encode_run_result, Fingerprint, Topology};
-    for (topology, pinned) in [
-        ("flat", "6b54f19f317b6c76ca209e20ad3b478b"),
+    // must leave every digest unchanged; a deliberate model change
+    // re-pins them. The clean flat run keeps its ranks in lock-step; the
+    // straggler (node 3 computes 1.3x slower) desynchronizes them, so
+    // flows start and drain at instants the clean run never produces.
+    use pwrperf::{encode_run_result, FaultSpec, Fingerprint, Topology};
+    for (topology, faults, pinned) in [
+        ("flat", "", "6b54f19f317b6c76ca209e20ad3b478b"),
+        (
+            "flat",
+            "seed:7,slow:3:1.3",
+            "406edc2850acc13441ff8638849fdbcc",
+        ),
         (
             "fat-tree:radix=4,oversub=2",
+            "",
             "2fbc321086ddaa1a17ac0c285d5fcfa4",
         ),
     ] {
         let engine = EngineConfig {
             topology: Topology::parse(topology).unwrap(),
+            faults: FaultSpec::parse(faults).unwrap(),
             ..EngineConfig::default()
         };
         let r = Experiment::new(Workload::ft_scale(64), DvsStrategy::StaticMhz(1400))
             .with_engine(engine)
             .run();
         let digest = Fingerprint::of_bytes(&encode_run_result(&r)).to_hex();
-        assert_eq!(digest, pinned, "ft-scale-64 static-1400 on {topology}");
+        assert_eq!(
+            digest, pinned,
+            "ft-scale-64 static-1400 on {topology}, faults '{faults}'"
+        );
     }
 }
 
