@@ -31,6 +31,7 @@
 use std::fmt::Write as _;
 
 use mpi_sim::{RunResult, Topology};
+use obs::perfetto::push_json_escaped;
 use obs::{PerfettoTrace, RunAttribution};
 
 /// Format version stamped into every [`RunMeta`] header record. Bump it
@@ -53,22 +54,6 @@ pub struct RunMeta {
     pub seed: u64,
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Canonical text form of a topology (the CLI `--topology` syntax).
 pub fn topology_label(topology: &Topology) -> String {
     match topology {
@@ -83,14 +68,18 @@ impl RunMeta {
     /// The header record: one JSON object on one line, always the first
     /// line of an NDJSON export.
     pub fn header_line(&self) -> String {
-        format!(
-            r#"{{"meta":{{"format":{},"workload":"{}","strategy":"{}","topology":"{}","seed":{}}}}}"#,
-            EXPORT_FORMAT_VERSION,
-            json_escape(&self.workload),
-            json_escape(&self.strategy),
-            json_escape(&topology_label(&self.topology)),
-            self.seed,
-        )
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            r#"{{"meta":{{"format":{EXPORT_FORMAT_VERSION},"workload":""#
+        );
+        push_json_escaped(&mut out, &self.workload);
+        out.push_str(r#"","strategy":""#);
+        push_json_escaped(&mut out, &self.strategy);
+        out.push_str(r#"","topology":""#);
+        push_json_escaped(&mut out, &topology_label(&self.topology));
+        let _ = write!(out, r#"","seed":{}}}}}"#, self.seed);
+        out
     }
 }
 
@@ -105,10 +94,20 @@ impl RunMeta {
 pub fn perfetto_json(result: &RunResult) -> String {
     let nodes = result.per_node.len();
     let mut p = PerfettoTrace::from_trace(&result.trace, nodes);
+    let sample_records: usize = result
+        .samples
+        .iter()
+        .map(|s| s.node_power_w.len() + 1)
+        .sum();
+    let flow_records = result.causal.as_ref().map_or(0, |log| 2 * log.msgs.len());
+    p.reserve(sample_records + flow_records);
+    let mut name = String::new();
     for s in &result.samples {
         let mut cluster_w = 0.0;
         for (n, &w) in s.node_power_w.iter().enumerate() {
-            p.counter(0, &format!("node {n} W"), s.time, w);
+            name.clear();
+            let _ = write!(name, "node {n} W");
+            p.counter(0, &name, s.time, w);
             cluster_w += w;
         }
         p.counter(0, "cluster W", s.time, cluster_w);
@@ -119,7 +118,8 @@ pub fn perfetto_json(result: &RunResult) -> String {
                 continue;
             };
             let cat = if m.collective { "collective" } else { "msg" };
-            let name = format!("{}->{} {}B", m.src, m.dst, m.bytes);
+            name.clear();
+            let _ = write!(name, "{}->{} {}B", m.src, m.dst, m.bytes);
             p.flow_start(0, m.src as u64, cat, &name, id as u64, m.enabled_at());
             p.flow_end(0, m.dst as u64, cat, &name, id as u64, delivered);
         }

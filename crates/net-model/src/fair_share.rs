@@ -187,6 +187,16 @@ impl FairShare {
         );
     }
 
+    /// The flat solve of one fabric flow whose uplink and downlink carry
+    /// `up` and `down`: it freezes in the first round at `min(up, down)`.
+    /// Returns those bits and counts the call and its round as the full
+    /// fill would, without running it.
+    pub(crate) fn solve_one_flat(&mut self, up: f64, down: f64) -> f64 {
+        self.stats.invocations += 1;
+        self.stats.rounds += 1;
+        up.min(down)
+    }
+
     /// Max-min fair rates over an arbitrary compiled topology: each flow
     /// is constrained by every link on its up/down path through the
     /// switch hierarchy (see [`LinkTable::push_path`]). With a flat or

@@ -35,14 +35,26 @@
 //! nonzero, or while any component solve needed the fallback freeze or
 //! gave a non-positive share, the network publishes the full
 //! from-scratch solve instead; when the condition clears it publishes the
-//! component shares again. A one-flow component needs no special case:
-//! filling one flow yields `min(cap_up, cap_down)`. Scratch buffers are
-//! reused, so the steady-state event loop allocates nothing, and every
-//! published rate is bit-identical to [`crate::fair_share::max_min_fair`]
-//! (or [`FairShare::compute_with_capacities_into`] with degraded links)
-//! over the live flows — property and seeded-sequence tests below check
-//! this bitwise. Draining (`advance`) and the next-completion query
-//! still visit every live flow.
+//! component shares again. A one-flow component skips the solver:
+//! filling one flow yields `min(cap_up, cap_down)`, published directly.
+//! Scratch buffers are reused, so the steady-state event loop allocates
+//! nothing, and every published rate is bit-identical to
+//! [`crate::fair_share::max_min_fair`] (or
+//! [`FairShare::compute_with_capacities_into`] with degraded links) over
+//! the live flows — property and seeded-sequence tests below check this
+//! bitwise.
+//!
+//! ## Dense draining
+//!
+//! Draining and the next-completion query still visit every live flow,
+//! but as a stream: each flat-mode flow's remaining bytes and rate live
+//! only in two `f64` arrays parallel to the sorted `active_slots`, and
+//! solves write rates into them by position. `advance` and the drained
+//! scan of `take_completed_into` walk them in ascending slot order, so
+//! `bytes_delivered` sums in the order a per-flow sweep would.
+//! `next_completion` divides only for flows that could lower the running
+//! minimum (see `min_drain_secs`), with the bits of a plain minimum over
+//! every flow's `remaining / rate`.
 //!
 //! ## Hierarchical (tree) mode
 //!
@@ -94,6 +106,8 @@ const LOOPBACK_BYTES_PER_SEC: f64 = 1.0e9;
 struct ActiveFlow {
     src: usize,
     dst: usize,
+    /// Tree mode only: bytes left and drain rate. Flat mode keeps these
+    /// in [`FluidNetwork`]'s dense `remaining`/`rate` arrays instead.
     remaining_bytes: f64,
     rate_bytes_per_sec: f64,
     /// Tree mode only: completion-heap generation stamp for this slot's
@@ -287,10 +301,40 @@ fn slot_flow(flows: &[Option<ActiveFlow>], slot: usize) -> &ActiveFlow {
     flows[slot].as_ref().expect("active slot holds a flow")
 }
 
-/// Mutable counterpart of [`slot_flow`], same invariant.
-fn slot_flow_mut(flows: &mut [Option<ActiveFlow>], slot: usize) -> &mut ActiveFlow {
-    // simlint: allow(panic-path): active-slot invariant documented above; corrupted bookkeeping must stop the run
-    flows[slot].as_mut().expect("active slot holds a flow")
+/// Position of a live flat-mode flow's `slot` in the sorted
+/// `active_slots`, which indexes the dense `remaining`/`rate` arrays.
+fn slot_pos(active_slots: &[usize], slot: usize) -> usize {
+    let pos = active_slots.binary_search(&slot);
+    // simlint: allow(panic-path): callers pass live slots only, and every live flat-mode slot is in `active_slots`; corrupted bookkeeping must stop the run
+    pos.expect("live slot is active")
+}
+
+/// The least `remaining[i] / rate[i]` (0 for a drained flow), `None` for
+/// no flows: the same value a plain `f64::min` fold over every flow gives,
+/// without dividing for most of them.
+///
+/// A flow with `r > best · c` (the rounded product) cannot lower the
+/// minimum `best`. The rounded product is the float nearest the exact
+/// one, so no float lies strictly between them: `r` exceeds the exact
+/// `best · c` too, its exact quotient exceeds `best`, and the rounded
+/// quotient is at least `best`. The test only holds for `c > 0`, so other
+/// rates always divide. A drained flow ends the scan: nothing drains
+/// sooner than now.
+fn min_drain_secs(remaining: &[f64], rate: &[f64]) -> Option<f64> {
+    if remaining.is_empty() {
+        return None;
+    }
+    let mut best = f64::INFINITY;
+    for (&r, &c) in remaining.iter().zip(rate) {
+        if r <= EPS_BYTES {
+            return Some(0.0);
+        }
+        if c > 0.0 && r > best * c {
+            continue;
+        }
+        best = best.min(r / c);
+    }
+    Some(best)
 }
 
 /// A switched network carrying fluid flows between `nodes` endpoints.
@@ -300,9 +344,16 @@ pub struct FluidNetwork {
     nodes: usize,
     flows: Vec<Option<ActiveFlow>>,
     free_slots: Vec<usize>,
-    /// Slots of live flows, kept sorted ascending so every scan visits
-    /// flows in the same order a full `flows` sweep would.
+    /// Slots of live flat-mode flows, kept sorted ascending so every scan
+    /// visits flows in the same order a full `flows` sweep would. Empty
+    /// in tree mode.
     active_slots: Vec<usize>,
+    /// Per entry of `active_slots`: the flow's bytes left to drain and
+    /// its published rate (bytes/s). The only copy of either value in
+    /// flat mode, stored densely so draining and the next-completion
+    /// query stream two arrays.
+    remaining: Vec<f64>,
+    rate: Vec<f64>,
     /// Per node: how many live flows touch it as src or dst (a loopback
     /// flow counts twice). Makes `node_busy` O(1).
     node_touch: Vec<usize>,
@@ -347,6 +398,8 @@ impl FluidNetwork {
             flows: Vec::new(),
             free_slots: Vec::new(),
             active_slots: Vec::new(),
+            remaining: Vec::new(),
+            rate: Vec::new(),
             node_touch: vec![0; nodes],
             link_caps: None,
             tree,
@@ -433,11 +486,11 @@ impl FluidNetwork {
         assert!(now >= self.last_advance, "network time went backwards");
         let dt = now.since(self.last_advance).as_secs_f64();
         if dt > 0.0 {
-            for &slot in &self.active_slots {
-                let f = slot_flow_mut(&mut self.flows, slot);
-                let moved = f.rate_bytes_per_sec * dt;
-                let drained = moved.min(f.remaining_bytes);
-                f.remaining_bytes -= drained;
+            // Tree-mode flows drain lazily; these arrays are empty there.
+            for (left, &rate) in self.remaining.iter_mut().zip(&self.rate) {
+                let moved = rate * dt;
+                let drained = moved.min(*left);
+                *left -= drained;
                 self.total_bytes_delivered += drained;
             }
         }
@@ -459,7 +512,7 @@ impl FluidNetwork {
         let flow = ActiveFlow {
             src,
             dst,
-            remaining_bytes: bytes as f64,
+            remaining_bytes: 0.0,
             rate_bytes_per_sec: 0.0,
             generation: 0,
         };
@@ -473,13 +526,19 @@ impl FluidNetwork {
         };
         let pos = self.active_slots.binary_search(&id).unwrap_err();
         self.active_slots.insert(pos, id);
+        self.remaining.insert(pos, bytes as f64);
+        // Loopback never contends: nobody else's rate changes. A fabric
+        // flow's rate comes from the solve below.
+        let rate = if src == dst {
+            LOOPBACK_BYTES_PER_SEC
+        } else {
+            0.0
+        };
+        self.rate.insert(pos, rate);
         self.node_touch[src] += 1;
         self.node_touch[dst] += 1;
 
-        if src == dst {
-            // Loopback never contends: nobody else's rate changes.
-            slot_flow_mut(&mut self.flows, id).rate_bytes_per_sec = LOOPBACK_BYTES_PER_SEC;
-        } else {
+        if src != dst {
             let flat = &mut self.flat;
             flat.members[2 * src].push(id);
             flat.members[2 * dst + 1].push(id);
@@ -558,6 +617,8 @@ impl FluidNetwork {
             params,
             nodes,
             flows,
+            active_slots,
+            rate,
             link_caps,
             flat,
             solver,
@@ -566,6 +627,9 @@ impl FluidNetwork {
             ..
         } = self;
         flat.epoch += 1;
+        let goodput = params.goodput_bytes_per_sec();
+        let link_caps = link_caps.as_deref();
+        let capacity = |n: usize| link_caps.map_or(goodput, |caps| caps[n]);
         // Every seed link carries a live flow, so each walk below finds a
         // non-empty component.
         let solved = !flat.seeds.is_empty();
@@ -593,6 +657,14 @@ impl FluidNetwork {
                     flat.component.extend_from_slice(&flat.members[link]);
                 }
             }
+            if let [slot] = flat.component[..] {
+                // A lone flow gets its tighter link: what filling it gives.
+                let f = slot_flow(flows, slot);
+                let share = solver.solve_one_flat(capacity(f.src), capacity(f.dst));
+                rate[slot_pos(active_slots, slot)] = share;
+                flat.set(slot, share, share <= 0.0);
+                continue;
+            }
             // Slot order is the order the full solve visits these flows.
             flat.component.sort_unstable();
             scratch_endpoints.clear();
@@ -604,31 +676,19 @@ impl FluidNetwork {
                 });
             }
             let fallbacks = solver.stats().fallback_freezes;
-            match link_caps {
-                None => {
-                    let goodput = params.goodput_bytes_per_sec();
-                    solver.compute_flat_into(
-                        scratch_endpoints,
-                        *nodes,
-                        |_| goodput,
-                        LOOPBACK_BYTES_PER_SEC,
-                        scratch_rates,
-                    );
-                }
-                Some(caps) => solver.compute_flat_into(
-                    scratch_endpoints,
-                    *nodes,
-                    |n| caps[n],
-                    LOOPBACK_BYTES_PER_SEC,
-                    scratch_rates,
-                ),
-            }
+            solver.compute_flat_into(
+                scratch_endpoints,
+                *nodes,
+                capacity,
+                LOOPBACK_BYTES_PER_SEC,
+                scratch_rates,
+            );
             let fell_back = solver.stats().fallback_freezes != fallbacks;
             for (k, &share) in scratch_rates.iter().enumerate() {
                 let slot = flat.component[k];
                 // Published now; if the guard holds below, the full
                 // solve overwrites every rate anyway.
-                slot_flow_mut(flows, slot).rate_bytes_per_sec = share;
+                rate[slot_pos(active_slots, slot)] = share;
                 flat.set(slot, share, fell_back || share <= 0.0);
             }
         }
@@ -645,9 +705,9 @@ impl FluidNetwork {
         if std::mem::take(&mut self.flat.published_full) {
             // The last publish was the full solve: every survivor goes
             // back to its component share.
-            for &slot in &self.active_slots {
+            for (rate, &slot) in self.rate.iter_mut().zip(&self.active_slots) {
                 if let Some(c) = self.flat.by_slot[slot] {
-                    slot_flow_mut(&mut self.flows, slot).rate_bytes_per_sec = c.share;
+                    *rate = c.share;
                 }
             }
         }
@@ -684,9 +744,8 @@ impl FluidNetwork {
                 &mut self.scratch_rates,
             ),
         }
-        for (k, &slot) in self.active_slots.iter().enumerate() {
-            slot_flow_mut(&mut self.flows, slot).rate_bytes_per_sec = self.scratch_rates[k];
-        }
+        // The solve visited the live flows in `active_slots` order.
+        self.rate.copy_from_slice(&self.scratch_rates);
     }
 
     /// Absolute time at which the earliest active flow drains, or `None`
@@ -702,20 +761,7 @@ impl FluidNetwork {
             // always makes progress.
             return tree.heap.peek().map(|&Reverse((t, _, _))| t);
         }
-        let mut best: Option<f64> = None;
-        for &slot in &self.active_slots {
-            let f = slot_flow(&self.flows, slot);
-            let secs = if f.remaining_bytes <= EPS_BYTES {
-                0.0
-            } else {
-                f.remaining_bytes / f.rate_bytes_per_sec
-            };
-            best = Some(match best {
-                None => secs,
-                Some(b) => b.min(secs),
-            });
-        }
-        best.map(|secs| {
+        min_drain_secs(&self.remaining, &self.rate).map(|secs| {
             self.last_advance + SimDuration::from_secs_f64(secs) + SimDuration::from_ps(1)
         })
     }
@@ -730,12 +776,16 @@ impl FluidNetwork {
             self.take_completed_tree(now, done);
             return;
         }
+        // Flows before the first drained one keep their positions.
+        let Some(first) = self.remaining.iter().position(|&r| r <= EPS_BYTES) else {
+            return;
+        };
         let mut removed_fabric = false;
-        let mut keep = 0usize;
-        for read in 0..self.active_slots.len() {
+        let mut keep = first;
+        for read in first..self.active_slots.len() {
             let slot = self.active_slots[read];
-            let f = slot_flow(&self.flows, slot);
-            if f.remaining_bytes <= EPS_BYTES {
+            if self.remaining[read] <= EPS_BYTES {
+                let f = slot_flow(&self.flows, slot);
                 let (src, dst) = (f.src, f.dst);
                 done.push((FlowId(slot), src, dst));
                 self.flows[slot] = None;
@@ -760,10 +810,14 @@ impl FluidNetwork {
                 self.total_flows_completed += 1;
             } else {
                 self.active_slots[keep] = slot;
+                self.remaining[keep] = self.remaining[read];
+                self.rate[keep] = self.rate[read];
                 keep += 1;
             }
         }
         self.active_slots.truncate(keep);
+        self.remaining.truncate(keep);
+        self.rate.truncate(keep);
         if removed_fabric {
             // Re-solve the survivors' components; also re-publishes when
             // the departure settles (or raises) the near-tie guard.
@@ -847,10 +901,15 @@ impl FluidNetwork {
 
     /// The current fair-share rate of a live flow, bytes/s.
     pub fn current_rate(&self, id: FlowId) -> Option<f64> {
-        self.flows
-            .get(id.0)
-            .and_then(|slot| slot.as_ref())
-            .map(|f| f.rate_bytes_per_sec)
+        if self.tree.is_some() {
+            return self
+                .flows
+                .get(id.0)
+                .and_then(|slot| slot.as_ref())
+                .map(|f| f.rate_bytes_per_sec);
+        }
+        let pos = self.active_slots.binary_search(&id.0).ok()?;
+        Some(self.rate[pos])
     }
 
     /// Total payload bytes fully drained so far.
@@ -1442,6 +1501,147 @@ mod prop_tests {
             }
         }
         assert!(checked > 100_000, "too few rates compared: {checked}");
+    }
+
+    /// The scan [`min_drain_secs`] replaces: divide for every flow and
+    /// keep the `f64::min`.
+    fn plain_min(remaining: &[f64], rate: &[f64]) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        for (&r, &c) in remaining.iter().zip(rate) {
+            let secs = if r <= EPS_BYTES { 0.0 } else { r / c };
+            best = Some(best.map_or(secs, |b| b.min(secs)));
+        }
+        best
+    }
+
+    /// `min_drain_secs` against [`plain_min`]: bitwise while every rate is
+    /// positive, and as the same drain delay otherwise (any delay at or
+    /// below zero is an immediate completion).
+    fn check_scan(remaining: &[f64], rate: &[f64]) -> Result<(), String> {
+        let (got, want) = (min_drain_secs(remaining, rate), plain_min(remaining, rate));
+        let same = if rate.iter().all(|&c| c > 0.0) {
+            got.map(f64::to_bits) == want.map(f64::to_bits)
+        } else {
+            got.map(SimDuration::from_secs_f64) == want.map(SimDuration::from_secs_f64)
+        };
+        if same {
+            Ok(())
+        } else {
+            Err(format!(
+                "scan {got:?} != plain minimum {want:?} over {remaining:?} / {rate:?}"
+            ))
+        }
+    }
+
+    /// Ratios planted within a few ulps of one another, so the skip test
+    /// meets quotients on both sides of its margin, mixed with drained
+    /// flows, loopback and degraded rates, and now and then a zero or
+    /// negative rate.
+    #[test]
+    fn drain_scan_matches_the_plain_minimum_on_planted_ratios() {
+        let goodput = NetworkParams::catalyst_2950_100m().goodput_bytes_per_sec();
+        let rates = [
+            goodput,
+            goodput / 3.0,
+            goodput * 0.7,
+            goodput / 7.0,
+            LOOPBACK_BYTES_PER_SEC,
+            f64::from_bits(goodput.to_bits() - 1),
+        ];
+        let mut rng = sim_core::DetRng::new(20);
+        for case in 0..20_000u64 {
+            let n = rng.gen_range(1, 24) as usize;
+            let target = 1e-3 + rng.next_f64() * 2.0;
+            let mut remaining = Vec::with_capacity(n);
+            let mut rate = Vec::with_capacity(n);
+            for _ in 0..n {
+                let mut c = rates[rng.gen_range(0, rates.len() as u64) as usize];
+                if case % 97 == 0 && rng.gen_range(0, 8) == 0 {
+                    c = [0.0, -1e-9][rng.gen_range(0, 2) as usize];
+                }
+                let planted = (target * c.abs().max(1.0)).to_bits();
+                let r = match rng.gen_range(0, 16) {
+                    0 => EPS_BYTES * rng.next_f64(),
+                    1 => 1e3 + rng.next_f64() * 1e7,
+                    _ => f64::from_bits(planted + rng.gen_range(0, 9) - 4),
+                };
+                remaining.push(r);
+                rate.push(c);
+            }
+            if let Err(e) = check_scan(&remaining, &rate) {
+                panic!("case {case}: {e}");
+            }
+        }
+        assert_eq!(min_drain_secs(&[], &[]), None);
+    }
+
+    /// `next_completion` on live networks: the seeded sequences (loopback
+    /// flows, degraded links), each step also queried after draining past
+    /// the next completion without harvesting it.
+    #[test]
+    fn next_completion_matches_the_plain_minimum() {
+        for seed in 0..500 {
+            let (nodes, weak, ops) = seeded_case(seed);
+            let mut net = FluidNetwork::new(NetworkParams::catalyst_2950_100m(), nodes);
+            for &(node, factor) in &weak {
+                net.set_link_bandwidth_factor(node, factor);
+            }
+            let mut now = SimTime::ZERO;
+            for (step, &(complete, src, dst, bytes)) in ops.iter().enumerate() {
+                if complete {
+                    if let Some(t) = net.next_completion() {
+                        // Drained but not yet harvested: the scan stops at 0.
+                        net.advance(t);
+                        let want = plain_min(&net.remaining, &net.rate).map(|secs| {
+                            t + SimDuration::from_secs_f64(secs) + SimDuration::from_ps(1)
+                        });
+                        assert_eq!(net.next_completion(), want, "seed {seed} step {step}");
+                        now = t;
+                        take_p(&mut net, now);
+                    }
+                } else {
+                    net.start_flow(now, src, dst, bytes);
+                }
+                if let Err(e) = check_scan(&net.remaining, &net.rate) {
+                    panic!("seed {seed} step {step}: {e}");
+                }
+            }
+        }
+    }
+
+    /// Draining is pinned bit for bit: the bits of `bytes_delivered` and
+    /// every next-completion instant over seeded sequences, folded into
+    /// one digest. The digest was computed with the per-flow scans this
+    /// network had before its flat-mode arrays went dense.
+    #[test]
+    fn seeded_drain_bits_are_pinned() {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: u64| digest = (digest ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        for seed in 0..300 {
+            let (nodes, weak, ops) = seeded_case(seed);
+            let mut net = FluidNetwork::new(NetworkParams::catalyst_2950_100m(), nodes);
+            for &(node, factor) in &weak {
+                net.set_link_bandwidth_factor(node, factor);
+            }
+            let mut now = SimTime::ZERO;
+            for &(complete, src, dst, bytes) in &ops {
+                if complete {
+                    if let Some(t) = net.next_completion() {
+                        now = t;
+                        take_p(&mut net, now);
+                    }
+                } else {
+                    net.start_flow(now, src, dst, bytes);
+                }
+                fold(net.bytes_delivered().to_bits());
+                fold(net.next_completion().map_or(u64::MAX, |t| t.0));
+            }
+            while let Some(t) = net.next_completion() {
+                take_p(&mut net, t);
+                fold(net.bytes_delivered().to_bits());
+            }
+        }
+        assert_eq!(digest, 0x31e4_e4a9_036e_df66, "drain digest {digest:#018x}");
     }
 
     proptest! {

@@ -16,15 +16,27 @@ use sim_core::time::PS_PER_US;
 use sim_core::trace::CLUSTER_NODE;
 use sim_core::{SimTime, TraceDetail, TraceEvent, TraceKind};
 
-/// Format a simulated instant as a Perfetto `ts` value (microseconds with
-/// picosecond precision), deterministically.
-fn ts(t: SimTime) -> String {
-    format!("{}.{:06}", t.0 / PS_PER_US, t.0 % PS_PER_US)
-}
+/// Document opening; every record follows it, separated by `,\n`.
+const HEADER: &str = "{\"traceEvents\":[\n";
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Bytes [`PerfettoTrace::reserve`] sets aside per record: flow records,
+/// the bulk of a causal export, take 100–112 bytes with their separator.
+const RECORD_BYTES: usize = 112;
+
+/// The same for the records [`PerfettoTrace::from_trace`] writes, which
+/// are mostly 80-byte instants.
+const TRACE_RECORD_BYTES: usize = 84;
+
+/// Append `s` to `out` as the body of a JSON string: quotes, backslashes
+/// and control characters escaped, everything else copied. A string with
+/// nothing to escape is one `push_str`.
+pub fn push_json_escaped(out: &mut String, s: &str) {
+    // Every byte of a multi-byte UTF-8 character is >= 0x80, so a byte
+    // scan finds exactly the characters that need escaping.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -35,120 +47,197 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+}
+
+/// Append `n` in decimal without going through `fmt`.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &b in &buf[i..] {
+        out.push(b as char);
+    }
+}
+
+/// Append a simulated instant as a Perfetto `ts` value (microseconds with
+/// picosecond precision): whole microseconds, a dot, and the remainder as
+/// six zero-padded digits.
+fn push_ts(out: &mut String, t: SimTime) {
+    push_u64(out, t.0 / PS_PER_US);
+    out.push('.');
+    let mut frac = t.0 % PS_PER_US;
+    let mut digits = [b'0'; 6];
+    for d in digits.iter_mut().rev() {
+        *d += (frac % 10) as u8;
+        frac /= 10;
+    }
+    for d in digits {
+        out.push(d as char);
+    }
+}
+
+/// `,"<key>":"<escaped value>"`.
+fn push_field(out: &mut String, key: &str, value: &str) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":\"");
+    push_json_escaped(out, value);
+    out.push('"');
+}
+
+/// `,"tid":<tid>,"ts":<ts>`.
+fn push_tid_ts(out: &mut String, tid: u64, t: SimTime) {
+    out.push_str(",\"tid\":");
+    push_u64(out, tid);
+    out.push_str(",\"ts\":");
+    push_ts(out, t);
+}
+
+/// The fields a flow start and end share after `pid`.
+fn push_flow_tail(out: &mut String, tid: u64, cat: &str, name: &str, id: u64, t: SimTime) {
+    push_tid_ts(out, tid, t);
+    push_field(out, "cat", cat);
+    push_field(out, "name", name);
+    out.push_str(",\"id\":");
+    push_u64(out, id);
+    out.push('}');
 }
 
 /// An incremental `trace_event` JSON builder.
 ///
-/// Records are emitted in call order; callers are expected to feed events
-/// chronologically (the simulator's [`sim_core::Trace`] already is).
-#[derive(Debug, Default)]
+/// Records are written in call order straight into one output buffer;
+/// callers are expected to feed events chronologically (the simulator's
+/// [`sim_core::Trace`] already is).
+#[derive(Debug)]
 pub struct PerfettoTrace {
-    records: Vec<String>,
+    out: String,
+    records: usize,
+}
+
+impl Default for PerfettoTrace {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl PerfettoTrace {
     pub fn new() -> Self {
-        Self::default()
+        PerfettoTrace {
+            out: String::from(HEADER),
+            records: 0,
+        }
+    }
+
+    /// Make room for about `records` more records, so a large export
+    /// grows its buffer once instead of doubling its way up.
+    pub fn reserve(&mut self, records: usize) {
+        self.out.reserve_exact(records * RECORD_BYTES);
+    }
+
+    /// Start a record: the separator after the previous one, `head`
+    /// (the record's fields up to and including `"pid":`), then `pid`.
+    fn open(&mut self, head: &str, pid: u64) -> &mut String {
+        if self.records > 0 {
+            self.out.push_str(",\n");
+        }
+        self.records += 1;
+        let out = &mut self.out;
+        out.push_str(head);
+        push_u64(out, pid);
+        out
     }
 
     /// Name a process (a top-level group in the UI).
     pub fn process_name(&mut self, pid: u64, name: &str) {
-        self.records.push(format!(
-            r#"{{"ph":"M","pid":{pid},"name":"process_name","args":{{"name":"{}"}}}}"#,
-            escape(name)
-        ));
+        let out = self.open(r#"{"ph":"M","pid":"#, pid);
+        out.push_str(",\"name\":\"process_name\",\"args\":{\"name\":\"");
+        push_json_escaped(out, name);
+        out.push_str("\"}}");
     }
 
     /// Name a thread (one timeline track within a process).
     pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
-        self.records.push(format!(
-            r#"{{"ph":"M","pid":{pid},"tid":{tid},"name":"thread_name","args":{{"name":"{}"}}}}"#,
-            escape(name)
-        ));
+        let out = self.open(r#"{"ph":"M","pid":"#, pid);
+        out.push_str(",\"tid\":");
+        push_u64(out, tid);
+        out.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+        push_json_escaped(out, name);
+        out.push_str("\"}}");
     }
 
     /// Open a duration slice on (pid, tid).
     pub fn begin_slice(&mut self, pid: u64, tid: u64, name: &str, t: SimTime) {
-        self.records.push(format!(
-            r#"{{"ph":"B","pid":{pid},"tid":{tid},"ts":{},"name":"{}"}}"#,
-            ts(t),
-            escape(name)
-        ));
+        let out = self.open(r#"{"ph":"B","pid":"#, pid);
+        push_tid_ts(out, tid, t);
+        push_field(out, "name", name);
+        out.push('}');
     }
 
     /// Close the most recent open slice on (pid, tid).
     pub fn end_slice(&mut self, pid: u64, tid: u64, t: SimTime) {
-        self.records.push(format!(
-            r#"{{"ph":"E","pid":{pid},"tid":{tid},"ts":{}}}"#,
-            ts(t)
-        ));
+        let out = self.open(r#"{"ph":"E","pid":"#, pid);
+        push_tid_ts(out, tid, t);
+        out.push('}');
     }
 
     /// A zero-duration instant marker on (pid, tid).
     pub fn instant(&mut self, pid: u64, tid: u64, name: &str, t: SimTime) {
-        self.records.push(format!(
-            r#"{{"ph":"i","pid":{pid},"tid":{tid},"ts":{},"s":"t","name":"{}"}}"#,
-            ts(t),
-            escape(name)
-        ));
+        let out = self.open(r#"{"ph":"i","pid":"#, pid);
+        push_tid_ts(out, tid, t);
+        out.push_str(",\"s\":\"t\"");
+        push_field(out, "name", name);
+        out.push('}');
     }
 
     /// Open a flow (`ph: "s"`): the tail of an arrow the UI draws from
     /// (pid, tid, t) to the matching [`PerfettoTrace::flow_end`] with the
     /// same `id` and `cat`.
     pub fn flow_start(&mut self, pid: u64, tid: u64, cat: &str, name: &str, id: u64, t: SimTime) {
-        self.records.push(format!(
-            r#"{{"ph":"s","pid":{pid},"tid":{tid},"ts":{},"cat":"{}","name":"{}","id":{id}}}"#,
-            ts(t),
-            escape(cat),
-            escape(name)
-        ));
+        let out = self.open(r#"{"ph":"s","pid":"#, pid);
+        push_flow_tail(out, tid, cat, name, id, t);
     }
 
     /// Close a flow (`ph: "f"`, binding to the enclosing slice's end): the
     /// head of the arrow opened by the matching [`PerfettoTrace::flow_start`].
     pub fn flow_end(&mut self, pid: u64, tid: u64, cat: &str, name: &str, id: u64, t: SimTime) {
-        self.records.push(format!(
-            r#"{{"ph":"f","bp":"e","pid":{pid},"tid":{tid},"ts":{},"cat":"{}","name":"{}","id":{id}}}"#,
-            ts(t),
-            escape(cat),
-            escape(name)
-        ));
+        let out = self.open(r#"{"ph":"f","bp":"e","pid":"#, pid);
+        push_flow_tail(out, tid, cat, name, id, t);
     }
 
     /// A counter-track sample. Counter tracks are keyed by (pid, name); the
     /// UI draws one stepped line per track.
     pub fn counter(&mut self, pid: u64, name: &str, t: SimTime, value: f64) {
-        self.records.push(format!(
-            r#"{{"ph":"C","pid":{pid},"ts":{},"name":"{}","args":{{"value":{value}}}}}"#,
-            ts(t),
-            escape(name)
-        ));
+        let out = self.open(r#"{"ph":"C","pid":"#, pid);
+        out.push_str(",\"ts\":");
+        push_ts(out, t);
+        push_field(out, "name", name);
+        let _ = write!(out, ",\"args\":{{\"value\":{value}}}}}");
     }
 
     /// Number of records emitted so far.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records
     }
 
     /// True when nothing was emitted.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records == 0
     }
 
-    /// Assemble the final JSON document.
-    pub fn finish(self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        for (i, rec) in self.records.iter().enumerate() {
-            out.push_str(rec);
-            if i + 1 < self.records.len() {
-                out.push(',');
-            }
-            out.push('\n');
+    /// Close the JSON document and return it.
+    pub fn finish(mut self) -> String {
+        if self.records > 0 {
+            self.out.push('\n');
         }
-        out.push_str("]}\n");
-        out
+        self.out.push_str("]}\n");
+        self.out
     }
 
     /// Convert a simulation trace into a timeline: one thread track per
@@ -157,9 +246,14 @@ impl PerfettoTrace {
     /// track for node-agnostic events.
     pub fn from_trace(events: &[TraceEvent], nodes: usize) -> Self {
         let mut p = PerfettoTrace::new();
+        p.out
+            .reserve_exact((nodes + 2 + events.len()) * TRACE_RECORD_BYTES);
+        let mut label = String::new();
         p.process_name(0, "pwrperf cluster");
         for n in 0..nodes {
-            p.thread_name(0, n as u64, &format!("node {n}"));
+            label.clear();
+            let _ = write!(label, "node {n}");
+            p.thread_name(0, n as u64, &label);
         }
         p.thread_name(0, nodes as u64, "cluster");
 
@@ -169,6 +263,7 @@ impl PerfettoTrace {
             } else {
                 ev.node as u64
             };
+            label.clear();
             match ev.kind {
                 TraceKind::PhaseBegin => {
                     let name = ev.detail.phase().unwrap_or("phase");
@@ -178,16 +273,21 @@ impl PerfettoTrace {
                     p.end_slice(0, tid, ev.time);
                 }
                 TraceKind::MsgStart => {
-                    p.instant(0, tid, &format!("send {}", ev.detail), ev.time);
+                    let _ = write!(label, "send {}", ev.detail);
+                    p.instant(0, tid, &label, ev.time);
                 }
                 TraceKind::MsgEnd => {
-                    p.instant(0, tid, &format!("recv {}", ev.detail), ev.time);
+                    let _ = write!(label, "recv {}", ev.detail);
+                    p.instant(0, tid, &label, ev.time);
                 }
                 TraceKind::FreqChange => {
                     if let TraceDetail::Freq { to_mhz, .. } = ev.detail {
-                        p.counter(0, &format!("node {} MHz", ev.node), ev.time, to_mhz as f64);
+                        let _ = write!(label, "node {} MHz", ev.node);
+                        p.counter(0, &label, ev.time, to_mhz as f64);
+                        label.clear();
                     }
-                    p.instant(0, tid, &format!("freq {}", ev.detail), ev.time);
+                    let _ = write!(label, "freq {}", ev.detail);
+                    p.instant(0, tid, &label, ev.time);
                 }
                 TraceKind::Sample => {
                     // Samples are exported through the richer SampleRow
@@ -195,7 +295,8 @@ impl PerfettoTrace {
                     p.instant(0, tid, "sample", ev.time);
                 }
                 TraceKind::Control | TraceKind::Other => {
-                    p.instant(0, tid, &ev.detail.to_string(), ev.time);
+                    let _ = write!(label, "{}", ev.detail);
+                    p.instant(0, tid, &label, ev.time);
                 }
             }
         }
@@ -207,6 +308,18 @@ impl PerfettoTrace {
 mod tests {
     use super::*;
 
+    fn ts(t: SimTime) -> String {
+        let mut out = String::new();
+        push_ts(&mut out, t);
+        out
+    }
+
+    fn escape(s: &str) -> String {
+        let mut out = String::new();
+        push_json_escaped(&mut out, s);
+        out
+    }
+
     #[test]
     fn timestamps_are_integer_formatted_microseconds() {
         assert_eq!(ts(SimTime(0)), "0.000000");
@@ -216,9 +329,30 @@ mod tests {
     }
 
     #[test]
+    fn decimal_writers_match_fmt() {
+        let mut rng = sim_core::DetRng::new(7);
+        let mut values = vec![0, 9, 10, 99, 100, PS_PER_US - 1, PS_PER_US, u64::MAX];
+        values.extend((0..2_000).map(|i| rng.next_u64() >> (i % 64)));
+        for v in values {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+            assert_eq!(
+                ts(SimTime(v)),
+                format!("{}.{:06}", v / PS_PER_US, v % PS_PER_US)
+            );
+        }
+    }
+
+    #[test]
     fn escape_handles_specials() {
         assert_eq!(escape(r#"a"b\c"#), r#"a\"b\\c"#);
         assert_eq!(escape("x\ny"), "x\\u000ay");
+        assert_eq!(escape(r"C:\dir"), r"C:\\dir");
+        assert_eq!(escape("\u{1f}\u{7f}"), "\\u001f\u{7f}");
+        // Nothing to escape: copied as is, multi-byte characters included.
+        assert_eq!(escape("node 3 MHz"), "node 3 MHz");
+        assert_eq!(escape("µs → ü"), "µs → ü");
     }
 
     #[test]

@@ -18,27 +18,53 @@ fn scenario() -> Experiment {
     )
 }
 
+/// The causal golden scenario: the blame-analysis run (`ft-test4`, static
+/// 1400 MHz, causal log on), whose export is mostly flow arrows
+/// (`ph: "s"`/`"f"`), one pair per message.
+fn causal_scenario() -> Experiment {
+    Experiment::new(Workload::ft_test(4), DvsStrategy::StaticMhz(1400)).with_engine(EngineConfig {
+        trace_capacity: 4096,
+        sample_interval: Some(SimDuration::from_millis(50)),
+        causal: true,
+        ..EngineConfig::default()
+    })
+}
+
+/// Compare `json` with `tests/golden/<name>`, or rewrite the file when
+/// `BLESS` is set.
+fn assert_golden(name: &str, json: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var("BLESS").is_ok() {
+        std::fs::write(&path, json).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file (BLESS=1 to regenerate)");
+    assert_eq!(
+        json, golden,
+        "Perfetto export drifted from tests/golden/{name} \
+         (BLESS=1 cargo test --test observability to re-bless a deliberate change)"
+    );
+}
+
 /// The Perfetto export must be byte-for-byte reproducible across runs and
 /// across hosts (simulated timestamps only, integer formatting). The
 /// reference bytes live in `tests/golden/`; regenerate with
 /// `BLESS=1 cargo test --test observability`.
 #[test]
 fn perfetto_export_matches_golden_bytes() {
-    let json = perfetto_json(&scenario().run());
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/ft_test2_dyn1400.perfetto.json"
+    assert_golden(
+        "ft_test2_dyn1400.perfetto.json",
+        &perfetto_json(&scenario().run()),
     );
-    if std::env::var("BLESS").is_ok() {
-        std::fs::write(path, &json).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(path).expect("golden file (BLESS=1 to regenerate)");
-    assert_eq!(
-        json, golden,
-        "Perfetto export drifted from tests/golden/ft_test2_dyn1400.perfetto.json \
-         (BLESS=1 cargo test --test observability to re-bless a deliberate change)"
-    );
+}
+
+/// The same for a causal run: pins the flow-arrow records, which are
+/// almost all of a causal export's bytes.
+#[test]
+fn causal_perfetto_export_matches_golden_bytes() {
+    let json = perfetto_json(&causal_scenario().run());
+    assert!(json.contains(r#""ph":"s""#) && json.contains(r#""ph":"f""#));
+    assert_golden("ft_test4_stat1400_causal.perfetto.json", &json);
 }
 
 #[test]
