@@ -129,34 +129,32 @@ impl AutoTuner {
     /// phase containing a selected inner one): only the *outermost*
     /// begin scales down and only the matching outermost end restores,
     /// so an inner `PhaseEnd` never restores full speed while an outer
-    /// selected phase is still open.
+    /// selected phase is still open. Phase markers never sit inside a
+    /// collective, so the programs' stored steps are rewritten and
+    /// compact all-to-alls stay compact.
     pub fn instrument(programs: &[Program], phases: &BTreeSet<String>) -> Vec<Program> {
         programs
             .iter()
             .map(|p| {
-                let mut ops = Vec::with_capacity(p.len() + 8);
                 let mut depth: usize = 0;
-                for op in p.ops() {
-                    match op {
-                        Op::PhaseBegin(name) if phases.contains(*name) => {
-                            ops.push(op.clone());
-                            if depth == 0 {
-                                ops.push(Op::SetSpeed(dvfs::AppSpeedRequest::Lowest));
-                            }
-                            depth += 1;
+                p.rewrite(|op, out| match op {
+                    Op::PhaseBegin(name) if phases.contains(*name) => {
+                        out.push(op.clone());
+                        if depth == 0 {
+                            out.push(Op::SetSpeed(dvfs::AppSpeedRequest::Lowest));
                         }
-                        Op::PhaseEnd(name) if phases.contains(*name) => {
-                            if depth == 1 {
-                                ops.push(Op::SetSpeed(dvfs::AppSpeedRequest::Restore));
-                            }
-                            ops.push(op.clone());
-                            // Unmatched ends saturate instead of wrapping.
-                            depth = depth.saturating_sub(1);
-                        }
-                        other => ops.push(other.clone()),
+                        depth += 1;
                     }
-                }
-                Program::from_ops(ops)
+                    Op::PhaseEnd(name) if phases.contains(*name) => {
+                        if depth == 1 {
+                            out.push(Op::SetSpeed(dvfs::AppSpeedRequest::Restore));
+                        }
+                        out.push(op.clone());
+                        // Unmatched ends saturate instead of wrapping.
+                        depth = depth.saturating_sub(1);
+                    }
+                    other => out.push(other.clone()),
+                })
             })
             .collect()
     }
@@ -266,12 +264,36 @@ mod tests {
         let programs = Workload::ft_test(2).programs(false);
         let phases: BTreeSet<String> = ["fft".to_string()].into_iter().collect();
         let rewritten = AutoTuner::instrument(&programs, &phases);
-        let count = |p: &Program, pat: fn(&Op) -> bool| p.ops().iter().filter(|o| pat(o)).count();
+        let count = |p: &Program, pat: fn(&Op) -> bool| p.ops().filter(pat).count();
         let begins = count(&rewritten[0], |o| matches!(o, Op::PhaseBegin("fft")));
         let speeds = count(&rewritten[0], |o| matches!(o, Op::SetSpeed(_)));
         assert_eq!(speeds, 2 * begins);
         // Length grew exactly by the inserted requests.
         assert_eq!(rewritten[0].len(), programs[0].len() + speeds);
+    }
+
+    #[test]
+    fn instrument_keeps_alltoalls_compact() {
+        let n = 64;
+        let programs = Workload::ft_scale(n).programs(false);
+        let eager: Vec<Program> = programs
+            .iter()
+            .map(|p| Program::from_ops(p.ops().collect()))
+            .collect();
+        let phases: BTreeSet<String> = ["fft".to_string()].into_iter().collect();
+        let compact = AutoTuner::instrument(&programs, &phases);
+        let expanded = AutoTuner::instrument(&eager, &phases);
+        for (rank, (c, e)) in compact.iter().zip(&expanded).enumerate() {
+            assert!(c.ops().eq(e.ops()), "rank {rank}: expanded streams differ");
+            assert_eq!(c.len(), e.len(), "rank {rank}");
+            // Rewriting added one step per inserted request, and the
+            // all-to-all is still one step standing for its 3n - 2 ops:
+            // the stored steps grow with the phases, not with n.
+            let speeds = c.ops().filter(|o| matches!(o, Op::SetSpeed(_))).count();
+            assert!(speeds > 0);
+            assert_eq!(c.stored_steps(), programs[rank].stored_steps() + speeds);
+            assert_eq!(c.len() - c.stored_steps(), 3 * n - 3, "rank {rank}");
+        }
     }
 
     #[test]
@@ -359,7 +381,7 @@ mod tests {
             .into_iter()
             .collect();
         let rewritten = AutoTuner::instrument(&programs, &phases);
-        let out: Vec<&Op> = rewritten[0].ops().iter().collect();
+        let out: Vec<Op> = rewritten[0].ops().collect();
         let lowest_positions: Vec<usize> = out
             .iter()
             .enumerate()
@@ -395,7 +417,6 @@ mod tests {
         let rewritten = AutoTuner::instrument(&programs, &phases);
         let speeds = rewritten[0]
             .ops()
-            .iter()
             .filter(|o| matches!(o, Op::SetSpeed(_)))
             .count();
         assert_eq!(speeds, 2, "one Lowest + one Restore for the outermost pair");

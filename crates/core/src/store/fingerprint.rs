@@ -13,6 +13,11 @@
 //! no per-process state, so fingerprints are stable across processes and
 //! machines — the property the on-disk cache stands on (and that the
 //! golden-key test in `tests/sweepstore.rs` pins).
+//!
+//! The encoding is written once, against a [`Sink`]. Fingerprinting
+//! streams it into both hashers as it is produced, so a 1024-rank job's
+//! tens of megabytes of expanded ops are never buffered;
+//! [`canonical_experiment_bytes`] collects the same bytes into a vector.
 
 use std::hash::Hasher as _;
 
@@ -45,6 +50,114 @@ const FINGERPRINT_MAGIC: &[u8; 4] = b"PWRF";
 const SALT_LO: u64 = 0x5EED_CAFE_0000_0001;
 const SALT_HI: u64 = 0x5EED_CAFE_0000_0002;
 const SALT_CHECKSUM: u64 = 0x5EED_CAFE_0000_0003;
+
+/// Where the canonical encoding goes, in the store's conventions
+/// (little-endian fixed-width integers, `f64` as raw bits, `u64`
+/// length prefixes): a [`ByteWriter`] or a [`DigestSink`].
+trait Sink {
+    fn put_raw(&mut self, bytes: &[u8]);
+
+    fn put_u8(&mut self, v: u8) {
+        self.put_raw(&[v]);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    fn put_usize(&mut self, v: usize) {
+        self.put_u64(v as u64);
+    }
+
+    fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
+
+    fn put_bool(&mut self, v: bool) {
+        self.put_u8(u8::from(v));
+    }
+
+    fn put_str(&mut self, s: &str) {
+        self.put_usize(s.len());
+        self.put_raw(s.as_bytes());
+    }
+}
+
+impl Sink for ByteWriter {
+    fn put_raw(&mut self, bytes: &[u8]) {
+        ByteWriter::put_raw(self, bytes);
+    }
+}
+
+/// Hashes the encoding as it is written, into the two salted hashers of
+/// [`Fingerprint::of_bytes`]. Bytes collect in a small buffer that is
+/// hashed in whole 8-byte words counted from the start of the stream;
+/// only the final tail is zero-padded, exactly how [`FxHasher::write`]
+/// cuts one buffer, so the digest equals `Fingerprint::of_bytes` over
+/// the buffered encoding.
+struct DigestSink {
+    lo: FxHasher,
+    hi: FxHasher,
+    buf: Vec<u8>,
+}
+
+impl DigestSink {
+    /// Buffer size at which whole words are hashed out (a multiple of 8).
+    const FLUSH_AT: usize = 4096;
+
+    fn new() -> Self {
+        let salted = |salt| {
+            let mut h = FxHasher::default();
+            h.write_u64(salt);
+            h
+        };
+        DigestSink {
+            lo: salted(SALT_LO),
+            hi: salted(SALT_HI),
+            buf: Vec::with_capacity(Self::FLUSH_AT + 64),
+        }
+    }
+
+    /// Hash the buffer's whole words and keep its partial tail. Out of
+    /// line, so the per-field `put_raw` stays an inlined append.
+    #[inline(never)]
+    fn flush_words(&mut self) {
+        let whole = self.buf.len() / 8 * 8;
+        for chunk in self.buf[..whole].chunks_exact(8) {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            let v = u64::from_le_bytes(word);
+            self.lo.write_u64(v);
+            self.hi.write_u64(v);
+        }
+        self.buf.drain(..whole);
+    }
+
+    fn finish(mut self) -> Fingerprint {
+        self.flush_words();
+        // What `FxHasher::write` does with a tail: one zero-padded word.
+        self.lo.write(&self.buf);
+        self.hi.write(&self.buf);
+        Fingerprint {
+            lo: self.lo.finish(),
+            hi: self.hi.finish(),
+        }
+    }
+}
+
+impl Sink for DigestSink {
+    #[inline]
+    fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        if self.buf.len() >= Self::FLUSH_AT {
+            self.flush_words();
+        }
+    }
+}
 
 fn fx_hash(salt: u64, bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();
@@ -125,14 +238,18 @@ pub fn fingerprint_experiment(experiment: &Experiment) -> Fingerprint {
 /// returns). A sweep planner builds them once per workload and reuses
 /// them for every cell of that workload; the key is the same either way.
 pub fn fingerprint_with_programs(experiment: &Experiment, programs: &[Program]) -> Fingerprint {
-    Fingerprint::of_bytes(&experiment_bytes(experiment, programs))
+    let mut sink = DigestSink::new();
+    encode_experiment(&mut sink, experiment, programs);
+    sink.finish()
 }
 
 /// The canonical byte encoding [`fingerprint_experiment`] hashes.
 /// Exposed so tests can assert the encoding itself is deterministic and
 /// injective over single-field edits.
 pub fn canonical_experiment_bytes(experiment: &Experiment) -> Vec<u8> {
-    experiment_bytes(experiment, &built_programs(experiment))
+    let mut w = ByteWriter::new();
+    encode_experiment(&mut w, experiment, &built_programs(experiment));
+    w.into_bytes()
 }
 
 fn built_programs(experiment: &Experiment) -> Vec<Program> {
@@ -141,8 +258,9 @@ fn built_programs(experiment: &Experiment) -> Vec<Program> {
         .programs(experiment.strategy.wants_instrumentation())
 }
 
-fn experiment_bytes(experiment: &Experiment, programs: &[Program]) -> Vec<u8> {
-    canonical_parts_bytes(
+fn encode_experiment(w: &mut impl Sink, experiment: &Experiment, programs: &[Program]) {
+    encode_parts(
+        w,
         programs,
         experiment.strategy,
         &experiment.engine,
@@ -159,34 +277,33 @@ pub fn fingerprint_parts(
     strategy: DvsStrategy,
     engine: &EngineConfig,
 ) -> Fingerprint {
-    Fingerprint::of_bytes(&canonical_parts_bytes(
-        programs, strategy, engine, None, None,
-    ))
+    let mut sink = DigestSink::new();
+    encode_parts(&mut sink, programs, strategy, engine, None, None);
+    sink.finish()
 }
 
-fn canonical_parts_bytes(
+fn encode_parts(
+    w: &mut impl Sink,
     programs: &[Program],
     strategy: DvsStrategy,
     engine: &EngineConfig,
     node_config: Option<&NodeConfig>,
     network: Option<&NetworkParams>,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+) {
     w.put_raw(FINGERPRINT_MAGIC);
     w.put_u32(STORE_FORMAT_VERSION);
-    encode_strategy(&mut w, strategy, node_config);
-    encode_programs(&mut w, programs);
-    encode_engine(&mut w, engine);
+    encode_strategy(w, strategy, node_config);
+    encode_programs(w, programs);
+    encode_engine(w, engine);
     // Cluster overrides enter via their `Debug` form: Rust formats f64
     // with shortest-round-trip precision, so distinct parameter values
     // produce distinct strings, and the default (None) is encoded
     // distinctly from an explicit override that happens to match it.
-    encode_debug_override(&mut w, node_config);
-    encode_debug_override(&mut w, network);
-    w.into_bytes()
+    encode_debug_override(w, node_config);
+    encode_debug_override(w, network);
 }
 
-fn encode_debug_override<T: std::fmt::Debug>(w: &mut ByteWriter, value: Option<&T>) {
+fn encode_debug_override<T: std::fmt::Debug>(w: &mut impl Sink, value: Option<&T>) {
     match value {
         None => w.put_u8(0),
         Some(v) => {
@@ -196,7 +313,7 @@ fn encode_debug_override<T: std::fmt::Debug>(w: &mut ByteWriter, value: Option<&
     }
 }
 
-fn encode_strategy(w: &mut ByteWriter, strategy: DvsStrategy, node_config: Option<&NodeConfig>) {
+fn encode_strategy(w: &mut impl Sink, strategy: DvsStrategy, node_config: Option<&NodeConfig>) {
     // Requested frequencies are snapped to the ladder the run will
     // actually use before encoding: `StaticMhz(5000)` and
     // `StaticMhz(1400)` execute identically on the Pentium-M ladder, so
@@ -232,17 +349,15 @@ fn encode_strategy(w: &mut ByteWriter, strategy: DvsStrategy, node_config: Optio
     }
 }
 
-fn encode_programs(w: &mut ByteWriter, programs: &[Program]) {
+fn encode_programs(w: &mut impl Sink, programs: &[Program]) {
     w.put_usize(programs.len());
     for program in programs {
         w.put_usize(program.len());
-        for op in program.ops() {
-            encode_op(w, op);
-        }
+        program.for_each_op(|op| encode_op(w, op));
     }
 }
 
-fn encode_op(w: &mut ByteWriter, op: &Op) {
+fn encode_op(w: &mut impl Sink, op: &Op) {
     match op {
         Op::Compute(work) => {
             w.put_u8(0);
@@ -302,7 +417,7 @@ fn encode_op(w: &mut ByteWriter, op: &Op) {
     }
 }
 
-fn encode_speed_request(w: &mut ByteWriter, request: AppSpeedRequest) {
+fn encode_speed_request(w: &mut impl Sink, request: AppSpeedRequest) {
     match request {
         AppSpeedRequest::Lowest => w.put_u8(0),
         AppSpeedRequest::Highest => w.put_u8(1),
@@ -314,7 +429,7 @@ fn encode_speed_request(w: &mut ByteWriter, request: AppSpeedRequest) {
     }
 }
 
-fn encode_engine(w: &mut ByteWriter, engine: &EngineConfig) {
+fn encode_engine(w: &mut impl Sink, engine: &EngineConfig) {
     w.put_u64(engine.eager_threshold);
     match engine.wait_policy {
         WaitPolicy::BusyPoll => w.put_u8(0),
@@ -352,7 +467,7 @@ fn encode_engine(w: &mut ByteWriter, engine: &EngineConfig) {
     w.put_bool(engine.causal);
 }
 
-fn encode_fault(w: &mut ByteWriter, fault: &Fault) {
+fn encode_fault(w: &mut impl Sink, fault: &Fault) {
     match *fault {
         Fault::ComputeSlowdown { node, factor } => {
             w.put_u8(0);
@@ -528,6 +643,56 @@ mod tests {
                 fingerprint_experiment(experiment).to_hex(),
                 pinned,
                 "{name}: store key drifted"
+            );
+        }
+    }
+
+    #[test]
+    fn streamed_digest_equals_the_digest_of_the_buffered_bytes() {
+        // Experiments: a compact pairwise all-to-all at 64 ranks, and
+        // the same with the fft phases instrumented.
+        for strategy in [
+            DvsStrategy::StaticMhz(1400),
+            DvsStrategy::DynamicBaseMhz(1400),
+        ] {
+            let e = Experiment::new(Workload::ft_scale(64), strategy);
+            assert_eq!(
+                fingerprint_experiment(&e),
+                Fingerprint::of_bytes(&canonical_experiment_bytes(&e)),
+                "{strategy:?}"
+            );
+        }
+        // Parts: a ring all-to-all on 5 ranks, and a zero-cost model
+        // whose small exchanges expand without any `Compute`.
+        let zero = mpi_sim::MsgCostModel {
+            per_msg_cycles: 0.0,
+            cycles_per_byte: 0.0,
+            ..mpi_sim::MsgCostModel::default()
+        };
+        for cost in [mpi_sim::MsgCostModel::default(), zero] {
+            let programs: Vec<Program> = (0..5)
+                .map(|rank| {
+                    let mut b = mpi_sim::ProgramBuilder::with_cost(
+                        rank,
+                        5,
+                        cost.clone(),
+                        mem_model::MemHierarchy::pentium_m_1400(),
+                    );
+                    b.alltoall(4096)
+                        .phase_begin("odd")
+                        .alltoall(7)
+                        .phase_end("odd");
+                    b.build()
+                })
+                .collect();
+            let strategy = DvsStrategy::Cpuspeed;
+            let engine = EngineConfig::default();
+            let mut bytes = ByteWriter::new();
+            encode_parts(&mut bytes, &programs, strategy, &engine, None, None);
+            assert_eq!(
+                fingerprint_parts(&programs, strategy, &engine),
+                Fingerprint::of_bytes(&bytes.into_bytes()),
+                "{cost:?}"
             );
         }
     }

@@ -7,14 +7,20 @@
 //! every rank of the job runs its lowered sequence, the message pattern is
 //! exactly the collective's.
 //!
+//! The all-to-all is the one collective whose per-rank lowering grows
+//! with the job (`3n - 2` ops per rank), so it is stored as one compact
+//! [`AllToAll`] step and expanded op by op when the program is iterated
+//! or executed; the expansion equals the eager lowering op for op.
+//!
 //! Correctness of the lowering is tested here structurally (per-rank
-//! send/recv multisets match across the job) and end-to-end in the engine
-//! tests (all lowered collectives complete without deadlock and with the
-//! right synchronization semantics).
+//! send/recv multisets match across the job, the compact all-to-all
+//! against the eager reference) and end-to-end in the engine tests (all
+//! lowered collectives complete without deadlock and with the right
+//! synchronization semantics).
 
 use mem_model::WorkUnit;
 
-use crate::program::{ProgramBuilder, Rank, Tag};
+use crate::program::{Op, ProgramBuilder, Rank, Tag};
 
 /// Payload used for barrier notifications (an empty MPI message still
 /// carries an envelope on the wire).
@@ -203,41 +209,102 @@ pub fn allgather(b: &mut ProgramBuilder, bytes_per_rank: u64) {
 /// `rank XOR r`, perfectly disjoint pairs that saturate every link's full
 /// duplex); other sizes use the ring schedule (round `r`: send to
 /// `rank + r`, receive from `rank - r`). The rank-to-self block is a local
-/// copy and charges only its copy cost.
+/// copy and charges only its copy cost. The rank's part is stored as one
+/// [`AllToAll`] step.
 pub fn alltoall(b: &mut ProgramBuilder, bytes_per_pair: u64) {
     let n = b.size();
     if n == 1 {
         return;
     }
-    let r = b.rank();
     let tag = b.next_collective_tag();
-    // Local block: copy cost only.
-    b.compute(b.msg_cost(bytes_per_pair));
+    b.push_alltoall(AllToAll {
+        rank: b.rank(),
+        size: n,
+        bytes_per_pair,
+        tag,
+        cost: b.msg_cost(bytes_per_pair),
+    });
+}
 
-    if n.is_power_of_two() {
-        for round in 1..n {
-            let partner = r ^ round;
-            b.sendrecv(
-                partner,
-                bytes_per_pair,
-                tag + round as Tag,
-                partner,
-                bytes_per_pair,
-                tag + round as Tag,
-            );
+/// One rank's part of an [`alltoall`], kept as a single program step.
+///
+/// Expanded, it is the local-copy `Compute(cost)` followed, for each
+/// round `1..size`, by `Compute(cost)`, the round's `SendRecv` (tag
+/// `tag + round`) and `Compute(cost)` — the send copy, the exchange and
+/// the receive copy. A zero `cost` drops every `Compute`, as
+/// [`ProgramBuilder::compute`] does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct AllToAll {
+    rank: Rank,
+    size: usize,
+    bytes_per_pair: u64,
+    /// Base tag; round `r` uses `tag + r`.
+    tag: Tag,
+    /// Software cost of one message end ([`ProgramBuilder::msg_cost`]).
+    cost: WorkUnit,
+}
+
+impl AllToAll {
+    /// Number of ops the step expands to.
+    pub(crate) fn len(&self) -> usize {
+        if self.cost.is_zero() {
+            self.size - 1
+        } else {
+            3 * self.size - 2
         }
-    } else {
-        for round in 1..n {
-            let dst = (r + round) % n;
-            let src = (r + n - round) % n;
-            b.sendrecv(
-                dst,
-                bytes_per_pair,
-                tag + round as Tag,
-                src,
-                bytes_per_pair,
-                tag + round as Tag,
-            );
+    }
+
+    /// Payload bytes this rank sends.
+    pub(crate) fn bytes_sent(&self) -> u64 {
+        self.bytes_per_pair * (self.size as u64 - 1)
+    }
+
+    /// The `k`-th expanded op, `k < len()`.
+    #[inline]
+    pub(crate) fn op(&self, k: usize) -> Op {
+        // Position in the full pattern: the local copy, then three ops
+        // per round. Without a cost only the exchanges remain.
+        let k = if self.cost.is_zero() { 3 * k + 2 } else { k };
+        if k == 0 || (k - 1) % 3 != 1 {
+            return Op::Compute(self.cost);
+        }
+        self.exchange((k - 1) / 3 + 1)
+    }
+
+    /// Call `f` on every expanded op in order: what `op(0..len())`
+    /// gives, without the per-op position arithmetic.
+    pub(crate) fn for_each_op(&self, mut f: impl FnMut(&Op)) {
+        let copy = Op::Compute(self.cost);
+        if self.cost.is_zero() {
+            for round in 1..self.size {
+                f(&self.exchange(round));
+            }
+            return;
+        }
+        f(&copy);
+        for round in 1..self.size {
+            f(&copy);
+            f(&self.exchange(round));
+            f(&copy);
+        }
+    }
+
+    /// Round `round`'s exchange.
+    #[inline]
+    fn exchange(&self, round: usize) -> Op {
+        let (n, r) = (self.size, self.rank);
+        let (dst, src) = if n.is_power_of_two() {
+            (r ^ round, r ^ round)
+        } else {
+            ((r + round) % n, (r + n - round) % n)
+        };
+        let tag = self.tag + round as Tag;
+        Op::SendRecv {
+            dst,
+            send_bytes: self.bytes_per_pair,
+            send_tag: tag,
+            src,
+            recv_tag: tag,
         }
     }
 }
@@ -245,7 +312,80 @@ pub fn alltoall(b: &mut ProgramBuilder, bytes_per_pair: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{Op, Program};
+    use crate::config::MsgCostModel;
+    use crate::program::Program;
+    use mem_model::MemHierarchy;
+
+    /// The eager lowering [`alltoall`] replaced: the local copy, then one
+    /// `Compute, SendRecv, Compute` triple per round. The reference the
+    /// compact step must expand to.
+    fn alltoall_eager(b: &mut ProgramBuilder, bytes_per_pair: u64) {
+        let n = b.size();
+        if n == 1 {
+            return;
+        }
+        let r = b.rank();
+        let tag = b.next_collective_tag();
+        b.compute(b.msg_cost(bytes_per_pair));
+        for round in 1..n {
+            let (dst, src) = if n.is_power_of_two() {
+                (r ^ round, r ^ round)
+            } else {
+                ((r + round) % n, (r + n - round) % n)
+            };
+            let t = tag + round as Tag;
+            b.sendrecv(dst, bytes_per_pair, t, src, bytes_per_pair, t);
+        }
+    }
+
+    #[test]
+    fn compact_alltoall_expands_to_the_eager_lowering() {
+        // A zero-cost model drops every `Compute` of a small exchange; a
+        // payload past the DRAM threshold keeps them (copy stalls).
+        let zero = MsgCostModel {
+            per_msg_cycles: 0.0,
+            cycles_per_byte: 0.0,
+            ..MsgCostModel::default()
+        };
+        for cost in [MsgCostModel::default(), zero] {
+            for n in [1usize, 2, 3, 5, 8, 15, 16, 33, 64] {
+                for rank in 0..n {
+                    let build = |all: fn(&mut ProgramBuilder, u64)| {
+                        let mut b = ProgramBuilder::with_cost(
+                            rank,
+                            n,
+                            cost.clone(),
+                            MemHierarchy::pentium_m_1400(),
+                        );
+                        b.phase_begin("exchange");
+                        all(&mut b, 4096);
+                        b.barrier();
+                        all(&mut b, 1 << 20);
+                        b.phase_end("exchange");
+                        b.build()
+                    };
+                    let compact = build(alltoall);
+                    let eager = build(alltoall_eager);
+                    let expanded: Vec<Op> = compact.ops().collect();
+                    assert_eq!(
+                        expanded,
+                        eager.ops().collect::<Vec<_>>(),
+                        "n={n} rank={rank}"
+                    );
+                    let mut visited = Vec::new();
+                    compact.for_each_op(|op| visited.push(op.clone()));
+                    assert_eq!(visited, expanded, "n={n} rank={rank}");
+                    assert_eq!(compact.len(), eager.len(), "n={n} rank={rank}");
+                    assert_eq!(compact.ops().len(), expanded.len(), "n={n} rank={rank}");
+                    assert_eq!(
+                        compact.bytes_sent(),
+                        eager.bytes_sent(),
+                        "n={n} rank={rank}"
+                    );
+                }
+            }
+        }
+    }
 
     /// Build all ranks' programs for a closure over the builder.
     fn lower_all(n: usize, f: impl Fn(&mut ProgramBuilder)) -> Vec<Program> {
@@ -270,8 +410,8 @@ mod tests {
         for (rank, p) in programs.iter().enumerate() {
             for op in p.ops() {
                 match op {
-                    Op::Send { dst, bytes, tag } => sends.push((rank, *dst, *tag, *bytes)),
-                    Op::Recv { src, tag } => recvs.push((*src, rank, *tag)),
+                    Op::Send { dst, bytes, tag } => sends.push((rank, dst, tag, bytes)),
+                    Op::Recv { src, tag } => recvs.push((src, rank, tag)),
                     Op::SendRecv {
                         dst,
                         send_bytes,
@@ -279,8 +419,8 @@ mod tests {
                         src,
                         recv_tag,
                     } => {
-                        sends.push((rank, *dst, *send_tag, *send_bytes));
-                        recvs.push((*src, rank, *recv_tag));
+                        sends.push((rank, dst, send_tag, send_bytes));
+                        recvs.push((src, rank, recv_tag));
                     }
                     _ => {}
                 }
@@ -314,7 +454,6 @@ mod tests {
         });
         let exchanges = p[0]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::SendRecv { .. }))
             .count();
         assert_eq!(exchanges, 3); // log2(8)
@@ -336,9 +475,9 @@ mod tests {
         let p = lower_all(8, |b| {
             bcast(b, 2, 100);
         });
-        assert!(!p[2].ops().iter().any(|op| matches!(op, Op::Recv { .. })));
+        assert!(!p[2].ops().any(|op| matches!(op, Op::Recv { .. })));
         // Rank (2+7)%8 = 1 is the deepest leaf: receives once, sends never.
-        assert!(!p[1].ops().iter().any(|op| matches!(op, Op::Send { .. })));
+        assert!(!p[1].ops().any(|op| matches!(op, Op::Send { .. })));
     }
 
     #[test]
@@ -358,11 +497,7 @@ mod tests {
             reduce(b, 0, 8000);
         });
         // Root merges log2(4) = 2 partial results.
-        let computes = p[0]
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, Op::Compute(_)))
-            .count();
+        let computes = p[0].ops().filter(|op| matches!(op, Op::Compute(_))).count();
         // recv cost + combine per merge = 2 computes per merge.
         assert_eq!(computes, 4);
     }
@@ -383,7 +518,6 @@ mod tests {
         });
         let recvs = p[0]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::Recv { .. }))
             .count();
         assert_eq!(recvs, 14);
@@ -408,17 +542,15 @@ mod tests {
         // Root sends subtree shares: 4, 2, 1 ranks worth.
         let root_sends: Vec<u64> = p[0]
             .ops()
-            .iter()
             .filter_map(|op| match op {
-                Op::Send { bytes, .. } => Some(*bytes),
+                Op::Send { bytes, .. } => Some(bytes),
                 _ => None,
             })
             .collect();
         assert_eq!(root_sends, vec![400, 200, 100]);
         // The deepest leaf receives exactly its own share.
-        let leaf_recv_cost: Vec<&Op> = p[7]
+        let leaf_recv_cost: Vec<Op> = p[7]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::Recv { .. }))
             .collect();
         assert_eq!(leaf_recv_cost.len(), 1);
@@ -459,7 +591,6 @@ mod tests {
         assert_eq!(p[0].bytes_sent(), 700);
         let rounds = p[0]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::SendRecv { .. }))
             .count();
         assert_eq!(rounds, 3);
@@ -472,7 +603,6 @@ mod tests {
         });
         let rounds = p[2]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::SendRecv { .. }))
             .count();
         assert_eq!(rounds, 4);
@@ -510,9 +640,8 @@ mod tests {
         for (rank, prog) in p.iter().enumerate() {
             let mut partners: Vec<usize> = prog
                 .ops()
-                .iter()
                 .filter_map(|op| match op {
-                    Op::SendRecv { dst, .. } => Some(*dst),
+                    Op::SendRecv { dst, .. } => Some(dst),
                     _ => None,
                 })
                 .collect();

@@ -47,14 +47,14 @@ use sim_core::{
 
 use crate::config::{EngineConfig, WaitPolicy};
 use crate::faults::FaultRuntime;
-use crate::program::{Op, Program, Rank, Tag};
+use crate::program::{Cursor, Op, Program, Rank, Tag};
 use crate::result::{RankBreakdown, RunResult, SampleRow};
 
 type MsgId = usize;
 type MsgKey = (Rank, Rank, Tag);
 
 /// [`Msg::next_pending`] of a message that ends its key's unmatched-send
-/// FIFO (or is in none).
+/// FIFO or the free-slot list (or is in neither).
 const NO_PENDING: u32 = u32::MAX;
 
 #[derive(Debug)]
@@ -133,7 +133,10 @@ enum Bucket {
 
 #[derive(Debug)]
 struct RankRuntime {
+    /// Ops executed so far, compact all-to-alls counted expanded.
     pc: usize,
+    /// Where the next op comes from in the rank's program.
+    cursor: Cursor,
     state: RState,
     bucket: Bucket,
     bucket_since: SimTime,
@@ -165,7 +168,8 @@ struct Msg {
     collective: bool,
     /// Next unmatched send on this message's key: the link of the
     /// per-key FIFO that [`Engine::pending_sends`] holds the ends of.
-    /// Sits in what would otherwise be padding.
+    /// For a free slot, the next free slot. Sits in what would otherwise
+    /// be padding.
     next_pending: u32,
 }
 
@@ -177,6 +181,10 @@ struct Msg {
 struct CausalRecorder {
     log: CausalLog,
     open: Vec<Option<(SimTime, f64)>>,
+    /// The log record of the message in each arena slot. Slots are
+    /// recycled; records are not, so the log numbers messages in posting
+    /// order whatever slot they used.
+    record: Vec<usize>,
 }
 
 /// The frequency-dependent float plan for one `Op::Compute`: exactly the
@@ -272,7 +280,8 @@ pub(crate) struct MatchTables {
     /// Entries left in every rank's outstanding non-blocking sets.
     pub rank_outstanding: usize,
     pub msgs_posted: usize,
-    pub msgs_capacity: usize,
+    /// Message slots the arena ever held: the peak in flight at once.
+    pub msg_slots: usize,
     /// `size_of::<Msg>()`.
     pub msg_size: usize,
 }
@@ -296,9 +305,14 @@ pub struct Engine {
     queue: EventQueue<Event>,
     now: SimTime,
     ranks: Vec<RankRuntime>,
-    /// Every message posted, indexed by [`MsgId`]. Sized exactly to the
-    /// run's message-posting ops, so it never reallocates.
+    /// Message slots, indexed by [`MsgId`]. A slot is freed once its
+    /// message is delivered (nothing refers to it after that) and reused
+    /// by the next post, so the arena holds only messages in flight.
     msgs: Vec<Msg>,
+    /// Head of the free-slot list, linked through [`Msg::next_pending`].
+    free_msg: u32,
+    /// Messages posted so far.
+    msgs_posted: usize,
     /// Sends no receive has matched yet: each key's `(head, tail)` FIFO,
     /// linked through [`Msg::next_pending`]. Only live keys are present:
     /// an entry leaves the moment its FIFO drains.
@@ -380,16 +394,6 @@ impl Engine {
             FluidNetwork::with_topology(cluster.network().clone(), n, &config.topology);
         let mut fault_counts = FaultCounts::default();
         let faults = FaultRuntime::build(&config.faults, n, &mut network, &mut fault_counts);
-        // Every message-posting op runs exactly once, posting one message.
-        let msg_count = programs
-            .iter()
-            .flat_map(Program::ops)
-            .filter(|op| matches!(op, Op::Send { .. } | Op::SendRecv { .. } | Op::Isend { .. }))
-            .count();
-        assert!(
-            msg_count < NO_PENDING as usize,
-            "{msg_count} messages overflow the u32 match-queue links"
-        );
         let trace = if config.trace_capacity > 0 {
             Trace::new(config.trace_capacity)
         } else {
@@ -412,6 +416,7 @@ impl Engine {
             ranks: (0..n)
                 .map(|_| RankRuntime {
                     pc: 0,
+                    cursor: Cursor::default(),
                     state: RState::Stalled,
                     bucket: Bucket::None,
                     bucket_since: SimTime::ZERO,
@@ -428,7 +433,11 @@ impl Engine {
                     ),
                 })
                 .collect(),
-            msgs: Vec::with_capacity(msg_count),
+            // A blocking exchange keeps about two messages in flight per
+            // rank; non-blocking bursts grow the arena on demand.
+            msgs: Vec::with_capacity(2 * n),
+            free_msg: NO_PENDING,
+            msgs_posted: 0,
             // Blocking ranks keep about one unmatched key each; bursts of
             // non-blocking posts grow the tables on demand.
             pending_sends: FxHashMap::with_capacity_and_hasher(n, Default::default()),
@@ -448,6 +457,7 @@ impl Engine {
                 Some(Box::new(CausalRecorder {
                     log: CausalLog::new(n),
                     open: vec![None; n],
+                    record: Vec::new(),
                 }))
             } else {
                 None
@@ -504,8 +514,8 @@ impl Engine {
                         + r.outstanding_recvs_unmatched.len()
                 })
                 .sum(),
-            msgs_posted: self.msgs.len(),
-            msgs_capacity: self.msgs.capacity(),
+            msgs_posted: self.msgs_posted,
+            msg_slots: self.msgs.len(),
             msg_size: std::mem::size_of::<Msg>(),
         }
     }
@@ -649,14 +659,13 @@ impl Engine {
     /// Execute ops for `r` until one blocks or the program ends.
     fn execute_next(&mut self, r: Rank) {
         loop {
-            let pc = self.ranks[r].pc;
-            if pc >= self.programs[r].len() {
+            let rt = &mut self.ranks[r];
+            // Ops are cheap to clone (WorkUnit is Copy-sized; strings are 'static).
+            let Some(op) = self.programs[r].fetch(&mut rt.cursor) else {
                 self.finish_rank(r);
                 return;
-            }
-            self.ranks[r].pc += 1;
-            // Ops are cheap to clone (WorkUnit is Copy-sized; strings are 'static).
-            let op = self.programs[r].ops()[pc].clone();
+            };
+            rt.pc += 1;
             match op {
                 Op::Compute(w) => {
                     let plan = plan_compute(&w, self.cluster.node(r));
@@ -941,9 +950,8 @@ impl Engine {
     // ----- messaging -------------------------------------------------------
 
     fn post_send(&mut self, src: Rank, dst: Rank, bytes: u64, tag: Tag) -> MsgId {
-        let id = self.msgs.len();
         let collective = tag >= crate::program::ProgramBuilder::COLLECTIVE_TAG_BASE;
-        self.msgs.push(Msg {
+        let id = self.alloc_msg(Msg {
             src,
             dst,
             bytes,
@@ -955,8 +963,11 @@ impl Engine {
             next_pending: NO_PENDING,
         });
         if let Some(c) = self.causal.as_deref_mut() {
-            // Pushed in lockstep with `msgs`, so the causal record shares
-            // the engine's message id.
+            if id == c.record.len() {
+                c.record.push(c.log.msgs.len());
+            } else {
+                c.record[id] = c.log.msgs.len();
+            }
             c.log.msgs.push(MsgRecord {
                 src,
                 dst,
@@ -989,6 +1000,39 @@ impl Engine {
         id
     }
 
+    /// Put `msg` in a free slot, or a new one when none is free.
+    fn alloc_msg(&mut self, msg: Msg) -> MsgId {
+        self.msgs_posted += 1;
+        let id = self.free_msg as usize;
+        if let Some(slot) = self.msgs.get_mut(id) {
+            self.free_msg = slot.next_pending;
+            *slot = msg;
+            return id;
+        }
+        assert!(
+            self.msgs.len() < NO_PENDING as usize,
+            "{} messages in flight overflow the u32 slot links",
+            self.msgs.len()
+        );
+        self.msgs.push(msg);
+        self.msgs.len() - 1
+    }
+
+    /// Return delivered message `id`'s slot to the free list. Nothing
+    /// refers to a delivered message: its flow has drained, its sender
+    /// was released at the drain, and its receiver is released now.
+    fn free_msg(&mut self, id: MsgId) {
+        self.msgs[id].next_pending = self.free_msg;
+        // Lossless: the arena holds fewer than `NO_PENDING` slots.
+        self.free_msg = id as u32;
+    }
+
+    /// The causal-log record of the message in slot `id` (the slot
+    /// itself when not recording, where no cause is ever read).
+    fn record_of(&self, id: MsgId) -> usize {
+        self.causal.as_deref().map_or(id, |c| c.record[id])
+    }
+
     /// Returns `None` when the receive completed synchronously, otherwise
     /// the wait descriptor.
     fn post_recv(&mut self, dst: Rank, src: Rank, tag: Tag) -> Option<RecvWait> {
@@ -1010,13 +1054,14 @@ impl Engine {
                             if let Some(c) = self.causal.as_deref_mut() {
                                 // Physical arrival time: the payload was
                                 // already here when the recv posted.
-                                c.log.msgs[id].delivered_at = Some(deliver_at);
+                                c.log.msgs[c.record[id]].delivered_at = Some(deliver_at);
                             }
                             self.trace
                                 .record_with(self.now, dst, TraceKind::MsgEnd, || {
                                     TraceDetail::MsgFrom { src }
                                 });
                             self.observe_delivery(id);
+                            self.free_msg(id);
                             None // already here
                         } else {
                             self.queue.push(deliver_at, Event::Delivered(id));
@@ -1086,7 +1131,7 @@ impl Engine {
         let flow = self.network.start_flow(self.now, src, dst, bytes);
         self.msgs[id].flow_started = true;
         if let Some(c) = self.causal.as_deref_mut() {
-            c.log.msgs[id].flow_started_at = Some(self.now);
+            c.log.msgs[c.record[id]].flow_started_at = Some(self.now);
         }
         if flow.0 >= self.flow_to_msg.len() {
             self.flow_to_msg.resize(flow.0 + 1, None);
@@ -1124,7 +1169,7 @@ impl Engine {
                 .expect("completed flow without a message");
             self.msgs[id].drained_at = Some(self.now);
             if let Some(c) = self.causal.as_deref_mut() {
-                c.log.msgs[id].drained_at = Some(self.now);
+                c.log.msgs[c.record[id]].drained_at = Some(self.now);
             }
             self.refresh_nic(src);
             self.refresh_nic(dst);
@@ -1136,12 +1181,14 @@ impl Engine {
             {
                 if *ns == Some(id) {
                     *ns = None;
-                    self.maybe_resume_waiter(src, WaitCause::SendDrained(id));
+                    let cause = WaitCause::SendDrained(self.record_of(id));
+                    self.maybe_resume_waiter(src, cause);
                 }
             }
             // Non-blocking sender: strike the isend off the outstanding set.
             if self.ranks[src].outstanding_sends.remove(&id) {
-                self.maybe_resume_waitall(src, WaitCause::SendDrained(id));
+                let cause = WaitCause::SendDrained(self.record_of(id));
+                self.maybe_resume_waitall(src, cause);
             }
             // Receiver side completes after the wire latency, if posted.
             if self.msgs[id].recv_posted {
@@ -1177,7 +1224,7 @@ impl Engine {
         let dst = self.msgs[id].dst;
         let src = self.msgs[id].src;
         if let Some(c) = self.causal.as_deref_mut() {
-            c.log.msgs[id].delivered_at = Some(self.now);
+            c.log.msgs[c.record[id]].delivered_at = Some(self.now);
         }
         self.trace
             .record_with(self.now, dst, TraceKind::MsgEnd, || TraceDetail::MsgFrom {
@@ -1191,13 +1238,16 @@ impl Engine {
         {
             if *nr == Some(RecvWait::Matched(id)) {
                 *nr = None;
-                self.maybe_resume_waiter(dst, WaitCause::RecvDelivered(id));
+                let cause = WaitCause::RecvDelivered(self.record_of(id));
+                self.maybe_resume_waiter(dst, cause);
             }
         }
         // Non-blocking receiver: strike the irecv off the outstanding set.
         if self.ranks[dst].outstanding_recvs_matched.remove(&id) {
-            self.maybe_resume_waitall(dst, WaitCause::RecvDelivered(id));
+            let cause = WaitCause::RecvDelivered(self.record_of(id));
+            self.maybe_resume_waitall(dst, cause);
         }
+        self.free_msg(id);
     }
 
     // ----- DVFS ------------------------------------------------------------

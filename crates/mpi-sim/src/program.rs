@@ -12,11 +12,18 @@
 //! scales with CPU frequency — it is precisely the part of communication
 //! that DVFS slows down, and what makes the paper's communication
 //! microbenchmark delays rise a few percent at 600 MHz instead of zero.
+//!
+//! One collective is stored compactly: a pairwise/ring all-to-all would
+//! lower to `3n - 2` ops on each of `n` ranks, O(n²) in all, so a program
+//! keeps it as a single step and expands it op by op when iterated or
+//! executed. [`Program::ops`], [`Program::len`] and
+//! [`Program::bytes_sent`] all describe the expanded stream, which is
+//! exactly what eager lowering would have produced.
 
 use dvfs::AppSpeedRequest;
 use mem_model::{MemHierarchy, WorkUnit};
 
-use crate::collectives;
+use crate::collectives::{self, AllToAll};
 use crate::config::MsgCostModel;
 
 /// Rank index within the job (also the node index: one rank per node,
@@ -89,47 +96,162 @@ pub enum Op {
     PhaseEnd(&'static str),
 }
 
+/// One stored step of a [`Program`]: a plain op, or a compact all-to-all
+/// (an index into [`Program::alltoalls`]) expanded when fetched. The
+/// index sits in [`Op`]'s niche, so a step is no larger than an op.
+#[derive(Debug, Clone)]
+enum Step {
+    Op(Op),
+    AllToAll(u32),
+}
+
 /// A rank's complete instruction stream.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    ops: Vec<Op>,
+    steps: Vec<Step>,
+    alltoalls: Vec<AllToAll>,
+}
+
+/// Position of a rank in its program: the stored step and, inside a
+/// compact all-to-all, the expanded op.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Cursor {
+    step: usize,
+    sub: usize,
 }
 
 impl Program {
     /// Build a program directly from lowered operations. Low-level: used
-    /// by program-rewriting tools (e.g. automatic DVS instrumentation);
-    /// ordinary construction goes through [`ProgramBuilder`].
+    /// by tests and hand-assembled programs; ordinary construction goes
+    /// through [`ProgramBuilder`], and rewriting tools use
+    /// [`Program::rewrite`].
     pub fn from_ops(ops: Vec<Op>) -> Self {
-        Program { ops }
+        Program {
+            steps: ops.into_iter().map(Step::Op).collect(),
+            alltoalls: Vec::new(),
+        }
     }
 
-    /// The lowered operations in execution order.
-    pub fn ops(&self) -> &[Op] {
-        &self.ops
+    /// The lowered operations in execution order, compact all-to-alls
+    /// expanded.
+    pub fn ops(&self) -> Ops<'_> {
+        Ops {
+            program: self,
+            cursor: Cursor::default(),
+            remaining: self.len(),
+        }
     }
 
-    /// Number of operations.
+    /// Call `f` on every op [`Program::ops`] yields, in order, without
+    /// cloning the stored ones (the store fingerprint's hot loop).
+    pub fn for_each_op(&self, mut f: impl FnMut(&Op)) {
+        for step in &self.steps {
+            match step {
+                Step::Op(op) => f(op),
+                Step::AllToAll(i) => self.alltoalls[*i as usize].for_each_op(&mut f),
+            }
+        }
+    }
+
+    /// Number of operations (compact all-to-alls counted expanded).
     pub fn len(&self) -> usize {
-        self.ops.len()
+        let expanded: usize = self.alltoalls.iter().map(AllToAll::len).sum();
+        self.steps.len() - self.alltoalls.len() + expanded
     }
 
     /// True for a program with no operations.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len() == 0
+    }
+
+    /// Number of stored steps: plain ops, plus one per compact
+    /// all-to-all whatever its size.
+    pub fn stored_steps(&self) -> usize {
+        self.steps.len()
     }
 
     /// Total message payload bytes this rank sends (sends + sendrecv sends).
     pub fn bytes_sent(&self) -> u64 {
-        self.ops
+        let plain: u64 = self
+            .steps
             .iter()
-            .map(|op| match op {
-                Op::Send { bytes, .. } => *bytes,
-                Op::SendRecv { send_bytes, .. } => *send_bytes,
+            .map(|step| match step {
+                Step::Op(Op::Send { bytes, .. }) => *bytes,
+                Step::Op(Op::SendRecv { send_bytes, .. }) => *send_bytes,
                 _ => 0,
             })
-            .sum()
+            .sum();
+        plain + self.alltoalls.iter().map(AllToAll::bytes_sent).sum::<u64>()
+    }
+
+    /// Rewrite every stored op through `f`, which pushes its replacement
+    /// ops (none, itself, or several) onto the given vector. Compact
+    /// all-to-alls are carried over unchanged: they hold only compute and
+    /// exchange ops, never the phase markers or speed requests a rewriter
+    /// acts on.
+    pub fn rewrite(&self, mut f: impl FnMut(&Op, &mut Vec<Op>)) -> Program {
+        let mut steps = Vec::with_capacity(self.steps.len() + 8);
+        let mut buf = Vec::new();
+        for step in &self.steps {
+            match step {
+                Step::Op(op) => {
+                    f(op, &mut buf);
+                    steps.extend(buf.drain(..).map(Step::Op));
+                }
+                Step::AllToAll(i) => steps.push(Step::AllToAll(*i)),
+            }
+        }
+        Program {
+            steps,
+            alltoalls: self.alltoalls.clone(),
+        }
+    }
+
+    /// The op at `cursor`, advancing it; `None` at the end.
+    #[inline]
+    pub(crate) fn fetch(&self, cursor: &mut Cursor) -> Option<Op> {
+        match self.steps.get(cursor.step)? {
+            Step::Op(op) => {
+                cursor.step += 1;
+                Some(op.clone())
+            }
+            Step::AllToAll(i) => {
+                let a = &self.alltoalls[*i as usize];
+                let op = a.op(cursor.sub);
+                cursor.sub += 1;
+                if cursor.sub == a.len() {
+                    cursor.step += 1;
+                    cursor.sub = 0;
+                }
+                Some(op)
+            }
+        }
     }
 }
+
+/// Iterator over a [`Program`]'s expanded ops ([`Program::ops`]).
+#[derive(Debug, Clone)]
+pub struct Ops<'a> {
+    program: &'a Program,
+    cursor: Cursor,
+    remaining: usize,
+}
+
+impl Iterator for Ops<'_> {
+    type Item = Op;
+
+    fn next(&mut self) -> Option<Op> {
+        let op = self.program.fetch(&mut self.cursor)?;
+        self.remaining -= 1;
+        Some(op)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Ops<'_> {}
 
 /// Builds one rank's program, lowering collectives and charging message
 /// software costs.
@@ -139,7 +261,7 @@ pub struct ProgramBuilder {
     size: usize,
     cost: MsgCostModel,
     mem: MemHierarchy,
-    ops: Vec<Op>,
+    program: Program,
     collective_epoch: u32,
 }
 
@@ -167,7 +289,7 @@ impl ProgramBuilder {
             size,
             cost,
             mem,
-            ops: Vec::new(),
+            program: Program::default(),
             collective_epoch: 0,
         }
     }
@@ -202,7 +324,7 @@ impl ProgramBuilder {
     /// Append raw compute work.
     pub fn compute(&mut self, work: WorkUnit) -> &mut Self {
         if !work.is_zero() {
-            self.ops.push(Op::Compute(work));
+            self.push(Op::Compute(work));
         }
         self
     }
@@ -211,7 +333,7 @@ impl ProgramBuilder {
     pub fn send(&mut self, dst: Rank, bytes: u64, tag: Tag) -> &mut Self {
         assert!(dst < self.size, "send dst {dst} out of range");
         self.compute(self.msg_cost(bytes));
-        self.ops.push(Op::Send { dst, bytes, tag });
+        self.push(Op::Send { dst, bytes, tag });
         self
     }
 
@@ -219,7 +341,7 @@ impl ProgramBuilder {
     /// expected payload size must be supplied to price the receive copy).
     pub fn recv(&mut self, src: Rank, bytes: u64, tag: Tag) -> &mut Self {
         assert!(src < self.size, "recv src {src} out of range");
-        self.ops.push(Op::Recv { src, tag });
+        self.push(Op::Recv { src, tag });
         self.compute(self.msg_cost(bytes));
         self
     }
@@ -240,7 +362,7 @@ impl ProgramBuilder {
             "sendrecv peer out of range"
         );
         self.compute(self.msg_cost(send_bytes));
-        self.ops.push(Op::SendRecv {
+        self.push(Op::SendRecv {
             dst,
             send_bytes,
             send_tag,
@@ -256,7 +378,7 @@ impl ProgramBuilder {
     pub fn isend(&mut self, dst: Rank, bytes: u64, tag: Tag) -> &mut Self {
         assert!(dst < self.size, "isend dst {dst} out of range");
         self.compute(self.msg_cost(bytes));
-        self.ops.push(Op::Isend { dst, bytes, tag });
+        self.push(Op::Isend { dst, bytes, tag });
         self
     }
 
@@ -264,7 +386,7 @@ impl ProgramBuilder {
     /// charged at the matching [`ProgramBuilder::wait_all`].
     pub fn irecv(&mut self, src: Rank, tag: Tag) -> &mut Self {
         assert!(src < self.size, "irecv src {src} out of range");
-        self.ops.push(Op::Irecv { src, tag });
+        self.push(Op::Irecv { src, tag });
         self
     }
 
@@ -272,7 +394,7 @@ impl ProgramBuilder {
     /// `recv_copy_bytes` of receive-side copy cost afterwards (the sum of
     /// the posted irecvs' payloads).
     pub fn wait_all(&mut self, recv_copy_bytes: u64) -> &mut Self {
-        self.ops.push(Op::WaitAll);
+        self.push(Op::WaitAll);
         self.compute(self.msg_cost_bytes_only(recv_copy_bytes));
         self
     }
@@ -323,19 +445,19 @@ impl ProgramBuilder {
 
     /// Append a DVFS request.
     pub fn set_speed(&mut self, request: AppSpeedRequest) -> &mut Self {
-        self.ops.push(Op::SetSpeed(request));
+        self.push(Op::SetSpeed(request));
         self
     }
 
     /// Append a phase-begin marker.
     pub fn phase_begin(&mut self, name: &'static str) -> &mut Self {
-        self.ops.push(Op::PhaseBegin(name));
+        self.push(Op::PhaseBegin(name));
         self
     }
 
     /// Append a phase-end marker.
     pub fn phase_end(&mut self, name: &'static str) -> &mut Self {
-        self.ops.push(Op::PhaseEnd(name));
+        self.push(Op::PhaseEnd(name));
         self
     }
 
@@ -400,7 +522,21 @@ impl ProgramBuilder {
 
     /// Finish, yielding the program.
     pub fn build(self) -> Program {
-        Program { ops: self.ops }
+        self.program
+    }
+
+    fn push(&mut self, op: Op) {
+        self.program.steps.push(Step::Op(op));
+    }
+
+    /// Append one rank's part of an all-to-all as a single compact step.
+    pub(crate) fn push_alltoall(&mut self, step: AllToAll) {
+        let program = &mut self.program;
+        let index = u32::try_from(program.alltoalls.len())
+            // simlint: allow(panic-path): four billion all-to-alls in one program cannot be built in memory anyway
+            .expect("all-to-all count fits u32");
+        program.alltoalls.push(step);
+        program.steps.push(Step::AllToAll(index));
     }
 }
 
@@ -413,10 +549,11 @@ mod tests {
         let mut b = ProgramBuilder::new(0, 2);
         b.send(1, 1024, 7);
         let p = b.build();
+        let ops: Vec<Op> = p.ops().collect();
         assert_eq!(p.len(), 2);
-        assert!(matches!(p.ops()[0], Op::Compute(_)));
+        assert!(matches!(ops[0], Op::Compute(_)));
         assert!(matches!(
-            p.ops()[1],
+            ops[1],
             Op::Send {
                 dst: 1,
                 bytes: 1024,
@@ -430,8 +567,9 @@ mod tests {
         let mut b = ProgramBuilder::new(1, 2);
         b.recv(0, 1024, 7);
         let p = b.build();
-        assert!(matches!(p.ops()[0], Op::Recv { src: 0, tag: 7 }));
-        assert!(matches!(p.ops()[1], Op::Compute(_)));
+        let ops: Vec<Op> = p.ops().collect();
+        assert!(matches!(ops[0], Op::Recv { src: 0, tag: 7 }));
+        assert!(matches!(ops[1], Op::Compute(_)));
     }
 
     #[test]
@@ -442,6 +580,43 @@ mod tests {
         assert_eq!(small.dram_accesses, 0.0);
         assert!(large.dram_accesses > 0.0);
         assert!(large.cpu_cycles > small.cpu_cycles);
+    }
+
+    #[test]
+    fn a_stored_step_is_no_larger_than_an_op() {
+        // The all-to-all index sits in `Op`'s niche, so programs without
+        // all-to-alls (the paper grid) do not grow.
+        assert_eq!(std::mem::size_of::<Op>(), 40);
+        assert!(std::mem::size_of::<Step>() <= 40);
+    }
+
+    #[test]
+    fn alltoall_is_one_stored_step() {
+        let mut b = ProgramBuilder::new(3, 64);
+        b.compute(WorkUnit::pure_cpu(10.0)).alltoall(4096);
+        let p = b.build();
+        assert_eq!(p.stored_steps(), 2);
+        assert_eq!(p.len(), 1 + 3 * 64 - 2);
+        assert_eq!(p.ops().count(), p.len());
+        assert_eq!(p.bytes_sent(), 63 * 4096);
+    }
+
+    #[test]
+    fn rewrite_keeps_alltoalls_compact() {
+        let mut b = ProgramBuilder::new(0, 16);
+        b.phase_begin("x").alltoall(100).phase_end("x");
+        let p = b.build();
+        let speed = Op::SetSpeed(AppSpeedRequest::Lowest);
+        let q = p.rewrite(|op, out| {
+            out.push(op.clone());
+            if matches!(op, Op::PhaseBegin(_)) {
+                out.push(speed.clone());
+            }
+        });
+        assert_eq!(q.stored_steps(), p.stored_steps() + 1);
+        let mut expect: Vec<Op> = p.ops().collect();
+        expect.insert(1, speed);
+        assert_eq!(q.ops().collect::<Vec<_>>(), expect);
     }
 
     #[test]
@@ -475,17 +650,18 @@ mod tests {
             .compute(WorkUnit::pure_cpu(10.0))
             .wait_all(2048);
         let p = b.build();
-        assert!(matches!(p.ops()[0], Op::Compute(_))); // send-side copy
+        let ops: Vec<Op> = p.ops().collect();
+        assert!(matches!(ops[0], Op::Compute(_))); // send-side copy
         assert!(matches!(
-            p.ops()[1],
+            ops[1],
             Op::Isend {
                 dst: 1,
                 bytes: 2048,
                 tag: 3
             }
         ));
-        assert!(matches!(p.ops()[3], Op::WaitAll));
-        assert!(matches!(p.ops()[4], Op::Compute(_))); // recv-side copy
+        assert!(matches!(ops[3], Op::WaitAll));
+        assert!(matches!(ops[4], Op::Compute(_))); // recv-side copy
     }
 
     #[test]
@@ -493,8 +669,9 @@ mod tests {
         let mut b = ProgramBuilder::new(0, 1);
         b.wait_all(0);
         let p = b.build();
+        let ops: Vec<Op> = p.ops().collect();
         assert_eq!(p.len(), 1);
-        assert!(matches!(p.ops()[0], Op::WaitAll));
+        assert!(matches!(ops[0], Op::WaitAll));
     }
 
     #[test]
@@ -502,21 +679,9 @@ mod tests {
         let mut b = ProgramBuilder::new(0, 4);
         b.alltoall_nonblocking(1000);
         let p = b.build();
-        let irecvs = p
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, Op::Irecv { .. }))
-            .count();
-        let isends = p
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, Op::Isend { .. }))
-            .count();
-        let waits = p
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, Op::WaitAll))
-            .count();
+        let irecvs = p.ops().filter(|op| matches!(op, Op::Irecv { .. })).count();
+        let isends = p.ops().filter(|op| matches!(op, Op::Isend { .. })).count();
+        let waits = p.ops().filter(|op| matches!(op, Op::WaitAll)).count();
         assert_eq!(irecvs, 3);
         assert_eq!(isends, 3);
         assert_eq!(waits, 1);
@@ -524,11 +689,11 @@ mod tests {
         // eager buffering in real MPIs; we mirror the idiom).
         let first_isend = p
             .ops()
-            .iter()
             .position(|op| matches!(op, Op::Isend { .. }))
             .unwrap();
         let last_irecv = p
             .ops()
+            .collect::<Vec<_>>()
             .iter()
             .rposition(|op| matches!(op, Op::Irecv { .. }))
             .unwrap();

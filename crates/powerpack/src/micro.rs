@@ -137,9 +137,8 @@ mod tests {
 
     fn total_work(p: &Program) -> WorkUnit {
         p.ops()
-            .iter()
             .filter_map(|op| match op {
-                Op::Compute(w) => Some(*w),
+                Op::Compute(w) => Some(w),
                 _ => None,
             })
             .fold(WorkUnit::ZERO, |acc, w| acc.add(&w))
@@ -180,7 +179,6 @@ mod tests {
         assert_eq!(p.len(), 2);
         let sends = |prog: &Program| {
             prog.ops()
-                .iter()
                 .filter(|op| matches!(op, Op::Send { .. }))
                 .count()
         };

@@ -17,8 +17,9 @@
 
 use crate::time::SimTime;
 
-/// Index into [`CausalLog::msgs`]; identical to the engine's internal
-/// message arena index, recorded in lockstep.
+/// Index into [`CausalLog::msgs`]: messages numbered in posting order.
+/// The engine recycles its message slots and maps each slot to its
+/// record, so this is not a slot index.
 pub type CausalMsgId = usize;
 
 /// The observable life of one point-to-point message (collectives are

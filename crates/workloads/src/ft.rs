@@ -269,12 +269,7 @@ mod tests {
     fn dynamic_variant_instruments_fft_only() {
         let plain = ft_programs(&FtConfig::paper(FtClass::Test, 4));
         let dynamic = ft_programs(&FtConfig::paper(FtClass::Test, 4).with_dynamic_dvs());
-        let count = |p: &Program| {
-            p.ops()
-                .iter()
-                .filter(|op| matches!(op, Op::SetSpeed(_)))
-                .count()
-        };
+        let count = |p: &Program| p.ops().filter(|op| matches!(op, Op::SetSpeed(_))).count();
         assert_eq!(count(&plain[0]), 0);
         // Two requests (down + restore) per iteration.
         assert_eq!(count(&dynamic[0]), 2 * FtClass::Test.iterations() as usize);
@@ -286,11 +281,11 @@ mod tests {
         let a = ft_programs(&cfg);
         let b = ft_programs(&cfg);
         assert_eq!(a[0].ops().len(), b[0].ops().len());
-        for (x, y) in a[0].ops().iter().zip(b[0].ops()) {
+        for (x, y) in a[0].ops().zip(b[0].ops()) {
             assert_eq!(x, y);
         }
         // And ranks differ from each other (independent jitter streams).
-        assert_ne!(a[0].ops(), a[1].ops());
+        assert!(a[0].ops().ne(a[1].ops()));
     }
 
     #[test]
@@ -298,12 +293,10 @@ mod tests {
         let p = ft_programs(&FtConfig::paper(FtClass::Test, 2));
         let begins = p[0]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::PhaseBegin("fft")))
             .count();
         let ends = p[0]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::PhaseEnd("fft")))
             .count();
         assert_eq!(begins, FtClass::Test.iterations() as usize);

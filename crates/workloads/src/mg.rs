@@ -287,10 +287,7 @@ mod tests {
     fn builds_and_communicates() {
         let p = mg_programs(&MgConfig::paper_style(MgClass::Test, 8));
         assert_eq!(p.len(), 8);
-        assert!(p[0]
-            .ops()
-            .iter()
-            .any(|op| matches!(op, Op::SendRecv { .. })));
+        assert!(p[0].ops().any(|op| matches!(op, Op::SendRecv { .. })));
     }
 
     #[test]
@@ -310,8 +307,8 @@ mod tests {
                     recv_tag,
                 } = op
                 {
-                    sends.push((rank, *dst, *send_tag, *send_bytes));
-                    recvs.push((*src, rank, *recv_tag));
+                    sends.push((rank, dst, send_tag, send_bytes));
+                    recvs.push((src, rank, recv_tag));
                 }
             }
         }
@@ -327,9 +324,8 @@ mod tests {
         let programs = mg_programs(&MgConfig::paper_style(MgClass::Test, 8));
         let volumes: Vec<u64> = programs[0]
             .ops()
-            .iter()
             .filter_map(|op| match op {
-                Op::SendRecv { send_bytes, .. } => Some(*send_bytes),
+                Op::SendRecv { send_bytes, .. } => Some(send_bytes),
                 _ => None,
             })
             .collect();
@@ -343,7 +339,6 @@ mod tests {
         let p = mg_programs(&MgConfig::paper_style(MgClass::Test, 1));
         assert!(!p[0]
             .ops()
-            .iter()
             .any(|op| matches!(op, Op::SendRecv { .. } | Op::Send { .. })));
     }
 
@@ -352,7 +347,6 @@ mod tests {
         let d = mg_programs(&MgConfig::paper_style(MgClass::Test, 8).with_dynamic_dvs());
         let speed_ops = d[0]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::SetSpeed(_)))
             .count();
         assert!(speed_ops > 0);

@@ -110,9 +110,8 @@ mod tests {
 
     fn total_work(p: &Program) -> WorkUnit {
         p.ops()
-            .iter()
             .filter_map(|op| match op {
-                mpi_sim::Op::Compute(w) => Some(*w),
+                mpi_sim::Op::Compute(w) => Some(w),
                 _ => None,
             })
             .fold(WorkUnit::ZERO, |acc, w| acc.add(&w))
@@ -161,7 +160,6 @@ mod tests {
         let p = swim_program(&SpecConfig::small());
         assert!(p
             .ops()
-            .iter()
             .all(|op| !matches!(op, mpi_sim::Op::Send { .. } | mpi_sim::Op::Recv { .. })));
     }
 

@@ -210,8 +210,7 @@ mod tests {
         let block = c.block_bytes();
         let sends_exchange = |p: &Program| {
             p.ops()
-                .iter()
-                .any(|op| matches!(op, Op::SendRecv { send_bytes, .. } if *send_bytes == block))
+                .any(|op| matches!(op, Op::SendRecv { send_bytes, .. } if send_bytes == block))
         };
         for (r, program) in programs.iter().enumerate() {
             let has = sends_exchange(program);
@@ -242,7 +241,6 @@ mod tests {
         let programs = transpose_programs(&c);
         let speed_ops = programs[1]
             .ops()
-            .iter()
             .filter(|op| matches!(op, Op::SetSpeed(_)))
             .count();
         assert_eq!(speed_ops, 2 * c.iterations as usize);
@@ -250,12 +248,10 @@ mod tests {
         // the base operating point.
         let first_speed = programs[1]
             .ops()
-            .iter()
             .position(|op| matches!(op, Op::SetSpeed(_)))
             .unwrap();
         let first_compute = programs[1]
             .ops()
-            .iter()
             .position(|op| matches!(op, Op::Compute(_)))
             .unwrap();
         assert!(first_compute < first_speed);
