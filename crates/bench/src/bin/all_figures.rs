@@ -5,7 +5,6 @@
 //! (warm) ones replay the identical results without executing the
 //! engine. The store's traffic (`… hits, 0 misses, …` when warm) goes to
 //! stderr at exit, so stdout is byte-identical with and without a store.
-//! `scripts/bench.sh` times both modes.
 //!
 //! `--topology <spec>` applies to every run (the same spec `pwrperf run`
 //! takes).

@@ -1,4 +1,5 @@
-//! One function per paper table/figure; the `src/bin/` wrappers call these.
+//! One function per paper table/figure; `all_figures` prints them in
+//! paper order through [`all`].
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -55,8 +56,7 @@ fn base_engine() -> EngineConfig {
 /// result store when one is set. Results come back in strategy order.
 fn run_grid(w: &Workload, strategies: Vec<DvsStrategy>, engine: EngineConfig) -> Vec<RunResult> {
     let fault_specs = vec![engine.faults.clone()];
-    let sweep =
-        Sweep::grid(vec![w.clone()], strategies, Vec::new(), fault_specs).with_engine(engine);
+    let sweep = Sweep::grid(vec![w.clone()], strategies, fault_specs).with_engine(engine);
     let mut store = RESULT_STORE.lock().expect("result store lock");
     let outcome = sweep.run(store.as_mut(), None);
     outcome
@@ -97,7 +97,7 @@ fn strategy_suite(w: &Workload) -> (Crescendo, Crescendo, (f64, f64)) {
 }
 
 /// Figure 1: energy-delay crescendos for the SPEC proxies.
-pub fn fig1_spec_crescendos() {
+fn fig1_spec_crescendos() {
     banner(
         "Fig. 1",
         "SPEC CFP2000 energy-delay crescendos (mgrid, swim)",
@@ -111,7 +111,7 @@ pub fn fig1_spec_crescendos() {
 }
 
 /// Figure 2: weighted-ED²P iso-efficiency curves.
-pub fn fig2_weighted_ed2p_curves() {
+fn fig2_weighted_ed2p_curves() {
     banner(
         "Fig. 2",
         "energy fraction required to break even vs delay factor",
@@ -135,7 +135,7 @@ pub fn fig2_weighted_ed2p_curves() {
 }
 
 /// Table 1: best operating points for mgrid and swim.
-pub fn table1_spec_best_points() {
+fn table1_spec_best_points() {
     banner("Table 1", "best operating points for mgrid and swim");
     let mgrid = ladder_crescendo(&Workload::Mgrid);
     let swim = ladder_crescendo(&Workload::Swim);
@@ -147,7 +147,7 @@ pub fn table1_spec_best_points() {
 }
 
 /// Table 2: the Pentium-M operating points.
-pub fn table2_operating_points() {
+fn table2_operating_points() {
     banner("Table 2", "frequency and supply-voltage operating points");
     let ladder = DvfsLadder::pentium_m_1400();
     println!("{:>10} {:>14}", "Frequency", "Supply voltage");
@@ -161,7 +161,7 @@ pub fn table2_operating_points() {
 }
 
 /// Figure 3: FT class B on 8 nodes — cpuspeed point + static crescendo.
-pub fn fig3_ft_b_crescendo() {
+fn fig3_ft_b_crescendo() {
     banner("Fig. 3", "normalized energy and delay of FT.B on 8 nodes");
     let w = Workload::ft_b8();
     let stat = ladder_crescendo(&w);
@@ -186,7 +186,7 @@ pub fn fig3_ft_b_crescendo() {
 }
 
 /// Table 3: best operating points for FT.B.
-pub fn table3_ft_b_best_points() {
+fn table3_ft_b_best_points() {
     banner("Table 3", "best operating points for FT class B on 8 nodes");
     let stat = ladder_crescendo(&Workload::ft_b8());
     println!("{}", format_best_points(&[("FT.B (8 nodes)", &stat)]));
@@ -199,7 +199,7 @@ pub fn table3_ft_b_best_points() {
 }
 
 /// Figure 4: FT class C on 8 processors under all three strategies.
-pub fn fig4_ft_c_strategies() {
+fn fig4_ft_c_strategies() {
     banner(
         "Fig. 4",
         "FT.C on 8 processors: cpuspeed vs static vs dynamic",
@@ -248,7 +248,7 @@ pub fn fig4_ft_c_strategies() {
 }
 
 /// Figure 5: the 12K×12K transpose on 15 processors.
-pub fn fig5_transpose_strategies() {
+fn fig5_transpose_strategies() {
     banner("Fig. 5", "parallel matrix transpose on 15 processors");
     let w = Workload::transpose_paper();
     let (stat, dyn_c, (e_cs, d_cs)) = strategy_suite(&w);
@@ -283,7 +283,7 @@ pub fn fig5_transpose_strategies() {
 }
 
 /// Figure 6: the memory-bound microbenchmark.
-pub fn fig6_memory_micro() {
+fn fig6_memory_micro() {
     banner(
         "Fig. 6",
         "normalized energy and delay of memory access (32MB, 128B stride)",
@@ -301,7 +301,7 @@ pub fn fig6_memory_micro() {
 }
 
 /// Figure 7: the CPU-bound (L2) microbenchmark plus the register variant.
-pub fn fig7_cpu_micro() {
+fn fig7_cpu_micro() {
     banner(
         "Fig. 7",
         "normalized energy and delay for L2 cache access under DVS",
@@ -324,7 +324,7 @@ pub fn fig7_cpu_micro() {
 }
 
 /// Figure 8: the communication microbenchmarks.
-pub fn fig8_comm_micro() {
+fn fig8_comm_micro() {
     banner("Fig. 8", "communication microbenchmarks (round trips)");
     let a = ladder_crescendo(&Workload::Comm(CommMicroConfig::paper_256k()));
     println!("{}", format_crescendo("(a) 256KB round trip", &a));
@@ -341,7 +341,7 @@ pub fn fig8_comm_micro() {
 
 /// Beyond-paper ablation: how the cpuspeed verdict depends on whether MPI
 /// waits are visible to `/proc/stat`.
-pub fn ablation_wait_policy() {
+fn ablation_wait_policy() {
     banner(
         "Ablation",
         "cpuspeed vs wait visibility (busy-poll vs poll-then-block)",

@@ -1,20 +1,19 @@
-//! # pwrperf-bench — paper regenerators and performance benchmarks
+//! # pwrperf-bench — paper and extension regenerators
 //!
-//! Two kinds of targets live here:
-//!
-//! * **Figure/table regenerators** (`src/bin/`): one binary per table and
-//!   figure in the paper's evaluation, each printing the reproduced
+//! * **`all_figures`** prints every table and figure of the paper's
+//!   evaluation in order, one titled section each, with the reproduced
 //!   rows/series next to the paper's reported numbers
-//!   (`cargo run -p pwrperf-bench --bin fig3_ft_b_crescendo`). The
-//!   `all_figures` binary runs every regenerator in sequence.
-//! * **Criterion benches** (`benches/`): performance of the simulator
-//!   itself (engine event throughput, collective lowering, fair-share
-//!   allocation, governor overhead), run with `cargo bench`.
+//!   (`cargo run --release -p pwrperf-bench --bin all_figures`).
+//! * **Extension studies** ([`extensions`]): one binary per study, and
+//!   `all_extensions` for the full set.
+//!
+//! The simulator's own performance is measured by the `perfbench`
+//! package (see `BENCHMARK.json`), not here.
 
 use pwrperf::calibration::PaperTarget;
 
 /// Print a paper-vs-measured comparison row.
-pub fn print_target_row(target: &PaperTarget, measured_e: f64, measured_d: f64) {
+pub(crate) fn print_target_row(target: &PaperTarget, measured_e: f64, measured_d: f64) {
     println!(
         "  {:>12} @{:>5}MHz  paper E={:.3} D={:.3}  measured E={:.3} D={:.3}  (ΔE={:+.3}, ΔD={:+.3})",
         target.strategy,
@@ -29,7 +28,7 @@ pub fn print_target_row(target: &PaperTarget, measured_e: f64, measured_d: f64) 
 }
 
 /// Standard header for a regenerator binary.
-pub fn banner(figure: &str, description: &str) {
+pub(crate) fn banner(figure: &str, description: &str) {
     println!("==============================================================");
     println!("{figure}: {description}");
     println!("Ge, Feng, Cameron — IPPS 2005 reproduction (simulated cluster)");

@@ -7,7 +7,7 @@ use pwrperf::{CapPolicy, DvsStrategy, FaultSpec, SweepSpec, Topology, Workload};
 
 /// A parsed invocation.
 #[derive(Debug)]
-pub enum Command {
+pub(crate) enum Command {
     /// `pwrperf run -w <workload> (-s <strategy> | --power-cap <spec>)
     /// [--blocking-waits <ms>] [--metrics] [--causal] [--faults <spec>]
     /// [--topology <spec>] [-o <dir>]`
@@ -85,7 +85,7 @@ pub enum Command {
 
 /// What a `pwrperf client` invocation asks the daemon.
 #[derive(Debug)]
-pub enum ClientAction {
+pub(crate) enum ClientAction {
     /// Run (or replay) a sweep grid.
     Sweep(SweepSpec),
     /// Aggregate stored results (never executes).
@@ -98,12 +98,12 @@ pub enum ClientAction {
 
 /// Parse a workload name (delegates to the core name registry, which the
 /// sweep-service wire protocol shares).
-pub fn parse_workload(name: &str) -> Result<Workload, String> {
+pub(crate) fn parse_workload(name: &str) -> Result<Workload, String> {
     Workload::parse_name(name)
 }
 
 /// Parse a strategy name (delegates to the core name registry).
-pub fn parse_strategy(name: &str) -> Result<DvsStrategy, String> {
+pub(crate) fn parse_strategy(name: &str) -> Result<DvsStrategy, String> {
     DvsStrategy::parse_name(name)
 }
 
@@ -141,7 +141,7 @@ fn parse_topology(value: &str) -> Result<Topology, String> {
 /// Parse a `--power-cap` value: `<watts>[,policy=uniform|redistribute]`.
 /// The policy is left unresolved when omitted so each subcommand can pick
 /// its own default (run: redistribute; sweep: compare both).
-pub fn parse_power_cap(value: &str) -> Result<(u32, Option<CapPolicy>), String> {
+pub(crate) fn parse_power_cap(value: &str) -> Result<(u32, Option<CapPolicy>), String> {
     let (watts, policy) = match value.split_once(',') {
         None => (value, None),
         Some((watts, option)) => {
@@ -182,7 +182,7 @@ fn check_endpoint(socket: &Option<String>, tcp: &Option<String>) -> Result<(), S
 }
 
 /// Parse the full argument vector (without the program name).
-pub fn parse(args: &[&str]) -> Command {
+pub(crate) fn parse(args: &[&str]) -> Command {
     match parse_inner(args) {
         Ok(cmd) => cmd,
         Err(msg) => Command::Help(Some(msg)),

@@ -296,8 +296,7 @@ impl GridRun<'_> {
         engine: EngineConfig,
     ) -> Option<Vec<RunResult>> {
         let fault_specs = vec![engine.faults.clone()];
-        let grid = Sweep::grid(vec![workload.clone()], strategies, Vec::new(), fault_specs)
-            .with_engine(engine);
+        let grid = Sweep::grid(vec![workload.clone()], strategies, fault_specs).with_engine(engine);
         let mut store = self.store.map(|dir| (dir, open_store(dir)));
         // The parser only accepts --dry-run together with --store.
         if let (true, Some((dir, store))) = (self.dry_run, &store) {

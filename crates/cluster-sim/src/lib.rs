@@ -11,8 +11,8 @@
 //! * [`Cluster`] — a vector of nodes plus the interconnect parameters,
 //!   with aggregate energy reporting.
 
-pub mod node;
-pub mod proc_stat;
+pub(crate) mod node;
+pub(crate) mod proc_stat;
 
 pub use node::{Node, NodeConfig};
 pub use proc_stat::{ProcStat, ProcStatSnapshot};
@@ -40,11 +40,7 @@ impl Cluster {
     pub fn from_configs(configs: Vec<NodeConfig>, network: NetworkParams) -> Self {
         assert!(!configs.is_empty(), "cluster needs at least one node");
         network.validate();
-        let nodes = configs
-            .into_iter()
-            .enumerate()
-            .map(|(id, config)| Node::new(id, config))
-            .collect();
+        let nodes = configs.into_iter().map(Node::new).collect();
         Cluster { nodes, network }
     }
 
@@ -87,11 +83,6 @@ impl Cluster {
         &self.nodes
     }
 
-    /// All nodes, mutably.
-    pub fn nodes_mut(&mut self) -> &mut [Node] {
-        &mut self.nodes
-    }
-
     /// Interconnect parameters.
     pub fn network(&self) -> &NetworkParams {
         &self.network
@@ -102,11 +93,6 @@ impl Cluster {
         self.nodes
             .iter()
             .fold(EnergyReport::default(), |acc, n| acc.add(&n.energy(now)))
-    }
-
-    /// Instantaneous whole-cluster power draw, watts.
-    pub fn total_power_now(&self) -> f64 {
-        self.nodes.iter().map(|n| n.power_now()).sum()
     }
 }
 
@@ -142,13 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn cluster_power_scales_with_node_count() {
-        let c2 = Cluster::paper_testbed(2);
-        let c8 = Cluster::paper_testbed(8);
-        assert!((c8.total_power_now() / c2.total_power_now() - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn heterogeneous_cluster_keeps_per_node_configs() {
         let mut hot = NodeConfig::inspiron_8600();
         hot.power.base_w = 30.0;
@@ -156,8 +135,6 @@ mod tests {
         let c = Cluster::from_configs(configs, net_model::NetworkParams::catalyst_2950_100m());
         assert_eq!(c.len(), 2);
         assert!(c.node(1).power_now() > c.node(0).power_now() + 20.0);
-        assert_eq!(c.node(0).id(), 0);
-        assert_eq!(c.node(1).id(), 1);
     }
 
     #[test]

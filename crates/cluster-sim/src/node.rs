@@ -43,13 +43,11 @@ impl Default for NodeConfig {
 /// Live state of one node.
 #[derive(Debug)]
 pub struct Node {
-    id: usize,
     config: NodeConfig,
     meter: EnergyMeter,
     battery: SmartBattery,
     proc_stat: ProcStat,
     op_index: OpIndex,
-    activity: CpuActivity,
     /// While `Some`, a DVFS transition is in flight and completes at the
     /// stored time; the CPU cannot execute until then.
     transition_until: Option<SimTime>,
@@ -62,7 +60,7 @@ pub struct Node {
 impl Node {
     /// A node starting halted at the *highest* operating point (how Linux
     /// boots with the performance governor the paper starts from).
-    pub fn new(id: usize, config: NodeConfig) -> Self {
+    pub fn new(config: NodeConfig) -> Self {
         config.power.validate();
         config.mem.validate();
         let top = config.ladder.highest();
@@ -74,22 +72,15 @@ impl Node {
         let battery = SmartBattery::new(config.battery_mwh);
         let ladder_len = config.ladder.len();
         Node {
-            id,
             meter,
             battery,
             proc_stat: ProcStat::new(SimTime::ZERO),
             op_index: top,
-            activity: CpuActivity::Halt,
             transition_until: None,
             residency: vec![SimDuration::ZERO; ladder_len],
             residency_since: SimTime::ZERO,
             config,
         }
-    }
-
-    /// Node index within the cluster.
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// Hardware description.
@@ -114,15 +105,9 @@ impl Node {
         self.operating_point().freq_hz
     }
 
-    /// Current CPU activity state.
-    pub fn activity(&self) -> CpuActivity {
-        self.activity
-    }
-
     /// Change the CPU activity state at `now`.
     #[inline]
     pub fn set_activity(&mut self, now: SimTime, activity: CpuActivity) {
-        self.activity = activity;
         self.meter.set_activity(now, activity);
         self.proc_stat.on_activity(now, activity);
     }
@@ -132,7 +117,6 @@ impl Node {
     /// `/proc/stat` counts this busy, like any active state.
     #[inline]
     pub fn set_active_blended(&mut self, now: SimTime, factor: f64) {
-        self.activity = CpuActivity::Active;
         self.meter.set_active_blended(now, factor);
         self.proc_stat.on_activity(now, CpuActivity::Active);
     }
@@ -255,7 +239,7 @@ mod tests {
     use crate::proc_stat::ProcStat;
 
     fn node() -> Node {
-        Node::new(0, NodeConfig::inspiron_8600())
+        Node::new(NodeConfig::inspiron_8600())
     }
 
     #[test]
@@ -263,7 +247,6 @@ mod tests {
         let n = node();
         assert_eq!(n.op_index(), 4);
         assert!((n.freq_hz() - 1.4e9).abs() < 1.0);
-        assert_eq!(n.activity(), CpuActivity::Halt);
         assert!(!n.in_transition());
     }
 

@@ -21,27 +21,27 @@ pub struct ProcStat {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcStatSnapshot {
     /// When the snapshot was taken.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// Cumulative busy seconds since boot.
-    pub busy_secs: f64,
+    pub(crate) busy_secs: f64,
 }
 
 impl ProcStat {
     /// Accounting starts at `start` with the CPU idle.
-    pub fn new(start: SimTime) -> Self {
+    pub(crate) fn new(start: SimTime) -> Self {
         ProcStat {
             busy: TimeWeighted::new(start, 0.0),
         }
     }
 
     /// The CPU changed activity state at `now`.
-    pub fn on_activity(&mut self, now: SimTime, activity: CpuActivity) {
+    pub(crate) fn on_activity(&mut self, now: SimTime, activity: CpuActivity) {
         self.busy
             .set(now, if activity.counts_as_busy() { 1.0 } else { 0.0 });
     }
 
     /// Read the counters, like opening `/proc/stat`.
-    pub fn snapshot(&self, now: SimTime) -> ProcStatSnapshot {
+    pub(crate) fn snapshot(&self, now: SimTime) -> ProcStatSnapshot {
         ProcStatSnapshot {
             at: now,
             busy_secs: self.busy.integral_at(now),

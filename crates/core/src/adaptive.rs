@@ -34,21 +34,21 @@ use crate::Experiment;
 pub struct AutoTuner {
     /// A phase is slack-heavy when its mean power is below this fraction
     /// of the hottest phase's mean power.
-    pub power_fraction_threshold: f64,
+    pub(crate) power_fraction_threshold: f64,
     /// Ignore phases shorter than this per occurrence (transition
     /// overhead would eat the gains).
-    pub min_phase_occurrence: SimDuration,
+    pub(crate) min_phase_occurrence: SimDuration,
     /// Ignore phases that account for less than this fraction of total
     /// rank-time (not worth the transitions).
-    pub min_time_fraction: f64,
+    pub(crate) min_time_fraction: f64,
     /// Power sampling interval for the pilot run (fine enough to resolve
     /// the shortest phase of interest).
-    pub pilot_sample_interval: SimDuration,
+    pub(crate) pilot_sample_interval: SimDuration,
     /// Engine configuration for every run the tuner performs. The pilot
     /// overrides sampling and trace capacity on top of this (it must
     /// observe phases); the tuned run uses it as-is, so metrics, fault
     /// specs, wait policies and message-cost settings all carry through.
-    pub engine: EngineConfig,
+    pub(crate) engine: EngineConfig,
 }
 
 impl Default for AutoTuner {
@@ -71,21 +71,13 @@ impl Default for AutoTuner {
 pub struct AutoTuneOutcome {
     /// Phases selected for down-scaling, sorted.
     pub selected_phases: Vec<String>,
-    /// The pilot run (top frequency, sampled).
-    pub pilot: RunResult,
     /// The tuned run (dynamic governor, auto-instrumented programs).
     pub tuned: RunResult,
 }
 
 impl AutoTuner {
-    /// Use `engine` for every run this tuner performs.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Pick slack-heavy phase names from a sampled, traced pilot run.
-    pub fn select_phases(&self, pilot: &RunResult) -> Vec<String> {
+    pub(crate) fn select_phases(&self, pilot: &RunResult) -> Vec<String> {
         let profiles = profile_phases(pilot);
         if profiles.is_empty() {
             return Vec::new();
@@ -132,7 +124,7 @@ impl AutoTuner {
     /// selected phase is still open. Phase markers never sit inside a
     /// collective, so the programs' stored steps are rewritten and
     /// compact all-to-alls stay compact.
-    pub fn instrument(programs: &[Program], phases: &BTreeSet<String>) -> Vec<Program> {
+    pub(crate) fn instrument(programs: &[Program], phases: &BTreeSet<String>) -> Vec<Program> {
         programs
             .iter()
             .map(|p| {
@@ -161,7 +153,7 @@ impl AutoTuner {
 
     /// The pilot experiment for `workload`: top frequency, sampled and
     /// traced finely enough for phase profiling.
-    pub fn pilot_experiment(&self, workload: &Workload) -> Experiment {
+    pub(crate) fn pilot_experiment(&self, workload: &Workload) -> Experiment {
         let pilot_engine = EngineConfig {
             sample_interval: Some(self.pilot_sample_interval),
             trace_capacity: 1 << 20,
@@ -188,7 +180,6 @@ impl AutoTuner {
         let tuned = self.tuned_run(workload, &phase_set);
         AutoTuneOutcome {
             selected_phases: selected,
-            pilot,
             tuned,
         }
     }
@@ -208,11 +199,9 @@ impl AutoTuner {
         let (tuned, _) = map_or_reraise(&jobs, |(w, phases)| self.tuned_run(w, phases), None);
         selections
             .into_iter()
-            .zip(pilots)
             .zip(tuned)
-            .map(|((selected_phases, pilot), tuned)| AutoTuneOutcome {
+            .map(|(selected_phases, tuned)| AutoTuneOutcome {
                 selected_phases,
-                pilot,
                 tuned,
             })
             .collect()
@@ -248,7 +237,9 @@ mod tests {
     #[test]
     fn tuned_run_saves_energy_like_hand_instrumentation() {
         let workload = ft_a8();
-        let outcome = AutoTuner::default().tune(&workload);
+        let tuner = AutoTuner::default();
+        let outcome = tuner.tune(&workload);
+        let pilot = tuner.pilot_experiment(&workload).run();
         let hand = Experiment::new(workload, DvsStrategy::DynamicBaseMhz(1400)).run();
         // Auto-tuned energy within a few percent of the hand-tuned run.
         let ratio = outcome.tuned.total_energy_j() / hand.total_energy_j();
@@ -256,7 +247,7 @@ mod tests {
             (0.93..=1.07).contains(&ratio),
             "auto/hand energy ratio {ratio}"
         );
-        assert!(outcome.tuned.total_energy_j() < outcome.pilot.total_energy_j());
+        assert!(outcome.tuned.total_energy_j() < pilot.total_energy_j());
     }
 
     #[test]
@@ -320,7 +311,6 @@ mod tests {
         for (outcome, w) in many.iter().zip(&workloads) {
             let solo = tuner.tune(w);
             assert_eq!(outcome.selected_phases, solo.selected_phases);
-            assert_eq!(outcome.pilot, solo.pilot);
             assert_eq!(outcome.tuned, solo.tuned);
         }
     }
@@ -340,7 +330,10 @@ mod tests {
             metrics: true,
             ..EngineConfig::default()
         };
-        let tuner = AutoTuner::default().with_engine(engine);
+        let tuner = AutoTuner {
+            engine,
+            ..AutoTuner::default()
+        };
         let outcome = tuner.tune(&Workload::ft_test(2));
         let metrics = outcome
             .tuned
@@ -348,12 +341,10 @@ mod tests {
             .as_ref()
             .expect("tuned run keeps metrics enabled");
         assert!(metrics.counter("engine.queue.processed").unwrap_or(0) > 0);
-        assert!(
-            outcome.pilot.metrics.is_some(),
-            "pilot inherits the engine too"
-        );
+        let pilot = tuner.pilot_experiment(&Workload::ft_test(2)).run();
+        assert!(pilot.metrics.is_some(), "pilot inherits the engine too");
         // And the pilot still has its sampling/tracing overrides on top.
-        assert!(!outcome.pilot.samples.is_empty());
+        assert!(!pilot.samples.is_empty());
 
         // tune_many threads the same engine through the parallel path.
         let many = tuner.tune_many(std::slice::from_ref(&Workload::ft_test(2)));

@@ -10,7 +10,7 @@
 #[derive(Debug, Clone, Copy)]
 pub struct PaperTarget {
     /// Which figure/experiment.
-    pub experiment: &'static str,
+    pub(crate) experiment: &'static str,
     /// Strategy label as in the figure legend.
     pub strategy: &'static str,
     /// Operating point (MHz), 0 for governor-controlled strategies.
@@ -23,7 +23,7 @@ pub struct PaperTarget {
 
 /// Every quantitative claim in the paper's Section 4, normalized to the
 /// static 1.4 GHz point of the same experiment.
-pub fn paper_targets() -> Vec<PaperTarget> {
+pub(crate) fn paper_targets() -> Vec<PaperTarget> {
     vec![
         // Figure 3: FT class B on 8 nodes.
         PaperTarget {

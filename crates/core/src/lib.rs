@@ -29,49 +29,43 @@
 //! (governors), `powerpack` (measurement), `workloads` (applications),
 //! `edp-metrics` (metrics).
 
-pub mod adaptive;
+pub(crate) mod adaptive;
 pub mod calibration;
-pub mod experiment;
+pub(crate) mod experiment;
 pub mod report;
-pub mod runner;
-pub mod scope;
+pub(crate) mod runner;
+pub(crate) mod scope;
 pub mod service;
 pub mod store;
-pub mod strategy;
-pub mod sweep;
-pub mod workload;
+pub(crate) mod strategy;
+pub(crate) mod sweep;
+pub(crate) mod workload;
 
-pub use adaptive::{AutoTuneOutcome, AutoTuner};
+pub use adaptive::AutoTuner;
 pub use experiment::{
     cpuspeed_point, crescendo_of, dynamic_crescendo, ladder_mhz_desc, power_cap_default_sample,
     static_crescendo, Experiment,
 };
 pub use runner::{
     parallel_map, run_batch, run_batch_telemetry, BatchPolicy, BatchTelemetry, ExperimentError,
-    THREADS_ENV,
 };
 pub use scope::{
     analyze_text, attribution_ndjson, metrics_ndjson, metrics_ndjson_with_meta, perfetto_json,
-    stats_text, topology_label, RunMeta, EXPORT_FORMAT_VERSION,
+    stats_text, topology_label, RunMeta,
 };
 pub use service::{
-    aggregate, compact, AggregateRow, AggregateTable, Client, CompactionPolicy, CompactionReport,
-    MissExecutor, ProtocolError, QueryReply, Request, Response, Server, ServerConfig, ServiceError,
-    ServiceMetrics, StatusReply, SweepDone, SweepSpec, PROTOCOL_VERSION,
+    aggregate, compact, Client, CompactionPolicy, MissExecutor, ProtocolError, Request, Server,
+    ServerConfig, ServiceError, ServiceMetrics, StatusReply, SweepDone, SweepSpec,
 };
 pub use store::{
     decode_run_result, encode_run_result, fingerprint_experiment, Fingerprint, StoreError,
-    StoreStats, SweepStore, STORE_FORMAT_VERSION,
+    StoreStats, SweepStore,
 };
 pub use strategy::DvsStrategy;
-pub use sweep::{
-    crescendo, crescendo_from_results, render_slack_table, BestPoint, SlackRow, Sweep, SweepCell,
-    SweepOutcome, SweepPlan, SweepReport,
-};
+pub use sweep::{crescendo, crescendo_from_results, Sweep, SweepPlan, SweepReport};
 pub use workload::Workload;
 
 // Convenience re-exports for downstream binaries.
-pub use edp_metrics;
 pub use mpi_sim::{
     CapPolicy, CausalLog, ClusterController, EngineConfig, Fault, FaultCounts, FaultSpec,
     PowerCapController, RunAttribution, RunResult, Topology, WaitPolicy,

@@ -43,7 +43,7 @@ use obs::WallTimer;
 use crate::experiment::Experiment;
 
 /// Environment variable overriding the worker thread count.
-pub const THREADS_ENV: &str = "PWRPERF_THREADS";
+pub(crate) const THREADS_ENV: &str = "PWRPERF_THREADS";
 
 /// The `PWRPERF_THREADS` override, if set to a positive integer.
 fn env_threads() -> Option<usize> {
@@ -78,10 +78,7 @@ pub struct BatchTelemetry {
     /// Jobs executed.
     pub jobs: usize,
     /// Wall-clock time of the whole batch.
-    pub wall: Duration,
-    /// Jobs completed by each worker (dynamic load balancing makes these
-    /// uneven when job lengths vary).
-    pub per_worker_jobs: Vec<usize>,
+    pub(crate) wall: Duration,
     /// Time each worker spent inside job closures.
     pub per_worker_busy: Vec<Duration>,
 }
@@ -294,7 +291,6 @@ where
             workers: 1,
             jobs: items.len(),
             wall: batch_timer.elapsed(),
-            per_worker_jobs: vec![items.len()],
             per_worker_busy: vec![busy],
         };
         return (results, telemetry);
@@ -302,7 +298,6 @@ where
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<Caught<R>>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
-    let mut per_worker_jobs = vec![0usize; workers];
     let mut per_worker_busy = vec![Duration::ZERO; workers];
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -326,7 +321,6 @@ where
         for (w, handle) in handles.into_iter().enumerate() {
             // simlint: allow(panic-path): join fails only if a worker died outside catch_unwind; nothing sane to degrade to
             let (local, busy) = handle.join().expect("worker closures catch panics");
-            per_worker_jobs[w] = local.len();
             per_worker_busy[w] = busy;
             for (i, r) in local {
                 results[i] = Some(r);
@@ -342,7 +336,6 @@ where
         workers,
         jobs: items.len(),
         wall: batch_timer.elapsed(),
-        per_worker_jobs,
         per_worker_busy,
     };
     (results, telemetry)
@@ -389,9 +382,7 @@ mod tests {
         assert_eq!(out.len(), 64);
         assert_eq!(t.jobs, 64);
         assert_eq!(t.workers, 4);
-        assert_eq!(t.per_worker_jobs.len(), t.workers);
         assert_eq!(t.per_worker_busy.len(), t.workers);
-        assert_eq!(t.per_worker_jobs.iter().sum::<usize>(), 64);
         assert!(t.utilization().iter().all(|&u| (0.0..=1.0).contains(&u)));
     }
 
@@ -405,7 +396,7 @@ mod tests {
         let (out, t) = parallel_map(&items, |&x| x * 2, policy);
         assert_eq!(out[15], Ok(30));
         assert_eq!(t.workers, 1);
-        assert_eq!(t.per_worker_jobs, vec![16]);
+        assert_eq!(t.per_worker_busy.len(), 1);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use obs::{PerfettoTrace, RunAttribution};
 /// when the NDJSON line layout changes.
 ///
 /// v2: the header no longer carries a shard count.
-pub const EXPORT_FORMAT_VERSION: u32 = 2;
+pub(crate) const EXPORT_FORMAT_VERSION: u32 = 2;
 
 /// Run identity prepended to NDJSON exports: everything a reader needs
 /// to know which configuration produced the file.
@@ -67,7 +67,7 @@ pub fn topology_label(topology: &Topology) -> String {
 impl RunMeta {
     /// The header record: one JSON object on one line, always the first
     /// line of an NDJSON export.
-    pub fn header_line(&self) -> String {
+    pub(crate) fn header_line(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,

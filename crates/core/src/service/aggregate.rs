@@ -21,33 +21,33 @@ use super::ServiceError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregateRow {
     /// Workload label.
-    pub workload: String,
+    pub(crate) workload: String,
     /// Fault-spec string (`clean` for the empty spec).
-    pub fault: String,
+    pub(crate) fault: String,
     /// Strategy label.
-    pub strategy: String,
+    pub(crate) strategy: String,
     /// Total energy, joules.
-    pub energy_j: f64,
+    pub(crate) energy_j: f64,
     /// Makespan, seconds.
-    pub delay_s: f64,
+    pub(crate) delay_s: f64,
     /// Plain `E · D²`.
-    pub ed2p: f64,
+    pub(crate) ed2p: f64,
     /// Weighted ED²P per requested `∂`, normalized to the first present
     /// row of the same workload × fault group (that row reads `1.0`).
-    pub wed2p: Vec<f64>,
+    pub(crate) wed2p: Vec<f64>,
 }
 
 /// A rendered aggregation answer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregateTable {
     /// Topology the grid was keyed under.
-    pub topology: String,
+    pub(crate) topology: String,
     /// The `∂` columns.
-    pub deltas: Vec<f64>,
+    pub(crate) deltas: Vec<f64>,
     /// One row per grid cell with a stored result, grid order.
-    pub rows: Vec<AggregateRow>,
+    pub(crate) rows: Vec<AggregateRow>,
     /// Grid cells with no valid stored record — counted, never run.
-    pub missing: u64,
+    pub(crate) missing: u64,
 }
 
 /// Answer `spec` from `store` alone (see module docs).
@@ -123,7 +123,7 @@ pub fn aggregate(store: &mut SweepStore, spec: &SweepSpec) -> Result<AggregateTa
 
 impl AggregateTable {
     /// Render the table as aligned text (what the CLI client prints).
-    pub fn render_text(&self) -> String {
+    pub(crate) fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "# topology={} rows={} missing={}\n",
@@ -179,7 +179,6 @@ mod tests {
             vec![Workload::ft_test(2)],
             vec![DvsStrategy::StaticMhz(600), DvsStrategy::StaticMhz(800)],
             vec![],
-            vec![],
         );
         sweep.run(Some(&mut store), Some(2)).unwrap();
 
@@ -200,7 +199,6 @@ mod tests {
         let seeded = Sweep::grid(
             vec![Workload::ft_test(4)],
             vec![DvsStrategy::StaticMhz(600), DvsStrategy::StaticMhz(800)],
-            vec![],
             vec![],
         );
         seeded.run(Some(&mut store2), Some(2)).unwrap();

@@ -40,21 +40,21 @@ pub struct CompactionPolicy {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionReport {
     /// Records examined.
-    pub scanned: u64,
+    pub(crate) scanned: u64,
     /// Valid records still present after the pass.
-    pub kept: u64,
+    pub(crate) kept: u64,
     /// Invalid records deleted (corrupt, version skew, bad name).
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Valid legacy flat records moved into their shard directory.
-    pub migrated: u64,
+    pub(crate) migrated: u64,
     /// Valid records deleted by the size bound.
-    pub evicted: u64,
+    pub(crate) evicted: u64,
     /// Stale `*.tmp` files swept.
-    pub stale_tmp: u64,
+    pub(crate) stale_tmp: u64,
     /// Bytes reclaimed (dropped + evicted + swept tmp files).
-    pub reclaimed_bytes: u64,
+    pub(crate) reclaimed_bytes: u64,
     /// Record bytes remaining on disk.
-    pub live_bytes: u64,
+    pub(crate) live_bytes: u64,
 }
 
 fn io_err(path: &Path, source: std::io::Error) -> StoreError {

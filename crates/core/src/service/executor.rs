@@ -41,31 +41,31 @@ use super::ServiceError;
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
     /// Requests accepted (any kind).
-    pub requests: AtomicU64,
+    pub(crate) requests: AtomicU64,
     /// Sweep submissions handled.
-    pub sweeps: AtomicU64,
+    pub(crate) sweeps: AtomicU64,
     /// Aggregation queries handled.
-    pub queries: AtomicU64,
+    pub(crate) queries: AtomicU64,
     /// Results served from the store (incl. post-claim rechecks).
-    pub hits: AtomicU64,
+    pub(crate) hits: AtomicU64,
     /// Missing fingerprints this daemon claimed and executed.
-    pub misses: AtomicU64,
+    pub(crate) misses: AtomicU64,
     /// Results obtained by waiting on another request's execution.
-    pub awaited: AtomicU64,
+    pub(crate) awaited: AtomicU64,
     /// Engine executions actually performed.
-    pub engine_runs: AtomicU64,
+    pub(crate) engine_runs: AtomicU64,
     /// Claims currently being executed (gauge).
-    pub inflight: AtomicU64,
+    pub(crate) inflight: AtomicU64,
     /// High-water mark of `inflight`.
-    pub inflight_peak: AtomicU64,
+    pub(crate) inflight_peak: AtomicU64,
     /// Claimed jobs accepted but not yet started (gauge).
-    pub queue_depth: AtomicU64,
+    pub(crate) queue_depth: AtomicU64,
     /// Compaction passes completed.
-    pub compactions: AtomicU64,
+    pub(crate) compactions: AtomicU64,
     /// Bytes reclaimed by compaction (dropped + evicted records).
-    pub compacted_bytes: AtomicU64,
+    pub(crate) compacted_bytes: AtomicU64,
     /// Valid records evicted by the store-size bound.
-    pub evicted_records: AtomicU64,
+    pub(crate) evicted_records: AtomicU64,
 }
 
 impl ServiceMetrics {
@@ -82,7 +82,7 @@ impl ServiceMetrics {
 
     /// Snapshot every counter as `(name, value)`, sorted by name — the
     /// payload of a status reply.
-    pub fn counters(&self) -> Vec<(String, u64)> {
+    pub(crate) fn counters(&self) -> Vec<(String, u64)> {
         let mut out: Vec<(String, u64)> = [
             ("service.awaited", &self.awaited),
             ("service.compacted_bytes", &self.compacted_bytes),
@@ -103,15 +103,6 @@ impl ServiceMetrics {
         .collect();
         out.sort();
         out
-    }
-
-    /// Fold the current counter values into an [`obs::MetricsRegistry`]
-    /// under their `service.*` names, so daemon telemetry exports
-    /// through the same registry surface as everything else.
-    pub fn export_to(&self, registry: &mut obs::MetricsRegistry) {
-        for (name, value) in self.counters() {
-            registry.counter_add_owned(name, value);
-        }
     }
 }
 
@@ -173,19 +164,6 @@ impl MissExecutor {
             metrics,
             workers,
         }
-    }
-
-    /// The metrics sink this executor reports into.
-    pub fn metrics(&self) -> &Arc<ServiceMetrics> {
-        &self.metrics
-    }
-
-    /// Fingerprints currently claimed (for tests and status).
-    pub fn inflight_len(&self) -> usize {
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
     }
 
     /// Run `sweep` against the shared store: hits from disk, misses
@@ -310,11 +288,7 @@ impl MissExecutor {
             bytes_written: io.bytes_written,
             duplicate_jobs,
         };
-        Ok(SweepOutcome {
-            cells,
-            results,
-            report,
-        })
+        Ok(SweepOutcome { results, report })
     }
 
     /// Step 1+2 of the claim protocol for one missing fingerprint.
@@ -390,7 +364,7 @@ mod tests {
     }
 
     fn tiny_sweep(strategies: Vec<DvsStrategy>) -> Sweep {
-        Sweep::grid(vec![Workload::ft_test(2)], strategies, vec![], vec![])
+        Sweep::grid(vec![Workload::ft_test(2)], strategies, vec![])
     }
 
     #[test]
@@ -427,12 +401,11 @@ mod tests {
         assert_eq!(warm.report.corrupt_records, 0);
         assert_eq!(warm.results, cold.results, "bit-identical replay");
         assert_eq!(metrics.engine_runs.load(Ordering::SeqCst), 2);
-        assert_eq!(executor.inflight_len(), 0, "no claims leak");
+        assert_eq!(executor.inflight.lock().unwrap().len(), 0, "no claims leak");
 
-        let mut registry = obs::MetricsRegistry::new();
-        metrics.export_to(&mut registry);
-        assert_eq!(registry.counter("service.engine_runs"), Some(2));
-        assert_eq!(registry.counter("service.hits"), Some(2));
+        let counters = metrics.counters();
+        assert!(counters.contains(&("service.engine_runs".to_string(), 2)));
+        assert!(counters.contains(&("service.hits".to_string(), 2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -471,7 +444,7 @@ mod tests {
             3,
             "every unique fingerprint executes exactly once across all threads"
         );
-        assert_eq!(executor.inflight_len(), 0);
+        assert_eq!(executor.inflight.lock().unwrap().len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,4 +1,4 @@
-//! `pwrperfd` — the long-running sweep service over [`SweepStore`].
+//! `pwrperfd` — the long-running sweep service over [`crate::SweepStore`].
 //!
 //! The batch runner and result cache make one-shot invocations cheap,
 //! but every figure still pays process startup and runs alone. This
@@ -11,40 +11,37 @@
 //!
 //! The pieces:
 //!
-//! * [`protocol`] — request/response frames ([`Request`], [`Response`])
+//! * `protocol` — request/response frames ([`Request`], `Response`)
 //!   and the wire-level [`SweepSpec`] that names grids by workload /
 //!   strategy / fault / topology strings, so client and daemon agree on
 //!   fingerprints by construction;
 //! * [`wire`] — the length-prefixed, versioned, checksummed framing
 //!   (the store codec idiom on a socket), with typed [`ProtocolError`];
-//! * [`server`] — the accept loop (Unix or TCP), one handler thread per
+//! * `server` — the accept loop (Unix or TCP), one handler thread per
 //!   connection, `service.*` counters;
-//! * [`executor`] — the miss executor: in-flight dedupe keyed by
+//! * `executor` — the miss executor: in-flight dedupe keyed by
 //!   fingerprint, so a miss being computed for one client is *awaited*,
 //!   never re-executed, by every other client that wants it;
-//! * [`compaction`] — store GC: drop version-skewed and corrupt
+//! * `compaction` — store GC: drop version-skewed and corrupt
 //!   records, migrate legacy flat records into their shard, and bound
 //!   total store size;
-//! * [`aggregate`] — the store-only query layer (group-by workload ×
+//! * `aggregate` — the store-only query layer (group-by workload ×
 //!   strategy × topology → ED²P/wED²P tables rendered server-side);
-//! * [`client`] — the blocking client the CLI and tests drive.
+//! * `client` — the blocking client the CLI and tests drive.
 
 pub mod aggregate;
-pub mod client;
-pub mod compaction;
-pub mod executor;
-pub mod protocol;
-pub mod server;
+pub(crate) mod client;
+pub(crate) mod compaction;
+pub(crate) mod executor;
+pub(crate) mod protocol;
+pub(crate) mod server;
 pub mod wire;
 
-pub use aggregate::{aggregate, AggregateRow, AggregateTable};
+pub use aggregate::aggregate;
 pub use client::Client;
-pub use compaction::{compact, CompactionPolicy, CompactionReport};
+pub use compaction::{compact, CompactionPolicy};
 pub use executor::{MissExecutor, ServiceMetrics};
-pub use protocol::{
-    ProtocolError, QueryReply, Request, Response, StatusReply, SweepDone, SweepSpec,
-    PROTOCOL_VERSION,
-};
+pub use protocol::{ProtocolError, Request, StatusReply, SweepDone, SweepSpec};
 pub use server::{Server, ServerConfig};
 
 use crate::store::StoreError;

@@ -21,7 +21,7 @@ use crate::workload::Workload;
 /// [`ProtocolError::Version`] instead of decoding garbage.
 ///
 /// v2: [`SweepSpec`] lost its trailing shard-count field.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub(crate) const PROTOCOL_VERSION: u32 = 2;
 
 /// Why a frame could not be read or understood.
 #[derive(Debug)]
@@ -170,10 +170,7 @@ impl SweepSpec {
             causal: self.causal,
             ..EngineConfig::default()
         };
-        Ok(
-            Sweep::grid(workloads, strategies, self.deltas.clone(), fault_specs)
-                .with_engine(engine),
-        )
+        Ok(Sweep::grid(workloads, strategies, fault_specs).with_engine(engine))
     }
 
     fn encode(&self, w: &mut ByteWriter) {
@@ -243,7 +240,7 @@ pub enum Request {
 
 impl Request {
     /// This frame's kind byte.
-    pub fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             Request::SubmitSweep(_) => kind::SUBMIT_SWEEP,
             Request::Query(_) => kind::QUERY,
@@ -253,7 +250,7 @@ impl Request {
     }
 
     /// Encode the payload (everything after the frame header).
-    pub fn encode_payload(&self) -> Vec<u8> {
+    pub(crate) fn encode_payload(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
             Request::SubmitSweep(spec) | Request::Query(spec) => spec.encode(&mut w),
@@ -263,7 +260,7 @@ impl Request {
     }
 
     /// Decode a request from its kind byte and payload.
-    pub fn decode(kind: u8, payload: &[u8]) -> Result<Request, ProtocolError> {
+    pub(crate) fn decode(kind: u8, payload: &[u8]) -> Result<Request, ProtocolError> {
         let mut r = ByteReader::new(payload);
         let request = match kind {
             kind::SUBMIT_SWEEP => Request::SubmitSweep(SweepSpec::decode(&mut r)?),
@@ -333,7 +330,7 @@ pub enum Response {
 
 impl Response {
     /// This frame's kind byte.
-    pub fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             Response::SweepDone(_) => kind::SWEEP_DONE,
             Response::QueryDone(_) => kind::QUERY_DONE,
@@ -344,7 +341,7 @@ impl Response {
     }
 
     /// A short name for [`ProtocolError::Unexpected`] messages.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Response::SweepDone(_) => "sweep-done",
             Response::QueryDone(_) => "query-done",
@@ -355,7 +352,7 @@ impl Response {
     }
 
     /// Encode the payload (everything after the frame header).
-    pub fn encode_payload(&self) -> Vec<u8> {
+    pub(crate) fn encode_payload(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
             Response::SweepDone(done) => {
@@ -386,7 +383,7 @@ impl Response {
     }
 
     /// Decode a response from its kind byte and payload.
-    pub fn decode(kind: u8, payload: &[u8]) -> Result<Response, ProtocolError> {
+    pub(crate) fn decode(kind: u8, payload: &[u8]) -> Result<Response, ProtocolError> {
         let mut r = ByteReader::new(payload);
         let response = match kind {
             kind::SWEEP_DONE => {
@@ -450,15 +447,15 @@ fn decode_report(r: &mut ByteReader<'_>) -> Result<SweepReport, DecodeError> {
 
 /// Frame kind bytes (requests low, responses high).
 pub(crate) mod kind {
-    pub const SUBMIT_SWEEP: u8 = 0x01;
-    pub const QUERY: u8 = 0x02;
-    pub const STATUS: u8 = 0x03;
-    pub const SHUTDOWN: u8 = 0x04;
-    pub const SWEEP_DONE: u8 = 0x81;
-    pub const QUERY_DONE: u8 = 0x82;
-    pub const STATUS_REPLY: u8 = 0x83;
-    pub const SHUTTING_DOWN: u8 = 0x84;
-    pub const ERROR: u8 = 0xFF;
+    pub(crate) const SUBMIT_SWEEP: u8 = 0x01;
+    pub(crate) const QUERY: u8 = 0x02;
+    pub(crate) const STATUS: u8 = 0x03;
+    pub(crate) const SHUTDOWN: u8 = 0x04;
+    pub(crate) const SWEEP_DONE: u8 = 0x81;
+    pub(crate) const QUERY_DONE: u8 = 0x82;
+    pub(crate) const STATUS_REPLY: u8 = 0x83;
+    pub(crate) const SHUTTING_DOWN: u8 = 0x84;
+    pub(crate) const ERROR: u8 = 0xFF;
 }
 
 #[cfg(test)]

@@ -188,11 +188,6 @@ impl Server {
         }
     }
 
-    /// The daemon's metrics (shared with the executor).
-    pub fn metrics(&self) -> Arc<ServiceMetrics> {
-        Arc::clone(&self.shared.metrics)
-    }
-
     /// Serve until a [`Request::Shutdown`] frame arrives. Runs the
     /// startup compaction pass, then accepts connections, one handler
     /// thread each; joins every handler before returning.

@@ -11,7 +11,7 @@
 //! A torn write, a version-skewed peer, or a stray process scribbling
 //! on the socket all surface as a typed [`ProtocolError`] — never a
 //! hang, a huge allocation, or decoded garbage. The checksum uses the
-//! same salted [`checksum64`] as store records, so frame integrity and
+//! same salted `checksum64` as store records, so frame integrity and
 //! record integrity share one primitive.
 
 use std::io::{Read, Write};
@@ -21,17 +21,21 @@ use crate::store::checksum64;
 use super::protocol::{ProtocolError, Request, Response, PROTOCOL_VERSION};
 
 /// Frame header magic: "PWRD" (PoWeR Daemon).
-pub const FRAME_MAGIC: [u8; 4] = *b"PWRD";
+pub(crate) const FRAME_MAGIC: [u8; 4] = *b"PWRD";
 
 /// Upper bound on a frame payload. Sweep replies carry full
 /// [`mpi_sim::RunResult`]s, so this is generous — but a corrupted
 /// length field must fail typed, not drive a multi-gigabyte allocation.
-pub const MAX_PAYLOAD_BYTES: u64 = 256 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Write one frame: header, payload, trailing checksum. The whole frame
 /// is assembled in memory and written with a single `write_all`, so a
 /// well-behaved transport never exposes a half-written header.
-pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), ProtocolError> {
+pub(crate) fn write_frame<W: Write>(
+    w: &mut W,
+    kind: u8,
+    payload: &[u8],
+) -> Result<(), ProtocolError> {
     let mut frame = Vec::with_capacity(4 + 4 + 1 + 8 + payload.len() + 8);
     frame.extend_from_slice(&FRAME_MAGIC);
     frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
@@ -45,7 +49,7 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
 }
 
 /// Read one frame; returns the kind byte and verified payload.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), ProtocolError> {
+pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<(u8, Vec<u8>), ProtocolError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if magic != FRAME_MAGIC {
@@ -88,12 +92,15 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request, ProtocolError> {
 }
 
 /// Write a [`Response`] as one frame.
-pub fn write_response<W: Write>(w: &mut W, response: &Response) -> Result<(), ProtocolError> {
+pub(crate) fn write_response<W: Write>(
+    w: &mut W,
+    response: &Response,
+) -> Result<(), ProtocolError> {
     write_frame(w, response.kind(), &response.encode_payload())
 }
 
 /// Read a [`Response`] frame.
-pub fn read_response<R: Read>(r: &mut R) -> Result<Response, ProtocolError> {
+pub(crate) fn read_response<R: Read>(r: &mut R) -> Result<Response, ProtocolError> {
     let (kind, payload) = read_frame(r)?;
     Response::decode(kind, &payload)
 }

@@ -16,68 +16,58 @@ use std::fmt;
 
 /// An append-only byte buffer with the store's encoding conventions.
 #[derive(Debug, Default)]
-pub struct ByteWriter {
+pub(crate) struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
     /// An empty writer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ByteWriter::default()
     }
 
     /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Append raw bytes verbatim (magic numbers, fingerprint digests).
-    pub fn put_raw(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Append a `usize` widened to `u64` (lengths, node indices).
-    pub fn put_usize(&mut self, v: usize) {
+    pub(crate) fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
     /// Append an `f64` as its raw IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Append a bool as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
+    pub(crate) fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
     }
 
     /// Append a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
+    pub(crate) fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -155,24 +145,24 @@ impl std::error::Error for DecodeError {}
 
 /// A bounds-checked cursor over an encoded byte slice.
 #[derive(Debug)]
-pub struct ByteReader<'a> {
+pub(crate) struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// A reader at the start of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         ByteReader { buf, pos: 0 }
     }
 
     /// Current byte offset.
-    pub fn offset(&self) -> usize {
+    pub(crate) fn offset(&self) -> usize {
         self.pos
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
 
@@ -188,31 +178,31 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read one byte.
-    pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
+    pub(crate) fn get_u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?.first().copied().unwrap_or_default())
     }
 
     /// Read a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, DecodeError> {
         let mut word = [0u8; 4];
         word.copy_from_slice(self.take(4)?);
         Ok(u32::from_le_bytes(word))
     }
 
     /// Read a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
+    pub(crate) fn get_u64(&mut self) -> Result<u64, DecodeError> {
         let mut word = [0u8; 8];
         word.copy_from_slice(self.take(8)?);
         Ok(u64::from_le_bytes(word))
     }
 
     /// Read an `f64` from its raw bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Read a bool byte; anything but 0/1 is a [`DecodeError::BadTag`].
-    pub fn get_bool(&mut self) -> Result<bool, DecodeError> {
+    pub(crate) fn get_bool(&mut self) -> Result<bool, DecodeError> {
         let offset = self.pos;
         match self.get_u8()? {
             0 => Ok(false),
@@ -228,7 +218,7 @@ impl<'a> ByteReader<'a> {
     /// Read a sequence-length prefix, rejecting counts that could not fit
     /// in the remaining bytes at `min_elem_bytes` each — a corrupted
     /// length must fail cleanly, not drive a huge allocation.
-    pub fn get_seq_len(
+    pub(crate) fn get_seq_len(
         &mut self,
         what: &'static str,
         min_elem_bytes: usize,
@@ -246,7 +236,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, DecodeError> {
+    pub(crate) fn get_str(&mut self) -> Result<String, DecodeError> {
         let len = self.get_seq_len("string", 1)?;
         let offset = self.pos;
         let bytes = self.take(len)?;
@@ -256,12 +246,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read raw bytes verbatim.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn get_raw(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         self.take(n)
     }
 
     /// Assert the stream is fully consumed.
-    pub fn finish(self) -> Result<(), DecodeError> {
+    pub(crate) fn finish(self) -> Result<(), DecodeError> {
         match self.remaining() {
             0 => Ok(()),
             remaining => Err(DecodeError::TrailingBytes { remaining }),

@@ -115,16 +115,16 @@ impl std::error::Error for StoreError {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Records found and decoded.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookups that found no record.
     pub misses: u64,
     /// Lookups that found a record but rejected it (corruption, version
     /// skew, undecodable payload).
     pub corrupt: u64,
     /// Record bytes read (including rejected records).
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Record bytes written.
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
 }
 
 impl std::fmt::Display for StoreStats {
@@ -161,7 +161,7 @@ impl SweepStore {
     }
 
     /// The store's directory.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
@@ -174,18 +174,18 @@ impl SweepStore {
 
     /// Where a pre-sharding store kept `fingerprint`'s record: flat in
     /// the root. Reads fall back here; writes never land here.
-    pub fn legacy_record_path(&self, fingerprint: Fingerprint) -> PathBuf {
+    pub(crate) fn legacy_record_path(&self, fingerprint: Fingerprint) -> PathBuf {
         self.dir.join(format!("{}.run", fingerprint.to_hex()))
     }
 
     /// Cheap existence probe (no validation) — what `--dry-run` reports.
-    pub fn contains(&self, fingerprint: Fingerprint) -> bool {
+    pub(crate) fn contains(&self, fingerprint: Fingerprint) -> bool {
         self.record_path(fingerprint).exists() || self.legacy_record_path(fingerprint).exists()
     }
 
     /// Every record file on disk (any validity): sharded records plus
     /// legacy flat ones, sorted by path for deterministic iteration.
-    pub fn record_files(&self) -> Result<Vec<PathBuf>, StoreError> {
+    pub(crate) fn record_files(&self) -> Result<Vec<PathBuf>, StoreError> {
         let read_dir = |dir: &Path| -> Result<Vec<PathBuf>, StoreError> {
             let entries = fs::read_dir(dir).map_err(|source| StoreError::Io {
                 path: dir.to_path_buf(),
@@ -215,11 +215,6 @@ impl SweepStore {
         }
         files.sort();
         Ok(files)
-    }
-
-    /// Number of records currently on disk (any validity).
-    pub fn record_count(&self) -> Result<usize, StoreError> {
-        Ok(self.record_files()?.len())
     }
 
     /// Load the record for `fingerprint`. `Ok(None)` is a clean miss; a
@@ -394,7 +389,7 @@ mod tests {
         let result = exp.run();
         store.store(fp, &result).unwrap();
         assert!(store.contains(fp));
-        assert_eq!(store.record_count().unwrap(), 1);
+        assert_eq!(store.record_files().unwrap().len(), 1);
         assert_eq!(store.load(fp).unwrap(), Some(result));
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.corrupt), (1, 1, 0));
@@ -448,7 +443,7 @@ mod tests {
             .to_str()
             .unwrap();
         assert_eq!(shard, &fp.to_hex()[..2]);
-        assert_eq!(store.record_count().unwrap(), 1);
+        assert_eq!(store.record_files().unwrap().len(), 1);
         // No stray tmp files survive a successful store.
         assert!(fs::read_dir(path.parent().unwrap()).unwrap().all(|e| e
             .unwrap()
@@ -469,7 +464,7 @@ mod tests {
         // Demote the record to the pre-sharding flat location.
         fs::rename(store.record_path(fp), store.legacy_record_path(fp)).unwrap();
         assert!(store.contains(fp), "contains must probe the legacy path");
-        assert_eq!(store.record_count().unwrap(), 1);
+        assert_eq!(store.record_files().unwrap().len(), 1);
         assert_eq!(store.load(fp).unwrap(), Some(result));
         assert_eq!(store.stats().hits, 1);
         let _ = fs::remove_dir_all(&dir);

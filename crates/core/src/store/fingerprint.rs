@@ -44,7 +44,7 @@ use crate::strategy::DvsStrategy;
 /// v4: strategy frequencies are ladder-resolved before encoding (so
 /// requests clamping to the same operating point share one record), and
 /// the `PowerCap` controller strategy joined the strategy encoding.
-pub const STORE_FORMAT_VERSION: u32 = 4;
+pub(crate) const STORE_FORMAT_VERSION: u32 = 4;
 
 const FINGERPRINT_MAGIC: &[u8; 4] = b"PWRF";
 const SALT_LO: u64 = 0x5EED_CAFE_0000_0001;
@@ -168,7 +168,7 @@ fn fx_hash(salt: u64, bytes: &[u8]) -> u64 {
 
 /// Deterministic 64-bit record checksum (salted differently from the
 /// fingerprint words so a record cannot checksum itself into validity).
-pub fn checksum64(bytes: &[u8]) -> u64 {
+pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
     fx_hash(SALT_CHECKSUM, bytes)
 }
 
@@ -194,7 +194,7 @@ impl Fingerprint {
     }
 
     /// The digest as 16 little-endian bytes (lo word first).
-    pub fn to_bytes(self) -> [u8; 16] {
+    pub(crate) fn to_bytes(self) -> [u8; 16] {
         let mut out = [0u8; 16];
         let (lo_half, hi_half) = out.split_at_mut(8);
         lo_half.copy_from_slice(&self.lo.to_le_bytes());
@@ -205,7 +205,7 @@ impl Fingerprint {
     /// Parse the 32-hex-digit form produced by [`Fingerprint::to_hex`]
     /// (a record's file stem). `None` for anything else — compaction
     /// uses this to tell record files from strays.
-    pub fn from_hex(hex: &str) -> Option<Self> {
+    pub(crate) fn from_hex(hex: &str) -> Option<Self> {
         if hex.len() != 32 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
             return None;
         }
@@ -215,7 +215,7 @@ impl Fingerprint {
     }
 
     /// Rebuild from [`Fingerprint::to_bytes`] output.
-    pub fn from_bytes(bytes: [u8; 16]) -> Self {
+    pub(crate) fn from_bytes(bytes: [u8; 16]) -> Self {
         let mut lo = [0u8; 8];
         let mut hi = [0u8; 8];
         let (lo_half, hi_half) = bytes.split_at(8);
@@ -237,7 +237,10 @@ pub fn fingerprint_experiment(experiment: &Experiment) -> Fingerprint {
 /// programs (what `workload.programs(strategy.wants_instrumentation())`
 /// returns). A sweep planner builds them once per workload and reuses
 /// them for every cell of that workload; the key is the same either way.
-pub fn fingerprint_with_programs(experiment: &Experiment, programs: &[Program]) -> Fingerprint {
+pub(crate) fn fingerprint_with_programs(
+    experiment: &Experiment,
+    programs: &[Program],
+) -> Fingerprint {
     let mut sink = DigestSink::new();
     encode_experiment(&mut sink, experiment, programs);
     sink.finish()

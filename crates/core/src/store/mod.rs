@@ -10,17 +10,17 @@
 //! fault spec, cluster overrides, format version) with the workspace's
 //! deterministic FxHash, and [`SweepStore`] keeps one checksummed record
 //! per digest. See DESIGN.md §12 for the format and invalidation rules,
-//! and [`crate::sweep`] for the resumable planner built on top.
+//! and `crate::sweep` for the resumable planner built on top.
 
 mod codec;
 mod disk;
 mod fingerprint;
 mod run_codec;
 
-pub use codec::{ByteReader, ByteWriter, DecodeError};
+pub(crate) use codec::{ByteReader, ByteWriter, DecodeError};
 pub use disk::{StoreError, StoreStats, SweepStore};
 pub use fingerprint::{
-    canonical_experiment_bytes, checksum64, fingerprint_experiment, fingerprint_parts,
-    fingerprint_with_programs, Fingerprint, STORE_FORMAT_VERSION,
+    canonical_experiment_bytes, fingerprint_experiment, fingerprint_parts, Fingerprint,
 };
+pub(crate) use fingerprint::{checksum64, fingerprint_with_programs};
 pub use run_codec::{decode_run_result, encode_run_result};

@@ -83,7 +83,7 @@ pub fn encode_run_result(result: &RunResult) -> Vec<u8> {
 }
 
 /// Decode a payload produced by [`encode_run_result`]. Never panics:
-/// corrupt or truncated input comes back as a typed [`DecodeError`].
+/// corrupt or truncated input comes back as a typed `DecodeError`.
 pub fn decode_run_result(bytes: &[u8]) -> Result<RunResult, DecodeError> {
     let mut r = ByteReader::new(bytes);
     let duration = SimDuration(r.get_u64()?);

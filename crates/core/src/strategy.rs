@@ -43,7 +43,7 @@ impl DvsStrategy {
     /// point, so `StaticMhz(5000)` *runs* at 1400 MHz; labels and store
     /// fingerprints must describe the resolved point, or identical runs
     /// would miss the cache and legends would lie.
-    pub fn resolved(&self, ladder: &DvfsLadder) -> Self {
+    pub(crate) fn resolved(&self, ladder: &DvfsLadder) -> Self {
         match self {
             DvsStrategy::StaticMhz(mhz) => {
                 DvsStrategy::StaticMhz(ladder.point(ladder.index_for_mhz(*mhz)).mhz())
@@ -56,7 +56,7 @@ impl DvsStrategy {
     }
 
     /// Instantiate one governor per node.
-    pub fn governors(&self, nodes: &[Node]) -> Vec<Box<dyn Governor>> {
+    pub(crate) fn governors(&self, nodes: &[Node]) -> Vec<Box<dyn Governor>> {
         nodes
             .iter()
             .map(|node| -> Box<dyn Governor> {
@@ -169,7 +169,7 @@ mod tests {
 
     fn nodes(n: usize) -> Vec<Node> {
         (0..n)
-            .map(|i| Node::new(i, NodeConfig::inspiron_8600()))
+            .map(|_| Node::new(NodeConfig::inspiron_8600()))
             .collect()
     }
 

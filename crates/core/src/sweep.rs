@@ -10,13 +10,11 @@
 //! persists them, and fills duplicates from their primaries. Against a
 //! store a killed sweep resumes where it stopped, and re-invoking a
 //! completed sweep performs **zero** engine executions and returns
-//! bit-identical results (the determinism suite asserts this). `deltas` parameterize the
-//! energy-delay analysis of the results (the paper's `∂` weighting), not
-//! the execution grid: one stored ladder yields every `∂` row for free.
+//! bit-identical results (the determinism suite asserts this).
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use edp_metrics::{best_operating_point, Crescendo};
+use edp_metrics::Crescendo;
 use mpi_sim::{EngineConfig, Program, RunResult};
 use obs::MetricsRegistry;
 use sim_core::FaultSpec;
@@ -29,20 +27,17 @@ use crate::workload::Workload;
 
 /// A grid of experiments: `workloads × fault_specs × strategies`, all
 /// sharing one base engine configuration (each job's fault spec replaces
-/// the engine's). `deltas` ride along for EDP analysis of the results.
+/// the engine's).
 #[derive(Debug, Clone)]
 pub struct Sweep {
     /// Applications to run.
-    pub workloads: Vec<Workload>,
+    pub(crate) workloads: Vec<Workload>,
     /// DVS strategies per workload.
     pub strategies: Vec<DvsStrategy>,
-    /// `∂` weightings for [`Sweep::best_static_points`] (analysis only —
-    /// deltas never spawn engine runs).
-    pub deltas: Vec<f64>,
     /// Fault specs per workload (empty input means one clean run).
     pub fault_specs: Vec<FaultSpec>,
     /// Base engine configuration for every job.
-    pub engine: EngineConfig,
+    pub(crate) engine: EngineConfig,
 }
 
 /// One planned cell: the experiment, its cache key, and where it sits in
@@ -56,13 +51,11 @@ pub struct SweepCell {
     /// `Some(i)` when an earlier cell `i` has the same fingerprint: this
     /// cell never loads or executes anything itself — it is filled from
     /// cell `i`'s result.
-    pub duplicate_of: Option<usize>,
+    pub(crate) duplicate_of: Option<usize>,
     /// Index into [`Sweep::workloads`].
-    pub workload: usize,
+    pub(crate) workload: usize,
     /// Index into [`Sweep::fault_specs`].
-    pub fault: usize,
-    /// Index into [`Sweep::strategies`].
-    pub strategy: usize,
+    pub(crate) fault: usize,
 }
 
 /// The cached/uncached partition of a sweep (what `--dry-run` prints).
@@ -91,15 +84,6 @@ impl SweepPlan {
     /// Unique cells that would execute.
     pub fn misses(&self) -> usize {
         self.count(false)
-    }
-
-    /// Cells whose fingerprint repeats an earlier cell (they ride on
-    /// that cell's result; `hits + misses + duplicates == cells`).
-    pub fn duplicates(&self) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.duplicate_of.is_some())
-            .count()
     }
 }
 
@@ -168,8 +152,6 @@ impl SweepReport {
 /// The planned cells, their results (grid order), and accounting.
 #[derive(Debug)]
 pub struct SweepOutcome {
-    /// The cells that ran, in grid order.
-    pub cells: Vec<SweepCell>,
     /// One result per cell, row-major
     /// (`workloads × fault_specs × strategies`).
     pub results: Vec<RunResult>,
@@ -177,89 +159,17 @@ pub struct SweepOutcome {
     pub report: SweepReport,
 }
 
-/// One row of the sweep-level slack table: the energy attribution of a
-/// single grid cell, aggregated to cluster scope (see
-/// [`SweepOutcome::slack_rows`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlackRow {
-    /// Workload label.
-    pub workload: String,
-    /// Strategy label.
-    pub strategy: String,
-    /// Index into [`Sweep::fault_specs`].
-    pub fault_index: usize,
-    /// Run makespan, seconds.
-    pub makespan_s: f64,
-    /// Critical-path time in network flight, seconds.
-    pub cp_comm_s: f64,
-    /// Message hops on the critical path.
-    pub cp_hops: u64,
-    /// Cluster joules off the critical path (comm + blocked + idle tail).
-    pub redistributable_j: f64,
-    /// Whole-run cluster joules.
-    pub total_j: f64,
-}
-
-impl SlackRow {
-    /// `redistributable_j` as a fraction of the run's total energy.
-    pub fn slack_fraction(&self) -> f64 {
-        if self.total_j <= 0.0 {
-            0.0
-        } else {
-            self.redistributable_j / self.total_j
-        }
-    }
-}
-
-/// Render slack rows as the table `pwrperf sweep` appends for causal
-/// sweeps: one line per workload × strategy (× fault spec), the
-/// group-by view of where each configuration's energy slack sits.
-pub fn render_slack_table(rows: &[SlackRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<28} {:<18} {:>10} {:>10} {:>8} {:>12} {:>8}\n",
-        "workload", "strategy", "time(s)", "cp_comm", "hops", "slack(J)", "slack%"
-    ));
-    for row in rows {
-        out.push_str(&format!(
-            "{:<28} {:<18} {:>10.3} {:>10.3} {:>8} {:>12.1} {:>7.1}%\n",
-            row.workload,
-            row.strategy,
-            row.makespan_s,
-            row.cp_comm_s,
-            row.cp_hops,
-            row.redistributable_j,
-            100.0 * row.slack_fraction(),
-        ));
-    }
-    out
-}
-
-/// A `∂`-weighted best operating point over one workload's static ladder
-/// (see [`Sweep::best_static_points`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BestPoint {
-    /// Workload label.
-    pub workload: String,
-    /// Index into [`Sweep::fault_specs`].
-    pub fault_index: usize,
-    /// The `∂` weighting.
-    pub delta: f64,
-    /// Winning frequency, `None` when the sweep had no static points.
-    pub best_mhz: Option<u32>,
-}
-
 /// The one planning step: fingerprint each experiment and mark repeats.
-/// Each item carries its `[workload, fault, strategy]` grid position.
+/// Each item carries its `[workload, fault]` grid position.
 /// Programs depend only on the workload and the strategy's
 /// instrumentation flag, so a run of consecutive cells on one workload
 /// builds them once per flag and every such cell is fingerprinted from
 /// them. Only the current workload's programs are held.
-fn plan(items: impl IntoIterator<Item = (Experiment, [usize; 3])>) -> Vec<SweepCell> {
+fn plan(items: impl IntoIterator<Item = (Experiment, [usize; 2])>) -> Vec<SweepCell> {
     let mut cells: Vec<SweepCell> = Vec::new();
     let mut first_seen: BTreeMap<Fingerprint, usize> = BTreeMap::new();
     let mut programs: [Option<Vec<Program>>; 2] = [None, None];
-    for (experiment, [workload, fault, strategy]) in items {
+    for (experiment, [workload, fault]) in items {
         let same_workload = cells
             .last()
             .is_some_and(|prev| prev.experiment.workload == experiment.workload);
@@ -286,7 +196,6 @@ fn plan(items: impl IntoIterator<Item = (Experiment, [usize; 3])>) -> Vec<SweepC
             duplicate_of,
             workload,
             fault,
-            strategy,
         });
     }
     cells
@@ -360,11 +269,7 @@ pub(crate) fn run_cells(
         bytes_written: after.bytes_written - before.bytes_written,
         duplicate_jobs: cells.iter().filter(|c| c.duplicate_of.is_some()).count() as u64,
     };
-    Ok(SweepOutcome {
-        cells,
-        results,
-        report,
-    })
+    Ok(SweepOutcome { results, report })
 }
 
 /// A ladder crescendo: `make` builds the experiment at each operating
@@ -376,12 +281,7 @@ pub fn crescendo(
     store: Option<&mut SweepStore>,
 ) -> Result<Crescendo, StoreError> {
     let ladder = ladder_mhz_desc();
-    let cells = plan(
-        ladder
-            .iter()
-            .enumerate()
-            .map(|(i, &mhz)| (make(mhz), [0, 0, i])),
-    );
+    let cells = plan(ladder.iter().map(|&mhz| (make(mhz), [0, 0])));
     let outcome = run_cells(cells, store, None)?;
     Ok(crescendo_from_results(&ladder, &outcome.results))
 }
@@ -402,7 +302,6 @@ impl Sweep {
     pub fn grid(
         workloads: Vec<Workload>,
         strategies: Vec<DvsStrategy>,
-        deltas: Vec<f64>,
         fault_specs: Vec<FaultSpec>,
     ) -> Self {
         let fault_specs = if fault_specs.is_empty() {
@@ -413,21 +312,9 @@ impl Sweep {
         Sweep {
             workloads,
             strategies,
-            deltas,
             fault_specs,
             engine: EngineConfig::default(),
         }
-    }
-
-    /// The paper's ladder sweep for `workloads`: every static operating
-    /// point plus the dynamic strategy at top base frequency.
-    pub fn ladder(workloads: Vec<Workload>) -> Self {
-        let mut strategies: Vec<DvsStrategy> = ladder_mhz_desc()
-            .into_iter()
-            .map(DvsStrategy::StaticMhz)
-            .collect();
-        strategies.push(DvsStrategy::DynamicBaseMhz(1400));
-        Sweep::grid(workloads, strategies, Vec::new(), Vec::new())
     }
 
     /// Replace the base engine configuration.
@@ -437,13 +324,8 @@ impl Sweep {
     }
 
     /// Grid size.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.workloads.len() * self.fault_specs.len() * self.strategies.len()
-    }
-
-    /// True when the grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Plan the grid in row-major order
@@ -452,12 +334,12 @@ impl Sweep {
         let mut items = Vec::with_capacity(self.len());
         for (wi, workload) in self.workloads.iter().enumerate() {
             for (fi, spec) in self.fault_specs.iter().enumerate() {
-                for (si, &strategy) in self.strategies.iter().enumerate() {
+                for &strategy in &self.strategies {
                     let mut engine = self.engine.clone();
                     engine.faults = spec.clone();
                     let experiment =
                         Experiment::new(workload.clone(), strategy).with_engine(engine);
-                    items.push((experiment, [wi, fi, si]));
+                    items.push((experiment, [wi, fi]));
                 }
             }
         }
@@ -483,67 +365,6 @@ impl Sweep {
     ) -> Result<SweepOutcome, StoreError> {
         run_cells(self.cells(), store, workers)
     }
-
-    /// For every workload × fault spec × `∂`: the best static operating
-    /// point by the paper's weighted ED²P, assembled from `outcome`'s
-    /// [`DvsStrategy::StaticMhz`] cells. Empty when the sweep has no
-    /// deltas.
-    pub fn best_static_points(&self, outcome: &SweepOutcome) -> Vec<BestPoint> {
-        let cells: Vec<(&SweepCell, &RunResult)> =
-            outcome.cells.iter().zip(&outcome.results).collect();
-        let mut out = Vec::new();
-        // Row-major order makes each workload × fault group contiguous.
-        for group in cells.chunk_by(|(a, _), (b, _)| (a.workload, a.fault) == (b.workload, b.fault))
-        {
-            let crescendo = Crescendo::from_pairs(group.iter().filter_map(|(cell, r)| {
-                match cell.experiment.strategy {
-                    DvsStrategy::StaticMhz(mhz) => {
-                        Some((mhz, r.total_energy_j(), r.duration_secs()))
-                    }
-                    _ => None,
-                }
-            }));
-            let Some((first, _)) = group.first() else {
-                continue;
-            };
-            for &delta in &self.deltas {
-                out.push(BestPoint {
-                    workload: first.experiment.workload.label(),
-                    fault_index: first.fault,
-                    delta,
-                    best_mhz: best_operating_point(&crescendo, delta),
-                });
-            }
-        }
-        out
-    }
-}
-
-impl SweepOutcome {
-    /// Aggregate the per-run energy attributions of a causal sweep into
-    /// the group-by workload × strategy slack table. Rows come out in
-    /// grid order; cells whose results carry no attribution (the sweep
-    /// ran without [`EngineConfig::causal`]) are skipped, so a
-    /// non-causal sweep yields an empty table rather than zeros.
-    pub fn slack_rows(&self) -> Vec<SlackRow> {
-        self.cells
-            .iter()
-            .zip(&self.results)
-            .filter_map(|(cell, result)| {
-                let a = result.attribution.as_ref()?;
-                Some(SlackRow {
-                    workload: cell.experiment.workload.label(),
-                    strategy: cell.experiment.strategy.label(),
-                    fault_index: cell.fault,
-                    makespan_s: a.makespan.as_secs_f64(),
-                    cp_comm_s: a.cp_comm.as_secs_f64(),
-                    cp_hops: a.cp_hops,
-                    redistributable_j: a.redistributable_j,
-                    total_j: result.total_energy_j(),
-                })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -561,7 +382,6 @@ mod tests {
         Sweep::grid(
             vec![Workload::ft_test(2)],
             vec![DvsStrategy::StaticMhz(1400), DvsStrategy::StaticMhz(600)],
-            vec![0.5],
             Vec::new(),
         )
     }
@@ -576,7 +396,10 @@ mod tests {
             cells.first().map(|c| c.experiment.strategy),
             Some(DvsStrategy::StaticMhz(1400))
         );
-        assert_eq!(cells.last().map(|c| c.strategy), Some(1));
+        assert_eq!(
+            cells.last().map(|c| c.experiment.strategy),
+            Some(DvsStrategy::StaticMhz(600))
+        );
     }
 
     #[test]
@@ -613,7 +436,6 @@ mod tests {
                 DvsStrategy::DynamicBaseMhz(1400),
                 DvsStrategy::StaticMhz(1400),
             ],
-            Vec::new(),
             vec![
                 FaultSpec::default(),
                 FaultSpec::parse("seed:3,slow:1:1.5").unwrap(),
@@ -628,7 +450,8 @@ mod tests {
             );
         }
         let last = cells.last().unwrap();
-        assert_eq!((last.workload, last.fault, last.strategy), (1, 1, 2));
+        assert_eq!((last.workload, last.fault), (1, 1));
+        assert_eq!(last.experiment.strategy, DvsStrategy::StaticMhz(1400));
     }
 
     #[test]
@@ -675,13 +498,12 @@ mod tests {
                 DvsStrategy::StaticMhz(600),
             ],
             Vec::new(),
-            Vec::new(),
         );
 
         let plan = sweep.plan(&store);
         assert_eq!(
-            (plan.hits(), plan.misses(), plan.duplicates()),
-            (0, 2, 2),
+            (plan.hits(), plan.misses(), plan.cells.len()),
+            (0, 2, 4),
             "only unique fingerprints count as misses"
         );
 
@@ -702,47 +524,5 @@ mod tests {
         assert_eq!(warm.report.duplicate_jobs, 2);
         assert_eq!(warm.results, cold.results);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn best_static_points_pick_sane_frequencies() {
-        let sweep = Sweep::ladder(vec![Workload::ft_test(2)]);
-        let sweep = Sweep {
-            deltas: vec![0.0, 1.0],
-            ..sweep
-        };
-        let outcome = sweep.run(None, None).unwrap();
-        let points = sweep.best_static_points(&outcome);
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            let mhz = p.best_mhz.expect("ladder sweep has static points");
-            assert!((600..=1400).contains(&mhz));
-        }
-    }
-
-    #[test]
-    fn causal_sweep_yields_the_slack_table_and_plain_sweeps_do_not() {
-        let sweep = Sweep {
-            engine: EngineConfig {
-                causal: true,
-                ..EngineConfig::default()
-            },
-            ..tiny_sweep()
-        };
-        let rows = sweep.run(None, Some(1)).unwrap().slack_rows();
-        assert_eq!(rows.len(), 2, "one row per grid cell");
-        for row in &rows {
-            assert!(row.makespan_s > 0.0);
-            assert!(row.total_j > 0.0);
-            assert!((0.0..=1.0).contains(&row.slack_fraction()), "{row:?}");
-        }
-        assert_eq!(rows[0].strategy, "stat 1400MHz");
-        let table = render_slack_table(&rows);
-        assert!(table.contains("slack%"));
-        assert_eq!(table.lines().count(), 3, "header + two rows");
-
-        // Without causal recording there is nothing to aggregate.
-        let rows = tiny_sweep().run(None, Some(1)).unwrap().slack_rows();
-        assert!(rows.is_empty());
     }
 }

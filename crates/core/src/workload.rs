@@ -21,7 +21,7 @@ pub enum Workload {
         ranks: usize,
     },
     /// Scale benchmark: one iteration of class-C FT on a large
-    /// power-of-two rank count (256/1024/4096 in `bench.sh scale`).
+    /// power-of-two rank count (`ft-scale-256`/`-1024`/`-4096`).
     FtScale {
         /// Rank (= node) count.
         ranks: usize,

@@ -30,11 +30,6 @@ impl AppDirectedGovernor {
             stack: Vec::new(),
         }
     }
-
-    /// Nesting depth of outstanding requests (for tests/diagnostics).
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
 }
 
 impl Governor for AppDirectedGovernor {
@@ -77,7 +72,7 @@ mod tests {
     use cluster_sim::NodeConfig;
 
     fn node() -> Node {
-        Node::new(0, NodeConfig::inspiron_8600())
+        Node::new(NodeConfig::inspiron_8600())
     }
 
     #[test]
@@ -95,11 +90,9 @@ mod tests {
         let mut g = AppDirectedGovernor::with_base(3);
         let down = g.on_app_request(SimTime::ZERO, &n, AppSpeedRequest::Lowest);
         assert_eq!(down, Some(0));
-        assert_eq!(g.depth(), 1);
         n.complete_transition(SimTime::ZERO, 0);
         let up = g.on_app_request(SimTime::from_secs(1), &n, AppSpeedRequest::Restore);
         assert_eq!(up, Some(3), "restores the speed in force at entry");
-        assert_eq!(g.depth(), 0);
     }
 
     #[test]
@@ -111,7 +104,6 @@ mod tests {
         n.complete_transition(SimTime::ZERO, 2);
         g.on_app_request(SimTime::ZERO, &n, AppSpeedRequest::Lowest);
         n.complete_transition(SimTime::ZERO, 0);
-        assert_eq!(g.depth(), 2);
         assert_eq!(
             g.on_app_request(SimTime::ZERO, &n, AppSpeedRequest::Restore),
             Some(2)

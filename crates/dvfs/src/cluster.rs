@@ -55,7 +55,7 @@ pub enum CapPolicy {
 
 impl CapPolicy {
     /// Canonical CLI spelling (`policy=<label>`).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             CapPolicy::Uniform => "uniform",
             CapPolicy::Redistribute => "redistribute",
@@ -176,16 +176,6 @@ impl PerNodeGovernors {
     pub fn new(governors: Vec<Box<dyn Governor>>) -> Self {
         PerNodeGovernors { governors }
     }
-
-    /// Number of wrapped governors.
-    pub fn len(&self) -> usize {
-        self.governors.len()
-    }
-
-    /// True when no governors are wrapped.
-    pub fn is_empty(&self) -> bool {
-        self.governors.is_empty()
-    }
 }
 
 impl ClusterController for PerNodeGovernors {
@@ -255,16 +245,6 @@ impl PowerCapController {
             wait_total: Vec::new(),
             wait_since: Vec::new(),
         }
-    }
-
-    /// The budget being enforced, watts.
-    pub fn cap_w(&self) -> f64 {
-        self.cap_w
-    }
-
-    /// The division policy.
-    pub fn policy(&self) -> CapPolicy {
-        self.policy
     }
 
     fn ensure_tables(&mut self, nodes: &[Node]) {
@@ -453,7 +433,7 @@ mod tests {
 
     fn nodes(n: usize) -> Vec<Node> {
         (0..n)
-            .map(|i| Node::new(i, NodeConfig::inspiron_8600()))
+            .map(|_| Node::new(NodeConfig::inspiron_8600()))
             .collect()
     }
 
@@ -568,8 +548,6 @@ mod tests {
             Box::new(StaticGovernor::pinned(1)),
             Box::new(StaticGovernor::pinned(3)),
         ]);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
         assert_eq!(c.initial(0, &ns), Some(1));
         assert_eq!(c.initial(1, &ns), Some(3));
         assert!(!c.wants_runtime_events());

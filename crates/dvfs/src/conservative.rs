@@ -14,13 +14,13 @@ use crate::governor::Governor;
 
 /// Tunables for [`ConservativeGovernor`].
 #[derive(Debug, Clone)]
-pub struct ConservativeConfig {
+pub(crate) struct ConservativeConfig {
     /// Sampling interval.
-    pub interval: SimDuration,
+    pub(crate) interval: SimDuration,
     /// Utilization at or above which the governor steps up one point.
-    pub up_threshold: f64,
+    pub(crate) up_threshold: f64,
     /// Utilization at or below which it steps down one point.
-    pub down_threshold: f64,
+    pub(crate) down_threshold: f64,
 }
 
 impl Default for ConservativeConfig {
@@ -42,7 +42,7 @@ pub struct ConservativeGovernor {
 
 impl ConservativeGovernor {
     /// A governor with custom tunables.
-    pub fn new(config: ConservativeConfig) -> Self {
+    pub(crate) fn new(config: ConservativeConfig) -> Self {
         assert!(config.up_threshold > config.down_threshold);
         assert!(!config.interval.is_zero());
         ConservativeGovernor { config, prev: None }
@@ -94,7 +94,7 @@ mod tests {
     use power_model::CpuActivity;
 
     fn node() -> Node {
-        Node::new(0, NodeConfig::inspiron_8600())
+        Node::new(NodeConfig::inspiron_8600())
     }
 
     #[test]

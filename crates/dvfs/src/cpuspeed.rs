@@ -23,13 +23,13 @@ use crate::governor::Governor;
 
 /// Tunables of the daemon.
 #[derive(Debug, Clone)]
-pub struct CpuspeedConfig {
+pub(crate) struct CpuspeedConfig {
     /// Polling interval (daemon default: 1 s).
-    pub interval: SimDuration,
+    pub(crate) interval: SimDuration,
     /// Utilization at or above which the daemon jumps to maximum.
-    pub up_threshold: f64,
+    pub(crate) up_threshold: f64,
     /// Utilization at or below which the daemon steps down one point.
-    pub down_threshold: f64,
+    pub(crate) down_threshold: f64,
 }
 
 impl Default for CpuspeedConfig {
@@ -51,7 +51,7 @@ pub struct CpuspeedGovernor {
 
 impl CpuspeedGovernor {
     /// A daemon with custom tunables.
-    pub fn new(config: CpuspeedConfig) -> Self {
+    pub(crate) fn new(config: CpuspeedConfig) -> Self {
         assert!(config.up_threshold >= config.down_threshold);
         assert!(!config.interval.is_zero());
         CpuspeedGovernor { config, prev: None }
@@ -60,12 +60,6 @@ impl CpuspeedGovernor {
     /// The stock Fedora configuration the paper ran.
     pub fn stock() -> Self {
         CpuspeedGovernor::new(CpuspeedConfig::default())
-    }
-
-    /// Utilization measured over the last completed interval, if any
-    /// (exposed for tests and reporting).
-    pub fn last_prev_snapshot(&self) -> Option<ProcStatSnapshot> {
-        self.prev
     }
 }
 
@@ -114,7 +108,7 @@ mod tests {
     use power_model::CpuActivity;
 
     fn node() -> Node {
-        Node::new(0, NodeConfig::inspiron_8600())
+        Node::new(NodeConfig::inspiron_8600())
     }
 
     fn tick_after(g: &mut CpuspeedGovernor, node: &Node, now: SimTime) -> Option<OpIndex> {

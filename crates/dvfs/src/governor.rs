@@ -111,7 +111,7 @@ mod tests {
     use cluster_sim::NodeConfig;
 
     fn node() -> Node {
-        Node::new(0, NodeConfig::inspiron_8600())
+        Node::new(NodeConfig::inspiron_8600())
     }
 
     #[test]

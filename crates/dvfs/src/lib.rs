@@ -24,12 +24,12 @@
 //! [`PerNodeGovernors`]; [`PowerCapController`] uses it to enforce a
 //! global cluster watt budget with optional runtime redistribution.
 
-pub mod app_directed;
-pub mod cluster;
-pub mod conservative;
-pub mod cpuspeed;
-pub mod governor;
-pub mod ondemand;
+pub(crate) mod app_directed;
+pub(crate) mod cluster;
+pub(crate) mod conservative;
+pub(crate) mod cpuspeed;
+pub(crate) mod governor;
+pub(crate) mod ondemand;
 
 pub use app_directed::AppDirectedGovernor;
 pub use cluster::{CapPolicy, ClusterController, Decision, PerNodeGovernors, PowerCapController};

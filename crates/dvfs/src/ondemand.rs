@@ -16,14 +16,14 @@ use crate::governor::Governor;
 
 /// Tunables for [`OnDemandGovernor`].
 #[derive(Debug, Clone)]
-pub struct OnDemandConfig {
+pub(crate) struct OnDemandConfig {
     /// Sampling interval (the kernel default is tens of milliseconds; we
     /// default to 100 ms).
-    pub interval: SimDuration,
+    pub(crate) interval: SimDuration,
     /// Utilization at or above which the governor jumps to maximum.
-    pub up_threshold: f64,
+    pub(crate) up_threshold: f64,
     /// Target utilization used to size the downward pick.
-    pub target_util: f64,
+    pub(crate) target_util: f64,
 }
 
 impl Default for OnDemandConfig {
@@ -45,7 +45,7 @@ pub struct OnDemandGovernor {
 
 impl OnDemandGovernor {
     /// A governor with custom tunables.
-    pub fn new(config: OnDemandConfig) -> Self {
+    pub(crate) fn new(config: OnDemandConfig) -> Self {
         assert!(config.up_threshold > 0.0 && config.up_threshold <= 1.0);
         assert!(config.target_util > 0.0 && config.target_util <= 1.0);
         assert!(!config.interval.is_zero());
@@ -109,7 +109,7 @@ mod tests {
     use power_model::CpuActivity;
 
     fn node() -> Node {
-        Node::new(0, NodeConfig::inspiron_8600())
+        Node::new(NodeConfig::inspiron_8600())
     }
 
     #[test]

@@ -94,13 +94,6 @@ impl Crescendo {
             .find(|(m, _, _)| *m == mhz)
             .map(|(_, e, d)| (e, d))
     }
-
-    /// Energy saving (fraction) and delay increase (fraction) of `mhz`
-    /// relative to the reference — the paper's "X% energy saved with Y%
-    /// performance impact" phrasing.
-    pub fn saving_and_impact(&self, mhz: u32) -> Option<(f64, f64)> {
-        self.normalized_for(mhz).map(|(e, d)| (1.0 - e, d - 1.0))
-    }
 }
 
 #[cfg(test)]
@@ -135,9 +128,9 @@ mod tests {
     #[test]
     fn saving_and_impact_match_paper_phrasing() {
         let c = sample();
-        let (saving, impact) = c.saving_and_impact(600).unwrap();
-        assert!((saving - 0.35).abs() < 1e-12); // "35% energy saved"
-        assert!((impact - 0.10).abs() < 1e-12); // "10% performance impact"
+        let (e, d) = c.normalized_for(600).unwrap();
+        assert!((1.0 - e - 0.35).abs() < 1e-12); // "35% energy saved"
+        assert!((d - 1.0 - 0.10).abs() < 1e-12); // "10% performance impact"
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //! * **Iso-efficiency curves** (Figure 2): the energy fraction required to
 //!   break even at a given delay factor under each `∂`.
 
-pub mod best;
-pub mod crescendo;
-pub mod tradeoff;
-pub mod weighted;
+pub(crate) mod best;
+pub(crate) mod crescendo;
+pub(crate) mod tradeoff;
+pub(crate) mod weighted;
 
 pub use best::{best_operating_point, efficiency_gain};
-pub use crescendo::{Crescendo, CrescendoPoint};
+pub use crescendo::Crescendo;
 pub use tradeoff::iso_efficiency_energy_fraction;
-pub use weighted::{ed2p, weighted_ed2p, Delta, DELTA_ENERGY, DELTA_HPC, DELTA_PERFORMANCE};
+pub use weighted::{ed2p, weighted_ed2p, DELTA_ENERGY, DELTA_HPC, DELTA_PERFORMANCE};

@@ -22,14 +22,6 @@ pub fn iso_efficiency_energy_fraction(delay_factor: f64, delta: Delta) -> f64 {
     delay_factor.powf(exponent)
 }
 
-/// Sample a Figure-2 curve at the given delay factors.
-pub fn curve(delay_factors: &[f64], delta: Delta) -> Vec<(f64, f64)> {
-    delay_factors
-        .iter()
-        .map(|&x| (x, iso_efficiency_energy_fraction(x, delta)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,16 +56,6 @@ mod tests {
     fn performance_only_rejects_everything() {
         assert_eq!(iso_efficiency_energy_fraction(1.001, 1.0), 0.0);
         assert_eq!(iso_efficiency_energy_fraction(1.0, 1.0), 1.0);
-    }
-
-    #[test]
-    fn curve_samples_match_pointwise() {
-        let xs = [1.0, 1.2, 1.5];
-        let c = curve(&xs, 0.2);
-        assert_eq!(c.len(), 3);
-        for (x, y) in c {
-            assert!((y - iso_efficiency_energy_fraction(x, 0.2)).abs() < 1e-15);
-        }
     }
 
     proptest! {

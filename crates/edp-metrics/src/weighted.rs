@@ -1,7 +1,7 @@
 //! ED²P and the paper's weighted generalization.
 
 /// The user weight factor `∂` from the paper's Equation 5.
-pub type Delta = f64;
+pub(crate) type Delta = f64;
 
 /// All weight on energy (`E²`): the paper's "energy" setting.
 pub const DELTA_ENERGY: Delta = -1.0;
@@ -36,29 +36,17 @@ pub fn weighted_ed2p(energy: f64, delay: f64, delta: Delta) -> f64 {
     energy.powf(1.0 - delta) * delay.powf(2.0 * (1.0 + delta))
 }
 
-/// The minimum energy-saving fraction that makes a slower point "best"
-/// under `∂`, for two points whose delays differ by `delay_ratio >= 1`
-/// (the paper's worked example: 5% slower at `∂ = 0.2` needs 13.1%
-/// energy savings).
-///
-/// Solves `E₂/E₁` from `wED2P₂ = wED2P₁` with `D₂/D₁ = delay_ratio`:
-/// `E₂/E₁ = delay_ratio^(-2(1+∂)/(1-∂))`; the required saving is
-/// `1 - E₂/E₁`. At `∂ = 1` (performance-only) any slowdown is
-/// unacceptable, returned as `1.0` (a slower point can never win).
-pub fn required_energy_saving(delay_ratio: f64, delta: Delta) -> f64 {
-    assert!(delay_ratio >= 1.0, "delay ratio must be >= 1");
-    assert!((-1.0..=1.0).contains(&delta));
-    if delta >= 1.0 {
-        return if delay_ratio > 1.0 { 1.0 } else { 0.0 };
-    }
-    let exponent = -2.0 * (1.0 + delta) / (1.0 - delta);
-    1.0 - delay_ratio.powf(exponent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tradeoff::iso_efficiency_energy_fraction;
     use proptest::prelude::*;
+
+    /// The energy saving a point `delay_ratio` slower must make to tie
+    /// under `delta`: one minus the Figure-2 iso-efficiency fraction.
+    fn required_energy_saving(delay_ratio: f64, delta: Delta) -> f64 {
+        1.0 - iso_efficiency_energy_fraction(delay_ratio, delta)
+    }
 
     #[test]
     fn delta_zero_reduces_to_ed2p() {

@@ -6,20 +6,20 @@ use sim_core::SimDuration;
 #[derive(Debug, Clone)]
 pub struct MemHierarchy {
     /// L1 data cache capacity, bytes.
-    pub l1_bytes: u64,
+    pub(crate) l1_bytes: u64,
     /// L2 unified cache capacity, bytes (on-die: access time scales with
     /// core frequency).
-    pub l2_bytes: u64,
+    pub(crate) l2_bytes: u64,
     /// Cache line size, bytes.
     pub line_bytes: u64,
     /// L2 hit latency in core cycles.
     pub l2_latency_cycles: f64,
     /// DRAM load-to-use latency (frequency-independent). The paper quotes
     /// 110 ns for its platform.
-    pub dram_latency: SimDuration,
+    pub(crate) dram_latency: SimDuration,
     /// Fraction of DRAM latency hidden by memory-level parallelism and
     /// hardware prefetch, in `[0, 1)`. Applied as `t_eff = t·(1-overlap)`.
-    pub mlp_overlap: f64,
+    pub(crate) mlp_overlap: f64,
 }
 
 impl MemHierarchy {
@@ -38,7 +38,7 @@ impl MemHierarchy {
 
     /// Effective DRAM stall time per miss after overlap.
     #[inline]
-    pub fn effective_dram_latency(&self) -> SimDuration {
+    pub(crate) fn effective_dram_latency(&self) -> SimDuration {
         self.dram_latency.mul_f64(1.0 - self.mlp_overlap)
     }
 

@@ -16,10 +16,10 @@
 //!   hierarchy, producing the `WorkUnit` that the PowerPack microbenchmarks
 //!   and the application models are built from.
 
-pub mod hierarchy;
+pub(crate) mod hierarchy;
 pub mod pattern;
-pub mod work;
+pub(crate) mod work;
 
 pub use hierarchy::MemHierarchy;
 pub use pattern::{streaming_work, AccessPattern};
-pub use work::{TimeSplit, WorkUnit};
+pub use work::WorkUnit;

@@ -37,7 +37,7 @@ pub const CYCLES_PER_ACCESS: f64 = 6.0;
 
 impl AccessPattern {
     /// One full pass over the buffer (touching every `stride`-th byte).
-    pub fn one_pass(buffer_bytes: u64, stride_bytes: u64) -> Self {
+    pub(crate) fn one_pass(buffer_bytes: u64, stride_bytes: u64) -> Self {
         assert!(stride_bytes > 0, "stride must be positive");
         AccessPattern {
             buffer_bytes,

@@ -28,14 +28,14 @@ pub struct WorkUnit {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeSplit {
     /// Time with the CPU in the `Active` state.
-    pub active: SimDuration,
+    pub(crate) active: SimDuration,
     /// Time with the CPU in the `MemStall` state.
     pub stall: SimDuration,
 }
 
 impl TimeSplit {
     /// Total segment duration.
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.active + self.stall
     }
 }
@@ -116,14 +116,6 @@ impl WorkUnit {
             dram_accesses: self.dram_accesses * factor,
         }
     }
-
-    /// The remaining work after completing `fraction` of the segment
-    /// (uniform progress assumption; used when a DVFS transition lands
-    /// mid-segment and the engine must re-time the remainder).
-    pub fn remainder(&self, fraction_done: f64) -> WorkUnit {
-        let f = fraction_done.clamp(0.0, 1.0);
-        self.scale(1.0 - f)
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn add_scale_remainder_compose() {
+    fn add_and_scale_compose() {
         let a = WorkUnit {
             cpu_cycles: 10.0,
             l2_accesses: 4.0,
@@ -196,10 +188,7 @@ mod tests {
         assert_eq!(b.cpu_cycles, 20.0);
         let half = b.scale(0.5);
         assert_eq!(half, a);
-        let rem = b.remainder(0.75);
-        assert!((rem.cpu_cycles - 5.0).abs() < 1e-12);
         assert!(WorkUnit::ZERO.is_zero());
-        assert!(b.remainder(2.0).is_zero()); // clamped
     }
 
     proptest! {

@@ -32,7 +32,7 @@ const REDUCE_CYCLES_PER_BYTE: f64 = 0.5;
 
 /// Dissemination barrier: ceil(log2 n) rounds; in round `k`, rank `r`
 /// sends to `(r + 2^k) mod n` and receives from `(r - 2^k) mod n`.
-pub fn barrier(b: &mut ProgramBuilder) {
+pub(crate) fn barrier(b: &mut ProgramBuilder) {
     let n = b.size();
     if n == 1 {
         return;
@@ -50,7 +50,7 @@ pub fn barrier(b: &mut ProgramBuilder) {
 }
 
 /// Binomial-tree broadcast of `bytes` from `root`.
-pub fn bcast(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
+pub(crate) fn bcast(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
     let n = b.size();
     assert!(root < n, "bcast root out of range");
     if n == 1 {
@@ -85,7 +85,7 @@ pub fn bcast(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
 
 /// Binomial-tree reduction of `bytes` to `root`; each merge charges the
 /// combine cost as compute.
-pub fn reduce(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
+pub(crate) fn reduce(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
     let n = b.size();
     assert!(root < n, "reduce root out of range");
     if n == 1 {
@@ -113,7 +113,7 @@ pub fn reduce(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
 
 /// Linear gather: every non-root rank sends `bytes` to `root`; the root
 /// receives from every other rank in rank order.
-pub fn gather(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
+pub(crate) fn gather(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
     let n = b.size();
     assert!(root < n, "gather root out of range");
     if n == 1 {
@@ -131,47 +131,10 @@ pub fn gather(b: &mut ProgramBuilder, root: Rank, bytes: u64) {
     }
 }
 
-/// Binomial-tree scatter: the root starts holding `bytes_per_rank` for
-/// every rank and forwards each subtree's share down the same tree
-/// broadcast uses — so the payload halves at every level.
-pub fn scatter(b: &mut ProgramBuilder, root: Rank, bytes_per_rank: u64) {
-    let n = b.size();
-    assert!(root < n, "scatter root out of range");
-    if n == 1 {
-        return;
-    }
-    let tag = b.next_collective_tag();
-    let relative = (b.rank() + n - root) % n;
-    let abs = |rel: usize| (rel + root) % n;
-    // Subtree rooted at `rel` when entered via bit `mask` spans
-    // min(mask, n - rel) ranks.
-    let subtree = |rel: usize, mask: usize| mask.min(n - rel) as u64;
-
-    // Receive this rank's subtree payload from the parent.
-    let mut mask = 1usize;
-    while mask < n {
-        if relative & mask != 0 {
-            let payload = subtree(relative, mask) * bytes_per_rank;
-            b.recv(abs(relative - mask), payload, tag);
-            break;
-        }
-        mask <<= 1;
-    }
-    // Forward children's shares.
-    mask >>= 1;
-    while mask > 0 {
-        if relative + mask < n && relative & mask == 0 {
-            let payload = subtree(relative + mask, mask) * bytes_per_rank;
-            b.send(abs(relative + mask), payload, tag);
-        }
-        mask >>= 1;
-    }
-}
-
 /// Allgather: recursive doubling for power-of-two sizes (round `k`
 /// exchanges `2^k · bytes` with `rank XOR 2^k`), ring otherwise
 /// (`n-1` rounds passing one block to the right neighbour).
-pub fn allgather(b: &mut ProgramBuilder, bytes_per_rank: u64) {
+pub(crate) fn allgather(b: &mut ProgramBuilder, bytes_per_rank: u64) {
     let n = b.size();
     if n == 1 {
         return;
@@ -211,7 +174,7 @@ pub fn allgather(b: &mut ProgramBuilder, bytes_per_rank: u64) {
 /// `rank + r`, receive from `rank - r`). The rank-to-self block is a local
 /// copy and charges only its copy cost. The rank's part is stored as one
 /// [`AllToAll`] step.
-pub fn alltoall(b: &mut ProgramBuilder, bytes_per_pair: u64) {
+pub(crate) fn alltoall(b: &mut ProgramBuilder, bytes_per_pair: u64) {
     let n = b.size();
     if n == 1 {
         return;
@@ -521,56 +484,6 @@ mod tests {
             .filter(|op| matches!(op, Op::Recv { .. }))
             .count();
         assert_eq!(recvs, 14);
-    }
-
-    #[test]
-    fn scatter_pattern_is_closed_for_all_sizes_and_roots() {
-        for n in 1..=9 {
-            for root in 0..n {
-                assert_pattern_closed(&lower_all(n, |b| {
-                    scatter(b, root, 1000);
-                }));
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_volume_halves_down_the_tree() {
-        let p = lower_all(8, |b| {
-            scatter(b, 0, 100);
-        });
-        // Root sends subtree shares: 4, 2, 1 ranks worth.
-        let root_sends: Vec<u64> = p[0]
-            .ops()
-            .filter_map(|op| match op {
-                Op::Send { bytes, .. } => Some(bytes),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(root_sends, vec![400, 200, 100]);
-        // The deepest leaf receives exactly its own share.
-        let leaf_recv_cost: Vec<Op> = p[7]
-            .ops()
-            .filter(|op| matches!(op, Op::Recv { .. }))
-            .collect();
-        assert_eq!(leaf_recv_cost.len(), 1);
-    }
-
-    #[test]
-    fn scatter_non_pow2_total_volume_conserved() {
-        // Across all ranks, received payload must equal (n-1) own shares
-        // plus forwarded subtree traffic; check sends == recvs by bytes.
-        for n in [3usize, 5, 6, 7] {
-            let p = lower_all(n, |b| {
-                scatter(b, 0, 10);
-            });
-            let (sends, _recvs) = matched_sends_recvs(&p);
-            let sent: u64 = sends.iter().map(|&(_, _, _, b)| b).sum();
-            // Every non-root rank's subtree share crosses exactly one link
-            // on its way down, so total bytes = sum of subtree sizes at
-            // each transfer >= (n-1) shares.
-            assert!(sent >= (n as u64 - 1) * 10, "n={n}: sent {sent}");
-        }
     }
 
     #[test]

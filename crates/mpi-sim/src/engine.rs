@@ -274,16 +274,16 @@ impl SanHasher {
 #[derive(Debug)]
 pub(crate) struct MatchTables {
     /// Keys left in the unmatched-send and unmatched-receive tables.
-    pub live_keys: usize,
+    pub(crate) live_keys: usize,
     /// The larger of the two tables' capacities.
-    pub table_capacity: usize,
+    pub(crate) table_capacity: usize,
     /// Entries left in every rank's outstanding non-blocking sets.
-    pub rank_outstanding: usize,
-    pub msgs_posted: usize,
+    pub(crate) rank_outstanding: usize,
+    pub(crate) msgs_posted: usize,
     /// Message slots the arena ever held: the peak in flight at once.
-    pub msg_slots: usize,
+    pub(crate) msg_slots: usize,
     /// `size_of::<Msg>()`.
-    pub msg_size: usize,
+    pub(crate) msg_size: usize,
 }
 
 /// The simulator. Construct with [`Engine::new`], run with [`Engine::run`].
@@ -329,8 +329,7 @@ pub struct Engine {
     trace: Trace,
     /// PowerScope metrics, boxed to keep the engine small when disabled.
     /// `None` unless [`EngineConfig::metrics`] is set; every update goes
-    /// through the `obs_*` macros, which compile out entirely when the
-    /// `obs/enabled` feature is off.
+    /// through the `obs_*` macros, which skip a `None` registry.
     metrics: Option<Box<MetricsRegistry>>,
     /// Causal dependency recorder, boxed like `metrics`. `None` unless
     /// [`EngineConfig::causal`] is set, so a disabled run pays only a

@@ -9,14 +9,14 @@
 //!
 //! Layering:
 //!
-//! * [`program`] — [`Op`]s and the [`ProgramBuilder`], which injects the
+//! * `program` — [`Op`]s and the [`ProgramBuilder`], which injects the
 //!   frequency-scaled software cost of each message (stack overhead +
 //!   copies) as explicit compute work, exactly the part of communication
 //!   DVFS slows down;
-//! * [`collectives`] — barrier (dissemination), broadcast/reduce (binomial
+//! * `collectives` — barrier (dissemination), broadcast/reduce (binomial
 //!   tree), all-to-all (pairwise exchange / ring), gather — the algorithms
 //!   MPICH used, lowered to sends and receives;
-//! * [`engine`] — the simulator: rank state machines, message matching,
+//! * `engine` — the simulator: rank state machines, message matching,
 //!   busy-wait/block wait accounting, DVFS transitions with their 10 µs
 //!   stall, governor ticks, and periodic power sampling.
 //!
@@ -53,14 +53,14 @@
 //! assert!(result.total_energy_j() > 0.0);
 //! ```
 
-pub mod collectives;
-pub mod config;
-pub mod engine;
+pub(crate) mod collectives;
+pub(crate) mod config;
+pub(crate) mod engine;
 #[cfg(test)]
 mod engine_tests;
 mod faults;
-pub mod program;
-pub mod result;
+pub(crate) mod program;
+pub(crate) mod result;
 
 pub use config::{EngineConfig, MsgCostModel, WaitPolicy};
 pub use engine::Engine;

@@ -30,7 +30,7 @@ use crate::config::MsgCostModel;
 /// as in all the paper's experiments).
 pub type Rank = usize;
 
-/// Message tag. User tags must stay below [`ProgramBuilder::COLLECTIVE_TAG_BASE`].
+/// Message tag. User tags must stay below `ProgramBuilder::COLLECTIVE_TAG_BASE`.
 pub type Tag = u32;
 
 /// One lowered operation.
@@ -267,7 +267,7 @@ pub struct ProgramBuilder {
 
 impl ProgramBuilder {
     /// Tags at or above this value are reserved for lowered collectives.
-    pub const COLLECTIVE_TAG_BASE: Tag = 0x8000_0000;
+    pub(crate) const COLLECTIVE_TAG_BASE: Tag = 0x8000_0000;
 
     /// A builder for `rank` of a `size`-rank job with default cost model
     /// and the paper's memory hierarchy.
@@ -295,18 +295,18 @@ impl ProgramBuilder {
     }
 
     /// This builder's rank.
-    pub fn rank(&self) -> Rank {
+    pub(crate) fn rank(&self) -> Rank {
         self.rank
     }
 
     /// Job size.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
     /// The frequency-scaled (plus DRAM, for large payloads) software cost
     /// of one message end.
-    pub fn msg_cost(&self, bytes: u64) -> WorkUnit {
+    pub(crate) fn msg_cost(&self, bytes: u64) -> WorkUnit {
         let cpu_cycles = self.cost.per_msg_cycles + bytes as f64 * self.cost.cycles_per_byte;
         if bytes > self.cost.dram_copy_threshold {
             // Copies stream through DRAM: one miss per line at each end.
@@ -375,7 +375,7 @@ impl ProgramBuilder {
 
     /// Append a non-blocking send; its software cost is still charged
     /// inline (the copy happens at post time).
-    pub fn isend(&mut self, dst: Rank, bytes: u64, tag: Tag) -> &mut Self {
+    pub(crate) fn isend(&mut self, dst: Rank, bytes: u64, tag: Tag) -> &mut Self {
         assert!(dst < self.size, "isend dst {dst} out of range");
         self.compute(self.msg_cost(bytes));
         self.push(Op::Isend { dst, bytes, tag });
@@ -384,7 +384,7 @@ impl ProgramBuilder {
 
     /// Append a non-blocking receive; the receive-side copy cost is
     /// charged at the matching [`ProgramBuilder::wait_all`].
-    pub fn irecv(&mut self, src: Rank, tag: Tag) -> &mut Self {
+    pub(crate) fn irecv(&mut self, src: Rank, tag: Tag) -> &mut Self {
         assert!(src < self.size, "irecv src {src} out of range");
         self.push(Op::Irecv { src, tag });
         self
@@ -393,7 +393,7 @@ impl ProgramBuilder {
     /// Wait for all outstanding non-blocking operations, charging
     /// `recv_copy_bytes` of receive-side copy cost afterwards (the sum of
     /// the posted irecvs' payloads).
-    pub fn wait_all(&mut self, recv_copy_bytes: u64) -> &mut Self {
+    pub(crate) fn wait_all(&mut self, recv_copy_bytes: u64) -> &mut Self {
         self.push(Op::WaitAll);
         self.compute(self.msg_cost_bytes_only(recv_copy_bytes));
         self
@@ -480,13 +480,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Binomial-tree reduction of `bytes` to `root` (combine cost charged
-    /// per merge).
-    pub fn reduce(&mut self, root: Rank, bytes: u64) -> &mut Self {
-        collectives::reduce(self, root, bytes);
-        self
-    }
-
     /// Reduce-then-broadcast allreduce (MPICH-1's algorithm).
     pub fn allreduce(&mut self, bytes: u64) -> &mut Self {
         collectives::reduce(self, 0, bytes);
@@ -497,12 +490,6 @@ impl ProgramBuilder {
     /// Every rank sends `bytes_per_rank` to `root`.
     pub fn gather(&mut self, root: Rank, bytes_per_rank: u64) -> &mut Self {
         collectives::gather(self, root, bytes_per_rank);
-        self
-    }
-
-    /// Binomial-tree scatter of `bytes_per_rank` shares from `root`.
-    pub fn scatter(&mut self, root: Rank, bytes_per_rank: u64) -> &mut Self {
-        collectives::scatter(self, root, bytes_per_rank);
         self
     }
 

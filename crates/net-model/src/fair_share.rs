@@ -11,27 +11,29 @@
 //! switch backplane is non-blocking, as the Catalyst 2950 is for this
 //! port count). The flat entry points ([`FairShare::compute_into`],
 //! [`FairShare::compute_with_capacities_into`]) express that as paths
-//! `[2·src, 2·dst+1]` over the same core loop the hierarchical
-//! [`FairShare::compute_topology_into`] uses — the link numbering (see
-//! [`crate::topology`]) makes the generalized scan visit capacities in
-//! the historical per-node up/down order, so flat results are
-//! bit-identical to the pre-topology solver.
+//! `[2·src, 2·dst+1]` over the same core loop as the test-only
+//! hierarchical oracle `FairShare::compute_topology_into` — the link
+//! numbering (see [`crate::topology`]) makes the generalized scan visit
+//! capacities in the historical per-node up/down order, so flat results
+//! are bit-identical to the pre-topology solver.
 //!
 //! The solver lives in [`FairShare`], which owns all the per-call scratch
 //! (active-flow worklists, per-link residual capacities and counts) so a
 //! caller that recomputes rates on every flow arrival/departure — the
 //! fluid network does — allocates nothing after the first call.
-//! [`max_min_fair`] is a convenience wrapper over a throwaway solver.
+//! `max_min_fair`, a test-only wrapper over a throwaway solver, is the
+//! flat oracle.
 
+#[cfg(test)]
 use crate::topology::LinkTable;
 
 /// A flow to be allocated: `(src_node, dst_node)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowEndpoints {
+pub(crate) struct FlowEndpoints {
     /// Sending node index.
-    pub src: usize,
+    pub(crate) src: usize,
     /// Receiving node index.
-    pub dst: usize,
+    pub(crate) dst: usize,
 }
 
 /// Relative slack of the freeze test: a flow whose tightest link offers
@@ -71,37 +73,45 @@ pub struct SolverStats {
 }
 
 /// Per-flow link paths for one solver call.
-enum Paths<'a> {
-    /// Flat fabric: flow `i`'s path is `[2·src, 2·dst+1]`, derived on
-    /// the fly — no per-flow storage on the hot path.
-    Flat,
-    /// Explicit paths in CSR form: flow `i` crosses
-    /// `links[offsets[i]..offsets[i+1]]`.
-    Csr {
-        offsets: &'a [u32],
-        links: &'a [u32],
-    },
+trait Paths {
+    /// The links flow `i` (endpoints `f`) crosses; `buf` is scratch for a
+    /// path derived on the fly.
+    fn path<'b>(&'b self, i: usize, f: FlowEndpoints, buf: &'b mut [u32; 2]) -> &'b [u32];
 }
 
-impl Paths<'_> {
+/// Flat fabric: flow `i`'s path is `[2·src, 2·dst+1]`, derived on the
+/// fly — no per-flow storage on the hot path.
+struct FlatPaths;
+
+impl Paths for FlatPaths {
     #[inline]
-    fn path<'b>(&'b self, i: usize, f: FlowEndpoints, buf: &'b mut [u32; 2]) -> &'b [u32] {
-        match self {
-            Paths::Flat => {
-                // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
-                buf[0] = (2 * f.src) as u32;
-                // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
-                buf[1] = (2 * f.dst + 1) as u32;
-                buf
-            }
-            Paths::Csr { offsets, links } => &links[offsets[i] as usize..offsets[i + 1] as usize],
-        }
+    fn path<'b>(&'b self, _i: usize, f: FlowEndpoints, buf: &'b mut [u32; 2]) -> &'b [u32] {
+        // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
+        buf[0] = (2 * f.src) as u32;
+        // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
+        buf[1] = (2 * f.dst + 1) as u32;
+        buf
+    }
+}
+
+/// Explicit paths in CSR form: flow `i` crosses
+/// `links[offsets[i]..offsets[i+1]]`.
+#[cfg(test)]
+struct CsrPaths {
+    offsets: Vec<u32>,
+    links: Vec<u32>,
+}
+
+#[cfg(test)]
+impl Paths for CsrPaths {
+    fn path<'b>(&'b self, i: usize, _f: FlowEndpoints, _buf: &'b mut [u32; 2]) -> &'b [u32] {
+        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
 /// Progressive-filling solver with reusable scratch buffers.
 #[derive(Debug, Default)]
-pub struct FairShare {
+pub(crate) struct FairShare {
     active: Vec<usize>,
     still_active: Vec<usize>,
     /// Residual capacity per link id; only entries of `touched` are live.
@@ -114,14 +124,12 @@ pub struct FairShare {
     link_share: Vec<f64>,
     /// Links the current call's flows cross, in first-crossing order.
     touched: Vec<u32>,
-    path_offsets: Vec<u32>,
-    path_links: Vec<u32>,
     stats: SolverStats,
 }
 
 impl FairShare {
     /// A solver with empty scratch; buffers grow to fit on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -131,7 +139,7 @@ impl FairShare {
     ///
     /// Self-flows (src == dst) are serviced by loopback and get
     /// `loopback_capacity` each without contending for the switch.
-    pub fn compute_into(
+    pub(crate) fn compute_into(
         &mut self,
         flows: &[FlowEndpoints],
         nodes: usize,
@@ -148,7 +156,7 @@ impl FairShare {
     /// uplink and downlink) — the degraded-link fault-injection path,
     /// where one node's cable runs below the nominal rate. With uniform
     /// capacities the allocation is bit-identical to `compute_into`.
-    pub fn compute_with_capacities_into(
+    pub(crate) fn compute_with_capacities_into(
         &mut self,
         flows: &[FlowEndpoints],
         nodes: usize,
@@ -180,7 +188,7 @@ impl FairShare {
             flows,
             2 * nodes,
             |link| node_capacity(link / 2),
-            &Paths::Flat,
+            &FlatPaths,
             nodes,
             loopback_capacity,
             rates,
@@ -201,47 +209,42 @@ impl FairShare {
     /// is constrained by every link on its up/down path through the
     /// switch hierarchy (see [`LinkTable::push_path`]). With a flat or
     /// single-switch table this is bit-identical to
-    /// [`FairShare::compute_into`].
-    pub fn compute_topology_into(
+    /// [`FairShare::compute_into`]. The exact fat-tree oracle the tests
+    /// compare against.
+    #[cfg(test)]
+    pub(crate) fn compute_topology_into(
         &mut self,
         flows: &[FlowEndpoints],
         table: &LinkTable,
         loopback_capacity: f64,
         rates: &mut Vec<f64>,
     ) {
-        // Move the CSR scratch out so `fill` can borrow the rest of self.
-        let mut offsets = std::mem::take(&mut self.path_offsets);
-        let mut links = std::mem::take(&mut self.path_links);
-        offsets.clear();
-        links.clear();
-        offsets.push(0);
+        let mut paths = CsrPaths {
+            offsets: vec![0],
+            links: Vec::new(),
+        };
         for f in flows {
-            table.push_path(f.src, f.dst, &mut links);
-            offsets.push(links.len() as u32);
+            table.push_path(f.src, f.dst, &mut paths.links);
+            paths.offsets.push(paths.links.len() as u32);
         }
         self.fill(
             flows,
             table.num_links(),
             |link| table.capacity(link),
-            &Paths::Csr {
-                offsets: &offsets,
-                links: &links,
-            },
+            &paths,
             table.nodes(),
             loopback_capacity,
             rates,
         );
-        self.path_offsets = offsets;
-        self.path_links = links;
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn fill<C: Fn(usize) -> f64>(
+    fn fill<C: Fn(usize) -> f64, P: Paths>(
         &mut self,
         flows: &[FlowEndpoints],
         num_links: usize,
         capacity_of: C,
-        paths: &Paths<'_>,
+        paths: &P,
         nodes: usize,
         loopback_capacity: f64,
         rates: &mut Vec<f64>,
@@ -392,7 +395,7 @@ impl FairShare {
     }
 
     /// Lifetime work counters for this solver instance.
-    pub fn stats(&self) -> SolverStats {
+    pub(crate) fn stats(&self) -> SolverStats {
         self.stats
     }
 
@@ -400,7 +403,7 @@ impl FairShare {
     /// recomputation to perturbed link domains (the tree-mode fluid
     /// network) — surfaced through [`SolverStats`] to prove the
     /// sub-linear asymptotics.
-    pub fn note_domains(&mut self, touched: u64, skipped: u64) {
+    pub(crate) fn note_domains(&mut self, touched: u64, skipped: u64) {
         self.stats.domains_touched += touched;
         self.stats.domains_skipped += skipped;
     }
@@ -408,8 +411,10 @@ impl FairShare {
 
 /// Compute max-min fair rates with a throwaway solver. Returns one rate per
 /// flow, in the same order; zero-length input returns an empty vector. See
-/// [`FairShare::compute_into`] for the allocation-free form.
-pub fn max_min_fair(
+/// [`FairShare::compute_into`] for the allocation-free form. The flat
+/// oracle the tests compare against.
+#[cfg(test)]
+pub(crate) fn max_min_fair(
     flows: &[FlowEndpoints],
     nodes: usize,
     link_capacity: f64,

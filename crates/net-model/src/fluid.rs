@@ -39,7 +39,7 @@
 //! filling one flow yields `min(cap_up, cap_down)`, published directly.
 //! Scratch buffers are reused, so the steady-state event loop allocates
 //! nothing, and every published rate is bit-identical to
-//! [`crate::fair_share::max_min_fair`] (or
+//! `fair_share::max_min_fair` (or
 //! [`FairShare::compute_with_capacities_into`] with degraded links) over
 //! the live flows — property and seeded-sequence tests below check this
 //! bitwise.
@@ -439,11 +439,6 @@ impl FluidNetwork {
             path_scratch: Vec::new(),
         };
         Self::build(params, nodes, Some(Box::new(tree)))
-    }
-
-    /// True when the network runs the hierarchical (tree-mode) model.
-    pub fn is_hierarchical(&self) -> bool {
-        self.tree.is_some()
     }
 
     /// Network parameters in force.
@@ -891,14 +886,6 @@ impl FluidNetwork {
         self.node_touch[node] > 0
     }
 
-    /// Number of in-flight flows. O(1).
-    pub fn active_flows(&self) -> usize {
-        match &self.tree {
-            Some(tree) => tree.active_count,
-            None => self.active_slots.len(),
-        }
-    }
-
     /// The current fair-share rate of a live flow, bytes/s.
     pub fn current_rate(&self, id: FlowId) -> Option<f64> {
         if self.tree.is_some() {
@@ -963,7 +950,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1, 0);
         assert_eq!(done[0].2, 1);
-        assert_eq!(n.active_flows(), 0);
     }
 
     #[test]
@@ -1195,14 +1181,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_topology_stays_on_flat_model() {
-        let n =
-            FluidNetwork::with_topology(NetworkParams::catalyst_2950_100m(), 4, &Topology::Flat);
-        assert!(!n.is_hierarchical());
-        assert!(tree_net(4, 2, 2.0).is_hierarchical());
-    }
-
-    #[test]
     fn tree_lone_flow_drains_at_edge_rate() {
         let mut n = tree_net(4, 2, 1.0);
         let bytes = 1_150_000u64;
@@ -1212,7 +1190,6 @@ mod tests {
         assert!((done_at.as_secs_f64() - expect).abs() < 1e-6);
         let done = take(&mut n, done_at);
         assert_eq!(done, vec![(FlowId(0), 0, 1)]);
-        assert_eq!(n.active_flows(), 0);
         assert!(!n.node_busy(0));
     }
 
@@ -1249,7 +1226,6 @@ mod tests {
             assert!(guard < 1000, "tree network failed to converge");
         }
         assert_eq!(completed, 8);
-        assert_eq!(n.active_flows(), 0);
         assert!((n.bytes_delivered() - total as f64).abs() < 1.0);
         assert_eq!(n.flows_completed(), 8);
         // Incremental domain bookkeeping fired.
@@ -1665,7 +1641,6 @@ mod prop_tests {
                 prop_assert!(guard < 10_000, "network failed to converge");
             }
             prop_assert_eq!(completed, flows.len());
-            prop_assert_eq!(net.active_flows(), 0);
             prop_assert!((net.bytes_delivered() - total as f64).abs() < 1.0,
                 "delivered {} of {}", net.bytes_delivered(), total);
         }

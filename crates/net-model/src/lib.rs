@@ -16,12 +16,11 @@
 //! cost of the MPI software stack (which *does* scale with DVFS frequency)
 //! is modeled by `mpi-sim` on top.
 
-pub mod fair_share;
-pub mod fluid;
-pub mod params;
-pub mod topology;
+pub(crate) mod fair_share;
+pub(crate) mod fluid;
+pub(crate) mod params;
+pub(crate) mod topology;
 
-pub use fair_share::SolverStats;
 pub use fluid::{FlowId, FluidNetwork};
 pub use params::NetworkParams;
-pub use topology::{LinkTable, Topology};
+pub use topology::Topology;

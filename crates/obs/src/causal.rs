@@ -36,7 +36,7 @@ use sim_core::{CausalLog, SimDuration, SimTime};
 
 /// One link of the critical path, chronological.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CpSegment {
+pub(crate) enum CpSegment {
     /// `rank` was locally busy over `[start, end]`.
     Local {
         rank: usize,
@@ -64,23 +64,23 @@ impl CpSegment {
 
 /// The extracted critical path.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct CriticalPath {
+pub(crate) struct CriticalPath {
     /// Total path length (equals the makespan: the walk is contiguous).
-    pub length: SimDuration,
+    pub(crate) length: SimDuration,
     /// Path time spent in network flight.
-    pub comm: SimDuration,
+    pub(crate) comm: SimDuration,
     /// Message hops on the path.
-    pub hops: u64,
+    pub(crate) hops: u64,
     /// Per-rank local residency on the path; sums to `length - comm`.
-    pub residency: Vec<SimDuration>,
+    pub(crate) residency: Vec<SimDuration>,
     /// The path itself, chronological.
-    pub segments: Vec<CpSegment>,
+    pub(crate) segments: Vec<CpSegment>,
 }
 
 /// The causal DAG in solver-ready adjacency form: the log plus per-rank
 /// chronological wait indices. Building it is `O(waits)`.
 #[derive(Debug)]
-pub struct CausalGraph<'a> {
+pub(crate) struct CausalGraph<'a> {
     log: &'a CausalLog,
     /// Indices into `log.waits` per rank, chronological.
     by_rank: Vec<Vec<usize>>,
@@ -88,7 +88,7 @@ pub struct CausalGraph<'a> {
 
 impl<'a> CausalGraph<'a> {
     /// Index the log's wait edges by rank.
-    pub fn from_log(log: &'a CausalLog) -> Self {
+    pub(crate) fn from_log(log: &'a CausalLog) -> Self {
         let mut by_rank: Vec<Vec<usize>> = vec![Vec::new(); log.ranks()];
         for (i, w) in log.waits.iter().enumerate() {
             by_rank[w.rank].push(i);
@@ -96,17 +96,12 @@ impl<'a> CausalGraph<'a> {
         CausalGraph { log, by_rank }
     }
 
-    /// Total edges (message lifecycles + released waits + DVFS stalls).
-    pub fn edge_count(&self) -> usize {
-        self.log.msgs.len() + self.log.waits.len() + self.log.dvfs.len()
-    }
-
     /// Extract the critical path: the deterministic backward walk
     /// described in the module docs. Longest-path over this DAG reduces
     /// to the walk because gating is total — at every instant exactly one
     /// predecessor (the releasing completion, or the rank's own local
     /// history) bounds progress.
-    pub fn critical_path(&self) -> CriticalPath {
+    pub(crate) fn critical_path(&self) -> CriticalPath {
         let n = self.log.ranks();
         let mut cp = CriticalPath {
             residency: vec![SimDuration::ZERO; n],

@@ -9,48 +9,40 @@
 //!   keyed by (mostly static) names. Plain single-threaded data, insertion
 //!   ordered, exported sorted: the same run always produces byte-identical
 //!   output.
-//! * [`SpanProfiler`] — named scopes accumulating both **simulated** time
-//!   ([`sim_core::SimTime`]) and **wall-clock** time. Simulated totals are
-//!   deterministic; wall-clock totals are measurement-only and never appear
-//!   in deterministic exports.
+//! * [`WallTimer`] — host wall-clock timing for the batch runner's
+//!   telemetry; measurement-only, never in a deterministic export.
 //! * [`perfetto`] — a Chrome/Perfetto `trace_event` JSON builder, plus a
 //!   converter from the engine's [`sim_core::Trace`] so a whole cluster run
 //!   renders as one timeline at <https://ui.perfetto.dev> (one track per
 //!   node: phase slices, message instants, frequency counter tracks, and
 //!   flow arrows from a causal log).
-//! * [`causal`] — critical-path extraction and per-rank time/energy
+//! * `causal` — critical-path extraction and per-rank time/energy
 //!   attribution ("blame analysis") over the engine's recorded
 //!   [`sim_core::CausalLog`], feeding `RunResult::attribution` and the
 //!   blame table `pwrperf run --causal` prints.
-//! * [`obs_count!`] / [`obs_gauge_max!`] / [`obs_observe!`] — feature-gated
-//!   instrumentation macros. With the `enabled` feature off they expand to
-//!   nothing, so instrumented code compiles to exactly the uninstrumented
-//!   binary.
+//! * [`obs_count!`] / [`obs_observe!`] — instrumentation macros over an
+//!   optional registry: with no registry attached they cost one branch.
 //!
 //! ## Determinism contract
 //!
 //! Exports that describe *simulated* behaviour (Perfetto timelines, the
 //! simulated-time metrics) contain only simulated-clock values and are
 //! byte-identical across runs of the same scenario. Wall-clock readings
-//! (span wall totals, worker utilization) are clearly separated and only
-//! surface in human summaries.
+//! (worker utilization) are clearly separated and only surface in human
+//! summaries.
 
-pub mod causal;
-pub mod metrics;
+pub(crate) mod causal;
+pub(crate) mod metrics;
 pub mod perfetto;
-pub mod span;
+pub(crate) mod timer;
 
-pub use causal::{
-    attribute, BucketTotals, CausalGraph, CpSegment, CriticalPath, RankAttribution, RunAttribution,
-};
-pub use metrics::{Histogram, MetricValue, MetricsRegistry};
+pub use causal::{attribute, BucketTotals, RankAttribution, RunAttribution};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use perfetto::PerfettoTrace;
-pub use span::{SpanProfiler, SpanStats, WallTimer};
+pub use timer::WallTimer;
 
 /// Add `$n` to counter `$name` in an `Option<&mut MetricsRegistry>`-like
-/// expression (anything with `as_deref_mut`). Compiles to nothing without
-/// the `enabled` feature.
-#[cfg(feature = "enabled")]
+/// expression (anything with `as_deref_mut`).
 #[macro_export]
 macro_rules! obs_count {
     ($reg:expr, $name:expr, $n:expr) => {
@@ -60,36 +52,8 @@ macro_rules! obs_count {
     };
 }
 
-/// Disabled-form of [`obs_count!`]: expands to nothing.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! obs_count {
-    ($reg:expr, $name:expr, $n:expr) => {};
-}
-
-/// Raise gauge `$name` to at least `$v` (high-water mark). Compiles to
-/// nothing without the `enabled` feature.
-#[cfg(feature = "enabled")]
-#[macro_export]
-macro_rules! obs_gauge_max {
-    ($reg:expr, $name:expr, $v:expr) => {
-        if let Some(m) = $reg.as_deref_mut() {
-            m.gauge_max($name, $v);
-        }
-    };
-}
-
-/// Disabled-form of [`obs_gauge_max!`]: expands to nothing.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! obs_gauge_max {
-    ($reg:expr, $name:expr, $v:expr) => {};
-}
-
 /// Record `$v` into histogram `$name` (created on first use with the
-/// default buckets of [`MetricsRegistry::observe`]). Compiles to nothing
-/// without the `enabled` feature.
-#[cfg(feature = "enabled")]
+/// default buckets of [`MetricsRegistry::observe`]).
 #[macro_export]
 macro_rules! obs_observe {
     ($reg:expr, $name:expr, $v:expr) => {
@@ -97,11 +61,4 @@ macro_rules! obs_observe {
             m.observe($name, $v);
         }
     };
-}
-
-/// Disabled-form of [`obs_observe!`]: expands to nothing.
-#[cfg(not(feature = "enabled"))]
-#[macro_export]
-macro_rules! obs_observe {
-    ($reg:expr, $name:expr, $v:expr) => {};
 }

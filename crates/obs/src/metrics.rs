@@ -21,7 +21,8 @@ type Name = Cow<'static, str>;
 /// Histogram bucket upper bounds used by [`MetricsRegistry::observe`] when
 /// a histogram is first touched without explicit buckets: decades from 1
 /// to 1e6 (values are typically microseconds, so this spans 1 µs – 1 s).
-pub const DEFAULT_BUCKETS: &[f64] = &[1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
+pub(crate) const DEFAULT_BUCKETS: &[f64] =
+    &[1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
 
 /// A fixed-bucket histogram: `bounds[i]` is the inclusive upper bound of
 /// bucket `i`; one extra overflow bucket catches everything larger.
@@ -35,7 +36,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// An empty histogram over the given ascending upper bounds.
-    pub fn new(bounds: &[f64]) -> Self {
+    pub(crate) fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -50,7 +51,7 @@ impl Histogram {
     }
 
     /// Record one observation.
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         let idx = self
             .bounds
             .iter()
@@ -72,7 +73,7 @@ impl Histogram {
     }
 
     /// Mean observed value (zero when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -114,7 +115,7 @@ impl Histogram {
 
 /// A snapshot view of one metric, for iteration and reporting.
 #[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue<'a> {
+pub(crate) enum MetricValue<'a> {
     /// Monotonic counter.
     Counter(u64),
     /// Last-write or high-water gauge.
@@ -172,25 +173,17 @@ impl MetricsRegistry {
 
     /// Set the named gauge.
     pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        self.gauge_set_name(Cow::Borrowed(name), value, false);
+        self.gauge_set_name(Cow::Borrowed(name), value);
     }
 
     /// [`MetricsRegistry::gauge_set`] with an owned (dynamic) name.
     pub fn gauge_set_owned(&mut self, name: String, value: f64) {
-        self.gauge_set_name(Cow::Owned(name), value, false);
+        self.gauge_set_name(Cow::Owned(name), value);
     }
 
-    /// Raise the named gauge to at least `value` (high-water mark).
-    pub fn gauge_max(&mut self, name: &'static str, value: f64) {
-        self.gauge_set_name(Cow::Borrowed(name), value, true);
-    }
-
-    fn gauge_set_name(&mut self, name: Name, value: f64, max_only: bool) {
+    fn gauge_set_name(&mut self, name: Name, value: f64) {
         if let Some(&i) = self.gauge_idx.get(name.as_ref()) {
-            let slot = &mut self.gauges[i].1;
-            if !max_only || value > *slot {
-                *slot = value;
-            }
+            self.gauges[i].1 = value;
         } else {
             self.gauge_idx.insert(name.clone(), self.gauges.len());
             self.gauges.push((name, value));
@@ -204,19 +197,8 @@ impl MetricsRegistry {
 
     // ----- histograms ------------------------------------------------------
 
-    /// Pre-register a histogram with explicit bucket bounds. A no-op if the
-    /// histogram already exists (its original bounds win).
-    pub fn histogram_with_buckets(&mut self, name: &'static str, bounds: &[f64]) {
-        if !self.histogram_idx.contains_key(name) {
-            let name: Name = Cow::Borrowed(name);
-            self.histogram_idx
-                .insert(name.clone(), self.histograms.len());
-            self.histograms.push((name, Histogram::new(bounds)));
-        }
-    }
-
     /// Record `value` into the named histogram, creating it with
-    /// [`DEFAULT_BUCKETS`] on first use.
+    /// `DEFAULT_BUCKETS` on first use.
     pub fn observe(&mut self, name: &'static str, value: f64) {
         if let Some(&i) = self.histogram_idx.get(name) {
             self.histograms[i].1.record(value);
@@ -228,11 +210,6 @@ impl MetricsRegistry {
             h.record(value);
             self.histograms.push((name, h));
         }
-    }
-
-    /// The named histogram, or `None` if never touched.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histogram_idx.get(name).map(|&i| &self.histograms[i].1)
     }
 
     /// Insert (or replace) a fully built histogram under an owned name —
@@ -253,7 +230,7 @@ impl MetricsRegistry {
 
     /// Counters in insertion order. Serializers that must reproduce a
     /// registry exactly (derived `PartialEq` includes insertion order) use
-    /// this instead of [`MetricsRegistry::sorted`].
+    /// this instead of `MetricsRegistry::sorted`.
     pub fn counters_in_order(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(n, v)| (n.as_ref(), *v))
     }
@@ -270,7 +247,7 @@ impl MetricsRegistry {
     }
 
     /// Every metric, sorted by name (the deterministic export order).
-    pub fn sorted(&self) -> Vec<(&str, MetricValue<'_>)> {
+    pub(crate) fn sorted(&self) -> Vec<(&str, MetricValue<'_>)> {
         let mut out: Vec<(&str, MetricValue<'_>)> =
             Vec::with_capacity(self.counters.len() + self.gauges.len() + self.histograms.len());
         for (name, v) in &self.counters {
@@ -284,11 +261,6 @@ impl MetricsRegistry {
         }
         out.sort_by(|a, b| a.0.cmp(b.0));
         out
-    }
-
-    /// True when nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Newline-delimited JSON: one object per metric, sorted by name.
@@ -369,15 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_high_water() {
+    fn gauges_set_overwrites() {
         let mut m = MetricsRegistry::new();
         m.gauge_set("g", 5.0);
         m.gauge_set("g", 3.0);
         assert_eq!(m.gauge("g"), Some(3.0));
-        m.gauge_max("hwm", 5.0);
-        m.gauge_max("hwm", 3.0);
-        m.gauge_max("hwm", 9.0);
-        assert_eq!(m.gauge("hwm"), Some(9.0));
     }
 
     #[test]
@@ -396,17 +364,9 @@ mod tests {
     fn observe_creates_default_buckets() {
         let mut m = MetricsRegistry::new();
         m.observe("lat", 250.0);
-        let h = m.histogram("lat").unwrap();
+        let (_, h) = m.histograms_in_order().next().unwrap();
         assert_eq!(h.bounds(), DEFAULT_BUCKETS);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn explicit_buckets_win_over_default() {
-        let mut m = MetricsRegistry::new();
-        m.histogram_with_buckets("lat", &[1.0, 2.0]);
-        m.observe("lat", 1.5);
-        assert_eq!(m.histogram("lat").unwrap().bounds(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl Default for PerfettoTrace {
 }
 
 impl PerfettoTrace {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PerfettoTrace {
             out: String::from(HEADER),
             records: 0,
@@ -155,7 +155,7 @@ impl PerfettoTrace {
     }
 
     /// Name a process (a top-level group in the UI).
-    pub fn process_name(&mut self, pid: u64, name: &str) {
+    pub(crate) fn process_name(&mut self, pid: u64, name: &str) {
         let out = self.open(r#"{"ph":"M","pid":"#, pid);
         out.push_str(",\"name\":\"process_name\",\"args\":{\"name\":\"");
         push_json_escaped(out, name);
@@ -163,7 +163,7 @@ impl PerfettoTrace {
     }
 
     /// Name a thread (one timeline track within a process).
-    pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
+    pub(crate) fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
         let out = self.open(r#"{"ph":"M","pid":"#, pid);
         out.push_str(",\"tid\":");
         push_u64(out, tid);
@@ -173,7 +173,7 @@ impl PerfettoTrace {
     }
 
     /// Open a duration slice on (pid, tid).
-    pub fn begin_slice(&mut self, pid: u64, tid: u64, name: &str, t: SimTime) {
+    pub(crate) fn begin_slice(&mut self, pid: u64, tid: u64, name: &str, t: SimTime) {
         let out = self.open(r#"{"ph":"B","pid":"#, pid);
         push_tid_ts(out, tid, t);
         push_field(out, "name", name);
@@ -181,14 +181,14 @@ impl PerfettoTrace {
     }
 
     /// Close the most recent open slice on (pid, tid).
-    pub fn end_slice(&mut self, pid: u64, tid: u64, t: SimTime) {
+    pub(crate) fn end_slice(&mut self, pid: u64, tid: u64, t: SimTime) {
         let out = self.open(r#"{"ph":"E","pid":"#, pid);
         push_tid_ts(out, tid, t);
         out.push('}');
     }
 
     /// A zero-duration instant marker on (pid, tid).
-    pub fn instant(&mut self, pid: u64, tid: u64, name: &str, t: SimTime) {
+    pub(crate) fn instant(&mut self, pid: u64, tid: u64, name: &str, t: SimTime) {
         let out = self.open(r#"{"ph":"i","pid":"#, pid);
         push_tid_ts(out, tid, t);
         out.push_str(",\"s\":\"t\"");
@@ -219,16 +219,6 @@ impl PerfettoTrace {
         push_ts(out, t);
         push_field(out, "name", name);
         let _ = write!(out, ",\"args\":{{\"value\":{value}}}}}");
-    }
-
-    /// Number of records emitted so far.
-    pub fn len(&self) -> usize {
-        self.records
-    }
-
-    /// True when nothing was emitted.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
     }
 
     /// Close the JSON document and return it.

@@ -21,7 +21,7 @@ pub enum CpuActivity {
 
 impl CpuActivity {
     /// All states, useful for exhaustive tests and reports.
-    pub const ALL: [CpuActivity; 4] = [
+    pub(crate) const ALL: [CpuActivity; 4] = [
         CpuActivity::Active,
         CpuActivity::MemStall,
         CpuActivity::BusyWait,
@@ -43,19 +43,19 @@ impl CpuActivity {
 #[derive(Debug, Clone, Copy)]
 pub struct ActivityFactors {
     /// Fully active execution. By definition 1.0 in the default model.
-    pub active: f64,
+    pub(crate) active: f64,
     /// Stalled on DRAM: out-of-order window drained, most units quiet.
-    pub mem_stall: f64,
+    pub(crate) mem_stall: f64,
     /// Busy-wait polling: a tight load/compare loop, caches hot.
-    pub busy_wait: f64,
+    pub(crate) busy_wait: f64,
     /// Halted (`hlt`/C-state): only clock distribution and leakage-adjacent
     /// dynamic power remain.
-    pub halt: f64,
+    pub(crate) halt: f64,
     /// Waiting on on-die L2 hits: time scales with frequency (the cache
     /// runs at core clock) but most execution units idle between fills.
     /// Not a [`CpuActivity`] state — compute segments blend it with
     /// `active` in proportion to their L2-service cycles.
-    pub l2_stall: f64,
+    pub(crate) l2_stall: f64,
 }
 
 impl ActivityFactors {
@@ -70,7 +70,7 @@ impl ActivityFactors {
     ///   low draw is what limits the paper's communication-benchmark
     ///   energy savings (Fig. 8) to ~30% rather than the ~45% a
     ///   fully-switching core would give.
-    pub fn pentium_m_default() -> Self {
+    pub(crate) fn pentium_m_default() -> Self {
         ActivityFactors {
             active: 1.0,
             mem_stall: 0.55,
@@ -82,7 +82,7 @@ impl ActivityFactors {
 
     /// Look up the factor for a state.
     #[inline]
-    pub fn factor(&self, activity: CpuActivity) -> f64 {
+    pub(crate) fn factor(&self, activity: CpuActivity) -> f64 {
         match activity {
             CpuActivity::Active => self.active,
             CpuActivity::MemStall => self.mem_stall,
@@ -94,7 +94,7 @@ impl ActivityFactors {
     /// Panic if any factor is outside `[0, 1.5]` or non-finite. (Factors a
     /// little above 1.0 are legal: some codes switch more capacitance than
     /// the calibration workload.)
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for a in CpuActivity::ALL {
             let f = self.factor(a);
             assert!(
@@ -114,7 +114,7 @@ impl ActivityFactors {
     /// when it budgets a node without knowing what the node will run.
     /// Blends are convex combinations of `active` and `l2_stall`, so the
     /// maximum over the five fields bounds every reachable factor.
-    pub fn max_factor(&self) -> f64 {
+    pub(crate) fn max_factor(&self) -> f64 {
         self.active
             .max(self.mem_stall)
             .max(self.busy_wait)

@@ -85,11 +85,6 @@ impl SmartBattery {
         }
     }
 
-    /// The paper's platform battery.
-    pub fn inspiron_8600() -> Self {
-        SmartBattery::new(72_000.0)
-    }
-
     /// Record that the node has drawn `joules` (cumulative total from an
     /// [`crate::EnergyMeter`], so pass the *delta* since the last call, or
     /// use [`SmartBattery::set_drawn`] with the running total). A negative
@@ -126,14 +121,9 @@ impl SmartBattery {
     }
 
     /// Ground-truth remaining capacity, mWh (not quantized).
-    pub fn remaining_exact_mwh(&self) -> f64 {
+    pub(crate) fn remaining_exact_mwh(&self) -> f64 {
         let drawn_mwh = self.drawn_j / J_PER_MWH;
         (self.initial_mwh - drawn_mwh).max(0.0)
-    }
-
-    /// True once the pack is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.remaining_exact_mwh() <= 0.0
     }
 
     /// Energy between two ACPI readings, in joules — the paper's
@@ -160,7 +150,6 @@ mod tests {
     fn fresh_battery_reports_full() {
         let b = SmartBattery::new(1000.0);
         assert_eq!(b.reading_mwh(), 1000);
-        assert!(!b.is_empty());
     }
 
     #[test]
@@ -176,7 +165,7 @@ mod tests {
 
     #[test]
     fn energy_between_matches_draw_within_quantization() {
-        let mut b = SmartBattery::inspiron_8600();
+        let mut b = SmartBattery::new(72_000.0);
         let before = b.reading_mwh();
         let true_j = 5000.0;
         b.draw(true_j).unwrap();
@@ -224,7 +213,6 @@ mod tests {
         let mut b = SmartBattery::new(1.0);
         b.draw(1000.0).unwrap();
         assert_eq!(b.reading_mwh(), 0);
-        assert!(b.is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!   SpeedStep ladder, exactly the paper's Table 2 (1.4 GHz @ 1.484 V down
 //!   to 600 MHz @ 0.956 V), with the ~10 µs transition latency the Intel
 //!   datasheet quotes.
-//! * [`CpuPowerParams`] — the first-order CMOS laws the paper motivates in
+//! * `CpuPowerParams` — the first-order CMOS laws the paper motivates in
 //!   Section 2.1: dynamic power `P ∝ c·f·V²` plus a voltage-proportional
 //!   static/leakage term.
 //! * [`CpuActivity`] — what the CPU is doing (issuing instructions, stalled
@@ -19,14 +19,14 @@
 //!   capacity quantized to 1 mWh (3.6 J), reproducing the paper's
 //!   measurement granularity.
 
-pub mod activity;
+pub(crate) mod activity;
 pub mod battery;
-pub mod meter;
-pub mod op_point;
-pub mod params;
+pub(crate) mod meter;
+pub(crate) mod op_point;
+pub(crate) mod params;
 
-pub use activity::{ActivityFactors, CpuActivity};
+pub use activity::CpuActivity;
 pub use battery::{MeasurementError, SmartBattery, J_PER_MWH};
 pub use meter::{Component, EnergyMeter, EnergyReport};
 pub use op_point::{DvfsLadder, OpIndex, OperatingPoint};
-pub use params::{CpuPowerParams, NodePowerParams};
+pub use params::NodePowerParams;

@@ -229,16 +229,6 @@ impl EnergyMeter {
         self.reapply(now);
     }
 
-    /// Current operating point.
-    pub fn operating_point(&self) -> OperatingPoint {
-        self.op
-    }
-
-    /// Current activity state.
-    pub fn activity(&self) -> CpuActivity {
-        self.activity
-    }
-
     /// Instantaneous whole-node power draw, watts.
     pub fn power_now(&self) -> f64 {
         self.params.base_w

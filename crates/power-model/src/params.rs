@@ -6,7 +6,9 @@
 //! The constants live here; the fit against the paper's headline numbers is
 //! exercised by the calibration tests in the `pwrperf` core crate.
 
-use crate::activity::{ActivityFactors, CpuActivity};
+use crate::activity::ActivityFactors;
+#[cfg(test)]
+use crate::activity::CpuActivity;
 use crate::op_point::OperatingPoint;
 
 /// First-order CMOS CPU power model.
@@ -15,9 +17,9 @@ use crate::op_point::OperatingPoint;
 #[derive(Debug, Clone)]
 pub struct CpuPowerParams {
     /// Dynamic coefficient (W per Hz·V²); absorbs switched capacitance.
-    pub k_dyn: f64,
+    pub(crate) k_dyn: f64,
     /// Static/leakage coefficient (W per V).
-    pub k_static: f64,
+    pub(crate) k_static: f64,
     /// Per-state switching-activity factors.
     pub activity: ActivityFactors,
 }
@@ -26,7 +28,7 @@ impl CpuPowerParams {
     /// Pentium M 1.4 GHz calibration: ≈21 W fully active at 1.4 GHz/1.484 V
     /// (vendor TDP ballpark) and ≈1.5 W of voltage-proportional static power
     /// at the top point.
-    pub fn pentium_m_1400() -> Self {
+    pub(crate) fn pentium_m_1400() -> Self {
         // k_dyn solves k * 1.4e9 * 1.484^2 = 21.0
         let k_dyn = 21.0 / (1.4e9 * 1.484 * 1.484);
         CpuPowerParams {
@@ -37,7 +39,8 @@ impl CpuPowerParams {
     }
 
     /// Dynamic power at `op` in activity state `a`, watts.
-    pub fn dynamic_power(&self, op: OperatingPoint, a: CpuActivity) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn dynamic_power(&self, op: OperatingPoint, a: CpuActivity) -> f64 {
         self.dynamic_power_with_factor(op, self.activity.factor(a))
     }
 
@@ -45,18 +48,19 @@ impl CpuPowerParams {
     /// (used for blended compute segments, see
     /// [`ActivityFactors::compute_blend`]).
     #[inline]
-    pub fn dynamic_power_with_factor(&self, op: OperatingPoint, factor: f64) -> f64 {
+    pub(crate) fn dynamic_power_with_factor(&self, op: OperatingPoint, factor: f64) -> f64 {
         self.k_dyn * factor * op.freq_hz * op.voltage * op.voltage
     }
 
     /// Static (leakage) power at `op`, watts.
     #[inline]
-    pub fn static_power(&self, op: OperatingPoint) -> f64 {
+    pub(crate) fn static_power(&self, op: OperatingPoint) -> f64 {
         self.k_static * op.voltage
     }
 
     /// Total CPU power at `op` in state `a`, watts.
-    pub fn power(&self, op: OperatingPoint, a: CpuActivity) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn power(&self, op: OperatingPoint, a: CpuActivity) -> f64 {
         self.dynamic_power(op, a) + self.static_power(op)
     }
 }
@@ -72,12 +76,12 @@ pub struct NodePowerParams {
     pub base_w: f64,
     /// Extra draw while the DRAM interface is streaming (active reads /
     /// writes beyond refresh).
-    pub mem_active_w: f64,
+    pub(crate) mem_active_w: f64,
     /// Extra draw while the NIC is transmitting or receiving.
-    pub nic_active_w: f64,
+    pub(crate) nic_active_w: f64,
     /// Energy dissipated by one DVFS transition (voltage-regulator swing);
     /// small, but the paper observes dynamic control pays a real overhead.
-    pub transition_energy_j: f64,
+    pub(crate) transition_energy_j: f64,
 }
 
 impl NodePowerParams {
@@ -98,8 +102,10 @@ impl NodePowerParams {
     }
 
     /// Whole-node power with the CPU at `op` in state `a`, optionally with
-    /// active memory traffic and NIC traffic, watts.
-    pub fn node_power(
+    /// active memory traffic and NIC traffic, watts. The reference the
+    /// `max_node_power_w` bound is tested against.
+    #[cfg(test)]
+    pub(crate) fn node_power(
         &self,
         op: OperatingPoint,
         a: CpuActivity,

@@ -15,7 +15,7 @@ use sim_core::{SimDuration, SimTime};
 
 /// Replays battery readings at a fixed refresh period over a sample log.
 #[derive(Debug)]
-pub struct AcpiPoller<'a> {
+pub(crate) struct AcpiPoller<'a> {
     samples: &'a [SampleRow],
     refresh: SimDuration,
 }
@@ -23,21 +23,16 @@ pub struct AcpiPoller<'a> {
 impl<'a> AcpiPoller<'a> {
     /// A poller over `samples` (engine output, sampled at least as often
     /// as `refresh`; the paper's hardware refreshes every 15–20 s).
-    pub fn new(samples: &'a [SampleRow], refresh: SimDuration) -> Self {
+    pub(crate) fn new(samples: &'a [SampleRow], refresh: SimDuration) -> Self {
         assert!(!refresh.is_zero(), "refresh period must be positive");
         AcpiPoller { samples, refresh }
-    }
-
-    /// The paper's platform: an 18 s refresh (middle of the 15–20 s band).
-    pub fn paper(samples: &'a [SampleRow]) -> Self {
-        AcpiPoller::new(samples, SimDuration::from_secs(18))
     }
 
     /// The battery reading (mWh) for `node` as ACPI would report it at
     /// `t`: the value captured at the last refresh boundary at or before
     /// `t`. `None` when no sample precedes that boundary (reading would
     /// be the pre-run full value).
-    pub fn reading_at(&self, node: usize, t: SimTime) -> Option<u64> {
+    pub(crate) fn reading_at(&self, node: usize, t: SimTime) -> Option<u64> {
         let period = self.refresh.as_ps();
         let boundary = SimTime((t.0 / period) * period);
         self.samples
@@ -45,11 +40,6 @@ impl<'a> AcpiPoller<'a> {
             .take_while(|s| s.time <= boundary)
             .last()
             .map(|s| s.node_battery_mwh[node])
-    }
-
-    /// Refresh period in force.
-    pub fn refresh(&self) -> SimDuration {
-        self.refresh
     }
 }
 
@@ -140,13 +130,6 @@ mod tests {
     #[test]
     fn empty_samples_measure_nothing() {
         assert!(acpi_measured_energy(&[], SimDuration::from_secs(18)).is_empty());
-    }
-
-    #[test]
-    fn paper_poller_uses_18s() {
-        let log = drain_log(30.0, 60);
-        let p = AcpiPoller::paper(&log);
-        assert_eq!(p.refresh(), SimDuration::from_secs(18));
     }
 
     #[test]

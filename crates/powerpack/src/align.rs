@@ -6,10 +6,8 @@
 //! aggregations over the engine's sample rows — but the interfaces mirror
 //! the real tool's outputs: cluster power profiles and per-node averages.
 
-use mpi_sim::{RunResult, SampleRow};
+use mpi_sim::SampleRow;
 use sim_core::SimTime;
-
-use crate::phases::phase_intervals;
 
 /// Cluster-wide power profile: `(time, total watts)` per sample.
 #[must_use]
@@ -58,7 +56,7 @@ pub fn most_deviant_node(samples: &[SampleRow]) -> Option<(usize, f64)> {
 /// the decision rule behind the paper's data filtering: a node with a
 /// stuck battery, biased meter, or injected fault reads far enough from
 /// its peers that its profile should not pollute cluster aggregates.
-pub fn outlier_nodes(samples: &[SampleRow], rel_threshold: f64) -> Vec<usize> {
+pub(crate) fn outlier_nodes(samples: &[SampleRow], rel_threshold: f64) -> Vec<usize> {
     let avgs = node_average_power(samples);
     if avgs.is_empty() {
         return Vec::new();
@@ -76,7 +74,7 @@ pub fn outlier_nodes(samples: &[SampleRow], rel_threshold: f64) -> Vec<usize> {
 
 /// [`aligned_cluster_power`] with outlier nodes actually excluded from the
 /// aggregate: returns the filtered `(time, total watts)` profile plus the
-/// node indices that were dropped (per [`outlier_nodes`] at
+/// node indices that were dropped (per `outlier_nodes` at
 /// `rel_threshold`). With no outliers the profile is bit-identical to the
 /// unfiltered one.
 #[must_use]
@@ -102,55 +100,6 @@ pub fn aligned_cluster_power_filtered(
         })
         .collect();
     (profile, excluded)
-}
-
-/// Align the exported power samples with the run's phase spans: every
-/// sample row is tagged with the names of phases active (on any node) at
-/// its timestamp, in first-begin order. This is the join the paper's
-/// post-processing performs between the external power profile and the
-/// application's instrumentation timeline; samples falling outside every
-/// span get an empty tag list rather than being dropped, so the profile
-/// keeps its sampling cadence.
-pub fn align_samples_with_spans(result: &RunResult) -> Vec<(SimTime, f64, Vec<&'static str>)> {
-    let intervals = phase_intervals(&result.trace);
-    let profile = aligned_cluster_power(&result.samples);
-
-    // Sweep instead of rescanning every interval per sample (the legacy
-    // O(samples × intervals) join): visit samples in time order, opening
-    // intervals as their starts pass and dropping them once their
-    // inclusive ends do. Per-sample work is proportional to the intervals
-    // actually open at that instant. The open set is kept in first-begin
-    // (original) order so tag order and dedup match the full scan exactly.
-    let mut by_start: Vec<usize> = (0..intervals.len()).collect();
-    by_start.sort_by_key(|&i| intervals[i].2);
-    let mut sample_order: Vec<usize> = (0..profile.len()).collect();
-    sample_order.sort_by_key(|&s| profile[s].0);
-
-    let mut tags: Vec<Vec<&'static str>> = vec![Vec::new(); profile.len()];
-    let mut open: Vec<usize> = Vec::new();
-    let mut next = 0;
-    for &s in &sample_order {
-        let t = profile[s].0;
-        while next < by_start.len() && intervals[by_start[next]].2 <= t {
-            let idx = by_start[next];
-            let at = open.partition_point(|&o| o < idx);
-            open.insert(at, idx);
-            next += 1;
-        }
-        open.retain(|&i| t <= intervals[i].3);
-        let active = &mut tags[s];
-        for &i in &open {
-            let name = intervals[i].1;
-            if !active.contains(&name) {
-                active.push(name);
-            }
-        }
-    }
-    profile
-        .into_iter()
-        .zip(tags)
-        .map(|((t, watts), active)| (t, watts, active))
-        .collect()
 }
 
 #[cfg(test)]
@@ -200,112 +149,6 @@ mod tests {
         assert!(aligned_cluster_power(&[]).is_empty());
         assert!(node_average_power(&[]).is_empty());
         assert!(most_deviant_node(&[]).is_none());
-    }
-
-    #[test]
-    fn samples_tagged_with_active_spans() {
-        use mpi_sim::RunResult;
-        use power_model::EnergyReport;
-        use sim_core::{SimDuration, TraceDetail, TraceEvent, TraceKind};
-
-        let ev = |t: u64, kind, name| TraceEvent {
-            time: SimTime::from_secs(t),
-            node: 0,
-            kind,
-            detail: TraceDetail::Phase(name),
-        };
-        let result = RunResult {
-            duration: SimDuration::from_secs(4),
-            per_node: vec![EnergyReport::default()],
-            total: EnergyReport::default(),
-            breakdown: vec![Default::default()],
-            transitions: vec![0],
-            samples: (0..=4).map(|t| row(t, vec![25.0])).collect(),
-            trace: vec![
-                ev(1, TraceKind::PhaseBegin, "fft"),
-                ev(3, TraceKind::PhaseEnd, "fft"),
-            ],
-            trace_dropped: 0,
-            freq_residency: vec![],
-            events: 0,
-            faults: Default::default(),
-            metrics: None,
-            causal: None,
-            attribution: None,
-        };
-        let aligned = align_samples_with_spans(&result);
-        assert_eq!(aligned.len(), 5);
-        let tags: Vec<&[&str]> = aligned.iter().map(|(_, _, a)| a.as_slice()).collect();
-        assert_eq!(
-            tags[0],
-            &[] as &[&str],
-            "sample before the span is untagged"
-        );
-        assert_eq!(tags[1], &["fft"]);
-        assert_eq!(tags[3], &["fft"], "span end is inclusive");
-        assert_eq!(tags[4], &[] as &[&str]);
-        assert!((aligned[2].1 - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sweep_matches_full_scan_on_overlapping_spans() {
-        use mpi_sim::RunResult;
-        use power_model::EnergyReport;
-        use sim_core::{SimDuration, TraceDetail, TraceEvent, TraceKind};
-
-        let ev = |t: u64, node: usize, kind, name| TraceEvent {
-            time: SimTime::from_secs(t),
-            node,
-            kind,
-            detail: TraceDetail::Phase(name),
-        };
-        // Overlapping, nested, and repeated spans across nodes; the "io"
-        // span begins later but must still tag behind "fft" (first-begin
-        // order), and duplicate "fft" spans must dedup to one tag.
-        let trace = vec![
-            ev(1, 0, TraceKind::PhaseBegin, "fft"),
-            ev(2, 1, TraceKind::PhaseBegin, "io"),
-            ev(2, 1, TraceKind::PhaseBegin, "fft"),
-            ev(4, 1, TraceKind::PhaseEnd, "fft"),
-            ev(5, 0, TraceKind::PhaseEnd, "fft"),
-            ev(6, 1, TraceKind::PhaseEnd, "io"),
-        ];
-        let result = RunResult {
-            duration: SimDuration::from_secs(8),
-            per_node: vec![EnergyReport::default(); 2],
-            total: EnergyReport::default(),
-            breakdown: vec![Default::default(); 2],
-            transitions: vec![0; 2],
-            samples: (0..=8).map(|t| row(t, vec![20.0, 20.0])).collect(),
-            trace,
-            trace_dropped: 0,
-            freq_residency: vec![],
-            events: 0,
-            faults: Default::default(),
-            metrics: None,
-            causal: None,
-            attribution: None,
-        };
-        let intervals = phase_intervals(&result.trace);
-        // Reference: the legacy full scan, inlined.
-        let expect: Vec<Vec<&str>> = aligned_cluster_power(&result.samples)
-            .into_iter()
-            .map(|(t, _)| {
-                let mut active: Vec<&'static str> = Vec::new();
-                for &(_, name, start, end) in &intervals {
-                    if start <= t && t <= end && !active.contains(&name) {
-                        active.push(name);
-                    }
-                }
-                active
-            })
-            .collect();
-        let got: Vec<Vec<&str>> = align_samples_with_spans(&result)
-            .into_iter()
-            .map(|(_, _, a)| a)
-            .collect();
-        assert_eq!(got, expect);
-        assert_eq!(got[3], vec!["fft", "io"], "first-begin order, deduped");
     }
 
     #[test]

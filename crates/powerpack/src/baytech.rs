@@ -12,12 +12,12 @@ use sim_core::SimDuration;
 /// Per-outlet (node) average power in each full minute window, watts.
 /// Windows are `[k·60 s, (k+1)·60 s)`; the trailing partial window is
 /// dropped, as the strip only reports completed periods.
-pub fn baytech_minute_averages(samples: &[SampleRow]) -> Vec<Vec<f64>> {
+pub(crate) fn baytech_minute_averages(samples: &[SampleRow]) -> Vec<Vec<f64>> {
     minute_averages(samples, SimDuration::from_secs(60))
 }
 
 /// Generalized window averaging (exposed for tests and ablations).
-pub fn minute_averages(samples: &[SampleRow], window: SimDuration) -> Vec<Vec<f64>> {
+pub(crate) fn minute_averages(samples: &[SampleRow], window: SimDuration) -> Vec<Vec<f64>> {
     let Some(first) = samples.first() else {
         return Vec::new();
     };

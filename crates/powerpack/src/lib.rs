@@ -2,40 +2,39 @@
 //!
 //! The paper's PowerPack suite, rebuilt over the simulation:
 //!
-//! * [`acpi`] — energy measurement by smart-battery polling: readings in
+//! * `acpi` — energy measurement by smart-battery polling: readings in
 //!   whole mWh that refresh only every 15–20 s, measured as the difference
 //!   between the readings bracketing a run (`libbattery.a`'s method);
-//! * [`baytech`] — the Baytech remote power strip: per-outlet power
+//! * `baytech` — the Baytech remote power strip: per-outlet power
 //!   averages reported once a minute over SNMP;
-//! * [`align`] — timestamp-driven merging of per-node profiles into
+//! * `align` — timestamp-driven merging of per-node profiles into
 //!   cluster power series (the paper's filter-and-align post-processing);
-//! * [`protocol`] — the paper's repeatability protocol: discharge
+//! * `protocol` — the paper's repeatability protocol: discharge
 //!   stabilization, repeated runs, outlier detection;
-//! * [`micro`] — the PowerPack microbenchmarks that profile each system
+//! * `micro` — the PowerPack microbenchmarks that profile each system
 //!   component under DVS: memory-bound (32 MB, 128 B stride), CPU-bound
 //!   (256 KB L2-resident walk), register-only, and the two communication
 //!   benchmarks (256 KB round trip; 4 KB messages with 64 B stride).
 
-pub mod acpi;
-pub mod align;
-pub mod battery_life;
-pub mod baytech;
-pub mod export;
-pub mod micro;
-pub mod phases;
-pub mod protocol;
+pub(crate) mod acpi;
+pub(crate) mod align;
+pub(crate) mod battery_life;
+pub(crate) mod baytech;
+pub(crate) mod export;
+pub(crate) mod micro;
+pub(crate) mod phases;
+pub(crate) mod protocol;
 
-pub use acpi::{acpi_measured_energy, AcpiPoller};
+pub use acpi::acpi_measured_energy;
 pub use align::{
-    align_samples_with_spans, aligned_cluster_power, aligned_cluster_power_filtered,
-    most_deviant_node, node_average_power, outlier_nodes,
+    aligned_cluster_power, aligned_cluster_power_filtered, most_deviant_node, node_average_power,
 };
 pub use battery_life::{battery_life_secs, runs_per_charge};
-pub use baytech::{baytech_energy, baytech_minute_averages};
+pub use baytech::baytech_energy;
 pub use export::{samples_to_csv, summary_to_csv, trace_to_csv};
 pub use micro::{
     comm_roundtrip_programs, cpu_bound_program, memory_bound_program, register_program,
     CommMicroConfig, MicroConfig,
 };
-pub use phases::{phase_intervals, phase_time_fraction, profile_phases, PhaseMap, PhaseProfile};
-pub use protocol::{ExperimentProtocol, ProtocolOutcome};
+pub use phases::{phase_time_fraction, profile_phases, PhaseProfile};
+pub use protocol::ExperimentProtocol;

@@ -26,13 +26,15 @@ pub struct PhaseProfile {
 
 /// Per-phase profiles keyed by phase name. A `BTreeMap` so iterating a
 /// profile (reports, CSV export) visits phases in a stable order.
-pub type PhaseMap = BTreeMap<String, PhaseProfile>;
+pub(crate) type PhaseMap = BTreeMap<String, PhaseProfile>;
 
 /// Collect matched (rank, name, start, end) intervals from a trace.
 /// Unbalanced markers (an end without a begin, or a begin never closed)
 /// are ignored, mirroring the paper's tooling which drops truncated
 /// records at run edges.
-pub fn phase_intervals(trace: &[TraceEvent]) -> Vec<(usize, &'static str, SimTime, SimTime)> {
+pub(crate) fn phase_intervals(
+    trace: &[TraceEvent],
+) -> Vec<(usize, &'static str, SimTime, SimTime)> {
     let mut open: FxHashMap<(usize, &'static str), SimTime> = FxHashMap::default();
     let mut out = Vec::new();
     for ev in trace {

@@ -13,9 +13,9 @@ use sim_core::OnlineStats;
 #[derive(Debug, Clone)]
 pub struct ExperimentProtocol {
     /// Number of repetitions ("at least 3 times or more").
-    pub repetitions: usize,
+    pub(crate) repetitions: usize,
     /// Z-score beyond which a run is flagged as an outlier.
-    pub outlier_sigma: f64,
+    pub(crate) outlier_sigma: f64,
 }
 
 impl Default for ExperimentProtocol {
@@ -32,8 +32,6 @@ impl Default for ExperimentProtocol {
 pub struct ProtocolOutcome {
     /// Total-energy samples per repetition, joules.
     pub energies_j: Vec<f64>,
-    /// Duration samples per repetition, seconds.
-    pub durations_s: Vec<f64>,
     /// Mean energy over non-outlier runs.
     pub mean_energy_j: f64,
     /// Mean duration over non-outlier runs.
@@ -75,7 +73,6 @@ impl ExperimentProtocol {
 
         ProtocolOutcome {
             energies_j: energies,
-            durations_s: durations,
             mean_energy_j: mean_energy,
             mean_duration_s: mean_duration,
             outliers,

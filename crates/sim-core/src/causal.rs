@@ -20,7 +20,7 @@ use crate::time::SimTime;
 /// Index into [`CausalLog::msgs`]: messages numbered in posting order.
 /// The engine recycles its message slots and maps each slot to its
 /// record, so this is not a slot index.
-pub type CausalMsgId = usize;
+pub(crate) type CausalMsgId = usize;
 
 /// The observable life of one point-to-point message (collectives are
 /// lowered onto p2p before they reach the engine, so this covers their
@@ -129,7 +129,7 @@ pub struct DvfsRecord {
 /// dispatch order, so the log is deterministic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CausalLog {
-    /// Every posted message, indexed by [`CausalMsgId`].
+    /// Every posted message, indexed by `CausalMsgId`.
     pub msgs: Vec<MsgRecord>,
     /// Every released wait, in global event order (per-rank subsequences
     /// are therefore chronological and non-overlapping).

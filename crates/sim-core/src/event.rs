@@ -19,13 +19,11 @@
 
 use crate::time::SimTime;
 
-/// An event with its scheduled time and tie-breaking sequence number.
+/// An event with its scheduled time.
 #[derive(Debug, Clone)]
 pub struct QueuedEvent<E> {
     /// When the event fires.
     pub time: SimTime,
-    /// Insertion order, used to break ties deterministically.
-    pub seq: u64,
     /// The payload delivered to the simulation.
     pub event: E,
 }
@@ -64,11 +62,6 @@ impl<E> MinHeap<E> {
         MinHeap {
             data: Vec::with_capacity(capacity),
         }
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<&Entry<E>> {
-        self.data.first()
     }
 
     fn push(&mut self, entry: Entry<E>) {
@@ -125,21 +118,8 @@ fn pack(slot: usize, generation: u32) -> u64 {
     ((generation as u64) << 32) | slot as u64
 }
 
-/// A deterministic min-priority queue of simulation events.
-///
-/// ```
-/// use sim_core::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime(20), "late");
-/// q.push(SimTime(10), "early");
-/// q.push(SimTime(10), "early-second");
-/// assert_eq!(q.len(), 3);
-/// assert_eq!(q.pop().unwrap().event, "early");
-/// assert_eq!(q.pop().unwrap().event, "early-second");
-/// assert_eq!(q.pop().unwrap().event, "late");
-/// assert!(q.pop().is_none());
-/// ```
+/// A deterministic min-priority queue of simulation events: earlier
+/// times pop first, and equal times pop in push order.
 pub struct EventQueue<E> {
     heap: MinHeap<E>,
     next_seq: u64,
@@ -167,7 +147,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(0)
     }
 
@@ -245,29 +225,10 @@ impl<E> EventQueue<E> {
             self.processed += 1;
             return Some(QueuedEvent {
                 time: entry.time,
-                seq: entry.seq,
                 event: entry.event,
             });
         }
         None
-    }
-
-    /// The timestamp of the earliest live event without removing it.
-    /// Takes `&mut self` to discard tombstones blocking the heap front.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            match self.heap.peek() {
-                None => return None,
-                Some(entry) => {
-                    let (slot, generation) = unpack(entry.handle);
-                    if self.generations[slot] != generation {
-                        self.heap.pop();
-                    } else {
-                        return Some(entry.time);
-                    }
-                }
-            }
-        }
     }
 
     /// Exact number of live events (cancelled entries are not counted).
@@ -374,10 +335,8 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.cancel(b);
         assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
         q.pop();
         assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -401,23 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime(1), "a");
-        q.push(SimTime(5), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime(5)));
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn empty_queue_behaves() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-        assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
     }
 

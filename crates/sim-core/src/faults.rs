@@ -91,7 +91,7 @@ pub enum Fault {
 
 impl Fault {
     /// The node this fault targets, if it is node-scoped.
-    pub fn node(&self) -> Option<usize> {
+    pub(crate) fn node(&self) -> Option<usize> {
         match *self {
             Fault::ComputeSlowdown { node, .. }
             | Fault::BatteryStuck { node, .. }
@@ -118,7 +118,7 @@ pub struct FaultSpec {
 }
 
 /// Seed used when a spec string does not name one.
-pub const DEFAULT_FAULT_SEED: u64 = 0x5EED_FA17;
+pub(crate) const DEFAULT_FAULT_SEED: u64 = 0x5EED_FA17;
 
 impl Default for FaultSpec {
     fn default() -> Self {
@@ -130,14 +130,6 @@ impl Default for FaultSpec {
 }
 
 impl FaultSpec {
-    /// An empty spec with an explicit seed.
-    pub fn new(seed: u64) -> Self {
-        FaultSpec {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
     /// Builder-style: arm one more fault.
     pub fn with(mut self, fault: Fault) -> Self {
         self.faults.push(fault);
@@ -414,7 +406,11 @@ mod tests {
 
     #[test]
     fn builder_accumulates_faults() {
-        let s = FaultSpec::new(9).with(Fault::SampleSkip { probability: 0.5 });
+        let s = FaultSpec {
+            seed: 9,
+            faults: Vec::new(),
+        }
+        .with(Fault::SampleSkip { probability: 0.5 });
         assert_eq!(s.seed, 9);
         assert_eq!(s.faults.len(), 1);
         assert_eq!(s.faults[0].node(), None);

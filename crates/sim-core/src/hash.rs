@@ -76,7 +76,7 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`]; stateless, so map construction is free.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
 // simlint: allow(nondet-collections): this IS the sanctioned deterministic alias the rule points everyone at

@@ -17,25 +17,25 @@
 //!   and the simulated `/proc/stat`.
 //! * [`trace`] — a bounded in-memory trace for debugging and for the
 //!   PowerPack-style profile alignment tools.
-//! * [`faults`] — typed, seed-deterministic fault-injection specs
+//! * `faults` — typed, seed-deterministic fault-injection specs
 //!   (stragglers, sick batteries, flaky DVFS, weak links) consumed by the
 //!   engine; empty specs are guaranteed bit-identical to no spec at all.
 
-pub mod causal;
-pub mod event;
-pub mod faults;
+pub(crate) mod causal;
+pub(crate) mod event;
+pub(crate) mod faults;
 pub mod float;
 pub mod hash;
-pub mod intern;
-pub mod rng;
-pub mod stats;
+pub(crate) mod intern;
+pub(crate) mod rng;
+pub(crate) mod stats;
 pub mod time;
 pub mod trace;
 
-pub use causal::{CausalLog, CausalMsgId, DvfsRecord, MsgRecord, WaitCause, WaitRecord};
-pub use event::{EventQueue, QueuedEvent};
-pub use faults::{Fault, FaultCounts, FaultSpec, DEFAULT_FAULT_SEED};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use causal::{CausalLog, DvfsRecord, MsgRecord, WaitCause, WaitRecord};
+pub use event::EventQueue;
+pub use faults::{Fault, FaultCounts, FaultSpec};
+pub use hash::{FxHashMap, FxHashSet};
 pub use intern::intern_static;
 pub use rng::DetRng;
 pub use stats::{OnlineStats, TimeWeighted};

@@ -6,7 +6,7 @@
 //! * [`OnlineStats`] is a Welford mean/variance accumulator used by the
 //!   measurement framework to summarize repeated experiments.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Integrates a piecewise-constant `f64` signal over simulated time.
 ///
@@ -54,16 +54,6 @@ impl TimeWeighted {
         self.last_change = now;
     }
 
-    /// The current signal value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-
-    /// The integral up to the last `set`/`advance` call, in `unit * seconds`.
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-
     /// The integral including the still-open segment ending at `now`.
     /// `now` must not precede the last `set`/`advance` (signals are only
     /// readable at or after their latest change).
@@ -78,17 +68,6 @@ impl TimeWeighted {
         );
         self.integral + self.value * now.since(self.last_change).as_secs_f64()
     }
-
-    /// Time-weighted average over `[start, now]` given the originating start
-    /// time; zero if the window is empty.
-    pub fn average(&self, start: SimTime, now: SimTime) -> f64 {
-        let span = now.since(start).as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.integral_at(now) / span
-        }
-    }
 }
 
 /// Welford online mean/variance over a stream of samples.
@@ -97,8 +76,6 @@ pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
@@ -108,8 +85,6 @@ impl OnlineStats {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -119,13 +94,6 @@ impl OnlineStats {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Sample mean, or 0 when empty.
@@ -138,7 +106,7 @@ impl OnlineStats {
     }
 
     /// Unbiased sample variance, or 0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -150,34 +118,19 @@ impl OnlineStats {
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Smallest sample, or +inf when empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample, or -inf when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// Convenience: duration-weighted sum of `(value, duration)` segments,
-/// returning `unit * seconds`.
-pub fn weighted_integral(segments: &[(f64, SimDuration)]) -> f64 {
-    segments.iter().map(|(v, d)| v * d.as_secs_f64()).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use proptest::prelude::*;
 
     #[test]
     fn constant_signal_integrates_linearly() {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 30.0); // 30 W
         tw.advance(SimTime::from_secs(10));
-        assert!((tw.integral() - 300.0).abs() < 1e-9); // 300 J
+        assert!((tw.integral_at(SimTime::from_secs(10)) - 300.0).abs() < 1e-9); // 300 J
     }
 
     #[test]
@@ -185,8 +138,7 @@ mod tests {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 10.0);
         tw.set(SimTime::from_secs(5), 20.0);
         tw.advance(SimTime::from_secs(10));
-        assert!((tw.integral() - (50.0 + 100.0)).abs() < 1e-9);
-        assert_eq!(tw.value(), 20.0);
+        assert!((tw.integral_at(SimTime::from_secs(10)) - (50.0 + 100.0)).abs() < 1e-9);
     }
 
     #[test]
@@ -196,29 +148,13 @@ mod tests {
     }
 
     #[test]
-    fn average_over_window() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_secs(5), 10.0);
-        let avg = tw.average(SimTime::ZERO, SimTime::from_secs(10));
-        assert!((avg - 5.0).abs() < 1e-9);
-        // Empty window yields zero rather than NaN.
-        assert_eq!(
-            tw.average(SimTime::from_secs(3), SimTime::from_secs(3)),
-            0.0
-        );
-    }
-
-    #[test]
     fn online_stats_basic() {
         let mut s = OnlineStats::new();
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             s.push(x);
         }
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
     }
 
     #[test]
@@ -229,15 +165,6 @@ mod tests {
         s.push(3.0);
         assert_eq!(s.mean(), 3.0);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn weighted_integral_sums_segments() {
-        let segs = [
-            (10.0, SimDuration::from_secs(2)),
-            (5.0, SimDuration::from_secs(4)),
-        ];
-        assert!((weighted_integral(&segs) - 40.0).abs() < 1e-9);
     }
 
     proptest! {
@@ -256,7 +183,7 @@ mod tests {
                 tw.set(t, v);
                 current = v;
             }
-            prop_assert!((tw.integral() - manual).abs() < 1e-6 * manual.abs().max(1.0));
+            prop_assert!((tw.integral_at(t) - manual).abs() < 1e-6 * manual.abs().max(1.0));
         }
 
         /// Welford mean matches the naive mean.

@@ -10,13 +10,13 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Picoseconds per nanosecond.
-pub const PS_PER_NS: u64 = 1_000;
+pub(crate) const PS_PER_NS: u64 = 1_000;
 /// Picoseconds per microsecond.
 pub const PS_PER_US: u64 = 1_000_000;
 /// Picoseconds per millisecond.
-pub const PS_PER_MS: u64 = 1_000_000_000;
+pub(crate) const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
-pub const PS_PER_SEC: u64 = 1_000_000_000_000;
+pub(crate) const PS_PER_SEC: u64 = 1_000_000_000_000;
 
 /// An absolute point on the simulated clock, in picoseconds since the start
 /// of the simulation.
@@ -30,9 +30,6 @@ pub struct SimDuration(pub u64);
 impl SimTime {
     /// The beginning of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; used as an "infinitely far away"
-    /// sentinel for deadlines that are never reached.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Instant `secs` seconds after simulation start.
     pub fn from_secs(secs: u64) -> Self {
@@ -57,7 +54,7 @@ impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
     /// The largest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
+    pub(crate) const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// A span of whole picoseconds.
     pub fn from_ps(ps: u64) -> Self {
@@ -119,11 +116,6 @@ impl SimDuration {
     /// True when the span is zero.
     pub fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating subtraction: `self - other`, or zero if `other` is larger.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// Multiply the span by a non-negative factor, rounding to the nearest

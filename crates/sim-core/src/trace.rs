@@ -136,11 +136,6 @@ impl Trace {
         t
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record an event.
     pub fn record(&mut self, time: SimTime, node: usize, kind: TraceKind, detail: TraceDetail) {
         self.record_with(time, node, kind, || detail);
@@ -178,16 +173,6 @@ impl Trace {
     /// All retained events in chronological order.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()
-    }
-
-    /// Retained events matching `kind`.
-    pub fn of_kind(&self, kind: TraceKind) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// Retained events for one node.
-    pub fn for_node(&self, node: usize) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.node == node)
     }
 
     /// How many events were discarded due to the capacity bound.
@@ -236,22 +221,10 @@ mod tests {
     }
 
     #[test]
-    fn filters_by_kind_and_node() {
-        let mut t = Trace::new(10);
-        ev(&mut t, 1, 0, TraceKind::FreqChange);
-        ev(&mut t, 2, 1, TraceKind::FreqChange);
-        ev(&mut t, 3, 0, TraceKind::Sample);
-        assert_eq!(t.of_kind(TraceKind::FreqChange).count(), 2);
-        assert_eq!(t.for_node(0).count(), 2);
-        assert_eq!(t.for_node(1).count(), 1);
-    }
-
-    #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
         ev(&mut t, 1, 0, TraceKind::Other);
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
@@ -280,7 +253,7 @@ mod tests {
     fn zero_capacity_counts_drops() {
         let mut t = Trace::new(0);
         ev(&mut t, 1, 0, TraceKind::Other);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.dropped(), 1);
     }
 

@@ -11,20 +11,20 @@ use std::collections::HashMap as StdHashMap;
 
 /// One parsed allow-comment.
 #[derive(Debug)]
-pub struct AllowEntry {
+pub(crate) struct AllowEntry {
     /// The line the comment itself is on (1-based).
-    pub comment_line: usize,
+    pub(crate) comment_line: usize,
     /// Rule ids listed between the parentheses.
-    pub rules: Vec<String>,
+    pub(crate) rules: Vec<String>,
     /// Whether non-empty justification text followed the rule list.
-    pub justified: bool,
+    pub(crate) justified: bool,
     /// Set when the entry suppressed at least one finding.
-    pub used: Cell<bool>,
+    pub(crate) used: Cell<bool>,
 }
 
 /// All allow-comments of one file, indexed by the lines they govern.
 #[derive(Debug, Default)]
-pub struct AllowTable {
+pub(crate) struct AllowTable {
     entries: Vec<AllowEntry>,
     /// line -> entry indices governing that line.
     by_line: StdHashMap<usize, Vec<usize>>,
@@ -34,7 +34,7 @@ const MARKER: &str = "simlint:";
 
 impl AllowTable {
     /// Scan raw source text for allow-comments.
-    pub fn parse(src: &str) -> AllowTable {
+    pub(crate) fn parse(src: &str) -> AllowTable {
         let mut table = AllowTable::default();
         for (idx, raw) in src.lines().enumerate() {
             let line_no = idx + 1;
@@ -93,7 +93,7 @@ impl AllowTable {
     /// True when a (justified) allow for `rule` governs `line`; marks the
     /// entry used. Unjustified allows do *not* suppress — otherwise a
     /// lazy `allow()` would silence both the original finding and itself.
-    pub fn suppresses(&self, line: usize, rule: &str) -> bool {
+    pub(crate) fn suppresses(&self, line: usize, rule: &str) -> bool {
         let Some(indices) = self.by_line.get(&line) else {
             return false;
         };
@@ -108,7 +108,7 @@ impl AllowTable {
     }
 
     /// All parsed entries (for the `bad-allow`/`unused-allow` passes).
-    pub fn entries(&self) -> &[AllowEntry] {
+    pub(crate) fn entries(&self) -> &[AllowEntry] {
         &self.entries
     }
 }

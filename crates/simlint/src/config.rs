@@ -10,49 +10,50 @@ pub struct Config {
     /// linted in workspace mode. Everything else — `obs` (wall-clock
     /// profiling is its job), `cli`, `bench`, the compat shims, and
     /// simlint itself — is out of scope.
-    pub scope_crates: Vec<&'static str>,
+    pub(crate) scope_crates: Vec<&'static str>,
     /// Path suffixes (unix-style) where environment reads are sanctioned:
     /// the single `PWRPERF_THREADS` funnel.
-    pub env_allowed_files: Vec<&'static str>,
+    pub(crate) env_allowed_files: Vec<&'static str>,
     /// Path suffixes exempt from `float-eq`: the approved epsilon-helper
     /// modules themselves.
-    pub float_eq_allowed_files: Vec<&'static str>,
+    pub(crate) float_eq_allowed_files: Vec<&'static str>,
     /// Struct/enum names that must carry `#[must_use]` at declaration.
-    pub must_use_types: Vec<&'static str>,
+    pub(crate) must_use_types: Vec<&'static str>,
     /// Public functions whose names start with one of these prefixes must
     /// carry `#[must_use]`.
-    pub must_use_fn_prefixes: Vec<&'static str>,
+    pub(crate) must_use_fn_prefixes: Vec<&'static str>,
     /// Crates whose public `Result`-returning functions must carry
     /// `#[must_use]` (measurement APIs: dropping a reading silently is a
     /// validity bug, not a style nit).
-    pub measurement_crates: Vec<&'static str>,
+    pub(crate) measurement_crates: Vec<&'static str>,
 }
 
 /// The controller trait whose impls the `controller-discipline` family
 /// audits.
-pub const CONTROLLER_TRAIT: &str = "ClusterController";
+pub(crate) const CONTROLLER_TRAIT: &str = "ClusterController";
 
 /// The `ClusterController` hooks that only fire when
 /// `wants_runtime_events` returns true — and whose non-sample members may
 /// never emit `Decision`s.
-pub const CONTROLLER_RUNTIME_HOOKS: &[&str] =
+pub(crate) const CONTROLLER_RUNTIME_HOOKS: &[&str] =
     &["on_wait_begin", "on_wait_end", "on_phase", "on_sample"];
 
 /// The runtime hooks that must *not* push decisions (decisions are legal
 /// only from sample instants — DESIGN.md §15).
-pub const CONTROLLER_NON_SAMPLE_HOOKS: &[&str] = &["on_wait_begin", "on_wait_end", "on_phase"];
+pub(crate) const CONTROLLER_NON_SAMPLE_HOOKS: &[&str] =
+    &["on_wait_begin", "on_wait_end", "on_phase"];
 
 /// The gate method runtime hooks hide behind.
-pub const CONTROLLER_GATE: &str = "wants_runtime_events";
+pub(crate) const CONTROLLER_GATE: &str = "wants_runtime_events";
 
 /// The unit suffixes rule `unit-suffix-type` and `unit-mix` recognize, in
 /// longest-first order so `_mwh` wins over `_w` and `_mhz`/`_hz` resolve
 /// correctly.
-pub const UNIT_SUFFIXES: &[&str] = &["_mwh", "_mhz", "_mw", "_hz", "_us", "_w", "_j", "_s"];
+pub(crate) const UNIT_SUFFIXES: &[&str] = &["_mwh", "_mhz", "_mw", "_hz", "_us", "_w", "_j", "_s"];
 
 /// The blessed numeric types for each suffix: what a field/parameter with
 /// that unit suffix must be declared as.
-pub fn blessed_types(suffix: &str) -> &'static [&'static str] {
+pub(crate) fn blessed_types(suffix: &str) -> &'static [&'static str] {
     match suffix {
         // Instantaneous power and energy are continuous model outputs.
         "_w" | "_mw" | "_j" => &["f64"],
@@ -71,7 +72,7 @@ pub fn blessed_types(suffix: &str) -> &'static [&'static str] {
 }
 
 /// The unit suffix of an identifier, if it ends in one.
-pub fn unit_suffix(name: &str) -> Option<&'static str> {
+pub(crate) fn unit_suffix(name: &str) -> Option<&'static str> {
     UNIT_SUFFIXES
         .iter()
         .find(|s| name.ends_with(**s) && name.len() > s.len())
@@ -165,7 +166,7 @@ impl Config {
     }
 
     /// True when `rel_path` (unix-style) is one of the `suffixes`.
-    pub fn path_matches(rel_path: &str, suffixes: &[&str]) -> bool {
+    pub(crate) fn path_matches(rel_path: &str, suffixes: &[&str]) -> bool {
         suffixes
             .iter()
             .any(|s| rel_path == *s || rel_path.ends_with(&format!("/{s}")))

@@ -21,7 +21,7 @@ use crate::model::Workspace;
 use crate::rules::Finding;
 
 /// Run the pass over every audited impl.
-pub fn check(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     for im in &ws.impls {
         if im.trait_name.as_deref() != Some(CONTROLLER_TRAIT) {

@@ -19,14 +19,14 @@ use crate::tokens::{Delimiter, Group, Ident, LexError, TokenStream, TokenTree};
 /// One outer `#[...]` attribute. The stream is the tokens
 /// *inside* the brackets: `cfg(test)`, `must_use`, `derive(Debug)`, ...
 #[derive(Debug, Clone)]
-pub struct Attribute {
-    pub tokens: TokenStream,
+pub(crate) struct Attribute {
+    pub(crate) tokens: TokenStream,
 }
 
 impl Attribute {
     /// First ident of the attribute — its "path" for the common one-segment
     /// case (`test`, `cfg`, `must_use`, `derive`).
-    pub fn path_ident(&self) -> Option<String> {
+    pub(crate) fn path_ident(&self) -> Option<String> {
         match self.tokens.tokens().first() {
             Some(TokenTree::Ident(i)) => Some(i.to_string()),
             _ => None,
@@ -35,7 +35,7 @@ impl Attribute {
 
     /// True when the attribute mentions `test` under a `cfg` path:
     /// `#[cfg(test)]`, `#[cfg(any(test, feature = "x"))]`.
-    pub fn is_cfg_test(&self) -> bool {
+    pub(crate) fn is_cfg_test(&self) -> bool {
         if self.path_ident().as_deref() != Some("cfg") {
             return false;
         }
@@ -43,12 +43,12 @@ impl Attribute {
     }
 
     /// True for `#[test]` (and the nightly `#[bench]`).
-    pub fn is_test_marker(&self) -> bool {
+    pub(crate) fn is_test_marker(&self) -> bool {
         matches!(self.path_ident().as_deref(), Some("test" | "bench"))
     }
 
     /// True for `#[must_use]` (with or without a message).
-    pub fn is_must_use(&self) -> bool {
+    pub(crate) fn is_must_use(&self) -> bool {
         self.path_ident().as_deref() == Some("must_use")
     }
 }
@@ -64,25 +64,25 @@ fn stream_mentions_ident(stream: &TokenStream, name: &str) -> bool {
 /// Item visibility. Only the distinction the analyzer needs: `pub`
 /// (including `pub(crate)` etc.) vs. private.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Visibility {
+pub(crate) enum Visibility {
     Public,
     Inherited,
 }
 
 /// A function signature: `fn name(<inputs>) -> <output>`.
 #[derive(Debug, Clone)]
-pub struct Signature {
-    pub ident: Ident,
+pub(crate) struct Signature {
+    pub(crate) ident: Ident,
     /// Tokens between the parentheses of the parameter list.
-    pub inputs: TokenStream,
+    pub(crate) inputs: TokenStream,
     /// Tokens after `->` (empty stream when the return type is `()`).
-    pub output: TokenStream,
+    pub(crate) output: TokenStream,
 }
 
 impl Signature {
     /// True when the first parameter is a `self` receiver: `self`,
     /// `mut self`, `&self`, `&mut self`, `&'a self`, or `self: Pin<...>`.
-    pub fn takes_self(&self) -> bool {
+    pub(crate) fn takes_self(&self) -> bool {
         let Some(first) = split_top_level_commas(&self.inputs).into_iter().next() else {
             return false;
         };
@@ -104,63 +104,63 @@ impl Signature {
 
 /// A `fn` item (free function, method, or trait method).
 #[derive(Debug, Clone)]
-pub struct ItemFn {
-    pub attrs: Vec<Attribute>,
-    pub vis: Visibility,
-    pub sig: Signature,
+pub(crate) struct ItemFn {
+    pub(crate) attrs: Vec<Attribute>,
+    pub(crate) vis: Visibility,
+    pub(crate) sig: Signature,
     /// The body's brace group; `None` for trait method declarations.
-    pub body: Option<Group>,
+    pub(crate) body: Option<Group>,
 }
 
 /// One named field of a struct or enum variant (tuple fields get no ident).
 #[derive(Debug, Clone)]
-pub struct Field {
-    pub ident: Option<Ident>,
-    pub ty: TokenStream,
+pub(crate) struct Field {
+    pub(crate) ident: Option<Ident>,
+    pub(crate) ty: TokenStream,
 }
 
 /// A `struct` item.
 #[derive(Debug, Clone)]
-pub struct ItemStruct {
-    pub attrs: Vec<Attribute>,
-    pub ident: Ident,
-    pub fields: Vec<Field>,
+pub(crate) struct ItemStruct {
+    pub(crate) attrs: Vec<Attribute>,
+    pub(crate) ident: Ident,
+    pub(crate) fields: Vec<Field>,
 }
 
 /// One variant of an enum, with any fields it declares.
 #[derive(Debug, Clone)]
-pub struct Variant {
-    pub fields: Vec<Field>,
+pub(crate) struct Variant {
+    pub(crate) fields: Vec<Field>,
 }
 
 /// An `enum` item.
 #[derive(Debug, Clone)]
-pub struct ItemEnum {
-    pub attrs: Vec<Attribute>,
-    pub ident: Ident,
-    pub variants: Vec<Variant>,
+pub(crate) struct ItemEnum {
+    pub(crate) attrs: Vec<Attribute>,
+    pub(crate) ident: Ident,
+    pub(crate) variants: Vec<Variant>,
 }
 
 /// A `mod` item; `content` is `None` for out-of-line `mod foo;`.
 #[derive(Debug, Clone)]
-pub struct ItemMod {
-    pub attrs: Vec<Attribute>,
-    pub content: Option<Vec<Item>>,
+pub(crate) struct ItemMod {
+    pub(crate) attrs: Vec<Attribute>,
+    pub(crate) content: Option<Vec<Item>>,
 }
 
 /// An `impl` block; `header` is everything between `impl` and the body.
 #[derive(Debug, Clone)]
-pub struct ItemImpl {
-    pub attrs: Vec<Attribute>,
-    pub header: TokenStream,
-    pub items: Vec<Item>,
+pub(crate) struct ItemImpl {
+    pub(crate) attrs: Vec<Attribute>,
+    pub(crate) header: TokenStream,
+    pub(crate) items: Vec<Item>,
 }
 
 impl ItemImpl {
     /// The ident of the implemented-for type: `Foo` in `impl Foo`,
     /// `impl<T> Foo<T>`, and `impl Trait for Foo`. For path types the last
     /// segment before any generics is returned.
-    pub fn self_ty_ident(&self) -> Option<String> {
+    pub(crate) fn self_ty_ident(&self) -> Option<String> {
         let (trait_part, self_part) = self.split_header();
         let _ = trait_part;
         last_path_segment(&self_part)
@@ -169,7 +169,7 @@ impl ItemImpl {
     /// For `impl Trait for Type`, the trait's last path segment
     /// (`ClusterController` in `impl dvfs::ClusterController for X`);
     /// `None` for inherent impls.
-    pub fn trait_ident(&self) -> Option<String> {
+    pub(crate) fn trait_ident(&self) -> Option<String> {
         let (trait_part, _) = self.split_header();
         last_path_segment(&trait_part?)
     }
@@ -249,15 +249,15 @@ fn last_path_segment(tokens: &[TokenTree]) -> Option<String> {
 /// A `trait` definition; `header` is everything between `trait` and the
 /// body (name, generics, supertraits).
 #[derive(Debug, Clone)]
-pub struct ItemTrait {
-    pub attrs: Vec<Attribute>,
-    pub header: TokenStream,
-    pub items: Vec<Item>,
+pub(crate) struct ItemTrait {
+    pub(crate) attrs: Vec<Attribute>,
+    pub(crate) header: TokenStream,
+    pub(crate) items: Vec<Item>,
 }
 
 impl ItemTrait {
     /// The trait's name: the first ident of the header.
-    pub fn ident(&self) -> Option<String> {
+    pub(crate) fn ident(&self) -> Option<String> {
         match self.header.tokens().first() {
             Some(TokenTree::Ident(i)) => Some(i.to_string()),
             _ => None,
@@ -269,7 +269,7 @@ impl ItemTrait {
 /// (`use`, `const`, `static`, `type`, macro definitions/invocations,
 /// `extern` blocks).
 #[derive(Debug, Clone)]
-pub enum Item {
+pub(crate) enum Item {
     Fn(ItemFn),
     Struct(ItemStruct),
     Enum(ItemEnum),
@@ -281,14 +281,14 @@ pub enum Item {
 
 /// An unmodeled item: its attributes and raw tokens.
 #[derive(Debug, Clone)]
-pub struct VerbatimItem {
-    pub attrs: Vec<Attribute>,
-    pub tokens: TokenStream,
+pub(crate) struct VerbatimItem {
+    pub(crate) attrs: Vec<Attribute>,
+    pub(crate) tokens: TokenStream,
 }
 
 impl Item {
     /// The item's outer attributes.
-    pub fn attrs(&self) -> &[Attribute] {
+    pub(crate) fn attrs(&self) -> &[Attribute] {
         match self {
             Item::Fn(i) => &i.attrs,
             Item::Struct(i) => &i.attrs,
@@ -303,12 +303,12 @@ impl Item {
 
 /// A parsed source file.
 #[derive(Debug, Clone)]
-pub struct File {
-    pub items: Vec<Item>,
+pub(crate) struct File {
+    pub(crate) items: Vec<Item>,
 }
 
 /// Parse a whole source file.
-pub fn parse_file(src: &str) -> Result<File, LexError> {
+pub(crate) fn parse_file(src: &str) -> Result<File, LexError> {
     let stream: TokenStream = src.parse()?;
     let items = Parser {
         tokens: stream.tokens(),
@@ -859,7 +859,7 @@ fn parse_tuple_fields(stream: &TokenStream) -> Vec<Field> {
 /// Split a stream on commas that are not nested inside `<...>` generics
 /// (groups nest naturally as single tokens). The model and unit-flow
 /// pass split parameter and argument lists with it too.
-pub fn split_top_level_commas(stream: &TokenStream) -> Vec<Vec<TokenTree>> {
+pub(crate) fn split_top_level_commas(stream: &TokenStream) -> Vec<Vec<TokenTree>> {
     let mut parts = Vec::new();
     let mut current = Vec::new();
     let mut angle = 0i32;
@@ -895,7 +895,7 @@ pub fn split_top_level_commas(stream: &TokenStream) -> Vec<Vec<TokenTree>> {
 /// group this yields statements: semicolons nested in inner groups
 /// (blocks, array types, closures' bodies) don't split because groups are
 /// single tokens. The final expression (no trailing `;`) is its own part.
-pub fn split_top_level_semis(stream: &TokenStream) -> Vec<Vec<TokenTree>> {
+pub(crate) fn split_top_level_semis(stream: &TokenStream) -> Vec<Vec<TokenTree>> {
     let mut parts = Vec::new();
     let mut current = Vec::new();
     for t in stream.tokens() {

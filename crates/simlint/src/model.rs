@@ -17,47 +17,47 @@ use crate::tokens::{Group, TokenTree};
 
 /// One function parameter (excluding `self`).
 #[derive(Debug, Clone)]
-pub struct Param {
-    pub name: String,
+pub(crate) struct Param {
+    pub(crate) name: String,
     /// Unit suffix carried by the parameter name (`power_w` -> `_w`).
-    pub unit: Option<&'static str>,
+    pub(crate) unit: Option<&'static str>,
     /// Last path segment of the declared type (`&Node` -> `Node`,
     /// `Vec<f64>` -> `Vec`), when it is a plain path type.
-    pub ty_name: Option<String>,
+    pub(crate) ty_name: Option<String>,
 }
 
 /// One function in the workspace.
 #[derive(Debug)]
-pub struct FnNode {
-    pub file: String,
-    pub line: usize,
-    pub column: usize,
-    pub name: String,
+pub(crate) struct FnNode {
+    pub(crate) file: String,
+    pub(crate) line: usize,
+    pub(crate) column: usize,
+    pub(crate) name: String,
     /// Enclosing impl's self type, for methods.
-    pub self_ty: Option<String>,
+    pub(crate) self_ty: Option<String>,
     /// True for methods that take a `self` receiver.
-    pub takes_self: bool,
-    pub params: Vec<Param>,
+    pub(crate) takes_self: bool,
+    pub(crate) params: Vec<Param>,
     /// Unit suffix carried by the function name (`total_j` -> `_j`).
-    pub ret_unit: Option<&'static str>,
-    pub is_test: bool,
-    pub body: Option<Group>,
+    pub(crate) ret_unit: Option<&'static str>,
+    pub(crate) is_test: bool,
+    pub(crate) body: Option<Group>,
 }
 
 /// One `impl` block (the controller-discipline rules read these).
 #[derive(Debug)]
-pub struct ImplNode {
-    pub self_ty: Option<String>,
-    pub trait_name: Option<String>,
+pub(crate) struct ImplNode {
+    pub(crate) self_ty: Option<String>,
+    pub(crate) trait_name: Option<String>,
     /// Indices into [`Workspace::fns`] for the methods defined here.
-    pub methods: Vec<usize>,
+    pub(crate) methods: Vec<usize>,
 }
 
 /// The whole-workspace symbol table.
 #[derive(Debug, Default)]
-pub struct Workspace {
-    pub fns: Vec<FnNode>,
-    pub impls: Vec<ImplNode>,
+pub(crate) struct Workspace {
+    pub(crate) fns: Vec<FnNode>,
+    pub(crate) impls: Vec<ImplNode>,
     /// name -> fn indices (methods and free functions alike).
     by_name: BTreeMap<String, Vec<usize>>,
     /// (self_ty, name) -> fn indices.
@@ -67,7 +67,7 @@ pub struct Workspace {
 impl Workspace {
     /// Build the model from parsed files (`(rel_path, parsed)` pairs;
     /// files that failed to parse are simply absent from the model).
-    pub fn build(files: &[(String, Option<crate::items::File>)]) -> Workspace {
+    pub(crate) fn build(files: &[(String, Option<crate::items::File>)]) -> Workspace {
         let mut ws = Workspace::default();
         for (rel, parsed) in files {
             let Some(file) = parsed else { continue };
@@ -87,12 +87,12 @@ impl Workspace {
     }
 
     /// All functions named `name`.
-    pub fn fns_named(&self, name: &str) -> &[usize] {
+    pub(crate) fn fns_named(&self, name: &str) -> &[usize] {
         self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// All methods `ty::name`.
-    pub fn methods_of(&self, ty: &str, name: &str) -> &[usize] {
+    pub(crate) fn methods_of(&self, ty: &str, name: &str) -> &[usize] {
         self.by_ty_name
             .get(&(ty.to_string(), name.to_string()))
             .map(Vec::as_slice)

@@ -53,7 +53,7 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
 /// The per-file rules against a caller-owned allow table. The workspace
 /// passes share the same table, so their suppressions count as "used" and
 /// hygiene (run separately via [`allow_hygiene`]) sees the whole picture.
-pub fn lint_source_with(
+pub(crate) fn lint_source_with(
     rel_path: &str,
     src: &str,
     cfg: &Config,
@@ -86,7 +86,7 @@ pub fn lint_source_with(
 
 /// `bad-allow` / `unused-allow` hygiene. Run after every pass that can
 /// mark entries used has finished.
-pub fn allow_hygiene(rel_path: &str, allows: &AllowTable) -> Vec<Finding> {
+pub(crate) fn allow_hygiene(rel_path: &str, allows: &AllowTable) -> Vec<Finding> {
     let mut out = Vec::new();
     for e in allows.entries() {
         if !e.justified {

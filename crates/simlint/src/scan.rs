@@ -6,7 +6,7 @@ use crate::tokens::{Delimiter, Group, Ident, Literal, Spacing, Span, TokenTree};
 
 /// One element of a flattened stream level. Groups stay opaque — callers
 /// recurse into them explicitly.
-pub enum Flat<'a> {
+pub(crate) enum Flat<'a> {
     Ident(&'a Ident),
     Lit(&'a Literal),
     /// An operator assembled from one or more adjacent punct characters.
@@ -15,7 +15,7 @@ pub enum Flat<'a> {
 }
 
 impl Flat<'_> {
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         match self {
             Flat::Ident(i) => i.span(),
             Flat::Lit(l) => l.span(),
@@ -33,7 +33,7 @@ const MULTI_OPS: &[&str] = &[
 ];
 
 /// Flatten one level of a token stream, assembling operator runs.
-pub fn flatten(tokens: &[TokenTree]) -> Vec<Flat<'_>> {
+pub(crate) fn flatten(tokens: &[TokenTree]) -> Vec<Flat<'_>> {
     let mut out = Vec::with_capacity(tokens.len());
     let mut i = 0usize;
     while i < tokens.len() {
@@ -83,7 +83,7 @@ pub fn flatten(tokens: &[TokenTree]) -> Vec<Flat<'_>> {
 
 /// True when the literal is float-shaped: has a decimal point or exponent
 /// (and is not a hex/octal/binary literal), or an explicit f32/f64 suffix.
-pub fn is_float_literal(lit: &Literal) -> bool {
+pub(crate) fn is_float_literal(lit: &Literal) -> bool {
     let r = lit.repr();
     if !r.starts_with(|c: char| c.is_ascii_digit()) {
         return false;
@@ -99,7 +99,7 @@ pub fn is_float_literal(lit: &Literal) -> bool {
 
 /// True when the literal is a plain integer (digits/underscores with an
 /// optional integer suffix) — the `x[0]` shape `literal-index` flags.
-pub fn is_int_literal(lit: &Literal) -> bool {
+pub(crate) fn is_int_literal(lit: &Literal) -> bool {
     let r = lit.repr();
     if !r.starts_with(|c: char| c.is_ascii_digit()) {
         return false;
@@ -112,7 +112,7 @@ pub fn is_int_literal(lit: &Literal) -> bool {
 /// of the nearest suffixed identifier, with its name. Stops at the first
 /// element that cannot extend a postfix chain, so `a + b_w` seen from `+`'s
 /// left side stops at `a` without crossing the operator.
-pub fn chain_suffix_back(flats: &[Flat<'_>], idx: usize) -> Option<(String, &'static str)> {
+pub(crate) fn chain_suffix_back(flats: &[Flat<'_>], idx: usize) -> Option<(String, &'static str)> {
     let mut i = idx;
     while i > 0 {
         i -= 1;
@@ -142,7 +142,7 @@ pub fn chain_suffix_back(flats: &[Flat<'_>], idx: usize) -> Option<(String, &'st
 /// Forward counterpart of [`chain_suffix_back`]: the unit suffix of the
 /// nearest suffixed identifier in the postfix chain starting at `idx`
 /// (`self.drawn_j`, `f(x).y_w`, `p.0.rate_hz`).
-pub fn chain_suffix_fwd(flats: &[Flat<'_>], idx: usize) -> Option<(String, &'static str)> {
+pub(crate) fn chain_suffix_fwd(flats: &[Flat<'_>], idx: usize) -> Option<(String, &'static str)> {
     let mut i = idx;
     loop {
         match flats.get(i)? {

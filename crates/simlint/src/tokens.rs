@@ -16,33 +16,33 @@ use std::str::FromStr;
 /// `column` is a 0-based character (not byte) offset, matching the real
 /// proc-macro2 convention.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct LineColumn {
-    pub line: usize,
-    pub column: usize,
+pub(crate) struct LineColumn {
+    pub(crate) line: usize,
+    pub(crate) column: usize,
 }
 
 /// Where a token starts in the source text (findings report only the
 /// start, so that is all a span keeps).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Span {
+pub(crate) struct Span {
     start: LineColumn,
 }
 
 impl Span {
     /// A span starting at `start`.
-    pub fn new(start: LineColumn) -> Span {
+    pub(crate) fn new(start: LineColumn) -> Span {
         Span { start }
     }
 
     /// Where the region begins.
-    pub fn start(&self) -> LineColumn {
+    pub(crate) fn start(&self) -> LineColumn {
         self.start
     }
 }
 
 /// Which bracket pair a [`Group`] is wrapped in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Delimiter {
+pub(crate) enum Delimiter {
     /// `( ... )`
     Parenthesis,
     /// `{ ... }`
@@ -54,21 +54,21 @@ pub enum Delimiter {
 /// Whether a [`Punct`] is immediately followed by another punct character
 /// (`Joint`) or not (`Alone`) — what lets `==` be distinguished from `= =`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Spacing {
+pub(crate) enum Spacing {
     Alone,
     Joint,
 }
 
 /// A word: keyword, identifier, or raw identifier (stored without `r#`).
 #[derive(Clone, Debug)]
-pub struct Ident {
+pub(crate) struct Ident {
     sym: String,
     span: Span,
 }
 
 impl Ident {
     /// Construct an identifier with an explicit span.
-    pub fn new(sym: &str, span: Span) -> Ident {
+    pub(crate) fn new(sym: &str, span: Span) -> Ident {
         Ident {
             sym: sym.to_string(),
             span,
@@ -76,7 +76,7 @@ impl Ident {
     }
 
     /// The identifier's source location.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         self.span
     }
 }
@@ -101,7 +101,7 @@ impl PartialEq<&str> for Ident {
 
 /// A single punctuation character.
 #[derive(Clone, Debug)]
-pub struct Punct {
+pub(crate) struct Punct {
     ch: char,
     spacing: Spacing,
     span: Span,
@@ -109,22 +109,22 @@ pub struct Punct {
 
 impl Punct {
     /// Construct a punct with an explicit span.
-    pub fn new(ch: char, spacing: Spacing, span: Span) -> Punct {
+    pub(crate) fn new(ch: char, spacing: Spacing, span: Span) -> Punct {
         Punct { ch, spacing, span }
     }
 
     /// The character itself.
-    pub fn as_char(&self) -> char {
+    pub(crate) fn as_char(&self) -> char {
         self.ch
     }
 
     /// Whether the next token was another punct character.
-    pub fn spacing(&self) -> Spacing {
+    pub(crate) fn spacing(&self) -> Spacing {
         self.spacing
     }
 
     /// The punct's source location.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         self.span
     }
 }
@@ -132,24 +132,24 @@ impl Punct {
 /// A literal token: numbers, strings, chars, and byte variants, stored as
 /// their verbatim source text.
 #[derive(Clone, Debug)]
-pub struct Literal {
+pub(crate) struct Literal {
     repr: String,
     span: Span,
 }
 
 impl Literal {
     /// Construct a literal from its source text.
-    pub fn new(repr: String, span: Span) -> Literal {
+    pub(crate) fn new(repr: String, span: Span) -> Literal {
         Literal { repr, span }
     }
 
     /// The literal's source location.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         self.span
     }
 
     /// The verbatim source text of the literal.
-    pub fn repr(&self) -> &str {
+    pub(crate) fn repr(&self) -> &str {
         &self.repr
     }
 }
@@ -162,7 +162,7 @@ impl fmt::Display for Literal {
 
 /// A delimited sequence of tokens.
 #[derive(Clone, Debug)]
-pub struct Group {
+pub(crate) struct Group {
     delimiter: Delimiter,
     stream: TokenStream,
     span: Span,
@@ -170,7 +170,7 @@ pub struct Group {
 
 impl Group {
     /// Construct a group with an explicit span.
-    pub fn new(delimiter: Delimiter, stream: TokenStream, span: Span) -> Group {
+    pub(crate) fn new(delimiter: Delimiter, stream: TokenStream, span: Span) -> Group {
         Group {
             delimiter,
             stream,
@@ -179,24 +179,24 @@ impl Group {
     }
 
     /// Which bracket pair wraps the group.
-    pub fn delimiter(&self) -> Delimiter {
+    pub(crate) fn delimiter(&self) -> Delimiter {
         self.delimiter
     }
 
     /// The tokens between the delimiters.
-    pub fn stream(&self) -> &TokenStream {
+    pub(crate) fn stream(&self) -> &TokenStream {
         &self.stream
     }
 
     /// The whole group's source location, delimiters included.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         self.span
     }
 }
 
 /// One node of the token tree.
 #[derive(Clone, Debug)]
-pub enum TokenTree {
+pub(crate) enum TokenTree {
     Group(Group),
     Ident(Ident),
     Punct(Punct),
@@ -205,7 +205,7 @@ pub enum TokenTree {
 
 impl TokenTree {
     /// The token's source location.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         match self {
             TokenTree::Group(g) => g.span(),
             TokenTree::Ident(i) => i.span(),
@@ -217,13 +217,13 @@ impl TokenTree {
 
 /// A sequence of [`TokenTree`]s.
 #[derive(Clone, Debug, Default)]
-pub struct TokenStream {
+pub(crate) struct TokenStream {
     trees: Vec<TokenTree>,
 }
 
 impl TokenStream {
     /// The top-level tokens as a slice.
-    pub fn tokens(&self) -> &[TokenTree] {
+    pub(crate) fn tokens(&self) -> &[TokenTree] {
         &self.trees
     }
 }
@@ -236,9 +236,9 @@ impl From<Vec<TokenTree>> for TokenStream {
 
 /// A lexing failure, with the position it occurred at.
 #[derive(Debug, Clone)]
-pub struct LexError {
-    pub pos: LineColumn,
-    pub message: String,
+pub(crate) struct LexError {
+    pub(crate) pos: LineColumn,
+    pub(crate) message: String,
 }
 
 impl FromStr for TokenStream {

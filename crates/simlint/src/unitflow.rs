@@ -27,7 +27,7 @@ use crate::rules::Finding;
 type Env = BTreeMap<String, &'static str>;
 
 /// Run the pass over every non-test function body.
-pub fn check(ws: &Workspace) -> Vec<Finding> {
+pub(crate) fn check(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     for f in &ws.fns {
         if f.is_test {

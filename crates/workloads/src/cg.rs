@@ -37,7 +37,7 @@ pub enum CgClass {
 
 impl CgClass {
     /// Matrix dimension.
-    pub fn n(self) -> u64 {
+    pub(crate) fn n(self) -> u64 {
         match self {
             CgClass::A => 14_000,
             CgClass::B => 75_000,
@@ -47,7 +47,7 @@ impl CgClass {
     }
 
     /// Approximate nonzero count.
-    pub fn nnz(self) -> u64 {
+    pub(crate) fn nnz(self) -> u64 {
         match self {
             CgClass::A => 2_000_000,
             CgClass::B => 13_700_000,
@@ -57,7 +57,7 @@ impl CgClass {
     }
 
     /// Outer iterations (each runs [`CG_INNER_STEPS`] inner steps).
-    pub fn outer_iterations(self) -> u32 {
+    pub(crate) fn outer_iterations(self) -> u32 {
         match self {
             CgClass::A => 15,
             CgClass::B | CgClass::C => 75,
@@ -67,21 +67,21 @@ impl CgClass {
 }
 
 /// Inner CG steps per outer iteration (NPB fixes 25).
-pub const CG_INNER_STEPS: u32 = 25;
+pub(crate) const CG_INNER_STEPS: u32 = 25;
 
 /// CG run configuration.
 #[derive(Debug, Clone)]
 pub struct CgConfig {
     /// Problem class.
-    pub class: CgClass,
+    pub(crate) class: CgClass,
     /// Rank count (row partitioning; any count >= 1).
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Wrap each inner step's communication in dynamic-DVS calls.
     pub dynamic_dvs: bool,
     /// Per-rank work jitter amplitude.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
     /// Jitter seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl CgConfig {
@@ -94,12 +94,6 @@ impl CgConfig {
             jitter: 0.01,
             seed: 0x4347, // "CG"
         }
-    }
-
-    /// Same run with dynamic-DVS instrumentation.
-    pub fn with_dynamic_dvs(mut self) -> Self {
-        self.dynamic_dvs = true;
-        self
     }
 }
 
@@ -239,7 +233,10 @@ mod tests {
     #[test]
     fn dynamic_variant_wraps_exchanges_only() {
         let plain = cg_programs(&CgConfig::paper_style(CgClass::Test, 4));
-        let dynamic = cg_programs(&CgConfig::paper_style(CgClass::Test, 4).with_dynamic_dvs());
+        let dynamic = cg_programs(&CgConfig {
+            dynamic_dvs: true,
+            ..CgConfig::paper_style(CgClass::Test, 4)
+        });
         let count = |p: &Program| p.ops().filter(|op| matches!(op, Op::SetSpeed(_))).count();
         assert_eq!(count(&plain[0]), 0);
         let steps = CgClass::Test.outer_iterations() * CG_INNER_STEPS;

@@ -35,7 +35,7 @@ pub enum FtClass {
 
 impl FtClass {
     /// Grid dimensions `(nx, ny, nz)`.
-    pub fn dims(self) -> (u64, u64, u64) {
+    pub(crate) fn dims(self) -> (u64, u64, u64) {
         match self {
             FtClass::A => (256, 256, 128),
             FtClass::B => (512, 256, 256),
@@ -45,7 +45,7 @@ impl FtClass {
     }
 
     /// Official iteration count.
-    pub fn iterations(self) -> u32 {
+    pub(crate) fn iterations(self) -> u32 {
         match self {
             FtClass::A => 6,
             FtClass::B => 20,
@@ -55,7 +55,7 @@ impl FtClass {
     }
 
     /// Total grid points.
-    pub fn total_points(self) -> u64 {
+    pub(crate) fn total_points(self) -> u64 {
         let (x, y, z) = self.dims();
         x * y * z
     }
@@ -65,21 +65,21 @@ impl FtClass {
 #[derive(Debug, Clone)]
 pub struct FtConfig {
     /// Problem class.
-    pub class: FtClass,
+    pub(crate) class: FtClass,
     /// Number of ranks (one per node). NPB FT requires a power of two.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Insert the paper's dynamic-DVS instrumentation: drop to the lowest
     /// operating point on entry to `fft()`, restore on exit.
     pub dynamic_dvs: bool,
     /// Per-rank work jitter amplitude (fraction, e.g. 0.01 = ±1%).
-    pub jitter: f64,
+    pub(crate) jitter: f64,
     /// RNG seed for the jitter.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Run this many iterations instead of the class's NPB count.
     /// Scale benchmarking uses `Some(1)` so a 4096-rank class-C run
     /// exercises one full evolve→fft→checksum epoch without paying for
     /// twenty.
-    pub iterations_override: Option<u32>,
+    pub(crate) iterations_override: Option<u32>,
 }
 
 impl FtConfig {
@@ -105,14 +105,8 @@ impl FtConfig {
         }
     }
 
-    /// Same run with dynamic-DVS instrumentation.
-    pub fn with_dynamic_dvs(mut self) -> Self {
-        self.dynamic_dvs = true;
-        self
-    }
-
     /// Iterations to run: the override if set, else the class's count.
-    pub fn iterations(&self) -> u32 {
+    pub(crate) fn iterations(&self) -> u32 {
         self.iterations_override
             .unwrap_or_else(|| self.class.iterations())
     }
@@ -268,7 +262,10 @@ mod tests {
     #[test]
     fn dynamic_variant_instruments_fft_only() {
         let plain = ft_programs(&FtConfig::paper(FtClass::Test, 4));
-        let dynamic = ft_programs(&FtConfig::paper(FtClass::Test, 4).with_dynamic_dvs());
+        let dynamic = ft_programs(&FtConfig {
+            dynamic_dvs: true,
+            ..FtConfig::paper(FtClass::Test, 4)
+        });
         let count = |p: &Program| p.ops().filter(|op| matches!(op, Op::SetSpeed(_))).count();
         assert_eq!(count(&plain[0]), 0);
         // Two requests (down + restore) per iteration.

@@ -31,7 +31,7 @@ pub enum MgClass {
 
 impl MgClass {
     /// Grid edge length (the grid is cubic).
-    pub fn n(self) -> u64 {
+    pub(crate) fn n(self) -> u64 {
         match self {
             MgClass::A | MgClass::B => 256,
             MgClass::C => 512,
@@ -40,7 +40,7 @@ impl MgClass {
     }
 
     /// V-cycle iterations.
-    pub fn iterations(self) -> u32 {
+    pub(crate) fn iterations(self) -> u32 {
         match self {
             MgClass::A => 4,
             MgClass::B | MgClass::C => 20,
@@ -53,15 +53,15 @@ impl MgClass {
 #[derive(Debug, Clone)]
 pub struct MgConfig {
     /// Problem class.
-    pub class: MgClass,
+    pub(crate) class: MgClass,
     /// Rank count; must factor into a 3-D grid (powers of two work best).
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Wrap each level's halo exchange in dynamic-DVS calls.
     pub dynamic_dvs: bool,
     /// Per-rank work jitter amplitude.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
     /// Jitter seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl MgConfig {
@@ -75,17 +75,11 @@ impl MgConfig {
             seed: 0x4D47, // "MG"
         }
     }
-
-    /// Same run with dynamic-DVS instrumentation.
-    pub fn with_dynamic_dvs(mut self) -> Self {
-        self.dynamic_dvs = true;
-        self
-    }
 }
 
 /// Factor `p` into a near-cubic 3-D grid `(px, py, pz)` with
 /// `px >= py >= pz` (the NPB processor-grid rule).
-pub fn process_grid_3d(p: usize) -> (usize, usize, usize) {
+pub(crate) fn process_grid_3d(p: usize) -> (usize, usize, usize) {
     assert!(p > 0);
     let mut best = (p, 1, 1);
     let mut best_surface = usize::MAX;
@@ -344,7 +338,10 @@ mod tests {
 
     #[test]
     fn dynamic_variant_instruments_halos() {
-        let d = mg_programs(&MgConfig::paper_style(MgClass::Test, 8).with_dynamic_dvs());
+        let d = mg_programs(&MgConfig {
+            dynamic_dvs: true,
+            ..MgConfig::paper_style(MgClass::Test, 8)
+        });
         let speed_ops = d[0]
             .ops()
             .filter(|op| matches!(op, Op::SetSpeed(_)))

@@ -23,11 +23,11 @@ use crate::CYCLES_PER_FLOP;
 #[derive(Debug, Clone)]
 pub struct SpecConfig {
     /// Number of outer timesteps (scales runtime; the paper runs minutes).
-    pub timesteps: u32,
+    pub(crate) timesteps: u32,
     /// Work jitter amplitude.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
     /// Jitter seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl SpecConfig {
@@ -39,14 +39,6 @@ impl SpecConfig {
             timesteps: 200,
             jitter: 0.005,
             seed: 0x53_50, // "SP"
-        }
-    }
-
-    /// Tiny run for tests.
-    pub fn small() -> Self {
-        SpecConfig {
-            timesteps: 2,
-            ..SpecConfig::paper()
         }
     }
 }
@@ -108,6 +100,14 @@ pub fn mgrid_program(config: &SpecConfig) -> Program {
 mod tests {
     use super::*;
 
+    /// Tiny run for tests.
+    fn small() -> SpecConfig {
+        SpecConfig {
+            timesteps: 2,
+            ..SpecConfig::paper()
+        }
+    }
+
     fn total_work(p: &Program) -> WorkUnit {
         p.ops()
             .filter_map(|op| match op {
@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn swim_is_memory_bound() {
-        let p = swim_program(&SpecConfig::small());
+        let p = swim_program(&small());
         let w = total_work(&p);
         let hier = MemHierarchy::pentium_m_1400();
         // Under a third of swim's time scales with frequency.
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn mgrid_is_cpu_bound() {
-        let p = mgrid_program(&SpecConfig::small());
+        let p = mgrid_program(&small());
         let w = total_work(&p);
         let hier = MemHierarchy::pentium_m_1400();
         assert!(
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn programs_are_single_rank_and_communication_free() {
-        let p = swim_program(&SpecConfig::small());
+        let p = swim_program(&small());
         assert!(p
             .ops()
             .all(|op| !matches!(op, mpi_sim::Op::Send { .. } | mpi_sim::Op::Recv { .. })));

@@ -24,18 +24,18 @@ use sim_core::DetRng;
 #[derive(Debug, Clone)]
 pub struct TransposeConfig {
     /// Matrix dimension (N×N doubles).
-    pub n: u64,
+    pub(crate) n: u64,
     /// Process grid (rows, cols); `rows * cols` ranks.
-    pub grid: (usize, usize),
+    pub(crate) grid: (usize, usize),
     /// Number of transpose iterations (the paper iterates for measurable
     /// battery drain).
     pub iterations: u32,
     /// Insert dynamic-DVS instrumentation around steps 2–3.
     pub dynamic_dvs: bool,
     /// Per-rank work jitter amplitude.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
     /// Jitter seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl TransposeConfig {
@@ -51,29 +51,13 @@ impl TransposeConfig {
         }
     }
 
-    /// A small configuration for fast tests.
-    pub fn small() -> Self {
-        TransposeConfig {
-            n: 600,
-            grid: (3, 2),
-            iterations: 1,
-            ..TransposeConfig::paper()
-        }
-    }
-
-    /// Same run with dynamic-DVS instrumentation.
-    pub fn with_dynamic_dvs(mut self) -> Self {
-        self.dynamic_dvs = true;
-        self
-    }
-
     /// Total ranks.
     pub fn ranks(&self) -> usize {
         self.grid.0 * self.grid.1
     }
 
     /// Bytes of one rank's submatrix.
-    pub fn block_bytes(&self) -> u64 {
+    pub(crate) fn block_bytes(&self) -> u64 {
         let (rows, cols) = self.grid;
         (self.n / rows as u64) * (self.n / cols as u64) * 8
     }
@@ -81,7 +65,7 @@ impl TransposeConfig {
     /// The rank holding the transposed position of `rank`'s block: rank
     /// `(p, q)` of the rows×cols grid maps to index `q·rows + p` (its
     /// coordinates swapped, linearized in the transposed grid).
-    pub fn partner(&self, rank: usize) -> usize {
+    pub(crate) fn partner(&self, rank: usize) -> usize {
         let (rows, cols) = self.grid;
         assert!(rank < rows * cols);
         let p = rank / cols;
@@ -90,7 +74,7 @@ impl TransposeConfig {
     }
 
     /// Inverse of [`TransposeConfig::partner`]: who sends *to* `rank`.
-    pub fn partner_inverse(&self, rank: usize) -> usize {
+    pub(crate) fn partner_inverse(&self, rank: usize) -> usize {
         let (rows, cols) = self.grid;
         assert!(rank < rows * cols);
         let q = rank / rows;
@@ -175,6 +159,16 @@ fn build_rank(config: &TransposeConfig, rank: usize, mut rng: DetRng) -> Program
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A small configuration for fast tests: a 3x2 grid.
+    fn small() -> TransposeConfig {
+        TransposeConfig {
+            n: 600,
+            grid: (3, 2),
+            iterations: 1,
+            ..TransposeConfig::paper()
+        }
+    }
     use mpi_sim::Op;
 
     #[test]
@@ -204,7 +198,7 @@ mod tests {
 
     #[test]
     fn fixed_point_ranks_skip_exchange() {
-        let c = TransposeConfig::small(); // 3x2 grid
+        let c = small(); // 3x2 grid
         let programs = transpose_programs(&c);
         // Exchange sendrecvs carry a full block; barrier sendrecvs are tiny.
         let block = c.block_bytes();
@@ -224,7 +218,7 @@ mod tests {
 
     #[test]
     fn everyone_but_root_sends_gather_block() {
-        let c = TransposeConfig::small();
+        let c = small();
         let programs = transpose_programs(&c);
         let block = c.block_bytes();
         for (r, program) in programs.iter().enumerate().skip(1) {
@@ -237,7 +231,10 @@ mod tests {
 
     #[test]
     fn dynamic_variant_wraps_steps_2_and_3() {
-        let c = TransposeConfig::small().with_dynamic_dvs();
+        let c = TransposeConfig {
+            dynamic_dvs: true,
+            ..small()
+        };
         let programs = transpose_programs(&c);
         let speed_ops = programs[1]
             .ops()

@@ -1,5 +1,6 @@
-//! Umbrella crate for the pwrperf workspace: re-exports the public stack
-//! so integration tests and downstream users can depend on one name.
+//! Umbrella crate for the pwrperf workspace: re-exports the experiment
+//! API so downstream users can depend on one name. The integration tests
+//! under `tests/` depend on the member crates directly.
 //!
 //! ```
 //! use pwrperf_repro::pwrperf::{DvsStrategy, Experiment, Workload};
@@ -12,14 +13,4 @@
 //! assert!(result.total_energy_j() > 0.0);
 //! ```
 
-pub use cluster_sim;
-pub use dvfs;
-pub use edp_metrics;
-pub use mem_model;
-pub use mpi_sim;
-pub use net_model;
-pub use power_model;
-pub use powerpack;
 pub use pwrperf;
-pub use sim_core;
-pub use workloads;

@@ -1,7 +1,7 @@
 //! Power-cap controller invariants: the cluster budget is honoured at
 //! every sample instant, an infinite budget is inert (bit-identical to
 //! the uncontrolled run), capped runs are bit-deterministic, and —
-//! the PR's acceptance criterion — runtime redistribution
+//! the headline claim — runtime redistribution
 //! under a fixed cap beats every cap-feasible uniform `StaticMhz`
 //! point on a load-imbalanced workload.
 
@@ -127,7 +127,7 @@ fn capped_runs_are_bit_deterministic() {
 
 #[test]
 fn redistribution_beats_every_feasible_uniform_static_under_the_cap() {
-    // The acceptance criterion: on a load-imbalanced workload (rank 0
+    // The headline claim: on a load-imbalanced workload (rank 0
     // slowed 5x) under an 80 W cluster budget (~81% of the 99 W
     // uncapped peak), reclaiming budget from communication-blocked
     // ranks and granting it to the straggler must achieve strictly

@@ -237,17 +237,11 @@ fn requests_resolving_to_the_same_point_share_a_cache_entry() {
         workloads.clone(),
         vec![DvsStrategy::StaticMhz(1400)],
         Vec::new(),
-        Vec::new(),
     );
     let cold = canonical.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(cold.report.engine_runs, 1);
 
-    let requested = Sweep::grid(
-        workloads,
-        vec![DvsStrategy::StaticMhz(5000)],
-        Vec::new(),
-        Vec::new(),
-    );
+    let requested = Sweep::grid(workloads, vec![DvsStrategy::StaticMhz(5000)], Vec::new());
     let warm = requested.run(Some(&mut store), Some(1)).unwrap();
     assert_eq!(
         warm.report.engine_runs, 0,
@@ -420,7 +414,6 @@ fn warm_sweep_executes_nothing_and_resumes_after_partial_cache() {
             DvsStrategy::StaticMhz(800),
             DvsStrategy::DynamicBaseMhz(1400),
         ],
-        vec![0.0],
         vec![FaultSpec::default(), faults.clone()],
     );
 
@@ -428,7 +421,6 @@ fn warm_sweep_executes_nothing_and_resumes_after_partial_cache() {
     let partial = Sweep::grid(
         vec![Workload::ft_test(2)],
         full.strategies.clone(),
-        vec![0.0],
         vec![FaultSpec::default()],
     );
     let first = partial.run(Some(&mut store), Some(1)).unwrap();
@@ -471,7 +463,6 @@ fn every_entry_point_returns_identical_bytes() {
     let sweep = Sweep::grid(
         vec![workload.clone()],
         strategies,
-        Vec::new(),
         vec![FaultSpec::default(), faulted],
     );
     let dir = tmp_dir("equivalence");
@@ -580,7 +571,6 @@ fn sweep_heals_corrupt_records() {
     let sweep = Sweep::grid(
         vec![Workload::ft_test(2)],
         vec![DvsStrategy::StaticMhz(1400), DvsStrategy::StaticMhz(600)],
-        Vec::new(),
         Vec::new(),
     );
     let cold = sweep.run(Some(&mut store), Some(1)).unwrap();
