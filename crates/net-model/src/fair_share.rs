@@ -73,39 +73,33 @@ pub struct SolverStats {
 }
 
 /// Per-flow link paths for one solver call.
-trait Paths {
-    /// The links flow `i` (endpoints `f`) crosses; `buf` is scratch for a
-    /// path derived on the fly.
-    fn path<'b>(&'b self, i: usize, f: FlowEndpoints, buf: &'b mut [u32; 2]) -> &'b [u32];
+enum Paths {
+    /// Flat fabric: flow `i`'s path is `[2·src, 2·dst+1]`, derived on
+    /// the fly — no per-flow storage on the hot path.
+    Flat,
+    /// Explicit paths in CSR form: flow `i` crosses
+    /// `links[offsets[i]..offsets[i+1]]`.
+    #[cfg(test)]
+    Csr { offsets: Vec<u32>, links: Vec<u32> },
 }
 
-/// Flat fabric: flow `i`'s path is `[2·src, 2·dst+1]`, derived on the
-/// fly — no per-flow storage on the hot path.
-struct FlatPaths;
-
-impl Paths for FlatPaths {
+impl Paths {
+    /// The links flow `i` crosses; `buf` is scratch for a path derived on
+    /// the fly.
     #[inline]
-    fn path<'b>(&'b self, _i: usize, f: FlowEndpoints, buf: &'b mut [u32; 2]) -> &'b [u32] {
-        // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
-        buf[0] = (2 * f.src) as u32;
-        // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
-        buf[1] = (2 * f.dst + 1) as u32;
-        buf
-    }
-}
-
-/// Explicit paths in CSR form: flow `i` crosses
-/// `links[offsets[i]..offsets[i+1]]`.
-#[cfg(test)]
-struct CsrPaths {
-    offsets: Vec<u32>,
-    links: Vec<u32>,
-}
-
-#[cfg(test)]
-impl Paths for CsrPaths {
-    fn path<'b>(&'b self, i: usize, _f: FlowEndpoints, _buf: &'b mut [u32; 2]) -> &'b [u32] {
-        &self.links[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    fn path<'b>(&'b self, flows: &[FlowEndpoints], i: usize, buf: &'b mut [u32; 2]) -> &'b [u32] {
+        match self {
+            Paths::Flat => {
+                let f = flows[i];
+                // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
+                buf[0] = (2 * f.src) as u32;
+                // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
+                buf[1] = (2 * f.dst + 1) as u32;
+                buf
+            }
+            #[cfg(test)]
+            Paths::Csr { offsets, links } => &links[offsets[i] as usize..offsets[i + 1] as usize],
+        }
     }
 }
 
@@ -188,7 +182,7 @@ impl FairShare {
             flows,
             2 * nodes,
             |link| node_capacity(link / 2),
-            &FlatPaths,
+            &Paths::Flat,
             nodes,
             loopback_capacity,
             rates,
@@ -219,19 +213,17 @@ impl FairShare {
         loopback_capacity: f64,
         rates: &mut Vec<f64>,
     ) {
-        let mut paths = CsrPaths {
-            offsets: vec![0],
-            links: Vec::new(),
-        };
+        let mut offsets = vec![0];
+        let mut links = Vec::new();
         for f in flows {
-            table.push_path(f.src, f.dst, &mut paths.links);
-            paths.offsets.push(paths.links.len() as u32);
+            table.push_path(f.src, f.dst, &mut links);
+            offsets.push(links.len() as u32);
         }
         self.fill(
             flows,
             table.num_links(),
             |link| table.capacity(link),
-            &paths,
+            &Paths::Csr { offsets, links },
             table.nodes(),
             loopback_capacity,
             rates,
@@ -239,12 +231,12 @@ impl FairShare {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn fill<C: Fn(usize) -> f64, P: Paths>(
+    fn fill<C: Fn(usize) -> f64>(
         &mut self,
         flows: &[FlowEndpoints],
         num_links: usize,
         capacity_of: C,
-        paths: &P,
+        paths: &Paths,
         nodes: usize,
         loopback_capacity: f64,
         rates: &mut Vec<f64>,
@@ -286,7 +278,7 @@ impl FairShare {
         touched.clear();
         let mut buf = [0u32; 2];
         for &i in active.iter() {
-            for &l in paths.path(i, flows[i], &mut buf) {
+            for &l in paths.path(flows, i, &mut buf) {
                 let link = l as usize;
                 if link_count[link] == 0 {
                     link_cap[link] = capacity_of(link);
@@ -320,7 +312,7 @@ impl FairShare {
             let mut frozen_any = false;
             still_active.clear();
             for &i in active.iter() {
-                let path = paths.path(i, flows[i], &mut buf);
+                let path = paths.path(flows, i, &mut buf);
                 let mut limit = f64::INFINITY;
                 for &l in path {
                     limit = limit.min(link_share[l as usize]);
@@ -365,7 +357,7 @@ impl FairShare {
                     Some((min_id, _)) => {
                         let min_id = min_id as u32;
                         still_active.retain(|&i| {
-                            let path = paths.path(i, flows[i], &mut buf);
+                            let path = paths.path(flows, i, &mut buf);
                             let on_link = path.contains(&min_id);
                             if on_link {
                                 rates[i] = bottleneck_share;

@@ -118,7 +118,7 @@ impl Histogram {
 pub(crate) enum MetricValue<'a> {
     /// Monotonic counter.
     Counter(u64),
-    /// Last-write or high-water gauge.
+    /// Last-write gauge.
     Gauge(f64),
     /// Fixed-bucket histogram.
     Histogram(&'a Histogram),

@@ -335,8 +335,10 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.cancel(b);
         assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
         q.pop();
         assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -362,6 +364,7 @@ mod tests {
     #[test]
     fn empty_queue_behaves() {
         let mut q: EventQueue<()> = EventQueue::new();
+        assert!(q.is_empty());
         assert_eq!(q.len(), 0);
         assert!(q.pop().is_none());
     }

@@ -224,6 +224,7 @@ mod tests {
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
         ev(&mut t, 1, 0, TraceKind::Other);
+        assert!(t.is_empty());
         assert_eq!(t.len(), 0);
     }
 
@@ -253,6 +254,7 @@ mod tests {
     fn zero_capacity_counts_drops() {
         let mut t = Trace::new(0);
         ev(&mut t, 1, 0, TraceKind::Other);
+        assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert_eq!(t.dropped(), 1);
     }
