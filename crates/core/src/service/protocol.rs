@@ -11,7 +11,9 @@
 use mpi_sim::{EngineConfig, RunResult, Topology};
 use sim_core::FaultSpec;
 
-use crate::store::{decode_run_result, encode_run_result, ByteReader, ByteWriter, DecodeError};
+use crate::store::{
+    decode_run_result, encode_run_result, ByteReader, ByteWriter, DecodeError, Sink,
+};
 use crate::strategy::DvsStrategy;
 use crate::sweep::{Sweep, SweepReport};
 use crate::workload::Workload;

@@ -14,6 +14,51 @@
 
 use std::fmt;
 
+/// Where an encoding goes, in the store's conventions (little-endian
+/// fixed-width integers, `f64` as raw bits, `u64` length prefixes): a
+/// [`ByteWriter`], or the fingerprint's streaming digest. Implementors
+/// supply only `put_raw`.
+pub(crate) trait Sink {
+    /// Append raw bytes verbatim (magic numbers, fingerprint digests).
+    fn put_raw(&mut self, bytes: &[u8]);
+
+    /// Append one byte.
+    fn put_u8(&mut self, v: u8) {
+        self.put_raw(&[v]);
+    }
+
+    /// Append a little-endian `u32`.
+    fn put_u32(&mut self, v: u32) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    /// Append a little-endian `u64`.
+    fn put_u64(&mut self, v: u64) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    /// Append a `usize` widened to `u64` (lengths, node indices).
+    fn put_usize(&mut self, v: usize) {
+        self.put_u64(v as u64);
+    }
+
+    /// Append an `f64` as its raw IEEE-754 bit pattern.
+    fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
+
+    /// Append a bool as one byte (0 or 1).
+    fn put_bool(&mut self, v: bool) {
+        self.put_u8(u8::from(v));
+    }
+
+    /// Append a length-prefixed UTF-8 string.
+    fn put_str(&mut self, s: &str) {
+        self.put_usize(s.len());
+        self.put_raw(s.as_bytes());
+    }
+}
+
 /// An append-only byte buffer with the store's encoding conventions.
 #[derive(Debug, Default)]
 pub(crate) struct ByteWriter {
@@ -30,46 +75,11 @@ impl ByteWriter {
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
+}
 
-    /// Append raw bytes verbatim (magic numbers, fingerprint digests).
-    pub(crate) fn put_raw(&mut self, bytes: &[u8]) {
+impl Sink for ByteWriter {
+    fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Append one byte.
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a little-endian `u32`.
-    pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a little-endian `u64`.
-    pub(crate) fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append a `usize` widened to `u64` (lengths, node indices).
-    pub(crate) fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Append an `f64` as its raw IEEE-754 bit pattern.
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Append a bool as one byte (0 or 1).
-    pub(crate) fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Append a length-prefixed UTF-8 string.
-    pub(crate) fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
     }
 }
 

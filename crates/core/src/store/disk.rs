@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mpi_sim::RunResult;
 
-use super::codec::{ByteReader, ByteWriter, DecodeError};
+use super::codec::{ByteReader, ByteWriter, DecodeError, Sink};
 use super::fingerprint::{checksum64, Fingerprint, STORE_FORMAT_VERSION};
 use super::run_codec::{decode_run_result, encode_run_result};
 

@@ -14,9 +14,9 @@
 //! machines — the property the on-disk cache stands on (and that the
 //! golden-key test in `tests/sweepstore.rs` pins).
 //!
-//! The encoding is written once, against a [`Sink`]. Fingerprinting
-//! streams it into both hashers as it is produced, so a 1024-rank job's
-//! tens of megabytes of expanded ops are never buffered;
+//! The encoding is written once, against the store's [`Sink`].
+//! Fingerprinting streams it into both hashers as it is produced, so a
+//! 1024-rank job's tens of megabytes of expanded ops are never buffered;
 //! [`canonical_experiment_bytes`] collects the same bytes into a vector.
 
 use std::hash::Hasher as _;
@@ -29,7 +29,7 @@ use power_model::DvfsLadder;
 use sim_core::hash::FxHasher;
 use sim_core::Fault;
 
-use super::codec::ByteWriter;
+use super::codec::{ByteWriter, Sink};
 use crate::experiment::Experiment;
 use crate::strategy::DvsStrategy;
 
@@ -50,48 +50,6 @@ const FINGERPRINT_MAGIC: &[u8; 4] = b"PWRF";
 const SALT_LO: u64 = 0x5EED_CAFE_0000_0001;
 const SALT_HI: u64 = 0x5EED_CAFE_0000_0002;
 const SALT_CHECKSUM: u64 = 0x5EED_CAFE_0000_0003;
-
-/// Where the canonical encoding goes, in the store's conventions
-/// (little-endian fixed-width integers, `f64` as raw bits, `u64`
-/// length prefixes): a [`ByteWriter`] or a [`DigestSink`].
-trait Sink {
-    fn put_raw(&mut self, bytes: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_raw(&[v]);
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.put_raw(&v.to_le_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.put_raw(&v.to_le_bytes());
-    }
-
-    fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.put_raw(s.as_bytes());
-    }
-}
-
-impl Sink for ByteWriter {
-    fn put_raw(&mut self, bytes: &[u8]) {
-        ByteWriter::put_raw(self, bytes);
-    }
-}
 
 /// Hashes the encoding as it is written, into the two salted hashers of
 /// [`Fingerprint::of_bytes`]. Bytes collect in a small buffer that is

@@ -17,7 +17,7 @@ mod disk;
 mod fingerprint;
 mod run_codec;
 
-pub(crate) use codec::{ByteReader, ByteWriter, DecodeError};
+pub(crate) use codec::{ByteReader, ByteWriter, DecodeError, Sink};
 pub use disk::{StoreError, StoreStats, SweepStore};
 pub use fingerprint::{
     canonical_experiment_bytes, fingerprint_experiment, fingerprint_parts, Fingerprint,

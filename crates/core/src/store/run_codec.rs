@@ -16,7 +16,7 @@ use sim_core::{
     TraceDetail, TraceEvent, TraceKind, WaitCause, WaitRecord,
 };
 
-use super::codec::{ByteReader, ByteWriter, DecodeError};
+use super::codec::{ByteReader, ByteWriter, DecodeError, Sink};
 
 /// Encode a run result into the store's canonical payload bytes.
 pub fn encode_run_result(result: &RunResult) -> Vec<u8> {
@@ -265,13 +265,9 @@ fn encode_trace_event(w: &mut ByteWriter, event: &TraceEvent) {
         TraceKind::FreqChange => 2,
         TraceKind::MsgStart => 3,
         TraceKind::MsgEnd => 4,
-        TraceKind::Sample => 5,
-        TraceKind::Control => 6,
-        TraceKind::Other => 7,
     };
     w.put_u8(kind_tag);
     match event.detail {
-        TraceDetail::None => w.put_u8(0),
         TraceDetail::Phase(name) => {
             w.put_u8(1);
             w.put_str(name);
@@ -290,10 +286,6 @@ fn encode_trace_event(w: &mut ByteWriter, event: &TraceEvent) {
             w.put_u32(from_mhz);
             w.put_u32(to_mhz);
         }
-        TraceDetail::Label(name) => {
-            w.put_u8(5);
-            w.put_str(name);
-        }
     }
 }
 
@@ -307,9 +299,6 @@ fn decode_trace_event(r: &mut ByteReader<'_>) -> Result<TraceEvent, DecodeError>
         2 => TraceKind::FreqChange,
         3 => TraceKind::MsgStart,
         4 => TraceKind::MsgEnd,
-        5 => TraceKind::Sample,
-        6 => TraceKind::Control,
-        7 => TraceKind::Other,
         tag => {
             return Err(DecodeError::BadTag {
                 offset: kind_offset,
@@ -320,7 +309,6 @@ fn decode_trace_event(r: &mut ByteReader<'_>) -> Result<TraceEvent, DecodeError>
     };
     let detail_offset = r.offset();
     let detail = match r.get_u8()? {
-        0 => TraceDetail::None,
         1 => TraceDetail::Phase(intern_static(&r.get_str()?)),
         2 => TraceDetail::MsgTo {
             dst: decode_node_index(r)?,
@@ -333,7 +321,6 @@ fn decode_trace_event(r: &mut ByteReader<'_>) -> Result<TraceEvent, DecodeError>
             from_mhz: r.get_u32()?,
             to_mhz: r.get_u32()?,
         },
-        5 => TraceDetail::Label(intern_static(&r.get_str()?)),
         tag => {
             return Err(DecodeError::BadTag {
                 offset: detail_offset,
@@ -350,8 +337,8 @@ fn decode_trace_event(r: &mut ByteReader<'_>) -> Result<TraceEvent, DecodeError>
     })
 }
 
-/// Node indices include [`sim_core::trace::CLUSTER_NODE`] (`usize::MAX`),
-/// so they round-trip through `u64` without a plausibility bound.
+/// Node and rank indices round-trip through `u64`; only a value that does
+/// not fit `usize` is rejected.
 fn decode_node_index(r: &mut ByteReader<'_>) -> Result<usize, DecodeError> {
     usize::try_from(r.get_u64()?).map_err(|_| DecodeError::BadLength { what: "node index" })
 }

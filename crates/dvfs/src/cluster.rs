@@ -7,9 +7,10 @@
 //! path, what the cluster draws right now. [`ClusterController`] is that
 //! interface: the engine drives one controller per run with per-node
 //! callbacks (boot, governor ticks, application speed requests) plus
-//! cluster-wide runtime events (wait boundaries, phase markers, power
-//! samples), and the controller answers with per-node frequency
-//! decisions.
+//! cluster-wide runtime events (wait boundaries and power samples). The
+//! per-node callbacks answer for their own node; cluster-wide decisions
+//! are issued only at sample instants, the one runtime hook that takes a
+//! decision buffer.
 //!
 //! Every classic strategy is re-expressed under it by
 //! [`PerNodeGovernors`], which routes the per-node callbacks to a boxed
@@ -32,7 +33,7 @@ use sim_core::{SimDuration, SimTime};
 
 use crate::governor::{AppSpeedRequest, Governor};
 
-/// One frequency decision for one node, issued by a controller callback.
+/// One frequency decision for one node, issued at a sample instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decision {
     /// Node to retarget.
@@ -68,10 +69,11 @@ impl CapPolicy {
 /// The engine calls the per-node hooks (`initial`, `on_tick`,
 /// `on_app_request`) exactly where it called the per-node [`Governor`]
 /// before, and — only when [`wants_runtime_events`] says so — the
-/// cluster-wide hooks at wait boundaries, phase markers, and sample
-/// instants. Cluster-wide hooks push [`Decision`]s into `out`; the
-/// engine applies them in push order through its normal transition path
-/// (latency, transition energy, fault injection included).
+/// cluster-wide hooks at wait boundaries and sample instants. The wait
+/// hooks only update controller state; [`on_sample`] alone pushes
+/// [`Decision`]s into `out`, and the engine applies them in push order
+/// through its normal transition path (latency, transition energy, fault
+/// injection included).
 ///
 /// Determinism contract: hooks run on the sequential dispatch path in
 /// `(time, seq)` event order, and a controller may consult only its own
@@ -81,6 +83,7 @@ impl CapPolicy {
 /// checkpoint streams (`tests/golden/simsan_streams.txt`) check.
 ///
 /// [`wants_runtime_events`]: ClusterController::wants_runtime_events
+/// [`on_sample`]: ClusterController::on_sample
 pub trait ClusterController {
     /// Short label for traces and reports.
     fn name(&self) -> &str;
@@ -118,38 +121,13 @@ pub trait ClusterController {
     }
 
     /// `rank` blocked waiting for communication at `now`.
-    fn on_wait_begin(
-        &mut self,
-        _now: SimTime,
-        _rank: usize,
-        _nodes: &[Node],
-        _out: &mut Vec<Decision>,
-    ) {
-    }
+    fn on_wait_begin(&mut self, _now: SimTime, _rank: usize, _nodes: &[Node]) {}
 
     /// `rank` released from its wait at `now`.
-    fn on_wait_end(
-        &mut self,
-        _now: SimTime,
-        _rank: usize,
-        _nodes: &[Node],
-        _out: &mut Vec<Decision>,
-    ) {
-    }
+    fn on_wait_end(&mut self, _now: SimTime, _rank: usize, _nodes: &[Node]) {}
 
-    /// `rank` crossed an application phase boundary.
-    fn on_phase(
-        &mut self,
-        _now: SimTime,
-        _rank: usize,
-        _name: &str,
-        _begin: bool,
-        _nodes: &[Node],
-        _out: &mut Vec<Decision>,
-    ) {
-    }
-
-    /// Periodic power sample about to be taken across the cluster.
+    /// Periodic power sample just taken across the cluster; the only
+    /// runtime hook that may issue decisions.
     fn on_sample(&mut self, _now: SimTime, _nodes: &[Node], _out: &mut Vec<Decision>) {}
 
     /// Digest of the controller's mutable state for the engine's
@@ -209,11 +187,11 @@ impl ClusterController for PerNodeGovernors {
 /// Global cluster watt budget with optional runtime redistribution.
 ///
 /// Frequency decisions are issued only at sample instants (and at
-/// boot), never inside wait/phase hooks — those only update the
-/// controller's wait accounting. Between two samples every granted
-/// transition settles within the ~10 µs hardware latency, so the
-/// worst-case allocation in force at each sample bounds the measured
-/// power at that instant: the cap holds at every sample row.
+/// boot); the wait hooks only update the controller's wait accounting.
+/// Between two samples every granted transition settles within the
+/// ~10 µs hardware latency, so the worst-case allocation in force at
+/// each sample bounds the measured power at that instant: the cap holds
+/// at every sample row.
 pub struct PowerCapController {
     label: String,
     cap_w: f64,
@@ -365,13 +343,7 @@ impl ClusterController for PowerCapController {
         true
     }
 
-    fn on_wait_begin(
-        &mut self,
-        now: SimTime,
-        rank: usize,
-        nodes: &[Node],
-        _out: &mut Vec<Decision>,
-    ) {
+    fn on_wait_begin(&mut self, now: SimTime, rank: usize, nodes: &[Node]) {
         self.ensure_tables(nodes);
         if !self.blocked[rank] {
             self.blocked[rank] = true;
@@ -379,7 +351,7 @@ impl ClusterController for PowerCapController {
         }
     }
 
-    fn on_wait_end(&mut self, now: SimTime, rank: usize, nodes: &[Node], _out: &mut Vec<Decision>) {
+    fn on_wait_end(&mut self, now: SimTime, rank: usize, nodes: &[Node]) {
         self.ensure_tables(nodes);
         if self.blocked[rank] {
             self.blocked[rank] = false;
@@ -476,7 +448,7 @@ mod tests {
         }
         // Ranks 1..4 block; rank 0 keeps computing.
         for r in 1..4 {
-            c.on_wait_begin(SimTime::from_secs(1), r, &ns, &mut out);
+            c.on_wait_begin(SimTime::from_secs(1), r, &ns);
         }
         c.on_sample(SimTime::from_secs(2), &ns, &mut out);
         let alloc = c.alloc.clone();
@@ -498,7 +470,7 @@ mod tests {
                 for i in 0..8 {
                     c.initial(i, &ns);
                 }
-                c.on_wait_begin(SimTime::from_secs(1), 3, &ns, &mut out);
+                c.on_wait_begin(SimTime::from_secs(1), 3, &ns);
                 c.on_sample(SimTime::from_secs(2), &ns, &mut out);
                 let worst = c.worst_case_w(&c.alloc);
                 if cap >= floor {
@@ -530,8 +502,8 @@ mod tests {
             c.initial(i, &ns);
         }
         // Rank 0 accumulates closed wait time; rank 1 never waits.
-        c.on_wait_begin(SimTime::from_secs(1), 0, &ns, &mut out);
-        c.on_wait_end(SimTime::from_secs(5), 0, &ns, &mut out);
+        c.on_wait_begin(SimTime::from_secs(1), 0, &ns);
+        c.on_wait_end(SimTime::from_secs(5), 0, &ns);
         c.on_sample(SimTime::from_secs(6), &ns, &mut out);
         assert!(
             c.alloc[1] > c.alloc[0],

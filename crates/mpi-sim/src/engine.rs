@@ -300,7 +300,7 @@ pub struct Engine {
     /// Cached [`ClusterController::wants_runtime_events`] so per-node
     /// controllers pay one bool test per hook site, nothing more.
     controller_events: bool,
-    /// Reused buffer for controller decisions (drained every hook).
+    /// Reused buffer for controller decisions (drained every sample).
     decision_buf: Vec<Decision>,
     queue: EventQueue<Event>,
     now: SimTime,
@@ -766,18 +766,12 @@ impl Engine {
                         .record(self.now, r, TraceKind::PhaseBegin, TraceDetail::Phase(name));
                     #[cfg(feature = "simsan")]
                     self.san_checkpoint(SAN_TAG_PHASE_BEGIN);
-                    if self.controller_phase(r, name, true) {
-                        return;
-                    }
                 }
                 Op::PhaseEnd(name) => {
                     self.trace
                         .record(self.now, r, TraceKind::PhaseEnd, TraceDetail::Phase(name));
                     #[cfg(feature = "simsan")]
                     self.san_checkpoint(SAN_TAG_PHASE_END);
-                    if self.controller_phase(r, name, false) {
-                        return;
-                    }
                 }
             }
         }
@@ -914,9 +908,8 @@ impl Engine {
                 self.queue.cancel(ev);
             }
             self.causal_close_wait(r, cause);
-            if !self.controller_wait_end(r) {
-                self.execute_next(r);
-            }
+            self.controller_wait_end(r);
+            self.execute_next(r);
         }
     }
 
@@ -940,9 +933,8 @@ impl Engine {
                 self.queue.cancel(ev);
             }
             self.causal_close_wait(r, cause);
-            if !self.controller_wait_end(r) {
-                self.execute_next(r);
-            }
+            self.controller_wait_end(r);
+            self.execute_next(r);
         }
     }
 
@@ -1363,47 +1355,28 @@ impl Engine {
     // Delivered only when the controller asked for runtime events; the
     // per-node path (every classic strategy) pays one bool test per site.
     // All hooks run in (time, seq) event order, so controller state —
-    // and therefore every decision — is deterministic.
+    // and therefore every decision — is deterministic. Wait hooks only
+    // update controller state; decisions come back at sample instants.
 
-    /// `r` just blocked in communication; a runtime controller may react.
+    /// `r` just blocked in communication.
     fn controller_wait_begin(&mut self, r: Rank) {
         if !self.controller_events {
             return;
         }
-        let mut buf = std::mem::take(&mut self.decision_buf);
         self.controller
-            .on_wait_begin(self.now, r, self.cluster.nodes(), &mut buf);
-        self.decision_buf = buf;
+            .on_wait_begin(self.now, r, self.cluster.nodes());
         obs_count!(self.metrics, "controller.wait_events", 1);
-        self.apply_decisions(None);
     }
 
     /// `r` was just released from its wait (the causal record is already
-    /// closed). Returns true when a controller decision stalled `r` into
-    /// a transition — the caller must then skip resuming it; the `Resume`
-    /// queued here continues it once the new frequency lands.
-    fn controller_wait_end(&mut self, r: Rank) -> bool {
+    /// closed).
+    fn controller_wait_end(&mut self, r: Rank) {
         if !self.controller_events {
-            return false;
+            return;
         }
-        let mut buf = std::mem::take(&mut self.decision_buf);
         self.controller
-            .on_wait_end(self.now, r, self.cluster.nodes(), &mut buf);
-        self.decision_buf = buf;
+            .on_wait_end(self.now, r, self.cluster.nodes());
         obs_count!(self.metrics, "controller.wait_events", 1);
-        self.apply_decisions(Some(r))
-    }
-
-    /// `r` crossed a phase marker. Same stall contract as wait end.
-    fn controller_phase(&mut self, r: Rank, name: &'static str, begin: bool) -> bool {
-        if !self.controller_events {
-            return false;
-        }
-        let mut buf = std::mem::take(&mut self.decision_buf);
-        self.controller
-            .on_phase(self.now, r, name, begin, self.cluster.nodes(), &mut buf);
-        self.decision_buf = buf;
-        self.apply_decisions(Some(r))
     }
 
     /// A sample row was just recorded; the controller may replan. Sample
@@ -1414,44 +1387,21 @@ impl Engine {
         if !self.controller_events {
             return;
         }
-        let mut buf = std::mem::take(&mut self.decision_buf);
         self.controller
-            .on_sample(self.now, self.cluster.nodes(), &mut buf);
-        self.decision_buf = buf;
+            .on_sample(self.now, self.cluster.nodes(), &mut self.decision_buf);
         obs_count!(self.metrics, "controller.samples", 1);
-        self.apply_decisions(None);
+        self.apply_decisions();
     }
 
     /// Apply buffered controller decisions through the normal transition
     /// path — latency, transition energy, and fault injection included.
-    /// When a nonzero-latency transition lands on `resuming` (the rank
-    /// the caller is about to continue), the rank is stalled exactly like
-    /// an app-directed `SetSpeed` and `true` is returned so the caller
-    /// leaves it parked until the transition completes.
-    fn apply_decisions(&mut self, resuming: Option<Rank>) -> bool {
-        if self.decision_buf.is_empty() {
-            return false;
-        }
+    fn apply_decisions(&mut self) {
         let mut decisions = std::mem::take(&mut self.decision_buf);
-        let mut stalled = false;
         for d in decisions.drain(..) {
             obs_count!(self.metrics, "controller.decisions", 1);
-            let lat = self.request_transition(d.node, d.target);
-            if !lat.is_zero() && resuming == Some(d.node) {
-                obs_count!(self.metrics, "controller.stalls", 1);
-                self.ranks[d.node].state = RState::Stalled;
-                self.switch_bucket(d.node, Bucket::Transition);
-                self.cluster
-                    .node_mut(d.node)
-                    .set_activity(self.now, CpuActivity::Halt);
-                // TransitionDone was queued first, so at the tied
-                // timestamp the new frequency applies before resume.
-                self.queue.push(self.now + lat, Event::Resume(d.node));
-                stalled = true;
-            }
+            self.request_transition(d.node, d.target);
         }
         self.decision_buf = decisions;
-        stalled
     }
 
     // ----- sampling --------------------------------------------------------

@@ -9,13 +9,14 @@
 //! In the paper's flat testbed every flow crosses exactly two links:
 //! its source node's uplink and its destination node's downlink (the
 //! switch backplane is non-blocking, as the Catalyst 2950 is for this
-//! port count). The flat entry points ([`FairShare::compute_into`],
-//! [`FairShare::compute_with_capacities_into`]) express that as paths
+//! port count). [`FairShare::compute_flat_into`] expresses that as paths
 //! `[2·src, 2·dst+1]` over the same core loop as the test-only
 //! hierarchical oracle `FairShare::compute_topology_into` — the link
 //! numbering (see [`crate::topology`]) makes the generalized scan visit
 //! capacities in the historical per-node up/down order, so flat results
-//! are bit-identical to the pre-topology solver.
+//! are bit-identical to the pre-topology solver. The per-node entry
+//! points `compute_into` and `compute_with_capacities_into` are the
+//! tests' from-scratch oracles.
 //!
 //! The solver lives in [`FairShare`], which owns all the per-call scratch
 //! (active-flow worklists, per-link residual capacities and counts) so a
@@ -133,6 +134,7 @@ impl FairShare {
     ///
     /// Self-flows (src == dst) are serviced by loopback and get
     /// `loopback_capacity` each without contending for the switch.
+    #[cfg(test)]
     pub(crate) fn compute_into(
         &mut self,
         flows: &[FlowEndpoints],
@@ -150,6 +152,7 @@ impl FairShare {
     /// uplink and downlink) — the degraded-link fault-injection path,
     /// where one node's cable runs below the nominal rate. With uniform
     /// capacities the allocation is bit-identical to `compute_into`.
+    #[cfg(test)]
     pub(crate) fn compute_with_capacities_into(
         &mut self,
         flows: &[FlowEndpoints],
@@ -162,26 +165,32 @@ impl FairShare {
         for &c in capacities {
             assert!(c > 0.0 && c.is_finite(), "link capacity must be positive");
         }
-        self.compute_flat_into(flows, nodes, |n| capacities[n], loopback_capacity, rates);
+        self.compute_flat_into(
+            flows,
+            nodes,
+            |link| capacities[link / 2],
+            loopback_capacity,
+            rates,
+        );
     }
 
-    /// The flat solve both public flat entry points share: node `n`'s
-    /// uplink and downlink each carry `node_capacity(n)`. Does not
-    /// validate capacities, so a caller that solves many small flow sets
-    /// over the same validated capacities pays O(flows) per call, not
+    /// The flat solve: node `n`'s uplink `2n` and downlink `2n+1` carry
+    /// `link_capacity(2n)` and `link_capacity(2n+1)`. Does not validate
+    /// capacities (the link table does when they change), so a caller
+    /// that solves many small flow sets pays O(flows) per call, not
     /// O(nodes).
     pub(crate) fn compute_flat_into(
         &mut self,
         flows: &[FlowEndpoints],
         nodes: usize,
-        node_capacity: impl Fn(usize) -> f64,
+        link_capacity: impl Fn(usize) -> f64,
         loopback_capacity: f64,
         rates: &mut Vec<f64>,
     ) {
         self.fill(
             flows,
             2 * nodes,
-            |link| node_capacity(link / 2),
+            link_capacity,
             &Paths::Flat,
             nodes,
             loopback_capacity,

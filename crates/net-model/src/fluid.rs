@@ -37,12 +37,11 @@
 //! from-scratch solve instead; when the condition clears it publishes the
 //! component shares again. A one-flow component skips the solver:
 //! filling one flow yields `min(cap_up, cap_down)`, published directly.
-//! Scratch buffers are reused, so the steady-state event loop allocates
-//! nothing, and every published rate is bit-identical to
-//! `fair_share::max_min_fair` (or
-//! [`FairShare::compute_with_capacities_into`] with degraded links) over
-//! the live flows — property and seeded-sequence tests below check this
-//! bitwise.
+//! Link capacities come from the flat [`LinkTable`], which a degraded-link
+//! fault scales in place. Scratch buffers are reused, so the steady-state
+//! event loop allocates nothing, and every published rate is
+//! bit-identical to the from-scratch flat solve over the live flows —
+//! property and seeded-sequence tests below check this bitwise.
 //!
 //! ## Dense draining
 //!
@@ -67,9 +66,12 @@
 //!   arrival/departure), and each link carries a *quantized* fair share
 //!   `Q(capacity / count)`;
 //! * a flow's rate is fixed at admission to the minimum quantized share
-//!   along its up/down path, and its completion time goes into a lazy
-//!   min-heap (stale entries are generation-stamped and dropped on pop)
-//!   — flows drain lazily, so `advance` is O(1);
+//!   along its up/down path, and its completion time goes into a min-heap
+//!   keyed by `(finish, admission sequence, slot)` — flows drain lazily,
+//!   so `advance` is O(1). A flow leaves only by popping its own entry,
+//!   so the heap never holds a stale one. Among flows that finish at the
+//!   same instant the sequence fixes the order their slots are freed
+//!   (and so reused) and the order of the `bytes_delivered` sum;
 //! * quantization makes shares insensitive to small count changes: a
 //!   path link whose quantized share is unchanged by an update is a
 //!   *skipped* domain, a changed one is *touched*; both are counted in
@@ -110,9 +112,6 @@ struct ActiveFlow {
     /// in [`FluidNetwork`]'s dense `remaining`/`rate` arrays instead.
     remaining_bytes: f64,
     rate_bytes_per_sec: f64,
-    /// Tree mode only: completion-heap generation stamp for this slot's
-    /// current occupant (stale heap entries carry an older stamp).
-    generation: u64,
 }
 
 /// A live fabric flow's rate from the last solve of its connected
@@ -232,10 +231,10 @@ impl FlatState {
     }
 }
 
-/// Incremental per-link state for hierarchical (fat-tree) fabrics.
+/// Incremental per-link state for hierarchical (fat-tree) fabrics, over
+/// the network's [`LinkTable`].
 #[derive(Debug)]
 struct TreeState {
-    table: LinkTable,
     /// Live fabric flows crossing each link.
     count: Vec<u32>,
     /// Quantized fair share of each link at its current count.
@@ -244,11 +243,10 @@ struct TreeState {
     /// small count changes leave them — and every dependent subtree —
     /// untouched.
     quantum: f64,
-    /// Pending completions `(finish, generation, slot)`; entries go
-    /// stale when a slot is freed and are dropped lazily on pop.
+    /// Pending completions `(finish, admission sequence, slot)`, one per
+    /// live flow.
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    next_generation: u64,
-    active_count: usize,
+    next_seq: u64,
     path_scratch: Vec<u32>,
 }
 
@@ -256,12 +254,12 @@ impl TreeState {
     /// Re-derive link `l`'s quantized share after a count/capacity
     /// change. Returns whether the share actually moved (a *touched*
     /// domain, in [`SolverStats`] terms).
-    fn requantize(&mut self, l: usize) -> bool {
+    fn requantize(&mut self, table: &LinkTable, l: usize) -> bool {
         let c = self.count[l];
         let share = if c == 0 {
-            self.table.capacity(l)
+            table.capacity(l)
         } else {
-            quantize(self.table.capacity(l) / c as f64, self.quantum)
+            quantize(table.capacity(l) / c as f64, self.quantum)
         };
         let changed = share.to_bits() != self.qshare[l].to_bits();
         self.qshare[l] = share;
@@ -357,13 +355,10 @@ pub struct FluidNetwork {
     /// Per node: how many live flows touch it as src or dst (a loopback
     /// flow counts twice). Makes `node_busy` O(1).
     node_touch: Vec<usize>,
-    /// Per-node link capacity overrides (bytes/s), present only when a
-    /// degraded-link fault is armed; `None` keeps every fast path on the
-    /// uniform-capacity code and the output bit-identical to a build
-    /// without fault support.
-    link_caps: Option<Vec<f64>>,
-    /// Hierarchical-fabric state; `None` keeps every code path on the
-    /// historical flat model, byte-for-byte.
+    /// The compiled topology: per-link capacities (bytes/s) and routes.
+    /// Flat mode reads only the edge links `2v`/`2v+1`.
+    table: LinkTable,
+    /// Hierarchical-fabric state; `None` selects the flat model.
     tree: Option<Box<TreeState>>,
     /// Flat-fabric component state; empty in tree mode. Boxed to keep
     /// the network (embedded in the engine) small.
@@ -382,16 +377,32 @@ pub struct FluidNetwork {
 impl FluidNetwork {
     /// A network of `nodes` endpoints with the given parameters.
     pub fn new(params: NetworkParams, nodes: usize) -> Self {
-        Self::build(params, nodes, None)
+        Self::with_topology(params, nodes, &Topology::Flat)
     }
 
-    fn build(params: NetworkParams, nodes: usize, tree: Option<Box<TreeState>>) -> Self {
+    /// A network of `nodes` endpoints routed over `topology`. A flat
+    /// topology is exactly [`FluidNetwork::new`]; a fat-tree switches to
+    /// the incremental tree-mode model (see the module docs).
+    pub fn with_topology(params: NetworkParams, nodes: usize, topology: &Topology) -> Self {
         params.validate();
-        assert!(nodes > 0);
-        let flat = Box::new(match tree {
-            None => FlatState::new(nodes),
-            Some(_) => FlatState::default(),
-        });
+        let table = topology.link_table(nodes, params.goodput_bytes_per_sec());
+        let (tree, flat) = if *topology == Topology::Flat {
+            (None, FlatState::new(nodes))
+        } else {
+            // ~1e-6 of the edge rate: coarse enough that counts drifting
+            // by a few flows rarely move a share, fine enough that the
+            // rounding is irrelevant to simulated transfer times.
+            let quantum = params.goodput_bytes_per_sec() / (1u64 << 20) as f64;
+            let tree = TreeState {
+                qshare: table.capacities().to_vec(),
+                count: vec![0; table.num_links()],
+                quantum,
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                path_scratch: Vec::new(),
+            };
+            (Some(Box::new(tree)), FlatState::default())
+        };
         FluidNetwork {
             params,
             nodes,
@@ -401,9 +412,9 @@ impl FluidNetwork {
             remaining: Vec::new(),
             rate: Vec::new(),
             node_touch: vec![0; nodes],
-            link_caps: None,
+            table,
             tree,
-            flat,
+            flat: Box::new(flat),
             last_advance: SimTime::ZERO,
             total_bytes_delivered: 0.0,
             total_flows_completed: 0,
@@ -414,33 +425,6 @@ impl FluidNetwork {
         }
     }
 
-    /// A network of `nodes` endpoints routed over `topology`. A flat
-    /// topology is exactly [`FluidNetwork::new`]; a fat-tree switches to
-    /// the incremental tree-mode model (see the module docs).
-    pub fn with_topology(params: NetworkParams, nodes: usize, topology: &Topology) -> Self {
-        if *topology == Topology::Flat {
-            return Self::new(params, nodes);
-        }
-        params.validate();
-        let table = topology.link_table(nodes, params.goodput_bytes_per_sec());
-        let num_links = table.num_links();
-        // ~1e-6 of the edge rate: coarse enough that counts drifting
-        // by a few flows rarely move a share, fine enough that the
-        // rounding is irrelevant to simulated transfer times.
-        let quantum = params.goodput_bytes_per_sec() / (1u64 << 20) as f64;
-        let tree = TreeState {
-            qshare: table.capacities().to_vec(),
-            count: vec![0; num_links],
-            table,
-            quantum,
-            heap: BinaryHeap::new(),
-            next_generation: 0,
-            active_count: 0,
-            path_scratch: Vec::new(),
-        };
-        Self::build(params, nodes, Some(Box::new(tree)))
-    }
-
     /// Network parameters in force.
     pub fn params(&self) -> &NetworkParams {
         &self.params
@@ -449,28 +433,14 @@ impl FluidNetwork {
     /// Degrade `node`'s link to `factor` (in (0, 1]) of the nominal
     /// goodput — the fault-injection path for a failing cable or duplex
     /// mismatch. Call before traffic starts; cumulative if called twice
-    /// for the same node. A factor of exactly 1.0 on every node still
-    /// switches the solver to the per-node-capacity path, so only call
-    /// this when a link is genuinely degraded.
+    /// for the same node. Degrades both directions of the node's edge
+    /// link in the link table.
     pub fn set_link_bandwidth_factor(&mut self, node: usize, factor: f64) {
-        assert!(node < self.nodes, "endpoint out of range");
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "bandwidth factor must be in (0, 1]"
-        );
+        self.table.scale_edge_capacity(node, factor);
         if let Some(tree) = &mut self.tree {
-            // Hierarchical fabric: the per-node fault hook degrades both
-            // directions of the node's edge link in the link table.
-            tree.table.scale_edge_capacity(node, factor);
-            tree.requantize(2 * node);
-            tree.requantize(2 * node + 1);
-            return;
+            tree.requantize(&self.table, 2 * node);
+            tree.requantize(&self.table, 2 * node + 1);
         }
-        let goodput = self.params.goodput_bytes_per_sec();
-        let caps = self
-            .link_caps
-            .get_or_insert_with(|| vec![goodput; self.nodes]);
-        caps[node] *= factor;
     }
 
     /// Move the fluid state forward to `now`, draining flows at their
@@ -509,7 +479,6 @@ impl FluidNetwork {
             dst,
             remaining_bytes: 0.0,
             rate_bytes_per_sec: 0.0,
-            generation: 0,
         };
         let id = if let Some(slot) = self.free_slots.pop() {
             self.flows[slot] = Some(flow);
@@ -548,26 +517,27 @@ impl FluidNetwork {
     /// its completion. O(path · log flows).
     fn start_flow_tree(&mut self, now: SimTime, src: usize, dst: usize, bytes: u64) -> FlowId {
         self.advance(now);
+        let table = &self.table;
         let tree = self
             .tree
             .as_mut()
             // simlint: allow(panic-path): callers dispatch here only when tree mode was built; a None is corrupted state
             .expect("start_flow_tree requires tree mode");
-        let generation = tree.next_generation;
-        tree.next_generation += 1;
+        let seq = tree.next_seq;
+        tree.next_seq += 1;
 
         let rate = if src == dst {
             LOOPBACK_BYTES_PER_SEC
         } else {
             let mut path = std::mem::take(&mut tree.path_scratch);
             path.clear();
-            tree.table.push_path(src, dst, &mut path);
+            table.push_path(src, dst, &mut path);
             let (mut touched, mut skipped) = (0u64, 0u64);
             let mut rate = f64::INFINITY;
             for &l in &path {
                 let l = l as usize;
                 tree.count[l] += 1;
-                if tree.requantize(l) {
+                if tree.requantize(table, l) {
                     touched += 1;
                 } else {
                     skipped += 1;
@@ -584,7 +554,6 @@ impl FluidNetwork {
             dst,
             remaining_bytes: bytes as f64,
             rate_bytes_per_sec: rate,
-            generation,
         };
         let id = if let Some(slot) = self.free_slots.pop() {
             self.flows[slot] = Some(flow);
@@ -598,9 +567,8 @@ impl FluidNetwork {
 
         // simlint: allow(panic-path): same tree-mode dispatch invariant as above
         let tree = self.tree.as_mut().expect("tree mode");
-        tree.active_count += 1;
         let finish = completion_instant(now, bytes as f64, rate);
-        tree.heap.push(Reverse((finish, generation, id)));
+        tree.heap.push(Reverse((finish, seq, id)));
         FlowId(id)
     }
 
@@ -609,12 +577,11 @@ impl FluidNetwork {
     /// full solve while the near-tie guard holds.
     fn resolve_components(&mut self) {
         let FluidNetwork {
-            params,
             nodes,
             flows,
             active_slots,
             rate,
-            link_caps,
+            table,
             flat,
             solver,
             scratch_endpoints,
@@ -622,9 +589,6 @@ impl FluidNetwork {
             ..
         } = self;
         flat.epoch += 1;
-        let goodput = params.goodput_bytes_per_sec();
-        let link_caps = link_caps.as_deref();
-        let capacity = |n: usize| link_caps.map_or(goodput, |caps| caps[n]);
         // Every seed link carries a live flow, so each walk below finds a
         // non-empty component.
         let solved = !flat.seeds.is_empty();
@@ -655,7 +619,8 @@ impl FluidNetwork {
             if let [slot] = flat.component[..] {
                 // A lone flow gets its tighter link: what filling it gives.
                 let f = slot_flow(flows, slot);
-                let share = solver.solve_one_flat(capacity(f.src), capacity(f.dst));
+                let share =
+                    solver.solve_one_flat(table.capacity(2 * f.src), table.capacity(2 * f.dst + 1));
                 rate[slot_pos(active_slots, slot)] = share;
                 flat.set(slot, share, share <= 0.0);
                 continue;
@@ -674,7 +639,7 @@ impl FluidNetwork {
             solver.compute_flat_into(
                 scratch_endpoints,
                 *nodes,
-                capacity,
+                |link| table.capacity(link),
                 LOOPBACK_BYTES_PER_SEC,
                 scratch_rates,
             );
@@ -723,22 +688,14 @@ impl FluidNetwork {
             return;
         }
         self.total_rate_recomputes += 1;
-        match &self.link_caps {
-            None => self.solver.compute_into(
-                &self.scratch_endpoints,
-                self.nodes,
-                self.params.goodput_bytes_per_sec(),
-                LOOPBACK_BYTES_PER_SEC,
-                &mut self.scratch_rates,
-            ),
-            Some(caps) => self.solver.compute_with_capacities_into(
-                &self.scratch_endpoints,
-                self.nodes,
-                caps,
-                LOOPBACK_BYTES_PER_SEC,
-                &mut self.scratch_rates,
-            ),
-        }
+        let table = &self.table;
+        self.solver.compute_flat_into(
+            &self.scratch_endpoints,
+            self.nodes,
+            |link| table.capacity(link),
+            LOOPBACK_BYTES_PER_SEC,
+            &mut self.scratch_rates,
+        );
         // The solve visited the live flows in `active_slots` order.
         self.rate.copy_from_slice(&self.scratch_rates);
     }
@@ -749,11 +706,6 @@ impl FluidNetwork {
     /// drained by the returned instant.
     pub fn next_completion(&self) -> Option<SimTime> {
         if let Some(tree) = &self.tree {
-            // The heap head may be stale (its slot completed or was
-            // recycled); waking at a stale instant is harmless — the
-            // `take_completed_into` it triggers pops and discards the
-            // entry, so the next query sees a fresh head and the engine
-            // always makes progress.
             return tree.heap.peek().map(|&Reverse((t, _, _))| t);
         }
         min_drain_secs(&self.remaining, &self.rate).map(|secs| {
@@ -820,11 +772,12 @@ impl FluidNetwork {
         }
     }
 
-    /// Tree-mode harvest: pop every due completion off the lazy heap,
-    /// release the path links, and return the batch in slot order (the
-    /// same order the flat path reports).
+    /// Tree-mode harvest: pop every due completion off the heap, release
+    /// the path links, and return the batch in slot order (the same order
+    /// the flat path reports).
     fn take_completed_tree(&mut self, now: SimTime, done: &mut Vec<(FlowId, usize, usize)>) {
         let FluidNetwork {
+            table,
             tree,
             flows,
             free_slots,
@@ -839,19 +792,12 @@ impl FluidNetwork {
             // simlint: allow(panic-path): callers dispatch here only when tree mode was built; a None is corrupted state
             .expect("take_completed_tree requires tree mode");
         let (mut touched, mut skipped) = (0u64, 0u64);
-        while let Some(&Reverse((finish, generation, slot))) = tree.heap.peek() {
+        while let Some(&Reverse((finish, _, slot))) = tree.heap.peek() {
             if finish > now {
                 break;
             }
             tree.heap.pop();
-            let stale = flows
-                .get(slot)
-                .and_then(|f| f.as_ref())
-                .is_none_or(|f| f.generation != generation);
-            if stale {
-                continue;
-            }
-            // simlint: allow(panic-path): the stale check above just proved the slot holds this generation's flow
+            // simlint: allow(panic-path): a slot is freed only here, by popping its one heap entry, so the entry's slot holds its flow
             let flow = flows[slot].take().expect("live slot holds a flow");
             done.push((FlowId(slot), flow.src, flow.dst));
             free_slots.push(slot);
@@ -859,15 +805,14 @@ impl FluidNetwork {
             node_touch[flow.dst] -= 1;
             *total_bytes_delivered += flow.remaining_bytes;
             *total_flows_completed += 1;
-            tree.active_count -= 1;
             if flow.src != flow.dst {
                 let mut path = std::mem::take(&mut tree.path_scratch);
                 path.clear();
-                tree.table.push_path(flow.src, flow.dst, &mut path);
+                table.push_path(flow.src, flow.dst, &mut path);
                 for &l in &path {
                     let l = l as usize;
                     tree.count[l] -= 1;
-                    if tree.requantize(l) {
+                    if tree.requantize(table, l) {
                         touched += 1;
                     } else {
                         skipped += 1;
@@ -1288,7 +1233,7 @@ mod tests {
         let a = n.start_flow(SimTime::ZERO, 0, 1, 1000);
         let t = n.next_completion().unwrap();
         assert_eq!(take(&mut n, t).len(), 1);
-        // Recycled slot with a new generation; the old heap entry is gone.
+        // Recycled slot; the old flow's heap entry left with it.
         let b = n.start_flow(t, 1, 0, 1000);
         assert_eq!(a.0, b.0, "slot should be recycled");
         let t2 = n.next_completion().unwrap();

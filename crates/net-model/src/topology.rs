@@ -186,15 +186,18 @@ impl LinkTable {
     }
 
     /// Scale both directions of node `v`'s edge link by `factor` — the
-    /// degraded-link fault hook, re-expressed per-link.
+    /// degraded-link fault hook, re-expressed per-link. Checks that the
+    /// scaled capacity stays positive, so solves need not re-check it.
     pub(crate) fn scale_edge_capacity(&mut self, v: usize, factor: f64) {
         assert!(v < self.nodes, "node out of range");
         assert!(
             factor > 0.0 && factor <= 1.0,
             "bandwidth factor must be in (0, 1]"
         );
-        self.caps[2 * v] *= factor;
-        self.caps[2 * v + 1] *= factor;
+        for link in [2 * v, 2 * v + 1] {
+            self.caps[link] *= factor;
+            assert!(self.caps[link] > 0.0, "link capacity must be positive");
+        }
     }
 
     /// Append the link ids on `src → dst`'s path to `out`, in order:

@@ -13,7 +13,6 @@
 use std::fmt::Write as _;
 
 use sim_core::time::PS_PER_US;
-use sim_core::trace::CLUSTER_NODE;
 use sim_core::{SimTime, TraceDetail, TraceEvent, TraceKind};
 
 /// Document opening; every record follows it, separated by `,\n`.
@@ -231,9 +230,9 @@ impl PerfettoTrace {
     }
 
     /// Convert a simulation trace into a timeline: one thread track per
-    /// node carrying phase slices and message instants, one `MHz` counter
-    /// track per node fed by frequency-change events, and a `cluster`
-    /// track for node-agnostic events.
+    /// node carrying phase slices and message instants, and one `MHz`
+    /// counter track per node fed by frequency-change events. The named
+    /// `cluster` track after the node tracks stays empty.
     pub fn from_trace(events: &[TraceEvent], nodes: usize) -> Self {
         let mut p = PerfettoTrace::new();
         p.out
@@ -248,11 +247,7 @@ impl PerfettoTrace {
         p.thread_name(0, nodes as u64, "cluster");
 
         for ev in events {
-            let tid = if ev.node == CLUSTER_NODE {
-                nodes as u64
-            } else {
-                ev.node as u64
-            };
+            let tid = ev.node as u64;
             label.clear();
             match ev.kind {
                 TraceKind::PhaseBegin => {
@@ -277,15 +272,6 @@ impl PerfettoTrace {
                         label.clear();
                     }
                     let _ = write!(label, "freq {}", ev.detail);
-                    p.instant(0, tid, &label, ev.time);
-                }
-                TraceKind::Sample => {
-                    // Samples are exported through the richer SampleRow
-                    // path by callers; a raw trace renders them as marks.
-                    p.instant(0, tid, "sample", ev.time);
-                }
-                TraceKind::Control | TraceKind::Other => {
-                    let _ = write!(label, "{}", ev.detail);
                     p.instant(0, tid, &label, ev.time);
                 }
             }

@@ -42,9 +42,6 @@ pub fn trace_to_csv(trace: &[TraceEvent]) -> String {
             TraceKind::FreqChange => "freq_change",
             TraceKind::MsgStart => "msg_start",
             TraceKind::MsgEnd => "msg_end",
-            TraceKind::Sample => "sample",
-            TraceKind::Control => "control",
-            TraceKind::Other => "other",
         };
         // Details are engine-generated (no commas/quotes by construction),
         // but escape defensively.

@@ -72,7 +72,7 @@ impl SimDuration {
     }
 
     /// A span of whole milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * PS_PER_MS)
     }
 

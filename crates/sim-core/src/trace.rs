@@ -2,10 +2,11 @@
 //!
 //! The PowerPack framework in the paper coordinates and aligns measurement
 //! records from many nodes. Our simulated equivalent logs structured
-//! [`TraceEvent`]s (phase markers, frequency transitions, message
-//! lifecycles) that the `powerpack` crate later filters and aligns the same
-//! way the paper's post-processing tools do, and that the `obs` crate
-//! renders as a Perfetto timeline.
+//! [`TraceEvent`]s that the `powerpack` crate later filters and aligns the
+//! same way the paper's post-processing tools do, and that the `obs` crate
+//! renders as a Perfetto timeline. The vocabulary is exactly what the
+//! engine records: phase markers, message starts and ends, and frequency
+//! changes, each on one rank's node.
 //!
 //! Events carry a typed [`TraceDetail`] payload rather than a string:
 //! recording is allocation-free (the detail is a `Copy` enum), exporters
@@ -29,20 +30,12 @@ pub enum TraceKind {
     MsgStart,
     /// A message fully arrived.
     MsgEnd,
-    /// A measurement sample was taken (battery/meter poll).
-    Sample,
-    /// Governor decision or other control action.
-    Control,
-    /// Anything else.
-    Other,
 }
 
 /// Typed event payload. `Copy`, so recording never allocates and exporters
 /// (CSV, Perfetto) can destructure instead of parsing strings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceDetail {
-    /// Nothing beyond the kind.
-    None,
     /// A named program phase (PhaseBegin / PhaseEnd).
     Phase(&'static str),
     /// An outgoing message: destination rank and payload size.
@@ -64,8 +57,6 @@ pub enum TraceDetail {
         /// Frequency after the transition, MHz.
         to_mhz: u32,
     },
-    /// Free-form static label (control actions, samples).
-    Label(&'static str),
 }
 
 impl TraceDetail {
@@ -81,8 +72,7 @@ impl TraceDetail {
 impl fmt::Display for TraceDetail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceDetail::None => Ok(()),
-            TraceDetail::Phase(name) | TraceDetail::Label(name) => f.write_str(name),
+            TraceDetail::Phase(name) => f.write_str(name),
             TraceDetail::MsgTo { dst, bytes } => write!(f, "->{dst} {bytes}B"),
             TraceDetail::MsgFrom { src } => write!(f, "<-{src}"),
             TraceDetail::Freq { from_mhz, to_mhz } => write!(f, "{from_mhz}->{to_mhz}"),
@@ -95,16 +85,13 @@ impl fmt::Display for TraceDetail {
 pub struct TraceEvent {
     /// When it happened.
     pub time: SimTime,
-    /// Which node it happened on (`usize::MAX` = cluster-wide).
+    /// The node of the rank it happened on.
     pub node: usize,
     /// Category for filtering.
     pub kind: TraceKind,
     /// Structured detail, e.g. `Phase("fft")` or `Freq { 1400, 600 }`.
     pub detail: TraceDetail,
 }
-
-/// Node id used for cluster-wide (not node-specific) events.
-pub const CLUSTER_NODE: usize = usize::MAX;
 
 /// A bounded event log. When the capacity is reached, the oldest events are
 /// discarded (the paper notes their tools must cope with "large amounts of
@@ -196,7 +183,7 @@ mod tests {
     use super::*;
 
     fn ev(trace: &mut Trace, t: u64, node: usize, kind: TraceKind) {
-        trace.record(SimTime(t), node, kind, TraceDetail::Label("x"));
+        trace.record(SimTime(t), node, kind, TraceDetail::Phase("x"));
     }
 
     #[test]
@@ -212,7 +199,7 @@ mod tests {
     fn capacity_drops_oldest() {
         let mut t = Trace::new(3);
         for i in 0..5 {
-            ev(&mut t, i, 0, TraceKind::Other);
+            ev(&mut t, i, 0, TraceKind::PhaseBegin);
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
@@ -223,7 +210,7 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        ev(&mut t, 1, 0, TraceKind::Other);
+        ev(&mut t, 1, 0, TraceKind::PhaseBegin);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
     }
@@ -232,9 +219,9 @@ mod tests {
     fn disabled_trace_never_runs_the_detail_closure() {
         let mut t = Trace::disabled();
         let mut ran = false;
-        t.record_with(SimTime(1), 0, TraceKind::Other, || {
+        t.record_with(SimTime(1), 0, TraceKind::PhaseBegin, || {
             ran = true;
-            TraceDetail::None
+            TraceDetail::Phase("x")
         });
         assert!(!ran, "disabled trace must not build details");
 
@@ -242,9 +229,9 @@ mod tests {
         // the detail either.
         let mut t = Trace::new(0);
         let mut ran = false;
-        t.record_with(SimTime(1), 0, TraceKind::Other, || {
+        t.record_with(SimTime(1), 0, TraceKind::PhaseBegin, || {
             ran = true;
-            TraceDetail::None
+            TraceDetail::Phase("x")
         });
         assert!(!ran);
         assert_eq!(t.dropped(), 1);
@@ -253,7 +240,7 @@ mod tests {
     #[test]
     fn zero_capacity_counts_drops() {
         let mut t = Trace::new(0);
-        ev(&mut t, 1, 0, TraceKind::Other);
+        ev(&mut t, 1, 0, TraceKind::PhaseBegin);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         assert_eq!(t.dropped(), 1);
@@ -279,7 +266,6 @@ mod tests {
             .to_string(),
             "1400->600"
         );
-        assert_eq!(TraceDetail::None.to_string(), "");
         assert_eq!(TraceDetail::Phase("fft").phase(), Some("fft"));
         assert_eq!(TraceDetail::MsgFrom { src: 2 }.phase(), None);
     }

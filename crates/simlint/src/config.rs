@@ -33,15 +33,8 @@ pub struct Config {
 pub(crate) const CONTROLLER_TRAIT: &str = "ClusterController";
 
 /// The `ClusterController` hooks that only fire when
-/// `wants_runtime_events` returns true — and whose non-sample members may
-/// never emit `Decision`s.
-pub(crate) const CONTROLLER_RUNTIME_HOOKS: &[&str] =
-    &["on_wait_begin", "on_wait_end", "on_phase", "on_sample"];
-
-/// The runtime hooks that must *not* push decisions (decisions are legal
-/// only from sample instants — DESIGN.md §15).
-pub(crate) const CONTROLLER_NON_SAMPLE_HOOKS: &[&str] =
-    &["on_wait_begin", "on_wait_end", "on_phase"];
+/// `wants_runtime_events` returns true.
+pub(crate) const CONTROLLER_RUNTIME_HOOKS: &[&str] = &["on_wait_begin", "on_wait_end", "on_sample"];
 
 /// The gate method runtime hooks hide behind.
 pub(crate) const CONTROLLER_GATE: &str = "wants_runtime_events";
@@ -136,7 +129,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "controller-discipline",
-        "ClusterController runtime hooks must be gated behind wants_runtime_events and emit Decisions only from on_sample",
+        "ClusterController runtime hooks must be gated behind wants_runtime_events",
     ),
 ];
 

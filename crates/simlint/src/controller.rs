@@ -1,22 +1,13 @@
 //! The `controller-discipline` pass: audits every impl of
-//! `ClusterController` for the two engine contracts the type system
-//! cannot express:
-//!
-//! 1. The engine delivers the runtime hooks (`on_wait_begin`,
-//!    `on_wait_end`, `on_phase`, `on_sample`) only when
-//!    `wants_runtime_events` returns true. Overriding a hook without
-//!    overriding the gate produces a controller whose hooks silently
-//!    never fire.
-//! 2. Frequency `Decision`s are legal only from sample instants
-//!    (DESIGN.md §15): decisions carry settle latencies that must not
-//!    punch holes in the middle of modeled phases. The non-sample hooks
-//!    may observe state but must not touch their decision out-parameter.
+//! `ClusterController` for the one engine contract the type system
+//! cannot express. The engine delivers the runtime hooks
+//! (`on_wait_begin`, `on_wait_end`, `on_sample`) only when
+//! `wants_runtime_events` returns true, so overriding a hook without
+//! overriding the gate produces a controller whose hooks silently never
+//! fire. (That decisions come only from sample instants, DESIGN.md §15,
+//! needs no lint: `on_sample` is the only hook given a decision buffer.)
 
-use crate::tokens::{Group, TokenTree};
-
-use crate::config::{
-    CONTROLLER_GATE, CONTROLLER_NON_SAMPLE_HOOKS, CONTROLLER_RUNTIME_HOOKS, CONTROLLER_TRAIT,
-};
+use crate::config::{CONTROLLER_GATE, CONTROLLER_RUNTIME_HOOKS, CONTROLLER_TRAIT};
 use crate::model::Workspace;
 use crate::rules::Finding;
 
@@ -32,13 +23,13 @@ pub(crate) fn check(ws: &Workspace) -> Vec<Finding> {
             .methods
             .iter()
             .any(|&i| ws.fns[i].name == CONTROLLER_GATE);
+        if overrides_gate {
+            continue;
+        }
         for &i in &im.methods {
             let f = &ws.fns[i];
             let hook = f.name.as_str();
-            if !CONTROLLER_RUNTIME_HOOKS.contains(&hook) {
-                continue;
-            }
-            if !overrides_gate {
+            if CONTROLLER_RUNTIME_HOOKS.contains(&hook) {
                 findings.push(Finding {
                     file: f.file.clone(),
                     line: f.line,
@@ -50,57 +41,9 @@ pub(crate) fn check(ws: &Workspace) -> Vec<Finding> {
                     ),
                 });
             }
-            if CONTROLLER_NON_SAMPLE_HOOKS.contains(&hook) {
-                if let Some(used) = body_emits_decisions(f.body.as_ref(), f.params.last()) {
-                    findings.push(Finding {
-                        file: f.file.clone(),
-                        line: f.line,
-                        column: f.column,
-                        rule: "controller-discipline",
-                        message: format!(
-                            "`{ty}::{hook}` {used}; decisions are legal only from \
-                             `on_sample` (sample instants, DESIGN.md §15)"
-                        ),
-                    });
-                }
-            }
         }
     }
     findings
-}
-
-/// Whether a non-sample hook body touches its decision out-parameter or
-/// constructs a `Decision` directly. Returns a description of the use, or
-/// `None` for a clean body.
-fn body_emits_decisions(
-    body: Option<&Group>,
-    out_param: Option<&crate::model::Param>,
-) -> Option<String> {
-    let body = body?;
-    let out_name = out_param.map(|p| p.name.as_str());
-    let mut hit = None;
-    scan(body.stream().tokens(), out_name, &mut hit);
-    hit
-}
-
-fn scan(tokens: &[TokenTree], out_name: Option<&str>, hit: &mut Option<String>) {
-    for t in tokens {
-        if hit.is_some() {
-            return;
-        }
-        match t {
-            TokenTree::Ident(id) => {
-                let name = id.to_string();
-                if Some(name.as_str()) == out_name {
-                    *hit = Some(format!("touches its decision out-parameter `{name}`"));
-                } else if name == "Decision" {
-                    *hit = Some("constructs a `Decision`".to_string());
-                }
-            }
-            TokenTree::Group(g) => scan(g.stream().tokens(), out_name, hit),
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,33 +71,6 @@ mod tests {
                  fn wants_runtime_events(&self) -> bool { true } \
                  fn on_sample(&mut self, now: SimTime, nodes: &[Node], out: &mut Vec<Decision>) { \
                      out.push(Decision { node: 0, op: 1 }); \
-                 } \
-             }");
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn non_sample_hook_emitting_decisions_is_flagged() {
-        let f = run("impl ClusterController for Cap { \
-                 fn wants_runtime_events(&self) -> bool { true } \
-                 fn on_phase(&mut self, now: SimTime, rank: usize, name: &str, begin: bool, \
-                             nodes: &[Node], out: &mut Vec<Decision>) { \
-                     out.push(Decision { node: 0, op: 1 }); \
-                 } \
-             }");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("out-parameter"), "{f:?}");
-    }
-
-    #[test]
-    fn observing_hooks_with_unused_out_params_are_clean() {
-        // `_out` in the signature (not the body) must not trip the scan —
-        // the parameter type mentions `Decision` but the body is clean.
-        let f = run("impl ClusterController for Cap { \
-                 fn wants_runtime_events(&self) -> bool { true } \
-                 fn on_wait_begin(&mut self, now: SimTime, rank: usize, nodes: &[Node], \
-                                  _out: &mut Vec<Decision>) { \
-                     self.waits += 1; \
                  } \
              }");
         assert!(f.is_empty(), "{f:?}");

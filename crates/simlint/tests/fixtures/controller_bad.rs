@@ -1,21 +1,12 @@
-//! Fixture: controller-discipline violations — a runtime hook overridden
-//! without the `wants_runtime_events` gate, emitting decisions from a
-//! non-sample instant.
+//! Fixture: controller-discipline violation — a runtime hook overridden
+//! without the `wants_runtime_events` gate.
 
 pub struct BadCap {
     budget_w: f64,
 }
 
 impl ClusterController for BadCap {
-    fn on_phase(
-        &mut self,
-        now: SimTime,
-        rank: usize,
-        name: &str,
-        begin: bool,
-        nodes: &[Node],
-        out: &mut Vec<Decision>,
-    ) {
-        out.push(Decision { node: rank, op: 0 });
+    fn on_wait_begin(&mut self, now: SimTime, rank: usize, nodes: &[Node]) {
+        self.budget_w -= 1.0;
     }
 }

@@ -1,5 +1,6 @@
-//! Fixture: a disciplined controller — runtime hooks gated, decisions
-//! only from `on_sample`, and one justified escape for an observing hook.
+//! Fixture: a disciplined controller — runtime hooks gated — and one
+//! justified escape for an ungated hook on a controller that only tests
+//! call directly.
 
 pub struct GoodCap {
     budget_w: f64,
@@ -11,28 +12,22 @@ impl ClusterController for GoodCap {
         true
     }
 
-    // simlint: allow(controller-discipline): drains stale decisions on wait entry; audited in review
-    fn on_wait_begin(
-        &mut self,
-        now: SimTime,
-        rank: usize,
-        nodes: &[Node],
-        out: &mut Vec<Decision>,
-    ) {
-        out.clear();
-    }
-
-    fn on_wait_end(
-        &mut self,
-        now: SimTime,
-        rank: usize,
-        nodes: &[Node],
-        _out: &mut Vec<Decision>,
-    ) {
+    fn on_wait_end(&mut self, now: SimTime, rank: usize, nodes: &[Node]) {
         self.waits += 1;
     }
 
     fn on_sample(&mut self, now: SimTime, nodes: &[Node], out: &mut Vec<Decision>) {
         out.push(Decision { node: 0, op: 1 });
+    }
+}
+
+pub struct WaitProbe {
+    waits: u64,
+}
+
+impl ClusterController for WaitProbe {
+    // simlint: allow(controller-discipline): unit tests call this hook directly; never handed to the engine
+    fn on_wait_begin(&mut self, now: SimTime, rank: usize, nodes: &[Node]) {
+        self.waits += 1;
     }
 }

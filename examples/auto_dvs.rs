@@ -19,7 +19,7 @@ fn main() {
         reference.total_energy_j()
     );
 
-    let outcome = AutoTuner::default().tune(&workload);
+    let outcome = AutoTuner.tune(&workload);
     println!(
         "pilot profile selected slack-heavy phases: {:?}",
         outcome.selected_phases
