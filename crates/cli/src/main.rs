@@ -561,14 +561,14 @@ EXAMPLES:
 
 FAULT SPECS (comma-separated; deterministic under a fixed seed):
   seed:<u64>                  RNG seed (default 0x5EEDFA17)
-  slow:<node>:<factor>        scale node's compute cost (straggler)
+  slow:<node>:<factor>        scale node's compute cost (straggler), (0,1e3]
   battery-stuck:<node>:<secs> battery reading freezes after <secs>
   battery-noise:<node>:<mwh>  +/- quantization noise on readings
   meter-bias:<node>:<factor>  scale the node's *reported* power
   skip-sample:<prob>          drop whole sampling windows
   dvfs-fail:<node>:<prob>     DVFS transition requests silently fail
-  dvfs-latency:<node>:<factor> scale the 10 us transition stall
-  weak-link:<node>:<factor>   scale node's link bandwidth, (0,1]
+  dvfs-latency:<node>:<factor> scale the 10 us transition stall, (0,1e3]
+  weak-link:<node>:<factor>   scale node's link bandwidth, [1e-6,1]
 An empty spec (the default) leaves every run bit-identical to an
 unfaulted simulation; injected-fault counts are printed after a run
 and recorded in the metrics registry (engine.faults.*).

@@ -323,7 +323,6 @@ pub struct Engine {
     /// Message owning each network flow slot. Flow ids are small densely
     /// reused slot indices, so a flat vector beats a hash map here.
     flow_to_msg: Vec<Option<MsgId>>,
-    net_event: Option<u64>,
     finished: usize,
     samples: Vec<SampleRow>,
     trace: Trace,
@@ -442,7 +441,6 @@ impl Engine {
             pending_sends: FxHashMap::with_capacity_and_hasher(n, Default::default()),
             pending_recvs: FxHashMap::with_capacity_and_hasher(n, Default::default()),
             flow_to_msg: Vec::new(),
-            net_event: None,
             finished: 0,
             samples: Vec::new(),
             cluster,
@@ -1055,7 +1053,7 @@ impl Engine {
                             self.free_msg(id);
                             None // already here
                         } else {
-                            self.queue.push(deliver_at, Event::Delivered(id));
+                            self.queue.push_fifo(deliver_at, Event::Delivered(id));
                             Some(RecvWait::Matched(id))
                         }
                     }
@@ -1138,18 +1136,16 @@ impl Engine {
         self.cluster.node_mut(node).set_nic_active(self.now, busy);
     }
 
+    /// Point the queue's timer at the network's next completion. The
+    /// wake is the timer's only event.
     fn reschedule_network(&mut self) {
-        if let Some(ev) = self.net_event.take() {
-            self.queue.cancel(ev);
-        }
-        if let Some(t) = self.network.next_completion() {
-            let t = t.max(self.now);
-            self.net_event = Some(self.queue.push(t, Event::NetworkWake));
+        match self.network.next_completion() {
+            Some(t) => self.queue.arm_timer(t.max(self.now), Event::NetworkWake),
+            None => self.queue.disarm_timer(),
         }
     }
 
     fn on_network_wake(&mut self) {
-        self.net_event = None;
         let mut completed = std::mem::take(&mut self.completed_buf);
         self.network.take_completed_into(self.now, &mut completed);
         let latency = self.network.params().wire_latency;
@@ -1183,7 +1179,8 @@ impl Engine {
             }
             // Receiver side completes after the wire latency, if posted.
             if self.msgs[id].recv_posted {
-                self.queue.push(self.now + latency, Event::Delivered(id));
+                self.queue
+                    .push_fifo(self.now + latency, Event::Delivered(id));
             }
         }
         self.completed_buf = completed;
@@ -1570,6 +1567,9 @@ impl Engine {
                 "engine.queue.depth_hwm",
                 self.queue.depth_high_water() as f64,
             );
+            // Superseded schedules over pushes: cancelled heap events
+            // and re-armed network wakes. The wake lives outside the
+            // heap, so most of these leave no tombstone.
             m.gauge_set(
                 "engine.queue.tombstone_ratio",
                 if pushed > 0 {

@@ -147,15 +147,19 @@ impl FaultSpec {
     ///
     /// ```text
     /// seed:<u64>                     fault RNG seed (default 0x5EEDFA17)
-    /// slow:<node>:<factor>           compute slowdown (straggler)
+    /// slow:<node>:<factor>           compute slowdown (straggler), (0, 1e3]
     /// battery-stuck:<node>:<secs>    battery register freezes after t
     /// battery-noise:<node>:<mwh>     ± uniform noise on battery reads
     /// meter-bias:<node>:<factor>     sampled power scaled by factor
     /// skip-sample:<prob>             drop each sampling window w.p. p
     /// dvfs-fail:<node>:<prob>        transition requests fail w.p. p
-    /// dvfs-latency:<node>:<factor>   transition latency scaled by factor
-    /// weak-link:<node>:<factor>      link bandwidth scaled to factor
+    /// dvfs-latency:<node>:<factor>   transition latency scaled by factor, (0, 1e3]
+    /// weak-link:<node>:<factor>      link bandwidth scaled to factor, [1e-6, 1]
     /// ```
+    ///
+    /// The stretch factors are bounded so that a stretched run stays far
+    /// inside the picosecond clock's ~1.8e7 s range: a 1e3× slowdown of a
+    /// minutes-long run, or a link at 1e-6 of its bandwidth, still fits.
     ///
     /// An empty string parses to the empty spec.
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
@@ -176,7 +180,7 @@ impl FaultSpec {
                 }
                 "slow" => {
                     let (node, factor) = parse_node_f64(entry, &rest)?;
-                    check_positive(entry, factor)?;
+                    check_stretch(entry, factor)?;
                     out.faults.push(Fault::ComputeSlowdown { node, factor });
                 }
                 "battery-stuck" => {
@@ -215,13 +219,15 @@ impl FaultSpec {
                 }
                 "dvfs-latency" => {
                     let (node, factor) = parse_node_f64(entry, &rest)?;
-                    check_positive(entry, factor)?;
+                    check_stretch(entry, factor)?;
                     out.faults.push(Fault::DvfsLatency { node, factor });
                 }
                 "weak-link" => {
                     let (node, bandwidth_factor) = parse_node_f64(entry, &rest)?;
-                    if !(bandwidth_factor > 0.0 && bandwidth_factor <= 1.0) {
-                        return Err(format!("'{entry}': bandwidth factor must be in (0, 1]"));
+                    if !(MIN_LINK_FACTOR..=1.0).contains(&bandwidth_factor) {
+                        return Err(format!(
+                            "'{entry}': bandwidth factor must be in [{MIN_LINK_FACTOR:e}, 1]"
+                        ));
                     }
                     out.faults.push(Fault::DegradedLink {
                         node,
@@ -276,6 +282,20 @@ fn check_positive(entry: &str, value: f64) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!("'{entry}': factor must be positive and finite"))
+    }
+}
+
+/// Largest `slow` or `dvfs-latency` factor.
+const MAX_STRETCH: f64 = 1e3;
+/// Smallest `weak-link` bandwidth factor.
+const MIN_LINK_FACTOR: f64 = 1e-6;
+
+/// A time-stretching factor: positive and at most [`MAX_STRETCH`].
+fn check_stretch(entry: &str, value: f64) -> Result<(), String> {
+    if value > 0.0 && value <= MAX_STRETCH {
+        Ok(())
+    } else {
+        Err(format!("'{entry}': factor must be in (0, {MAX_STRETCH:e}]"))
     }
 }
 
@@ -395,6 +415,13 @@ mod tests {
             "dvfs-fail:0:2",
             "weak-link:0:0",
             "weak-link:0:1.5",
+            "weak-link:3:1e-320",
+            "weak-link:3:1e-9",
+            "slow:1:1e9",
+            "slow:1:1e300",
+            "slow:1:inf",
+            "dvfs-latency:1:1e300",
+            "dvfs-latency:1:0",
             "battery-noise:0:-1",
             "battery-stuck:0:-5",
             "seed:abc",

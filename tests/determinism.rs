@@ -263,6 +263,34 @@ fn ft_scale_64_results_are_pinned() {
 }
 
 #[test]
+fn fat_tree_scheduling_counts_are_pinned() {
+    // The queue's lifetime counters on the tree-mode path, which the
+    // simsan trio does not cover. Re-arming the network wake counts as a
+    // cancel plus a push, and deliveries count as pushes wherever they
+    // are stored, so a change to where events wait must leave every
+    // count unchanged; a change to what the engine schedules re-pins them.
+    use pwrperf::Topology;
+    let engine = EngineConfig {
+        topology: Topology::parse("fat-tree:radix=4,oversub=2").unwrap(),
+        metrics: true,
+        ..EngineConfig::default()
+    };
+    let r = Experiment::new(Workload::ft_scale(64), DvsStrategy::StaticMhz(1400))
+        .with_engine(engine)
+        .run();
+    let m = r.metrics.as_ref().expect("metrics were requested");
+    assert_eq!(r.events, 15_927, "events");
+    for (name, pinned) in [
+        ("engine.queue.pushed", 20_265),
+        ("engine.queue.cancelled", 4_338),
+        ("engine.queue.processed", 15_927),
+    ] {
+        assert_eq!(m.counter(name), Some(pinned), "{name}");
+    }
+    assert_eq!(m.gauge("engine.queue.depth_hwm"), Some(64.0));
+}
+
+#[test]
 fn faster_cluster_never_loses_on_delay() {
     // Sanity across the ladder: delay is monotone in frequency for a
     // fixed workload and static control.
