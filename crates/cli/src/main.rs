@@ -568,7 +568,7 @@ FAULT SPECS (comma-separated; deterministic under a fixed seed):
   skip-sample:<prob>          drop whole sampling windows
   dvfs-fail:<node>:<prob>     DVFS transition requests silently fail
   dvfs-latency:<node>:<factor> scale the 10 us transition stall, (0,1e3]
-  weak-link:<node>:<factor>   scale node's link bandwidth, [1e-6,1]
+  weak-link:<node>:<factor>   scale node's link bandwidth, [1e-4,1]
 An empty spec (the default) leaves every run bit-identical to an
 unfaulted simulation; injected-fault counts are printed after a run
 and recorded in the metrics registry (engine.faults.*).

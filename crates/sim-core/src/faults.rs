@@ -154,12 +154,13 @@ impl FaultSpec {
     /// skip-sample:<prob>             drop each sampling window w.p. p
     /// dvfs-fail:<node>:<prob>        transition requests fail w.p. p
     /// dvfs-latency:<node>:<factor>   transition latency scaled by factor, (0, 1e3]
-    /// weak-link:<node>:<factor>      link bandwidth scaled to factor, [1e-6, 1]
+    /// weak-link:<node>:<factor>      link bandwidth scaled to factor, [1e-4, 1]
     /// ```
     ///
-    /// The stretch factors are bounded so that a stretched run stays far
-    /// inside the picosecond clock's ~1.8e7 s range: a 1e3× slowdown of a
-    /// minutes-long run, or a link at 1e-6 of its bandwidth, still fits.
+    /// The stretch factors are bounded so that a stretched paper-scale
+    /// run stays inside the picosecond clock's ~1.8e7 s range: FT.C on 8
+    /// nodes simulates 9.1e4 s with `slow:1:1e3` and 4.1e6 s with
+    /// `weak-link:1:1e-4`, and overflows the clock at `weak-link:1:1e-5`.
     ///
     /// An empty string parses to the empty spec.
     pub fn parse(spec: &str) -> Result<FaultSpec, String> {
@@ -288,7 +289,7 @@ fn check_positive(entry: &str, value: f64) -> Result<(), String> {
 /// Largest `slow` or `dvfs-latency` factor.
 const MAX_STRETCH: f64 = 1e3;
 /// Smallest `weak-link` bandwidth factor.
-const MIN_LINK_FACTOR: f64 = 1e-6;
+const MIN_LINK_FACTOR: f64 = 1e-4;
 
 /// A time-stretching factor: positive and at most [`MAX_STRETCH`].
 fn check_stretch(entry: &str, value: f64) -> Result<(), String> {
@@ -417,6 +418,7 @@ mod tests {
             "weak-link:0:1.5",
             "weak-link:3:1e-320",
             "weak-link:3:1e-9",
+            "weak-link:3:1e-5",
             "slow:1:1e9",
             "slow:1:1e300",
             "slow:1:inf",
