@@ -134,6 +134,13 @@ fn parse_faults(value: &str) -> Result<FaultSpec, String> {
     FaultSpec::parse(value).map_err(|e| format!("bad --faults spec: {e}"))
 }
 
+/// The `--faults` spec must target nodes the workload has.
+fn check_faults(workload: &Workload, faults: &FaultSpec) -> Result<(), String> {
+    workload
+        .check_faults(faults)
+        .map_err(|e| format!("bad --faults spec: {e}"))
+}
+
 fn parse_topology(value: &str) -> Result<Topology, String> {
     Topology::parse(value).map_err(|e| format!("bad --topology spec: {e}"))
 }
@@ -234,8 +241,10 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                 },
                 (None, None) => return Err("run needs --strategy or --power-cap".to_string()),
             };
+            let workload = workload.ok_or("run needs --workload")?;
+            check_faults(&workload, &faults)?;
             Ok(Command::Run {
-                workload: workload.ok_or("run needs --workload")?,
+                workload,
                 strategy,
                 blocking_ms,
                 metrics,
@@ -290,8 +299,10 @@ fn parse_inner(args: &[&str]) -> Result<Command, String> {
                     );
                 }
             }
+            let workload = workload.ok_or("sweep needs --workload")?;
+            check_faults(&workload, &faults)?;
             Ok(Command::Sweep {
-                workload: workload.ok_or("sweep needs --workload")?,
+                workload,
                 dynamic,
                 threads,
                 store,
@@ -625,7 +636,7 @@ mod tests {
         match parse(&[
             "run",
             "-w",
-            "swim",
+            "ft-test4",
             "-s",
             "static-800",
             "--faults",

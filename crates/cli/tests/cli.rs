@@ -182,6 +182,37 @@ fn removed_subcommands_and_flags_exit_2() {
 }
 
 #[test]
+fn a_fault_on_a_node_the_workload_lacks_exits_2() {
+    let cases: [&[&str]; 3] = [
+        &[
+            "run",
+            "-w",
+            "comm-256k",
+            "-s",
+            "static-1400",
+            "--faults",
+            "weak-link:3:0.5",
+        ],
+        &["sweep", "-w", "comm-256k", "--faults", "weak-link:3:0.5"],
+        &[
+            "run",
+            "-w",
+            "swim",
+            "-s",
+            "static-1400",
+            "--faults",
+            "slow:1:2",
+        ],
+    ];
+    for args in cases {
+        let out = pwrperf(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: bad --faults spec: "), "{stderr}");
+    }
+}
+
+#[test]
 fn help_lists_exactly_the_remaining_commands() {
     let stdout = stdout_of(&["help"]);
     let usage = stdout

@@ -60,10 +60,13 @@ pub fn format_strategy_comparison(
     rows: &[(String, f64, f64)],
     reference_label: &str,
 ) -> String {
+    #[expect(
+        clippy::panic,
+        reason = "report formatting is CLI-side, not engine; a missing reference label is caller misuse worth failing loudly"
+    )]
     let reference = rows
         .iter()
         .find(|(l, _, _)| l == reference_label)
-        // simlint: allow(panic-path): report formatting is CLI-side, not engine; a missing reference label is caller misuse worth failing loudly
         .unwrap_or_else(|| panic!("reference row '{reference_label}' missing"));
     let (_, e0, d0) = reference.clone();
     let mut out = String::new();

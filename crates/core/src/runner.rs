@@ -46,6 +46,10 @@ use crate::experiment::Experiment;
 pub(crate) const THREADS_ENV: &str = "PWRPERF_THREADS";
 
 /// The `PWRPERF_THREADS` override, if set to a positive integer.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned environment read: PWRPERF_THREADS is parsed here, once per batch"
+)]
 fn env_threads() -> Option<usize> {
     std::env::var(THREADS_ENV)
         .ok()
@@ -319,7 +323,10 @@ where
             })
             .collect();
         for (w, handle) in handles.into_iter().enumerate() {
-            // simlint: allow(panic-path): join fails only if a worker died outside catch_unwind; nothing sane to degrade to
+            #[expect(
+                clippy::expect_used,
+                reason = "join fails only if a worker died outside catch_unwind; nothing sane to degrade to"
+            )]
             let (local, busy) = handle.join().expect("worker closures catch panics");
             per_worker_busy[w] = busy;
             for (i, r) in local {
@@ -327,9 +334,12 @@ where
             }
         }
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "the atomic work-stealing counter claims every index exactly once; a hole is corrupted batch state"
+    )]
     let results: Vec<Caught<R>> = results
         .into_iter()
-        // simlint: allow(panic-path): the atomic work-stealing counter claims every index exactly once; a hole is corrupted batch state
         .map(|r| r.expect("every claimed index produces a result"))
         .collect();
     let telemetry = BatchTelemetry {

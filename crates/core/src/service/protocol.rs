@@ -162,6 +162,13 @@ impl SweepSpec {
         if workloads.is_empty() || strategies.is_empty() {
             return Err("a sweep needs at least one workload and one strategy".to_string());
         }
+        for (spec, faults) in self.fault_specs.iter().zip(&fault_specs) {
+            for workload in &workloads {
+                workload
+                    .check_faults(faults)
+                    .map_err(|e| format!("fault_specs '{spec}': {e}"))?;
+            }
+        }
         for &delta in &self.deltas {
             if !delta.is_finite() || !(-1.0..=1.0).contains(&delta) {
                 return Err(format!("delta {delta} outside [-1, 1]"));

@@ -5,6 +5,7 @@ use powerpack::{
     comm_roundtrip_programs, cpu_bound_program, memory_bound_program, register_program,
     CommMicroConfig, MicroConfig,
 };
+use sim_core::FaultSpec;
 use workloads::{
     cg_programs, ft_programs, mg_programs, mgrid_program, swim_program, transpose_programs,
     CgClass, CgConfig, FtClass, FtConfig, MgClass, MgConfig, SpecConfig, TransposeConfig,
@@ -121,6 +122,21 @@ impl Workload {
             Workload::Swim | Workload::Mgrid => 1,
             Workload::MemoryMicro(_) | Workload::CpuMicro(_) | Workload::RegisterMicro(_) => 1,
             Workload::Comm(_) => 2,
+        }
+    }
+
+    /// Reject a fault spec that targets a node this workload does not
+    /// run on, before any run: the engine treats such a spec as a bug.
+    pub fn check_faults(&self, faults: &FaultSpec) -> Result<(), String> {
+        let nodes = self.ranks();
+        match faults.max_node() {
+            Some(node) if node >= nodes => Err(format!(
+                "fault targets node {node}, but {} has only {nodes} node{} (0..={})",
+                self.label(),
+                if nodes == 1 { "" } else { "s" },
+                nodes - 1
+            )),
+            _ => Ok(()),
         }
     }
 

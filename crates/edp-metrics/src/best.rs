@@ -31,11 +31,14 @@ pub fn efficiency_gain(crescendo: &Crescendo, delta: Delta) -> f64 {
     };
     let reference_mhz = crescendo.reference().mhz;
     let n = crescendo.normalized();
+    #[expect(
+        clippy::expect_used,
+        reason = "both probed frequencies come from this same crescendo's normalized() rows"
+    )]
     let metric = |mhz: u32| {
         n.iter()
             .find(|(m, _, _)| *m == mhz)
             .map(|(_, e, d)| weighted_ed2p(*e, *d, delta))
-            // simlint: allow(panic-path): both probed frequencies come from this same crescendo's normalized() rows
             .expect("label from this crescendo")
     };
     let reference = metric(reference_mhz);

@@ -67,12 +67,15 @@ impl Crescendo {
     }
 
     /// The reference (highest-MHz) point. Panics when empty.
+    #[expect(
+        clippy::expect_used,
+        reason = "the doc contract says \"Panics when empty\"; callers gate on is_empty()"
+    )]
     pub fn reference(&self) -> CrescendoPoint {
         *self
             .points
             .iter()
             .max_by_key(|p| p.mhz)
-            // simlint: allow(panic-path): the doc contract says "Panics when empty"; callers gate on is_empty()
             .expect("crescendo is empty")
     }
 

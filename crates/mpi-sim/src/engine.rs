@@ -1150,9 +1150,12 @@ impl Engine {
         self.network.take_completed_into(self.now, &mut completed);
         let latency = self.network.params().wire_latency;
         for &(flow, src, dst) in completed.iter() {
+            #[expect(
+                clippy::expect_used,
+                reason = "flow/message bookkeeping invariant; a miss means corrupted engine state and must stop the run"
+            )]
             let id = self.flow_to_msg[flow.0]
                 .take()
-                // simlint: allow(panic-path): flow/message bookkeeping invariant; a miss means corrupted engine state and must stop the run
                 .expect("completed flow without a message");
             self.msgs[id].drained_at = Some(self.now);
             if let Some(c) = self.causal.as_deref_mut() {
@@ -1513,10 +1516,13 @@ impl Engine {
     // ----- teardown --------------------------------------------------------
 
     fn finalize(mut self) -> RunResult {
+        #[expect(
+            clippy::expect_used,
+            reason = "finalize runs only after the event loop retires every rank; an unfinished rank is corrupted engine state"
+        )]
         let end = self
             .ranks
             .iter()
-            // simlint: allow(panic-path): finalize runs only after the event loop retires every rank; an unfinished rank is corrupted engine state
             .map(|r| r.finish_time.expect("finalize with unfinished rank"))
             .max()
             .unwrap_or(SimTime::ZERO);
@@ -1558,25 +1564,12 @@ impl Engine {
         // simulated state only, so the whole registry stays deterministic.
         let trace_dropped = self.trace.dropped();
         if let Some(m) = self.metrics.as_deref_mut() {
-            let pushed = self.queue.pushed_total();
-            let cancelled = self.queue.cancelled_total();
-            m.counter_add("engine.queue.pushed", pushed);
-            m.counter_add("engine.queue.cancelled", cancelled);
+            m.counter_add("engine.queue.pushed", self.queue.pushed_total());
+            m.counter_add("engine.queue.cancelled", self.queue.cancelled_total());
             m.counter_add("engine.queue.processed", self.queue.processed_total());
             m.gauge_set(
                 "engine.queue.depth_hwm",
                 self.queue.depth_high_water() as f64,
-            );
-            // Superseded schedules over pushes: cancelled heap events
-            // and re-armed network wakes. The wake lives outside the
-            // heap, so most of these leave no tombstone.
-            m.gauge_set(
-                "engine.queue.tombstone_ratio",
-                if pushed > 0 {
-                    cancelled as f64 / pushed as f64
-                } else {
-                    0.0
-                },
             );
             let s = self.network.solver_stats();
             m.counter_add("net.solver.invocations", s.invocations);

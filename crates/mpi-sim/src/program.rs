@@ -347,7 +347,6 @@ impl ProgramBuilder {
     }
 
     /// Append a simultaneous exchange.
-    #[allow(clippy::too_many_arguments)]
     pub fn sendrecv(
         &mut self,
         dst: Rank,
@@ -519,9 +518,11 @@ impl ProgramBuilder {
     /// Append one rank's part of an all-to-all as a single compact step.
     pub(crate) fn push_alltoall(&mut self, step: AllToAll) {
         let program = &mut self.program;
-        let index = u32::try_from(program.alltoalls.len())
-            // simlint: allow(panic-path): four billion all-to-alls in one program cannot be built in memory anyway
-            .expect("all-to-all count fits u32");
+        #[expect(
+            clippy::expect_used,
+            reason = "four billion all-to-alls in one program cannot be built in memory anyway"
+        )]
+        let index = u32::try_from(program.alltoalls.len()).expect("all-to-all count fits u32");
         program.alltoalls.push(step);
         program.steps.push(Step::AllToAll(index));
     }

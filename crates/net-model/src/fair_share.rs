@@ -92,10 +92,7 @@ impl Paths {
         match self {
             Paths::Flat => {
                 let f = flows[i];
-                // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
-                buf[0] = (2 * f.src) as u32;
-                // simlint: allow(literal-index): buf is a fixed [u32; 2], both slots exist by construction
-                buf[1] = (2 * f.dst + 1) as u32;
+                *buf = [(2 * f.src) as u32, (2 * f.dst + 1) as u32];
                 buf
             }
             #[cfg(test)]
@@ -239,7 +236,10 @@ impl FairShare {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the two public solves share this body; each argument is one of their inputs"
+    )]
     fn fill<C: Fn(usize) -> f64>(
         &mut self,
         flows: &[FlowEndpoints],

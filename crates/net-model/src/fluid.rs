@@ -294,17 +294,24 @@ fn completion_instant(from: SimTime, remaining_bytes: f64, rate: f64) -> SimTime
 /// `take_completed_into` clears both together. Free functions (not
 /// methods) so callers can keep `active_slots` borrowed while touching
 /// `flows`.
+#[expect(
+    clippy::expect_used,
+    reason = "active-slot invariant documented above; corrupted bookkeeping must stop the run"
+)]
 fn slot_flow(flows: &[Option<ActiveFlow>], slot: usize) -> &ActiveFlow {
-    // simlint: allow(panic-path): active-slot invariant documented above; corrupted bookkeeping must stop the run
     flows[slot].as_ref().expect("active slot holds a flow")
 }
 
 /// Position of a live flat-mode flow's `slot` in the sorted
 /// `active_slots`, which indexes the dense `remaining`/`rate` arrays.
+#[expect(
+    clippy::expect_used,
+    reason = "callers pass live slots only, and every live flat-mode slot is in `active_slots`; corrupted bookkeeping must stop the run"
+)]
 fn slot_pos(active_slots: &[usize], slot: usize) -> usize {
-    let pos = active_slots.binary_search(&slot);
-    // simlint: allow(panic-path): callers pass live slots only, and every live flat-mode slot is in `active_slots`; corrupted bookkeeping must stop the run
-    pos.expect("live slot is active")
+    active_slots
+        .binary_search(&slot)
+        .expect("live slot is active")
 }
 
 /// The least `remaining[i] / rate[i]` (0 for a drained flow), `None` for
@@ -488,7 +495,9 @@ impl FluidNetwork {
             self.flat.by_slot.push(None);
             self.flows.len() - 1
         };
-        let pos = self.active_slots.binary_search(&id).unwrap_err();
+        // A freshly allocated slot is never already active, so its
+        // position is the first active slot above it.
+        let pos = self.active_slots.partition_point(|&s| s < id);
         self.active_slots.insert(pos, id);
         self.remaining.insert(pos, bytes as f64);
         // Loopback never contends: nobody else's rate changes. A fabric
@@ -518,10 +527,13 @@ impl FluidNetwork {
     fn start_flow_tree(&mut self, now: SimTime, src: usize, dst: usize, bytes: u64) -> FlowId {
         self.advance(now);
         let table = &self.table;
+        #[expect(
+            clippy::expect_used,
+            reason = "callers dispatch here only when tree mode was built; a None is corrupted state"
+        )]
         let tree = self
             .tree
             .as_mut()
-            // simlint: allow(panic-path): callers dispatch here only when tree mode was built; a None is corrupted state
             .expect("start_flow_tree requires tree mode");
         let seq = tree.next_seq;
         tree.next_seq += 1;
@@ -565,7 +577,10 @@ impl FluidNetwork {
         self.node_touch[src] += 1;
         self.node_touch[dst] += 1;
 
-        // simlint: allow(panic-path): same tree-mode dispatch invariant as above
+        #[expect(
+            clippy::expect_used,
+            reason = "same tree-mode dispatch invariant as above"
+        )]
         let tree = self.tree.as_mut().expect("tree mode");
         let finish = completion_instant(now, bytes as f64, rate);
         tree.heap.push(Reverse((finish, seq, id)));
@@ -787,9 +802,12 @@ impl FluidNetwork {
             solver,
             ..
         } = self;
+        #[expect(
+            clippy::expect_used,
+            reason = "callers dispatch here only when tree mode was built; a None is corrupted state"
+        )]
         let tree = tree
             .as_mut()
-            // simlint: allow(panic-path): callers dispatch here only when tree mode was built; a None is corrupted state
             .expect("take_completed_tree requires tree mode");
         let (mut touched, mut skipped) = (0u64, 0u64);
         while let Some(&Reverse((finish, _, slot))) = tree.heap.peek() {
@@ -797,7 +815,10 @@ impl FluidNetwork {
                 break;
             }
             tree.heap.pop();
-            // simlint: allow(panic-path): a slot is freed only here, by popping its one heap entry, so the entry's slot holds its flow
+            #[expect(
+                clippy::expect_used,
+                reason = "a slot is freed only here, by popping its one heap entry, so the entry's slot holds its flow"
+            )]
             let flow = flows[slot].take().expect("live slot holds a flow");
             done.push((FlowId(slot), flow.src, flow.dst));
             free_slots.push(slot);

@@ -231,12 +231,11 @@ impl PerfettoTrace {
 
     /// Convert a simulation trace into a timeline: one thread track per
     /// node carrying phase slices and message instants, and one `MHz`
-    /// counter track per node fed by frequency-change events. The named
-    /// `cluster` track after the node tracks stays empty.
+    /// counter track per node fed by frequency-change events.
     pub fn from_trace(events: &[TraceEvent], nodes: usize) -> Self {
         let mut p = PerfettoTrace::new();
         p.out
-            .reserve_exact((nodes + 2 + events.len()) * TRACE_RECORD_BYTES);
+            .reserve_exact((nodes + 1 + events.len()) * TRACE_RECORD_BYTES);
         let mut label = String::new();
         p.process_name(0, "pwrperf cluster");
         for n in 0..nodes {
@@ -244,7 +243,6 @@ impl PerfettoTrace {
             let _ = write!(label, "node {n}");
             p.thread_name(0, n as u64, &label);
         }
-        p.thread_name(0, nodes as u64, "cluster");
 
         for ev in events {
             let tid = ev.node as u64;
@@ -383,7 +381,10 @@ mod tests {
         let json = PerfettoTrace::from_trace(&events, 2).finish();
         assert!(json.contains(r#""name":"node 0""#));
         assert!(json.contains(r#""name":"node 1""#));
-        assert!(json.contains(r#""name":"cluster""#));
+        assert!(
+            !json.contains(r#""name":"cluster""#),
+            "no empty cluster track"
+        );
         assert!(json.contains(r#""name":"fft""#));
         assert!(json.contains(r#""name":"send ->1 64B""#));
         assert!(json.contains(r#""name":"node 1 MHz""#));

@@ -38,7 +38,10 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            // simlint: allow(panic-path): chunks_exact(8) guarantees 8-byte slices
+            #[expect(
+                clippy::unwrap_used,
+                reason = "chunks_exact(8) guarantees 8-byte slices"
+            )]
             self.add(u64::from_le_bytes(chunk.try_into().unwrap()));
         }
         let rest = chunks.remainder();
@@ -79,11 +82,17 @@ impl Hasher for FxHasher {
 pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
-// simlint: allow(nondet-collections): this IS the sanctioned deterministic alias the rule points everyone at
+#[expect(
+    clippy::disallowed_types,
+    reason = "this IS the sanctioned deterministic alias the lint points everyone at"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with [`FxHasher`].
-// simlint: allow(nondet-collections): this IS the sanctioned deterministic alias the rule points everyone at
+#[expect(
+    clippy::disallowed_types,
+    reason = "this IS the sanctioned deterministic alias the lint points everyone at"
+)]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

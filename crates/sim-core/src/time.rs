@@ -156,8 +156,11 @@ pub fn duration_to_cycles(dur: SimDuration, freq_hz: f64) -> f64 {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "overflowing the 580-year picosecond clock is a caller bug; operator impls cannot return Result"
+    )]
     fn add(self, rhs: SimDuration) -> SimTime {
-        // simlint: allow(panic-path): overflowing the 580-year picosecond clock is a caller bug; operator impls cannot return Result
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
@@ -170,11 +173,14 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "subtracting a later time is a caller bug; operator impls cannot return Result"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(panic-path): subtracting a later time is a caller bug; operator impls cannot return Result
                 .expect("SimTime subtraction underflow"),
         )
     }
@@ -182,8 +188,11 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "overflowing the 580-year picosecond span is a caller bug; operator impls cannot return Result"
+    )]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        // simlint: allow(panic-path): overflowing the 580-year picosecond span is a caller bug; operator impls cannot return Result
         SimDuration(self.0.checked_add(rhs.0).expect("SimDuration overflow"))
     }
 }
@@ -196,11 +205,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "subtracting a longer span is a caller bug; operator impls cannot return Result"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(panic-path): subtracting a longer span is a caller bug; operator impls cannot return Result
                 .expect("SimDuration subtraction underflow"),
         )
     }
@@ -214,8 +226,11 @@ impl SubAssign for SimDuration {
 
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "overflowing the 580-year picosecond span is a caller bug; operator impls cannot return Result"
+    )]
     fn mul(self, rhs: u64) -> SimDuration {
-        // simlint: allow(panic-path): overflowing the 580-year picosecond span is a caller bug; operator impls cannot return Result
         SimDuration(self.0.checked_mul(rhs).expect("SimDuration overflow"))
     }
 }

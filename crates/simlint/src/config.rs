@@ -1,19 +1,12 @@
-//! Rule-set configuration: which crates are in scope, which files hold
-//! sanctioned escape hatches, what the blessed unit types are, and the
-//! controller contract the `controller-discipline` family audits.
+//! Rule-set configuration: which files are exempt from `float-eq`, what
+//! the blessed unit types are, and the controller contract the
+//! `controller-discipline` family audits. The crates in scope are read
+//! from the manifests (see `lint_scope`), not listed here.
 
 /// Everything the analyzer needs to know about the workspace's conventions.
 /// [`Config::workspace_default`] encodes this repository's rules.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crate directory names (under `crates/`) whose `src/` trees are
-    /// linted in workspace mode. Everything else — `obs` (wall-clock
-    /// profiling is its job), `cli`, `bench`, the compat shims, and
-    /// simlint itself — is out of scope.
-    pub(crate) scope_crates: Vec<&'static str>,
-    /// Path suffixes (unix-style) where environment reads are sanctioned:
-    /// the single `PWRPERF_THREADS` funnel.
-    pub(crate) env_allowed_files: Vec<&'static str>,
     /// Path suffixes exempt from `float-eq`: the approved epsilon-helper
     /// modules themselves.
     pub(crate) float_eq_allowed_files: Vec<&'static str>,
@@ -76,22 +69,6 @@ pub(crate) fn unit_suffix(name: &str) -> Option<&'static str> {
 /// (`simlint --list-rules` prints this table; DESIGN.md §11 documents it).
 pub const RULES: &[(&str, &str)] = &[
     (
-        "nondet-collections",
-        "std HashMap/HashSet have nondeterministic iteration; use FxHashMap/FxHashSet/BTreeMap",
-    ),
-    (
-        "wall-clock",
-        "Instant::now/SystemTime::now leak host time into sim code; use SimTime or obs::WallTimer",
-    ),
-    (
-        "ambient-rng",
-        "thread_rng/rand::random/from_entropy are unseeded; use sim_core::DetRng",
-    ),
-    (
-        "env-read",
-        "environment access outside the sanctioned thread_count_with path breaks replay",
-    ),
-    (
         "unit-suffix-type",
         "fields/params with a unit suffix (_w, _j, _mwh, _hz, ...) must use the blessed numeric type",
     ),
@@ -100,12 +77,8 @@ pub const RULES: &[(&str, &str)] = &[
         "additive/comparison arithmetic on identifiers with different unit suffixes",
     ),
     (
-        "panic-path",
-        "unwrap/expect/panic!/unreachable!/todo! in non-test engine code; return a checked error",
-    ),
-    (
         "literal-index",
-        "indexing by integer literal can panic; use .get()/.first() or justify",
+        "indexing by integer literal can panic; use .get()/.first() or destructure",
     ),
     (
         "must-use-measurement",
@@ -114,14 +87,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "float-eq",
         "==/!= on floats outside the approved epsilon helpers (sim_core::float)",
-    ),
-    (
-        "bad-allow",
-        "a `// simlint: allow(...)` comment without a justification",
-    ),
-    (
-        "unused-allow",
-        "a justified allow-comment that suppresses nothing",
     ),
     (
         "unit-flow",
@@ -137,20 +102,6 @@ impl Config {
     /// The rule set for this repository.
     pub fn workspace_default() -> Config {
         Config {
-            scope_crates: vec![
-                "sim-core",
-                "mpi-sim",
-                "net-model",
-                "power-model",
-                "mem-model",
-                "cluster-sim",
-                "dvfs",
-                "powerpack",
-                "edp-metrics",
-                "workloads",
-                "core",
-            ],
-            env_allowed_files: vec!["crates/core/src/runner.rs"],
             float_eq_allowed_files: vec!["crates/sim-core/src/float.rs"],
             must_use_types: vec!["RunResult", "FaultCounts", "SolverStats"],
             must_use_fn_prefixes: vec!["run_batch", "aligned_"],

@@ -2,24 +2,24 @@
 //!
 //! It lexes and shallowly parses every `.rs` file in the in-scope crates
 //! (with its own offline tokenizer and item parser) and enforces the
-//! determinism, unit-safety, error-discipline, and float-equality
-//! conventions that the replay guarantee rests on. See DESIGN.md §11 for
-//! the rule catalogue and the allow-comment grammar.
+//! unit-safety, literal-index, must-use and float-equality conventions
+//! that clippy cannot express. The determinism and panic rules are
+//! clippy's. See DESIGN.md §11 for the split. A finding is fixed in the
+//! code; there is no way to excuse one.
 //!
 //! Library layout:
 //!
 //! * `tokens` — the lexer: source text to a tree of spanned tokens;
 //! * `items` — the shallow item parser over those tokens;
-//! * `config` — rule ids, scope, blessed unit types;
-//! * `allow` — the `// simlint: allow(rule): why` grammar;
+//! * `config` — rule ids, blessed unit types, the controller contract;
 //! * `scan` — token-stream flattening and unit-chain walkers;
 //! * `rules` — the per-file rule implementations ([`lint_source`]);
 //! * `model` — the workspace symbol table;
 //! * `unitflow`, `controller` — the dataflow rule families built on the
 //!   model (DESIGN.md §16);
-//! * this module — file discovery, orchestration, and rendering.
+//! * this module — scope and file discovery, orchestration, and
+//!   rendering.
 
-mod allow;
 mod config;
 mod controller;
 mod items;
@@ -33,8 +33,6 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-use allow::AllowTable;
 
 pub use config::{Config, RULES};
 pub use rules::{lint_source, Finding};
@@ -55,12 +53,47 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
+/// The crates simlint lints: every `crates/<name>` whose manifest opts
+/// into the workspace lint table with `[lints] workspace = true`, the
+/// same marker that turns on the clippy determinism and panic lints.
+/// Sorted by directory name.
+pub fn lint_scope(root: &Path) -> io::Result<Vec<String>> {
+    let mut scope = Vec::new();
+    for entry in fs::read_dir(root.join("crates"))? {
+        let dir = entry?.path();
+        let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        if inherits_workspace_lints(&manifest) {
+            if let Some(name) = dir.file_name() {
+                scope.push(name.to_string_lossy().into_owned());
+            }
+        }
+    }
+    scope.sort();
+    Ok(scope)
+}
+
+/// True when a manifest's `[lints]` table says `workspace = true`.
+fn inherits_workspace_lints(manifest: &str) -> bool {
+    let mut in_lints = false;
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if line.starts_with('[') {
+            in_lints = line == "[lints]";
+        } else if in_lints && line.replace(' ', "") == "workspace=true" {
+            return true;
+        }
+    }
+    false
+}
+
 /// Every `.rs` file in the in-scope crates' `src/` trees, as
 /// `(workspace-relative unix path, absolute path)` pairs, sorted so runs
 /// are deterministic.
-fn discover_files(root: &Path, cfg: &Config) -> io::Result<Vec<(String, PathBuf)>> {
+fn discover_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
-    for krate in &cfg.scope_crates {
+    for krate in lint_scope(root)? {
         let src = root.join("crates").join(krate).join("src");
         if src.is_dir() {
             walk_rs(&src, &mut out)?;
@@ -91,34 +124,19 @@ fn rel_unix(root: &Path, abs: &Path) -> String {
     rel.to_string_lossy().replace('\\', "/")
 }
 
-/// The full analysis over in-memory sources: per-file rules, the
-/// workspace dataflow families (unit-flow, controller-discipline), and
-/// allow hygiene — all sharing one allow table per file so
-/// `// simlint: allow(...)` works uniformly. Findings come back sorted by
-/// (file, line, column, rule).
+/// The full analysis over in-memory sources: the per-file rules and the
+/// workspace dataflow families (unit-flow, controller-discipline).
+/// Findings come back sorted by (file, line, column, rule).
 pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut parsed: Vec<(String, Option<items::File>)> = Vec::with_capacity(files.len());
-    let mut allows: Vec<(String, AllowTable)> = Vec::with_capacity(files.len());
     for (rel, src) in files {
-        let table = AllowTable::parse(src);
-        findings.extend(rules::lint_source_with(rel, src, cfg, &table));
+        findings.extend(rules::lint_source(rel, src, cfg));
         parsed.push((rel.clone(), items::parse_file(src).ok()));
-        allows.push((rel.clone(), table));
     }
     let ws = model::Workspace::build(&parsed);
-    let mut dataflow = unitflow::check(&ws);
-    dataflow.extend(controller::check(&ws));
-    for f in dataflow {
-        let table = allows.iter().find(|(r, _)| *r == f.file).map(|(_, t)| t);
-        if table.is_some_and(|t| t.suppresses(f.line, f.rule)) {
-            continue;
-        }
-        findings.push(f);
-    }
-    for (rel, table) in &allows {
-        findings.extend(rules::allow_hygiene(rel, table));
-    }
+    findings.extend(unitflow::check(&ws));
+    findings.extend(controller::check(&ws));
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.column, a.rule).cmp(&(
             b.file.as_str(),
@@ -134,7 +152,7 @@ pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Vec<Finding>
 /// sorted by (file, line, column, rule).
 pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Finding>> {
     let mut sources = Vec::new();
-    for (rel, abs) in discover_files(root, cfg)? {
+    for (rel, abs) in discover_files(root)? {
         sources.push((rel, fs::read_to_string(&abs)?));
     }
     Ok(analyze_sources(&sources, cfg))

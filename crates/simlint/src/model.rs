@@ -12,7 +12,8 @@
 use std::collections::BTreeMap;
 
 use crate::config::unit_suffix;
-use crate::items::{split_top_level_commas, Attribute, Item, ItemFn};
+use crate::items::{split_top_level_commas, Item, ItemFn};
+use crate::rules::{attrs_mark_test, path_is_test};
 use crate::tokens::{Group, TokenTree};
 
 /// One function parameter (excluding `self`).
@@ -71,7 +72,7 @@ impl Workspace {
         let mut ws = Workspace::default();
         for (rel, parsed) in files {
             let Some(file) = parsed else { continue };
-            let file_test = crate::rules::path_is_test(rel);
+            let file_test = path_is_test(rel);
             ws.collect_items(rel, &file.items, None, file_test);
         }
         for (i, f) in ws.fns.iter().enumerate() {
@@ -146,10 +147,6 @@ impl Workspace {
             body: f.body.clone(),
         });
     }
-}
-
-fn attrs_mark_test(attrs: &[Attribute]) -> bool {
-    attrs.iter().any(|a| a.is_cfg_test() || a.is_test_marker())
 }
 
 /// Non-`self` parameters with their unit suffix and declared type's last

@@ -1,28 +1,22 @@
-//! The rule implementations: one file in, findings out.
+//! The per-file rules: one file in, findings out.
 //!
-//! Four families (DESIGN.md §11):
+//! Three families (DESIGN.md §11):
 //!
-//! * **determinism** — `nondet-collections`, `wall-clock`, `ambient-rng`,
-//!   `env-read`;
 //! * **unit-safety** — `unit-suffix-type`, `unit-mix`;
-//! * **error discipline** — `panic-path`, `literal-index`,
-//!   `must-use-measurement`;
+//! * **error discipline** — `literal-index`, `must-use-measurement`;
 //! * **float equality** — `float-eq`.
 //!
-//! Plus allow-comment hygiene: `bad-allow`, `unused-allow`, and `parse`
-//! for files the parser cannot read.
+//! Plus `parse` for files the parser cannot read. The determinism and
+//! panic rules are clippy's (`clippy.toml`, `[workspace.lints.clippy]`).
 //!
 //! Test code (a `#[cfg(test)]` module, a `#[test]` fn, a `*_tests.rs`
-//! file, or anything under `tests/`/`benches/`/`examples/`) keeps the
-//! determinism rules — replay bugs in tests are still bugs — but is exempt
-//! from the unit-safety, error-discipline, and float-equality families:
-//! tests unwrap freely and assert exact floats *on purpose* (bit-identical
-//! replay is this repo's headline invariant).
+//! file, or anything under `tests/`/`benches/`/`examples/`) is exempt
+//! from every family here: tests index and assert exact floats *on
+//! purpose* (bit-identical replay is this repo's headline invariant).
 
 use crate::items::{split_top_level_commas, Attribute, Field, Item, ItemFn, Signature, Visibility};
 use crate::tokens::{Delimiter, Group, Span, TokenStream, TokenTree};
 
-use crate::allow::AllowTable;
 use crate::config::{blessed_types, unit_suffix, Config};
 use crate::scan::{
     chain_suffix_back, chain_suffix_fwd, flatten, is_float_literal, is_int_literal, Flat,
@@ -37,40 +31,24 @@ pub struct Finding {
     pub line: usize,
     /// 1-based column (rustc convention; spans store 0-based).
     pub column: usize,
-    /// Rule id (`nondet-collections`, ...).
+    /// Rule id (`float-eq`, ...).
     pub rule: &'static str,
     pub message: String,
 }
 
-/// Lint one file's source text (per-file rules + allow hygiene).
+/// Lint one file's source text with the per-file rules.
 pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let allows = AllowTable::parse(src);
-    let mut findings = lint_source_with(rel_path, src, cfg, &allows);
-    findings.extend(allow_hygiene(rel_path, &allows));
-    findings
-}
-
-/// The per-file rules against a caller-owned allow table. The workspace
-/// passes share the same table, so their suppressions count as "used" and
-/// hygiene (run separately via [`allow_hygiene`]) sees the whole picture.
-pub(crate) fn lint_source_with(
-    rel_path: &str,
-    src: &str,
-    cfg: &Config,
-    allows: &AllowTable,
-) -> Vec<Finding> {
     let mut ctx = Ctx {
         cfg,
         rel_path,
         crate_name: crate_of(rel_path),
-        allows,
         findings: Vec::new(),
-        in_test_file: path_is_test(rel_path),
     };
+    if path_is_test(rel_path) {
+        return ctx.findings;
+    }
     match crate::items::parse_file(src) {
-        Ok(file) => {
-            ctx.walk_items(&file.items, ctx.in_test_file);
-        }
+        Ok(file) => ctx.walk_items(&file.items),
         Err(e) => {
             ctx.findings.push(Finding {
                 file: rel_path.to_string(),
@@ -82,39 +60,6 @@ pub(crate) fn lint_source_with(
         }
     }
     ctx.findings
-}
-
-/// `bad-allow` / `unused-allow` hygiene. Run after every pass that can
-/// mark entries used has finished.
-pub(crate) fn allow_hygiene(rel_path: &str, allows: &AllowTable) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for e in allows.entries() {
-        if !e.justified {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: e.comment_line,
-                column: 1,
-                rule: "bad-allow",
-                message: format!(
-                    "allow({}) has no justification; write `// simlint: allow({}): <why>`",
-                    e.rules.join(", "),
-                    e.rules.join(", "),
-                ),
-            });
-        } else if !e.used.get() {
-            out.push(Finding {
-                file: rel_path.to_string(),
-                line: e.comment_line,
-                column: 1,
-                rule: "unused-allow",
-                message: format!(
-                    "allow({}) suppresses nothing; remove the stale escape",
-                    e.rules.join(", ")
-                ),
-            });
-        }
-    }
-    out
 }
 
 /// The crate directory name a `crates/<name>/...` path belongs to.
@@ -134,7 +79,7 @@ pub(crate) fn path_is_test(rel_path: &str) -> bool {
         || rel_path.rsplit('/').next().is_some_and(|f| f == "tests.rs")
 }
 
-fn attrs_mark_test(attrs: &[Attribute]) -> bool {
+pub(crate) fn attrs_mark_test(attrs: &[Attribute]) -> bool {
     attrs.iter().any(|a| a.is_cfg_test() || a.is_test_marker())
 }
 
@@ -142,111 +87,84 @@ struct Ctx<'c> {
     cfg: &'c Config,
     rel_path: &'c str,
     crate_name: Option<String>,
-    allows: &'c AllowTable,
     findings: Vec<Finding>,
-    in_test_file: bool,
 }
 
 impl Ctx<'_> {
     fn push(&mut self, rule: &'static str, span: Span, message: String) {
-        let line = span.start().line.max(1);
-        if self.allows.suppresses(line, rule) {
-            return;
-        }
         self.findings.push(Finding {
             file: self.rel_path.to_string(),
-            line,
+            line: span.start().line.max(1),
             column: span.start().column + 1,
             rule,
             message,
         });
     }
 
-    fn walk_items(&mut self, items: &[Item], in_test: bool) {
+    fn walk_items(&mut self, items: &[Item]) {
         for item in items {
-            let item_test = in_test || attrs_mark_test(item.attrs());
+            if attrs_mark_test(item.attrs()) {
+                continue;
+            }
             match item {
-                Item::Fn(f) => self.visit_fn(f, item_test),
+                Item::Fn(f) => self.visit_fn(f),
                 Item::Struct(s) => {
-                    self.check_must_use_type(
-                        &s.ident.to_string(),
-                        &s.attrs,
-                        s.ident.span(),
-                        item_test,
-                    );
+                    self.check_must_use_type(&s.ident.to_string(), &s.attrs, s.ident.span());
                     for field in &s.fields {
-                        self.check_field(field, item_test);
+                        self.check_field(field);
                     }
                 }
                 Item::Enum(e) => {
-                    self.check_must_use_type(
-                        &e.ident.to_string(),
-                        &e.attrs,
-                        e.ident.span(),
-                        item_test,
-                    );
+                    self.check_must_use_type(&e.ident.to_string(), &e.attrs, e.ident.span());
                     for v in &e.variants {
                         for field in &v.fields {
-                            self.check_field(field, item_test);
+                            self.check_field(field);
                         }
                     }
                 }
                 Item::Mod(m) => {
                     if let Some(content) = &m.content {
-                        self.walk_items(content, item_test);
+                        self.walk_items(content);
                     }
                 }
                 Item::Impl(im) => {
-                    self.scan_stream(im.header.tokens(), item_test);
-                    self.walk_items(&im.items, item_test);
+                    self.scan_stream(im.header.tokens());
+                    self.walk_items(&im.items);
                 }
                 Item::Trait(tr) => {
-                    self.scan_stream(tr.header.tokens(), item_test);
-                    self.walk_items(&tr.items, item_test);
+                    self.scan_stream(tr.header.tokens());
+                    self.walk_items(&tr.items);
                 }
-                Item::Verbatim(v) => {
-                    self.scan_stream(v.tokens.tokens(), item_test);
-                }
+                Item::Verbatim(v) => self.scan_stream(v.tokens.tokens()),
             }
         }
     }
 
-    fn visit_fn(&mut self, f: &ItemFn, in_test: bool) {
-        self.check_fn_params(&f.sig, in_test);
-        self.check_fn_must_use(f, in_test);
-        // Return-type and signature streams still carry determinism
-        // concerns (e.g. `-> HashMap<...>`).
-        self.scan_stream(f.sig.inputs.tokens(), in_test);
-        self.scan_stream(f.sig.output.tokens(), in_test);
+    fn visit_fn(&mut self, f: &ItemFn) {
+        self.check_fn_params(&f.sig);
+        self.check_fn_must_use(f);
+        // Signatures hold expressions too (array lengths, const-generic
+        // arguments), so they are scanned like bodies.
+        self.scan_stream(f.sig.inputs.tokens());
+        self.scan_stream(f.sig.output.tokens());
         if let Some(body) = &f.body {
-            self.scan_stream(body.stream().tokens(), in_test);
+            self.scan_stream(body.stream().tokens());
         }
     }
 
     // -- unit-safety ------------------------------------------------------
 
-    fn check_field(&mut self, field: &Field, in_test: bool) {
-        if in_test {
-            return;
+    fn check_field(&mut self, field: &Field) {
+        if let Some(ident) = &field.ident {
+            let name = ident.to_string();
+            if let Some(suffix) = unit_suffix(&name) {
+                self.check_unit_type(&name, suffix, &field.ty, ident.span());
+            }
         }
-        let Some(ident) = &field.ident else {
-            return;
-        };
-        let name = ident.to_string();
-        let Some(suffix) = unit_suffix(&name) else {
-            // Fields without a unit suffix still get their types scanned
-            // for nondeterministic collections.
-            self.scan_stream(field.ty.tokens(), in_test);
-            return;
-        };
-        self.check_unit_type(&name, suffix, &field.ty, ident.span());
-        self.scan_stream(field.ty.tokens(), in_test);
+        self.scan_stream(field.ty.tokens());
     }
 
-    fn check_fn_params(&mut self, sig: &Signature, in_test: bool) {
-        if in_test {
-            return;
-        }
+    fn check_fn_params(&mut self, sig: &Signature) {
         for part in split_top_level_commas(&sig.inputs) {
             let mut i = 0usize;
             // Skip parameter attributes.
@@ -305,8 +223,8 @@ impl Ctx<'_> {
 
     // -- must-use ---------------------------------------------------------
 
-    fn check_must_use_type(&mut self, name: &str, attrs: &[Attribute], span: Span, in_test: bool) {
-        if in_test || !self.cfg.must_use_types.contains(&name) {
+    fn check_must_use_type(&mut self, name: &str, attrs: &[Attribute], span: Span) {
+        if !self.cfg.must_use_types.contains(&name) {
             return;
         }
         if !attrs.iter().any(|a| a.is_must_use()) {
@@ -318,8 +236,8 @@ impl Ctx<'_> {
         }
     }
 
-    fn check_fn_must_use(&mut self, f: &ItemFn, in_test: bool) {
-        if in_test || f.vis != Visibility::Public {
+    fn check_fn_must_use(&mut self, f: &ItemFn) {
+        if f.vis != Visibility::Public {
             return;
         }
         let name = f.sig.ident.to_string();
@@ -367,120 +285,23 @@ impl Ctx<'_> {
     // -- expression-level scan -------------------------------------------
 
     /// Pattern rules over one stream level, recursing into groups.
-    fn scan_stream(&mut self, tokens: &[TokenTree], in_test: bool) {
+    fn scan_stream(&mut self, tokens: &[TokenTree]) {
         let flats = flatten(tokens);
         for (i, flat) in flats.iter().enumerate() {
             match flat {
-                Flat::Ident(id) => {
-                    let name = id.to_string();
-                    self.check_forbidden_ident(&name, &flats, i, in_test);
-                }
-                Flat::Op(op, span) => {
-                    self.check_ops(op, *span, &flats, i, in_test);
-                }
-                Flat::Group(g) => {
-                    self.check_literal_index(g, &flats, i, in_test);
-                }
-                Flat::Lit(_) => {}
+                Flat::Op(op, span) => self.check_ops(op, *span, &flats, i),
+                Flat::Group(g) => self.check_literal_index(g, &flats, i),
+                Flat::Ident(_) | Flat::Lit(_) => {}
             }
         }
         for t in tokens {
             if let TokenTree::Group(g) = t {
-                self.scan_stream(g.stream().tokens(), in_test);
+                self.scan_stream(g.stream().tokens());
             }
         }
     }
 
-    fn check_forbidden_ident(&mut self, name: &str, flats: &[Flat<'_>], i: usize, in_test: bool) {
-        let span = flats[i].span();
-        match name {
-            // Determinism rules stay on in test code.
-            "HashMap" | "HashSet" => self.push(
-                "nondet-collections",
-                span,
-                format!(
-                    "`{name}` iterates in nondeterministic order; use `FxHashMap`/`FxHashSet` \
-                     (sim-core) for lookup tables or `BTreeMap`/`BTreeSet` where iteration \
-                     order reaches output"
-                ),
-            ),
-            "Instant" | "SystemTime" if next_is_path_call(flats, i, "now") => self.push(
-                "wall-clock",
-                span,
-                format!(
-                    "`{name}::now()` reads the host clock; simulation state must come \
-                     from `SimTime` (host-timing telemetry belongs in `obs::WallTimer`)"
-                ),
-            ),
-            "thread_rng" | "from_entropy" => self.push(
-                "ambient-rng",
-                span,
-                format!("`{name}` is seeded from the environment; use `sim_core::DetRng` with an explicit seed"),
-            ),
-            "rand" if next_is_path_call(flats, i, "random") => self.push(
-                "ambient-rng",
-                span,
-                "`rand::random` is seeded from the environment; use `sim_core::DetRng` \
-                 with an explicit seed"
-                    .to_string(),
-            ),
-            "env" => {
-                if Config::path_matches(self.rel_path, &self.cfg.env_allowed_files) {
-                    return;
-                }
-                if let Some(f) = next_path_segment(flats, i) {
-                    if matches!(
-                        f.as_str(),
-                        "var" | "var_os" | "vars" | "vars_os" | "set_var" | "remove_var"
-                    ) {
-                        self.push(
-                            "env-read",
-                            span,
-                            format!(
-                                "`env::{f}` outside the sanctioned `thread_count_with` funnel \
-                                 (crates/core/src/runner.rs) makes runs depend on ambient state"
-                            ),
-                        );
-                    }
-                }
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented" if !in_test => {
-                if matches!(flats.get(i + 1), Some(Flat::Op(op, _)) if op == "!") {
-                    self.push(
-                        "panic-path",
-                        span,
-                        format!(
-                            "`{name}!` in engine code aborts a whole batch; return a checked \
-                             error (see MeasurementError) or justify with an allow"
-                        ),
-                    );
-                }
-            }
-            "unwrap" | "expect" if !in_test => {
-                let after_dot = i > 0 && matches!(&flats[i - 1], Flat::Op(op, _) if op == ".");
-                let called = matches!(
-                    flats.get(i + 1),
-                    Some(Flat::Group(g)) if g.delimiter() == Delimiter::Parenthesis
-                );
-                if after_dot && called {
-                    self.push(
-                        "panic-path",
-                        span,
-                        format!(
-                            "`.{name}()` in engine code panics on the unhappy path; propagate \
-                             a checked error or justify with an allow"
-                        ),
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn check_ops(&mut self, op: &str, span: Span, flats: &[Flat<'_>], i: usize, in_test: bool) {
-        if in_test {
-            return;
-        }
+    fn check_ops(&mut self, op: &str, span: Span, flats: &[Flat<'_>], i: usize) {
         let additive_or_cmp = matches!(op, "+" | "-" | "+=" | "-=" | "<" | ">" | "<=" | ">=");
         let eq = matches!(op, "==" | "!=");
         if !additive_or_cmp && !eq {
@@ -528,8 +349,8 @@ impl Ctx<'_> {
         }
     }
 
-    fn check_literal_index(&mut self, g: &Group, flats: &[Flat<'_>], i: usize, in_test: bool) {
-        if in_test || g.delimiter() != Delimiter::Bracket {
+    fn check_literal_index(&mut self, g: &Group, flats: &[Flat<'_>], i: usize) {
+        if g.delimiter() != Delimiter::Bracket {
             return;
         }
         // Exactly one integer literal inside the brackets.
@@ -555,7 +376,7 @@ impl Ctx<'_> {
                 g.span(),
                 format!(
                     "indexing with `[{}]` panics when the slice is shorter; use `.get({})` / \
-                     `.first()` or justify with an allow",
+                     `.first()`, or destructure the array",
                     lit, lit
                 ),
             );
@@ -594,21 +415,5 @@ fn collect_numeric_idents(ty: &TokenStream, out: &mut Option<String>) {
             TokenTree::Group(g) => collect_numeric_idents(g.stream(), out),
             _ => {}
         }
-    }
-}
-
-/// Does `flats[i]` begin a `X::seg` path whose next segment is `seg`?
-fn next_is_path_call(flats: &[Flat<'_>], i: usize, seg: &str) -> bool {
-    matches!(
-        (flats.get(i + 1), flats.get(i + 2)),
-        (Some(Flat::Op(op, _)), Some(Flat::Ident(id))) if op == "::" && *id == seg
-    )
-}
-
-/// The path segment after `flats[i]` (`env::var` → `var`), if any.
-fn next_path_segment(flats: &[Flat<'_>], i: usize) -> Option<String> {
-    match (flats.get(i + 1), flats.get(i + 2)) {
-        (Some(Flat::Op(op, _)), Some(Flat::Ident(id))) if op == "::" => Some(id.to_string()),
-        _ => None,
     }
 }

@@ -14,17 +14,6 @@ pub(crate) enum Flat<'a> {
     Group(&'a Group),
 }
 
-impl Flat<'_> {
-    pub(crate) fn span(&self) -> Span {
-        match self {
-            Flat::Ident(i) => i.span(),
-            Flat::Lit(l) => l.span(),
-            Flat::Op(_, s) => *s,
-            Flat::Group(g) => g.span(),
-        }
-    }
-}
-
 /// Multi-character operators, longest first so greedy munching picks the
 /// right split (`<<=` before `<<` before `<`).
 const MULTI_OPS: &[&str] = &[

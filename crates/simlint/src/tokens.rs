@@ -5,9 +5,8 @@
 //! has no crates.io access.
 //!
 //! Comments (line, nested block, and doc) are skipped entirely; doc
-//! comments are **not** turned into `#[doc]` attributes. The
-//! `// simlint: allow(...)` grammar reads comments straight from the
-//! source text, so nothing is lost.
+//! comments are **not** turned into `#[doc]` attributes. No rule reads
+//! a comment.
 
 use std::fmt;
 use std::str::FromStr;

@@ -2,8 +2,6 @@
 //! the expected rules and a good fixture that must be silent. Fixtures
 //! live under `tests/fixtures/` and are parsed, never compiled.
 
-use std::collections::BTreeSet;
-
 use simlint::{analyze_sources, lint_source, Config, Finding};
 
 /// Lint a fixture as if it lived at `rel_path` inside the workspace.
@@ -20,42 +18,8 @@ fn analyze_fixture(name: &str, rel_path: &str) -> Vec<Finding> {
     analyze_sources(&[(rel_path.to_string(), src)], &Config::workspace_default())
 }
 
-fn rule_set(findings: &[Finding]) -> BTreeSet<&'static str> {
-    findings.iter().map(|f| f.rule).collect()
-}
-
 fn count_rule(findings: &[Finding], rule: &str) -> usize {
     findings.iter().filter(|f| f.rule == rule).count()
-}
-
-#[test]
-fn determinism_bad_fires_all_four_rules() {
-    let f = lint_fixture("determinism_bad.rs", "crates/sim-core/src/fixture.rs");
-    let rules = rule_set(&f);
-    assert!(rules.contains("nondet-collections"), "{f:?}");
-    assert!(rules.contains("wall-clock"), "{f:?}");
-    assert!(rules.contains("ambient-rng"), "{f:?}");
-    assert!(rules.contains("env-read"), "{f:?}");
-    // Determinism rules stay active inside #[cfg(test)] modules.
-    assert!(
-        f.iter()
-            .any(|x| x.rule == "nondet-collections" && x.line > 30),
-        "test-mod HashMap must still be flagged: {f:?}"
-    );
-}
-
-#[test]
-fn determinism_good_is_silent() {
-    let f = lint_fixture("determinism_good.rs", "crates/sim-core/src/fixture.rs");
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn env_read_is_sanctioned_only_in_the_runner_funnel() {
-    let f = lint_fixture("determinism_bad.rs", "crates/core/src/runner.rs");
-    assert_eq!(count_rule(&f, "env-read"), 0, "{f:?}");
-    let f = lint_fixture("determinism_bad.rs", "crates/core/src/other.rs");
-    assert!(count_rule(&f, "env-read") > 0, "{f:?}");
 }
 
 #[test]
@@ -72,10 +36,8 @@ fn units_good_is_silent() {
 }
 
 #[test]
-fn errors_bad_fires_panic_index_and_must_use_rules() {
+fn errors_bad_fires_index_and_must_use_rules() {
     let f = lint_fixture("errors_bad.rs", "crates/power-model/src/fixture.rs");
-    // unwrap, expect, panic!, unreachable!
-    assert_eq!(count_rule(&f, "panic-path"), 4, "{f:?}");
     assert_eq!(count_rule(&f, "literal-index"), 1, "{f:?}");
     // RunResult type, run_batch_ prefix, Result in a measurement crate.
     assert_eq!(count_rule(&f, "must-use-measurement"), 3, "{f:?}");
@@ -111,22 +73,6 @@ fn float_good_is_silent() {
 fn float_rule_is_exempt_in_the_helper_module_itself() {
     let f = lint_fixture("float_bad.rs", "crates/sim-core/src/float.rs");
     assert_eq!(count_rule(&f, "float-eq"), 0, "{f:?}");
-}
-
-#[test]
-fn allow_bad_reports_hygiene_and_keeps_the_finding() {
-    let f = lint_fixture("allow_bad.rs", "crates/sim-core/src/fixture.rs");
-    // The unjustified allow does not suppress...
-    assert_eq!(count_rule(&f, "literal-index"), 1, "{f:?}");
-    // ...and is itself a finding; the stale justified allow is too.
-    assert_eq!(count_rule(&f, "bad-allow"), 1, "{f:?}");
-    assert_eq!(count_rule(&f, "unused-allow"), 1, "{f:?}");
-}
-
-#[test]
-fn allow_good_suppresses_everything() {
-    let f = lint_fixture("allow_good.rs", "crates/sim-core/src/fixture.rs");
-    assert!(f.is_empty(), "{f:?}");
 }
 
 #[test]
@@ -167,10 +113,7 @@ fn controller_bad_fires_the_gate_rule() {
 }
 
 #[test]
-fn controller_good_is_silent_and_its_allow_counts_as_used() {
-    // The probe's ungated hook carries one justified allow; the workspace
-    // pass must both suppress the finding and mark the allow used so
-    // hygiene stays quiet.
+fn controller_good_is_silent() {
     let f = analyze_fixture("controller_good.rs", "crates/dvfs/src/fixture.rs");
     assert!(f.is_empty(), "{f:?}");
 }

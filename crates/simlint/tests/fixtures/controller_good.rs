@@ -1,6 +1,4 @@
-//! Fixture: a disciplined controller — runtime hooks gated — and one
-//! justified escape for an ungated hook on a controller that only tests
-//! call directly.
+//! Fixture: a disciplined controller — runtime hooks gated.
 
 pub struct GoodCap {
     budget_w: f64,
@@ -18,16 +16,5 @@ impl ClusterController for GoodCap {
 
     fn on_sample(&mut self, now: SimTime, nodes: &[Node], out: &mut Vec<Decision>) {
         out.push(Decision { node: 0, op: 1 });
-    }
-}
-
-pub struct WaitProbe {
-    waits: u64,
-}
-
-impl ClusterController for WaitProbe {
-    // simlint: allow(controller-discipline): unit tests call this hook directly; never handed to the engine
-    fn on_wait_begin(&mut self, now: SimTime, rank: usize, nodes: &[Node]) {
-        self.waits += 1;
     }
 }

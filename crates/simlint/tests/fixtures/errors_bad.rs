@@ -1,22 +1,13 @@
-//! Fixture: error-discipline violations — panic paths, literal indexing,
-//! and measurement APIs without `#[must_use]`. Linted under a
+//! Fixture: error-discipline violations — literal indexing and
+//! measurement APIs without `#[must_use]`. Linted under a
 //! measurement-crate path so the Result rule applies.
 
 pub struct RunResult {
     pub joules: f64,
 }
 
-fn panicky(v: &[u32], x: Option<u32>) -> u32 {
-    let first = v[0];
-    let y = x.unwrap();
-    let z = x.expect("boom");
-    if first > 3 {
-        panic!("nope");
-    }
-    match y {
-        0 => unreachable!(),
-        _ => y + z,
-    }
+fn indexed(v: &[u32]) -> u32 {
+    v[0]
 }
 
 pub fn run_batch_fixture() -> u32 {

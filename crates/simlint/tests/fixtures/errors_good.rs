@@ -5,10 +5,9 @@ pub struct RunResult {
     pub joules: f64,
 }
 
-fn careful(v: &[u32], x: Option<u32>) -> Option<u32> {
-    let first = v.first()?;
-    let y = x?;
-    Some(first + y)
+fn careful(v: &[u32], pair: &mut [u32; 2]) -> Option<u32> {
+    *pair = [1, 2];
+    v.first().copied()
 }
 
 #[must_use]
@@ -23,12 +22,10 @@ pub fn read_sensor() -> Result<f64, String> {
 
 #[cfg(test)]
 mod tests {
-    // Tests unwrap freely: panic-path and literal-index are exempt here.
+    // Tests index freely: literal-index is exempt here.
     #[test]
-    fn unwraps_fine() {
+    fn indexes_fine() {
         let v = [1u32, 2];
         assert_eq!(v[0], 1);
-        let x: Option<u32> = Some(2);
-        assert_eq!(x.unwrap(), 2);
     }
 }

@@ -3,7 +3,7 @@
 //! The CLI cases drive the `simlint` binary from inside a workspace, the
 //! way CI and `scripts/lint.sh` run it.
 
-use simlint::{lint_workspace, render_text, Config};
+use simlint::{lint_scope, lint_workspace, render_text, Config};
 use std::path::Path;
 use std::process::{Command, Output};
 
@@ -34,6 +34,27 @@ fn workspace_has_zero_findings() {
 }
 
 #[test]
+fn scope_is_the_crates_that_inherit_the_workspace_lints() {
+    let scope = lint_scope(workspace_root()).expect("read crate manifests");
+    assert_eq!(
+        scope,
+        [
+            "cluster-sim",
+            "core",
+            "dvfs",
+            "edp-metrics",
+            "mem-model",
+            "mpi-sim",
+            "net-model",
+            "power-model",
+            "powerpack",
+            "sim-core",
+            "workloads",
+        ]
+    );
+}
+
+#[test]
 fn cli_exits_clean_on_the_workspace() {
     let out = simlint_in(workspace_root());
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -57,8 +78,13 @@ fn cli_exits_1_on_a_finding() {
     )
     .unwrap();
     std::fs::write(
+        dir.join("crates/sim-core/Cargo.toml"),
+        "[package]\nname = \"sim-core\"\n\n[lints]\nworkspace = true\n",
+    )
+    .unwrap();
+    std::fs::write(
         src.join("lib.rs"),
-        "use std::collections::HashMap;\n\npub fn table() -> HashMap<u32, u32> {\n    HashMap::new()\n}\n",
+        "pub fn idle(x: f64) -> bool {\n    x == 0.0\n}\n",
     )
     .unwrap();
     // Run from a subdirectory: the workspace root is found by walking up.
@@ -67,10 +93,9 @@ fn cli_exits_1_on_a_finding() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(
-        stdout
-            .lines()
-            .any(|l| l.starts_with("crates/sim-core/src/lib.rs:1:")
-                && l.contains("error[nondet-collections]")),
+        stdout.lines().any(
+            |l| l.starts_with("crates/sim-core/src/lib.rs:2:") && l.contains("error[float-eq]")
+        ),
         "{stdout}"
     );
 }

@@ -17,6 +17,10 @@ fn show(name: &str, c: &edp_metrics::Crescendo) {
     println!();
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times each probe section on the host clock; no timing feeds a modelled number"
+)]
 fn main() {
     let t0 = std::time::Instant::now();
     let mem = static_crescendo(&Workload::MemoryMicro(MicroConfig { passes: 100 }));

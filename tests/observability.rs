@@ -34,7 +34,12 @@ fn causal_scenario() -> Experiment {
 /// `BLESS` is set.
 fn assert_golden(name: &str, json: &str) {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var("BLESS").is_ok() {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "BLESS=1 re-blesses the golden; the comparison never reads the environment"
+    )]
+    let bless = std::env::var("BLESS").is_ok();
+    if bless {
         std::fs::write(&path, json).expect("write golden");
         return;
     }

@@ -137,14 +137,26 @@ fn daemon_rejects_bad_specs_with_typed_remote_errors() {
     let dir = tmp_dir("badspec");
     let (addr, daemon) = spawn_daemon(&dir, ServerConfig::default());
     let mut client = Client::connect_tcp(&addr).unwrap();
-    let bad = SweepSpec {
+    let unknown_workload = SweepSpec {
         workloads: vec!["warp-core".to_string()],
         strategies: vec!["static-800".to_string()],
         ..SweepSpec::default()
     };
-    match client.submit_sweep(&bad) {
-        Err(ProtocolError::Remote(msg)) => assert!(msg.contains("warp-core"), "{msg}"),
-        other => panic!("expected a remote error, got {other:?}"),
+    // comm-256k runs on nodes 0 and 1 only.
+    let missing_node = SweepSpec {
+        workloads: vec!["comm-256k".to_string()],
+        strategies: vec!["static-1400".to_string()],
+        fault_specs: vec!["weak-link:3:0.5".to_string()],
+        ..SweepSpec::default()
+    };
+    for (bad, named) in [
+        (unknown_workload, "warp-core"),
+        (missing_node, "fault_specs 'weak-link:3:0.5'"),
+    ] {
+        match client.submit_sweep(&bad) {
+            Err(ProtocolError::Remote(msg)) => assert!(msg.contains(named), "{msg}"),
+            other => panic!("expected a remote error, got {other:?}"),
+        }
     }
     // The connection stays usable after a rejected spec.
     let mut client = Client::connect_tcp(&addr).unwrap();
