@@ -44,11 +44,14 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
         crate_name: crate_of(rel_path),
         findings: Vec::new(),
     };
-    if path_is_test(rel_path) {
-        return ctx.findings;
-    }
+    // Test files are parsed too: a file simlint cannot read is a
+    // finding wherever it lives; only the rule walk skips tests.
     match crate::items::parse_file(src) {
-        Ok(file) => ctx.walk_items(&file.items),
+        Ok(file) => {
+            if !path_is_test(rel_path) {
+                ctx.walk_items(&file.items);
+            }
+        }
         Err(e) => {
             ctx.findings.push(Finding {
                 file: rel_path.to_string(),

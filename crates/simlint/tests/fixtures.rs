@@ -127,3 +127,13 @@ fn findings_carry_rustc_style_positions() {
     assert_eq!(first.line, 4);
     assert!(first.column > 1);
 }
+
+#[test]
+fn test_files_skip_the_rules_but_not_the_parser() {
+    let cfg = Config::workspace_default();
+    let rel = "crates/mpi-sim/src/engine_tests.rs";
+    let clean = lint_source(rel, "fn f(x: f64) -> bool { x == 0.0 }\n", &cfg);
+    assert!(clean.is_empty(), "{clean:?}");
+    let broken = lint_source(rel, "fn f( {\n", &cfg);
+    assert_eq!(count_rule(&broken, "parse"), 1, "{broken:?}");
+}

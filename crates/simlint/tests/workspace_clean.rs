@@ -54,6 +54,71 @@ fn scope_is_the_crates_that_inherit_the_workspace_lints() {
     );
 }
 
+/// The determinism and panic rules live in clippy's configuration, not
+/// in simlint: dropping a disallowed path or a lint level must fail here.
+#[test]
+fn clippy_config_keeps_the_determinism_and_panic_rules() {
+    let read = |name: &str| {
+        std::fs::read_to_string(workspace_root().join(name))
+            .unwrap_or_else(|e| panic!("read {name}: {e}"))
+    };
+    let clippy_toml: String = read("clippy.toml")
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .collect();
+    for path in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::env::var",
+        "std::env::var_os",
+        "std::env::vars",
+        "std::env::vars_os",
+        "std::env::set_var",
+        "std::env::remove_var",
+    ] {
+        assert!(
+            clippy_toml.contains(&format!("{{ path = \"{path}\",")),
+            "clippy.toml no longer disallows {path}"
+        );
+    }
+    for setting in [
+        "allow-unwrap-in-tests = true",
+        "allow-expect-in-tests = true",
+        "allow-panic-in-tests = true",
+    ] {
+        assert!(
+            clippy_toml.contains(setting),
+            "clippy.toml lost `{setting}`"
+        );
+    }
+    let manifest = read("Cargo.toml");
+    let levels: Vec<&str> = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[workspace.lints.clippy]")
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with('['))
+        .map(str::trim)
+        .collect();
+    for lint in [
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "unreachable",
+        "todo",
+        "unimplemented",
+        "allow_attributes",
+        "allow_attributes_without_reason",
+    ] {
+        let line = format!("{lint} = \"warn\"");
+        assert!(
+            levels.contains(&line.as_str()),
+            "[workspace.lints.clippy] no longer has `{line}`: {levels:?}"
+        );
+    }
+}
+
 #[test]
 fn cli_exits_clean_on_the_workspace() {
     let out = simlint_in(workspace_root());

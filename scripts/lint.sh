@@ -13,7 +13,7 @@ echo "== rustfmt (check) =="
 cargo fmt --check
 
 echo "== clippy (deny warnings; determinism and panic rules) =="
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 echo "== simlint (deny findings) =="
 cargo run -q -p simlint
