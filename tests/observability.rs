@@ -1,7 +1,10 @@
 //! PowerScope end-to-end guarantees: deterministic exports, zero behaviour
 //! change under instrumentation, and honest trace/metric accounting.
 
-use pwrperf::{metrics_ndjson, perfetto_json, DvsStrategy, EngineConfig, Experiment, Workload};
+use pwrperf::{
+    attribution_ndjson, metrics_ndjson, perfetto_json, DvsStrategy, EngineConfig, Experiment,
+    RunMeta, Topology, Workload,
+};
 use sim_core::SimDuration;
 
 /// The golden scenario: small enough to keep the reference file readable,
@@ -46,7 +49,7 @@ fn assert_golden(name: &str, json: &str) {
     let golden = std::fs::read_to_string(&path).expect("golden file (BLESS=1 to regenerate)");
     assert_eq!(
         json, golden,
-        "Perfetto export drifted from tests/golden/{name} \
+        "export drifted from tests/golden/{name} \
          (BLESS=1 cargo test --test observability to re-bless a deliberate change)"
     );
 }
@@ -70,6 +73,46 @@ fn causal_perfetto_export_matches_golden_bytes() {
     let json = perfetto_json(&causal_scenario().run());
     assert!(json.contains(r#""ph":"s""#) && json.contains(r#""ph":"f""#));
     assert_golden("ft_test4_stat1400_causal.perfetto.json", &json);
+}
+
+/// The metrics NDJSON of the golden scenario: every engine counter,
+/// gauge and histogram, in name order.
+#[test]
+fn metrics_export_matches_golden_bytes() {
+    assert_golden(
+        "ft_test2_dyn1400.metrics.ndjson",
+        &metrics_ndjson(&scenario().run()),
+    );
+}
+
+/// The trace of the golden scenario as the PowerPack CSV: every phase,
+/// message and frequency record the engine kept, in record order.
+#[test]
+fn trace_csv_matches_golden_bytes() {
+    assert_golden(
+        "ft_test2_dyn1400.trace.csv",
+        &powerpack::trace_to_csv(&scenario().run().trace),
+    );
+}
+
+/// The attribution NDJSON of the causal scenario: per-rank split and
+/// energy, and the critical-path summary.
+#[test]
+fn attribution_export_matches_golden_bytes() {
+    let workload = Workload::ft_test(4);
+    let strategy = DvsStrategy::StaticMhz(1400);
+    let meta = RunMeta {
+        workload: workload.label(),
+        strategy: strategy.label(),
+        topology: Topology::Flat,
+        seed: EngineConfig::default().faults.seed,
+    };
+    let result = causal_scenario().run();
+    let attribution = result.attribution.as_ref().expect("causal run attributes");
+    assert_golden(
+        "ft_test4_stat1400_causal.attribution.ndjson",
+        &attribution_ndjson(attribution, &meta),
+    );
 }
 
 #[test]
