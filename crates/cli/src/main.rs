@@ -239,9 +239,10 @@ fn run(workload: Workload, strategy: DvsStrategy, mut engine: EngineConfig, out_
     }
 }
 
-/// `run -o <dir>`: the PowerPack CSVs, the Perfetto timeline (with flow
-/// arrows when the run is causal), and the NDJSON exports the run has
-/// data for, each starting with its `{"meta":...}` header. The file list
+/// `run -o <dir>`: the PowerPack CSVs, the Perfetto timeline (messages
+/// as flow arrows when the run is causal, instants otherwise), and the
+/// NDJSON exports the run has data for, each starting with its
+/// `{"meta":...}` header. The file list
 /// goes to stderr so stdout stays the run's report.
 fn write_artifacts(dir: &str, result: &RunResult, meta: &RunMeta) {
     let mut files = vec![
@@ -585,12 +586,12 @@ bit-identical with either on or off.
 `run -o <dir>` also writes the run's artifacts: summary.csv,
 samples.csv (100 ms power samples, or the cap's own cadence),
 trace.csv, run.perfetto.json (a Chrome/Perfetto timeline, open at
-ui.perfetto.dev: phase slices and message instants per node, MHz and
-watt counter tracks, and flow arrows with --causal), metrics.ndjson
-(with --metrics) and attribution.ndjson (with --causal). NDJSON files
-start with a {{\"meta\":...}} header line naming the workload, strategy,
-topology, and fault seed. Every export uses simulated time only, so
-its bytes are deterministic.
+ui.perfetto.dev: phase slices per node, MHz and watt counter tracks,
+and messages as flow arrows with --causal, send/recv instants without),
+metrics.ndjson (with --metrics) and attribution.ndjson (with --causal).
+NDJSON files start with a {{\"meta\":...}} header line naming the
+workload, strategy, topology, and fault seed. Every export uses
+simulated time only, so its bytes are deterministic.
 
 `sweep` runs the ladder crescendo and ends with the best operating
 point by weighted ED2P (--delta, default 0.2 = HPC) and its gain over

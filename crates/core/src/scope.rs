@@ -6,7 +6,7 @@
 //! CLI serves:
 //!
 //! * [`perfetto_json`] — a Chrome/Perfetto `trace_event` timeline: one
-//!   track per node with phase slices and message instants, plus counter
+//!   track per node with phase slices and messages, plus counter
 //!   tracks for per-node frequency (from the trace) and per-node/cluster
 //!   power (from the samples). Open it at <https://ui.perfetto.dev>.
 //! * [`metrics_ndjson`] — the metrics registry as newline-delimited JSON,
@@ -22,8 +22,9 @@
 //! * [`analyze_text`] / [`attribution_ndjson`] — the "blame analysis"
 //!   table behind `pwrperf run --causal`: critical path, per-rank
 //!   compute/comm/blocked split, and the energy attribution;
-//! * [`perfetto_json`] grows flow arrows (one per message lifecycle)
-//!   when the run carries a causal log.
+//! * [`perfetto_json`] draws each message as a flow arrow (one per
+//!   message lifecycle) instead of a pair of instants when the run
+//!   carries a causal log.
 //!
 //! NDJSON exports carry a [`RunMeta`] header record as their first line
 //! (`{"meta":{...}}`), identifying the run that produced the file.
@@ -89,11 +90,12 @@ impl RunMeta {
 /// the timeline tracks; sample-driven power counters additionally need
 /// `sample_interval`. Either may be absent — the export degrades to
 /// whatever telemetry the run carried. When the run carries a causal
-/// log, every message lifecycle additionally becomes a flow arrow from
-/// the sender at flow start to the receiver at delivery.
+/// log, each message is exported once, as a flow arrow from the sender
+/// at flow start to the receiver at delivery, and the trace's `send` and
+/// `recv` instants are left out; otherwise the instants stand for it.
 pub fn perfetto_json(result: &RunResult) -> String {
     let nodes = result.per_node.len();
-    let mut p = PerfettoTrace::from_trace(&result.trace, nodes);
+    let mut p = PerfettoTrace::from_trace(&result.trace, nodes, result.causal.is_none());
     let sample_records: usize = result
         .samples
         .iter()

@@ -344,15 +344,9 @@ fn decode_node_index(r: &mut ByteReader<'_>) -> Result<usize, DecodeError> {
 }
 
 fn encode_fault_counts(w: &mut ByteWriter, counts: &FaultCounts) {
-    w.put_u64(counts.compute_slowdowns);
-    w.put_u64(counts.dvfs_failures);
-    w.put_u64(counts.dvfs_latency_spikes);
-    w.put_u64(counts.battery_stuck_reads);
-    w.put_u64(counts.battery_noisy_reads);
-    w.put_u64(counts.battery_errors);
-    w.put_u64(counts.samples_skipped);
-    w.put_u64(counts.meter_biased_samples);
-    w.put_u64(counts.degraded_links);
+    for (_, n) in counts.named() {
+        w.put_u64(n);
+    }
 }
 
 fn decode_fault_counts(r: &mut ByteReader<'_>) -> Result<FaultCounts, DecodeError> {
@@ -370,21 +364,18 @@ fn decode_fault_counts(r: &mut ByteReader<'_>) -> Result<FaultCounts, DecodeErro
 }
 
 fn encode_metrics(w: &mut ByteWriter, registry: &MetricsRegistry) {
-    let counters: Vec<(&str, u64)> = registry.counters_in_order().collect();
-    w.put_usize(counters.len());
-    for (name, value) in counters {
+    w.put_usize(registry.counters().count());
+    for (name, value) in registry.counters() {
         w.put_str(name);
         w.put_u64(value);
     }
-    let gauges: Vec<(&str, f64)> = registry.gauges_in_order().collect();
-    w.put_usize(gauges.len());
-    for (name, value) in gauges {
+    w.put_usize(registry.gauges().count());
+    for (name, value) in registry.gauges() {
         w.put_str(name);
         w.put_f64(value);
     }
-    let histograms: Vec<(&str, &Histogram)> = registry.histograms_in_order().collect();
-    w.put_usize(histograms.len());
-    for (name, h) in histograms {
+    w.put_usize(registry.histograms().count());
+    for (name, h) in registry.histograms() {
         w.put_str(name);
         w.put_usize(h.bounds().len());
         for &b in h.bounds() {
@@ -405,13 +396,13 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<MetricsRegistry, DecodeError
     for _ in 0..counters {
         let name = r.get_str()?;
         let value = r.get_u64()?;
-        registry.counter_add_owned(name, value);
+        registry.counter_add(&name, value);
     }
     let gauges = r.get_seq_len("metric gauges", 16)?;
     for _ in 0..gauges {
         let name = r.get_str()?;
         let value = r.get_f64()?;
-        registry.gauge_set_owned(name, value);
+        registry.gauge_set(&name, value);
     }
     let histograms = r.get_seq_len("metric histograms", 32)?;
     for _ in 0..histograms {
@@ -432,7 +423,7 @@ fn decode_metrics(r: &mut ByteReader<'_>) -> Result<MetricsRegistry, DecodeError
             Histogram::from_parts(bounds, counts, count, sum).ok_or(DecodeError::Invalid {
                 what: "histogram bucket shape",
             })?;
-        registry.histogram_insert_owned(name, histogram);
+        registry.histogram_insert(&name, histogram);
     }
     Ok(registry)
 }

@@ -37,28 +37,27 @@ use cluster_sim::{Cluster, Node};
 use dvfs::{ClusterController, Decision, Governor, PerNodeGovernors};
 use mem_model::WorkUnit;
 use net_model::{FlowId, FluidNetwork};
-use obs::{obs_count, obs_observe, MetricsRegistry};
 use power_model::{CpuActivity, OpIndex};
-use sim_core::time::PS_PER_US;
 use sim_core::{
-    duration_to_cycles, CausalLog, DvfsRecord, EventQueue, FaultCounts, FxHashMap, FxHashSet,
-    MsgRecord, SimDuration, SimTime, Trace, TraceDetail, TraceKind, WaitCause, WaitRecord,
+    duration_to_cycles, EventQueue, FaultCounts, FxHashMap, FxHashSet, SimDuration, SimTime,
+    WaitCause,
 };
 
 use crate::config::{EngineConfig, WaitPolicy};
 use crate::faults::FaultRuntime;
 use crate::program::{Cursor, Op, Program, Rank, Tag};
+use crate::record::{Count, Recorder};
 use crate::result::{RankBreakdown, RunResult, SampleRow};
 
-type MsgId = usize;
-type MsgKey = (Rank, Rank, Tag);
+pub(crate) type MsgId = usize;
+pub(crate) type MsgKey = (Rank, Rank, Tag);
 
 /// [`Msg::next_pending`] of a message that ends its key's unmatched-send
 /// FIFO or the free-slot list (or is in neither).
 const NO_PENDING: u32 = u32::MAX;
 
 #[derive(Debug)]
-enum Event {
+pub(crate) enum Event {
     /// Continue a rank stalled by boot or a DVFS request.
     Resume(Rank),
     /// A compute phase (active or stall) finished.
@@ -159,32 +158,11 @@ struct Msg {
     flow_started: bool,
     recv_posted: bool,
     drained_at: Option<SimTime>,
-    /// When the send was posted — start of the message's observable life,
-    /// used for the delivery-latency histograms.
-    posted_at: SimTime,
-    /// Whether the tag marks collective-internal traffic
-    /// ([`crate::ProgramBuilder`] lowers collectives onto a reserved tag
-    /// range), splitting the latency histograms by origin.
-    collective: bool,
     /// Next unmatched send on this message's key: the link of the
     /// per-key FIFO that [`Engine::pending_sends`] holds the ends of.
     /// For a free slot, the next free slot. Sits in what would otherwise
     /// be padding.
     next_pending: u32,
-}
-
-/// Live causal-recording state: the log under construction plus each
-/// rank's currently open blocking wait (entry time and the node's
-/// cumulative joules at entry). A wait record is emitted when the wait is
-/// released, carrying the releasing message completion as its cause.
-#[derive(Debug)]
-struct CausalRecorder {
-    log: CausalLog,
-    open: Vec<Option<(SimTime, f64)>>,
-    /// The log record of the message in each arena slot. Slots are
-    /// recycled; records are not, so the log numbers messages in posting
-    /// order whatever slot they used.
-    record: Vec<usize>,
 }
 
 /// The frequency-dependent float plan for one `Op::Compute`: exactly the
@@ -325,18 +303,11 @@ pub struct Engine {
     flow_to_msg: Vec<Option<MsgId>>,
     finished: usize,
     samples: Vec<SampleRow>,
-    trace: Trace,
-    /// PowerScope metrics, boxed to keep the engine small when disabled.
-    /// `None` unless [`EngineConfig::metrics`] is set; every update goes
-    /// through the `obs_*` macros, which skip a `None` registry.
-    metrics: Option<Box<MetricsRegistry>>,
-    /// Causal dependency recorder, boxed like `metrics`. `None` unless
-    /// [`EngineConfig::causal`] is set, so a disabled run pays only a
-    /// pointer-sized field and `is_some` checks off the hot path. All
-    /// recording happens in `(time, seq)` dispatch order, which is what
-    /// makes the log deterministic.
-    causal: Option<Box<CausalRecorder>>,
-    /// Fault-injection runtime, boxed for the same reason as `metrics`.
+    /// The trace, metrics and causal log behind one seam, boxed to keep the
+    /// engine small when recording is off. `None` unless one of them is
+    /// on; each fact of the run reaches it through one branch.
+    recorder: Option<Box<Recorder>>,
+    /// Fault-injection runtime, boxed for the same reason as `recorder`.
     /// `None` unless [`EngineConfig::faults`] armed at least one fault,
     /// which is what guarantees empty specs are bit-identical to today.
     faults: Option<Box<FaultRuntime>>,
@@ -392,13 +363,7 @@ impl Engine {
             FluidNetwork::with_topology(cluster.network().clone(), n, &config.topology);
         let mut fault_counts = FaultCounts::default();
         let faults = FaultRuntime::build(&config.faults, n, &mut network, &mut fault_counts);
-        let trace = if config.trace_capacity > 0 {
-            Trace::new(config.trace_capacity)
-        } else {
-            Trace::disabled()
-        };
-        let config_metrics = config.metrics;
-        let config_causal = config.causal;
+        let recorder = Recorder::new(&config, n);
         let controller_events = controller.wants_runtime_events();
         Engine {
             config,
@@ -444,21 +409,7 @@ impl Engine {
             finished: 0,
             samples: Vec::new(),
             cluster,
-            trace,
-            metrics: if config_metrics {
-                Some(Box::new(MetricsRegistry::new()))
-            } else {
-                None
-            },
-            causal: if config_causal {
-                Some(Box::new(CausalRecorder {
-                    log: CausalLog::new(n),
-                    open: vec![None; n],
-                    record: Vec::new(),
-                }))
-            } else {
-                None
-            },
+            recorder,
             faults,
             fault_counts,
             last_battery: vec![None; n],
@@ -561,8 +512,8 @@ impl Engine {
     }
 
     fn dispatch(&mut self, ev: Event) {
-        if self.metrics.is_some() {
-            self.count_dispatch(&ev);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.event_dispatched(&ev);
         }
         match ev {
             Event::Resume(r) => {
@@ -580,25 +531,6 @@ impl Engine {
         }
     }
 
-    /// Metrics-path event accounting, kept out of line so the default
-    /// (metrics-off) `dispatch` body stays small enough to inline.
-    #[cold]
-    #[inline(never)]
-    fn count_dispatch(&mut self, ev: &Event) {
-        let name = match ev {
-            Event::Resume(_) => "engine.events.resume",
-            Event::PhaseDone(_) => "engine.events.phase_done",
-            Event::Delivered(_) => "engine.events.delivered",
-            Event::NetworkWake => "engine.events.network_wake",
-            Event::TransitionDone(..) => "engine.events.transition_done",
-            Event::GovernorTick(_) => "engine.events.governor_tick",
-            Event::WaitBlock(_) => "engine.events.wait_block",
-            Event::Sample => "engine.events.sample",
-        };
-        obs_count!(self.metrics, name, 1);
-        obs_count!(self.metrics, "engine.events.dispatched", 1);
-    }
-
     // ----- time accounting -------------------------------------------------
 
     fn switch_bucket(&mut self, r: Rank, bucket: Bucket) {
@@ -614,41 +546,6 @@ impl Engine {
         }
         rt.bucket = bucket;
         rt.bucket_since = self.now;
-    }
-
-    // ----- causal recording ------------------------------------------------
-
-    /// Mark `r` as entering a blocking wait now, with its energy meter
-    /// read, so the eventual release can emit a complete wait record.
-    fn causal_open_wait(&mut self, r: Rank) {
-        if self.causal.is_none() {
-            return;
-        }
-        let energy_j = self.cluster.node(r).energy(self.now).total_j();
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.open[r] = Some((self.now, energy_j));
-        }
-    }
-
-    /// Emit the wait record for `r`'s open wait, released now by `cause`.
-    fn causal_close_wait(&mut self, r: Rank, cause: WaitCause) {
-        if self.causal.is_none() {
-            return;
-        }
-        let energy_end_j = self.cluster.node(r).energy(self.now).total_j();
-        let end = self.now;
-        if let Some(c) = self.causal.as_deref_mut() {
-            if let Some((start, energy_start_j)) = c.open[r].take() {
-                c.log.waits.push(WaitRecord {
-                    rank: r,
-                    start,
-                    end,
-                    cause,
-                    energy_start_j,
-                    energy_end_j,
-                });
-            }
-        }
     }
 
     // ----- program execution -----------------------------------------------
@@ -720,19 +617,8 @@ impl Engine {
                 },
                 Op::WaitAll => {
                     if self.rank_has_outstanding(r) {
-                        let block_event = match self.config.wait_policy {
-                            WaitPolicy::BusyPoll => None,
-                            WaitPolicy::PollThenBlock(window) => {
-                                Some(self.queue.push(self.now + window, Event::WaitBlock(r)))
-                            }
-                        };
+                        let block_event = self.begin_wait(r);
                         self.ranks[r].state = RState::WaitingAll { block_event };
-                        self.switch_bucket(r, Bucket::WaitBusy);
-                        self.cluster
-                            .node_mut(r)
-                            .set_activity(self.now, CpuActivity::BusyWait);
-                        self.causal_open_wait(r);
-                        self.controller_wait_begin(r);
                         return;
                     }
                 }
@@ -740,10 +626,10 @@ impl Engine {
                     let decision =
                         self.controller
                             .on_app_request(self.now, r, self.cluster.nodes(), req);
-                    if decision.is_some() {
-                        obs_count!(self.metrics, "engine.dvfs.decisions", 1);
-                    }
                     if let Some(target) = decision {
+                        if let Some(rec) = self.recorder.as_deref_mut() {
+                            rec.count(Count::DvfsDecisions);
+                        }
                         let lat = self.request_transition(r, target);
                         if !lat.is_zero() {
                             self.ranks[r].state = RState::Stalled;
@@ -760,14 +646,16 @@ impl Engine {
                     }
                 }
                 Op::PhaseBegin(name) => {
-                    self.trace
-                        .record(self.now, r, TraceKind::PhaseBegin, TraceDetail::Phase(name));
+                    if let Some(rec) = self.recorder.as_deref_mut() {
+                        rec.phase(self.now, r, name, true);
+                    }
                     #[cfg(feature = "simsan")]
                     self.san_checkpoint(SAN_TAG_PHASE_BEGIN);
                 }
                 Op::PhaseEnd(name) => {
-                    self.trace
-                        .record(self.now, r, TraceKind::PhaseEnd, TraceDetail::Phase(name));
+                    if let Some(rec) = self.recorder.as_deref_mut() {
+                        rec.phase(self.now, r, name, false);
+                    }
                     #[cfg(feature = "simsan")]
                     self.san_checkpoint(SAN_TAG_PHASE_END);
                 }
@@ -837,12 +725,8 @@ impl Engine {
             .node_mut(r)
             .set_activity(self.now, CpuActivity::Halt);
         self.finished += 1;
-        if self.causal.is_some() {
-            let energy_j = self.cluster.node(r).energy(self.now).total_j();
-            if let Some(c) = self.causal.as_deref_mut() {
-                c.log.finish[r] = self.now;
-                c.log.finish_energy_j[r] = energy_j;
-            }
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.rank_finished(self.now, r, self.cluster.node(r));
         }
     }
 
@@ -853,23 +737,39 @@ impl Engine {
             self.execute_next(r);
             return;
         }
+        let block_event = self.begin_wait(r);
+        self.ranks[r].state = RState::Waiting {
+            need_send,
+            need_recv,
+            block_event,
+        };
+    }
+
+    /// Block `r` in communication: it busy-polls, and under
+    /// [`WaitPolicy::PollThenBlock`] the returned event blocks it into
+    /// idle once the window passes.
+    fn begin_wait(&mut self, r: Rank) -> Option<u64> {
         let block_event = match self.config.wait_policy {
             WaitPolicy::BusyPoll => None,
             WaitPolicy::PollThenBlock(window) => {
                 Some(self.queue.push(self.now + window, Event::WaitBlock(r)))
             }
         };
-        self.ranks[r].state = RState::Waiting {
-            need_send,
-            need_recv,
-            block_event,
-        };
         self.switch_bucket(r, Bucket::WaitBusy);
         self.cluster
             .node_mut(r)
             .set_activity(self.now, CpuActivity::BusyWait);
-        self.causal_open_wait(r);
-        self.controller_wait_begin(r);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.wait_opened(self.now, r, self.cluster.node(r));
+        }
+        if self.controller_events {
+            self.controller
+                .on_wait_begin(self.now, r, self.cluster.nodes());
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                rec.count(Count::ControllerWaitEvents);
+            }
+        }
+        block_event
     }
 
     fn on_wait_block(&mut self, r: Rank) {
@@ -892,54 +792,40 @@ impl Engine {
             || !rt.outstanding_recvs_unmatched.is_empty()
     }
 
-    /// An outstanding non-blocking op completed; resume a rank parked in
-    /// WaitAll once everything it posted has finished. `cause` is the
-    /// completion that just landed — when it releases the wait it is by
-    /// definition the last (gating) one, so it closes the wait record.
-    fn maybe_resume_waitall(&mut self, r: Rank, cause: WaitCause) {
-        if matches!(self.ranks[r].state, RState::WaitingAll { .. }) && !self.rank_has_outstanding(r)
-        {
-            if let RState::WaitingAll {
-                block_event: Some(ev),
-            } = self.ranks[r].state
-            {
-                self.queue.cancel(ev);
-            }
-            self.causal_close_wait(r, cause);
-            self.controller_wait_end(r);
-            self.execute_next(r);
-        }
-    }
-
-    /// Clear a satisfied wait condition and resume the rank if nothing is
-    /// left to wait for. `cause` closes the wait record when it does.
-    fn maybe_resume_waiter(&mut self, r: Rank, cause: WaitCause) {
-        let ready = matches!(
-            &self.ranks[r].state,
+    /// Completion `cause` of message `id` just landed for `r`: resume `r`
+    /// if that leaves its wait with nothing to wait for — a blocking op
+    /// with both sides done, or a WaitAll with nothing outstanding. The
+    /// completion that releases a wait is by definition the last (gating)
+    /// one, so it closes the wait record.
+    fn maybe_resume(&mut self, r: Rank, cause: fn(usize) -> WaitCause, id: MsgId) {
+        let block_event = match self.ranks[r].state {
             RState::Waiting {
                 need_send: None,
                 need_recv: None,
-                ..
-            }
-        );
-        if ready {
-            if let RState::Waiting {
-                block_event: Some(ev),
-                ..
-            } = self.ranks[r].state
-            {
-                self.queue.cancel(ev);
-            }
-            self.causal_close_wait(r, cause);
-            self.controller_wait_end(r);
-            self.execute_next(r);
+                block_event,
+            } => block_event,
+            RState::WaitingAll { block_event } if !self.rank_has_outstanding(r) => block_event,
+            _ => return,
+        };
+        if let Some(ev) = block_event {
+            self.queue.cancel(ev);
         }
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.wait_closed(self.now, r, self.cluster.node(r), cause, id);
+        }
+        if self.controller_events {
+            self.controller
+                .on_wait_end(self.now, r, self.cluster.nodes());
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                rec.count(Count::ControllerWaitEvents);
+            }
+        }
+        self.execute_next(r);
     }
 
     // ----- messaging -------------------------------------------------------
 
     fn post_send(&mut self, src: Rank, dst: Rank, bytes: u64, tag: Tag) -> MsgId {
-        let collective = tag >= crate::program::ProgramBuilder::COLLECTIVE_TAG_BASE;
         let id = self.alloc_msg(Msg {
             src,
             dst,
@@ -947,35 +833,12 @@ impl Engine {
             flow_started: false,
             recv_posted: false,
             drained_at: None,
-            posted_at: self.now,
-            collective,
             next_pending: NO_PENDING,
         });
-        if let Some(c) = self.causal.as_deref_mut() {
-            if id == c.record.len() {
-                c.record.push(c.log.msgs.len());
-            } else {
-                c.record[id] = c.log.msgs.len();
-            }
-            c.log.msgs.push(MsgRecord {
-                src,
-                dst,
-                bytes,
-                collective,
-                posted_at: self.now,
-                flow_started_at: None,
-                drained_at: None,
-                delivered_at: None,
-            });
-        }
-        self.trace
-            .record_with(self.now, src, TraceKind::MsgStart, || TraceDetail::MsgTo {
-                dst,
-                bytes,
-            });
-        obs_count!(self.metrics, "engine.msgs.posted", 1);
-        obs_count!(self.metrics, "engine.msgs.bytes_posted", bytes);
         let key = (src, dst, tag);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.msg_posted(self.now, id, key, bytes);
+        }
         if take_one(&mut self.pending_recvs, key) {
             self.msgs[id].recv_posted = true;
             self.rebind_receiver_wait(dst, key, id);
@@ -1016,12 +879,6 @@ impl Engine {
         self.free_msg = id as u32;
     }
 
-    /// The causal-log record of the message in slot `id` (the slot
-    /// itself when not recording, where no cause is ever read).
-    fn record_of(&self, id: MsgId) -> usize {
-        self.causal.as_deref().map_or(id, |c| c.record[id])
-    }
-
     /// Returns `None` when the receive completed synchronously, otherwise
     /// the wait descriptor.
     fn post_recv(&mut self, dst: Rank, src: Rank, tag: Tag) -> Option<RecvWait> {
@@ -1040,16 +897,11 @@ impl Engine {
                     Some(drained) => {
                         let deliver_at = drained + self.network.params().wire_latency;
                         if deliver_at <= self.now {
-                            if let Some(c) = self.causal.as_deref_mut() {
-                                // Physical arrival time: the payload was
-                                // already here when the recv posted.
-                                c.log.msgs[c.record[id]].delivered_at = Some(deliver_at);
+                            // The payload was already here when the recv
+                            // posted: it arrived at `deliver_at`.
+                            if let Some(rec) = self.recorder.as_deref_mut() {
+                                rec.msg_delivered(self.now, deliver_at, id);
                             }
-                            self.trace
-                                .record_with(self.now, dst, TraceKind::MsgEnd, || {
-                                    TraceDetail::MsgFrom { src }
-                                });
-                            self.observe_delivery(id);
                             self.free_msg(id);
                             None // already here
                         } else {
@@ -1119,8 +971,8 @@ impl Engine {
         };
         let flow = self.network.start_flow(self.now, src, dst, bytes);
         self.msgs[id].flow_started = true;
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.log.msgs[c.record[id]].flow_started_at = Some(self.now);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.flow_started(self.now, id);
         }
         if flow.0 >= self.flow_to_msg.len() {
             self.flow_to_msg.resize(flow.0 + 1, None);
@@ -1158,8 +1010,8 @@ impl Engine {
                 .take()
                 .expect("completed flow without a message");
             self.msgs[id].drained_at = Some(self.now);
-            if let Some(c) = self.causal.as_deref_mut() {
-                c.log.msgs[c.record[id]].drained_at = Some(self.now);
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                rec.msg_drained(self.now, id);
             }
             self.refresh_nic(src);
             self.refresh_nic(dst);
@@ -1171,14 +1023,12 @@ impl Engine {
             {
                 if *ns == Some(id) {
                     *ns = None;
-                    let cause = WaitCause::SendDrained(self.record_of(id));
-                    self.maybe_resume_waiter(src, cause);
+                    self.maybe_resume(src, WaitCause::SendDrained, id);
                 }
             }
             // Non-blocking sender: strike the isend off the outstanding set.
             if self.ranks[src].outstanding_sends.remove(&id) {
-                let cause = WaitCause::SendDrained(self.record_of(id));
-                self.maybe_resume_waitall(src, cause);
+                self.maybe_resume(src, WaitCause::SendDrained, id);
             }
             // Receiver side completes after the wire latency, if posted.
             if self.msgs[id].recv_posted {
@@ -1190,38 +1040,11 @@ impl Engine {
         self.reschedule_network();
     }
 
-    /// Record a completed message into the delivery metrics (latency from
-    /// post to arrival, split by p2p vs collective-internal traffic).
-    fn observe_delivery(&mut self, id: MsgId) {
-        if self.metrics.is_none() {
-            return;
-        }
-        let Msg {
-            posted_at,
-            collective,
-            ..
-        } = self.msgs[id];
-        let latency_us = self.now.since(posted_at).as_ps() as f64 / PS_PER_US as f64;
-        let name = if collective {
-            "engine.msg.latency_us.collective"
-        } else {
-            "engine.msg.latency_us.p2p"
-        };
-        obs_observe!(self.metrics, name, latency_us);
-        obs_count!(self.metrics, "engine.msgs.delivered", 1);
-    }
-
     fn on_delivered(&mut self, id: MsgId) {
         let dst = self.msgs[id].dst;
-        let src = self.msgs[id].src;
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.log.msgs[c.record[id]].delivered_at = Some(self.now);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.msg_delivered(self.now, self.now, id);
         }
-        self.trace
-            .record_with(self.now, dst, TraceKind::MsgEnd, || TraceDetail::MsgFrom {
-                src,
-            });
-        self.observe_delivery(id);
         if let RState::Waiting {
             need_recv: nr @ Some(RecvWait::Matched(_)),
             ..
@@ -1229,14 +1052,12 @@ impl Engine {
         {
             if *nr == Some(RecvWait::Matched(id)) {
                 *nr = None;
-                let cause = WaitCause::RecvDelivered(self.record_of(id));
-                self.maybe_resume_waiter(dst, cause);
+                self.maybe_resume(dst, WaitCause::RecvDelivered, id);
             }
         }
         // Non-blocking receiver: strike the irecv off the outstanding set.
         if self.ranks[dst].outstanding_recvs_matched.remove(&id) {
-            let cause = WaitCause::RecvDelivered(self.record_of(id));
-            self.maybe_resume_waitall(dst, cause);
+            self.maybe_resume(dst, WaitCause::RecvDelivered, id);
         }
         self.free_msg(id);
     }
@@ -1261,7 +1082,6 @@ impl Engine {
             }
         }
         let old_freq = self.cluster.node(node).freq_hz();
-        let from_mhz = self.cluster.node(node).operating_point().mhz();
         let mut lat = self
             .cluster
             .node_mut(node)
@@ -1296,26 +1116,9 @@ impl Engine {
         }
         self.queue
             .push(self.now + lat, Event::TransitionDone(node, target));
-        if let Some(c) = self.causal.as_deref_mut() {
-            c.log.dvfs.push(DvfsRecord {
-                node,
-                start: self.now,
-                end: self.now + lat,
-            });
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.dvfs_transition(self.now, node, self.cluster.node(node), target, lat);
         }
-        self.trace
-            .record_with(self.now, node, TraceKind::FreqChange, || {
-                TraceDetail::Freq {
-                    from_mhz,
-                    to_mhz: self.cluster.node(node).config().ladder.point(target).mhz(),
-                }
-            });
-        obs_count!(self.metrics, "engine.dvfs.transitions", 1);
-        obs_observe!(
-            self.metrics,
-            "engine.dvfs.transition_latency_us",
-            lat.as_ps() as f64 / PS_PER_US as f64
-        );
         lat
     }
 
@@ -1341,7 +1144,9 @@ impl Engine {
             .controller
             .on_tick(self.now, node, self.cluster.nodes());
         if let Some(target) = decision {
-            obs_count!(self.metrics, "engine.dvfs.decisions", 1);
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                rec.count(Count::DvfsDecisions);
+            }
             self.request_transition(node, target);
         }
         if let Some(interval) = self.controller.poll_interval(node) {
@@ -1355,29 +1160,8 @@ impl Engine {
     // Delivered only when the controller asked for runtime events; the
     // per-node path (every classic strategy) pays one bool test per site.
     // All hooks run in (time, seq) event order, so controller state —
-    // and therefore every decision — is deterministic. Wait hooks only
-    // update controller state; decisions come back at sample instants.
-
-    /// `r` just blocked in communication.
-    fn controller_wait_begin(&mut self, r: Rank) {
-        if !self.controller_events {
-            return;
-        }
-        self.controller
-            .on_wait_begin(self.now, r, self.cluster.nodes());
-        obs_count!(self.metrics, "controller.wait_events", 1);
-    }
-
-    /// `r` was just released from its wait (the causal record is already
-    /// closed).
-    fn controller_wait_end(&mut self, r: Rank) {
-        if !self.controller_events {
-            return;
-        }
-        self.controller
-            .on_wait_end(self.now, r, self.cluster.nodes());
-        obs_count!(self.metrics, "controller.wait_events", 1);
-    }
+    // and therefore every decision — is deterministic. Wait hooks (in
+    // `begin_wait`, `maybe_resume`) only update controller state.
 
     /// A sample row was just recorded; the controller may replan. Sample
     /// instants are the natural cap-enforcement points: every transition
@@ -1389,7 +1173,9 @@ impl Engine {
         }
         self.controller
             .on_sample(self.now, self.cluster.nodes(), &mut self.decision_buf);
-        obs_count!(self.metrics, "controller.samples", 1);
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            rec.count(Count::ControllerSamples);
+        }
         self.apply_decisions();
     }
 
@@ -1398,7 +1184,9 @@ impl Engine {
     fn apply_decisions(&mut self) {
         let mut decisions = std::mem::take(&mut self.decision_buf);
         for d in decisions.drain(..) {
-            obs_count!(self.metrics, "controller.decisions", 1);
+            if let Some(rec) = self.recorder.as_deref_mut() {
+                rec.count(Count::ControllerDecisions);
+            }
             self.request_transition(d.node, d.target);
         }
         self.decision_buf = decisions;
@@ -1534,84 +1322,7 @@ impl Engine {
             .map(|n| n.time_in_state(end))
             .collect();
         let total = self.cluster.total_energy(end);
-
-        // Causal teardown: hand the recorded log to the solver. The
-        // attribution derives from simulated state only (log, bucket
-        // totals, metered joules), so it shares the registry's
-        // determinism guarantees.
-        let (causal, attribution) = match self.causal.take() {
-            Some(rec) => {
-                let log = rec.log;
-                let buckets: Vec<obs::BucketTotals> = self
-                    .ranks
-                    .iter()
-                    .map(|r| obs::BucketTotals {
-                        compute: r.breakdown.compute + r.breakdown.mem_stall,
-                        wait: r.breakdown.wait_busy + r.breakdown.wait_blocked,
-                        transition: r.breakdown.transition,
-                    })
-                    .collect();
-                let node_total_j: Vec<f64> = per_node.iter().map(|e| e.total_j()).collect();
-                let attribution = obs::attribute(&log, &buckets, &node_total_j);
-                (Some(log), Some(attribution))
-            }
-            None => (None, None),
-        };
-
-        // Fold teardown-time statistics into the registry: queue lifetime
-        // counters, fair-share solver work, trace accounting, and the
-        // cluster-wide per-frequency residency. These are derived from
-        // simulated state only, so the whole registry stays deterministic.
-        let trace_dropped = self.trace.dropped();
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.counter_add("engine.queue.pushed", self.queue.pushed_total());
-            m.counter_add("engine.queue.cancelled", self.queue.cancelled_total());
-            m.counter_add("engine.queue.processed", self.queue.processed_total());
-            m.gauge_set(
-                "engine.queue.depth_hwm",
-                self.queue.depth_high_water() as f64,
-            );
-            let s = self.network.solver_stats();
-            m.counter_add("net.solver.invocations", s.invocations);
-            m.counter_add("net.solver.rounds", s.rounds);
-            m.counter_add("net.solver.fallback_freezes", s.fallback_freezes);
-            // Only the hierarchical (tree-mode) network tracks per-link
-            // domains, but the counters are published unconditionally so
-            // downstream diffs (the scale-smoke CI job) never depend on
-            // whether the solver happened to do domain work.
-            m.counter_add("net.solver.domains_touched", s.domains_touched);
-            m.counter_add("net.solver.domains_skipped", s.domains_skipped);
-            m.counter_add("net.rate_recomputes", self.network.rate_recomputes());
-            m.counter_add("net.flows_completed", self.network.flows_completed());
-            m.gauge_set("net.bytes_delivered", self.network.bytes_delivered());
-            m.counter_add("engine.trace.recorded", self.trace.len() as u64);
-            m.counter_add("engine.trace.dropped", trace_dropped);
-            let mut per_mhz: std::collections::BTreeMap<u32, SimDuration> = Default::default();
-            for node_res in &freq_residency {
-                for &(mhz, d) in node_res {
-                    *per_mhz.entry(mhz).or_insert(SimDuration::ZERO) += d;
-                }
-            }
-            for (mhz, d) in per_mhz {
-                m.gauge_set_owned(format!("engine.freq.residency_s.{mhz}mhz"), d.as_secs_f64());
-            }
-            // Fault counters are only published when something was
-            // injected, so a fault-free run's registry is unchanged.
-            let c = self.fault_counts;
-            if c.total() > 0 {
-                m.counter_add("engine.faults.compute_slowdowns", c.compute_slowdowns);
-                m.counter_add("engine.faults.dvfs_failures", c.dvfs_failures);
-                m.counter_add("engine.faults.dvfs_latency_spikes", c.dvfs_latency_spikes);
-                m.counter_add("engine.faults.battery_stuck_reads", c.battery_stuck_reads);
-                m.counter_add("engine.faults.battery_noisy_reads", c.battery_noisy_reads);
-                m.counter_add("engine.faults.battery_errors", c.battery_errors);
-                m.counter_add("engine.faults.samples_skipped", c.samples_skipped);
-                m.counter_add("engine.faults.meter_biased_samples", c.meter_biased_samples);
-                m.counter_add("engine.faults.degraded_links", c.degraded_links);
-            }
-        }
-
-        RunResult {
+        let mut result = RunResult {
             duration: end.since(SimTime::ZERO),
             per_node,
             total,
@@ -1623,14 +1334,15 @@ impl Engine {
                 .map(|n| n.transitions())
                 .collect(),
             samples: self.samples,
-            trace: self.trace.events().cloned().collect(),
-            trace_dropped,
             freq_residency,
             events: self.queue.processed_total(),
             faults: self.fault_counts,
-            metrics: self.metrics.map(|b| *b),
-            causal,
-            attribution,
+            // Left empty for the recorder to fill in.
+            ..RunResult::default()
+        };
+        if let Some(rec) = self.recorder.take() {
+            rec.teardown(&mut result, &self.queue, &self.network);
         }
+        result
     }
 }

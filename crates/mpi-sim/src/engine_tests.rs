@@ -526,7 +526,7 @@ mod nonblocking_tests {
             assert_eq!(tables.live_keys, 0, "flood={flood}: {tables:?}");
             assert_eq!(tables.rank_outstanding, 0, "flood={flood}: {tables:?}");
             assert_eq!(tables.msgs_posted, 5 * per_round);
-            assert_eq!(tables.msg_size, 56);
+            assert_eq!(tables.msg_size, 48);
             // Pairwise exchange leaves about one unmatched key per rank; the
             // flood posts at most one round's keys at once. Either way the
             // bound is independent of the number of rounds, and so is the

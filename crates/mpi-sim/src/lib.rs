@@ -60,6 +60,7 @@ pub(crate) mod engine;
 mod engine_tests;
 mod faults;
 pub(crate) mod program;
+pub(crate) mod record;
 pub(crate) mod result;
 
 pub use config::{EngineConfig, MsgCostModel, WaitPolicy};

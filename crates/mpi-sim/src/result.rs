@@ -48,8 +48,9 @@ impl RankBreakdown {
     }
 }
 
-/// The result of one simulated application run.
-#[derive(Debug, Clone, PartialEq)]
+/// The result of one simulated application run. The default is an empty
+/// run that recorded nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
 #[must_use]
 pub struct RunResult {
     /// Wall-clock time from start to the last rank's completion.
@@ -137,22 +138,11 @@ mod tests {
     fn run_result_derived_metrics() {
         let r = RunResult {
             duration: SimDuration::from_secs(10),
-            per_node: vec![],
             total: EnergyReport {
                 base_j: 300.0,
                 ..EnergyReport::default()
             },
-            breakdown: vec![],
-            transitions: vec![],
-            samples: vec![],
-            trace: vec![],
-            trace_dropped: 0,
-            freq_residency: vec![],
-            events: 0,
-            faults: Default::default(),
-            metrics: None,
-            causal: None,
-            attribution: None,
+            ..RunResult::default()
         };
         assert_eq!(r.total_energy_j(), 300.0);
         assert_eq!(r.duration_secs(), 10.0);
@@ -163,19 +153,7 @@ mod tests {
     fn zero_duration_average_power_is_zero() {
         let r = RunResult {
             duration: SimDuration::ZERO,
-            per_node: vec![],
-            total: EnergyReport::default(),
-            breakdown: vec![],
-            transitions: vec![],
-            samples: vec![],
-            trace: vec![],
-            trace_dropped: 0,
-            freq_residency: vec![],
-            events: 0,
-            faults: Default::default(),
-            metrics: None,
-            causal: None,
-            attribution: None,
+            ..RunResult::default()
         };
         assert_eq!(r.average_power_w(), 0.0);
     }

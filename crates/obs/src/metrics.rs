@@ -1,26 +1,21 @@
 //! A deterministic metrics registry.
 //!
-//! Counters, gauges, and fixed-bucket histograms keyed by name. The
-//! registry is plain single-threaded data — "lock-free in spirit": the
-//! simulator is deterministic precisely because nothing in it is
-//! concurrent, and the metrics layer follows suit. Names are interned as
-//! `Cow<'static, str>` so hot-path updates with `&'static str` names never
-//! allocate; derived metrics recorded once at teardown (per-frequency
-//! residency, per-node totals) may use owned names.
+//! Counters, gauges, and fixed-bucket histograms keyed by name, held in
+//! name order. The registry is plain single-threaded data and is written
+//! only in bulk: by the engine's recorder at teardown, which keeps its
+//! per-event counts as typed fields until then, and by the store decoder.
+//! Nothing updates it per event, so a name lookup costs nothing that
+//! matters.
 //!
-//! Exports are sorted by name, so the same run always renders the same
+//! Exports iterate in name order, so the same run always renders the same
 //! bytes — NDJSON dumps can be golden-tested.
 
-use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use sim_core::FxHashMap;
-
-type Name = Cow<'static, str>;
-
-/// Histogram bucket upper bounds used by [`MetricsRegistry::observe`] when
-/// a histogram is first touched without explicit buckets: decades from 1
-/// to 1e6 (values are typically microseconds, so this spans 1 µs – 1 s).
+/// Histogram bucket upper bounds of [`Histogram::default`]: decades from
+/// 1 to 1e6 (values are typically microseconds, so this spans 1 µs –
+/// 1 s).
 pub(crate) const DEFAULT_BUCKETS: &[f64] =
     &[1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
 
@@ -34,24 +29,21 @@ pub struct Histogram {
     sum: f64,
 }
 
-impl Histogram {
-    /// An empty histogram over the given ascending upper bounds.
-    pub(crate) fn new(bounds: &[f64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bucket");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
+impl Default for Histogram {
+    /// An empty histogram over decade buckets from 1 to 1e6.
+    fn default() -> Self {
         Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
+            bounds: DEFAULT_BUCKETS.to_vec(),
+            counts: vec![0; DEFAULT_BUCKETS.len() + 1],
             count: 0,
             sum: 0.0,
         }
     }
+}
 
+impl Histogram {
     /// Record one observation.
-    pub(crate) fn record(&mut self, value: f64) {
+    pub fn record(&mut self, value: f64) {
         let idx = self
             .bounds
             .iter()
@@ -113,27 +105,22 @@ impl Histogram {
     }
 }
 
-/// A snapshot view of one metric, for iteration and reporting.
+/// One metric's value.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum MetricValue<'a> {
+enum Metric {
     /// Monotonic counter.
     Counter(u64),
     /// Last-write gauge.
     Gauge(f64),
     /// Fixed-bucket histogram.
-    Histogram(&'a Histogram),
+    Histogram(Histogram),
 }
 
-/// The registry: insertion-ordered storage, name-indexed lookup, sorted
-/// deterministic export.
+/// The registry: every metric under its name, in name order. A name holds
+/// one metric; writing a metric of another kind under it replaces it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
-    counters: Vec<(Name, u64)>,
-    gauges: Vec<(Name, f64)>,
-    histograms: Vec<(Name, Histogram)>,
-    counter_idx: FxHashMap<Name, usize>,
-    gauge_idx: FxHashMap<Name, usize>,
-    histogram_idx: FxHashMap<Name, usize>,
+    metrics: BTreeMap<String, Metric>,
 }
 
 impl MetricsRegistry {
@@ -142,140 +129,80 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    // ----- counters --------------------------------------------------------
-
     /// Add `n` to the named counter, creating it at zero on first use.
-    pub fn counter_add(&mut self, name: &'static str, n: u64) {
-        self.counter_add_name(Cow::Borrowed(name), n);
-    }
-
-    /// [`MetricsRegistry::counter_add`] with an owned (dynamic) name — for
-    /// teardown-time metrics like per-frequency residency.
-    pub fn counter_add_owned(&mut self, name: String, n: u64) {
-        self.counter_add_name(Cow::Owned(name), n);
-    }
-
-    fn counter_add_name(&mut self, name: Name, n: u64) {
-        if let Some(&i) = self.counter_idx.get(name.as_ref()) {
-            self.counters[i].1 += n;
-        } else {
-            self.counter_idx.insert(name.clone(), self.counters.len());
-            self.counters.push((name, n));
+    pub fn counter_add(&mut self, name: &str, n: u64) {
+        match self.metrics.get_mut(name) {
+            Some(Metric::Counter(v)) => *v += n,
+            _ => {
+                self.metrics.insert(name.to_owned(), Metric::Counter(n));
+            }
         }
     }
 
     /// The named counter's value, or `None` if never touched.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counter_idx.get(name).map(|&i| self.counters[i].1)
+        match self.metrics.get(name)? {
+            Metric::Counter(v) => Some(*v),
+            _ => None,
+        }
     }
-
-    // ----- gauges ----------------------------------------------------------
 
     /// Set the named gauge.
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        self.gauge_set_name(Cow::Borrowed(name), value);
-    }
-
-    /// [`MetricsRegistry::gauge_set`] with an owned (dynamic) name.
-    pub fn gauge_set_owned(&mut self, name: String, value: f64) {
-        self.gauge_set_name(Cow::Owned(name), value);
-    }
-
-    fn gauge_set_name(&mut self, name: Name, value: f64) {
-        if let Some(&i) = self.gauge_idx.get(name.as_ref()) {
-            self.gauges[i].1 = value;
-        } else {
-            self.gauge_idx.insert(name.clone(), self.gauges.len());
-            self.gauges.push((name, value));
-        }
+    pub fn gauge_set(&mut self, name: &str, value: f64) {
+        self.metrics.insert(name.to_owned(), Metric::Gauge(value));
     }
 
     /// The named gauge's value, or `None` if never touched.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauge_idx.get(name).map(|&i| self.gauges[i].1)
-    }
-
-    // ----- histograms ------------------------------------------------------
-
-    /// Record `value` into the named histogram, creating it with
-    /// `DEFAULT_BUCKETS` on first use.
-    pub fn observe(&mut self, name: &'static str, value: f64) {
-        if let Some(&i) = self.histogram_idx.get(name) {
-            self.histograms[i].1.record(value);
-        } else {
-            let name: Name = Cow::Borrowed(name);
-            self.histogram_idx
-                .insert(name.clone(), self.histograms.len());
-            let mut h = Histogram::new(DEFAULT_BUCKETS);
-            h.record(value);
-            self.histograms.push((name, h));
+        match self.metrics.get(name)? {
+            Metric::Gauge(v) => Some(*v),
+            _ => None,
         }
     }
 
-    /// Insert (or replace) a fully built histogram under an owned name —
-    /// the SweepStore decode path, which must reconstruct a registry that
-    /// compares equal to the one the engine produced.
-    pub fn histogram_insert_owned(&mut self, name: String, histogram: Histogram) {
-        let name: Name = Cow::Owned(name);
-        if let Some(&i) = self.histogram_idx.get(name.as_ref()) {
-            self.histograms[i].1 = histogram;
-        } else {
-            self.histogram_idx
-                .insert(name.clone(), self.histograms.len());
-            self.histograms.push((name, histogram));
-        }
+    /// Insert (or replace) a fully built histogram.
+    pub fn histogram_insert(&mut self, name: &str, histogram: Histogram) {
+        self.metrics
+            .insert(name.to_owned(), Metric::Histogram(histogram));
     }
 
-    // ----- iteration and export --------------------------------------------
-
-    /// Counters in insertion order. Serializers that must reproduce a
-    /// registry exactly (derived `PartialEq` includes insertion order) use
-    /// this instead of `MetricsRegistry::sorted`.
-    pub fn counters_in_order(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(n, v)| (n.as_ref(), *v))
+    /// Counters in name order.
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.metrics.iter().filter_map(|(n, m)| match m {
+            Metric::Counter(v) => Some((n.as_str(), *v)),
+            _ => None,
+        })
     }
 
-    /// Gauges in insertion order (see [`MetricsRegistry::counters_in_order`]).
-    pub fn gauges_in_order(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(n, v)| (n.as_ref(), *v))
+    /// Gauges in name order.
+    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.metrics.iter().filter_map(|(n, m)| match m {
+            Metric::Gauge(v) => Some((n.as_str(), *v)),
+            _ => None,
+        })
     }
 
-    /// Histograms in insertion order (see
-    /// [`MetricsRegistry::counters_in_order`]).
-    pub fn histograms_in_order(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(n, h)| (n.as_ref(), h))
+    /// Histograms in name order.
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+        self.metrics.iter().filter_map(|(n, m)| match m {
+            Metric::Histogram(h) => Some((n.as_str(), h)),
+            _ => None,
+        })
     }
 
-    /// Every metric, sorted by name (the deterministic export order).
-    pub(crate) fn sorted(&self) -> Vec<(&str, MetricValue<'_>)> {
-        let mut out: Vec<(&str, MetricValue<'_>)> =
-            Vec::with_capacity(self.counters.len() + self.gauges.len() + self.histograms.len());
-        for (name, v) in &self.counters {
-            out.push((name.as_ref(), MetricValue::Counter(*v)));
-        }
-        for (name, v) in &self.gauges {
-            out.push((name.as_ref(), MetricValue::Gauge(*v)));
-        }
-        for (name, h) in &self.histograms {
-            out.push((name.as_ref(), MetricValue::Histogram(h)));
-        }
-        out.sort_by(|a, b| a.0.cmp(b.0));
-        out
-    }
-
-    /// Newline-delimited JSON: one object per metric, sorted by name.
+    /// Newline-delimited JSON: one object per metric, in name order.
     /// Deterministic byte-for-byte for a deterministic run.
     pub fn to_ndjson(&self) -> String {
         let mut out = String::new();
-        for (name, value) in self.sorted() {
-            match value {
-                MetricValue::Counter(v) => {
+        for (name, metric) in &self.metrics {
+            match metric {
+                Metric::Counter(v) => {
                     let _ = writeln!(out, r#"{{"type":"counter","name":"{name}","value":{v}}}"#);
                 }
-                MetricValue::Gauge(v) => {
+                Metric::Gauge(v) => {
                     let _ = writeln!(out, r#"{{"type":"gauge","name":"{name}","value":{v}}}"#);
                 }
-                MetricValue::Histogram(h) => {
+                Metric::Histogram(h) => {
                     let bounds: Vec<String> = h.bounds().iter().map(|b| b.to_string()).collect();
                     let counts: Vec<String> = h.counts().iter().map(|c| c.to_string()).collect();
                     let _ = writeln!(
@@ -296,21 +223,16 @@ impl MetricsRegistry {
     /// appends).
     pub fn render_stats(&self) -> String {
         let mut out = String::new();
-        let width = self
-            .sorted()
-            .iter()
-            .map(|(name, _)| name.len())
-            .max()
-            .unwrap_or(0);
-        for (name, value) in self.sorted() {
-            match value {
-                MetricValue::Counter(v) => {
+        let width = self.metrics.keys().map(String::len).max().unwrap_or(0);
+        for (name, metric) in &self.metrics {
+            match metric {
+                Metric::Counter(v) => {
                     let _ = writeln!(out, "{name:width$}  {v}");
                 }
-                MetricValue::Gauge(v) => {
+                Metric::Gauge(v) => {
                     let _ = writeln!(out, "{name:width$}  {v:.3}");
                 }
-                MetricValue::Histogram(h) => {
+                Metric::Histogram(h) => {
                     let _ = writeln!(
                         out,
                         "{name:width$}  n={} mean={:.1} buckets={:?}",
@@ -334,7 +256,7 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.counter_add("a", 1);
         m.counter_add("a", 2);
-        m.counter_add_owned("b.600".to_string(), 7);
+        m.counter_add("b.600", 7);
         assert_eq!(m.counter("a"), Some(3));
         assert_eq!(m.counter("b.600"), Some(7));
         assert_eq!(m.counter("missing"), None);
@@ -350,7 +272,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(&[10.0, 100.0]);
+        let mut h = Histogram::from_parts(vec![10.0, 100.0], vec![0; 3], 0, 0.0).unwrap();
         h.record(5.0);
         h.record(10.0); // inclusive upper bound
         h.record(50.0);
@@ -361,12 +283,25 @@ mod tests {
     }
 
     #[test]
-    fn observe_creates_default_buckets() {
-        let mut m = MetricsRegistry::new();
-        m.observe("lat", 250.0);
-        let (_, h) = m.histograms_in_order().next().unwrap();
+    fn default_histogram_has_decade_buckets() {
+        let mut h = Histogram::default();
+        h.record(250.0);
         assert_eq!(h.bounds(), DEFAULT_BUCKETS);
-        assert_eq!(h.count(), 1);
+        assert_eq!(h.counts(), &[0, 0, 0, 1, 0, 0, 0, 0]);
+    }
+
+    /// A name holds one metric: a later write of another kind replaces
+    /// it, and each typed getter sees only its own kind.
+    #[test]
+    fn a_name_holds_one_metric() {
+        let mut m = MetricsRegistry::new();
+        m.counter_add("x", 3);
+        m.gauge_set("x", 1.5);
+        assert_eq!(m.counter("x"), None);
+        assert_eq!(m.gauge("x"), Some(1.5));
+        m.counter_add("x", 2);
+        assert_eq!(m.counter("x"), Some(2));
+        assert_eq!(m.gauges().count(), 0);
     }
 
     #[test]
@@ -374,7 +309,7 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.counter_add("z.last", 1);
         m.gauge_set("a.first", 2.5);
-        m.observe("m.middle", 42.0);
+        m.histogram_insert("m.middle", Histogram::default());
         let a = m.to_ndjson();
         let b = m.to_ndjson();
         assert_eq!(a, b);
@@ -398,17 +333,13 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.counter_add("events", 12);
         m.gauge_set("depth", 3.0);
-        m.observe("lat", 5.0);
+        let mut h = Histogram::default();
+        h.record(5.0);
+        m.histogram_insert("lat", h);
         let s = m.render_stats();
         for needle in ["events", "depth", "lat", "12", "n=1"] {
             assert!(s.contains(needle), "missing {needle} in:\n{s}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn unsorted_buckets_panic() {
-        let _ = Histogram::new(&[10.0, 5.0]);
     }
 
     #[test]
@@ -421,31 +352,28 @@ mod tests {
         assert_eq!(h.counts(), &[1, 2, 3]);
     }
 
+    /// The store decoder writes metrics back in whatever order it reads
+    /// them; the registry compares equal to the original either way.
     #[test]
-    fn insertion_order_iteration_rebuilds_an_equal_registry() {
+    fn write_order_does_not_change_the_registry() {
         let mut m = MetricsRegistry::new();
         m.counter_add("z.second", 2);
         m.counter_add("a.first", 1);
         m.gauge_set("g", 4.5);
-        m.observe("lat", 12.0);
+        m.histogram_insert("lat", Histogram::default());
 
         let mut rebuilt = MetricsRegistry::new();
-        for (name, v) in m.counters_in_order() {
-            rebuilt.counter_add_owned(name.to_string(), v);
+        for (name, h) in m.histograms() {
+            rebuilt.histogram_insert(name, h.clone());
         }
-        for (name, v) in m.gauges_in_order() {
-            rebuilt.gauge_set_owned(name.to_string(), v);
+        for (name, v) in m.gauges() {
+            rebuilt.gauge_set(name, v);
         }
-        for (name, h) in m.histograms_in_order() {
-            let copy =
-                Histogram::from_parts(h.bounds().to_vec(), h.counts().to_vec(), h.count(), h.sum())
-                    .unwrap();
-            rebuilt.histogram_insert_owned(name.to_string(), copy);
+        for (name, v) in m.counters() {
+            rebuilt.counter_add(name, v);
         }
         assert_eq!(m, rebuilt);
-        // Insertion order is part of the contract: counters came back in
-        // the original (unsorted) order.
-        let names: Vec<&str> = rebuilt.counters_in_order().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["z.second", "a.first"]);
+        let names: Vec<&str> = rebuilt.counters().map(|(n, _)| n).collect();
+        assert_eq!(names, vec!["a.first", "z.second"]);
     }
 }

@@ -120,12 +120,6 @@ pub struct PerfettoTrace {
     records: usize,
 }
 
-impl Default for PerfettoTrace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PerfettoTrace {
     pub(crate) fn new() -> Self {
         PerfettoTrace {
@@ -231,11 +225,18 @@ impl PerfettoTrace {
 
     /// Convert a simulation trace into a timeline: one thread track per
     /// node carrying phase slices and message instants, and one `MHz`
-    /// counter track per node fed by frequency-change events.
-    pub fn from_trace(events: &[TraceEvent], nodes: usize) -> Self {
+    /// counter track per node fed by frequency-change events. With
+    /// `msg_instants` false the message records are skipped, for a caller
+    /// that draws each message as a flow arrow instead.
+    pub fn from_trace(events: &[TraceEvent], nodes: usize, msg_instants: bool) -> Self {
+        let is_msg = |ev: &&TraceEvent| matches!(ev.kind, TraceKind::MsgStart | TraceKind::MsgEnd);
+        let kept = if msg_instants {
+            events.len()
+        } else {
+            events.len() - events.iter().filter(is_msg).count()
+        };
         let mut p = PerfettoTrace::new();
-        p.out
-            .reserve_exact((nodes + 1 + events.len()) * TRACE_RECORD_BYTES);
+        p.out.reserve_exact((nodes + 1 + kept) * TRACE_RECORD_BYTES);
         let mut label = String::new();
         p.process_name(0, "pwrperf cluster");
         for n in 0..nodes {
@@ -244,7 +245,7 @@ impl PerfettoTrace {
             p.thread_name(0, n as u64, &label);
         }
 
-        for ev in events {
+        for ev in events.iter().filter(|ev| msg_instants || !is_msg(ev)) {
             let tid = ev.node as u64;
             label.clear();
             match ev.kind {
@@ -378,7 +379,7 @@ mod tests {
                 detail: TraceDetail::Phase("fft"),
             },
         ];
-        let json = PerfettoTrace::from_trace(&events, 2).finish();
+        let json = PerfettoTrace::from_trace(&events, 2, true).finish();
         assert!(json.contains(r#""name":"node 0""#));
         assert!(json.contains(r#""name":"node 1""#));
         assert!(
@@ -390,6 +391,11 @@ mod tests {
         assert!(json.contains(r#""name":"node 1 MHz""#));
         assert!(json.contains(r#""args":{"value":600}"#));
         assert!(json.contains(r#""ph":"E""#));
+
+        let without = PerfettoTrace::from_trace(&events, 2, false).finish();
+        assert!(!without.contains("send "), "message instants skipped");
+        assert!(without.contains(r#""name":"fft""#));
+        assert!(without.contains(r#""name":"node 1 MHz""#));
     }
 
     #[test]
@@ -412,8 +418,8 @@ mod tests {
             kind: TraceKind::PhaseBegin,
             detail: TraceDetail::Phase("init"),
         }];
-        let a = PerfettoTrace::from_trace(&events, 1).finish();
-        let b = PerfettoTrace::from_trace(&events, 1).finish();
+        let a = PerfettoTrace::from_trace(&events, 1, true).finish();
+        let b = PerfettoTrace::from_trace(&events, 1, true).finish();
         assert_eq!(a, b);
     }
 }

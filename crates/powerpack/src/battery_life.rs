@@ -54,15 +54,7 @@ mod tests {
             },
             breakdown: vec![RankBreakdown::default()],
             transitions: vec![0],
-            samples: vec![],
-            trace: vec![],
-            trace_dropped: 0,
-            freq_residency: vec![],
-            events: 0,
-            faults: Default::default(),
-            metrics: None,
-            causal: None,
-            attribution: None,
+            ..RunResult::default()
         }
     }
 

@@ -134,18 +134,9 @@ mod tests {
         let result = RunResult {
             duration: SimDuration::from_secs(10),
             per_node: vec![EnergyReport::default(); 2],
-            total: EnergyReport::default(),
             breakdown: vec![RankBreakdown::default(); 2],
             transitions: vec![4, 0],
-            samples: vec![],
-            trace: vec![],
-            trace_dropped: 0,
-            freq_residency: vec![],
-            events: 0,
-            faults: Default::default(),
-            metrics: None,
-            causal: None,
-            attribution: None,
+            ..RunResult::default()
         };
         let csv = summary_to_csv(&result);
         assert_eq!(csv.lines().count(), 3);

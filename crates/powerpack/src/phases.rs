@@ -189,18 +189,11 @@ mod tests {
         let result = RunResult {
             duration: SimDuration::from_secs(10),
             per_node: vec![EnergyReport::default()],
-            total: EnergyReport::default(),
             breakdown: vec![Default::default()],
             transitions: vec![0],
             samples,
             trace,
-            trace_dropped: 0,
-            freq_residency: vec![],
-            events: 0,
-            faults: Default::default(),
-            metrics: None,
-            causal: None,
-            attribution: None,
+            ..RunResult::default()
         };
         let profiles = profile_phases(&result);
         let comm = &profiles["comm"];

@@ -89,22 +89,11 @@ mod tests {
     fn fake_run(energy: f64, secs: f64) -> RunResult {
         RunResult {
             duration: SimDuration::from_secs_f64(secs),
-            per_node: vec![],
             total: EnergyReport {
                 base_j: energy,
                 ..EnergyReport::default()
             },
-            breakdown: vec![],
-            transitions: vec![],
-            samples: vec![],
-            trace: vec![],
-            trace_dropped: 0,
-            freq_residency: vec![],
-            events: 0,
-            faults: Default::default(),
-            metrics: None,
-            causal: None,
-            attribution: None,
+            ..RunResult::default()
         }
     }
 

@@ -339,15 +339,22 @@ impl FaultCounts {
     /// Total injected-fault events (including degraded measurement
     /// errors).
     pub fn total(&self) -> u64 {
-        self.compute_slowdowns
-            + self.dvfs_failures
-            + self.dvfs_latency_spikes
-            + self.battery_stuck_reads
-            + self.battery_noisy_reads
-            + self.battery_errors
-            + self.samples_skipped
-            + self.meter_biased_samples
-            + self.degraded_links
+        self.named().iter().map(|&(_, n)| n).sum()
+    }
+
+    /// Every count under its field name, in declaration order.
+    pub fn named(&self) -> [(&'static str, u64); 9] {
+        [
+            ("compute_slowdowns", self.compute_slowdowns),
+            ("dvfs_failures", self.dvfs_failures),
+            ("dvfs_latency_spikes", self.dvfs_latency_spikes),
+            ("battery_stuck_reads", self.battery_stuck_reads),
+            ("battery_noisy_reads", self.battery_noisy_reads),
+            ("battery_errors", self.battery_errors),
+            ("samples_skipped", self.samples_skipped),
+            ("meter_biased_samples", self.meter_biased_samples),
+            ("degraded_links", self.degraded_links),
+        ]
     }
 }
 

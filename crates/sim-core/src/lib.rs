@@ -15,8 +15,8 @@
 //!   xoshiro256**) used for workload jitter. Same seed, same stream.
 //! * [`TimeWeighted`] — time-weighted integrators used by the power model
 //!   and the simulated `/proc/stat`.
-//! * [`trace`] — a bounded in-memory trace for debugging and for the
-//!   PowerPack-style profile alignment tools.
+//! * [`trace`] — the typed trace records the engine keeps for debugging
+//!   and for the PowerPack-style profile alignment tools.
 //! * `faults` — typed, seed-deterministic fault-injection specs
 //!   (stragglers, sick batteries, flaky DVFS, weak links) consumed by the
 //!   engine; empty specs are guaranteed bit-identical to no spec at all.
@@ -40,4 +40,4 @@ pub use intern::intern_static;
 pub use rng::DetRng;
 pub use stats::{OnlineStats, TimeWeighted};
 pub use time::{cycles_to_duration, duration_to_cycles, SimDuration, SimTime};
-pub use trace::{Trace, TraceDetail, TraceEvent, TraceKind};
+pub use trace::{TraceDetail, TraceEvent, TraceKind};

@@ -67,32 +67,33 @@ fn perfetto_export_matches_golden_bytes() {
 }
 
 /// The same for a causal run: pins the flow-arrow records, which are
-/// almost all of a causal export's bytes.
+/// almost all of a causal export's bytes. Each message is exported once,
+/// as one flow pair, and never also as `send`/`recv` instants.
 #[test]
 fn causal_perfetto_export_matches_golden_bytes() {
-    let json = perfetto_json(&causal_scenario().run());
-    assert!(json.contains(r#""ph":"s""#) && json.contains(r#""ph":"f""#));
+    let result = causal_scenario().run();
+    let json = perfetto_json(&result);
+    let msg_instant = |l: &&str| {
+        l.contains(r#""ph":"i""#)
+            && (l.contains(r#""name":"send "#) || l.contains(r#""name":"recv "#))
+    };
+    assert_eq!(json.lines().filter(msg_instant).count(), 0);
+    let log = result.causal.as_ref().expect("causal run logs");
+    let delivered = log.msgs.iter().filter(|m| m.delivered_at.is_some()).count();
+    assert!(delivered > 0);
+    assert_eq!(json.matches(r#""ph":"s""#).count(), delivered);
+    assert_eq!(json.matches(r#""ph":"f""#).count(), delivered);
     assert_golden("ft_test4_stat1400_causal.perfetto.json", &json);
 }
 
-/// The metrics NDJSON of the golden scenario: every engine counter,
-/// gauge and histogram, in name order.
+/// The golden scenario's metrics NDJSON (every engine counter, gauge
+/// and histogram, in name order) and its trace as the PowerPack CSV.
 #[test]
-fn metrics_export_matches_golden_bytes() {
-    assert_golden(
-        "ft_test2_dyn1400.metrics.ndjson",
-        &metrics_ndjson(&scenario().run()),
-    );
-}
-
-/// The trace of the golden scenario as the PowerPack CSV: every phase,
-/// message and frequency record the engine kept, in record order.
-#[test]
-fn trace_csv_matches_golden_bytes() {
-    assert_golden(
-        "ft_test2_dyn1400.trace.csv",
-        &powerpack::trace_to_csv(&scenario().run().trace),
-    );
+fn metrics_and_trace_exports_match_golden_bytes() {
+    let result = scenario().run();
+    assert_golden("ft_test2_dyn1400.metrics.ndjson", &metrics_ndjson(&result));
+    let csv = powerpack::trace_to_csv(&result.trace);
+    assert_golden("ft_test2_dyn1400.trace.csv", &csv);
 }
 
 /// The attribution NDJSON of the causal scenario: per-rank split and
@@ -126,28 +127,40 @@ fn exports_are_deterministic_across_runs() {
 }
 
 /// Instrumentation is observation only: every simulated quantity must be
-/// bit-identical with metrics + tracing on or off.
+/// bit-identical with recording on or off — metrics and tracing, and
+/// every channel at once (trace, metrics, causal log and samples all
+/// sharing the recorder).
 #[test]
 fn instrumentation_never_changes_simulation_bits() {
     let base = Experiment::new(Workload::ft_test(4), DvsStrategy::DynamicBaseMhz(1200));
     let plain = base.clone().run();
-    let observed = base
-        .with_engine(EngineConfig {
-            trace_capacity: 1 << 16,
-            metrics: true,
-            ..EngineConfig::default()
-        })
-        .run();
-    assert_eq!(plain.duration, observed.duration);
-    assert_eq!(
-        plain.total_energy_j().to_bits(),
-        observed.total_energy_j().to_bits(),
-        "energy must match at the bit level"
-    );
-    assert_eq!(plain.transitions, observed.transitions);
-    assert_eq!(plain.breakdown, observed.breakdown);
-    assert_eq!(plain.events, observed.events);
-    assert_eq!(plain.freq_residency, observed.freq_residency);
+    let traced = EngineConfig {
+        trace_capacity: 1 << 16,
+        metrics: true,
+        ..EngineConfig::default()
+    };
+    let everything = EngineConfig {
+        causal: true,
+        sample_interval: Some(SimDuration::from_millis(10)),
+        ..traced.clone()
+    };
+    for config in [traced, everything] {
+        let observed = base.clone().with_engine(config).run();
+        assert_eq!(plain.duration, observed.duration);
+        assert_eq!(
+            plain.total_energy_j().to_bits(),
+            observed.total_energy_j().to_bits(),
+            "energy must match at the bit level"
+        );
+        assert_eq!(plain.transitions, observed.transitions);
+        assert_eq!(plain.breakdown, observed.breakdown);
+        assert_eq!(plain.freq_residency, observed.freq_residency);
+        // Sampling adds its own events, so the count compares only
+        // without it.
+        if observed.samples.is_empty() {
+            assert_eq!(plain.events, observed.events);
+        }
+    }
 }
 
 /// `RunResult::events` (the throughput figure) and the metrics registry
