@@ -2,7 +2,7 @@
 //! paper order through [`all`].
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use edp_metrics::{iso_efficiency_energy_fraction, Crescendo, DELTA_ENERGY, DELTA_HPC};
 use power_model::DvfsLadder;
@@ -16,26 +16,27 @@ use pwrperf::{
 
 use crate::{banner, print_target_row};
 
-static RESULT_STORE: Mutex<Option<SweepStore>> = Mutex::new(None);
+static RESULT_STORE: OnceLock<Mutex<SweepStore>> = OnceLock::new();
 static TOPOLOGY: Mutex<Topology> = Mutex::new(Topology::Flat);
 
 /// Open the [`SweepStore`] at `dir` and run every figure in this module
 /// through it (`all_figures --store <dir>`): the first regeneration
 /// fills the cache, later ones replay every run from it without touching
-/// the engine.
+/// the engine. A process sets its store at most once.
 pub fn set_result_store(dir: impl Into<PathBuf>) -> Result<(), StoreError> {
     let store = SweepStore::open(dir.into())?;
-    *RESULT_STORE.lock().expect("result store lock") = Some(store);
+    assert!(
+        RESULT_STORE.set(Mutex::new(store)).is_ok(),
+        "the figures already have a result store"
+    );
     Ok(())
 }
 
 /// The result store's traffic so far, when one is set.
 pub fn result_store_stats() -> Option<StoreStats> {
     RESULT_STORE
-        .lock()
-        .expect("result store lock")
-        .as_ref()
-        .map(SweepStore::stats)
+        .get()
+        .map(|store| store.lock().expect("result store lock").stats())
 }
 
 /// Run every figure on the given interconnect (`all_figures --topology`).
@@ -57,10 +58,9 @@ fn base_engine() -> EngineConfig {
 fn run_grid(w: &Workload, strategies: Vec<DvsStrategy>, engine: EngineConfig) -> Vec<RunResult> {
     let fault_specs = vec![engine.faults.clone()];
     let sweep = Sweep::grid(vec![w.clone()], strategies, fault_specs).with_engine(engine);
-    let mut store = RESULT_STORE.lock().expect("result store lock");
-    let outcome = sweep.run(store.as_mut(), None);
-    outcome
-        .unwrap_or_else(|e| panic!("result store write failed: {e}"))
+    sweep
+        .run(RESULT_STORE.get(), None)
+        .unwrap_or_else(|e| panic!("{e}"))
         .results
 }
 
@@ -69,8 +69,7 @@ fn run_grid(w: &Workload, strategies: Vec<DvsStrategy>, engine: EngineConfig) ->
 fn ladder_crescendo(w: &Workload) -> Crescendo {
     let make =
         |mhz| Experiment::new(w.clone(), DvsStrategy::StaticMhz(mhz)).with_engine(base_engine());
-    let mut store = RESULT_STORE.lock().expect("result store lock");
-    crescendo(make, store.as_mut()).unwrap_or_else(|e| panic!("result store write failed: {e}"))
+    crescendo(make, RESULT_STORE.get()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// All three paper strategies for one workload as one grid — 5 static

@@ -11,6 +11,8 @@
 
 mod args;
 
+use std::sync::{Mutex, PoisonError};
+
 use args::Command;
 use edp_metrics::{best_operating_point, efficiency_gain, weighted_ed2p, DELTA_HPC};
 use pwrperf::{
@@ -298,17 +300,22 @@ impl GridRun<'_> {
     ) -> Option<Vec<RunResult>> {
         let fault_specs = vec![engine.faults.clone()];
         let grid = Sweep::grid(vec![workload.clone()], strategies, fault_specs).with_engine(engine);
-        let mut store = self.store.map(|dir| (dir, open_store(dir)));
+        let store = self.store.map(|dir| (dir, open_store(dir)));
         // The parser only accepts --dry-run together with --store.
         if let (true, Some((dir, store))) = (self.dry_run, &store) {
             print_plan(&grid.plan(store), dir);
             return None;
         }
+        let store = store.map(|(dir, s)| (dir, Mutex::new(s)));
         let outcome = grid
-            .run(store.as_mut().map(|(_, s)| s), self.threads)
-            .unwrap_or_else(|e| die(format_args!("store {}: {e}", self.store.unwrap_or(""))));
-        if let Some((dir, store)) = &store {
-            println!("store {dir}: {}", store.stats());
+            .run(store.as_ref().map(|(_, s)| s), self.threads)
+            .unwrap_or_else(|e| die(e));
+        if let Some((dir, store)) = store {
+            let stats = store
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .stats();
+            println!("store {dir}: {stats}");
         }
         Some(outcome.results)
     }

@@ -125,12 +125,11 @@ pub fn dynamic_crescendo(workload: &Workload) -> Crescendo {
 /// Fully general crescendo sweep: build any experiment per ladder point.
 /// The points run uncached through the sweep pipeline
 /// ([`crate::sweep::crescendo`]) on the parallel batch runner; results
-/// are identical to a sequential sweep.
+/// are identical to a sequential sweep, and a panicking point re-raises
+/// its panic (with the point's index) once every point has run.
 pub fn crescendo_of(make: impl Fn(u32) -> Experiment) -> Crescendo {
-    let crescendo = crate::sweep::crescendo(make, None);
-    // Without a store the pipeline does no store I/O, so it cannot fail.
-    assert!(crescendo.is_ok(), "storeless sweep failed: {crescendo:?}");
-    crescendo.unwrap_or_default()
+    crate::sweep::crescendo(make, None)
+        .unwrap_or_else(|e| std::panic::resume_unwind(Box::new(e.to_string())))
 }
 
 /// Run `workload` under the cpuspeed daemon and return

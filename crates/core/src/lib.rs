@@ -46,9 +46,7 @@ pub use experiment::{
     cpuspeed_point, crescendo_of, dynamic_crescendo, ladder_mhz_desc, power_cap_default_sample,
     static_crescendo, Experiment,
 };
-pub use runner::{
-    parallel_map, run_batch, run_batch_telemetry, BatchPolicy, BatchTelemetry, ExperimentError,
-};
+pub use runner::{parallel_map, run_batch, run_batch_telemetry, BatchTelemetry, ExperimentError};
 pub use scope::{
     analyze_text, attribution_ndjson, metrics_ndjson, metrics_ndjson_with_meta, perfetto_json,
     stats_text, topology_label, RunMeta,
@@ -62,7 +60,7 @@ pub use store::{
     StoreStats, SweepStore,
 };
 pub use strategy::DvsStrategy;
-pub use sweep::{crescendo, crescendo_from_results, Sweep, SweepPlan, SweepReport};
+pub use sweep::{crescendo, crescendo_from_results, Sweep, SweepError, SweepPlan, SweepReport};
 pub use workload::Workload;
 
 // Convenience re-exports for downstream binaries.

@@ -13,11 +13,11 @@
 //! * with one worker (or one job) the exact sequential path runs.
 //!
 //! Worker count comes from [`std::thread::available_parallelism`], clamped
-//! to the job count; callers can pin it with [`BatchPolicy::workers`]
-//! (tests use this — mutating `PWRPERF_THREADS` from a test races sibling
-//! tests reading it), or process-wide with the `PWRPERF_THREADS`
-//! environment variable (`PWRPERF_THREADS=1` forces sequential
-//! execution).
+//! to the job count; callers can pin it with [`parallel_map`]'s
+//! `workers` override (tests use this — mutating `PWRPERF_THREADS` from a
+//! test races sibling tests reading it), or process-wide with the
+//! `PWRPERF_THREADS` environment variable (`PWRPERF_THREADS=1` forces
+//! sequential execution).
 //!
 //! ## Degraded batches
 //!
@@ -25,9 +25,9 @@
 //! never take down a 500-run figure sweep:
 //!
 //! * [`parallel_map`] converts each panic into a per-slot
-//!   [`ExperimentError`] (after the bounded retry of [`BatchPolicy`]),
-//!   returning `Err` for exactly the poisoned slots with all other
-//!   results intact and in input order;
+//!   [`ExperimentError`], returning `Err` for exactly the poisoned slots
+//!   with all other results intact and in input order. Nothing is
+//!   retried: runs are deterministic, so a panic would only repeat;
 //! * [`run_batch`] / [`run_batch_telemetry`] keep the panicking contract —
 //!   the lowest-index panic propagates to the caller — but only after
 //!   **every** job has run, so no completed work is discarded mid-batch.
@@ -111,57 +111,22 @@ impl BatchTelemetry {
     }
 }
 
-/// One job of a batch failed (panicked on every attempt).
+/// One job of a batch failed (panicked).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentError {
     /// Input-order index of the failed experiment.
     pub index: usize,
-    /// How many times it was attempted (1 + retries).
-    pub attempts: u32,
-    /// The last panic's message, when it carried one.
+    /// The panic's message, when it carried one.
     pub message: String,
 }
 
 impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "experiment {} failed after {} attempt{}: {}",
-            self.index,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" },
-            self.message
-        )
+        write!(f, "experiment {} failed: {}", self.index, self.message)
     }
 }
 
 impl std::error::Error for ExperimentError {}
-
-/// How a batch executes.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchPolicy {
-    /// Worker-thread override; `None` defers to `PWRPERF_THREADS` and
-    /// then available parallelism.
-    pub workers: Option<usize>,
-    /// Sequential re-attempts for a job whose first run panicked, before
-    /// its slot becomes `Err`. Simulations are deterministic, so a panic
-    /// caused by the experiment itself will simply repeat; the retry
-    /// budget exists for host-level transients (allocation failure,
-    /// thread-spawn limits) that a rerun can survive.
-    pub retries: u32,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy {
-            workers: None,
-            retries: 1,
-        }
-    }
-}
-
-/// A job outcome before panic handling: the value, or the caught payload.
-type Caught<R> = Result<R, Box<dyn Any + Send + 'static>>;
 
 /// Best-effort text of a panic payload (`panic!` carries `&str`/`String`).
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -192,122 +157,51 @@ pub fn run_batch_telemetry(experiments: Vec<Experiment>) -> (Vec<RunResult>, Bat
     map_or_reraise(&experiments, Experiment::run, None)
 }
 
-/// Map `f` over `items` on [`BatchPolicy`]-controlled workers, collecting
-/// results in input order together with a [`BatchTelemetry`] of the
-/// parallel pass. Workers claim items through a shared atomic cursor
-/// (dynamic load balancing: simulations vary widely in length). A job
-/// that panics is re-attempted sequentially under the policy's bounded
-/// retry; if every attempt panics its slot becomes an [`ExperimentError`].
-///
-/// The `attempts` an error reports is an execution count, not a loop
-/// count: it is incremented exactly once per invocation of `f` for that
-/// slot, so `attempts == 1 + retries` always matches the number of times
-/// the job actually ran (pinned by `checked_attempts_equal_executions`).
+/// Map `f` over `items` on `workers` threads (`None` defers to
+/// `PWRPERF_THREADS`, then available parallelism), collecting results in
+/// input order together with a [`BatchTelemetry`] of the pass. Workers
+/// claim items through a shared atomic cursor (dynamic load balancing:
+/// simulations vary widely in length). Each job runs exactly once, under
+/// `catch_unwind`: a job that panics leaves an [`ExperimentError`] in its
+/// slot, and no worker dies mid-batch.
 pub fn parallel_map<T, R, F>(
     items: &[T],
     f: F,
-    policy: BatchPolicy,
+    workers: Option<usize>,
 ) -> (Vec<Result<R, ExperimentError>>, BatchTelemetry)
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = thread_count_with(items.len(), policy.workers.or_else(env_threads));
-    let (slots, telemetry) = parallel_map_caught(items, &f, workers);
-    let results = slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, first)| {
-            let mut last = match first {
-                Ok(r) => return Ok(r),
-                Err(payload) => payload,
-            };
-            // One execution has happened (the parallel pass above); each
-            // loop iteration performs exactly one more.
-            let mut attempts = 1u32;
-            while attempts <= policy.retries {
-                attempts += 1;
-                match catch_unwind(AssertUnwindSafe(|| f(&items[index]))) {
-                    Ok(r) => return Ok(r),
-                    Err(payload) => last = payload,
-                }
-            }
-            Err(ExperimentError {
-                index,
-                attempts,
-                message: panic_message(last.as_ref()),
-            })
+    let workers = thread_count_with(items.len(), workers.or_else(env_threads));
+    let run = |index: usize| {
+        catch_unwind(AssertUnwindSafe(|| f(&items[index]))).map_err(|payload| ExperimentError {
+            index,
+            message: panic_message(payload.as_ref()),
         })
-        .collect();
-    (results, telemetry)
-}
-
-/// [`parallel_map`] with no retry under a worker override, re-raising the
-/// lowest-index panic as a panic carrying its message — the panic a
-/// sequential run would have hit first. The re-raise happens once the
-/// whole batch has drained, so no completed work is lost before the
-/// caller sees it.
-pub(crate) fn map_or_reraise<T, R, F>(
-    items: &[T],
-    f: F,
-    workers: Option<usize>,
-) -> (Vec<R>, BatchTelemetry)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let policy = BatchPolicy {
-        workers,
-        retries: 0,
     };
-    let (slots, telemetry) = parallel_map(items, f, policy);
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|e| std::panic::resume_unwind(Box::new(e.message))))
-        .collect();
-    (results, telemetry)
-}
-
-/// The worker core: map `f` over `items` on exactly `workers` threads,
-/// catching each job's panic in its slot. Workers therefore never die
-/// mid-batch — every item is always attempted exactly once here.
-fn parallel_map_caught<T, R, F>(
-    items: &[T],
-    f: &F,
-    workers: usize,
-) -> (Vec<Caught<R>>, BatchTelemetry)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
     let batch_timer = WallTimer::start();
     if workers <= 1 {
         let timer = WallTimer::start();
-        let results: Vec<Caught<R>> = items
-            .iter()
-            .map(|item| catch_unwind(AssertUnwindSafe(|| f(item))))
-            .collect();
-        let busy = timer.elapsed();
+        let results = (0..items.len()).map(run).collect();
         let telemetry = BatchTelemetry {
             workers: 1,
             jobs: items.len(),
+            per_worker_busy: vec![timer.elapsed()],
             wall: batch_timer.elapsed(),
-            per_worker_busy: vec![busy],
         };
         return (results, telemetry);
     }
     let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<Caught<R>>> = Vec::with_capacity(items.len());
+    let mut results: Vec<Option<Result<R, ExperimentError>>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
     let mut per_worker_busy = vec![Duration::ZERO; workers];
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut local: Vec<(usize, Caught<R>)> = Vec::new();
+                    let mut local = Vec::new();
                     let mut busy = Duration::ZERO;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -315,7 +209,7 @@ where
                             break;
                         }
                         let timer = WallTimer::start();
-                        local.push((i, catch_unwind(AssertUnwindSafe(|| f(&items[i])))));
+                        local.push((i, run(i)));
                         busy += timer.elapsed();
                     }
                     (local, busy)
@@ -338,7 +232,7 @@ where
         clippy::expect_used,
         reason = "the atomic work-stealing counter claims every index exactly once; a hole is corrupted batch state"
     )]
-    let results: Vec<Caught<R>> = results
+    let results = results
         .into_iter()
         .map(|r| r.expect("every claimed index produces a result"))
         .collect();
@@ -348,6 +242,28 @@ where
         wall: batch_timer.elapsed(),
         per_worker_busy,
     };
+    (results, telemetry)
+}
+
+/// [`parallel_map`], re-raising the lowest-index panic as a panic
+/// carrying its message — the panic a sequential run would have hit
+/// first. The re-raise happens once the whole batch has drained, so no
+/// completed work is lost before the caller sees it.
+pub(crate) fn map_or_reraise<T, R, F>(
+    items: &[T],
+    f: F,
+    workers: Option<usize>,
+) -> (Vec<R>, BatchTelemetry)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let (slots, telemetry) = parallel_map(items, f, workers);
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|e| std::panic::resume_unwind(Box::new(e.message))))
+        .collect();
     (results, telemetry)
 }
 
@@ -384,11 +300,7 @@ mod tests {
     #[test]
     fn telemetry_accounts_for_every_job() {
         let items: Vec<u64> = (0..64).collect();
-        let policy = BatchPolicy {
-            workers: Some(4),
-            ..BatchPolicy::default()
-        };
-        let (out, t) = parallel_map(&items, |&x| x + 1, policy);
+        let (out, t) = parallel_map(&items, |&x| x + 1, Some(4));
         assert_eq!(out.len(), 64);
         assert_eq!(t.jobs, 64);
         assert_eq!(t.workers, 4);
@@ -399,11 +311,7 @@ mod tests {
     #[test]
     fn telemetry_sequential_path_uses_one_worker() {
         let items: Vec<u64> = (0..16).collect();
-        let policy = BatchPolicy {
-            workers: Some(1),
-            ..BatchPolicy::default()
-        };
-        let (out, t) = parallel_map(&items, |&x| x * 2, policy);
+        let (out, t) = parallel_map(&items, |&x| x * 2, Some(1));
         assert_eq!(out[15], Ok(30));
         assert_eq!(t.workers, 1);
         assert_eq!(t.per_worker_busy.len(), 1);
@@ -483,71 +391,8 @@ mod tests {
     fn experiment_error_displays_context() {
         let e = ExperimentError {
             index: 3,
-            attempts: 2,
             message: "battery".into(),
         };
-        let s = e.to_string();
-        assert!(s.contains("experiment 3"), "{s}");
-        assert!(s.contains("2 attempts"), "{s}");
-        assert!(s.contains("battery"), "{s}");
-    }
-
-    #[test]
-    fn batch_policy_default_is_env_workers_one_retry() {
-        let p = BatchPolicy::default();
-        assert_eq!(p.workers, None);
-        assert_eq!(p.retries, 1);
-    }
-
-    #[test]
-    fn checked_attempts_equal_executions() {
-        // The attempts-accounting audit: the count an ExperimentError
-        // reports must equal the number of times the job actually ran,
-        // for every retry budget.
-        for retries in [0u32, 1, 3] {
-            let executions = AtomicUsize::new(0);
-            let items = vec![0u32];
-            let (out, _) = parallel_map(
-                &items,
-                |_| -> u32 {
-                    executions.fetch_add(1, Ordering::SeqCst);
-                    panic!("always fails")
-                },
-                BatchPolicy {
-                    workers: Some(1),
-                    retries,
-                },
-            );
-            let err = out[0].as_ref().unwrap_err();
-            assert_eq!(err.attempts, 1 + retries, "reported attempts");
-            assert_eq!(
-                executions.load(Ordering::SeqCst) as u32,
-                err.attempts,
-                "reported attempts must equal actual executions (retries={retries})"
-            );
-        }
-    }
-
-    #[test]
-    fn transient_failure_recovers_within_retry_budget() {
-        let executions = AtomicUsize::new(0);
-        let items = vec![7u32];
-        let (out, _) = parallel_map(
-            &items,
-            |&x| {
-                // First execution panics (a host-level transient); the
-                // retry succeeds.
-                if executions.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient");
-                }
-                x * 2
-            },
-            BatchPolicy {
-                workers: Some(1),
-                retries: 1,
-            },
-        );
-        assert_eq!(out[0].as_ref().unwrap(), &14);
-        assert_eq!(executions.load(Ordering::SeqCst), 2);
+        assert_eq!(e.to_string(), "experiment 3 failed: battery");
     }
 }

@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn aggregates_from_store_only_and_counts_missing() {
         let dir = tmp_dir("table");
-        let mut store = SweepStore::open(&dir).unwrap();
+        let store = std::sync::Mutex::new(SweepStore::open(&dir).unwrap());
         // Seed two of three strategies; the third must be *missing*, not
         // executed.
         let sweep = Sweep::grid(
@@ -180,7 +180,8 @@ mod tests {
             vec![DvsStrategy::StaticMhz(600), DvsStrategy::StaticMhz(800)],
             vec![],
         );
-        sweep.run(Some(&mut store), Some(2)).unwrap();
+        sweep.run(Some(&store), Some(2)).unwrap();
+        let mut store = store.into_inner().unwrap();
 
         let spec = SweepSpec {
             workloads: vec!["ft-test4".into()],
@@ -195,13 +196,14 @@ mod tests {
 
         // The seeded grid itself: two rows, no missing, baseline row
         // normalized to exactly 1.0 in every delta column.
-        let mut store2 = SweepStore::open(&dir).unwrap();
+        let store2 = std::sync::Mutex::new(SweepStore::open(&dir).unwrap());
         let seeded = Sweep::grid(
             vec![Workload::ft_test(4)],
             vec![DvsStrategy::StaticMhz(600), DvsStrategy::StaticMhz(800)],
             vec![],
         );
-        seeded.run(Some(&mut store2), Some(2)).unwrap();
+        seeded.run(Some(&store2), Some(2)).unwrap();
+        let mut store2 = store2.into_inner().unwrap();
         let runs_before = store2.stats().misses;
         let table = aggregate(&mut store2, &spec).unwrap();
         assert_eq!(table.rows.len(), 2);

@@ -1,18 +1,16 @@
-//! Store GC: validate, migrate, and bound the on-disk cache.
+//! Store GC: validate and bound the on-disk cache.
 //!
 //! A long-lived daemon cannot let its store grow without limit or keep
 //! serving records a format bump has orphaned. A compaction pass walks
-//! every record (sharded and legacy flat) and enforces three invariants:
+//! every `*.run` file and enforces two invariants:
 //!
-//! 1. **Validity** — records that fail validation (corrupt bytes,
-//!    version skew, undecodable payload, a filename that is not a
-//!    fingerprint) are deleted. They would never be served anyway: the
-//!    load path rejects them and re-runs, so dropping them only reclaims
-//!    bytes, never information.
-//! 2. **Layout** — valid records sitting flat in the store root (the
-//!    pre-sharding layout) are migrated into their two-hex-digit shard
-//!    directory, so the legacy read-through path shrinks toward empty.
-//! 3. **Size** — when a byte budget is set and the store exceeds it,
+//! 1. **Validity** — files that fail validation (corrupt bytes, version
+//!    skew, undecodable payload, a filename that is not a fingerprint) or
+//!    sit in the store root instead of their two-hex-digit shard are
+//!    deleted. They would never be served anyway: the load path rejects
+//!    or never looks at them and re-runs the cell, so dropping them only
+//!    reclaims bytes, never information (records are re-derivable).
+//! 2. **Size** — when a byte budget is set and the store exceeds it,
 //!    valid records are evicted in reverse-lexicographic fingerprint
 //!    order until the store fits. Fingerprints are uniformly distributed
 //!    hashes, so this order is arbitrary-but-deterministic: every
@@ -43,10 +41,9 @@ pub struct CompactionReport {
     pub(crate) scanned: u64,
     /// Valid records still present after the pass.
     pub(crate) kept: u64,
-    /// Invalid records deleted (corrupt, version skew, bad name).
+    /// Invalid records deleted (corrupt, version skew, bad name, or
+    /// misplaced in the store root).
     pub(crate) dropped: u64,
-    /// Valid legacy flat records moved into their shard directory.
-    pub(crate) migrated: u64,
     /// Valid records deleted by the size bound.
     pub(crate) evicted: u64,
     /// Stale `*.tmp` files swept.
@@ -86,7 +83,8 @@ pub fn compact(
         let fingerprint = path
             .file_stem()
             .and_then(|stem| stem.to_str())
-            .and_then(Fingerprint::from_hex);
+            .and_then(Fingerprint::from_hex)
+            .filter(|_| path.parent() != Some(store.dir()));
         let Some(fingerprint) = fingerprint else {
             report.dropped += 1;
             report.reclaimed_bytes += remove_counting(&path)?;
@@ -98,31 +96,10 @@ pub fn compact(
             report.reclaimed_bytes += remove_counting(&path)?;
             continue;
         }
-        let len = bytes.len() as u64;
-        let final_path = if path.parent() == Some(store.dir()) {
-            // Valid legacy flat record: migrate into its shard.
-            let sharded = store.record_path(fingerprint);
-            if sharded.exists() {
-                // Already migrated (or re-stored) — the flat copy is
-                // redundant; whichever record the sharded path holds is
-                // validated on its own scan visit.
-                fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
-                report.migrated += 1;
-                continue;
-            }
-            if let Some(shard) = sharded.parent() {
-                fs::create_dir_all(shard).map_err(|e| io_err(shard, e))?;
-            }
-            fs::rename(&path, &sharded).map_err(|e| io_err(&path, e))?;
-            report.migrated += 1;
-            sharded
-        } else {
-            path
-        };
         live.push(LiveRecord {
             fingerprint,
-            path: final_path,
-            bytes: len,
+            path,
+            bytes: bytes.len() as u64,
         });
     }
 
@@ -204,13 +181,16 @@ mod tests {
     }
 
     #[test]
-    fn drops_corrupt_migrates_legacy_and_sweeps_tmp() {
+    fn drops_corrupt_and_root_level_records_and_sweeps_tmp() {
         let dir = tmp_dir("gc");
         let mut store = seeded_store(&dir, &[600, 800]);
-        // Demote one record to the legacy flat layout.
+        // Move one record to the store root, where no lookup finds it.
         let exp = Experiment::new(Workload::ft_test(2), DvsStrategy::StaticMhz(600));
         let fp = fingerprint_experiment(&exp);
-        fs::rename(store.record_path(fp), store.legacy_record_path(fp)).unwrap();
+        let root_level = dir.join(format!("{}.run", fp.to_hex()));
+        fs::rename(store.record_path(fp), &root_level).unwrap();
+        assert!(!store.contains(fp));
+        assert_eq!(store.load(fp).unwrap(), None, "a clean miss");
         // Plant a corrupt record under a plausible name and a stale tmp.
         let bogus = Fingerprint::from_hex("00112233445566778899aabbccddeeff").unwrap();
         let shard = dir.join("00");
@@ -224,17 +204,14 @@ mod tests {
 
         let report = compact(&mut store, CompactionPolicy::default()).unwrap();
         assert_eq!(report.scanned, 3);
-        assert_eq!(report.kept, 2);
-        assert_eq!(report.dropped, 1);
-        assert_eq!(report.migrated, 1);
+        assert_eq!(report.kept, 1);
+        assert_eq!(report.dropped, 2);
         assert_eq!(report.stale_tmp, 1);
         assert_eq!(report.evicted, 0);
         assert!(report.reclaimed_bytes > 0);
         assert!(!store.contains(bogus));
-        // The migrated record now lives sharded and still loads.
-        assert!(store.record_path(fp).exists());
-        assert!(!store.legacy_record_path(fp).exists());
-        assert!(store.load(fp).unwrap().is_some());
+        assert!(!root_level.exists());
+        assert_eq!(store.record_files().unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

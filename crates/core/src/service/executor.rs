@@ -1,26 +1,27 @@
-//! The miss executor: in-flight dedupe over a shared [`SweepStore`].
+//! The one execute step: every sweep's cells are satisfied here.
 //!
-//! Any number of handler threads can submit overlapping sweeps. Hits
-//! stream straight from the store; each missing fingerprint is *claimed*
-//! by exactly one thread (which executes it on the work-stealing batch
-//! runner) while every other thread that wants the same result parks on
-//! the in-flight slot and is handed the result when it lands. The
-//! invariant — checked by the concurrency tests — is that the total
-//! number of engine executions equals the number of unique missing
-//! fingerprints, no matter how requests interleave.
+//! [`crate::Sweep::run`] and [`crate::crescendo`] run it on a private
+//! [`MissExecutor`]; the daemon runs every submission on one shared
+//! executor, so any number of handler threads can execute overlapping
+//! sweeps against one store. For each unique cell the step:
 //!
-//! The claim protocol closes the obvious races:
+//! 1. **claims** the fingerprint — under one lock on the in-flight map,
+//!    an existing slot means another thread owns the cell, so this one
+//!    waits on that slot; otherwise it inserts a slot and owns the cell;
+//! 2. **loads** an owned cell from the store, once: a hit is published
+//!    and unclaimed at once;
+//! 3. **runs** the owned misses on the batch runner (`parallel_map`);
+//! 4. **persists, publishes and unclaims** each of them, in that order —
+//!    a panicking experiment publishes its error, so waiters never hang;
 //!
-//! 1. **claim** — lock the in-flight map; an existing slot means another
-//!    thread owns the execution: wait on it. Otherwise insert a slot —
-//!    this thread owns it.
-//! 2. **recheck** — after claiming, probe the store again. The previous
-//!    owner persists *before* it unclaims, so a fingerprint absent from
-//!    the map is either truly new or already on disk; the recheck
-//!    converts the latter into a hit instead of a second execution.
-//! 3. **publish** — execution results (including failures — a panicking
-//!    experiment publishes an error, never a hang) are persisted, then
-//!    published to waiters, then unclaimed, in that order.
+//! then fills duplicates from their primaries and builds the
+//! [`SweepReport`]. An owner persists before it unclaims, so a claim on a
+//! fingerprint some earlier owner ran finds its record on disk: total
+//! engine executions equal unique missing fingerprints, however requests
+//! interleave (the concurrency tests check this).
+//!
+//! Failure policy: every job runs and every success persists; the step
+//! then returns a [`SweepError`] naming the lowest-index failed cell.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,9 +30,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use mpi_sim::RunResult;
 
 use crate::experiment::Experiment;
-use crate::runner::{parallel_map, BatchPolicy};
+use crate::runner::{parallel_map, ExperimentError};
 use crate::store::{Fingerprint, StoreStats, SweepStore};
-use crate::sweep::{fill_duplicates, Sweep, SweepOutcome, SweepReport};
+use crate::sweep::{Sweep, SweepCell, SweepError, SweepOutcome, SweepReport};
 
 use super::ServiceError;
 
@@ -46,9 +47,9 @@ pub struct ServiceMetrics {
     pub(crate) sweeps: AtomicU64,
     /// Aggregation queries handled.
     pub(crate) queries: AtomicU64,
-    /// Results served from the store (incl. post-claim rechecks).
+    /// Results served from the store.
     pub(crate) hits: AtomicU64,
-    /// Missing fingerprints this daemon claimed and executed.
+    /// Missing fingerprints this executor claimed and executed.
     pub(crate) misses: AtomicU64,
     /// Results obtained by waiting on another request's execution.
     pub(crate) awaited: AtomicU64,
@@ -138,21 +139,12 @@ impl InflightSlot {
     }
 }
 
-/// How a planned unique job will be satisfied.
-enum JobSource {
-    /// Loaded from the store (or recheck) during planning.
-    Hit(Box<RunResult>),
-    /// This request owns the execution.
-    Claimed,
-    /// Another request owns it; park on the slot.
-    Awaited(Arc<InflightSlot>),
-}
-
-/// The shared miss executor (one per daemon).
+/// The shared miss executor (one per daemon; a local sweep makes its
+/// own).
 pub struct MissExecutor {
     inflight: Mutex<BTreeMap<Fingerprint, Arc<InflightSlot>>>,
     metrics: Arc<ServiceMetrics>,
-    /// Worker override for the batch runner ([`BatchPolicy::workers`]).
+    /// Worker override for [`parallel_map`].
     workers: Option<usize>,
 }
 
@@ -166,54 +158,58 @@ impl MissExecutor {
         }
     }
 
-    /// Run `sweep` against the shared store: hits from disk, misses
-    /// claimed-or-awaited as described in the module docs. Returns the
-    /// same row-major results a direct [`Sweep::run`] would produce.
+    /// Run `sweep` against the shared store through the execute step.
+    /// Returns the same row-major results a direct [`Sweep::run`] would
+    /// produce.
     pub fn run_sweep(
         &self,
         store: &Mutex<SweepStore>,
         sweep: &Sweep,
     ) -> Result<SweepOutcome, ServiceError> {
         self.metrics.sweeps.fetch_add(1, Ordering::SeqCst);
-        let cells = sweep.cells();
-        let mut io = StoreStats::default();
+        Ok(self.execute(sweep.cells(), Some(store))?)
+    }
 
-        // Each unique cell is a hit, a claim, or an await.
-        let mut sources: Vec<Option<JobSource>> = Vec::with_capacity(cells.len());
+    /// The execute step (see the module docs), against `store` when
+    /// given: without one every unique cell is an engine run.
+    pub(crate) fn execute(
+        &self,
+        cells: Vec<SweepCell>,
+        store: Option<&Mutex<SweepStore>>,
+    ) -> Result<SweepOutcome, SweepError> {
+        let mut io = StoreStats::default();
+        let mut slots: Vec<Option<Result<RunResult, SweepError>>> = Vec::new();
+        slots.resize_with(cells.len(), || None);
+        let mut claimed: Vec<usize> = Vec::new();
+        let mut awaited: Vec<(usize, Arc<InflightSlot>)> = Vec::new();
         let mut hits = 0u64;
-        for cell in &cells {
+        for (i, cell) in cells.iter().enumerate() {
             if cell.duplicate_of.is_some() {
-                sources.push(None);
                 continue;
             }
             let fp = cell.fingerprint;
-            let source = match with_store(store, &mut io, |s| s.load(fp).ok().flatten()) {
+            if let Some(slot) = self.claim(fp) {
+                awaited.push((i, slot));
+                continue;
+            }
+            // A record that fails validation is a miss: it re-runs and
+            // the fresh record overwrites it.
+            match store.and_then(|s| with_store(s, &mut io, |s| s.load(fp).ok().flatten())) {
                 Some(result) => {
                     hits += 1;
-                    JobSource::Hit(Box::new(result))
+                    self.unclaim(fp, Ok(&result));
+                    slots[i] = Some(Ok(result));
                 }
-                None => self.claim_or_await(store, fp, &mut hits, &mut io),
-            };
-            sources.push(Some(source));
+                None => claimed.push(i),
+            }
         }
 
-        // Execute every claim on the work-stealing batch runner.
-        let claimed: Vec<usize> = sources
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, Some(JobSource::Claimed)))
-            .map(|(i, _)| i)
-            .collect();
         let engine_runs = claimed.len() as u64;
         self.metrics.misses.fetch_add(engine_runs, Ordering::SeqCst);
         self.metrics
             .queue_depth
             .fetch_add(engine_runs, Ordering::SeqCst);
         let to_run: Vec<&Experiment> = claimed.iter().map(|&i| &cells[i].experiment).collect();
-        let policy = BatchPolicy {
-            workers: self.workers,
-            ..BatchPolicy::default()
-        };
         let (fresh, _) = parallel_map(
             &to_run,
             |experiment| {
@@ -224,63 +220,59 @@ impl MissExecutor {
                 self.metrics.engine_runs.fetch_add(1, Ordering::SeqCst);
                 result
             },
-            policy,
+            self.workers,
         );
 
         // Persist, publish, unclaim — in that order (see module docs).
-        let mut first_error: Option<ServiceError> = None;
-        let mut slots: Vec<Option<RunResult>> = vec![None; cells.len()];
         for (&i, outcome) in claimed.iter().zip(fresh) {
             let fp = cells[i].fingerprint;
-            let published = match outcome {
+            slots[i] = Some(match outcome {
                 Ok(result) => {
-                    if let Err(e) = with_store(store, &mut io, |s| s.store(fp, &result)) {
-                        first_error.get_or_insert(ServiceError::Store(e));
-                    }
-                    Ok(result)
+                    let persisted =
+                        store.map_or(Ok(()), |s| with_store(s, &mut io, |s| s.store(fp, &result)));
+                    self.unclaim(fp, Ok(&result));
+                    persisted.map(|()| result).map_err(SweepError::Store)
                 }
                 Err(e) => {
-                    // An execution that panicked through its whole retry
-                    // budget still publishes: waiters get the error, not
-                    // a deadlock.
-                    first_error.get_or_insert(ServiceError::Failed(e.to_string()));
-                    Err(e.to_string())
+                    self.unclaim(fp, Err(&e.message));
+                    Err(SweepError::Failed(ExperimentError { index: i, ..e }))
                 }
-            };
-            self.unclaim(fp, &published);
-            if let Ok(result) = published {
-                slots[i] = Some(result);
-            }
+            });
         }
-        if let Some(error) = first_error {
-            return Err(error);
+        let awaited_jobs = awaited.len() as u64;
+        for (i, slot) in awaited {
+            slots[i] = Some(
+                slot.wait()
+                    .map_err(|message| SweepError::Failed(ExperimentError { index: i, message })),
+            );
         }
+        self.metrics.hits.fetch_add(hits, Ordering::SeqCst);
+        self.metrics
+            .awaited
+            .fetch_add(awaited_jobs, Ordering::SeqCst);
 
-        // Collect hits and awaited results; the planner fills duplicates.
-        for (i, source) in sources.into_iter().enumerate() {
-            match source {
-                Some(JobSource::Hit(result)) => slots[i] = Some(*result),
-                Some(JobSource::Awaited(slot)) => match slot.wait() {
-                    Ok(result) => slots[i] = Some(result),
-                    Err(msg) => return Err(ServiceError::Failed(msg)),
-                },
-                Some(JobSource::Claimed) | None => {}
-            }
+        // Grid order: duplicates copy their (earlier) primary, and the
+        // first failure met is the lowest-index one.
+        let mut results: Vec<RunResult> = Vec::with_capacity(cells.len());
+        for (cell, slot) in cells.iter().zip(slots) {
+            let result = match cell.duplicate_of {
+                Some(primary) => results[primary].clone(),
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every unique cell is a hit, a claim or an await, and each fills its slot above"
+                )]
+                None => slot.expect("every unique cell has an outcome")?,
+            };
+            results.push(result);
         }
-        let results = fill_duplicates(&cells, slots).ok_or_else(|| {
-            ServiceError::Failed("sweep left a cell without a result".to_string())
-        })?;
 
         let jobs = cells.len() as u64;
         let duplicate_jobs = cells.iter().filter(|c| c.duplicate_of.is_some()).count() as u64;
-        let awaited = jobs - hits - engine_runs - duplicate_jobs;
-        self.metrics.hits.fetch_add(hits, Ordering::SeqCst);
-        self.metrics.awaited.fetch_add(awaited, Ordering::SeqCst);
         let report = SweepReport {
             jobs,
             // Awaited results executed elsewhere; from this request's
             // point of view they are hits (it ran nothing for them).
-            cache_hits: hits + awaited,
+            cache_hits: hits + awaited_jobs,
             cache_misses: engine_runs,
             engine_runs,
             corrupt_records: io.corrupt,
@@ -291,43 +283,28 @@ impl MissExecutor {
         Ok(SweepOutcome { results, report })
     }
 
-    /// Step 1+2 of the claim protocol for one missing fingerprint.
-    fn claim_or_await(
-        &self,
-        store: &Mutex<SweepStore>,
-        fp: Fingerprint,
-        hits: &mut u64,
-        io: &mut StoreStats,
-    ) -> JobSource {
-        {
-            let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(slot) = inflight.get(&fp) {
-                return JobSource::Awaited(Arc::clone(slot));
-            }
-            inflight.insert(fp, Arc::new(InflightSlot::new()));
+    /// Claim `fp` for this thread (`None`), or return the slot of the
+    /// thread that already owns it.
+    fn claim(&self, fp: Fingerprint) -> Option<Arc<InflightSlot>> {
+        let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(slot) = inflight.get(&fp) {
+            return Some(Arc::clone(slot));
         }
-        // Recheck: the previous owner persists before it unclaims, so
-        // anything that finished between our miss and our claim is on
-        // disk now.
-        match with_store(store, io, |s| s.load(fp).ok().flatten()) {
-            Some(result) => {
-                self.unclaim(fp, &Ok(result.clone()));
-                *hits += 1;
-                JobSource::Hit(Box::new(result))
-            }
-            None => JobSource::Claimed,
-        }
+        inflight.insert(fp, Arc::new(InflightSlot::new()));
+        None
     }
 
-    /// Step 3's tail: drop the claim on `fp` and hand `result` to every
-    /// request parked on it.
-    fn unclaim(&self, fp: Fingerprint, result: &Result<RunResult, String>) {
+    /// Drop the claim on `fp` and hand `result` to every thread parked
+    /// on it. Waiters clone the slot under the map lock, so once the slot
+    /// is out of the map a sole reference means nobody is waiting, and
+    /// the result is not copied.
+    fn unclaim(&self, fp: Fingerprint, result: Result<&RunResult, &String>) {
         let slot = {
             let mut inflight = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
             inflight.remove(&fp)
         };
-        if let Some(slot) = slot {
-            slot.publish(result.clone());
+        if let Some(slot) = slot.filter(|slot| Arc::strong_count(slot) > 1) {
+            slot.publish(result.cloned().map_err(String::clone));
         }
     }
 }

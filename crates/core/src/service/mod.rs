@@ -19,12 +19,12 @@
 //!   (the store codec idiom on a socket), with typed [`ProtocolError`];
 //! * `server` — the accept loop (Unix or TCP), one handler thread per
 //!   connection, `service.*` counters;
-//! * `executor` — the miss executor: in-flight dedupe keyed by
-//!   fingerprint, so a miss being computed for one client is *awaited*,
-//!   never re-executed, by every other client that wants it;
-//! * `compaction` — store GC: drop version-skewed and corrupt
-//!   records, migrate legacy flat records into their shard, and bound
-//!   total store size;
+//! * `executor` — the one execute step every sweep (local or served)
+//!   goes through: in-flight dedupe keyed by fingerprint, so a miss being
+//!   computed for one client is *awaited*, never re-executed, by every
+//!   other client that wants it;
+//! * `compaction` — store GC: drop version-skewed, corrupt and misplaced
+//!   records, and bound total store size;
 //! * `aggregate` — the store-only query layer (group-by workload ×
 //!   strategy × topology → ED²P/wED²P tables rendered server-side);
 //! * `client` — the blocking client the CLI and tests drive.
@@ -44,29 +44,27 @@ pub use executor::{MissExecutor, ServiceMetrics};
 pub use protocol::{ProtocolError, Request, StatusReply, SweepDone, SweepSpec};
 pub use server::{Server, ServerConfig};
 
-use crate::store::StoreError;
+use crate::sweep::SweepError;
 
 /// Why a service operation failed (the client-visible error sum).
 #[derive(Debug)]
 pub enum ServiceError {
     /// The wire protocol broke (I/O, framing, version skew, decode).
     Protocol(ProtocolError),
-    /// The store refused a read or write.
-    Store(StoreError),
     /// A sweep spec failed to resolve (unknown workload/strategy name,
     /// bad fault or topology spec).
     Spec(String),
-    /// An experiment failed on every attempt (panicked in the engine).
-    Failed(String),
+    /// A sweep failed: a cell panicked in the engine, or the store
+    /// refused its record.
+    Sweep(SweepError),
 }
 
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::Protocol(e) => write!(f, "protocol error: {e}"),
-            ServiceError::Store(e) => write!(f, "store error: {e}"),
             ServiceError::Spec(msg) => write!(f, "bad sweep spec: {msg}"),
-            ServiceError::Failed(msg) => write!(f, "experiment failed: {msg}"),
+            ServiceError::Sweep(e) => write!(f, "sweep failed: {e}"),
         }
     }
 }
@@ -75,8 +73,8 @@ impl std::error::Error for ServiceError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ServiceError::Protocol(e) => Some(e),
-            ServiceError::Store(e) => Some(e),
-            ServiceError::Spec(_) | ServiceError::Failed(_) => None,
+            ServiceError::Sweep(e) => Some(e),
+            ServiceError::Spec(_) => None,
         }
     }
 }
@@ -87,8 +85,8 @@ impl From<ProtocolError> for ServiceError {
     }
 }
 
-impl From<StoreError> for ServiceError {
-    fn from(e: StoreError) -> Self {
-        ServiceError::Store(e)
+impl From<SweepError> for ServiceError {
+    fn from(e: SweepError) -> Self {
+        ServiceError::Sweep(e)
     }
 }

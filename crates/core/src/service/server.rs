@@ -5,8 +5,10 @@
 //! [`ServiceMetrics`]. Each accepted connection gets a handler thread
 //! that serves requests until the peer hangs up; concurrent handlers
 //! share the store and executor, which is exactly the situation the
-//! executor's claim protocol exists for. A compaction pass runs at
-//! startup and after every sweep submission, under the store lock.
+//! execute step's claim protocol exists for. A compaction pass runs at
+//! startup and after each sweep submission that wrote records, under the
+//! store lock: only a write can grow the store past its byte budget, so
+//! a warm re-sweep never pays for reading the whole store.
 //!
 //! Shutdown is cooperative: a [`Request::Shutdown`] frame flips the stop
 //! flag, is acknowledged with [`Response::ShuttingDown`], and the
@@ -38,10 +40,11 @@ use super::ServiceError;
 /// Daemon knobs.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Worker override for miss execution
-    /// ([`crate::runner::BatchPolicy::workers`]).
+    /// Worker override for miss execution (`None` defers to
+    /// `PWRPERF_THREADS`, then available parallelism).
     pub workers: Option<usize>,
-    /// Store GC policy (startup + post-sweep passes).
+    /// Store GC policy (startup pass, and a pass after each sweep that
+    /// wrote records).
     pub compaction: CompactionPolicy,
 }
 
@@ -68,6 +71,17 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(store: SweepStore, config: ServerConfig) -> Self {
+        let metrics = Arc::new(ServiceMetrics::new());
+        Shared {
+            store: Mutex::new(store),
+            executor: MissExecutor::new(Arc::clone(&metrics), config.workers),
+            metrics,
+            compaction: config.compaction,
+            stop: AtomicBool::new(false),
+        }
+    }
+
     /// Run one GC pass and fold its report into the counters.
     fn compact_store(&self) {
         let mut store = self.store.lock().unwrap_or_else(|e| e.into_inner());
@@ -93,7 +107,9 @@ impl Shared {
                 };
                 match self.executor.run_sweep(&self.store, &sweep) {
                     Ok(outcome) => {
-                        self.compact_store();
+                        if outcome.report.bytes_written > 0 {
+                            self.compact_store();
+                        }
                         Response::SweepDone(SweepDone {
                             report: outcome.report,
                             results: outcome.results,
@@ -133,15 +149,8 @@ pub struct Server {
 
 impl Server {
     fn new(store: SweepStore, config: ServerConfig, listener: Listener) -> Self {
-        let metrics = Arc::new(ServiceMetrics::new());
         Server {
-            shared: Arc::new(Shared {
-                store: Mutex::new(store),
-                executor: MissExecutor::new(Arc::clone(&metrics), config.workers),
-                metrics,
-                compaction: config.compaction,
-                stop: AtomicBool::new(false),
-            }),
+            shared: Arc::new(Shared::new(store, config)),
             listener,
         }
     }
@@ -296,5 +305,48 @@ fn handle_connection<S: std::io::Read + std::io::Write>(
         if !wrote {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::SweepSpec;
+
+    fn shared(tag: &str, max_store_bytes: Option<u64>) -> (Shared, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("pwrperf-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServerConfig {
+            workers: Some(1),
+            compaction: CompactionPolicy { max_store_bytes },
+        };
+        (Shared::new(SweepStore::open(&dir).unwrap(), config), dir)
+    }
+
+    #[test]
+    fn only_sweeps_that_wrote_are_followed_by_compaction() {
+        let request = Request::SubmitSweep(SweepSpec {
+            workloads: vec!["ft-test4".to_string()],
+            strategies: vec!["static-600".to_string(), "static-800".to_string()],
+            ..SweepSpec::default()
+        });
+        let compactions = |s: &Shared| s.metrics.compactions.load(Ordering::SeqCst);
+
+        let (daemon, dir) = shared("warm", None);
+        assert!(matches!(daemon.answer(&request), Response::SweepDone(_)));
+        assert_eq!(compactions(&daemon), 1);
+        assert!(matches!(daemon.answer(&request), Response::SweepDone(_)));
+        assert_eq!(
+            compactions(&daemon),
+            1,
+            "a warm re-sweep writes nothing, so it does not compact"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Under a one-byte budget the cold sweep's pass evicts both records.
+        let (bounded, dir) = shared("bounded", Some(1));
+        assert!(matches!(bounded.answer(&request), Response::SweepDone(_)));
+        assert_eq!(bounded.metrics.evicted_records.load(Ordering::SeqCst), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,10 +3,9 @@
 //! Records are sharded by the first fingerprint byte —
 //! `<store-dir>/<hh>/<fingerprint-hex>.run`, where `hh` is the first two
 //! hex digits — so a store holding tens of thousands of records never
-//! puts more than ~1/256th of them in one directory. Stores written
-//! before sharding kept every record flat in the root; reads transparently
-//! fall back to that legacy location, and compaction (the service layer)
-//! migrates legacy records into their shard.
+//! puts more than ~1/256th of them in one directory. This is the only
+//! layout: a `*.run` file in the root is not a record (a lookup there is
+//! a clean miss), and compaction (the service layer) drops it.
 //!
 //! Layout of a record file:
 //!
@@ -172,19 +171,14 @@ impl SweepStore {
         self.dir.join(&hex[..2]).join(format!("{hex}.run"))
     }
 
-    /// Where a pre-sharding store kept `fingerprint`'s record: flat in
-    /// the root. Reads fall back here; writes never land here.
-    pub(crate) fn legacy_record_path(&self, fingerprint: Fingerprint) -> PathBuf {
-        self.dir.join(format!("{}.run", fingerprint.to_hex()))
-    }
-
     /// Cheap existence probe (no validation) — what `--dry-run` reports.
     pub(crate) fn contains(&self, fingerprint: Fingerprint) -> bool {
-        self.record_path(fingerprint).exists() || self.legacy_record_path(fingerprint).exists()
+        self.record_path(fingerprint).exists()
     }
 
-    /// Every record file on disk (any validity): sharded records plus
-    /// legacy flat ones, sorted by path for deterministic iteration.
+    /// Every `*.run` file on disk (any validity): sharded records plus
+    /// misplaced ones in the root, sorted by path for deterministic
+    /// iteration.
     pub(crate) fn record_files(&self) -> Result<Vec<PathBuf>, StoreError> {
         let read_dir = |dir: &Path| -> Result<Vec<PathBuf>, StoreError> {
             let entries = fs::read_dir(dir).map_err(|source| StoreError::Io {
@@ -222,23 +216,12 @@ impl SweepStore {
     /// caller decides to re-run — the record is left in place for
     /// inspection and will be overwritten by the fresh result).
     pub fn load(&mut self, fingerprint: Fingerprint) -> Result<Option<RunResult>, StoreError> {
-        let mut path = self.record_path(fingerprint);
+        let path = self.record_path(fingerprint);
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == ErrorKind::NotFound => {
-                // Read-through to the pre-sharding flat layout.
-                path = self.legacy_record_path(fingerprint);
-                match fs::read(&path) {
-                    Ok(bytes) => bytes,
-                    Err(e) if e.kind() == ErrorKind::NotFound => {
-                        self.stats.misses += 1;
-                        return Ok(None);
-                    }
-                    Err(source) => {
-                        self.stats.corrupt += 1;
-                        return Err(StoreError::Io { path, source });
-                    }
-                }
+                self.stats.misses += 1;
+                return Ok(None);
             }
             Err(source) => {
                 self.stats.corrupt += 1;
@@ -450,23 +433,6 @@ mod tests {
             .path()
             .extension()
             .is_some_and(|x| x == "run")));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_flat_records_are_read_through() {
-        let dir = tmp_dir("legacy");
-        let mut store = SweepStore::open(&dir).unwrap();
-        let exp = Experiment::new(Workload::ft_test(2), DvsStrategy::StaticMhz(1200));
-        let fp = fingerprint_experiment(&exp);
-        let result = exp.run();
-        store.store(fp, &result).unwrap();
-        // Demote the record to the pre-sharding flat location.
-        fs::rename(store.record_path(fp), store.legacy_record_path(fp)).unwrap();
-        assert!(store.contains(fp), "contains must probe the legacy path");
-        assert_eq!(store.record_files().unwrap().len(), 1);
-        assert_eq!(store.load(fp).unwrap(), Some(result));
-        assert_eq!(store.stats().hits, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,15 +4,17 @@
 //! figure regenerators, `pwrperf sweep` and the daemon — goes through two
 //! steps. **Planning** turns experiments into [`SweepCell`]s: each cell
 //! carries its experiment, its store fingerprint, its grid position, and
-//! `duplicate_of` when an earlier cell has the same key. **Executing**
-//! (behind [`Sweep::run`] and [`crescendo`]) serves unique cells from an
-//! optional [`SweepStore`], runs the rest on the parallel batch runner,
-//! persists them, and fills duplicates from their primaries. Against a
-//! store a killed sweep resumes where it stopped, and re-invoking a
-//! completed sweep performs **zero** engine executions and returns
-//! bit-identical results (the determinism suite asserts this).
+//! `duplicate_of` when an earlier cell has the same key. **Executing** is
+//! the one execute step (`service::executor`): [`Sweep::run`]
+//! and [`crescendo`] hand it their cells, an optional [`SweepStore`]
+//! behind a mutex, and a private in-flight map; the daemon hands it the
+//! same with its shared map. Against a store a killed sweep resumes where
+//! it stopped, and re-invoking a completed sweep performs **zero** engine
+//! executions and returns bit-identical results (the determinism suite
+//! asserts this).
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::{Arc, Mutex};
 
 use edp_metrics::Crescendo;
 use mpi_sim::{EngineConfig, Program, RunResult};
@@ -20,7 +22,8 @@ use obs::MetricsRegistry;
 use sim_core::FaultSpec;
 
 use crate::experiment::{ladder_mhz_desc, Experiment};
-use crate::runner::map_or_reraise;
+use crate::runner::ExperimentError;
+use crate::service::MissExecutor;
 use crate::store::{fingerprint_with_programs, Fingerprint, StoreError, SweepStore};
 use crate::strategy::DvsStrategy;
 use crate::workload::Workload;
@@ -159,6 +162,36 @@ pub struct SweepOutcome {
     pub report: SweepReport,
 }
 
+/// Why a sweep returned no results: the failure of its lowest-index
+/// failed cell (grid order). Either way every job ran, and every result
+/// the store accepted was persisted.
+#[derive(Debug)]
+pub enum SweepError {
+    /// The cell's experiment panicked: `index` is its grid position,
+    /// `message` the panic's.
+    Failed(ExperimentError),
+    /// The store refused to persist the cell's result.
+    Store(StoreError),
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SweepError::Failed(e) => write!(f, "{e}"),
+            SweepError::Store(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for SweepError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SweepError::Failed(e) => Some(e),
+            SweepError::Store(e) => Some(e),
+        }
+    }
+}
+
 /// The one planning step: fingerprint each experiment and mark repeats.
 /// Each item carries its `[workload, fault]` grid position.
 /// Programs depend only on the workload and the strategy's
@@ -201,75 +234,14 @@ fn plan(items: impl IntoIterator<Item = (Experiment, [usize; 2])>) -> Vec<SweepC
     cells
 }
 
-/// Fill every duplicate cell's slot from its primary's. `None` when a
-/// slot is still empty afterwards.
-pub(crate) fn fill_duplicates(
-    cells: &[SweepCell],
-    mut slots: Vec<Option<RunResult>>,
-) -> Option<Vec<RunResult>> {
-    for (i, cell) in cells.iter().enumerate() {
-        if let Some(primary) = cell.duplicate_of {
-            slots[i] = slots[primary].clone();
-        }
-    }
-    slots.into_iter().collect()
-}
-
-/// The one execute step. Serves each unique cell from `store` when it
-/// holds a valid record, runs the rest on the parallel batch runner
-/// (`workers` as in [`crate::BatchPolicy::workers`]), persists them, and
-/// fills duplicates. With no store every unique cell is an engine run.
-/// Records that exist but fail validation count as misses (and as
-/// `corrupt_records`) and are re-run and overwritten; store *write*
-/// failures abort, since silently losing results would defeat
-/// resumability.
-pub(crate) fn run_cells(
+/// Execute `cells` on a private executor (its own in-flight map) on
+/// `workers` threads, against `store` when given.
+fn execute_local(
     cells: Vec<SweepCell>,
-    mut store: Option<&mut SweepStore>,
+    store: Option<&Mutex<SweepStore>>,
     workers: Option<usize>,
-) -> Result<SweepOutcome, StoreError> {
-    let before = store.as_deref().map(SweepStore::stats).unwrap_or_default();
-    let mut slots: Vec<Option<RunResult>> = vec![None; cells.len()];
-    let mut misses: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        if cell.duplicate_of.is_some() {
-            continue;
-        }
-        match store.as_deref_mut().map(|s| s.load(cell.fingerprint)) {
-            Some(Ok(Some(result))) => slots[i] = Some(result),
-            // No store, no record, or a rejected one: run (and overwrite).
-            _ => misses.push(i),
-        }
-    }
-
-    let to_run: Vec<&Experiment> = misses.iter().map(|&i| &cells[i].experiment).collect();
-    let (fresh, _) = map_or_reraise(&to_run, |experiment| experiment.run(), workers);
-    for (&i, result) in misses.iter().zip(fresh) {
-        if let Some(store) = store.as_deref_mut() {
-            store.store(cells[i].fingerprint, &result)?;
-        }
-        slots[i] = Some(result);
-    }
-    let results = fill_duplicates(&cells, slots).unwrap_or_default();
-    assert_eq!(
-        results.len(),
-        cells.len(),
-        "every sweep slot must be filled"
-    );
-
-    let after = store.as_deref().map(SweepStore::stats).unwrap_or_default();
-    let engine_runs = misses.len() as u64;
-    let report = SweepReport {
-        jobs: cells.len() as u64,
-        cache_hits: after.hits - before.hits,
-        cache_misses: engine_runs,
-        engine_runs,
-        corrupt_records: after.corrupt - before.corrupt,
-        bytes_read: after.bytes_read - before.bytes_read,
-        bytes_written: after.bytes_written - before.bytes_written,
-        duplicate_jobs: cells.iter().filter(|c| c.duplicate_of.is_some()).count() as u64,
-    };
-    Ok(SweepOutcome { results, report })
+) -> Result<SweepOutcome, SweepError> {
+    MissExecutor::new(Arc::default(), workers).execute(cells, store)
 }
 
 /// A ladder crescendo: `make` builds the experiment at each operating
@@ -278,11 +250,11 @@ pub(crate) fn run_cells(
 /// persist.
 pub fn crescendo(
     make: impl Fn(u32) -> Experiment,
-    store: Option<&mut SweepStore>,
-) -> Result<Crescendo, StoreError> {
+    store: Option<&Mutex<SweepStore>>,
+) -> Result<Crescendo, SweepError> {
     let ladder = ladder_mhz_desc();
     let cells = plan(ladder.iter().map(|&mhz| (make(mhz), [0, 0])));
-    let outcome = run_cells(cells, store, None)?;
+    let outcome = execute_local(cells, store, None)?;
     Ok(crescendo_from_results(&ladder, &outcome.results))
 }
 
@@ -356,14 +328,15 @@ impl Sweep {
         SweepPlan { cells, cached }
     }
 
-    /// Plan and execute the grid: the one execute step, with `workers`
-    /// as in [`crate::BatchPolicy::workers`].
+    /// Plan and execute the grid through the one execute step, against
+    /// `store` when given, on `workers` threads (`None` defers to
+    /// `PWRPERF_THREADS`, then available parallelism).
     pub fn run(
         &self,
-        store: Option<&mut SweepStore>,
+        store: Option<&Mutex<SweepStore>>,
         workers: Option<usize>,
-    ) -> Result<SweepOutcome, StoreError> {
-        run_cells(self.cells(), store, workers)
+    ) -> Result<SweepOutcome, SweepError> {
+        execute_local(self.cells(), store, workers)
     }
 }
 
@@ -405,14 +378,14 @@ mod tests {
     #[test]
     fn cold_then_warm_sweep_is_bit_identical_with_zero_engine_runs() {
         let dir = tmp_dir("warm");
-        let mut store = SweepStore::open(&dir).unwrap();
+        let store = Mutex::new(SweepStore::open(&dir).unwrap());
         let sweep = tiny_sweep();
 
-        let cold = sweep.run(Some(&mut store), None).unwrap();
+        let cold = sweep.run(Some(&store), None).unwrap();
         assert_eq!(cold.report.cache_hits, 0);
         assert_eq!(cold.report.engine_runs, 2);
 
-        let warm = sweep.run(Some(&mut store), None).unwrap();
+        let warm = sweep.run(Some(&store), None).unwrap();
         assert_eq!(warm.report.engine_runs, 0, "warm sweep must not execute");
         assert_eq!(warm.report.cache_hits, 2);
         assert_eq!(
@@ -420,7 +393,7 @@ mod tests {
             "cached results must be bit-identical"
         );
 
-        let plan = sweep.plan(&store);
+        let plan = sweep.plan(&store.lock().unwrap());
         assert_eq!((plan.hits(), plan.misses()), (2, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -488,7 +461,7 @@ mod tests {
         // cell's operating point) must not run the engine twice or
         // double-count misses.
         let dir = tmp_dir("dedupe");
-        let mut store = SweepStore::open(&dir).unwrap();
+        let store = Mutex::new(SweepStore::open(&dir).unwrap());
         let sweep = Sweep::grid(
             vec![Workload::ft_test(2)],
             vec![
@@ -500,14 +473,14 @@ mod tests {
             Vec::new(),
         );
 
-        let plan = sweep.plan(&store);
+        let plan = sweep.plan(&store.lock().unwrap());
         assert_eq!(
             (plan.hits(), plan.misses(), plan.cells.len()),
             (0, 2, 4),
             "only unique fingerprints count as misses"
         );
 
-        let cold = sweep.run(Some(&mut store), Some(1)).unwrap();
+        let cold = sweep.run(Some(&store), Some(1)).unwrap();
         assert_eq!(cold.report.jobs, 4);
         assert_eq!(cold.report.engine_runs, 2, "one run per unique key");
         assert_eq!(cold.report.cache_misses, 2);
@@ -518,7 +491,7 @@ mod tests {
         assert_ne!(cold.results[0], cold.results[3]);
 
         // Warm pass: two unique hits, still zero engine work.
-        let warm = sweep.run(Some(&mut store), Some(1)).unwrap();
+        let warm = sweep.run(Some(&store), Some(1)).unwrap();
         assert_eq!(warm.report.engine_runs, 0);
         assert_eq!(warm.report.cache_hits, 2);
         assert_eq!(warm.report.duplicate_jobs, 2);

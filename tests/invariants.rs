@@ -9,7 +9,7 @@
 
 use net_model::{FluidNetwork, NetworkParams};
 use power_model::battery::{MeasurementError, SmartBattery};
-use pwrperf::{parallel_map, BatchPolicy, DvsStrategy, Experiment, Workload};
+use pwrperf::{parallel_map, DvsStrategy, Experiment, Workload};
 use sim_core::{SimTime, TimeWeighted};
 
 #[test]
@@ -62,7 +62,7 @@ fn batch_layer_converts_invariant_panics_to_slot_errors() {
     // runner's own tests; here we pin the Ok-slot contract.)
     let mk = || Experiment::new(Workload::ft_test(2), DvsStrategy::StaticMhz(1400));
     let direct = mk().run();
-    let (slots, _) = parallel_map(&[mk(), mk()], Experiment::run, BatchPolicy::default());
+    let (slots, _) = parallel_map(&[mk(), mk()], Experiment::run, None);
     assert_eq!(slots.len(), 2);
     for slot in &slots {
         let r = slot.as_ref().expect("healthy experiment must succeed");

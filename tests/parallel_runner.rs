@@ -3,31 +3,24 @@
 //! **bit-identical** to running them sequentially, in the same order —
 //! with or without fault injection armed — and a poisoned experiment must
 //! cost exactly its own slot, never the batch. Worker counts are pinned
-//! with the explicit `BatchPolicy::workers` override rather than
+//! with `parallel_map`'s explicit `workers` override rather than
 //! `PWRPERF_THREADS` (mutating the shared process environment from one
 //! test races every sibling test that reads it).
 
 use mpi_sim::RunResult;
-use pwrperf::{
-    parallel_map, BatchPolicy, DvsStrategy, Experiment, ExperimentError, FaultSpec, Workload,
-};
+use pwrperf::{parallel_map, DvsStrategy, Experiment, ExperimentError, FaultSpec, Workload};
 
 /// Run `experiments` on exactly `workers` threads, one slot per input.
 fn run_checked(
     experiments: Vec<Experiment>,
     workers: usize,
-    retries: u32,
 ) -> Vec<Result<RunResult, ExperimentError>> {
-    let policy = BatchPolicy {
-        workers: Some(workers),
-        retries,
-    };
-    parallel_map(&experiments, Experiment::run, policy).0
+    parallel_map(&experiments, Experiment::run, Some(workers)).0
 }
 
 /// [`run_checked`] for a batch that must not fail.
 fn run_with(experiments: Vec<Experiment>, workers: usize) -> Vec<RunResult> {
-    run_checked(experiments, workers, 0)
+    run_checked(experiments, workers)
         .into_iter()
         .map(|slot| slot.expect("healthy experiment"))
         .collect()
@@ -116,12 +109,11 @@ fn checked_batch_isolates_a_panicking_slot() {
     let w = Workload::ft_test(2);
     let mut experiments = batch_for(&w);
     experiments.insert(2, poisoned(&w));
-    let outcomes = run_checked(experiments, 2, 1);
+    let outcomes = run_checked(experiments, 2);
     assert_eq!(outcomes.len(), 5);
-    // Exactly the poisoned slot fails; the error names it and its attempts.
+    // Exactly the poisoned slot fails, and the error names it.
     let err = outcomes[2].as_ref().expect_err("slot 2 was poisoned");
     assert_eq!(err.index, 2);
-    assert_eq!(err.attempts, 2, "one initial run + one retry");
     assert!(
         err.message.contains("capacity_mwh"),
         "panic message surfaced: {}",
@@ -144,7 +136,7 @@ fn checked_batch_isolates_a_panicking_slot() {
 #[test]
 fn checked_batch_with_no_failures_matches_unchecked() {
     let w = Workload::ft_test(2);
-    let checked = run_checked(batch_for(&w), 2, 0);
+    let checked = run_checked(batch_for(&w), 2);
     let plain = pwrperf::run_batch(batch_for(&w));
     assert_eq!(checked.len(), plain.len());
     for (c, p) in checked.iter().zip(&plain) {

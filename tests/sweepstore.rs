@@ -15,7 +15,8 @@ use pwrperf::store::{canonical_experiment_bytes, fingerprint_parts};
 use pwrperf::{
     crescendo, decode_run_result, encode_run_result, fingerprint_experiment, ladder_mhz_desc,
     static_crescendo, CapPolicy, DvsStrategy, EngineConfig, Experiment, Fault, FaultSpec,
-    MissExecutor, RunResult, ServiceMetrics, StoreError, Sweep, SweepStore, WaitPolicy, Workload,
+    MissExecutor, RunResult, ServiceMetrics, StoreError, Sweep, SweepError, SweepStore, WaitPolicy,
+    Workload,
 };
 use sim_core::SimDuration;
 
@@ -230,7 +231,7 @@ fn any_single_field_edit_changes_the_key() {
 #[test]
 fn requests_resolving_to_the_same_point_share_a_cache_entry() {
     let dir = tmp_dir("resolved-share");
-    let mut store = SweepStore::open(&dir).unwrap();
+    let store = Mutex::new(SweepStore::open(&dir).unwrap());
     let workloads = vec![Workload::ft_test(2)];
 
     let canonical = Sweep::grid(
@@ -238,11 +239,11 @@ fn requests_resolving_to_the_same_point_share_a_cache_entry() {
         vec![DvsStrategy::StaticMhz(1400)],
         Vec::new(),
     );
-    let cold = canonical.run(Some(&mut store), Some(1)).unwrap();
+    let cold = canonical.run(Some(&store), Some(1)).unwrap();
     assert_eq!(cold.report.engine_runs, 1);
 
     let requested = Sweep::grid(workloads, vec![DvsStrategy::StaticMhz(5000)], Vec::new());
-    let warm = requested.run(Some(&mut store), Some(1)).unwrap();
+    let warm = requested.run(Some(&store), Some(1)).unwrap();
     assert_eq!(
         warm.report.engine_runs, 0,
         "an off-ladder request resolving to a cached point must not re-run"
@@ -399,7 +400,7 @@ proptest! {
 #[test]
 fn warm_sweep_executes_nothing_and_resumes_after_partial_cache() {
     let dir = tmp_dir("warm");
-    let mut store = SweepStore::open(&dir).unwrap();
+    let store = Mutex::new(SweepStore::open(&dir).unwrap());
     let faults = FaultSpec {
         seed: 11,
         faults: vec![Fault::DvfsLatency {
@@ -423,17 +424,17 @@ fn warm_sweep_executes_nothing_and_resumes_after_partial_cache() {
         full.strategies.clone(),
         vec![FaultSpec::default()],
     );
-    let first = partial.run(Some(&mut store), Some(1)).unwrap();
+    let first = partial.run(Some(&store), Some(1)).unwrap();
     assert_eq!(first.report.engine_runs, 3);
 
     // Resume: the full grid only executes the missing faulted half.
-    let resumed = full.run(Some(&mut store), Some(1)).unwrap();
+    let resumed = full.run(Some(&store), Some(1)).unwrap();
     assert_eq!(resumed.report.cache_hits, 3);
     assert_eq!(resumed.report.engine_runs, 3);
     assert_eq!(resumed.results.len(), 6);
 
     // Warm: zero executions, bit-identical to the resumed pass.
-    let warm = full.run(Some(&mut store), Some(1)).unwrap();
+    let warm = full.run(Some(&store), Some(1)).unwrap();
     assert_eq!(warm.report.engine_runs, 0, "warm sweep must not execute");
     assert_eq!(warm.report.cache_hits, 6);
     assert_eq!(warm.report.corrupt_records, 0);
@@ -466,21 +467,20 @@ fn every_entry_point_returns_identical_bytes() {
         vec![FaultSpec::default(), faulted],
     );
     let dir = tmp_dir("equivalence");
-    let mut store = SweepStore::open(dir.join("local")).unwrap();
+    let store = Mutex::new(SweepStore::open(dir.join("local")).unwrap());
     let shared = Mutex::new(SweepStore::open(dir.join("daemon")).unwrap());
     let executor = MissExecutor::new(Arc::new(ServiceMetrics::new()), Some(2));
 
     let reference = sweep.run(None, Some(2)).unwrap();
     let bytes = |results: &[RunResult]| results.iter().map(encode_run_result).collect::<Vec<_>>();
+    let cold_local = sweep.run(Some(&store), Some(2)).unwrap();
+    let cold_local_misses = store.lock().unwrap().stats().misses;
     let grid_entries = [
         ("Sweep::run(None)", sweep.run(None, Some(1)).unwrap()),
-        (
-            "cold Sweep::run(store)",
-            sweep.run(Some(&mut store), Some(2)).unwrap(),
-        ),
+        ("cold Sweep::run(store)", cold_local),
         (
             "warm Sweep::run(store)",
-            sweep.run(Some(&mut store), Some(1)).unwrap(),
+            sweep.run(Some(&store), Some(1)).unwrap(),
         ),
         (
             "MissExecutor::run_sweep",
@@ -488,8 +488,15 @@ fn every_entry_point_returns_identical_bytes() {
         ),
     ];
     // 12 cells, 10 unique: every entry point runs (or, warm, loads) each
-    // unique cell exactly once.
+    // unique cell exactly once, and a cold store sees one lookup per
+    // unique cell, locally and through the daemon's executor alike.
     let accounting = [(10, 0), (10, 0), (0, 10), (10, 0)];
+    assert_eq!(cold_local_misses, 10, "cold Sweep::run(store) lookups");
+    assert_eq!(
+        shared.lock().unwrap().stats().misses,
+        10,
+        "MissExecutor::run_sweep lookups"
+    );
     for ((name, outcome), (runs, hits)) in grid_entries.iter().zip(accounting) {
         assert_eq!(outcome.results.len(), 12, "{name}");
         assert_eq!(bytes(&outcome.results), bytes(&reference.results), "{name}");
@@ -503,7 +510,7 @@ fn every_entry_point_returns_identical_bytes() {
     // A crescendo keeps each point's energy and delay, which must be the
     // bits of the grid's static ladder in the same fault row. Against the
     // warm store every point is a hit: crescendos and grids share keys.
-    let misses = store.stats().misses;
+    let misses = store.lock().unwrap().stats().misses;
     let ladder = |spec: &FaultSpec| {
         let spec = spec.clone();
         let workload = workload.clone();
@@ -526,12 +533,12 @@ fn every_entry_point_returns_identical_bytes() {
         (
             "crescendo(store), clean",
             0,
-            crescendo(ladder(clean), Some(&mut store)).unwrap(),
+            crescendo(ladder(clean), Some(&store)).unwrap(),
         ),
         (
             "crescendo(store), faulted",
             1,
-            crescendo(ladder(faulted), Some(&mut store)).unwrap(),
+            crescendo(ladder(faulted), Some(&store)).unwrap(),
         ),
         ("static_crescendo", 0, static_crescendo(&workload)),
     ];
@@ -555,7 +562,7 @@ fn every_entry_point_returns_identical_bytes() {
         assert_eq!(got, want, "{name}");
     }
     assert_eq!(
-        store.stats().misses,
+        store.lock().unwrap().stats().misses,
         misses,
         "crescendos hit the grid's records"
     );
@@ -567,23 +574,23 @@ fn every_entry_point_returns_identical_bytes() {
 #[test]
 fn sweep_heals_corrupt_records() {
     let dir = tmp_dir("heal");
-    let mut store = SweepStore::open(&dir).unwrap();
+    let store = Mutex::new(SweepStore::open(&dir).unwrap());
     let sweep = Sweep::grid(
         vec![Workload::ft_test(2)],
         vec![DvsStrategy::StaticMhz(1400), DvsStrategy::StaticMhz(600)],
         Vec::new(),
     );
-    let cold = sweep.run(Some(&mut store), Some(1)).unwrap();
+    let cold = sweep.run(Some(&store), Some(1)).unwrap();
 
     // Smash one record's payload.
     let cell = &sweep.cells()[0];
-    let path = store.record_path(cell.fingerprint);
+    let path = store.lock().unwrap().record_path(cell.fingerprint);
     let mut bytes = std::fs::read(&path).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xA5;
     std::fs::write(&path, &bytes).unwrap();
 
-    let healed = sweep.run(Some(&mut store), Some(1)).unwrap();
+    let healed = sweep.run(Some(&store), Some(1)).unwrap();
     assert_eq!(healed.report.corrupt_records, 1);
     assert_eq!(
         healed.report.engine_runs, 1,
@@ -591,10 +598,47 @@ fn sweep_heals_corrupt_records() {
     );
     assert_eq!(healed.results, cold.results);
 
-    let warm = sweep.run(Some(&mut store), Some(1)).unwrap();
+    let warm = sweep.run(Some(&store), Some(1)).unwrap();
     assert_eq!(warm.report.engine_runs, 0);
     assert_eq!(warm.report.corrupt_records, 0);
     assert_eq!(warm.results, cold.results);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The failure policy: a cell whose experiment panics (its fault targets
+/// a node the workload lacks) fails the sweep with a typed error naming
+/// it, after every other cell ran and was persisted.
+#[test]
+fn a_failed_cell_is_named_and_every_other_cell_persists() {
+    let dir = tmp_dir("failed-cell");
+    let store = Mutex::new(SweepStore::open(&dir).unwrap());
+    let missing_node = FaultSpec::default().with(Fault::ComputeSlowdown {
+        node: 9,
+        factor: 2.0,
+    });
+    let sweep = Sweep::grid(
+        vec![Workload::ft_test(4)],
+        vec![DvsStrategy::StaticMhz(1400)],
+        vec![
+            FaultSpec::default(),
+            missing_node,
+            FaultSpec::parse("seed:3,slow:1:1.5").unwrap(),
+        ],
+    );
+    match sweep.run(Some(&store), Some(2)) {
+        Err(SweepError::Failed(e)) => {
+            assert_eq!(e.index, 1);
+            assert!(e.message.contains("targets node 9"), "{}", e.message);
+        }
+        other => panic!("expected cell 1 to fail, got {other:?}"),
+    }
+    let store = store.into_inner().unwrap();
+    let persisted: Vec<bool> = sweep
+        .cells()
+        .iter()
+        .map(|c| store.record_path(c.fingerprint).exists())
+        .collect();
+    assert_eq!(persisted, [true, false, true]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
